@@ -2,7 +2,8 @@
 
 The pipeline: bulk Bloch bands -> Dirac cone certification and coefficient
 extraction -> effective one-dimensional Dirac operator with a domain-wall
-mass -> edge ribbon spectra, quasimodes, resolvent probes, and spectral flow.
+mass -> edge strip spectra checked against its ladder -> two-scale
+quasimodes.
 """
 
 __version__ = "0.1.0"

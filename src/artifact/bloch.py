@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .geometry import TWO_PI, LatticeFrame
+from .geometry import TWO_PI, LatticeFrame, dual_ball
 from .potentials import FourierField
 
 
@@ -31,9 +31,8 @@ class ConvergenceFailure(RuntimeError):
 class PlaneWaveBasis:
     """Dual-lattice indices with |n1*k1 + n2*k2| <= k_cutoff.
 
-    Ordering is lexicographic on (n1, n2) so eigenvector coefficients are
-    reproducible run to run; the set is symmetric under negation and
-    contains the origin.
+    Ordering is lexicographic on (n1, n2), as ``geometry.dual_ball`` builds
+    it, so eigenvector coefficients are reproducible run to run.
     """
 
     lattice: LatticeFrame
@@ -58,23 +57,9 @@ class PlaneWaveBasis:
 
 
 def build_basis(lattice: LatticeFrame, k_cutoff: float) -> PlaneWaveBasis:
-    smin = np.linalg.svd(
-        np.vstack([lattice.k1, lattice.k2]).T, compute_uv=False
-    )[-1]
-    reach = int(np.ceil(k_cutoff / smin)) + 1
-    n1, n2 = np.meshgrid(
-        np.arange(-reach, reach + 1), np.arange(-reach, reach + 1)
-    )
-    pairs = np.column_stack([n1.ravel(), n2.ravel()])
-    duals = pairs @ np.vstack([lattice.k1, lattice.k2])
-    keep = np.linalg.norm(duals, axis=1) <= k_cutoff + 1e-12
-    pairs, duals = pairs[keep], duals[keep]
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    indices, duals = dual_ball(lattice, k_cutoff)
     return PlaneWaveBasis(
-        lattice=lattice,
-        k_cutoff=k_cutoff,
-        indices=pairs[order],
-        duals=duals[order],
+        lattice=lattice, k_cutoff=k_cutoff, indices=indices, duals=duals
     )
 
 
@@ -96,13 +81,11 @@ def _coefficient_grid(field: FourierField, span: int) -> np.ndarray:
                 f"field '{field.kind}' still carries {boundary / peak:.2e} "
                 "of its peak on the truncation boundary"
             )
-    if field.is_vector:
-        grid = np.zeros((2 * span + 1, 2 * span + 1, 2), dtype=complex)
-    else:
-        grid = np.zeros((2 * span + 1, 2 * span + 1), dtype=complex)
-    for (n1, n2), c in zip(field.indices, field.coeffs):
-        if abs(n1) <= span and abs(n2) <= span:
-            grid[int(n1) + span, int(n2) + span] = c
+    side = 2 * span + 1
+    grid = np.zeros((side, side) + field.coeffs.shape[1:], dtype=complex)
+    inside = np.all(np.abs(field.indices) <= span, axis=1)
+    n1, n2 = field.indices[inside].T + span
+    grid[n1, n2] = field.coeffs[inside]
     return grid
 
 

@@ -1,9 +1,11 @@
 """Declarative run configuration.
 
 One JSON blob pins every knob of a run: the model fields, the solver
-resolutions, and the per-command sweep parameters.  A run is reproducible
-from its config alone, so every artifact we write embeds the config hash
-computed here.
+resolutions, and the per-command sweep parameters.  Each field stands for an
+argument or option of a library function, so a run is reproducible from its
+config alone; ``RunConfig.hash`` is a stable digest of that config.  No
+module reads a ``RunConfig`` yet: a run driver that maps it onto the library
+calls is still to be written.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 __all__ = [
     "ConfigError", "ModelConfig", "SolverConfig", "Dirac1DConfig",
-    "StripConfig", "FlowConfig", "QuasimodeConfig", "ResolventConfig",
-    "OutputConfig", "RunConfig", "from_dict", "from_json", "load",
+    "StripConfig", "QuasimodeConfig", "RunConfig", "from_dict", "from_json",
+    "load",
 ]
 
 
@@ -85,7 +87,6 @@ class Dirac1DConfig:
 
     half_width: float = 30.0
     n_points: int = 6000
-    mu_values: tuple[float, ...] = (0.25, 0.5, 1.0)
 
     def validate(self) -> None:
         if self.half_width <= 0 or self.n_points < 1000:
@@ -104,8 +105,6 @@ class StripConfig:
     t_factor: float = 8.0
     # Transverse quasimomentum samples for essential-band edges.
     tau_samples: int = 160
-    # Reject modes whose mass within the outer 10% of the box exceeds this.
-    boundary_mass_tol: float = 1e-6
 
     def validate(self) -> None:
         if self.step <= 0 or self.t_factor <= 0:
@@ -114,41 +113,6 @@ class StripConfig:
             raise ConfigError("tau_samples must be at least 128")
         if not self.delta_values or any(d <= 0 for d in self.delta_values):
             raise ConfigError("delta_values must be positive")
-
-
-@dataclass(frozen=True)
-class FlowConfig:
-    """Eigenvalue-curve tracking over the edge Brillouin circle."""
-
-    delta: float = 0.04
-    coarse_samples: int = 48
-    # Refined spacing near the cone projections: delta / fine_divisor.
-    fine_divisor: int = 8
-    # Half-width (radians) of the refined windows around each cone.
-    refine_halfwidth: float = 0.25
-    # Flow runs use a heavier wall so the crossing branch stays localized in
-    # a box the budget can afford; both amplitudes are flow-local overrides.
-    wall_amplitude: float = 10.0
-    magnetic_amplitude: float = 2.2
-    fast_cutoff: float = 4.0
-    # Wide enough that the certified window still holds the crossing branch
-    # away from the cone (the margin grows faster than the gap as |mu| does).
-    t_factor: float = 5.0
-    # Reference energy sits at this fraction of the bulk half-gap.
-    gap_fraction: float = 0.6
-    n_jobs: int = 0  # 0 = use all available cores
-
-    def validate(self) -> None:
-        if self.delta <= 0:
-            raise ConfigError("flow delta must be positive")
-        if self.coarse_samples < 16:
-            raise ConfigError("coarse_samples must be at least 16")
-        if self.fine_divisor < 1:
-            raise ConfigError("fine_divisor must be at least 1")
-        if not 0.0 < self.gap_fraction < 1.0:
-            raise ConfigError("gap_fraction must lie strictly inside (0, 1)")
-        if self.t_factor <= 3.0:
-            raise ConfigError("t_factor must exceed 3 (plateau requirement)")
 
 
 @dataclass(frozen=True)
@@ -167,42 +131,6 @@ class QuasimodeConfig:
 
 
 @dataclass(frozen=True)
-class ResolventConfig:
-    """Resolvent sandwich probe."""
-
-    delta: float = 0.08
-    n_halvings: int = 2  # probes delta, delta/2, ..., delta/2^n
-    mu: float = 0.0
-    # Complex z offsets (relative to the cone energy, in slow units),
-    # stored as (re, im) pairs to stay JSON-friendly.
-    z_values: tuple[tuple[float, float], ...] = (
-        (0.0, 0.5),
-        (0.3, 0.4),
-        (-0.3, 0.4),
-    )
-    n_probes: int = 5
-    seed: int = 7
-
-    def validate(self) -> None:
-        if self.delta <= 0:
-            raise ConfigError("resolvent delta must be positive")
-        if self.n_halvings < 1:
-            raise ConfigError("n_halvings must be at least 1")
-        if self.n_probes < 1:
-            raise ConfigError("n_probes must be at least 1")
-
-
-@dataclass(frozen=True)
-class OutputConfig:
-    out_dir: str = "runs"
-    svg: bool = True
-
-    def validate(self) -> None:
-        if not self.out_dir:
-            raise ConfigError("out_dir must be non-empty")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Everything a run needs, in one declarative object."""
 
@@ -211,14 +139,10 @@ class RunConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     dirac1d: Dirac1DConfig = field(default_factory=Dirac1DConfig)
     strip: StripConfig = field(default_factory=StripConfig)
-    flow: FlowConfig = field(default_factory=FlowConfig)
     quasimode: QuasimodeConfig = field(default_factory=QuasimodeConfig)
-    resolvent: ResolventConfig = field(default_factory=ResolventConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
 
     def validate(self) -> "RunConfig":
-        for name in ("model", "solver", "dirac1d", "strip", "flow",
-                     "quasimode", "resolvent", "output"):
+        for name in _SECTIONS:
             getattr(self, name).validate()
         a1, a2 = self.edge
         if (a1, a2) == (0, 0):
@@ -237,7 +161,7 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     def with_updates(self, **section_updates) -> "RunConfig":
-        """Functional update, e.g. cfg.with_updates(flow=dict(delta=0.08))."""
+        """Functional update, e.g. cfg.with_updates(strip=dict(step=0.4))."""
         changes = {}
         for key, val in section_updates.items():
             current = getattr(self, key)
@@ -280,10 +204,7 @@ _SECTIONS = {
     "solver": SolverConfig,
     "dirac1d": Dirac1DConfig,
     "strip": StripConfig,
-    "flow": FlowConfig,
     "quasimode": QuasimodeConfig,
-    "resolvent": ResolventConfig,
-    "output": OutputConfig,
 }
 
 

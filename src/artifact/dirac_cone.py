@@ -33,6 +33,14 @@ from .potentials import FourierField
 
 TAU = np.exp(2j * np.pi / 3.0)
 
+# compute_mass rejects |mass| below MASS_THRESHOLD; fit_fermi_velocity
+# rejects a relative spread of the directional slopes above SPREAD_TOL;
+# no_fold_scan measures the cone-pair margin only at momenta farther than
+# CONE_EXCLUSION from the cone, modulo the dual lattice.
+MASS_THRESHOLD = 1e-8
+SPREAD_TOL = 0.10
+CONE_EXCLUSION = 0.35
+
 
 class NoDegeneracyFound(RuntimeError):
     """No double eigenvalue at the pinned momentum; reports the nearest gap."""
@@ -125,12 +133,6 @@ class DiracPointData:
         if self.nu_star is None:
             raise DegenerateDiracPoint("velocity not computed yet")
         return abs(self.nu_star)
-
-    @property
-    def mass_abs(self) -> float:
-        if self.mass is None:
-            raise DegenerateDiracPoint("mass not computed yet")
-        return abs(self.mass)
 
     def to_json(self) -> str:
         payload = {
@@ -279,7 +281,6 @@ def compute_mass(
     data: DiracPointData,
     basis: PlaneWaveBasis,
     perturbation: FourierField,
-    threshold: float = 1e-8,
 ) -> float:
     """Mass of the gapped cone: <phi1, W phi1>, or its magnetic analogue.
 
@@ -299,9 +300,9 @@ def compute_mass(
     mass = float(np.real(m11))
     if abs(np.imag(m11)) > 1e-9 * max(abs(mass), 1.0):
         raise SymmetryProjectionFailed(f"mass has imaginary part {np.imag(m11):.3e}")
-    if abs(mass) < threshold:
+    if abs(mass) < MASS_THRESHOLD:
         raise DegenerateMass(
-            f"|mass| = {abs(mass):.3e} below threshold {threshold:.1e}"
+            f"|mass| = {abs(mass):.3e} below threshold {MASS_THRESHOLD:.1e}"
         )
     data.mass = mass
     data.diagnostics["mass_cross_term"] = abs(m12)
@@ -316,7 +317,6 @@ def fit_fermi_velocity(
     basis: PlaneWaveBasis,
     radii: tuple[float, ...] | None = None,
     n_directions: int = 12,
-    spread_tol: float = 0.10,
 ) -> tuple[float, dict]:
     """Fitted cone slope: directional secants extrapolated to radius zero.
 
@@ -349,8 +349,8 @@ def fit_fermi_velocity(
     intercepts = np.array(intercepts)
     nu_f = float(np.mean(intercepts))
     spread = float((intercepts.max() - intercepts.min()) / abs(nu_f))
-    if spread > spread_tol:
-        raise PoorFit(f"directional slope spread {spread:.2%} exceeds {spread_tol:.0%}")
+    if spread > SPREAD_TOL:
+        raise PoorFit(f"directional slope spread {spread:.2%} exceeds {SPREAD_TOL:.0%}")
     data.nu_fermi = nu_f
     diag = {
         "intercepts": intercepts,
@@ -393,7 +393,6 @@ def no_fold_scan(
     data: DiracPointData,
     basis: PlaneWaveBasis,
     tau_samples: int = 128,
-    cone_exclusion: float = 0.35,
 ) -> dict:
     """Scan the dispersion along the edge-transverse momentum line.
 
@@ -423,7 +422,7 @@ def no_fold_scan(
             np.linalg.norm(lattice.reduce_dual(xi - data.xi_star)),
             np.linalg.norm(lattice.reduce_dual(data.xi_star - xi)),
         )
-        if sep > cone_exclusion:
+        if sep > CONE_EXCLUSION:
             pair_margin = min(
                 pair_margin,
                 float(np.min(np.abs(vals[j : j + 2] - data.E_star))),
@@ -433,5 +432,5 @@ def no_fold_scan(
         "tau_samples": tau_samples,
         "other_band_margin": other_margin,
         "cone_pair_margin_away_from_cone": pair_margin,
-        "cone_exclusion_radius": cone_exclusion,
+        "cone_exclusion_radius": CONE_EXCLUSION,
     }

@@ -66,11 +66,6 @@ class LatticeFrame:
             arr.setflags(write=False)
 
     @property
-    def cell_matrix(self) -> np.ndarray:
-        """Columns v1, v2: the fundamental cell of the lattice."""
-        return np.column_stack([self.v1, self.v2])
-
-    @property
     def dual_matrix(self) -> np.ndarray:
         """Columns k1, k2: the fundamental cell of the dual (no 2*pi)."""
         return np.column_stack([self.k1, self.k2])
@@ -114,6 +109,28 @@ def build_lattice() -> LatticeFrame:
     k2 = dual_rows[1].copy()
     orientation = 1 if _det2(v1, v2) > 0 else -1
     return LatticeFrame(a=a, v1=v1, v2=v2, k1=k1, k2=k2, orientation=orientation)
+
+
+def dual_ball(lattice: LatticeFrame, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Dual-lattice points with |n1*k1 + n2*k2| <= cutoff.
+
+    Returns the integer pairs (n1, n2) as an (M, 2) int array and the points
+    n1*k1 + n2*k2 as an (M, 2) float array, both in lexicographic order on
+    (n1, n2), so tables and eigenvector coefficients built on them are
+    reproducible run to run.  The set is symmetric under negation and
+    contains the origin.
+    """
+    # |n1*k1 + n2*k2| >= |n|_2 * smallest singular value of [k1 k2]
+    dual = np.vstack([lattice.k1, lattice.k2])
+    smin = np.linalg.svd(dual.T, compute_uv=False)[-1]
+    reach = int(np.ceil(cutoff / smin)) + 1
+    n1, n2 = np.meshgrid(np.arange(-reach, reach + 1), np.arange(-reach, reach + 1))
+    pairs = np.column_stack([n1.ravel(), n2.ravel()])
+    points = pairs @ dual
+    keep = np.linalg.norm(points, axis=1) <= cutoff + 1e-12
+    pairs, points = pairs[keep], points[keep]
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    return pairs[order], points[order]
 
 
 def dirac_momenta(frame: LatticeFrame) -> tuple[np.ndarray, np.ndarray]:

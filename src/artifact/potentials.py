@@ -16,7 +16,7 @@ from typing import Literal
 
 import numpy as np
 
-from .geometry import ROTATION_ON_DUAL_INTS, LatticeFrame, TWO_PI
+from .geometry import ROTATION_ON_DUAL_INTS, LatticeFrame, TWO_PI, dual_ball
 
 Parity = Literal["even", "odd", "none"]
 
@@ -120,21 +120,6 @@ class FourierField:
         )
 
 
-def _dual_ball(lattice: LatticeFrame, cutoff: float) -> np.ndarray:
-    """Integer pairs (n1, n2) with |n1*k1 + n2*k2| <= cutoff."""
-    # |n1*k1 + n2*k2| >= |n|_2 * smallest singular value of [k1 k2]
-    smin = np.linalg.svd(np.vstack([lattice.k1, lattice.k2]).T, compute_uv=False)[-1]
-    reach = int(np.ceil(cutoff / smin)) + 1
-    n1, n2 = np.meshgrid(np.arange(-reach, reach + 1), np.arange(-reach, reach + 1))
-    pairs = np.column_stack([n1.ravel(), n2.ravel()])
-    norms = np.linalg.norm(
-        pairs @ np.vstack([lattice.k1, lattice.k2]), axis=1
-    )
-    keep = pairs[norms <= cutoff + 1e-12]
-    order = np.lexsort((keep[:, 1], keep[:, 0]))
-    return keep[order]
-
-
 def _gaussian_sublattice_sum(
     lattice: LatticeFrame,
     cutoff: float,
@@ -149,8 +134,7 @@ def _gaussian_sublattice_sum(
     The sites c_A = (v1+v2)/3 and c_B = 2(v1+v2)/3 give <eta_dual, c_A> =
     (n1+n2)/3 and c_B = -c_A mod the lattice.
     """
-    indices = _dual_ball(lattice, cutoff)
-    duals = indices @ np.vstack([lattice.k1, lattice.k2])
+    indices, duals = dual_ball(lattice, cutoff)
     norms2 = np.sum(duals * duals, axis=1)
     envelope = TWO_PI * width**2 * np.exp(-2.0 * np.pi**2 * width**2 * norms2)
     third = (indices[:, 0] + indices[:, 1]) / 3.0
@@ -231,7 +215,7 @@ def parity_breaking_W(
     )
 
 
-def magnetic_A(lattice: LatticeFrame, amplitude: float, cutoff: float = 4) -> FourierField:
+def magnetic_A(lattice: LatticeFrame, amplitude: float) -> FourierField:
     """Two-mode sine vector field with transverse polarization.
 
     A(x) = amplitude * (sin(2*pi<k1,x>)*u1 + sin(2*pi<k2,x>)*u2) with u_j the
@@ -257,7 +241,7 @@ def magnetic_A(lattice: LatticeFrame, amplitude: float, cutoff: float = 4) -> Fo
         parity="odd",
         rotation_invariant=False,
         kind="transverse_sine_pair",
-        meta={"amplitude": amplitude, "cutoff": cutoff, "exact_table": True},
+        meta={"amplitude": amplitude, "exact_table": True},
     )
 
 

@@ -21,7 +21,7 @@ of that restriction is exactly the statement that (theta, alpha) is an
 eigenpair of the reduced operator, so the projection of the right-hand side
 onto the pair is a direct consistency meter between the extracted
 coefficients (nu*, mass, theta) and the fiber itself; it is gated at
-``solvability_tol``.  The gate is honest: at fast cutoff 4 the truncation
+``SOLVABILITY_TOL``.  The gate is honest: at fast cutoff 4 the truncation
 split of the pair (~1e-5) leaves a projection near 2e-6, so quasimode work
 needs cutoff >= 5, where the projection drops below 1e-9.
 
@@ -40,12 +40,12 @@ solve: the reduced system is gauge-rotated to a real 2x2 ODE, integrated
 from both plateaus with decaying initial data, and the matching determinant
 at the wall center is driven to zero in the eigenvalue.  The refinement
 matters because the corrector gate sees the finite-difference eigenvalue
-error (~1e-4) directly.
+error (~1e-4) directly.  The integration runs on |t| <= ``SHOOTING_BOX`` at
+relative tolerance ``SHOOTING_RTOL``.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -61,6 +61,19 @@ from .geometry import TWO_PI, EdgeFrame
 from .potentials import DomainWall, FourierField
 from .ribbon import StripGrid, assemble_strip, fit_power_law, strip_grid
 from .wall_dirac import Dirac1DSpectrum, DiracParams
+
+# Largest pair projection of the order-delta right-hand side the correctors
+# accept.
+SOLVABILITY_TOL = 1e-8
+
+# Shooting: half-width (slow units) of the integration box and the
+# integrator's relative tolerance.  The root bracket starts at
+# +-SHOOTING_BRACKET around the guess and doubles at most SHOOTING_MAX_WIDEN
+# times.
+SHOOTING_BOX = 30.0
+SHOOTING_RTOL = 1e-12
+SHOOTING_BRACKET = 2e-3
+SHOOTING_MAX_WIDEN = 6
 
 
 class SolvabilityViolation(RuntimeError):
@@ -184,7 +197,7 @@ def _real_gauge(params: DiracParams) -> tuple[complex, float]:
     return e1, sign
 
 
-def _shoot_halves(params: DiracParams, theta: float, box: float, rtol: float):
+def _shoot_halves(params: DiracParams, theta: float):
     """Integrate the real-gauge system from both plateaus toward the wall."""
     p = params
     s, smu, mass = p.speed_t, p.speed_mu, p.mass
@@ -208,35 +221,28 @@ def _shoot_halves(params: DiracParams, theta: float, box: float, rtol: float):
         v = np.array([theta + mk, s * lam + b])
         return v / np.linalg.norm(v)
 
+    box = SHOOTING_BOX
     left = solve_ivp(
         rhs, (-box, 0.0), end_vec(p.wall(-box), +1.0),
-        method="DOP853", rtol=rtol, atol=1e-300, dense_output=True,
+        method="DOP853", rtol=SHOOTING_RTOL, atol=1e-300, dense_output=True,
     )
     right = solve_ivp(
         rhs, (box, 0.0), end_vec(p.wall(box), -1.0),
-        method="DOP853", rtol=rtol, atol=1e-300, dense_output=True,
+        method="DOP853", rtol=SHOOTING_RTOL, atol=1e-300, dense_output=True,
     )
     if not (left.success and right.success):
         raise RuntimeError("plateau integration failed")
     return left, right
 
 
-def _matching_det(params: DiracParams, theta: float, box: float, rtol: float) -> float:
-    left, right = _shoot_halves(params, theta, box, rtol)
+def _matching_det(params: DiracParams, theta: float) -> float:
+    left, right = _shoot_halves(params, theta)
     a = left.y[:, -1] / np.linalg.norm(left.y[:, -1])
     c = right.y[:, -1] / np.linalg.norm(right.y[:, -1])
     return float(a[0] * c[1] - a[1] * c[0])
 
 
-def shooting_pair(
-    params: DiracParams,
-    theta_guess: float,
-    *,
-    box: float = 30.0,
-    rtol: float = 1e-12,
-    bracket: float = 2e-3,
-    max_widen: int = 6,
-) -> EnvelopePair:
+def shooting_pair(params: DiracParams, theta_guess: float) -> EnvelopePair:
     """Refine an in-gap eigenvalue by shooting and return the glued pair.
 
     ``theta_guess`` brackets the root (a finite-difference eigenvalue is
@@ -246,17 +252,18 @@ def shooting_pair(
     eigenvalue are accurate to the integrator tolerance rather than to the
     finite-difference grid.
     """
+    box = SHOOTING_BOX
     if box <= params.wall.plateau_halfwidth:
         raise ValueError("shooting box must exceed the wall plateau")
 
     def det(th: float) -> float:
-        return _matching_det(params, th, box, rtol)
+        return _matching_det(params, th)
 
-    half = bracket
+    half = SHOOTING_BRACKET
     lo, hi = theta_guess - half, theta_guess + half
     f_lo, f_hi = det(lo), det(hi)
     widened = 0
-    while f_lo * f_hi > 0 and widened < max_widen:
+    while f_lo * f_hi > 0 and widened < SHOOTING_MAX_WIDEN:
         half *= 2.0
         lo, hi = theta_guess - half, theta_guess + half
         f_lo, f_hi = det(lo), det(hi)
@@ -268,7 +275,7 @@ def shooting_pair(
         )
     theta = float(brentq(det, lo, hi, xtol=1e-13))
 
-    left, right = _shoot_halves(params, theta, box, rtol)
+    left, right = _shoot_halves(params, theta)
     chi_l = left.y[:, -1]
     chi_r = right.y[:, -1]
     # glue the right half onto the left one's scale (collinear at the root)
@@ -312,13 +319,7 @@ def shooting_pair(
     )
 
 
-def ladder_pair(
-    spectrum: Dirac1DSpectrum,
-    branch: int = 0,
-    *,
-    box: float = 30.0,
-    rtol: float = 1e-12,
-) -> EnvelopePair:
+def ladder_pair(spectrum: Dirac1DSpectrum, branch: int = 0) -> EnvelopePair:
     """Shooting-refined pair for one branch of a 1D in-gap ladder.
 
     ``branch`` counts from the middle of the sorted in-gap spectrum
@@ -334,7 +335,7 @@ def ladder_pair(
     guess = float(spectrum.eigenvalues[idx])
     if branch == 0 and abs(spectrum.params.mu) < 1e-12 and abs(guess) < 1e-8:
         return zero_mode_pair(spectrum.params)
-    return shooting_pair(spectrum.params, guess, box=box, rtol=rtol)
+    return shooting_pair(spectrum.params, guess)
 
 
 # ---------------------------------------------------------------------------
@@ -493,14 +494,12 @@ def first_correction(
     ws: QuasimodeWorkspace,
     pair: EnvelopePair,
     ts: np.ndarray,
-    *,
-    solvability_tol: float = 1e-8,
 ) -> TransverseCorrection:
     """Solve (P0 - E*) V = -g on the complement of the cone pair, per node.
 
     The projection of g onto the pair is subtracted before the solve (it
     vanishes identically for an exact eigenpair); its pre-subtraction
-    magnitude is the solvability defect and is gated at ``solvability_tol``.
+    magnitude is the solvability defect and is gated at ``SOLVABILITY_TOL``.
     """
     ts = np.asarray(ts, dtype=float)
     alpha = pair.alpha(ts)
@@ -508,9 +507,9 @@ def first_correction(
     g = _order1_bracket(ws, pair, ts, alpha, d_alpha)
     projection = ws.pair_projection(g)
     defect = float(np.abs(projection).max())
-    if defect > solvability_tol:
+    if defect > SOLVABILITY_TOL:
         raise SolvabilityViolation(
-            f"solvability projection {defect:.3e} exceeds {solvability_tol:.1e}; "
+            f"solvability projection {defect:.3e} exceeds {SOLVABILITY_TOL:.1e}; "
             "the reduced coefficients do not match the fiber (check the fast "
             "cutoff and the envelope eigenvalue accuracy)"
         )
@@ -722,35 +721,6 @@ class QuasimodeAnsatz:
     def defect(self) -> float:
         return self.correction.defect if self.correction is not None else np.nan
 
-    def transverse_profile(self) -> np.ndarray:
-        """Per-node probability mass of the sampled vector."""
-        dens = np.abs(self.vector.reshape(self.grid.n_t, self.grid.n_fast)) ** 2
-        return dens.sum(axis=1)
-
-    def to_csv(self) -> str:
-        """Envelope and corrector profiles, one row per transverse node."""
-        buf = io.StringIO()
-        buf.write(
-            "t_slow,alpha1_re,alpha1_im,alpha2_re,alpha2_im,"
-            "corrector_norm,sample_mass\n"
-        )
-        ts = self.delta * self.grid.t
-        corr = (
-            np.linalg.norm(self.correction.values, axis=0)
-            if self.correction is not None
-            else np.zeros_like(ts)
-        )
-        mass = self.transverse_profile()
-        for j in range(len(ts)):
-            row = (
-                ts[j],
-                self.alpha[j, 0].real, self.alpha[j, 0].imag,
-                self.alpha[j, 1].real, self.alpha[j, 1].imag,
-                corr[j], mass[j],
-            )
-            buf.write(",".join(f"{x:.12g}" for x in row) + "\n")
-        return buf.getvalue()
-
 
 def effective_zeta(ws: QuasimodeWorkspace, delta: float, mu: float) -> float:
     """Edge Bloch phase carried by the detuned ansatz: zeta* + mu delta."""
@@ -767,7 +737,6 @@ def leading_quasimode(
     order: int = 1,
     step: float = 0.5,
     t_factor: float = 4.5,
-    solvability_tol: float = 1e-8,
 ) -> QuasimodeAnsatz:
     """Sample the two-scale ansatz on a strip grid.
 
@@ -820,7 +789,7 @@ def leading_quasimode(
     energy = ws.e_star + delta * pair.theta
     field = fast
     if order >= 1:
-        correction = first_correction(ws, pair, ts, solvability_tol=solvability_tol)
+        correction = first_correction(ws, pair, ts)
         field = field + delta * correction.values
     if order >= 2:
         second = second_order_layer(ws, pair, correction)
@@ -855,22 +824,6 @@ def leading_quasimode(
     )
 
 
-def boundary_phase_residual(ws: QuasimodeWorkspace, ansatz: QuasimodeAnsatz) -> float:
-    """Deviation of the strip representation from the edge Bloch condition.
-
-    Every basis plane wave gains exp(i (xi_eff + 2 pi q) . v) under a shift
-    by the edge period; the sample satisfies u(x + v) = exp(i zeta_eff) u(x)
-    exactly when all those factors agree.  Returns the worst disagreement.
-    """
-    xi_eff = ws.frame.xi_of(ws.zeta_star, ws.tau_star) + (
-        ansatz.mu * ansatz.delta * ws.frame.ell
-    )
-    shifts = (xi_eff[None, :] + TWO_PI * ws.basis.duals) @ ws.frame.v
-    factors = np.exp(1j * shifts)
-    target = np.exp(1j * ansatz.diagnostics["zeta_effective"])
-    return float(np.abs(factors - target).max())
-
-
 # ---------------------------------------------------------------------------
 # residual study
 
@@ -888,15 +841,6 @@ class ResidualStudy:
     mu: float
     theta: float
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("delta," + ",".join(f"order{o}" for o in self.orders) + ",defect\n")
-        for i, d in enumerate(self.deltas):
-            row = [d] + [self.residuals[o][i] for o in self.orders]
-            row.append(self.defects[i])
-            buf.write(",".join(f"{x:.12g}" for x in row) + "\n")
-        return buf.getvalue()
-
 
 def residual_orders(
     ws: QuasimodeWorkspace,
@@ -906,7 +850,6 @@ def residual_orders(
     orders: tuple[int, ...] = (1, 2),
     step: float = 0.5,
     t_factor: float = 4.5,
-    solvability_tol: float = 1e-8,
 ) -> ResidualStudy:
     """Measure ||(strip - E) u|| / ||u|| across delta for each ansatz order.
 
@@ -927,10 +870,7 @@ def residual_orders(
             perturbation=ws.perturbation, step=step, t_factor=t_factor,
         )
         for o in sorted(orders):
-            ansatz = leading_quasimode(
-                ws, pair, delta, mu, op.grid,
-                order=o, solvability_tol=solvability_tol,
-            )
+            ansatz = leading_quasimode(ws, pair, delta, mu, op.grid, order=o)
             residuals[o][i] = float(
                 np.linalg.norm(op.matrix @ ansatz.vector - ansatz.energy * ansatz.vector)
             )

@@ -90,6 +90,28 @@ class MissedMultiplicityWarning(UserWarning):
     """An eigenvalue cluster looks like an unresolved smooth/mirror pair."""
 
 
+# Envelope momenta |p| <= MIRROR_CUT * pi / step count as smooth: half the
+# envelope zone radius splits the physical channel (mass near p = 0) from
+# its zone-edge mirror (mass near p = pi / step).
+MIRROR_CUT = 0.5
+
+# gap_eigenpairs screens.  Raw eigenvalues closer than CLUSTER_TOL form one
+# smooth/mirror cluster; a rotated member is kept when its smooth fraction
+# reaches SMOOTH_CUT, and a fraction strictly inside MIXED_BAND marks an
+# unresolved pair.  Kept states must have a relative residual at most
+# RESIDUAL_TOL and at most BOUNDARY_MASS_TOL of their mass in the outer 10%
+# of the box.
+CLUSTER_TOL = 1e-6
+SMOOTH_CUT = 0.5
+MIXED_BAND = (0.15, 0.85)
+RESIDUAL_TOL = 1e-6
+BOUNDARY_MASS_TOL = 1e-6
+
+# gap_window pulls the window in by this multiple of the minimum edge
+# distance before falling back to its smaller ``fallback_factor``.
+WINDOW_MARGIN = 3.0
+
+
 # ---------------------------------------------------------------------------
 # grid and guards
 
@@ -253,10 +275,6 @@ class StripOperator:
             return 0.0
         return float(np.abs(diff.data).max() / scale)
 
-    def envelopes(self, vec: np.ndarray) -> np.ndarray:
-        """Reshape a flat state to (n_t, n_fast), t-major."""
-        return vec.reshape(self.grid.n_t, self.grid.n_fast)
-
 
 def assemble_strip(
     frame: EdgeFrame,
@@ -391,7 +409,6 @@ def essential_edges_bulk(
     j_star: int,
     *,
     tau_samples: int = 160,
-    refine: bool = True,
     allow_closed: bool = False,
     closed_tol: float = 1e-9,
 ) -> BulkEdges:
@@ -402,7 +419,8 @@ def essential_edges_bulk(
     essential spectrum is the union of their zeta-slice band ranges.  The gap
     between bands ``j_star`` and ``j_star + 1`` (1-based, matching the cone
     certificate) is the intersection over both signs of the per-sign gaps,
-    each an extremum over the transverse phase tau.
+    each an extremum over the transverse phase tau, located on the sample
+    grid and then refined by a bounded scalar search.
     """
     if tau_samples < 128:
         raise ValueError("tau_samples must be at least 128")
@@ -427,28 +445,27 @@ def essential_edges_bulk(
         i_hi = int(np.argmin(hi))
         tau_lo, val_lo = taus[i_lo], lo[i_lo]
         tau_hi, val_hi = taus[i_hi], hi[i_hi]
-        if refine:
 
-            def band(tau, index, s=sgn):
-                pair = _fiber_pair(
-                    frame, potential, perturbation, zeta, tau, s * delta, basis, j_star
-                )
-                return pair[index]
+        def band(tau, index, s=sgn):
+            pair = _fiber_pair(
+                frame, potential, perturbation, zeta, tau, s * delta, basis, j_star
+            )
+            return pair[index]
 
-            res = minimize_scalar(
-                lambda tau: -band(tau, 0),
-                bounds=(tau_lo - width, tau_lo + width),
-                method="bounded",
-                options={"xatol": 1e-8},
-            )
-            tau_lo, val_lo = float(res.x), float(-res.fun)
-            res = minimize_scalar(
-                lambda tau: band(tau, 1),
-                bounds=(tau_hi - width, tau_hi + width),
-                method="bounded",
-                options={"xatol": 1e-8},
-            )
-            tau_hi, val_hi = float(res.x), float(res.fun)
+        res = minimize_scalar(
+            lambda tau: -band(tau, 0),
+            bounds=(tau_lo - width, tau_lo + width),
+            method="bounded",
+            options={"xatol": 1e-8},
+        )
+        tau_lo, val_lo = float(res.x), float(-res.fun)
+        res = minimize_scalar(
+            lambda tau: band(tau, 1),
+            bounds=(tau_hi - width, tau_hi + width),
+            method="bounded",
+            options={"xatol": 1e-8},
+        )
+        tau_hi, val_hi = float(res.x), float(res.fun)
         per_sign[label] = {
             "lower": float(val_lo),
             "upper": float(val_hi),
@@ -489,7 +506,6 @@ def gap_window(
     delta: float,
     *,
     boundary_tol: float = 1e-6,
-    margin_factor: float = 3.0,
     fallback_factor: float = 1.5,
 ) -> tuple[float, float] | None:
     """Energy window inside the gap whose states the finite box can certify.
@@ -499,8 +515,8 @@ def gap_window(
     half-gap and d the distance to the nearer edge, both in slow (per-delta)
     units.  Requiring boundary mass below ``boundary_tol`` over the tail the
     box actually provides gives a minimum edge distance d_min; the window
-    pulls in ``margin_factor`` times that (falling back to the smaller factor,
-    then to no window at all, when the gap is too tight).
+    pulls in ``WINDOW_MARGIN`` times that (falling back to the smaller
+    ``fallback_factor``, then to no window at all, when the gap is too tight).
     """
     if edges.closed or edges.gap <= 0:
         return None
@@ -518,7 +534,7 @@ def gap_window(
         if R >= H:
             return None
         d_min[side] = H - np.sqrt(H * H - R * R)
-    for factor in (margin_factor, fallback_factor):
+    for factor in (WINDOW_MARGIN, fallback_factor):
         lo = edges.lower + factor * d_min["lower"] * delta
         hi = edges.upper - factor * d_min["upper"] * delta
         if lo < hi:
@@ -530,33 +546,32 @@ def gap_window(
 # interior eigenpairs
 
 
-def envelope_band_fraction(
-    vec: np.ndarray, grid: StripGrid, p_cut: float | None = None
-) -> float:
-    """Fraction of a state's envelope Fourier mass at momenta |p| <= p_cut.
+def _smooth_mask(grid: StripGrid) -> np.ndarray:
+    """Envelope momenta below the mirror cut, in np.fft order."""
+    return np.abs(grid.envelope_momenta()) <= MIRROR_CUT * np.pi / grid.step
 
-    The default cut at half the envelope zone radius separates the physical
-    channel (mass near p = 0) from its zone-edge mirror (mass near
+
+def envelope_band_fraction(vec: np.ndarray, grid: StripGrid) -> float:
+    """Fraction of a state's envelope Fourier mass below the mirror cut.
+
+    The cut at ``MIRROR_CUT`` times the envelope zone radius separates the
+    physical channel (mass near p = 0) from its zone-edge mirror (mass near
     p = pi/step); genuine states score near 1, mirrors near 0, and unresolved
     mixtures land in between.
     """
-    if p_cut is None:
-        p_cut = 0.5 * np.pi / grid.step
     env = vec.reshape(grid.n_t, grid.n_fast)
     spec = np.fft.fft(env, axis=0)
-    mask = np.abs(grid.envelope_momenta()) <= p_cut
+    mask = _smooth_mask(grid)
     total = np.sum(np.abs(spec) ** 2)
     if total == 0:
         return 0.0
     return float(np.sum(np.abs(spec[mask]) ** 2) / total)
 
 
-def _band_projection(block: np.ndarray, grid: StripGrid, p_cut: float | None = None):
+def _band_projection(block: np.ndarray, grid: StripGrid):
     """Apply the envelope low-momentum projector to columns of a state block."""
-    if p_cut is None:
-        p_cut = 0.5 * np.pi / grid.step
     n_states = block.shape[1]
-    mask = np.abs(grid.envelope_momenta()) <= p_cut
+    mask = _smooth_mask(grid)
     out = np.empty_like(block)
     for j in range(n_states):
         spec = np.fft.fft(block[:, j].reshape(grid.n_t, grid.n_fast), axis=0)
@@ -666,12 +681,6 @@ def gap_eigenpairs(
     mu: float = np.nan,
     k_start: int = 16,
     k_max: int = 256,
-    cluster_tol: float = 1e-6,
-    smooth_cut: float = 0.5,
-    mixed_band: tuple[float, float] = (0.15, 0.85),
-    boundary_mass_tol: float = 1e-6,
-    residual_tol: float = 1e-6,
-    keep_vectors: bool = True,
     seed: int = 20250818,
 ) -> EdgeSpectrum:
     """All certified eigenpairs of the strip inside the given energy window.
@@ -684,9 +693,10 @@ def gap_eigenpairs(
     skipped.  Quasi-degenerate clusters are then rotated in envelope Fourier
     mass to split physical states from their zone-edge mirrors; only smooth
     members are kept and their energies re-evaluated as Rayleigh quotients.
-    A post-rotation fraction stuck between the ``mixed_band`` bounds means a
-    twin went missing, which triggers one more growth round and finally a
-    MissedMultiplicityWarning.
+    A post-rotation fraction stuck inside ``MIXED_BAND`` means a twin went
+    missing, which triggers one more growth round and finally a
+    MissedMultiplicityWarning.  ``CLUSTER_TOL``, ``SMOOTH_CUT``,
+    ``RESIDUAL_TOL`` and ``BOUNDARY_MASS_TOL`` set the other screens.
     """
     if window is None:
         return _empty_spectrum(op, None, edges, mu, "empty window, no solve")
@@ -726,7 +736,7 @@ def gap_eigenpairs(
 
         # cluster quasi-degenerate values, rotate each cluster so envelope
         # Fourier mass is diagonal, and keep the smooth members
-        splits = np.flatnonzero(np.diff(sub_vals) > cluster_tol) + 1
+        splits = np.flatnonzero(np.diff(sub_vals) > CLUSTER_TOL) + 1
         groups = np.split(np.arange(len(sub_vals)), splits)
         kept_vecs, kept_fracs = [], []
         mixed = False
@@ -742,9 +752,9 @@ def gap_eigenpairs(
             rotated = q @ rot
             for j in range(rotated.shape[1]):
                 frac = float(np.clip(fracs[j], 0.0, 1.0))
-                if mixed_band[0] < frac < mixed_band[1]:
+                if MIXED_BAND[0] < frac < MIXED_BAND[1]:
                     mixed = True
-                if frac >= smooth_cut:
+                if frac >= SMOOTH_CUT:
                     w = rotated[:, j]
                     kept_vecs.append(w / np.linalg.norm(w))
                     kept_fracs.append(frac)
@@ -790,14 +800,14 @@ def gap_eigenpairs(
         e = float(np.real(np.vdot(w, hw)))
         res = float(np.linalg.norm(hw - e * w))
         max_residual = max(max_residual, res)
-        if res > residual_tol * max(1.0, abs(e)):
+        if res > RESIDUAL_TOL * max(1.0, abs(e)):
             dropped["residual"] += 1
             continue
         if not (lo <= e <= hi):
             dropped["window"] += 1
             continue
         inner, outer = _mass_fractions(w, op.grid)
-        if outer > boundary_mass_tol:
+        if outer > BOUNDARY_MASS_TOL:
             dropped["boundary"] += 1
             continue
         values.append(e)
@@ -810,11 +820,7 @@ def gap_eigenpairs(
     diagnostics["max_residual"] = max_residual
     order = np.argsort(values)
     values = np.asarray(values)[order]
-    mat = (
-        np.stack([vectors[i] for i in order], axis=1)
-        if (keep_vectors and len(values))
-        else None
-    )
+    mat = np.stack([vectors[i] for i in order], axis=1) if len(values) else None
     return EdgeSpectrum(
         zeta=op.grid.zeta,
         delta=op.grid.delta,
@@ -933,11 +939,6 @@ def solve_edge_channel(
     step: float = 0.5,
     t_factor: float = 8.0,
     tau_samples: int = 160,
-    boundary_tol: float = 1e-6,
-    window_override: tuple[float, float] | None = None,
-    k_start: int = 16,
-    k_max: int = 256,
-    keep_vectors: bool = True,
     seed: int = 20250818,
     flip_wall: bool = False,
     tau_ref: float | None = None,
@@ -947,8 +948,7 @@ def solve_edge_channel(
     Labels the result with the envelope detuning mu = (wrapped distance to the
     nearest conical momentum) / delta.  ``decay_speed`` is the transverse group
     speed of the reduced operator (used to convert decay lengths into window
-    margins); pass ``params.speed_t``.  ``window_override`` skips the margin
-    construction, e.g. to reuse one fixed reference window across a scan.
+    margins); pass ``params.speed_t``.
     """
     _, dz = nearest_cone(frame, zeta)
     mu = dz / delta if delta > 0 else np.nan
@@ -961,14 +961,7 @@ def solve_edge_channel(
         perturbation=perturbation, step=step, t_factor=t_factor,
         tau_ref=tau_ref, flip_wall=flip_wall,
     )
-    if window_override is not None:
-        window = window_override
-    else:
-        window = gap_window(
-            edges, decay_speed, op.grid.half_width, wall.plateau_halfwidth,
-            delta, boundary_tol=boundary_tol,
-        )
-    return gap_eigenpairs(
-        op, window, edges, mu=mu, k_start=k_start, k_max=k_max,
-        keep_vectors=keep_vectors, seed=seed,
+    window = gap_window(
+        edges, decay_speed, op.grid.half_width, wall.plateau_halfwidth, delta
     )
+    return gap_eigenpairs(op, window, edges, mu=mu, seed=seed)

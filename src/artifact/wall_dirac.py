@@ -41,6 +41,15 @@ class SpuriousModeWarning(UserWarning):
     """Eigenpairs rejected by the localization filter (box artifacts)."""
 
 
+# gap_spectrum solver settings.  The Krylov count doubles from 32 until the
+# converged values straddle the window or reach MAX_PAIRS.  Eigenvalues
+# closer than CLUSTER_TOL form one cluster for the roughness rotation, and a
+# rotated mode with roughness at or above ROUGHNESS_CUT is a grid doubler.
+MAX_PAIRS = 128
+CLUSTER_TOL = 1e-2
+ROUGHNESS_CUT = 1.0
+
+
 @dataclass(frozen=True)
 class DiracParams:
     """Coefficients of the reduced operator, all in slow units."""
@@ -208,7 +217,7 @@ def assemble_dirac(
 
 
 def _roughness_split(
-    vals: np.ndarray, vecs: np.ndarray, N: int, cluster_tol: float
+    vals: np.ndarray, vecs: np.ndarray, N: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rotate quasi-degenerate clusters to separate grid-doubling partners.
 
@@ -224,7 +233,7 @@ def _roughness_split(
         return vecs, np.zeros(0)
     clusters: list[list[int]] = [[0]]
     for i in range(1, len(vals)):
-        if vals[i] - vals[clusters[-1][-1]] < cluster_tol:
+        if vals[i] - vals[clusters[-1][-1]] < CLUSTER_TOL:
             clusters[-1].append(i)
         else:
             clusters.append([i])
@@ -244,9 +253,7 @@ def _roughness_split(
     return np.column_stack(out_vecs), np.array(out_rough)
 
 
-def _windowed_eigs(
-    H, window: tuple[float, float], max_pairs: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _windowed_eigs(H, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """Verified eigenpairs of a sparse Hermitian operator inside a window.
 
     Shift-invert Lanczos with the shift placed a hair off zero: the operator
@@ -261,13 +268,14 @@ def _windowed_eigs(
     # symmetry alignment the way a constant vector would have
     v0 = np.random.default_rng(12345).standard_normal(n)
     sigma = 1e-4
+    worst = None  # largest residual of the last converged attempt
     for attempt in range(4):
         k = 32
         try:
             while True:
                 vals, vecs = spla.eigsh(H, k=k, sigma=sigma, which="LM", v0=v0)
                 if (vals.min() < window[0] and vals.max() > window[1]) or k >= min(
-                    n, max_pairs
+                    n, MAX_PAIRS
                 ):
                     break
                 k = min(n, 2 * k)
@@ -281,10 +289,11 @@ def _windowed_eigs(
         residuals = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
         if len(vals) == 0 or residuals.max() < 1e-7 * max(1.0, np.abs(vals).max()):
             return vals, vecs
+        worst = float(residuals.max())
         sigma *= 1.618
+    detail = "no attempt converged" if worst is None else f"worst residual {worst:.2e}"
     raise RuntimeError(
-        "in-gap eigensolve failed to produce verified residuals; "
-        f"worst residual {residuals.max():.2e} after shift retries"
+        f"in-gap eigensolve failed to produce verified residuals after shift retries; {detail}"
     )
 
 
@@ -293,9 +302,6 @@ def gap_spectrum(
     T: float,
     N: int,
     localization_cut: float = 0.99,
-    max_pairs: int = 128,
-    roughness_cut: float = 1.0,
-    cluster_tol: float = 1e-2,
 ) -> Dirac1DSpectrum:
     """All accepted smooth in-gap eigenpairs of the discretized operator.
 
@@ -313,11 +319,11 @@ def gap_spectrum(
     if window[0] >= window[1]:
         raise ValueError("essential gap too small for the boundary margin")
 
-    vals, vecs = _windowed_eigs(H, window, max_pairs)
+    vals, vecs = _windowed_eigs(H, window)
 
     # unmix doubling partners cluster by cluster, then re-evaluate energies
-    rotated, roughness = _roughness_split(vals, vecs, N, cluster_tol)
-    smooth = roughness < roughness_cut
+    rotated, roughness = _roughness_split(vals, vecs, N)
+    smooth = roughness < ROUGHNESS_CUT
     doubling_rejected = int(np.sum(~smooth))
     vecs = rotated[:, smooth]
     vals = np.array(

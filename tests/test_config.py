@@ -31,9 +31,9 @@ def test_hash_sensitive_to_any_knob():
 
 
 def test_partial_payload_fills_defaults():
-    cfg = config.from_json('{"flow": {"delta": 0.08}}')
-    assert cfg.flow.delta == 0.08
-    assert cfg.flow.coarse_samples == config.FlowConfig().coarse_samples
+    cfg = config.from_json('{"quasimode": {"mu": 0.3}}')
+    assert cfg.quasimode.mu == 0.3
+    assert cfg.quasimode.fast_cutoff == config.QuasimodeConfig().fast_cutoff
     assert cfg.model == config.ModelConfig()
 
 
@@ -53,7 +53,8 @@ def test_lists_become_tuples():
     '{"model": {"wall_kind": "cliff"}}',
     '{"strip": {"tau_samples": 64}}',
     '{"dirac1d": {"n_points": 10}}',
-    '{"flow": {"delta": -0.1}}',
+    '{"quasimode": {"delta_values": [-0.1]}}',
+    '{"flow": {}}',
     'not json at all',
 ])
 def test_bad_payloads_rejected(payload):

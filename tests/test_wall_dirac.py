@@ -321,3 +321,18 @@ def test_predict_requires_unshifted_base(default_params):
     base = gap_spectrum(mu_params, 30.0, 6000)
     with pytest.raises(ValueError, match="mu = 0"):
         predict_mu_spectrum(base, 0.5, mu_params)
+
+
+def test_failed_shift_retries_raise_runtime_error(default_params, monkeypatch):
+    # every shift-invert attempt fails inside the eigensolver: the retry loop
+    # must end in its own RuntimeError, not in an unassigned residual
+    calls = []
+
+    def failing_eigsh(*args, **kwargs):
+        calls.append(kwargs["sigma"])
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(wall_dirac.spla, "eigsh", failing_eigsh)
+    with pytest.raises(RuntimeError, match="no attempt converged"):
+        gap_spectrum(default_params, 30.0, 6000)
+    assert len(calls) == 4

@@ -24,6 +24,14 @@ Two design points matter and are easy to get wrong:
   separates the smooth member from the mirror one, and only the smooth member
   is kept.  Skipping this filter makes every crossing count appear twice with
   opposite slopes and cancel.
+
+A window is certified complete by counting, not by over-solving.  The strip
+couples t-nodes at distance at most 2 (the squared centered difference), so
+grouped in node pairs it is block tridiagonal, magnetic terms included.  A
+block LDL^H sweep over those pairs gives the inertia of ``H - s`` and, by
+Sylvester's law, the number of eigenvalues below s; two sweeps count the
+window exactly (spectrum slicing, Ericsson & Ruhe, Math. Comp. 35, 1980).
+The Krylov solve then asks for that many pairs and must find that many.
 """
 
 from __future__ import annotations
@@ -34,6 +42,8 @@ from dataclasses import dataclass, field as dc_field, replace as dc_replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import zgemm
+from scipy.linalg.lapack import zhetrf, zhetrs
 from scipy.optimize import minimize_scalar
 
 from .bloch import (
@@ -52,6 +62,7 @@ __all__ = [
     "FactorizationFailure",
     "CountMismatch",
     "MissedMultiplicityWarning",
+    "BoxTooShortWarning",
     "StripGrid",
     "StripOperator",
     "BulkEdges",
@@ -83,11 +94,45 @@ class FactorizationFailure(RuntimeError):
 
 
 class CountMismatch(RuntimeError):
-    """Strip and reduced-operator in-gap counts disagree on a shared window."""
+    """Two routes to the number of states in one window disagree.
+
+    Raised when the strip's certified states and the reduced operator's ladder
+    differ in number, and when the converged Ritz values in a window differ
+    from its inertia count.  ``count`` is the reference count (ladder or
+    inertia), ``found`` the number the strip solve produced, and ``k`` the
+    Krylov subspace size asked for (None for the ladder comparison).
+    """
+
+    def __init__(self, message: str, *, count: int, found: int, k: int | None):
+        super().__init__(message)
+        self.count = count
+        self.found = found
+        self.k = k
 
 
 class MissedMultiplicityWarning(UserWarning):
     """An eigenvalue cluster looks like an unresolved smooth/mirror pair."""
+
+
+class BoxTooShortWarning(UserWarning):
+    """The box tail past the wall is too short to certify any in-gap energy.
+
+    Carries the edge phase ``zeta``, the tail length ``tail_slow`` in slow
+    units, the decay rate ``R`` the boundary tolerance needs over that tail,
+    and the half-gap ``H`` (slow units) on the side that failed: a state can
+    decay at most at rate H, so ``R >= H`` leaves no window.
+    """
+
+    def __init__(self, zeta: float, tail_slow: float, R: float, H: float):
+        super().__init__(
+            f"box too short at zeta = {zeta:.6f}: a {tail_slow:.3g}-unit tail "
+            f"needs decay rate {R:.3g} but the half-gap allows at most "
+            f"{H:.3g}; raise t_factor"
+        )
+        self.zeta = zeta
+        self.tail_slow = tail_slow
+        self.R = R
+        self.H = H
 
 
 # Envelope momenta |p| <= MIRROR_CUT * pi / step count as smooth: half the
@@ -517,6 +562,8 @@ def gap_window(
     box actually provides gives a minimum edge distance d_min; the window
     pulls in ``WINDOW_MARGIN`` times that (falling back to the smaller
     ``fallback_factor``, then to no window at all, when the gap is too tight).
+    An open gap the box is too short for (required rate R at least the
+    half-gap H) also gives no window, with a BoxTooShortWarning.
     """
     if edges.closed or edges.gap <= 0:
         return None
@@ -532,6 +579,7 @@ def gap_window(
     for side, edge in (("lower", edges.lower), ("upper", edges.upper)):
         H = abs(edge - center) / delta
         if R >= H:
+            warnings.warn(BoxTooShortWarning(edges.zeta, tail_slow, R, H))
             return None
         d_min[side] = H - np.sqrt(H * H - R * R)
     for factor in (WINDOW_MARGIN, fallback_factor):
@@ -663,10 +711,75 @@ def _empty_spectrum(op, window, edges, mu, note, extra=None) -> EdgeSpectrum:
     )
 
 
+def _negative_pivots(ldu: np.ndarray, ipiv: np.ndarray) -> int:
+    """Number of negative eigenvalues of D in a lower Bunch-Kaufman factor (zhetrf)."""
+    d = ldu.diagonal().real
+    neg, k = 0, 0
+    while k < len(ipiv):
+        if ipiv[k] > 0:
+            neg += int(d[k] < 0)
+            k += 1
+        else:  # 2x2 pivot: det < 0 means one eigenvalue of each sign
+            det = d[k] * d[k + 1] - abs(ldu[k + 1, k]) ** 2
+            neg += 1 if det < 0 else (2 if d[k] < 0 else 0)
+            k += 2
+    return neg
+
+
+def _inertia(matrix: sp.csc_matrix, n_fast: int, shift: float) -> int:
+    """Number of strip eigenvalues below ``shift``, by Sylvester's law of inertia.
+
+    The t-major strip is block tridiagonal in blocks of two nodes (``2 *
+    n_fast`` rows), so ``matrix - shift`` has a block LDL^H factorization whose
+    Schur blocks ``S_i = D_i - shift - B_i^H S_(i-1)^-1 B_i``, with B_i the
+    coupling of block i - 1 to block i, together carry its inertia
+    (Haynsworth additivity).  Each S_i is factored densely by
+    Bunch-Kaufman; only the current block is alive, so memory stays at a few
+    blocks however long the strip is.
+    """
+    n = matrix.shape[0]
+    size = 2 * n_fast
+    below = 0
+    coupling = solved = None  # B_i and S_(i-1)^-1 B_i for the next block
+    for r0 in range(0, n, size):
+        r1 = min(r0 + size, n)
+        block = matrix[r0:r1, r0:r1].toarray()
+        block[np.diag_indices(r1 - r0)] -= shift
+        if coupling is not None:
+            # scipy's zgemm rather than numpy's matmul: numpy and scipy each
+            # bundle an OpenBLAS with its own thread pool, and alternating the
+            # two here left both pools spinning against each other (a base
+            # channel sweep took 5.8 s instead of 0.43 s on a two-core host)
+            block = zgemm(-1.0, coupling, solved, beta=1.0, c=block, trans_a=2)
+        ldu, ipiv, info = zhetrf(block, lower=1)
+        if info != 0:
+            raise FactorizationFailure(
+                f"block LDL^H of the strip is singular at shift = {shift:.12g} "
+                f"(rows {r0}:{r1}, info = {info})"
+            )
+        below += _negative_pivots(ldu, ipiv)
+        if r1 < n:
+            coupling = matrix[r0:r1, r1 : min(r1 + size, n)].toarray()
+            solved, _ = zhetrs(ldu, ipiv, coupling, lower=1)
+    return below
+
+
 def _shift_invert_factor(matrix: sp.csc_matrix, sigma: float):
     shifted = (matrix - sigma * sp.identity(matrix.shape[0], format="csc")).tocsc()
+    # The shifted strip is Hermitian, so SuperLU orders A^T + A and keeps its
+    # pivots on the diagonal, which factors with the fill of a symmetric LDL^H.
+    # The default threshold pivoting swaps rows off the diagonal and wrecks
+    # that ordering: on the base channel it had not finished after 10 min at
+    # 4.2 GB.  Nothing bounds element growth without row swaps; a poor factor
+    # shows up as Ritz values that miss the inertia count (CountMismatch) or
+    # as states failing the RESIDUAL_TOL screen against the unshifted matrix.
     try:
-        return spla.splu(shifted)
+        return spla.splu(
+            shifted,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
     except (RuntimeError, MemoryError, ValueError) as exc:
         raise FactorizationFailure(
             f"LU factorization of the shifted strip failed at sigma = {sigma:.6f}: {exc}"
@@ -679,24 +792,30 @@ def gap_eigenpairs(
     edges: BulkEdges,
     *,
     mu: float = np.nan,
-    k_start: int = 16,
-    k_max: int = 256,
     seed: int = 20250818,
 ) -> EdgeSpectrum:
     """All certified eigenpairs of the strip inside the given energy window.
 
-    Shift-inverts about (almost) the window center with a deliberately
-    asymmetric offset, since the in-gap ladder is nearly symmetric about
-    midgap and exact magnitude ties stall the Lanczos iteration.  The
-    eigenvector count is grown until the farthest converged eigenvalue lies
-    beyond the window on both sides, which certifies that nothing inside was
-    skipped.  Quasi-degenerate clusters are then rotated in envelope Fourier
-    mass to split physical states from their zone-edge mirrors; only smooth
-    members are kept and their energies re-evaluated as Rayleigh quotients.
-    A post-rotation fraction stuck inside ``MIXED_BAND`` means a twin went
-    missing, which triggers one more growth round and finally a
-    MissedMultiplicityWarning.  ``CLUSTER_TOL``, ``SMOOTH_CUT``,
-    ``RESIDUAL_TOL`` and ``BOUNDARY_MASS_TOL`` set the other screens.
+    The window is counted first: ``count = nu(hi) - nu(lo)`` from two inertia
+    sweeps (``_inertia``) is the exact number of strip eigenvalues in it, so
+    an empty window returns without any factorization.  Otherwise the strip
+    is shift-inverted about (almost) the window center, with a deliberately
+    asymmetric offset since the in-gap ladder is nearly symmetric about
+    midgap and exact magnitude ties stall the Lanczos iteration, and ARPACK
+    is asked for exactly ``count`` pairs.  The window is complete when
+    ``count`` converged Ritz values lie in it.  Out-of-window eigenvalues on
+    the near side of the shift can outrank in-window ones on the far side;
+    on a shortfall the solve is repeated once with every eigenvalue within
+    the window's radius of the shift, counted the same way.  Any other number
+    raises CountMismatch.
+
+    Quasi-degenerate clusters are then rotated in envelope Fourier mass to
+    split physical states from their zone-edge mirrors; only smooth members
+    are kept and their energies re-evaluated as Rayleigh quotients.  A
+    post-rotation fraction stuck inside ``MIXED_BAND`` means an unresolved
+    pair and raises a MissedMultiplicityWarning.  ``CLUSTER_TOL``,
+    ``SMOOTH_CUT``, ``RESIDUAL_TOL`` and ``BOUNDARY_MASS_TOL`` set the other
+    screens.
     """
     if window is None:
         return _empty_spectrum(op, None, edges, mu, "empty window, no solve")
@@ -706,85 +825,89 @@ def gap_eigenpairs(
 
     H = op.matrix
     n = H.shape[0]
+    n_fast = op.grid.n_fast
+    nu_lo, nu_hi = _inertia(H, n_fast, lo), _inertia(H, n_fast, hi)
+    count = nu_hi - nu_lo
     sigma = 0.5 * (lo + hi) + 0.00137 * (hi - lo)
-    radius = max(hi - sigma, sigma - lo)
+    diagnostics: dict = {
+        "sigma": float(sigma),
+        "inertia": (nu_lo, nu_hi),
+        "count": count,
+        "k_used": 0,
+        "solves": 0,
+        "raw_in_window": 0,
+    }
+    if count == 0:
+        return _empty_spectrum(op, window, edges, mu, "no states in window", diagnostics)
+
     lu = _shift_invert_factor(H, sigma)
     op_inv = spla.LinearOperator(H.shape, matvec=lu.solve, dtype=np.complex128)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v0 /= np.linalg.norm(v0)
 
-    diagnostics: dict = {"sigma": float(sigma), "k_used": None, "solves": 0}
-    k = k_start
-    while True:
-        k_eff = min(k, n - 2)
+    def ritz_in_window(k: int):
         try:
             vals, vecs = spla.eigsh(
-                H, k=k_eff, sigma=sigma, which="LM", OPinv=op_inv, v0=v0, maxiter=3000
+                H, k=k, sigma=sigma, which="LM", OPinv=op_inv, v0=v0, maxiter=3000
             )
         except spla.ArpackNoConvergence as exc:
             raise FactorizationFailure(
                 f"shift-inverted iteration stalled at sigma = {sigma:.6f} "
-                f"with k = {k_eff}: {exc}"
+                f"with k = {k}: {exc}"
             ) from exc
         diagnostics["solves"] += 1
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        certified = np.max(np.abs(vals - sigma)) > radius and k_eff >= 2
-        in_win = (vals >= lo) & (vals <= hi)
-        sub_vals, sub_vecs = vals[in_win], vecs[:, in_win]
+        diagnostics["k_used"] = k
+        in_win = np.flatnonzero((vals >= lo) & (vals <= hi))
+        in_win = in_win[np.argsort(vals[in_win])]
+        return vals[in_win], vecs[:, in_win]
 
-        # cluster quasi-degenerate values, rotate each cluster so envelope
-        # Fourier mass is diagonal, and keep the smooth members
-        splits = np.flatnonzero(np.diff(sub_vals) > CLUSTER_TOL) + 1
-        groups = np.split(np.arange(len(sub_vals)), splits)
-        kept_vecs, kept_fracs = [], []
-        mixed = False
-        for idx in groups:
-            if len(idx) == 0:
-                continue
-            block = sub_vecs[:, idx]
-            q, _ = np.linalg.qr(block)
-            pq = _band_projection(q, op.grid)
-            gram = q.conj().T @ pq
-            gram = 0.5 * (gram + gram.conj().T)
-            fracs, rot = np.linalg.eigh(gram)
-            rotated = q @ rot
-            for j in range(rotated.shape[1]):
-                frac = float(np.clip(fracs[j], 0.0, 1.0))
-                if MIXED_BAND[0] < frac < MIXED_BAND[1]:
-                    mixed = True
-                if frac >= SMOOTH_CUT:
-                    w = rotated[:, j]
-                    kept_vecs.append(w / np.linalg.norm(w))
-                    kept_fracs.append(frac)
-
-        can_grow = k_eff < min(k_max, n - 2)
-        if (not certified or mixed) and can_grow:
-            # growing the subspace both extends window coverage and usually
-            # lets the iteration dig out a missing mirror twin
-            k = 2 * k_eff
-            continue
-        if not certified:
-            warnings.warn(
-                f"window not certified complete at k = {k_eff} "
-                f"(zeta = {op.grid.zeta:.6f}); results may miss states",
-                MissedMultiplicityWarning,
-            )
-            diagnostics["window_saturated"] = True
-        if mixed:
-            warnings.warn(
-                f"unresolved smooth/mirror mixture at zeta = {op.grid.zeta:.6f}; "
-                "a state of the pair was likely missed",
-                MissedMultiplicityWarning,
-            )
-            diagnostics["mixed_unresolved"] = True
-        break
-
-    diagnostics["k_used"] = int(k_eff)
+    sub_vals, sub_vecs = ritz_in_window(count)
+    if len(sub_vals) < count:
+        radius = max(hi - sigma, sigma - lo)
+        k_disc = _inertia(H, n_fast, sigma + radius) - _inertia(
+            H, n_fast, sigma - radius
+        )
+        if k_disc > count:
+            sub_vals, sub_vecs = ritz_in_window(k_disc)
     diagnostics["raw_in_window"] = int(len(sub_vals))
-    if len(sub_vals) == 0:
-        return _empty_spectrum(op, window, edges, mu, "no states in window", diagnostics)
+    if len(sub_vals) != count:
+        raise CountMismatch(
+            f"inertia counts {count} strip eigenvalues in [{lo:.6f}, {hi:.6f}] "
+            f"but {len(sub_vals)} converged Ritz values lie there "
+            f"(k = {diagnostics['k_used']}, zeta = {op.grid.zeta:.6f})",
+            count=count,
+            found=len(sub_vals),
+            k=diagnostics["k_used"],
+        )
+
+    # cluster quasi-degenerate values, rotate each cluster so envelope
+    # Fourier mass is diagonal, and keep the smooth members
+    splits = np.flatnonzero(np.diff(sub_vals) > CLUSTER_TOL) + 1
+    kept_vecs, kept_fracs = [], []
+    mixed = False
+    for idx in np.split(np.arange(len(sub_vals)), splits):
+        q, _ = np.linalg.qr(sub_vecs[:, idx])
+        pq = _band_projection(q, op.grid)
+        gram = q.conj().T @ pq
+        gram = 0.5 * (gram + gram.conj().T)
+        fracs, rot = np.linalg.eigh(gram)
+        rotated = q @ rot
+        for j in range(rotated.shape[1]):
+            frac = float(np.clip(fracs[j], 0.0, 1.0))
+            if MIXED_BAND[0] < frac < MIXED_BAND[1]:
+                mixed = True
+            if frac >= SMOOTH_CUT:
+                w = rotated[:, j]
+                kept_vecs.append(w / np.linalg.norm(w))
+                kept_fracs.append(frac)
+    if mixed:
+        warnings.warn(
+            f"unresolved smooth/mirror mixture at zeta = {op.grid.zeta:.6f}; "
+            "the rotation did not separate a state from its mirror twin",
+            MissedMultiplicityWarning,
+        )
+        diagnostics["mixed_unresolved"] = True
     if not kept_vecs:
         return _empty_spectrum(
             op, window, edges, mu, "all states were mirrors", diagnostics
@@ -905,7 +1028,10 @@ def compare_with_dirac(
         raise CountMismatch(
             f"strip found {len(spectrum.values)} in-gap states in "
             f"[{lo:.6f}, {hi:.6f}] but the reduced operator predicts "
-            f"{len(thetas)} (zeta = {spectrum.zeta:.6f}, delta = {spectrum.delta})"
+            f"{len(thetas)} (zeta = {spectrum.zeta:.6f}, delta = {spectrum.delta})",
+            count=len(thetas),
+            found=len(spectrum.values),
+            k=None,
         )
     predicted = e_star + spectrum.delta * np.sort(thetas)
     measured = np.sort(spectrum.values)

@@ -12,6 +12,7 @@ below 1e-6.
 
 import dataclasses
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -329,8 +330,9 @@ def test_window_formula():
     assert rb.gap_window(e, SPEED_T, 218.75, 5.0, 0.0) is None
     # box too small to host any decay tail past the wall
     assert rb.gap_window(e, SPEED_T, 60.0, 5.0, DELTA) is None
-    # decay too slow for the box: no energy is certifiable
-    assert rb.gap_window(e, 1e6, 218.75, 5.0, DELTA) is None
+    # decay too slow for the box: no energy is certifiable, and it says so
+    with pytest.warns(rb.BoxTooShortWarning, match="box too short"):
+        assert rb.gap_window(e, 1e6, 218.75, 5.0, DELTA) is None
     # tight gap: the full margin fails but the fallback margin still fits
     f = _synthetic_edges(1.75, 2.05)
     wf = rb.gap_window(f, SPEED_T, 315.0, 5.0, DELTA)
@@ -350,8 +352,10 @@ def test_base_channel(base_spec, base_comp):
     assert base_spec.localization[0] > 0.999
     assert base_spec.boundary_mass[0] < 1e-5
     assert base_spec.smooth_fraction[0] > 0.9
-    # the raw solve sees the state and its zone-edge mirror twin
+    # the raw solve sees the state and its zone-edge mirror twin, which is
+    # exactly the inertia count of the window
     assert base_spec.diagnostics["raw_in_window"] == 2
+    assert base_spec.diagnostics["count"] == 2
     assert base_spec.grid is not None
     assert base_comp.count == 1
     assert base_comp.max_residual < 3e-3  # O(delta^2) at delta = 0.08
@@ -432,18 +436,112 @@ def test_inversion_double_solve(frame, fields, basis, cone, base_spec):
     assert abs(spec_r.values[0] - base_spec.values[0]) < 1e-8
 
 
-def test_saturated_window_warns(frame, fields, basis, cone, base_spec):
-    # a subspace capped below the window's population cannot certify
-    # completeness and must say so
-    op = rb.assemble_strip(
+@pytest.fixture(scope="module")
+def base_op(frame, fields, basis):
+    return rb.assemble_strip(
         frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA,
         basis, perturbation=fields["W10"], t_factor=3.5,
     )
-    with pytest.warns(rb.MissedMultiplicityWarning, match="not certified"):
-        spec = rb.gap_eigenpairs(
-            op, base_spec.window, base_spec.edges, k_start=2, k_max=2
+
+
+def test_dropped_ritz_pair_raises_count_mismatch(monkeypatch, base_op, base_spec):
+    # a Krylov solve that loses an in-window pair cannot match the inertia
+    # count of the window and must say so with both numbers
+    real_eigsh = rb.spla.eigsh
+    lo, hi = base_spec.window
+
+    def lossy_eigsh(*args, **kwargs):
+        vals, vecs = real_eigsh(*args, **kwargs)
+        drop = np.flatnonzero((vals >= lo) & (vals <= hi))[0]
+        keep = np.arange(len(vals)) != drop
+        return vals[keep], vecs[:, keep]
+
+    monkeypatch.setattr(rb.spla, "eigsh", lossy_eigsh)
+    with pytest.raises(rb.CountMismatch, match="inertia counts 2") as err:
+        rb.gap_eigenpairs(base_op, base_spec.window, base_spec.edges)
+    assert err.value.count == 2
+    assert err.value.found == 1
+    assert err.value.k == 2
+
+
+def test_empty_window_skips_solve(monkeypatch, base_op, base_spec):
+    # a window inside the gap that holds no state is certified empty by the
+    # count alone, without factoring the shift or running the Krylov solve
+    def no_call(*args, **kwargs):
+        raise AssertionError("solver called on an empty window")
+
+    monkeypatch.setattr(rb.spla, "eigsh", no_call)
+    monkeypatch.setattr(rb.spla, "splu", no_call)
+    window = (1.95, 2.0)
+    assert base_spec.edges.lower < window[0] and window[1] < base_spec.edges.upper
+    spec = rb.gap_eigenpairs(base_op, window, base_spec.edges)
+    assert len(spec) == 0
+    assert spec.diagnostics["count"] == 0
+    assert spec.diagnostics["note"] == "no states in window"
+
+
+@pytest.mark.parametrize("magnetic", [False, True], ids=["W", "A"])
+def test_inertia_matches_dense_count(lat, frame, fields, magnetic):
+    # Sylvester inertia of the block LDL^H sweep against a dense eigensolve
+    # on a small strip (cutoff 2, dim 1833), for a scalar and a magnetic wall
+    from artifact.potentials import magnetic_A
+
+    basis = build_basis(lat, 2.0)
+    pert = magnetic_A(lat, 2.2) if magnetic else fields["W10"]
+    op = rb.assemble_strip(
+        frame, fields["V"], domain_wall("bump_smoothstep", 1.0),
+        frame.zeta_star("A"), 0.1, basis, perturbation=pert, t_factor=3.5,
+    )
+    assert op.dim == 1833
+    evals = np.linalg.eigvalsh(op.matrix.toarray())
+    n_fast = op.grid.n_fast
+    assert rb._inertia(op.matrix, n_fast, evals[0] - 1.0) == 0
+    assert rb._inertia(op.matrix, n_fast, evals[-1] + 1.0) == op.dim
+    for i in (3, 250, 917, 1500, 1831):
+        shift = 0.5 * (evals[i - 1] + evals[i])
+        assert rb._inertia(op.matrix, n_fast, shift) == i
+    # the second window ends just below an eigenvalue; the shift sits above
+    # the window center, so that eigenvalue outranks the in-window one next
+    # to the lower edge, the solve at k = count comes up short, and it is
+    # repeated with every eigenvalue within the window radius of the shift
+    a, b = np.searchsorted(evals, [1.6, 2.1])
+    near_miss = (evals[a] - 1e-5, evals[b] - 1e-5)
+    for window, solves in (((1.45, 2.2), 1), (near_miss, 2)):
+        dense = int(np.sum((evals >= window[0]) & (evals <= window[1])))
+        assert dense >= 3
+        # cutoff 2 does not resolve the cone, so the window holds band states
+        # rather than smooth/mirror pairs; only the count is under test here
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", rb.MissedMultiplicityWarning)
+            spec = rb.gap_eigenpairs(
+                op, window, _synthetic_edges(*window, delta=0.1)
+            )
+        assert spec.diagnostics["count"] == dense
+        assert spec.diagnostics["raw_in_window"] == dense
+        assert spec.diagnostics["solves"] == solves
+        assert (spec.diagnostics["k_used"] > dense) == (solves == 2)
+
+
+def test_short_box_warns_on_21_edge(lat, fields, basis, cone, masses):
+    # the (2,1) edge has an open gap but a transverse speed too fast for a
+    # t_factor 3.5 box: no window, and the warning carries the numbers
+    frame21 = make_edge_frame(lat, 2, 1)
+    speed = params_from_frames(cone, frame21, masses[10], fields["wall"]).speed_t
+    with pytest.warns(rb.BoxTooShortWarning) as rec:
+        spec = rb.solve_edge_channel(
+            frame21, fields["V"], fields["wall"], frame21.zeta_star("A"), DELTA,
+            basis, cone.j_star, speed, perturbation=fields["W10"], t_factor=3.5,
         )
-    assert spec.diagnostics.get("window_saturated")
+    assert len(spec) == 0 and spec.window is None
+    assert spec.edges.gap > 0.5
+    warned = [w.message for w in rec if isinstance(w.message, rb.BoxTooShortWarning)]
+    assert len(warned) == 1
+    info = warned[0]
+    assert info.zeta == pytest.approx(frame21.zeta_star("A"))
+    assert info.R >= info.H > 0
+    assert info.tail_slow == pytest.approx(0.9 * 218.75 * DELTA - 5.0)
+    # a longer box certifies a window on the same edge
+    assert rb.gap_window(spec.edges, speed, 8.0 * 5.0 / DELTA, 5.0, DELTA) is not None
 
 
 def test_compare_count_mismatch(base_spec, cone, frame, fields, masses):

@@ -46,6 +46,7 @@ relative tolerance ``SHOOTING_RTOL``.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -59,7 +60,7 @@ from .bloch import PlaneWaveBasis, assemble_fiber, convolution_matrix
 from .dirac_cone import DiracPointData
 from .geometry import TWO_PI, EdgeFrame
 from .potentials import DomainWall, FourierField
-from .ribbon import StripGrid, assemble_strip, fit_power_law, strip_grid
+from .ribbon import StripGrid, assemble_strip, fit_power_law, fold_phase, strip_grid
 from .wall_dirac import Dirac1DSpectrum, DiracParams
 
 # Largest pair projection of the order-delta right-hand side the correctors
@@ -75,6 +76,11 @@ SHOOTING_RTOL = 1e-12
 SHOOTING_BRACKET = 2e-3
 SHOOTING_MAX_WIDEN = 6
 
+# residual_orders warns when the envelope at the box ends exceeds this
+# fraction of an order's residual: the Dirichlet cut then sets a floor under
+# the residual, and the fitted exponent stops measuring the order.
+EDGE_FLOOR_RATIO = 0.1
+
 
 class SolvabilityViolation(RuntimeError):
     """Projected right-hand side of the complement solve is too large.
@@ -85,6 +91,26 @@ class SolvabilityViolation(RuntimeError):
     the coefficients upstream (nu*, mass, theta, or the envelope itself)
     do not match the fiber at the requested tolerance.
     """
+
+
+class TruncationFloorWarning(UserWarning):
+    """The box cuts the envelope off above what an ansatz order resolves.
+
+    Carries ``delta``, the ansatz ``order``, its ``residual`` and the
+    ``edge_value`` |alpha| at the outermost strip nodes, which exceeded
+    ``EDGE_FLOOR_RATIO`` times that residual.
+    """
+
+    def __init__(self, delta: float, order: int, residual: float, edge_value: float):
+        super().__init__(
+            f"envelope edge value {edge_value:.3g} at delta = {delta:g} exceeds "
+            f"{EDGE_FLOOR_RATIO:g} x the order-{order} residual {residual:.3g}: "
+            "the box truncation floors the residual; raise t_factor"
+        )
+        self.delta = delta
+        self.order = order
+        self.residual = residual
+        self.edge_value = edge_value
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +773,8 @@ def leading_quasimode(
 
     When ``grid`` is supplied it must match delta and the detuned Bloch
     phase zeta* + mu delta, so the sample lives in the same discrete space
-    as an edge solve at that phase; otherwise a grid is built.
+    as an edge solve at that phase; otherwise a grid is built with the
+    reference phase ``assemble_strip`` uses by default, ``fold_phase``.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
@@ -764,7 +791,7 @@ def leading_quasimode(
     if grid is None:
         grid = strip_grid(
             ws.frame, ws.wall, zeta_eff, delta, ws.basis,
-            step=step, t_factor=t_factor,
+            step=step, t_factor=t_factor, tau_ref=fold_phase(ws.frame, zeta_eff),
         )
     else:
         if abs(grid.delta - delta) > 1e-12:
@@ -837,6 +864,7 @@ class ResidualStudy:
     residuals: dict  # order -> array of residual norms, one per delta
     exponents: dict  # order -> fitted power of delta
     defects: np.ndarray  # solvability defect per delta
+    edge_values: np.ndarray  # envelope |alpha| at the box ends, per delta
     energies: dict  # order -> array of ansatz energies
     mu: float
     theta: float
@@ -856,6 +884,11 @@ def residual_orders(
     One strip assembly per delta (matvec only, no factorization); the
     corrector pieces are recomputed per delta because the transverse nodes
     move.  The fitted exponents should land near order + 1.
+
+    The envelope's value at the box ends is recorded per delta
+    (``edge_values``).  Where it exceeds ``EDGE_FLOOR_RATIO`` times an
+    order's residual, the box truncation, not the order, sets that residual,
+    and a TruncationFloorWarning names the delta and order.
     """
     if len(deltas) < 2:
         raise ValueError("need at least two deltas to fit an exponent")
@@ -863,6 +896,7 @@ def residual_orders(
     residuals = {o: np.zeros(len(deltas)) for o in orders}
     energies = {o: np.zeros(len(deltas)) for o in orders}
     defects = np.zeros(len(deltas))
+    edge_values = np.zeros(len(deltas))
     for i, delta in enumerate(deltas):
         zeta_eff = effective_zeta(ws, delta, mu)
         op = assemble_strip(
@@ -875,8 +909,14 @@ def residual_orders(
                 np.linalg.norm(op.matrix @ ansatz.vector - ansatz.energy * ansatz.vector)
             )
             energies[o][i] = ansatz.energy
+            edge_values[i] = ansatz.diagnostics["envelope_edge_value"]
             if ansatz.correction is not None:
                 defects[i] = ansatz.correction.defect
+            if edge_values[i] > EDGE_FLOOR_RATIO * residuals[o][i]:
+                warnings.warn(
+                    TruncationFloorWarning(delta, o, residuals[o][i], edge_values[i])
+                )
+        del op  # free this strip before the next, larger one is assembled
     exponents = {
         o: float(fit_power_law(np.asarray(deltas), residuals[o])) for o in orders
     }
@@ -886,6 +926,7 @@ def residual_orders(
         residuals=residuals,
         exponents=exponents,
         defects=defects,
+        edge_values=edge_values,
         energies=energies,
         mu=mu,
         theta=pair.theta,

@@ -63,6 +63,7 @@ __all__ = [
     "CountMismatch",
     "MissedMultiplicityWarning",
     "BoxTooShortWarning",
+    "GapTooTightWarning",
     "StripGrid",
     "StripOperator",
     "BulkEdges",
@@ -120,19 +121,46 @@ class BoxTooShortWarning(UserWarning):
     Carries the edge phase ``zeta``, the tail length ``tail_slow`` in slow
     units, the decay rate ``R`` the boundary tolerance needs over that tail,
     and the half-gap ``H`` (slow units) on the side that failed: a state can
-    decay at most at rate H, so ``R >= H`` leaves no window.
+    decay at most at rate H, so ``R >= H`` leaves no window.  A box with no
+    tail at all (``tail_slow <= 0``) carries ``R = inf``.
     """
 
     def __init__(self, zeta: float, tail_slow: float, R: float, H: float):
+        if tail_slow > 0:
+            need = f"a {tail_slow:.3g}-unit tail needs decay rate {R:.3g}"
+        else:
+            need = f"no tail is left past the wall ({tail_slow:.3g} units)"
         super().__init__(
-            f"box too short at zeta = {zeta:.6f}: a {tail_slow:.3g}-unit tail "
-            f"needs decay rate {R:.3g} but the half-gap allows at most "
-            f"{H:.3g}; raise t_factor"
+            f"box too short at zeta = {zeta:.6f}: {need} but the half-gap "
+            f"allows at most {H:.3g}; raise t_factor"
         )
         self.zeta = zeta
         self.tail_slow = tail_slow
         self.R = R
         self.H = H
+
+
+class GapTooTightWarning(UserWarning):
+    """The gap is too narrow for the window margins the box needs.
+
+    Carries the edge phase ``zeta``, the bulk ``gap`` (energy units), the
+    minimum edge distances ``d_min = (lower, upper)`` in slow units, and the
+    smallest margin ``factor`` tried: pulling each edge in by ``factor *
+    d_min * delta`` left no energy between them.
+    """
+
+    def __init__(
+        self, zeta: float, gap: float, d_min: tuple[float, float], factor: float
+    ):
+        super().__init__(
+            f"gap {gap:.3g} at zeta = {zeta:.6f} too tight: pulling the edges in "
+            f"by {factor:g} x d_min = ({d_min[0]:.3g}, {d_min[1]:.3g}) slow units "
+            "leaves no window; raise t_factor or lower the boundary tolerance"
+        )
+        self.zeta = zeta
+        self.gap = gap
+        self.d_min = d_min
+        self.factor = factor
 
 
 # Envelope momenta |p| <= MIRROR_CUT * pi / step count as smooth: half the
@@ -290,12 +318,108 @@ def fold_phase(frame: EdgeFrame, zeta: float, which: str | None = None) -> float
 # assembly
 
 
-def _sparse_conv(fld: FourierField, basis: PlaneWaveBasis) -> sp.csr_matrix:
+def _conv_table(fld: FourierField, basis: PlaneWaveBasis) -> np.ndarray:
+    """Convolution matrix with entries below 1e-14 of its peak set to 0."""
     mat = convolution_matrix(fld, basis)
     peak = np.abs(mat).max()
     if peak > 0:
         mat = np.where(np.abs(mat) < 1e-14 * peak, 0.0, mat)
-    return sp.csr_matrix(mat)
+    return mat
+
+
+# The strip couples t-nodes at distance at most BAND (the squared centered
+# difference), and _kron_sum_csc writes block rows of roughly CHUNK_ENTRIES
+# values at a time so each chunk is still in cache when it is checked.
+BAND = 2
+CHUNK_ENTRIES = 1 << 17
+
+
+def _kron_sum_csc(terms: list, n_t: int) -> sp.csc_matrix:
+    """CSC form of H = sum_k T_k (x) F_k, written once into preallocated arrays.
+
+    Each T_k is a sparse n_t x n_t matrix with bandwidth at most ``BAND`` and
+    each F_k a dense n_fast x n_fast array.  The CSC arrays of H are the CSR
+    arrays of H^T = sum_k T_k^T (x) F_k^T, whose block row i (t-node i) holds
+    the blocks at nodes i + d, |d| <= BAND.  At each offset d the F_k^T that
+    reach it share one union pattern, so every block row away from the ends
+    has the same column template, and the BAND nodes at each end keep the
+    part of it inside the strip.  A block row's values on its template are
+    one product ``C[i] @ V``: C[i] holds each term's t-coefficient at each
+    offset, and V the fast factors laid out on the template.  Nothing here
+    assumes H is Hermitian.  Entries that come out exactly 0 (at a node
+    where every term reaching a fast entry has a zero t-coefficient, or by
+    exact cancellation) are removed, as a sparse sum removes them.
+    """
+    n_fast = terms[0][1].shape[0]
+    offsets = np.arange(-BAND, BAND + 1)
+    coeffs, placed = [], []
+    for T, F in terms:
+        reach = sp.coo_matrix(T)
+        if np.any(np.abs(reach.col - reach.row) > BAND):
+            raise ValueError(f"a t-factor couples nodes farther apart than {BAND}")
+        for d in offsets:
+            band = T.T.diagonal(d)  # (T^T)[i, i + d]
+            if not np.any(band):
+                continue
+            col = np.zeros(n_t, dtype=complex)
+            col[max(-d, 0) : n_t - max(d, 0)] = band
+            block = np.zeros((n_fast, len(offsets), n_fast), dtype=complex)
+            block[:, d + BAND, :] = F.T
+            coeffs.append(col)
+            placed.append(block.reshape(n_fast, -1))
+    C = np.stack(coeffs, axis=1)  # (n_t, terms x offsets)
+    placed = np.stack(placed)
+    rows, cols = np.nonzero(np.any(placed != 0, axis=0))  # template, CSR order
+    V = placed[:, rows, cols]
+    offset = cols // n_fast - BAND  # t-offset of each template entry
+
+    reached = np.arange(n_t)[:, None] + offsets  # node each offset reaches
+    inside = (reached >= 0) & (reached < n_t)
+    per_offset = np.zeros((n_fast, len(offsets)), dtype=np.int64)
+    np.add.at(per_offset, (rows, offset + BAND), 1)
+    row_counts = inside.astype(np.int64) @ per_offset.T  # (n_t, n_fast)
+    dim = n_t * n_fast
+    nnz = int(row_counts.sum())
+    idx = np.int32 if max(nnz, dim) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(dim + 1, dtype=idx)
+    np.cumsum(row_counts.ravel(), out=indptr[1:])
+    data = np.empty(nnz, dtype=complex)
+    indices = np.empty(nnz, dtype=idx)
+    rel_col = (cols - BAND * n_fast).astype(idx)  # column minus i * n_fast
+    has_zero = False
+
+    # block rows BAND .. n_t - BAND - 1 use the whole template
+    size = len(cols)
+    chunk = max(1, CHUNK_ENTRIES // size)
+    for i0 in range(BAND, n_t - BAND, chunk):
+        i1 = min(i0 + chunk, n_t - BAND)
+        lo = int(indptr[i0 * n_fast])
+        hi = lo + (i1 - i0) * size
+        out = data[lo:hi].reshape(i1 - i0, size)
+        np.matmul(C[i0:i1], V, out=out)
+        has_zero |= not out.all()
+        np.add(
+            rel_col,
+            (np.arange(i0, i1, dtype=idx) * n_fast)[:, None],
+            out=indices[lo:hi].reshape(i1 - i0, size),
+        )
+    # the end rows keep the template entries whose node lies in the strip
+    for i in np.flatnonzero(~inside.all(axis=1)):
+        keep = inside[i, offset + BAND]
+        lo, hi = int(indptr[i * n_fast]), int(indptr[(i + 1) * n_fast])
+        data[lo:hi] = C[i] @ V[:, keep]
+        has_zero |= not data[lo:hi].all()
+        indices[lo:hi] = i * n_fast + rel_col[keep]
+
+    if has_zero:
+        nonzero = data != 0
+        kept = np.concatenate([[0], np.cumsum(nonzero)])
+        indptr = kept[indptr].astype(idx)
+        data, indices = data[nonzero], indices[nonzero]
+    H = sp.csc_matrix((data, indices, indptr), shape=(dim, dim))
+    H.has_sorted_indices = True
+    H.has_canonical_format = True
+    return H
 
 
 @dataclass
@@ -346,6 +470,17 @@ def assemble_strip(
     multiplying the (scalar or magnetic) perturbation; ``flip_wall`` reverses
     the profile's argument, which is the reflected-wall variant used by the
     covariance checks.
+
+    The matrix is a sum of Kronecker terms (t-factor (x) fast factor):
+
+        I (x) (diag |K|^2 + V),   D1 (x) diag(-2i K . k'),   |k'|^2 S2 (x) I,
+
+    with S2 = D1^T D1, plus for a scalar wall ``delta diag(kappa) (x) W``,
+    or for a magnetic wall ``delta diag(kappa) (x) (A . K + K . A)`` and
+    ``-i delta (diag(kappa) D1 + D1 diag(kappa)) (x) (k' . A)``, the
+    symmetrized ``A . D + D . A`` split into its parts without and with a
+    t-derivative.  ``_kron_sum_csc`` writes their sum once, straight into the
+    CSC arrays of the result.
     """
     if tau_ref is None:
         tau_ref = fold_phase(frame, zeta)
@@ -369,37 +504,36 @@ def assemble_strip(
 
     ones = np.ones(n_t - 1)
     D1 = sp.diags([ones / (2 * h), -ones / (2 * h)], [1, -1], format="csr")
-    S2 = (D1.T @ D1).tocsr()  # = -D1 @ D1 on the Dirichlet grid, PSD
-    I_t = sp.identity(n_t, format="csr")
-    I_f = sp.identity(n_fast, format="csr")
+    S2 = D1.T @ D1  # = -D1 @ D1 on the Dirichlet grid, PSD
 
     sign = -1.0 if flip_wall else 1.0
     kappa = wall(sign * delta * grid.t)
 
-    H = sp.kron(I_t, sp.diags(np.einsum("md,md->m", K, K)), format="csr")
-    H = H + sp.kron(D1, sp.diags(-2j * (K @ kp)), format="csr")
-    H = H + float(kp @ kp) * sp.kron(S2, I_f, format="csr")
-    H = H + sp.kron(I_t, _sparse_conv(potential, basis), format="csr")
-
+    kinetic = np.diag(np.einsum("md,md->m", K, K))
+    terms = [
+        (sp.identity(n_t), kinetic + _conv_table(potential, basis)),
+        (D1, np.diag(-2j * (K @ kp))),
+        (float(kp @ kp) * S2, np.eye(n_fast)),
+    ]
     if perturbation is not None and delta != 0.0:
+        wall_diag = sp.diags(delta * kappa)
         if perturbation.is_vector:
-            wall_diag = sp.diags(kappa)
-            for c in (0, 1):
-                comp = dc_replace(perturbation, coeffs=perturbation.coeffs[:, c])
-                A_c = sp.kron(wall_diag, _sparse_conv(comp, basis), format="csr")
-                D_c = sp.kron(I_t, sp.diags(K[:, c]), format="csr") + float(
-                    kp[c]
-                ) * sp.kron(-1j * D1, I_f, format="csr")
-                H = H + delta * (A_c @ D_c + D_c @ A_c)
+            coeffs = perturbation.coeffs
+            comps = [
+                _conv_table(dc_replace(perturbation, coeffs=coeffs[:, c]), basis)
+                for c in (0, 1)
+            ]
+            sym = sum(a * (K[:, c, None] + K[None, :, c]) for c, a in enumerate(comps))
+            along = _conv_table(dc_replace(perturbation, coeffs=coeffs @ kp), basis)
+            terms.append((wall_diag, sym))
+            terms.append((-1j * (wall_diag @ D1 + D1 @ wall_diag), along))
         else:
-            H = H + delta * sp.kron(
-                sp.diags(kappa), _sparse_conv(perturbation, basis), format="csr"
-            )
+            terms.append((wall_diag, _conv_table(perturbation, basis)))
 
     return StripOperator(
         grid=grid,
         basis=basis,
-        matrix=H.tocsc(),
+        matrix=_kron_sum_csc(terms, n_t),
         kappa=kappa,
         meta={
             "tau_ref": float(tau_ref),
@@ -560,10 +694,12 @@ def gap_window(
     half-gap and d the distance to the nearer edge, both in slow (per-delta)
     units.  Requiring boundary mass below ``boundary_tol`` over the tail the
     box actually provides gives a minimum edge distance d_min; the window
-    pulls in ``WINDOW_MARGIN`` times that (falling back to the smaller
-    ``fallback_factor``, then to no window at all, when the gap is too tight).
-    An open gap the box is too short for (required rate R at least the
-    half-gap H) also gives no window, with a BoxTooShortWarning.
+    pulls in ``WINDOW_MARGIN`` times that, falling back to the smaller
+    ``fallback_factor``; a gap too tight for both gives no window, with a
+    GapTooTightWarning.  An open gap the box is too short for (no tail past
+    the wall, or a required rate R at least the half-gap H) also gives no
+    window, with a BoxTooShortWarning.  A closed gap or delta <= 0 gives no
+    window and no warning.
     """
     if edges.closed or edges.gap <= 0:
         return None
@@ -571,6 +707,9 @@ def gap_window(
         return None
     tail_slow = 0.9 * half_width * delta - wall_halfwidth
     if tail_slow <= 0:
+        warnings.warn(
+            BoxTooShortWarning(edges.zeta, tail_slow, np.inf, 0.5 * edges.gap / delta)
+        )
         return None
     r_req = np.log(1.0 / boundary_tol) / (2.0 * tail_slow)
     R = r_req * decay_speed
@@ -587,6 +726,14 @@ def gap_window(
         hi = edges.upper - factor * d_min["upper"] * delta
         if lo < hi:
             return (float(lo), float(hi))
+    warnings.warn(
+        GapTooTightWarning(
+            edges.zeta,
+            edges.gap,
+            (d_min["lower"], d_min["upper"]),
+            min(WINDOW_MARGIN, fallback_factor),
+        )
+    )
     return None
 
 

@@ -8,41 +8,96 @@ envelope, so each ansatz order gains one power of delta in its residual.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from artifact import bloch, dirac_cone, geometry, potentials, quasimode, wall_dirac
+from artifact import ribbon as rb
 
 
 @pytest.fixture(scope="module")
-def setup():
+def medium():
     lat = geometry.build_lattice()
     frame = geometry.make_edge_frame(lat, 1, 0)
     width = 0.15 * np.linalg.norm(lat.v1)
     V = potentials.honeycomb_potential(lat, -30.0, width, 8)
-    W = potentials.parity_breaking_W(lat, 10.0, width, 8)
     wall = potentials.domain_wall("bump_smoothstep", 5.0)
     basis = bloch.build_basis(lat, 5.0)
     cone = dirac_cone.find_dirac_point(V, "A", basis)
     dirac_cone.compute_nu_star(cone, basis, linearity_tol=1e-4)
-    mass = dirac_cone.compute_mass(cone, basis, W)
-    params = wall_dirac.params_from_frames(cone, frame, mass, wall)
-    ws = quasimode.quasimode_workspace(cone, frame, V, wall, W, basis)
-    return params, ws
+
+    def at_amplitude(amplitude):
+        W = potentials.parity_breaking_W(lat, amplitude, width, 8)
+        mass = dirac_cone.compute_mass(cone, basis, W)
+        params = wall_dirac.params_from_frames(cone, frame, mass, wall)
+        return params, quasimode.quasimode_workspace(cone, frame, V, wall, W, basis)
+
+    return at_amplitude
+
+
+@pytest.fixture(scope="module")
+def setup(medium):
+    return medium(10.0)
 
 
 def test_residual_exponents_are_order_plus_one(setup):
     params, ws = setup
-    study = quasimode.residual_orders(
-        ws, quasimode.zero_mode_pair(params), (0.08, 0.04),
-        orders=(0, 1, 2), t_factor=4.5,
-    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", quasimode.TruncationFloorWarning)
+        study = quasimode.residual_orders(
+            ws, quasimode.zero_mode_pair(params), (0.08, 0.04),
+            orders=(0, 1, 2), t_factor=4.5,
+        )
     assert study.orders == (0, 1, 2)
     for order in study.orders:
         assert abs(study.exponents[order] - (order + 1)) < 0.05
     # the exact zero mode passes the solvability gate at every delta
     assert np.all(study.defects < quasimode.SOLVABILITY_TOL)
+    # the box holds the envelope far below every residual
+    assert np.all(study.edge_values < quasimode.EDGE_FLOOR_RATIO * study.residuals[2])
+
+
+def test_truncated_envelope_warns(medium):
+    # at amplitude 3 the envelope decays too slowly for t_factor 4.5: its
+    # value at the box ends (~1.4e-3) floors the order-1 and order-2
+    # residuals, whose exponents collapse towards 1/2
+    params, ws = medium(3.0)
+    floor = quasimode.TruncationFloorWarning
+    with pytest.warns(floor, match="floors the residual") as caught:
+        study = quasimode.residual_orders(
+            ws, quasimode.zero_mode_pair(params), (0.08, 0.04),
+            orders=(0, 1, 2), t_factor=4.5,
+        )
+    tripped = {(w.message.delta, w.message.order) for w in caught}
+    assert {(0.04, 1), (0.04, 2)} <= tripped
+    assert all(o > 0 for _, o in tripped)  # order 0 is far above the floor
+    for w in caught:
+        i = study.deltas.tolist().index(w.message.delta)
+        assert w.message.edge_value == study.edge_values[i]
+        assert w.message.residual == study.residuals[w.message.order][i]
+        assert w.message.edge_value > quasimode.EDGE_FLOOR_RATIO * w.message.residual
+    assert study.exponents[2] < 1.0
+
+
+def test_default_grid_matches_assembled_strip(setup):
+    # without a grid the ansatz builds its own, at the reference phase the
+    # strip assembly uses; it must be the same vector as on the strip's grid
+    params, ws = setup
+    pair = quasimode.zero_mode_pair(params)
+    delta = 0.08
+    op = rb.assemble_strip(
+        ws.frame, ws.potential, ws.wall, quasimode.effective_zeta(ws, delta, 0.0),
+        delta, ws.basis, perturbation=ws.perturbation, t_factor=4.5,
+    )
+    for order in (0, 1, 2):
+        own = quasimode.leading_quasimode(ws, pair, delta, order=order, t_factor=4.5)
+        on_strip = quasimode.leading_quasimode(
+            ws, pair, delta, grid=op.grid, order=order
+        )
+        assert np.all(np.isfinite(own.vector))
+        assert np.abs(own.vector - on_strip.vector).max() <= 1e-12
 
 
 def test_solvability_gate_rejects_mismatched_mass(setup):

@@ -16,9 +16,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from artifact import ribbon as rb
-from artifact.bloch import assemble_fiber, build_basis
+from artifact.bloch import assemble_fiber, build_basis, convolution_matrix
 from artifact.dirac_cone import compute_mass, compute_nu_star, find_dirac_point
 from artifact.geometry import TWO_PI, build_lattice, make_edge_frame
 from artifact.potentials import domain_wall, honeycomb_potential, parity_breaking_W
@@ -198,6 +199,118 @@ def test_hermiticity(lat, frame, fields, basis):
     assert opm.hermiticity_residual() < 1e-12
 
 
+def _kron_formula(frame, fields, basis, op, perturbation):
+    """The strip matrix as a chain of sparse Kronecker products and sums."""
+    grid = op.grid
+    n_t, n_fast, h, delta = grid.n_t, grid.n_fast, grid.step, grid.delta
+    K = frame.xi_of(grid.zeta, op.meta["tau_ref"])[None, :] + TWO_PI * basis.duals
+    kp = frame.kp
+
+    def conv(fld):
+        mat = convolution_matrix(fld, basis)
+        mat = np.where(np.abs(mat) < 1e-14 * np.abs(mat).max(), 0.0, mat)
+        return sp.csr_matrix(mat)
+
+    ones = np.ones(n_t - 1)
+    D1 = sp.diags([ones / (2 * h), -ones / (2 * h)], [1, -1], format="csr")
+    I_t = sp.identity(n_t, format="csr")
+    I_f = sp.identity(n_fast, format="csr")
+    H = sp.kron(I_t, sp.diags(np.einsum("md,md->m", K, K)), format="csr")
+    H = H + sp.kron(D1, sp.diags(-2j * (K @ kp)), format="csr")
+    H = H + float(kp @ kp) * sp.kron(D1.T @ D1, I_f, format="csr")
+    H = H + sp.kron(I_t, conv(fields["V"]), format="csr")
+    if perturbation is not None and delta != 0.0:
+        wall_diag = sp.diags(op.kappa)
+        if perturbation.is_vector:
+            for c in (0, 1):
+                comp = dataclasses.replace(
+                    perturbation, coeffs=perturbation.coeffs[:, c]
+                )
+                A_c = sp.kron(wall_diag, conv(comp), format="csr")
+                D_c = sp.kron(I_t, sp.diags(K[:, c]), format="csr") + float(
+                    kp[c]
+                ) * sp.kron(-1j * D1, I_f, format="csr")
+                H = H + delta * (A_c @ D_c + D_c @ A_c)
+        else:
+            H = H + delta * sp.kron(wall_diag, conv(perturbation), format="csr")
+    return H.tocsc()
+
+
+@pytest.mark.parametrize("case", ["W", "W_flip", "A", "delta0"])
+def test_assembly_matches_kron_formula(lat, frame, fields, basis, case):
+    from artifact.potentials import magnetic_A
+
+    wall = domain_wall("bump_smoothstep", 0.5)
+    pert = magnetic_A(lat, 2.2) if case == "A" else fields["W10"]
+    delta = 0.0 if case == "delta0" else DELTA
+    op = rb.assemble_strip(
+        frame, fields["V"], wall, frame.zeta_star("A"), delta, basis,
+        perturbation=pert, half_width=20.0, flip_wall=case == "W_flip",
+    )
+    ref = _kron_formula(frame, fields, basis, op, pert)
+    new = op.matrix
+    scale = np.abs(ref.data).max()
+    assert _sparse_max_abs(new - ref) <= 1e-13 * scale
+    assert np.all(new.data != 0)
+    if case == "A":
+        # k' is the dual vector k2, orthogonal to the polarization of the
+        # +-k2 modes, so k'.A-hat vanishes there; the product chain keeps
+        # 1288 rounding residues of that sum, which summing the components
+        # in the fast factor first leaves out
+        in_new = new.copy()
+        in_new.data[:] = 1.0
+        ref_only = ref - ref.multiply(in_new)
+        assert ref_only.nnz == 1288 == ref.nnz - new.nnz
+        assert _sparse_max_abs(ref_only) <= 1e-15 * scale
+    else:
+        assert new.nnz == ref.nnz
+
+
+@pytest.mark.parametrize("n_t", [2, 3, 4, 5, 9])
+def test_kron_sum_csc_general_terms(n_t):
+    # random non-Hermitian t-factors of bandwidth <= 2 with zero rows, and
+    # sparse non-symmetric fast factors: the one-pass CSC write equals the
+    # sum of sparse Kronecker products, entry for entry and pattern for
+    # pattern, with no explicit zeros
+    rng = np.random.default_rng(n_t)
+    n_fast = 6
+
+    def band(offsets):
+        offsets = [d for d in offsets if abs(d) < n_t]
+        diagonals = [
+            rng.standard_normal(n_t - abs(d)) + 1j * rng.standard_normal(n_t - abs(d))
+            for d in offsets
+        ]
+        return sp.diags(diagonals, offsets, shape=(n_t, n_t), format="csr")
+
+    def fast():
+        shape = (n_fast, n_fast)
+        F = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return np.where(rng.random(shape) < 0.5, F, 0.0)
+
+    kappa = rng.standard_normal(n_t)
+    kappa[n_t // 2] = 0.0  # a node where one term vanishes
+    terms = [
+        (band([0, 2]), fast()),
+        (band([-1, 1, -2]), fast()),
+        (sp.diags(kappa), fast()),
+        (sp.identity(n_t), np.diag(rng.standard_normal(n_fast))),
+    ]
+    H = rb._kron_sum_csc(terms, n_t)
+    ref = sum(sp.kron(T, sp.csr_matrix(F), format="csr") for T, F in terms).tocsc()
+    ref.eliminate_zeros()
+    assert H.shape == ref.shape
+    assert np.all(H.data != 0)
+    assert H.nnz == ref.nnz
+    assert _sparse_max_abs(H - ref) <= 1e-14 * np.abs(ref.data).max()
+    H.sort_indices()  # the flag must already be true
+    assert np.array_equal(H.indptr, ref.indptr)
+    assert np.array_equal(H.indices, ref.indices)
+    if n_t > 3:
+        with pytest.raises(ValueError, match="farther apart"):
+            rb._kron_sum_csc([(band([3]), fast())], n_t)
+
+
 def test_interior_remap(frame, fields, basis):
     # without a wall the strip is t-translation invariant, so a plane-wave
     # envelope must reproduce the bulk fiber at the finite-difference remap
@@ -327,9 +440,16 @@ def test_window_formula():
     assert w6 is not None and w3 is not None
     # a looser boundary target certifies a wider window
     assert w3[0] < w6[0] < w6[1] < w3[1]
-    assert rb.gap_window(e, SPEED_T, 218.75, 5.0, 0.0) is None
+    # delta <= 0 and a closed gap give no window, quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rb.gap_window(e, SPEED_T, 218.75, 5.0, 0.0) is None
+        closed = dataclasses.replace(e, closed=True)
+        assert rb.gap_window(closed, SPEED_T, 218.75, 5.0, DELTA) is None
     # box too small to host any decay tail past the wall
-    assert rb.gap_window(e, SPEED_T, 60.0, 5.0, DELTA) is None
+    with pytest.warns(rb.BoxTooShortWarning, match="no tail") as caught:
+        assert rb.gap_window(e, SPEED_T, 60.0, 5.0, DELTA) is None
+    assert caught[0].message.tail_slow < 0 and caught[0].message.R == np.inf
     # decay too slow for the box: no energy is certifiable, and it says so
     with pytest.warns(rb.BoxTooShortWarning, match="box too short"):
         assert rb.gap_window(e, 1e6, 218.75, 5.0, DELTA) is None
@@ -337,7 +457,13 @@ def test_window_formula():
     f = _synthetic_edges(1.75, 2.05)
     wf = rb.gap_window(f, SPEED_T, 315.0, 5.0, DELTA)
     assert wf is not None and f.lower < wf[0] < wf[1] < f.upper
-    assert rb.gap_window(f, SPEED_T, 315.0, 5.0, DELTA, fallback_factor=3.0) is None
+    with pytest.warns(rb.GapTooTightWarning, match="too tight") as caught:
+        assert rb.gap_window(f, SPEED_T, 315.0, 5.0, DELTA, fallback_factor=3.0) is None
+    tight = caught[0].message
+    assert tight.gap == f.gap and tight.factor == 3.0
+    pulled_lo = f.lower + 3.0 * tight.d_min[0] * DELTA
+    pulled_hi = f.upper - 3.0 * tight.d_min[1] * DELTA
+    assert pulled_lo >= pulled_hi
 
 
 # ---------------------------------------------------------------------------

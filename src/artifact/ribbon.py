@@ -31,7 +31,9 @@ grouped in node pairs it is block tridiagonal, magnetic terms included.  A
 block LDL^H sweep over those pairs gives the inertia of ``H - s`` and, by
 Sylvester's law, the number of eigenvalues below s; two sweeps count the
 window exactly (spectrum slicing, Ericsson & Ruhe, Math. Comp. 35, 1980).
-The Krylov solve then asks for that many pairs and must find that many.
+The Krylov solve then asks for that many pairs and must find that many.  Its
+shift-invert solve comes from the same sweep at the shift, with the block
+factors kept: one forward and one backward pass over the node pairs.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field as dc_field, replace as dc_replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.blas import zgemm
+from scipy.linalg.blas import zgemm, zgemv
 from scipy.linalg.lapack import zhetrf, zhetrs
 from scipy.optimize import minimize_scalar
 
@@ -873,20 +875,20 @@ def _negative_pivots(ldu: np.ndarray, ipiv: np.ndarray) -> int:
     return neg
 
 
-def _inertia(matrix: sp.csc_matrix, n_fast: int, shift: float) -> int:
-    """Number of strip eigenvalues below ``shift``, by Sylvester's law of inertia.
+def _block_ldl(matrix: sp.csc_matrix, n_fast: int, shift: float):
+    """Block LDL^H of ``matrix - shift``, one node-pair block at a time.
 
     The t-major strip is block tridiagonal in blocks of two nodes (``2 *
-    n_fast`` rows), so ``matrix - shift`` has a block LDL^H factorization whose
-    Schur blocks ``S_i = D_i - shift - B_i^H S_(i-1)^-1 B_i``, with B_i the
-    coupling of block i - 1 to block i, together carry its inertia
-    (Haynsworth additivity).  Each S_i is factored densely by
-    Bunch-Kaufman; only the current block is alive, so memory stays at a few
-    blocks however long the strip is.
+    n_fast`` rows), so ``matrix - shift = L D L^H`` with D = diag(S_i), the
+    Schur blocks ``S_i = D_i - shift - B_i^H S_(i-1)^-1 B_i`` (B_i the
+    coupling of block i - 1 to block i), and ``(S_i^-1 B_(i+1))^H`` below the
+    diagonal of L.  Yields ``(r0, r1, ldu, ipiv, solved)`` per block: its rows,
+    the Bunch-Kaufman factor of S_i (zhetrf, lower) and ``solved = S_i^-1
+    B_(i+1)`` (None for the last block).  A consumer that keeps nothing holds
+    only a few blocks at a time, however long the strip is.
     """
     n = matrix.shape[0]
     size = 2 * n_fast
-    below = 0
     coupling = solved = None  # B_i and S_(i-1)^-1 B_i for the next block
     for r0 in range(0, n, size):
         r1 = min(r0 + size, n)
@@ -904,33 +906,52 @@ def _inertia(matrix: sp.csc_matrix, n_fast: int, shift: float) -> int:
                 f"block LDL^H of the strip is singular at shift = {shift:.12g} "
                 f"(rows {r0}:{r1}, info = {info})"
             )
-        below += _negative_pivots(ldu, ipiv)
+        solved = None
         if r1 < n:
             coupling = matrix[r0:r1, r1 : min(r1 + size, n)].toarray()
             solved, _ = zhetrs(ldu, ipiv, coupling, lower=1)
-    return below
+        yield r0, r1, ldu, ipiv, solved
 
 
-def _shift_invert_factor(matrix: sp.csc_matrix, sigma: float):
-    shifted = (matrix - sigma * sp.identity(matrix.shape[0], format="csc")).tocsc()
-    # The shifted strip is Hermitian, so SuperLU orders A^T + A and keeps its
-    # pivots on the diagonal, which factors with the fill of a symmetric LDL^H.
-    # The default threshold pivoting swaps rows off the diagonal and wrecks
-    # that ordering: on the base channel it had not finished after 10 min at
-    # 4.2 GB.  Nothing bounds element growth without row swaps; a poor factor
-    # shows up as Ritz values that miss the inertia count (CountMismatch) or
-    # as states failing the RESIDUAL_TOL screen against the unshifted matrix.
-    try:
-        return spla.splu(
-            shifted,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
-    except (RuntimeError, MemoryError, ValueError) as exc:
-        raise FactorizationFailure(
-            f"LU factorization of the shifted strip failed at sigma = {sigma:.6f}: {exc}"
-        ) from exc
+def _inertia(matrix: sp.csc_matrix, n_fast: int, shift: float) -> int:
+    """Number of strip eigenvalues below ``shift``, by Sylvester's law of inertia.
+
+    The Schur blocks of the block LDL^H sweep (``_block_ldl``) together carry
+    the inertia of ``matrix - shift`` (Haynsworth additivity); each one's
+    negative pivots are counted and the factor dropped.
+    """
+    return sum(
+        _negative_pivots(ldu, ipiv)
+        for _, _, ldu, ipiv, _ in _block_ldl(matrix, n_fast, shift)
+    )
+
+
+def _shift_invert_solve(matrix: sp.csc_matrix, n_fast: int, sigma: float):
+    """``x -> (matrix - sigma)^-1 x`` from the block LDL^H factors at ``sigma``.
+
+    Forward ``z_(i+1) = b_(i+1) - solved_i^H z_i``, then backward ``x_i =
+    S_i^-1 z_i - solved_i x_(i+1)``, with S_i^-1 applied by zhetrs and the
+    coupling products by scipy's zgemv, for the reason ``_block_ldl`` gives
+    for zgemm.  Pivots stay inside each Schur block, so nothing bounds growth
+    across blocks; a poor factor shows up as Ritz values that miss the
+    inertia count (CountMismatch) or as states failing the RESIDUAL_TOL
+    screen against the unshifted matrix.
+    """
+    factors = list(_block_ldl(matrix, n_fast, sigma))
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = np.array(b, dtype=np.complex128).ravel()
+        for r0, r1, _, _, solved in factors[:-1]:
+            nxt = slice(r1, r1 + solved.shape[1])
+            x[nxt] = zgemv(-1.0, solved, x[r0:r1], beta=1.0, y=x[nxt], trans=2)
+        for r0, r1, ldu, ipiv, solved in reversed(factors):
+            x[r0:r1] = zhetrs(ldu, ipiv, x[r0:r1, None], lower=1)[0][:, 0]
+            if solved is not None:
+                nxt = slice(r1, r1 + solved.shape[1])
+                x[r0:r1] = zgemv(-1.0, solved, x[nxt], beta=1.0, y=x[r0:r1])
+        return x
+
+    return solve
 
 
 def gap_eigenpairs(
@@ -945,16 +966,18 @@ def gap_eigenpairs(
 
     The window is counted first: ``count = nu(hi) - nu(lo)`` from two inertia
     sweeps (``_inertia``) is the exact number of strip eigenvalues in it, so
-    an empty window returns without any factorization.  Otherwise the strip
-    is shift-inverted about (almost) the window center, with a deliberately
-    asymmetric offset since the in-gap ladder is nearly symmetric about
-    midgap and exact magnitude ties stall the Lanczos iteration, and ARPACK
-    is asked for exactly ``count`` pairs.  The window is complete when
-    ``count`` converged Ritz values lie in it.  Out-of-window eigenvalues on
-    the near side of the shift can outrank in-window ones on the far side;
-    on a shortfall the solve is repeated once with every eigenvalue within
-    the window's radius of the shift, counted the same way.  Any other number
-    raises CountMismatch.
+    an empty window returns without factoring at the shift.  Otherwise the
+    strip is shift-inverted about (almost) the window center, with a
+    deliberately asymmetric offset since the in-gap ladder is nearly
+    symmetric about midgap and exact magnitude ties stall the Lanczos
+    iteration.  The solve applies the block LDL^H factors of the same sweep
+    taken at the shift (``_shift_invert_solve``), and ARPACK is asked for
+    exactly ``count`` pairs.  The window is complete when ``count`` converged
+    Ritz values lie in it.  Out-of-window eigenvalues on the near side of the
+    shift can outrank in-window ones on the far side; on a shortfall the
+    solve is repeated once with every eigenvalue within the window's radius
+    of the shift, counted the same way.  Any other number raises
+    CountMismatch.
 
     Quasi-degenerate clusters are then rotated in envelope Fourier mass to
     split physical states from their zone-edge mirrors; only smooth members
@@ -987,8 +1010,9 @@ def gap_eigenpairs(
     if count == 0:
         return _empty_spectrum(op, window, edges, mu, "no states in window", diagnostics)
 
-    lu = _shift_invert_factor(H, sigma)
-    op_inv = spla.LinearOperator(H.shape, matvec=lu.solve, dtype=np.complex128)
+    op_inv = spla.LinearOperator(
+        H.shape, matvec=_shift_invert_solve(H, n_fast, sigma), dtype=np.complex128
+    )
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v0 /= np.linalg.norm(v0)

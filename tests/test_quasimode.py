@@ -59,6 +59,25 @@ def test_residual_exponents_are_order_plus_one(setup):
     assert np.all(study.edge_values < quasimode.EDGE_FLOOR_RATIO * study.residuals[2])
 
 
+def test_detuned_exponents_through_ladder_pair(setup):
+    # mu = 0.3 has no closed-form pair: the envelope comes from the FD ladder
+    # refined by shooting, and its eigenvalue is the topological slope
+    params, ws = setup
+    detuned = dataclasses.replace(params, mu=0.3)
+    pair = quasimode.ladder_pair(wall_dirac.gap_spectrum(detuned, 30.0, 6000))
+    slope = detuned.mu * detuned.speed_mu * np.sign(detuned.mass) * detuned.orientation
+    assert abs(pair.theta - slope) < 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", quasimode.TruncationFloorWarning)
+        study = quasimode.residual_orders(
+            ws, pair, (0.08, 0.04), orders=(0, 1, 2), t_factor=4.5
+        )
+    assert study.mu == 0.3
+    for order in study.orders:
+        assert abs(study.exponents[order] - (order + 1)) < 0.05
+    assert np.all(study.defects < quasimode.SOLVABILITY_TOL)
+
+
 def test_truncated_envelope_warns(medium):
     # at amplitude 3 the envelope decays too slowly for t_factor 4.5: its
     # value at the box ends (~1.4e-3) floors the order-1 and order-2

@@ -5,10 +5,13 @@ cross-checked against the closed-form zero mode, the chiral conjugation
 identity, and the exact square-sum relation for the transverse shift.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from artifact import geometry, potentials, wall_dirac
+from artifact.quasimode import shooting_pair
 from artifact.wall_dirac import (
     DiracParams,
     GridTooCoarse,
@@ -220,6 +223,19 @@ def test_rich_spectrum_frozen(rich_base):
     assert s.doubling_rejected == 7
     assert s.min_spacing > 1e-6
     assert np.all(s.localization >= 0.999)
+
+
+def test_shooting_refines_fd_ladder(rich_base, default_params):
+    # second route to the FD ladder: shooting on the continuum operator moves
+    # each rich eigenvalue by the FD error only (up to 2.3e-6 at N = 24000,
+    # which the 1e-8 pin of RICH_VALUES carries), and the topological value
+    # at mu = 0.5 by almost nothing
+    for value in rich_base.eigenvalues:
+        pair = shooting_pair(rich_base.params, float(value))
+        assert abs(pair.theta - value) <= 3e-6
+    shifted = dataclasses.replace(default_params, mu=0.5)
+    (topo,) = gap_spectrum(shifted, 30.0, 6000).eigenvalues
+    assert abs(shooting_pair(shifted, float(topo)).theta - topo) <= 1e-12
 
 
 def test_mu_prediction_matches_direct(rich_params, rich_base):

@@ -32,8 +32,17 @@ block LDL^H sweep over those pairs gives the inertia of ``H - s`` and, by
 Sylvester's law, the number of eigenvalues below s; two sweeps count the
 window exactly (spectrum slicing, Ericsson & Ruhe, Math. Comp. 35, 1980).
 The Krylov solve then asks for that many pairs and must find that many.  Its
-shift-invert solve comes from the same sweep at the shift, with the block
-factors kept: one forward and one backward pass over the node pairs.
+shift-invert solve comes from the same sweep at the shift: one forward and
+one backward pass over the node pairs.
+
+Each step of the sweep factors one Schur block S_i by Bunch-Kaufman (zhetrf),
+inverts it from that factor (zhetri), and passes ``B^H S_i^-1 B`` on to the
+next block, with B the coupling of the two node pairs.  B stays sparse: it
+holds only the distance-one and distance-two node couplings (165 nonzeros of
+its 12,100 entries on the base channel, 257 with a magnetic wall), so both
+products with it cost next to nothing and only the inverse is dense.  The
+sweep at the shift keeps the factors and the sparse couplings, about one
+dense block per node pair, and drops the inverses.
 """
 
 from __future__ import annotations
@@ -44,8 +53,7 @@ from dataclasses import dataclass, field as dc_field, replace as dc_replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.blas import zgemm, zgemv
-from scipy.linalg.lapack import zhetrf, zhetrs
+from scipy.linalg.lapack import zhetrf, zhetri, zhetrs
 from scipy.optimize import minimize_scalar
 
 from .bloch import (
@@ -861,18 +869,17 @@ def _empty_spectrum(op, window, edges, mu, note, extra=None) -> EdgeSpectrum:
 
 
 def _negative_pivots(ldu: np.ndarray, ipiv: np.ndarray) -> int:
-    """Number of negative eigenvalues of D in a lower Bunch-Kaufman factor (zhetrf)."""
+    """Number of negative eigenvalues of D in a lower Bunch-Kaufman factor (zhetrf).
+
+    A 1x1 pivot (ipiv > 0) counts when its diagonal entry is negative.  A 2x2
+    pivot marks both of its rows with the same negative ipiv; det < 0 means
+    one eigenvalue of each sign, det > 0 two of the sign of its first entry.
+    """
     d = ldu.diagonal().real
-    neg, k = 0, 0
-    while k < len(ipiv):
-        if ipiv[k] > 0:
-            neg += int(d[k] < 0)
-            k += 1
-        else:  # 2x2 pivot: det < 0 means one eigenvalue of each sign
-            det = d[k] * d[k + 1] - abs(ldu[k + 1, k]) ** 2
-            neg += 1 if det < 0 else (2 if d[k] < 0 else 0)
-            k += 2
-    return neg
+    k = np.flatnonzero(ipiv < 0)[::2]  # first row of each 2x2 pivot
+    det = d[k] * d[k + 1] - np.abs(ldu[k + 1, k]) ** 2
+    pairs = np.where(det < 0, 1, np.where(d[k] < 0, 2, 0))
+    return int(np.count_nonzero(d[ipiv > 0] < 0) + pairs.sum())
 
 
 def _block_ldl(matrix: sp.csc_matrix, n_fast: int, shift: float):
@@ -882,35 +889,45 @@ def _block_ldl(matrix: sp.csc_matrix, n_fast: int, shift: float):
     n_fast`` rows), so ``matrix - shift = L D L^H`` with D = diag(S_i), the
     Schur blocks ``S_i = D_i - shift - B_i^H S_(i-1)^-1 B_i`` (B_i the
     coupling of block i - 1 to block i), and ``(S_i^-1 B_(i+1))^H`` below the
-    diagonal of L.  Yields ``(r0, r1, ldu, ipiv, solved)`` per block: its rows,
-    the Bunch-Kaufman factor of S_i (zhetrf, lower) and ``solved = S_i^-1
-    B_(i+1)`` (None for the last block).  A consumer that keeps nothing holds
-    only a few blocks at a time, however long the strip is.
+    diagonal of L.  Yields ``(r0, r1, ldu, ipiv, coupling)`` per block: its
+    rows, the Bunch-Kaufman factor of S_i (zhetrf, lower) and the sparse
+    coupling B_(i+1) (None for the last block).
+
+    Each step inverts S_i from its factor (zhetri), expands the inverse to
+    full Hermitian form, and subtracts ``B^H (S_i^-1 B)`` from the next
+    block as two sparse-times-dense products with ``B^H``.  B_(i+1) couples
+    only nodes at distance one or two, so it holds a few hundred nonzeros
+    and is never made dense.  The inverse lives one step; a consumer that
+    keeps nothing holds only a few blocks at a time, however long the strip
+    is.  No BLAS call is made outside LAPACK: numpy and scipy each bundle an
+    OpenBLAS with its own thread pool, and alternating the two here left both
+    pools spinning against each other (a base channel sweep took 5.8 s
+    instead of 0.43 s on a two-core host).
     """
     n = matrix.shape[0]
     size = 2 * n_fast
-    coupling = solved = None  # B_i and S_(i-1)^-1 B_i for the next block
+    adjoint = inverse = None  # B_i^H and S_(i-1)^-1 for the next block
     for r0 in range(0, n, size):
         r1 = min(r0 + size, n)
         block = matrix[r0:r1, r0:r1].toarray()
         block[np.diag_indices(r1 - r0)] -= shift
-        if coupling is not None:
-            # scipy's zgemm rather than numpy's matmul: numpy and scipy each
-            # bundle an OpenBLAS with its own thread pool, and alternating the
-            # two here left both pools spinning against each other (a base
-            # channel sweep took 5.8 s instead of 0.43 s on a two-core host)
-            block = zgemm(-1.0, coupling, solved, beta=1.0, c=block, trans_a=2)
+        if adjoint is not None:
+            # (B^H S^-1)^H = S^-1 B, as S^-1 is exactly Hermitian
+            block -= adjoint @ (adjoint @ inverse).conj().T
         ldu, ipiv, info = zhetrf(block, lower=1)
+        coupling = None
+        if info == 0 and r1 < n:
+            coupling = matrix[r0:r1, r1 : min(r1 + size, n)]
+            adjoint = coupling.conj().T
+            inverse, info = zhetri(ldu, ipiv, lower=1)
+            inverse = np.tril(inverse)
+            inverse += np.tril(inverse, -1).conj().T
         if info != 0:
             raise FactorizationFailure(
                 f"block LDL^H of the strip is singular at shift = {shift:.12g} "
                 f"(rows {r0}:{r1}, info = {info})"
             )
-        solved = None
-        if r1 < n:
-            coupling = matrix[r0:r1, r1 : min(r1 + size, n)].toarray()
-            solved, _ = zhetrs(ldu, ipiv, coupling, lower=1)
-        yield r0, r1, ldu, ipiv, solved
+        yield r0, r1, ldu, ipiv, coupling
 
 
 def _inertia(matrix: sp.csc_matrix, n_fast: int, shift: float) -> int:
@@ -929,29 +946,38 @@ def _inertia(matrix: sp.csc_matrix, n_fast: int, shift: float) -> int:
 def _shift_invert_solve(matrix: sp.csc_matrix, n_fast: int, sigma: float):
     """``x -> (matrix - sigma)^-1 x`` from the block LDL^H factors at ``sigma``.
 
-    Forward ``z_(i+1) = b_(i+1) - solved_i^H z_i``, then backward ``x_i =
-    S_i^-1 z_i - solved_i x_(i+1)``, with S_i^-1 applied by zhetrs and the
-    coupling products by scipy's zgemv, for the reason ``_block_ldl`` gives
-    for zgemm.  Pivots stay inside each Schur block, so nothing bounds growth
-    across blocks; a poor factor shows up as Ritz values that miss the
-    inertia count (CountMismatch) or as states failing the RESIDUAL_TOL
-    screen against the unshifted matrix.
+    Returns ``(solve, kept)``.  Per node pair, the solve keeps only the
+    Bunch-Kaufman factor of S_i and the sparse coupling B_(i+1) of the sweep
+    at ``sigma``; ``kept`` counts their stored values (factor entries plus
+    coupling nonzeros).
+
+    Forward ``z_(i+1) -= B_(i+1)^H S_i^-1 z_i``, then backward ``x_i =
+    S_i^-1 (z_i - B_(i+1) x_(i+1))``, each S_i^-1 applied to one vector by
+    zhetrs.  ``B^H y`` is taken as ``conj(B^T conj(y))`` through a transposed
+    view of B that shares its arrays.  Pivots stay inside each Schur block,
+    so nothing bounds growth across blocks; a poor factor shows up as Ritz
+    values that miss the inertia count (CountMismatch) or as states failing
+    the RESIDUAL_TOL screen against the unshifted matrix.
     """
-    factors = list(_block_ldl(matrix, n_fast, sigma))
+    factors = [
+        (r0, r1, ldu, ipiv, coupling, None if coupling is None else coupling.T)
+        for r0, r1, ldu, ipiv, coupling in _block_ldl(matrix, n_fast, sigma)
+    ]
 
     def solve(b: np.ndarray) -> np.ndarray:
         x = np.array(b, dtype=np.complex128).ravel()
-        for r0, r1, _, _, solved in factors[:-1]:
-            nxt = slice(r1, r1 + solved.shape[1])
-            x[nxt] = zgemv(-1.0, solved, x[r0:r1], beta=1.0, y=x[nxt], trans=2)
-        for r0, r1, ldu, ipiv, solved in reversed(factors):
-            x[r0:r1] = zhetrs(ldu, ipiv, x[r0:r1, None], lower=1)[0][:, 0]
-            if solved is not None:
-                nxt = slice(r1, r1 + solved.shape[1])
-                x[r0:r1] = zgemv(-1.0, solved, x[nxt], beta=1.0, y=x[r0:r1])
+        for r0, r1, ldu, ipiv, coupling, transposed in factors[:-1]:
+            y = zhetrs(ldu, ipiv, x[r0:r1], lower=1)[0]
+            x[r1 : r1 + coupling.shape[1]] -= (transposed @ y.conj()).conj()
+        for r0, r1, ldu, ipiv, coupling, _ in reversed(factors):
+            z = x[r0:r1]
+            if coupling is not None:
+                z = z - coupling @ x[r1 : r1 + coupling.shape[1]]
+            x[r0:r1] = zhetrs(ldu, ipiv, z, lower=1)[0]
         return x
 
-    return solve
+    kept = sum(ldu.size + (0 if b is None else b.nnz) for _, _, ldu, _, b, _ in factors)
+    return solve, kept
 
 
 def gap_eigenpairs(
@@ -978,6 +1004,15 @@ def gap_eigenpairs(
     solve is repeated once with every eigenvalue within the window's radius
     of the shift, counted the same way.  Any other number raises
     CountMismatch.
+
+    Every sweep is one pass of ``_block_ldl`` over the node pairs.  A
+    counting sweep keeps only its tally of negative pivots; the sweep at the
+    shift keeps the Bunch-Kaufman factor of each Schur block and the sparse
+    coupling to the next one.  The diagnostics record ``inertia_sweeps`` (2
+    for an empty window, 3 with the sweep at the shift, 5 when the shortfall
+    retry counts its disc), ``block_solves`` (applications of the
+    shift-invert operator) and ``factor_values`` (values kept by the sweep
+    at the shift).
 
     Quasi-degenerate clusters are then rotated in envelope Fourier mass to
     split physical states from their zone-edge mirrors; only smooth members
@@ -1006,13 +1041,21 @@ def gap_eigenpairs(
         "k_used": 0,
         "solves": 0,
         "raw_in_window": 0,
+        "inertia_sweeps": 2,
+        "block_solves": 0,
+        "factor_values": 0,
     }
     if count == 0:
         return _empty_spectrum(op, window, edges, mu, "no states in window", diagnostics)
 
-    op_inv = spla.LinearOperator(
-        H.shape, matvec=_shift_invert_solve(H, n_fast, sigma), dtype=np.complex128
-    )
+    solve, diagnostics["factor_values"] = _shift_invert_solve(H, n_fast, sigma)
+    diagnostics["inertia_sweeps"] += 1
+
+    def shift_invert(b: np.ndarray) -> np.ndarray:
+        diagnostics["block_solves"] += 1
+        return solve(b)
+
+    op_inv = spla.LinearOperator(H.shape, matvec=shift_invert, dtype=np.complex128)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v0 /= np.linalg.norm(v0)
@@ -1039,6 +1082,7 @@ def gap_eigenpairs(
         k_disc = _inertia(H, n_fast, sigma + radius) - _inertia(
             H, n_fast, sigma - radius
         )
+        diagnostics["inertia_sweeps"] += 2
         if k_disc > count:
             sub_vals, sub_vecs = ritz_in_window(k_disc)
     diagnostics["raw_in_window"] = int(len(sub_vals))

@@ -470,7 +470,7 @@ def test_window_formula():
 # certified in-gap spectra against the reduced operator
 
 
-def test_base_channel(base_spec, base_comp):
+def test_base_channel(base_spec, base_comp, base_op):
     assert len(base_spec) == 1
     assert len(base_spec) % 2 == 1  # scalar wall: odd in-gap count
     assert base_spec.mu == 0.0
@@ -482,6 +482,17 @@ def test_base_channel(base_spec, base_comp):
     # exactly the inertia count of the window
     assert base_spec.diagnostics["raw_in_window"] == 2
     assert base_spec.diagnostics["count"] == 2
+    # two counting sweeps and the sweep at the shift, which keeps the factor
+    # of every Schur block and the sparse coupling to the next one
+    assert base_spec.diagnostics["inertia_sweeps"] == 3
+    assert base_spec.diagnostics["block_solves"] > 0
+    mat, size = base_op.matrix, 2 * base_op.grid.n_fast
+    kept = sum(
+        min(size, base_op.dim - r0) ** 2
+        + mat[r0 : r0 + size, r0 + size : r0 + 2 * size].nnz
+        for r0 in range(0, base_op.dim, size)
+    )
+    assert base_spec.diagnostics["factor_values"] == kept < 5.5e6
     assert base_spec.grid is not None
     assert base_comp.count == 1
     assert base_comp.max_residual < 3e-3  # O(delta^2) at delta = 0.08
@@ -604,6 +615,8 @@ def test_empty_window_skips_solve(monkeypatch, base_op, base_spec):
     assert len(spec) == 0
     assert spec.diagnostics["count"] == 0
     assert spec.diagnostics["note"] == "no states in window"
+    assert spec.diagnostics["inertia_sweeps"] == 2
+    assert spec.diagnostics["block_solves"] == spec.diagnostics["factor_values"] == 0
 
 
 @pytest.mark.parametrize("magnetic", [False, True], ids=["W", "A"])
@@ -633,7 +646,8 @@ def test_inertia_matches_dense_count(lat, frame, fields, magnetic):
     for shift, i in below.items():
         assert rb._inertia(op.matrix, n_fast, shift) == i
         b = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-        x = rb._shift_invert_solve(op.matrix, n_fast, shift)(b)
+        solve, _ = rb._shift_invert_solve(op.matrix, n_fast, shift)
+        x = solve(b)
         # backward stable at every shift ...
         dist = np.abs(evals - shift)
         residual = np.linalg.norm(op.matrix @ x - shift * x - b)
@@ -667,6 +681,67 @@ def test_inertia_matches_dense_count(lat, frame, fields, magnetic):
         assert spec.diagnostics["raw_in_window"] == dense
         assert spec.diagnostics["solves"] == solves
         assert (spec.diagnostics["k_used"] > dense) == (solves == 2)
+
+
+def _negative_pivots_loop(ldu, ipiv):
+    """Pivot-by-pivot count of negative D eigenvalues, the reference for
+    the vectorised rb._negative_pivots."""
+    d = ldu.diagonal().real
+    neg, k = 0, 0
+    while k < len(ipiv):
+        if ipiv[k] > 0:
+            neg += int(d[k] < 0)
+            k += 1
+        else:  # 2x2 pivot: det < 0 means one eigenvalue of each sign
+            det = d[k] * d[k + 1] - abs(ldu[k + 1, k]) ** 2
+            neg += 1 if det < 0 else (2 if d[k] < 0 else 0)
+            k += 2
+    return neg
+
+
+def test_block_ldl_on_dense_couplings():
+    # the sweep on a random Hermitian matrix of the strip's block shape (nodes
+    # coupled up to distance 2, n_fast = 5, an odd node count) whose node
+    # couplings are dense rather than the strip's near-diagonal ones, and
+    # whose zero node diagonals force 2x2 Bunch-Kaufman pivots
+    n_fast, n_t = 5, 9
+    dim = n_fast * n_t
+    rng = np.random.default_rng(11)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    dense = np.zeros((dim, dim), dtype=complex)
+    node = [slice(j * n_fast, (j + 1) * n_fast) for j in range(n_t)]
+    for j in range(n_t):
+        a = cplx(n_fast, n_fast)
+        dense[node[j], node[j]] = a + a.conj().T - np.diag(2 * a.diagonal().real)
+        for d in (1, 2):
+            if j + d < n_t:
+                c = cplx(n_fast, n_fast)
+                dense[node[j], node[j + d]] = c
+                dense[node[j + d], node[j]] = c.conj().T
+    assert np.count_nonzero(dense.diagonal()) == 0
+    mat = sp.csc_matrix(dense)
+    evals = np.linalg.eigvalsh(dense)
+    below = {evals[0] - 1.0: 0, evals[-1] + 1.0: dim}
+    for i in (1, 10, 22, 23, 30, 44):
+        below[0.5 * (evals[i - 1] + evals[i])] = i
+    two_by_two = 0
+    for shift, i in below.items():
+        for _, _, ldu, ipiv, _ in rb._block_ldl(mat, n_fast, shift):
+            two_by_two += int(np.any(ipiv < 0))
+            assert rb._negative_pivots(ldu, ipiv) == _negative_pivots_loop(ldu, ipiv)
+        assert rb._inertia(mat, n_fast, shift) == i
+        b = cplx(dim)
+        solve, _ = rb._shift_invert_solve(mat, n_fast, shift)
+        x = solve(b)
+        dist = np.abs(evals - shift)
+        residual = np.linalg.norm(mat @ x - shift * x - b)
+        assert residual <= 1e-14 * (dist.max() * np.linalg.norm(x) + np.linalg.norm(b))
+        ref = np.linalg.solve(dense - shift * np.eye(dim), b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert two_by_two > 0
 
 
 def test_short_box_warns_on_21_edge(lat, fields, basis, cone, masses):

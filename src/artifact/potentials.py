@@ -347,14 +347,19 @@ def symmetrize_rotation(field_: FourierField) -> FourierField:
 # ---------------------------------------------------------------------------
 
 
+# 48-point Gauss-Legendre rule on [-1, 1] for the bump wall's antiderivative
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(48)
+
+
 def _bump_step(s: np.ndarray) -> np.ndarray:
-    """C-infinity step: 0 for s <= 0, 1 for s >= 1."""
-    s = np.asarray(s, dtype=float)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        f = np.where(s > 0.0, np.exp(-1.0 / np.maximum(s, 1e-300)), 0.0)
-        g = np.where(
-            s < 1.0, np.exp(-1.0 / np.maximum(1.0 - s, 1e-300)), 0.0
-        )
+    """C-infinity step: 0 for s <= 0, 1 for s >= 1.
+
+    s is clipped into [0, 1] first; at either end the floored reciprocal
+    sends one exponential to exactly 0, so the ends come out exact.
+    """
+    s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
+    f = np.exp(-1.0 / np.maximum(s, 1e-300))
+    g = np.exp(-1.0 / np.maximum(1.0 - s, 1e-300))
     return f / (f + g)
 
 
@@ -409,7 +414,7 @@ class DomainWall:
         # inside the transition: Gauss-Legendre on [0, |t|]; outside: linear
         scalar = t.ndim == 0
         tt = np.atleast_1d(np.abs(t))
-        nodes, weights = np.polynomial.legendre.leggauss(48)
+        nodes, weights = _GAUSS_NODES, _GAUSS_WEIGHTS
         inner = np.minimum(tt, L)
         half = inner / 2.0
         samples = half[:, None] * (nodes[None, :] + 1.0)  # map [-1,1] -> [0, inner]

@@ -52,8 +52,8 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.integrate import quad, solve_ivp
+from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
 from .bloch import PlaneWaveBasis, assemble_fiber, convolution_matrix
@@ -75,6 +75,11 @@ SHOOTING_BOX = 30.0
 SHOOTING_RTOL = 1e-12
 SHOOTING_BRACKET = 2e-3
 SHOOTING_MAX_WIDEN = 6
+
+# Half-bandwidth of the squared reduced operator in the interleaved
+# (node, spinor) order: the first-difference term couples spinor a of node i
+# to spinor b of node i +- 1, at most three columns away.
+ENVELOPE_BAND = 3
 
 # residual_orders warns when the envelope at the box ends exceeds this
 # fraction of an order's residual: the Dirichlet cut then sets a floor under
@@ -491,6 +496,8 @@ class TransverseCorrection:
     """Per-node complement solve for the order-delta equation."""
 
     ts: np.ndarray  # slow transverse nodes
+    alpha: np.ndarray  # (n, 2) envelope samples the solve was built from
+    d_alpha: np.ndarray  # (n, 2) D_t alpha at the same nodes
     values: np.ndarray  # (M, n) corrector in the fast fiber, per node
     subtracted: np.ndarray  # (2, n) solvability projection removed from g
     defect: float  # max |projection| before subtraction
@@ -526,6 +533,8 @@ def first_correction(
     The projection of g onto the pair is subtracted before the solve (it
     vanishes identically for an exact eigenpair); its pre-subtraction
     magnitude is the solvability defect and is gated at ``SOLVABILITY_TOL``.
+    The envelope samples alpha and D_t alpha are kept on the result, so the
+    ansatz and the second-order layer reuse them instead of sampling again.
     """
     ts = np.asarray(ts, dtype=float)
     alpha = pair.alpha(ts)
@@ -543,6 +552,8 @@ def first_correction(
     residual = float(np.abs(ws.pair_projection(g_perp)).max())
     return TransverseCorrection(
         ts=ts,
+        alpha=alpha,
+        d_alpha=d_alpha,
         values=-ws.complement_solve(g_perp),
         subtracted=projection,
         defect=defect,
@@ -581,6 +592,29 @@ def _reduced_matrix_apply(
     )
 
 
+def _bordered_solve(
+    squared: sp.csr_matrix, w: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """beta from [[S, w], [w^H, 0]] [beta; lam] = [rhs; 0], S banded.
+
+    One banded LU of S solves S y0 = rhs and S y1 = w together; the border
+    then leaves one scalar, lam = w^H y0 / w^H y1, and beta = y0 - lam y1 is
+    orthogonal to w.  S is nearly singular along w, so y0 and y1 are both
+    large along it, and the subtraction cancels exactly that direction.
+    """
+    band = ENVELOPE_BAND
+    dia = squared.todia()
+    if np.abs(dia.offsets).max() > band:
+        raise ValueError(f"squared operator is wider than half-bandwidth {band}")
+    # LAPACK band storage: ab[band + i - j, j] = S[i, j]; a DIA row k holds
+    # S[j - offsets[k], j] at column j
+    ab = np.zeros((2 * band + 1, squared.shape[1]), dtype=complex)
+    ab[band - dia.offsets, : dia.data.shape[1]] = dia.data
+    y = solve_banded((band, band), ab, np.column_stack([rhs, w]), check_finite=False)
+    lam = (np.conj(w) @ y[:, 0]) / (np.conj(w) @ y[:, 1])
+    return y[:, 0] - lam * y[:, 1]
+
+
 def _envelope_correction(
     pair: EnvelopePair,
     ts: np.ndarray,
@@ -593,7 +627,11 @@ def _envelope_correction(
     system carry an exact sawtooth ghost of the wall zero mode, while the
     squared operator is a local Schrodinger form whose only near-kernel
     direction is alpha itself.  For rho orthogonal to alpha the squared
-    solve reproduces the first-order solution exactly.
+    solve reproduces the first-order solution exactly.  In the interleaved
+    (node, spinor) order the squared operator is banded with half-bandwidth
+    ``ENVELOPE_BAND``; the deflation is a border, so beta is the solution
+    orthogonal to w = alpha / |alpha|, found by ``_bordered_solve`` from one
+    banded LU of the squared operator.
     """
     p = pair.params
     n = len(ts)
@@ -631,11 +669,7 @@ def _envelope_correction(
 
     w = alpha.ravel()
     w = w / np.linalg.norm(w)
-    bordered = sp.bmat(
-        [[squared, w[:, None]], [w[None, :].conj(), None]], format="csc"
-    )
-    sol = spla.spsolve(bordered, np.concatenate([rhs, [0.0]]))
-    beta = sol[:-1].reshape(n, 2)
+    beta = _bordered_solve(squared, w, rhs).reshape(n, 2)
 
     d_beta = np.zeros_like(beta)
     d_beta[1:-1] = (beta[2:] - beta[:-2]) / (2.0 * h)
@@ -651,14 +685,16 @@ def second_order_layer(
 ) -> SecondOrderLayer:
     """Assemble the order-delta^2 equation and solve both of its halves.
 
-    The pair projection fixes (a2, beta): a2 is the envelope average of the
-    projected forcing and beta solves the deflated reduced operator against
-    what remains.  The complement projection then yields the second
+    The envelope samples alpha and D_t alpha are the ones ``corr`` was built
+    from; only D_t^2 alpha is new.  The pair projection fixes (a2, beta): a2
+    is the envelope average of the projected forcing and beta solves the
+    deflated reduced operator against what remains (``_envelope_correction``,
+    one banded solve).  The complement projection then yields the second
     transverse corrector exactly as at first order.
     """
     ts = corr.ts
-    alpha = pair.alpha(ts)
-    d_alpha = pair.d_alpha(ts, alpha)
+    alpha = corr.alpha
+    d_alpha = corr.d_alpha
     d2_alpha = pair.d2_alpha(ts, alpha, d_alpha)
     kap = ws.wall(ts)
     d_kap_t = -1j * ws.wall.derivative(ts)
@@ -809,37 +845,18 @@ def leading_quasimode(
             f"on |t| <= {pair.box:.2f}; rebuild the pair with a larger box"
         )
 
-    alpha = pair.alpha(ts)
-    fast = ws.phi @ alpha.T
-    correction = None
-    second = None
-    energy = ws.e_star + delta * pair.theta
-    field = fast
-    if order >= 1:
-        correction = first_correction(ws, pair, ts)
-        field = field + delta * correction.values
-    if order >= 2:
-        second = second_order_layer(ws, pair, correction)
-        field = (
-            fast
-            + delta * (correction.values + ws.phi @ second.beta.T)
-            + delta**2 * second.values
-        )
-        energy = energy + delta**2 * second.a2
-
-    ell_vp = float(ws.frame.ell @ ws.frame.vp)
-    phase = np.exp(1j * ((ws.tau_star - grid.tau_ref) + mu * delta * ell_vp) * grid.t)
-    vector = (field * phase[None, :]).T.ravel()
-    vector = vector / np.linalg.norm(vector)
-
+    correction = first_correction(ws, pair, ts) if order >= 1 else None
+    alpha = pair.alpha(ts) if correction is None else correction.alpha
+    second = second_order_layer(ws, pair, correction) if order >= 2 else None
+    energy, field = _truncated_field(ws, pair, delta, alpha, correction, second, order)
     return QuasimodeAnsatz(
         delta=float(delta),
         mu=float(mu),
         theta=pair.theta,
         order=order,
-        energy=float(energy),
+        energy=energy,
         grid=grid,
-        vector=vector,
+        vector=_strip_vector(ws, grid, delta, mu, field),
         alpha=alpha,
         correction=correction,
         second=second,
@@ -849,6 +866,44 @@ def leading_quasimode(
             "envelope_edge_value": float(np.abs(alpha[[0, -1]]).max()),
         },
     )
+
+
+def _truncated_field(
+    ws: QuasimodeWorkspace,
+    pair: EnvelopePair,
+    delta: float,
+    alpha: np.ndarray,
+    correction: TransverseCorrection | None,
+    second: SecondOrderLayer | None,
+    order: int,
+) -> tuple[float, np.ndarray]:
+    """Energy and (M, n) fast-fiber field of the ansatz cut at ``order``.
+
+    ``correction`` is needed from order 1 on and ``second`` at order 2; the
+    pieces of a higher order serve every lower one.
+    """
+    fast = ws.phi @ alpha.T
+    energy = ws.e_star + delta * pair.theta
+    if order == 0:
+        return float(energy), fast
+    if order == 1:
+        return float(energy), fast + delta * correction.values
+    field = (
+        fast
+        + delta * (correction.values + ws.phi @ second.beta.T)
+        + delta**2 * second.values
+    )
+    return float(energy + delta**2 * second.a2), field
+
+
+def _strip_vector(
+    ws: QuasimodeWorkspace, grid: StripGrid, delta: float, mu: float, field: np.ndarray
+) -> np.ndarray:
+    """Unit strip sample (t-major) of a fast-fiber field times the edge phase."""
+    ell_vp = float(ws.frame.ell @ ws.frame.vp)
+    phase = np.exp(1j * ((ws.tau_star - grid.tau_ref) + mu * delta * ell_vp) * grid.t)
+    vector = (field * phase[None, :]).T.ravel()
+    return vector / np.linalg.norm(vector)
 
 
 # ---------------------------------------------------------------------------
@@ -881,9 +936,12 @@ def residual_orders(
 ) -> ResidualStudy:
     """Measure ||(strip - E) u|| / ||u|| across delta for each ansatz order.
 
-    One strip assembly per delta (matvec only, no factorization); the
-    corrector pieces are recomputed per delta because the transverse nodes
-    move.  The fitted exponents should land near order + 1.
+    One pass per delta: one strip assembly (matvec only, no factorization)
+    and one ``leading_quasimode`` at the highest requested order, which
+    samples the envelope once and solves each corrector once.  The lower
+    orders are cut from the same pieces (``_truncated_field``), so every
+    order's vector is the one ``leading_quasimode`` builds at that order.
+    The fitted exponents should land near order + 1.
 
     The envelope's value at the box ends is recorded per delta
     (``edge_values``).  Where it exceeds ``EDGE_FLOOR_RATIO`` times an
@@ -903,20 +961,25 @@ def residual_orders(
             ws.frame, ws.potential, ws.wall, zeta_eff, delta, ws.basis,
             perturbation=ws.perturbation, step=step, t_factor=t_factor,
         )
+        top = leading_quasimode(ws, pair, delta, mu, op.grid, order=max(orders))
+        edge_values[i] = top.diagnostics["envelope_edge_value"]
+        if top.correction is not None:
+            defects[i] = top.correction.defect
         for o in sorted(orders):
-            ansatz = leading_quasimode(ws, pair, delta, mu, op.grid, order=o)
-            residuals[o][i] = float(
-                np.linalg.norm(op.matrix @ ansatz.vector - ansatz.energy * ansatz.vector)
-            )
-            energies[o][i] = ansatz.energy
-            edge_values[i] = ansatz.diagnostics["envelope_edge_value"]
-            if ansatz.correction is not None:
-                defects[i] = ansatz.correction.defect
+            if o == top.order:
+                energy, vector = top.energy, top.vector
+            else:
+                energy, field = _truncated_field(
+                    ws, pair, delta, top.alpha, top.correction, top.second, o
+                )
+                vector = _strip_vector(ws, op.grid, delta, mu, field)
+            residuals[o][i] = float(np.linalg.norm(op.matrix @ vector - energy * vector))
+            energies[o][i] = energy
             if edge_values[i] > EDGE_FLOOR_RATIO * residuals[o][i]:
                 warnings.warn(
                     TruncationFloorWarning(delta, o, residuals[o][i], edge_values[i])
                 )
-        del op  # free this strip before the next, larger one is assembled
+        del op, top  # free this strip before the next, larger one is assembled
     exponents = {
         o: float(fit_power_law(np.asarray(deltas), residuals[o])) for o in orders
     }

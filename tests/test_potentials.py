@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -222,3 +224,21 @@ def test_domain_wall_rejects_bad_arguments():
         domain_wall("tanh_scaled", 0.0)
     with pytest.raises(ValueError):
         domain_wall("sigmoid", 1.0)
+
+
+def test_bump_step_is_exact_at_the_ends_and_odd_about_half():
+    from artifact.potentials import _bump_step
+
+    s = np.linspace(-3.0, 3.0, 6001)
+    f = _bump_step(s)
+    assert np.all(f[s <= 0.0] == 0.0)
+    assert np.all(f[s >= 1.0] == 1.0)
+    assert np.all(np.diff(f) >= 0.0)
+    np.testing.assert_allclose(f + _bump_step(1.0 - s), 1.0, rtol=0, atol=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (0.0, 1.0, -0.0, -2.0, 0.25, 3.0):
+            assert np.ndim(_bump_step(x)) == 0
+        assert _bump_step(0.0) == 0.0 and _bump_step(1.0) == 1.0
+        _bump_step(np.array([0.0, 1.0, -1.0, 2.0, 0.5]))
+        domain_wall("bump_smoothstep", 5.0)(np.array([-5.0, 0.0, 5.0]))

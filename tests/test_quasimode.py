@@ -42,6 +42,19 @@ def setup(medium):
     return medium(10.0)
 
 
+@pytest.fixture(scope="module")
+def detuned_pair(setup):
+    # mu = 0.3 has no closed-form pair: the envelope comes from the FD ladder
+    # refined by shooting
+    params, _ = setup
+    detuned = dataclasses.replace(params, mu=0.3)
+    return quasimode.ladder_pair(wall_dirac.gap_spectrum(detuned, 30.0, 6000))
+
+
+def _pair(setup, detuned_pair, mu):
+    return quasimode.zero_mode_pair(setup[0]) if mu == 0.0 else detuned_pair
+
+
 def test_residual_exponents_are_order_plus_one(setup):
     params, ws = setup
     with warnings.catch_warnings():
@@ -59,12 +72,11 @@ def test_residual_exponents_are_order_plus_one(setup):
     assert np.all(study.edge_values < quasimode.EDGE_FLOOR_RATIO * study.residuals[2])
 
 
-def test_detuned_exponents_through_ladder_pair(setup):
-    # mu = 0.3 has no closed-form pair: the envelope comes from the FD ladder
-    # refined by shooting, and its eigenvalue is the topological slope
+def test_detuned_exponents_through_ladder_pair(setup, detuned_pair):
+    # the ladder pair's eigenvalue is the topological slope
     params, ws = setup
     detuned = dataclasses.replace(params, mu=0.3)
-    pair = quasimode.ladder_pair(wall_dirac.gap_spectrum(detuned, 30.0, 6000))
+    pair = detuned_pair
     slope = detuned.mu * detuned.speed_mu * np.sign(detuned.mass) * detuned.orientation
     assert abs(pair.theta - slope) < 1e-12
     with warnings.catch_warnings():
@@ -129,3 +141,64 @@ def test_solvability_gate_rejects_mismatched_mass(setup):
     # the consistent pair on the same nodes passes
     ok = quasimode.first_correction(ws, quasimode.zero_mode_pair(params), ts)
     assert ok.defect < quasimode.SOLVABILITY_TOL
+
+
+# envelope_residual of the order-2 layer at delta = 0.08 when the bordered
+# system was solved by sparse LU; the banded solve must reproduce it
+SPARSE_LU_ENVELOPE_RESIDUAL = {0.0: 5.438818665598477e-05, 0.3: 1.1070898024218012e-04}
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3])
+def test_bordered_solve_matches_dense(setup, detuned_pair, monkeypatch, mu):
+    _, ws = setup
+    pair = _pair(setup, detuned_pair, mu)
+    seen = []
+    banded = quasimode._bordered_solve
+
+    def capture(squared, w, rhs):
+        beta = banded(squared, w, rhs)
+        seen.append((squared, w, rhs, beta))
+        return beta
+
+    monkeypatch.setattr(quasimode, "_bordered_solve", capture)
+    ansatz = quasimode.leading_quasimode(ws, pair, 0.08, order=2, t_factor=4.5)
+    ((squared, w, rhs, beta),) = seen
+    n = squared.shape[0]
+    assert n + 1 == 2251
+    bordered = np.zeros((n + 1, n + 1), dtype=complex)
+    bordered[:n, :n] = squared.toarray()
+    bordered[:n, n] = w
+    bordered[n, :n] = np.conj(w)
+    dense = np.linalg.solve(bordered, np.append(rhs, 0.0))[:n]
+    assert np.linalg.norm(beta - dense) <= 1e-10 * np.linalg.norm(dense)
+    alpha = ansatz.alpha.ravel()
+    assert abs(np.vdot(alpha, beta)) <= 1e-12 * np.linalg.norm(beta)
+    reference = SPARSE_LU_ENVELOPE_RESIDUAL[mu]
+    assert abs(ansatz.second.envelope_residual - reference) <= 1e-6 * reference
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3])
+def test_residual_orders_is_one_pass_per_delta(setup, detuned_pair, monkeypatch, mu):
+    _, ws = setup
+    pair = _pair(setup, detuned_pair, mu)
+    calls = {"first_correction": 0, "second_order_layer": 0}
+    for name in calls:
+        def counted(*args, _name=name, _solve=getattr(quasimode, name), **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(quasimode, name, counted)
+    deltas = (0.08, 0.04)
+    study = quasimode.residual_orders(ws, pair, deltas, orders=(0, 1, 2), t_factor=4.5)
+    assert calls == {"first_correction": len(deltas), "second_order_layer": len(deltas)}
+    # the orders cut from the shared pieces are the vectors each order builds
+    for i, delta in enumerate(deltas):
+        op = rb.assemble_strip(
+            ws.frame, ws.potential, ws.wall, quasimode.effective_zeta(ws, delta, mu),
+            delta, ws.basis, perturbation=ws.perturbation, t_factor=4.5,
+        )
+        for order in (0, 1):
+            u = quasimode.leading_quasimode(ws, pair, delta, mu, op.grid, order=order)
+            direct = float(np.linalg.norm(op.matrix @ u.vector - u.energy * u.vector))
+            assert study.residuals[order][i] == direct
+            assert study.energies[order][i] == u.energy

@@ -11,6 +11,7 @@ invariance) holding on the coefficients by construction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -387,9 +388,18 @@ class DomainWall:
     kind: Literal["tanh_scaled", "bump_smoothstep"]
     plateau_halfwidth: float
 
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
+    def __call__(self, t: np.ndarray | float) -> np.ndarray | float:
         L = self.plateau_halfwidth
+        if isinstance(t, float):
+            # one point, as an ODE right-hand side asks for it: math skips
+            # numpy's per-call overhead; same clip and floors as _bump_step
+            if self.kind == "tanh_scaled":
+                return math.tanh(3.0 * t / L)
+            s = min(max((t + L) / (2.0 * L), 0.0), 1.0)
+            f = math.exp(-1.0 / max(s, 1e-300))
+            g = math.exp(-1.0 / max(1.0 - s, 1e-300))
+            return 2.0 * (f / (f + g)) - 1.0
+        t = np.asarray(t, dtype=float)
         if self.kind == "tanh_scaled":
             return np.tanh(3.0 * t / L)
         return 2.0 * _bump_step((t + L) / (2.0 * L)) - 1.0

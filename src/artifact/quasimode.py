@@ -60,7 +60,14 @@ from .bloch import PlaneWaveBasis, assemble_fiber, convolution_matrix
 from .dirac_cone import DiracPointData
 from .geometry import TWO_PI, EdgeFrame
 from .potentials import DomainWall, FourierField
-from .ribbon import StripGrid, assemble_strip, fit_power_law, fold_phase, strip_grid
+from .ribbon import (
+    StripGrid,
+    _kron_apply,
+    _strip_terms,
+    fit_power_law,
+    fold_phase,
+    strip_grid,
+)
 from .wall_dirac import Dirac1DSpectrum, DiracParams
 
 # Largest pair projection of the order-delta right-hand side the correctors
@@ -936,9 +943,10 @@ def residual_orders(
 ) -> ResidualStudy:
     """Measure ||(strip - E) u|| / ||u|| across delta for each ansatz order.
 
-    One pass per delta: one strip assembly (matvec only, no factorization)
-    and one ``leading_quasimode`` at the highest requested order, which
-    samples the envelope once and solves each corrector once.  The lower
+    One pass per delta: the strip's Kronecker terms (``_strip_terms``),
+    applied matrix-free by ``_kron_apply`` so the strip matrix is never
+    formed, and one ``leading_quasimode`` at the highest requested order,
+    which samples the envelope once and solves each corrector once.  The lower
     orders are cut from the same pieces (``_truncated_field``), so every
     order's vector is the one ``leading_quasimode`` builds at that order.
     The fitted exponents should land near order + 1.
@@ -957,11 +965,11 @@ def residual_orders(
     edge_values = np.zeros(len(deltas))
     for i, delta in enumerate(deltas):
         zeta_eff = effective_zeta(ws, delta, mu)
-        op = assemble_strip(
+        grid, terms, _ = _strip_terms(
             ws.frame, ws.potential, ws.wall, zeta_eff, delta, ws.basis,
             perturbation=ws.perturbation, step=step, t_factor=t_factor,
         )
-        top = leading_quasimode(ws, pair, delta, mu, op.grid, order=max(orders))
+        top = leading_quasimode(ws, pair, delta, mu, grid, order=max(orders))
         edge_values[i] = top.diagnostics["envelope_edge_value"]
         if top.correction is not None:
             defects[i] = top.correction.defect
@@ -972,14 +980,15 @@ def residual_orders(
                 energy, field = _truncated_field(
                     ws, pair, delta, top.alpha, top.correction, top.second, o
                 )
-                vector = _strip_vector(ws, op.grid, delta, mu, field)
-            residuals[o][i] = float(np.linalg.norm(op.matrix @ vector - energy * vector))
+                vector = _strip_vector(ws, grid, delta, mu, field)
+            u = vector.reshape(grid.n_t, grid.n_fast)
+            residuals[o][i] = float(np.linalg.norm(_kron_apply(terms, u) - energy * u))
             energies[o][i] = energy
             if edge_values[i] > EDGE_FLOOR_RATIO * residuals[o][i]:
                 warnings.warn(
                     TruncationFloorWarning(delta, o, residuals[o][i], edge_values[i])
                 )
-        del op, top  # free this strip before the next, larger one is assembled
+        del top  # free this delta's vectors before the next, larger grid is sampled
     exponents = {
         o: float(fit_power_law(np.asarray(deltas), residuals[o])) for o in orders
     }

@@ -455,7 +455,7 @@ class StripOperator:
         return float(np.abs(diff.data).max() / scale)
 
 
-def assemble_strip(
+def _strip_terms(
     frame: EdgeFrame,
     potential: FourierField,
     wall: DomainWall,
@@ -469,28 +469,13 @@ def assemble_strip(
     tau_ref: float | None = None,
     half_width: float | None = None,
     flip_wall: bool = False,
-) -> StripOperator:
-    """Assemble the wall-modulated strip Hamiltonian at one edge phase.
+) -> tuple[StripGrid, list, np.ndarray]:
+    """Grid, Kronecker terms ``[(T_k, F_k)]`` and wall profile of the strip.
 
-    The state vector is t-major: entry ``j * n_fast + m`` is the envelope
-    value of ball mode m at node t_j.  The kinetic part per fast mode is
-    ``|K_m|^2 - 2i (K_m . k') D1 + |k'|^2 D1^T D1``, an exact remap of the
-    bulk fiber at transverse phase ``tau_ref + sin(p h)/h`` for envelope
-    momentum p.  The wall enters through its slow profile kappa(delta * t)
-    multiplying the (scalar or magnetic) perturbation; ``flip_wall`` reverses
-    the profile's argument, which is the reflected-wall variant used by the
-    covariance checks.
-
-    The matrix is a sum of Kronecker terms (t-factor (x) fast factor):
-
-        I (x) (diag |K|^2 + V),   D1 (x) diag(-2i K . k'),   |k'|^2 S2 (x) I,
-
-    with S2 = D1^T D1, plus for a scalar wall ``delta diag(kappa) (x) W``,
-    or for a magnetic wall ``delta diag(kappa) (x) (A . K + K . A)`` and
-    ``-i delta (diag(kappa) D1 + D1 diag(kappa)) (x) (k' . A)``, the
-    symmetrized ``A . D + D . A`` split into its parts without and with a
-    t-derivative.  ``_kron_sum_csc`` writes their sum once, straight into the
-    CSC arrays of the result.
+    The strip Hamiltonian is H = sum_k T_k (x) F_k with each T_k a sparse
+    n_t x n_t band and each F_k a dense n_fast x n_fast array; see
+    ``assemble_strip`` for the terms.  ``_kron_sum_csc`` writes H from them
+    and ``_kron_apply`` applies it without forming it.
     """
     if tau_ref is None:
         tau_ref = fold_phase(frame, zeta)
@@ -539,14 +524,84 @@ def assemble_strip(
             terms.append((-1j * (wall_diag @ D1 + D1 @ wall_diag), along))
         else:
             terms.append((wall_diag, _conv_table(perturbation, basis)))
+    return grid, terms, kappa
 
+
+def _kron_apply(terms: list, u: np.ndarray) -> np.ndarray:
+    """H u for H = sum_k T_k (x) F_k and a t-major u of shape (n_t, n_fast).
+
+    Row j of u is the fast vector at node t_j, so (T (x) F) u = T (u F^T).
+    A diagonal fast factor scales the columns of u; only the dense ones
+    cost a GEMM.
+    """
+    out = np.zeros(u.shape, dtype=complex)
+    for T, F in terms:
+        diag = np.diagonal(F)
+        if np.count_nonzero(F) == np.count_nonzero(diag):
+            out += T @ (u * diag)
+        else:
+            out += T @ (u @ F.T)
+    return out
+
+
+def assemble_strip(
+    frame: EdgeFrame,
+    potential: FourierField,
+    wall: DomainWall,
+    zeta: float,
+    delta: float,
+    basis: PlaneWaveBasis,
+    *,
+    perturbation: FourierField | None = None,
+    step: float = 0.5,
+    t_factor: float = 8.0,
+    tau_ref: float | None = None,
+    half_width: float | None = None,
+    flip_wall: bool = False,
+) -> StripOperator:
+    """Assemble the wall-modulated strip Hamiltonian at one edge phase.
+
+    The state vector is t-major: entry ``j * n_fast + m`` is the envelope
+    value of ball mode m at node t_j.  The kinetic part per fast mode is
+    ``|K_m|^2 - 2i (K_m . k') D1 + |k'|^2 D1^T D1``, an exact remap of the
+    bulk fiber at transverse phase ``tau_ref + sin(p h)/h`` for envelope
+    momentum p.  The wall enters through its slow profile kappa(delta * t)
+    multiplying the (scalar or magnetic) perturbation; ``flip_wall`` reverses
+    the profile's argument, which is the reflected-wall variant used by the
+    covariance checks.
+
+    The matrix is a sum of Kronecker terms (t-factor (x) fast factor):
+
+        I (x) (diag |K|^2 + V),   D1 (x) diag(-2i K . k'),   |k'|^2 S2 (x) I,
+
+    with S2 = D1^T D1, plus for a scalar wall ``delta diag(kappa) (x) W``,
+    or for a magnetic wall ``delta diag(kappa) (x) (A . K + K . A)`` and
+    ``-i delta (diag(kappa) D1 + D1 diag(kappa)) (x) (k' . A)``, the
+    symmetrized ``A . D + D . A`` split into its parts without and with a
+    t-derivative.  ``_strip_terms`` builds them, and ``_kron_sum_csc``
+    writes their sum once, straight into the CSC arrays of the result.
+    """
+    grid, terms, kappa = _strip_terms(
+        frame,
+        potential,
+        wall,
+        zeta,
+        delta,
+        basis,
+        perturbation=perturbation,
+        step=step,
+        t_factor=t_factor,
+        tau_ref=tau_ref,
+        half_width=half_width,
+        flip_wall=flip_wall,
+    )
     return StripOperator(
         grid=grid,
         basis=basis,
-        matrix=_kron_sum_csc(terms, n_t),
+        matrix=_kron_sum_csc(terms, grid.n_t),
         kappa=kappa,
         meta={
-            "tau_ref": float(tau_ref),
+            "tau_ref": grid.tau_ref,
             "flip_wall": flip_wall,
             "magnetic": bool(perturbation is not None and perturbation.is_vector),
         },

@@ -196,6 +196,20 @@ def test_domain_wall_plateaus_and_oddness():
     np.testing.assert_allclose(tanh_wall(-ts), -tanh_wall(ts), atol=1e-15)
 
 
+@pytest.mark.parametrize("kind", ["bump_smoothstep", "tanh_scaled"])
+def test_domain_wall_scalar_matches_array(kind):
+    # a Python float takes the math branch; it must give the array values,
+    # at the plateau edges t = +-L and on the plateaus too
+    L = 5.0
+    wall = domain_wall(kind, L)
+    ts = np.concatenate([np.linspace(-12.0, 12.0, 200_001), [-L, L]])
+    scalar = np.array([wall(float(t)) for t in ts])
+    assert isinstance(wall(1.0), float)
+    assert np.abs(scalar - wall(ts)).max() <= 1e-15
+    if kind == "bump_smoothstep":
+        assert np.all(scalar[np.abs(ts) >= L] == np.sign(ts[np.abs(ts) >= L]))
+
+
 def test_domain_wall_derivative_matches_finite_differences():
     for kind in ("bump_smoothstep", "tanh_scaled"):
         wall = domain_wall(kind, 3.0)

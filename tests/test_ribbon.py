@@ -266,6 +266,25 @@ def test_assembly_matches_kron_formula(lat, frame, fields, basis, case):
         assert new.nnz == ref.nnz
 
 
+@pytest.mark.parametrize("case", ["W", "A", "W_flip"])
+def test_kron_apply_matches_assembled_matvec(lat, frame, fields, basis, case):
+    # the matrix-free apply of the strip's terms is the assembled matrix
+    # times u, on the base-channel strip including its Dirichlet end rows
+    from artifact.potentials import magnetic_A
+
+    pert = magnetic_A(lat, 2.2) if case == "A" else fields["W10"]
+    args = (frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA, basis)
+    kwargs = dict(perturbation=pert, t_factor=3.5, flip_wall=case == "W_flip")
+    grid, terms, _ = rb._strip_terms(*args, **kwargs)
+    op = rb.assemble_strip(*args, **kwargs)
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal((grid.n_t, grid.n_fast, 2)) @ np.array([1.0, 1.0j])
+    matvec = op.matrix @ u.ravel()
+    applied = rb._kron_apply(terms, u)
+    assert applied.shape == (grid.n_t, grid.n_fast)
+    assert np.linalg.norm(applied.ravel() - matvec) <= 1e-14 * np.linalg.norm(matvec)
+
+
 @pytest.mark.parametrize("n_t", [2, 3, 4, 5, 9])
 def test_kron_sum_csc_general_terms(n_t):
     # random non-Hermitian t-factors of bandwidth <= 2 with zero rows, and

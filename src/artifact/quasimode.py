@@ -35,13 +35,13 @@ carry no mass-channel expectation).  We solve the squared operator instead
 first-order solution exactly on the deflated complement.
 
 Envelope eigenpairs come either from the closed-form zero mode (mu = 0,
-center branch) or from a shooting refinement of the finite-difference 1D
-solve: the reduced system is gauge-rotated to a real 2x2 ODE, integrated
-from both plateaus with decaying initial data, and the matching determinant
-at the wall center is driven to zero in the eigenvalue.  The refinement
-matters because the corrector gate sees the finite-difference eigenvalue
-error (~1e-4) directly.  The integration runs on |t| <= ``SHOOTING_BOX`` at
-relative tolerance ``SHOOTING_RTOL``.
+center branch) or by shooting from an eigenvalue of the Prufer-counted
+ladder (``wall_dirac.gap_spectrum``): the reduced system is rotated to the
+same real 2x2 gauge, integrated from both plateaus with decaying initial
+data, and the matching determinant at the wall center is driven to zero in
+the eigenvalue.  The glued half-line solutions give the envelope sampler.
+The integration runs on |t| <= ``SHOOTING_BOX`` at relative tolerance
+``SHOOTING_RTOL``.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from .ribbon import (
     fold_phase,
     strip_grid,
 )
-from .wall_dirac import Dirac1DSpectrum, DiracParams
+from .wall_dirac import Dirac1DSpectrum, DiracParams, _real_gauge
 
 # Largest pair projection of the order-delta right-hand side the correctors
 # accept.
@@ -222,19 +222,6 @@ def zero_mode_pair(params: DiracParams) -> EnvelopePair:
     )
 
 
-def _real_gauge(params: DiracParams) -> tuple[complex, float]:
-    """Spinor phase and sign that rotate the reduced operator to real form.
-
-    With U = diag(1, e1) the D_t channel becomes sigma_1 and the mu channel
-    becomes -sign * sigma_2 where sign = Im(e2 * conj(e1)) = -orientation;
-    substituting chi = (alpha1', i*alpha2') then yields a real 2x2 ODE.
-    """
-    m1, m2, _ = params.matrices()
-    e1 = m1[0, 1]
-    sign = float(np.sign(np.imag(m2[0, 1] * np.conj(e1))))
-    return e1, sign
-
-
 def _shoot_halves(params: DiracParams, theta: float):
     """Integrate the real-gauge system from both plateaus toward the wall."""
     p = params
@@ -283,12 +270,11 @@ def _matching_det(params: DiracParams, theta: float) -> float:
 def shooting_pair(params: DiracParams, theta_guess: float) -> EnvelopePair:
     """Refine an in-gap eigenvalue by shooting and return the glued pair.
 
-    ``theta_guess`` brackets the root (a finite-difference eigenvalue is
-    plenty); the bracket is widened geometrically until the matching
-    determinant changes sign.  The returned sampler evaluates the dense
-    outputs of the two half-line integrations, so the envelope and the
-    eigenvalue are accurate to the integrator tolerance rather than to the
-    finite-difference grid.
+    ``theta_guess`` brackets the root (a value of ``gap_spectrum``'s
+    ladder is accurate to about 1e-12); the bracket is widened geometrically
+    until the matching determinant changes sign.  The returned sampler
+    evaluates the dense outputs of the two half-line integrations, so the
+    envelope and the eigenvalue are accurate to the integrator tolerance.
     """
     box = SHOOTING_BOX
     if box <= params.wall.plateau_halfwidth:

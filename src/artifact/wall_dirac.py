@@ -7,9 +7,27 @@ the slow transverse variable t:
 
 with D_t = -i d/dt, M(c) = [[0, nu_star*c], [conj(nu_star*c), 0]] for the
 frame vectors kp (transverse dual) and ell (Bloch line direction) read as
-complex numbers, and kappa the domain wall.  The operator is discretized on
-a uniform grid with a centered antisymmetric stencil and Dirichlet clamps,
-which keeps it Hermitian by construction.
+complex numbers, and kappa the domain wall.
+
+The in-gap ladder comes from one scalar ODE and no grid.  The spinor gauge
+of ``_real_gauge`` turns H alpha = theta alpha into a real 2x2 system whose
+solutions r (cos phi, sin phi) carry the Prufer angle
+
+    phi' = (mass * kappa(t) * cos 2phi + b * sin 2phi - theta) / s,
+
+with s = nu_F |kp| and b = mu nu_F |ell| times the gauge sign.  On a plateau
+the angle has two fixed points, one per exponential; each half starts at its
+box end on the one that decays away from the wall, which is exact on a
+bump_smoothstep plateau and asymptotic on a tanh_scaled wall.  Since
+d phi' / d theta = -1/s, the mismatch g(theta) = phi_left(0) - phi_right(0)
+at the wall center is strictly decreasing, and theta is an eigenvalue
+exactly where g crosses a multiple of pi (renormalized oscillation theory:
+Gesztesy, Simon & Teschl, Amer. J. Math. 118 (1996) 571; Teschl, Proc. AMS
+126 (1998) for Dirac systems).  A window therefore holds as many eigenvalues
+as there are multiples of pi strictly between g at its two ends, and each is
+the root of g - k pi.  No sample grid can miss two close states, and there
+are no grid doublers or box-end states to screen out.  ``assemble_dirac``
+keeps a centered finite-difference matrix of H as a test reference.
 
 Frame orientation matters for the mu-linear branch: the slope of the
 topological eigenvalue is nu_F*|ell| * sgn(mass) * orientation, where
@@ -21,12 +39,14 @@ picks up exactly that orientation sign.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .dirac_cone import DiracPointData
 from .geometry import EdgeFrame
@@ -37,17 +57,36 @@ class GridTooCoarse(ValueError):
     """The grid cannot resolve the wall transition."""
 
 
-class SpuriousModeWarning(UserWarning):
-    """Eigenpairs rejected by the localization filter (box artifacts)."""
+class LadderFailure(RuntimeError):
+    """The Prufer count or its roots could not be trusted.
+
+    Carries ``theta`` and ``side`` ("left" or "right") of a failed
+    half-line integration, and ``count`` (multiples of pi crossed in the
+    window) with ``found`` (distinct roots refined inside it) once the count
+    is known; a field that does not apply is None.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        theta: float | None,
+        side: str | None,
+        count: int | None,
+        found: int | None,
+    ):
+        super().__init__(message)
+        self.theta = theta
+        self.side = side
+        self.count = count
+        self.found = found
 
 
-# gap_spectrum solver settings.  The Krylov count doubles from 32 until the
-# converged values straddle the window or reach MAX_PAIRS.  Eigenvalues
-# closer than CLUSTER_TOL form one cluster for the roughness rotation, and a
-# rotated mode with roughness at or above ROUGHNESS_CUT is a grid doubler.
-MAX_PAIRS = 128
-CLUSTER_TOL = 1e-2
-ROUGHNESS_CUT = 1.0
+# Relative and absolute tolerance of the Prufer integration, and the xtol of
+# each refined eigenvalue.
+PRUFER_RTOL = 1e-12
+PRUFER_ATOL = 1e-12
+ROOT_XTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -134,17 +173,17 @@ def params_from_frames(
 
 @dataclass
 class Dirac1DSpectrum:
-    """In-gap spectrum of the discretized reduced operator."""
+    """In-gap eigenpairs of the reduced operator in a window."""
 
     params: DiracParams
     T: float
     N: int
     essential_edge: float
     window: tuple[float, float]
-    eigenvalues: np.ndarray  # sorted, in-gap, accepted
-    eigenvectors: np.ndarray  # (2N, len(eigenvalues)) grid-major (t outer)
-    localization: np.ndarray
-    rejected: list = field(default_factory=list)
+    eigenvalues: np.ndarray  # sorted, inside the window
+    eigenvectors: np.ndarray  # (2N, len(eigenvalues)) on grid(), t outer
+    # always 0: the Prufer count has no grid doublers to reject; the
+    # benchmark tracer still reads it
     doubling_rejected: int = 0
 
     @property
@@ -155,11 +194,6 @@ class Dirac1DSpectrum:
 
     def grid(self) -> np.ndarray:
         return np.linspace(-self.T, self.T, self.N)
-
-
-def _grid(T: float, N: int) -> tuple[np.ndarray, float]:
-    t = np.linspace(-T, T, N)
-    return t, float(t[1] - t[0])
 
 
 def assemble_dirac(
@@ -185,7 +219,8 @@ def assemble_dirac(
         raise ValueError("need at least 1000 grid points")
     if periodic and kappa_const is None:
         raise ValueError("periodic wrap requires a constant kappa")
-    t, h = _grid(T, N)
+    t = np.linspace(-T, T, N)
+    h = float(t[1] - t[0])
     if kappa_const is None:
         slope = float(np.max(np.abs(params.wall.derivative(t))))
         if h * slope > 0.1:
@@ -216,150 +251,157 @@ def assemble_dirac(
     return H
 
 
-def _roughness_split(
-    vals: np.ndarray, vecs: np.ndarray, N: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate quasi-degenerate clusters to separate grid-doubling partners.
+def _real_gauge(params: DiracParams) -> tuple[complex, float]:
+    """Spinor phase and sign that rotate the reduced operator to real form.
 
-    The centered first-order stencil carries the classic doubling artifact:
-    every smooth bound state has a partner oscillating at the grid scale
-    with a nearly equal eigenvalue, and the eigensolver returns arbitrary
-    mixtures of the two.  The roughness form R[u] = sum |u_{n+1} - u_n|^2
-    tells them apart (doubling partners sit near 4, smooth modes near h^2
-    scales), so within each cluster we diagonalize R; the caller re-derives
-    energies from Rayleigh quotients of the rotated vectors.
+    With U = diag(1, e1) the D_t channel becomes sigma_1 and the mu channel
+    becomes -sign * sigma_2 where sign = Im(e2 * conj(e1)) = -orientation;
+    substituting chi = (alpha1', i*alpha2') then yields a real 2x2 ODE.
     """
-    if len(vals) == 0:
-        return vecs, np.zeros(0)
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, len(vals)):
-        if vals[i] - vals[clusters[-1][-1]] < CLUSTER_TOL:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    out_vecs, out_rough = [], []
-    for idx in clusters:
-        # ARPACK does not orthonormalize within a degenerate cluster, so QR
-        # first; otherwise the roughness Gram and the downstream Rayleigh
-        # quotients silently pick up the basis distortion.
-        span = np.linalg.qr(vecs[:, idx])[0]
-        diffs = np.diff(span.reshape(N, 2, -1), axis=0).reshape(-1, len(idx))
-        G = diffs.conj().T @ diffs
-        rough_vals, rot = np.linalg.eigh(G)
-        rotated = span @ rot
-        for j in range(len(idx)):
-            out_vecs.append(rotated[:, j])
-            out_rough.append(float(rough_vals[j]))
-    return np.column_stack(out_vecs), np.array(out_rough)
+    m1, m2, _ = params.matrices()
+    e1 = m1[0, 1]
+    sign = float(np.sign(np.imag(m2[0, 1] * np.conj(e1))))
+    return e1, sign
 
 
-def _windowed_eigs(H, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Verified eigenpairs of a sparse Hermitian operator inside a window.
+def _prufer_half(
+    params: DiracParams, theta: float, T: float, side: str, radius: bool
+):
+    """Integrate the Prufer angle (and log r) from one box end to t = 0.
 
-    Shift-invert Lanczos with the shift placed a hair off zero: the operator
-    routinely has a numerically exact zero eigenvalue (the topological mode),
-    and factoring H - 0 then hands ARPACK a singular solve whose garbage
-    quietly contaminates every other eigenvector.  A small real shift keeps
-    the factorization well conditioned; residuals are checked explicitly and
-    the shift is nudged if a config ever lands an eigenvalue on top of it.
+    Each half starts at its box end on the plateau fixed point of the
+    solution that decays away from the wall, 2 phi = atan2(b, m) + arccos(
+    theta / R) on the left and - arccos on the right, with m the mass times
+    kappa at the box end and R = hypot(m, b); the same solution as the
+    shooting end vector.  The arccos branch keeps the start continuous in
+    theta, so the mismatch at t = 0 is too.  ``radius`` adds
+    (log r)' = (m kappa sin 2phi - b cos 2phi) / s, with log r = 0 at the
+    box end, and keeps the dense output.
     """
-    n = H.shape[0]
-    # deterministic start vector: byte-identical reruns, and no accidental
-    # symmetry alignment the way a constant vector would have
-    v0 = np.random.default_rng(12345).standard_normal(n)
-    sigma = 1e-4
-    worst = None  # largest residual of the last converged attempt
-    for attempt in range(4):
-        k = 32
-        try:
-            while True:
-                vals, vecs = spla.eigsh(H, k=k, sigma=sigma, which="LM", v0=v0)
-                if (vals.min() < window[0] and vals.max() > window[1]) or k >= min(
-                    n, MAX_PAIRS
-                ):
-                    break
-                k = min(n, 2 * k)
-        except (RuntimeError, spla.ArpackError):
-            sigma *= 1.618
-            continue
-        inside = (vals > window[0]) & (vals < window[1])
-        vals, vecs = vals[inside], vecs[:, inside]
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        residuals = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
-        if len(vals) == 0 or residuals.max() < 1e-7 * max(1.0, np.abs(vals).max()):
-            return vals, vecs
-        worst = float(residuals.max())
-        sigma *= 1.618
-    detail = "no attempt converged" if worst is None else f"worst residual {worst:.2e}"
-    raise RuntimeError(
-        f"in-gap eigensolve failed to produce verified residuals after shift retries; {detail}"
+    s, mass, wall = params.speed_t, params.mass, params.wall
+    b = params.mu * params.speed_mu * _real_gauge(params)[1]
+    end = -T if side == "left" else T
+    m_end = mass * wall(end)
+    R = math.hypot(m_end, b)
+    if not abs(theta) < R:
+        raise ValueError(
+            f"theta = {theta:.6f} is not inside the essential gap "
+            f"(edge {R:.6f} at t = {end:g})"
+        )
+    arc = math.acos(theta / R)
+    phi0 = 0.5 * (math.atan2(b, m_end) + (arc if side == "left" else -arc))
+
+    def rhs(t, y):
+        mk = mass * wall(t)
+        c, sn = math.cos(2.0 * y[0]), math.sin(2.0 * y[0])
+        dphi = (mk * c + b * sn - theta) / s
+        return [dphi, (mk * sn - b * c) / s] if radius else [dphi]
+
+    sol = solve_ivp(
+        rhs, (end, 0.0), [phi0, 0.0] if radius else [phi0],
+        method="DOP853", rtol=PRUFER_RTOL, atol=PRUFER_ATOL, dense_output=radius,
+    )
+    if not sol.success:
+        raise LadderFailure(
+            f"Prufer integration from the {side} box end failed at "
+            f"theta = {theta:.12f}: {sol.message}",
+            theta=theta, side=side, count=None, found=None,
+        )
+    return sol
+
+
+def _sample_mode(
+    params: DiracParams, theta: float, T: float, t: np.ndarray
+) -> np.ndarray:
+    """Eigenvector at an eigenvalue theta, sampled on t, unit 2-norm.
+
+    The halves meet at t = 0 with angles k pi apart, so the right one is
+    glued on with the left one's radius and the sign (-1)^k, then mapped
+    back to the original spinor frame with [1, -i conj(e1)].
+    """
+    left = _prufer_half(params, theta, T, "left", radius=True)
+    right = _prufer_half(params, theta, T, "right", radius=True)
+    k = round((left.y[0, -1] - right.y[0, -1]) / np.pi)
+    neg = t < 0.0
+    y = np.empty((len(t), 2))
+    y[neg] = left.sol(t[neg]).T
+    y[~neg] = right.sol(t[~neg]).T
+    y[~neg, 1] += left.y[1, -1] - right.y[1, -1]
+    amp = np.exp(y[:, 1] - y[:, 1].max())
+    amp[~neg] *= (-1.0) ** k
+    e1, _ = _real_gauge(params)
+    back = np.array([1.0, -1j * np.conj(e1)])
+    chi = amp[:, None] * np.column_stack([np.cos(y[:, 0]), np.sin(y[:, 0])])
+    vec = (chi * back[None, :]).reshape(-1)
+    return vec / np.linalg.norm(vec)
+
+
+def window_spectrum(
+    params: DiracParams, T: float, N: int, window: tuple[float, float]
+) -> Dirac1DSpectrum:
+    """Every eigenpair of the reduced operator with theta inside ``window``.
+
+    The count is the number of multiples k pi strictly between g(hi) and
+    g(lo); each eigenvalue is the root of g - k pi by brentq, and its
+    eigenvector is sampled on linspace(-T, T, N).  T is the half-width of
+    the integration box, which must hold the wall's plateau half-width.
+    Raises LadderFailure if an integration fails or the refined roots are
+    not ``count`` distinct values inside the window.
+    """
+    lo, hi = map(float, window)
+    if not lo < hi:
+        raise ValueError(f"empty window ({lo}, {hi})")
+    if T <= params.wall.plateau_halfwidth:
+        raise ValueError(
+            f"box half-width {T} must exceed the wall plateau "
+            f"{params.wall.plateau_halfwidth}"
+        )
+    if N < 2:
+        raise ValueError("need at least two sample points")
+
+    def g(theta: float) -> float:
+        left = _prufer_half(params, theta, T, "left", radius=False)
+        right = _prufer_half(params, theta, T, "right", radius=False)
+        return float(left.y[0, -1] - right.y[0, -1])
+
+    g_lo, g_hi = g(lo), g(hi)
+    ks = range(math.floor(g_hi / np.pi) + 1, math.ceil(g_lo / np.pi))
+    roots = [
+        float(brentq(lambda th, k=k: g(th) - k * np.pi, lo, hi, xtol=ROOT_XTOL))
+        for k in ks
+    ]
+    roots = np.unique([r for r in roots if lo < r < hi])
+    if len(roots) != len(ks):
+        raise LadderFailure(
+            f"{len(ks)} eigenvalues counted in ({lo:.6f}, {hi:.6f}) but "
+            f"{len(roots)} distinct roots refined",
+            theta=None, side=None, count=len(ks), found=len(roots),
+        )
+    t = np.linspace(-T, T, N)
+    vecs = [_sample_mode(params, theta, T, t) for theta in roots]
+    return Dirac1DSpectrum(
+        params=params,
+        T=T,
+        N=N,
+        essential_edge=params.essential_edge(),
+        window=(lo, hi),
+        eigenvalues=roots,
+        eigenvectors=np.column_stack(vecs) if vecs else np.zeros((2 * N, 0), complex),
     )
 
 
-def gap_spectrum(
-    params: DiracParams,
-    T: float,
-    N: int,
-    localization_cut: float = 0.99,
-) -> Dirac1DSpectrum:
-    """All accepted smooth in-gap eigenpairs of the discretized operator.
+def gap_spectrum(params: DiracParams, T: float, N: int) -> Dirac1DSpectrum:
+    """All in-gap eigenpairs, counted and refined by the Prufer angle.
 
-    The window is the essential gap shrunk by a boundary margin 3/T.
-    Grid-doubling partners are separated by a roughness rotation within
-    quasi-degenerate clusters and dropped; modes failing the localization
-    filter (mass fraction inside |t| <= 2L below the cut) are reported via
-    SpuriousModeWarning and excluded.
+    The window is the essential gap shrunk by a margin 3/T at each end; see
+    ``window_spectrum`` for the count, the roots and the samples.
     """
-    H = assemble_dirac(params, T, N)
-    t, _ = _grid(T, N)
     edge = params.essential_edge()
     margin = 3.0 / T
     window = (-edge + margin, edge - margin)
     if window[0] >= window[1]:
         raise ValueError("essential gap too small for the boundary margin")
-
-    vals, vecs = _windowed_eigs(H, window)
-
-    # unmix doubling partners cluster by cluster, then re-evaluate energies
-    rotated, roughness = _roughness_split(vals, vecs, N)
-    smooth = roughness < ROUGHNESS_CUT
-    doubling_rejected = int(np.sum(~smooth))
-    vecs = rotated[:, smooth]
-    vals = np.array(
-        [float(np.real(np.vdot(w, H @ w) / np.vdot(w, w))) for w in vecs.T]
-    )
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-
-    # localization: fraction of mass within twice the wall plateau
-    L = params.wall.plateau_halfwidth
-    weight = np.abs(vecs.reshape(N, 2, -1)) ** 2
-    total = weight.sum(axis=(0, 1))
-    core = weight[np.abs(t) <= 2 * L].sum(axis=(0, 1))
-    score = core / np.maximum(total, 1e-300)
-
-    keep = score >= localization_cut
-    rejected = [(float(v), float(s)) for v, s in zip(vals[~keep], score[~keep])]
-    if rejected:
-        warnings.warn(
-            f"rejected {len(rejected)} delocalized in-gap candidates: "
-            + ", ".join(f"{v:+.4f}(score {s:.3f})" for v, s in rejected),
-            SpuriousModeWarning,
-            stacklevel=2,
-        )
-    return Dirac1DSpectrum(
-        params=params,
-        T=T,
-        N=N,
-        essential_edge=edge,
-        window=window,
-        eigenvalues=vals[keep],
-        eigenvectors=vecs[:, keep],
-        localization=score[keep],
-        rejected=rejected,
-        doubling_rejected=doubling_rejected,
-    )
+    return window_spectrum(params, T, N, window)
 
 
 def measured_essential_edge(
@@ -424,37 +466,6 @@ def predict_mu_spectrum(
                 (float(np.sign(val)) * np.sqrt(val**2 + shift**2), "paired")
             )
     return sorted(out, key=lambda pair: pair[0])
-
-
-def fd_order_study(
-    params: DiracParams, T: float, n_values: tuple[int, ...]
-) -> dict:
-    """Fitted convergence order of the in-gap eigenvalues under refinement.
-
-    Uses Richardson differences between consecutive grids; the centered
-    stencil should give an order near 2.
-    """
-    if len(n_values) < 3:
-        raise ValueError("need at least three grid sizes")
-    spectra = [gap_spectrum(params, T, n) for n in n_values]
-    counts = {len(s.eigenvalues) for s in spectra}
-    if len(counts) != 1:
-        raise ValueError(f"in-gap count changed across grids: {counts}")
-    table = np.array([s.eigenvalues for s in spectra])
-    drifts = np.abs(np.diff(table, axis=0))  # (len-1, n_modes)
-    # order per mode from consecutive drift ratios; guard tiny denominators
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = drifts[:-1] / np.maximum(drifts[1:], 1e-300)
-    h = 1.0 / (np.asarray(n_values, dtype=float) - 1.0)
-    h_ratio = h[:-2] / h[1:-1]  # > 1 for refining grids
-    orders = np.log(ratios) / np.log(h_ratio[:, None])
-    finite = orders[np.isfinite(orders) & (drifts[1:] > 1e-14)]
-    return {
-        "n_values": n_values,
-        "eigenvalue_table": table,
-        "orders": orders,
-        "median_order": float(np.median(finite)) if finite.size else np.nan,
-    }
 
 
 def susy_conjugation_residual(params: DiracParams, T: float, N: int) -> float:

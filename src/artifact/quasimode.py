@@ -35,13 +35,15 @@ carry no mass-channel expectation).  We solve the squared operator instead
 first-order solution exactly on the deflated complement.
 
 Envelope eigenpairs come either from the closed-form zero mode (mu = 0,
-center branch) or by shooting from an eigenvalue of the Prufer-counted
-ladder (``wall_dirac.gap_spectrum``): the reduced system is rotated to the
-same real 2x2 gauge, integrated from both plateaus with decaying initial
-data, and the matching determinant at the wall center is driven to zero in
-the eigenvalue.  The glued half-line solutions give the envelope sampler.
-The integration runs on |t| <= ``SHOOTING_BOX`` at relative tolerance
-``SHOOTING_RTOL``.
+center branch) or straight from the Prufer-counted ladder
+(``wall_dirac.gap_spectrum``).  ``ladder_pair`` takes the ladder's refined
+eigenvalue as it stands and samples the glued Prufer half-solutions at it
+(angle and log radius, dense output), normalized in L2 on the ladder's box.
+``shooting_pair`` is the independent reference the tests hold it to: it
+integrates the two-component real-gauge system from both plateaus, starting
+on the same decaying plateau solution, and drives the matching determinant
+at the wall center to zero in the eigenvalue, on |t| <= ``SHOOTING_BOX`` at
+relative tolerance ``SHOOTING_RTOL``.
 """
 
 from __future__ import annotations
@@ -68,7 +70,13 @@ from .ribbon import (
     fold_phase,
     strip_grid,
 )
-from .wall_dirac import Dirac1DSpectrum, DiracParams, _real_gauge
+from .wall_dirac import (
+    Dirac1DSpectrum,
+    DiracParams,
+    _glued_mode,
+    _real_gauge,
+    _start_angle,
+)
 
 # Largest pair projection of the order-delta right-hand side the correctors
 # accept.
@@ -223,7 +231,12 @@ def zero_mode_pair(params: DiracParams) -> EnvelopePair:
 
 
 def _shoot_halves(params: DiracParams, theta: float):
-    """Integrate the real-gauge system from both plateaus toward the wall."""
+    """Integrate the real-gauge system from both plateaus toward the wall.
+
+    Each half starts on the unit vector (cos phi0, sin phi0) at its box end,
+    with phi0 the Prufer start angle of ``wall_dirac._start_angle``: the
+    plateau solution that decays away from the wall, continuous in theta.
+    """
     p = params
     s, smu, mass = p.speed_t, p.speed_mu, p.mass
     _, sign = _real_gauge(p)
@@ -233,28 +246,14 @@ def _shoot_halves(params: DiracParams, theta: float):
         mk = mass * p.wall(t)
         return [(-b * y[0] + (theta + mk) * y[1]) / s, ((mk - theta) * y[0] + b * y[1]) / s]
 
-    def end_vec(kappa: float, direction: float) -> np.ndarray:
-        # decaying solution of the constant-coefficient plateau system
-        mk = mass * kappa
-        lam2 = b * b + mk * mk - theta * theta
-        if lam2 <= 0:
-            raise ValueError(
-                f"theta = {theta:.6f} is not inside the essential gap "
-                f"(edge {p.essential_edge():.6f})"
-            )
-        lam = direction * np.sqrt(lam2) / s
-        v = np.array([theta + mk, s * lam + b])
-        return v / np.linalg.norm(v)
+    def half(end: float):
+        phi0, _ = _start_angle(p, theta, end)
+        return solve_ivp(
+            rhs, (end, 0.0), [np.cos(phi0), np.sin(phi0)],
+            method="DOP853", rtol=SHOOTING_RTOL, atol=1e-300, dense_output=True,
+        )
 
-    box = SHOOTING_BOX
-    left = solve_ivp(
-        rhs, (-box, 0.0), end_vec(p.wall(-box), +1.0),
-        method="DOP853", rtol=SHOOTING_RTOL, atol=1e-300, dense_output=True,
-    )
-    right = solve_ivp(
-        rhs, (box, 0.0), end_vec(p.wall(box), -1.0),
-        method="DOP853", rtol=SHOOTING_RTOL, atol=1e-300, dense_output=True,
-    )
+    left, right = half(-SHOOTING_BOX), half(SHOOTING_BOX)
     if not (left.success and right.success):
         raise RuntimeError("plateau integration failed")
     return left, right
@@ -267,14 +266,38 @@ def _matching_det(params: DiracParams, theta: float) -> float:
     return float(a[0] * c[1] - a[1] * c[0])
 
 
+def _glued_pair(
+    params: DiracParams, theta: float, chi, box: float, label: str, diagnostics: dict
+) -> EnvelopePair:
+    """Envelope pair at theta from a real-gauge solution chi(t).
+
+    The sampler maps chi back to the spinor frame with [1, -i conj(e1)] and
+    is normalized in L2 on |t| <= box.
+    """
+    fine = np.linspace(-box, box, 40001)
+    norm = np.sqrt(np.trapezoid(np.sum(chi(fine) ** 2, axis=1), fine))
+    e1, _ = _real_gauge(params)
+    back = np.array([1.0, -1j * np.conj(e1)])
+
+    def sampler(ts: np.ndarray) -> np.ndarray:
+        return (chi(ts) / norm) * back[None, :]
+
+    return EnvelopePair(
+        params=params, theta=theta, sampler=sampler, box=float(box),
+        label=label, diagnostics=diagnostics,
+    )
+
+
 def shooting_pair(params: DiracParams, theta_guess: float) -> EnvelopePair:
     """Refine an in-gap eigenvalue by shooting and return the glued pair.
 
-    ``theta_guess`` brackets the root (a value of ``gap_spectrum``'s
-    ladder is accurate to about 1e-12); the bracket is widened geometrically
-    until the matching determinant changes sign.  The returned sampler
-    evaluates the dense outputs of the two half-line integrations, so the
-    envelope and the eigenvalue are accurate to the integrator tolerance.
+    The independent reference for the Prufer ladder and ``ladder_pair``:
+    it integrates the two-component real-gauge system itself, not its angle.
+    ``theta_guess`` brackets the root; the bracket is widened geometrically
+    until the matching determinant changes sign, and a RuntimeError is
+    raised if it never does.  The returned sampler evaluates the dense
+    outputs of the two half-line integrations, so the envelope and the
+    eigenvalue are accurate to the integrator tolerance.
     """
     box = SHOOTING_BOX
     if box <= params.wall.plateau_halfwidth:
@@ -308,9 +331,6 @@ def shooting_pair(params: DiracParams, theta_guess: float) -> EnvelopePair:
         np.linalg.norm(chi_l), 1e-300
     )
 
-    e1, _ = _real_gauge(params)
-    back = np.array([1.0, -1j * np.conj(e1)])
-
     def chi(ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         out = np.empty((len(ts), 2))
@@ -321,20 +341,9 @@ def shooting_pair(params: DiracParams, theta_guess: float) -> EnvelopePair:
             out[~neg] = glue * right.sol(ts[~neg]).T
         return out
 
-    fine = np.linspace(-box, box, 40001)
-    values = chi(fine)
-    norm = np.sqrt(np.trapezoid(np.sum(values**2, axis=1), fine))
-
-    def sampler(ts: np.ndarray) -> np.ndarray:
-        return (chi(ts) / norm) * back[None, :]
-
-    return EnvelopePair(
-        params=params,
-        theta=theta,
-        sampler=sampler,
-        box=float(box),
-        label="shooting",
-        diagnostics={
+    return _glued_pair(
+        params, theta, chi, box, "shooting",
+        {
             "theta_guess": float(theta_guess),
             "theta_shift": float(theta - theta_guess),
             "glue_mismatch": mismatch,
@@ -344,10 +353,14 @@ def shooting_pair(params: DiracParams, theta_guess: float) -> EnvelopePair:
 
 
 def ladder_pair(spectrum: Dirac1DSpectrum, branch: int = 0) -> EnvelopePair:
-    """Shooting-refined pair for one branch of a 1D in-gap ladder.
+    """Envelope pair for one branch of the Prufer-counted in-gap ladder.
 
     ``branch`` counts from the middle of the sorted in-gap spectrum
     (branch 0 = eigenvalue closest to zero), matching the config convention.
+    The eigenvalue is the ladder's own, already refined; the sampler is the
+    glued Prufer half-solutions at it (``wall_dirac._glued_mode``) on the
+    ladder's box |t| <= spectrum.T, normalized in L2 on that box.  The
+    exact zero at mu = 0 gets the closed-form ``zero_mode_pair``.
     """
     n = len(spectrum.eigenvalues)
     if n == 0:
@@ -356,10 +369,12 @@ def ladder_pair(spectrum: Dirac1DSpectrum, branch: int = 0) -> EnvelopePair:
     idx = center + branch
     if not 0 <= idx < n:
         raise ValueError(f"branch {branch} outside the ladder (count {n})")
-    guess = float(spectrum.eigenvalues[idx])
-    if branch == 0 and abs(spectrum.params.mu) < 1e-12 and abs(guess) < 1e-8:
-        return zero_mode_pair(spectrum.params)
-    return shooting_pair(spectrum.params, guess)
+    theta = float(spectrum.eigenvalues[idx])
+    params = spectrum.params
+    if branch == 0 and abs(params.mu) < 1e-12 and abs(theta) < 1e-8:
+        return zero_mode_pair(params)
+    chi = _glued_mode(params, theta, spectrum.T)
+    return _glued_pair(params, theta, chi, spectrum.T, "ladder", {})
 
 
 # ---------------------------------------------------------------------------

@@ -532,15 +532,22 @@ def _kron_apply(terms: list, u: np.ndarray) -> np.ndarray:
 
     Row j of u is the fast vector at node t_j, so (T (x) F) u = T (u F^T).
     A diagonal fast factor scales the columns of u; only the dense ones
-    cost a GEMM.
+    cost a GEMM.  An identity factor on either side is skipped: u F^T is
+    added as it is, and u itself stands for u I.
     """
     out = np.zeros(u.shape, dtype=complex)
     for T, F in terms:
         diag = np.diagonal(F)
-        if np.count_nonzero(F) == np.count_nonzero(diag):
-            out += T @ (u * diag)
+        if np.count_nonzero(F) != np.count_nonzero(diag):
+            v = u @ F.T
+        elif np.all(diag == 1.0):
+            v = u
         else:
-            out += T @ (u @ F.T)
+            v = u * diag
+        if T.nnz == T.shape[0] and np.all(T.diagonal() == 1.0):
+            out += v
+        else:
+            out += T @ v
     return out
 
 

@@ -26,8 +26,17 @@ Gesztesy, Simon & Teschl, Amer. J. Math. 118 (1996) 571; Teschl, Proc. AMS
 126 (1998) for Dirac systems).  A window therefore holds as many eigenvalues
 as there are multiples of pi strictly between g at its two ends, and each is
 the root of g - k pi.  No sample grid can miss two close states, and there
-are no grid doublers or box-end states to screen out.  ``assemble_dirac``
-keeps a centered finite-difference matrix of H as a test reference.
+are no grid doublers or box-end states to screen out.
+
+Each root is refined by a safeguarded Newton iteration.  The slope g' =
+psi_left(0) - psi_right(0) comes from the variational equation of psi =
+d phi / d theta, integrated as one more component of the same half-line
+solve.  Since g is strictly decreasing, every evaluation of g narrows the
+bracket of every root still open, and a Newton step that leaves its bracket
+bisects it instead.  The eigenvectors are the glued half-line solutions,
+with (log r)' integrated beside phi, and are sampled only when a caller
+reads them.  ``assemble_dirac`` keeps a centered finite-difference matrix of
+H as a test reference.
 
 Frame orientation matters for the mu-linear branch: the slope of the
 topological eigenvalue is nu_F*|ell| * sgn(mass) * orientation, where
@@ -41,12 +50,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .dirac_cone import DiracPointData
 from .geometry import EdgeFrame
@@ -181,7 +190,6 @@ class Dirac1DSpectrum:
     essential_edge: float
     window: tuple[float, float]
     eigenvalues: np.ndarray  # sorted, inside the window
-    eigenvectors: np.ndarray  # (2N, len(eigenvalues)) on grid(), t outer
     # always 0: the Prufer count has no grid doublers to reject; the
     # benchmark tracer still reads it
     doubling_rejected: int = 0
@@ -194,6 +202,17 @@ class Dirac1DSpectrum:
 
     def grid(self) -> np.ndarray:
         return np.linspace(-self.T, self.T, self.N)
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """(2N, len(eigenvalues)) unit eigenvectors on grid(), t outer.
+
+        Sampled from the glued Prufer halves on first read, so a caller that
+        needs only the eigenvalues integrates no radius.
+        """
+        t = self.grid()
+        vecs = [_sample_mode(self.params, th, self.T, t) for th in self.eigenvalues]
+        return np.column_stack(vecs) if vecs else np.zeros((2 * self.N, 0), complex)
 
 
 def assemble_dirac(
@@ -264,41 +283,56 @@ def _real_gauge(params: DiracParams) -> tuple[complex, float]:
     return e1, sign
 
 
-def _prufer_half(
-    params: DiracParams, theta: float, T: float, side: str, radius: bool
-):
-    """Integrate the Prufer angle (and log r) from one box end to t = 0.
+def _start_angle(params: DiracParams, theta: float, end: float) -> tuple[float, float]:
+    """Prufer angle at the box end ``end`` and its theta derivative.
 
-    Each half starts at its box end on the plateau fixed point of the
-    solution that decays away from the wall, 2 phi = atan2(b, m) + arccos(
-    theta / R) on the left and - arccos on the right, with m the mass times
-    kappa at the box end and R = hypot(m, b); the same solution as the
-    shooting end vector.  The arccos branch keeps the start continuous in
-    theta, so the mismatch at t = 0 is too.  ``radius`` adds
-    (log r)' = (m kappa sin 2phi - b cos 2phi) / s, with log r = 0 at the
-    box end, and keeps the dense output.
+    The angle is the plateau fixed point of the solution that decays away
+    from the wall, 2 phi = atan2(b, m) + arccos(theta / R) at the left end
+    (end < 0) and - arccos at the right, with m the mass times kappa at the
+    end and R = hypot(m, b).  The arccos branch keeps it continuous in
+    theta, so the mismatch at t = 0 is too; its theta derivative is
+    -/+ 1 / (2 sqrt(R^2 - theta^2)).
     """
-    s, mass, wall = params.speed_t, params.mass, params.wall
     b = params.mu * params.speed_mu * _real_gauge(params)[1]
-    end = -T if side == "left" else T
-    m_end = mass * wall(end)
+    m_end = params.mass * params.wall(end)
     R = math.hypot(m_end, b)
     if not abs(theta) < R:
         raise ValueError(
             f"theta = {theta:.6f} is not inside the essential gap "
             f"(edge {R:.6f} at t = {end:g})"
         )
-    arc = math.acos(theta / R)
-    phi0 = 0.5 * (math.atan2(b, m_end) + (arc if side == "left" else -arc))
+    sgn = 1.0 if end < 0 else -1.0
+    phi0 = 0.5 * (math.atan2(b, m_end) + sgn * math.acos(theta / R))
+    return phi0, -sgn / (2.0 * math.sqrt(R * R - theta * theta))
+
+
+def _prufer_half(
+    params: DiracParams, theta: float, T: float, side: str, radius: bool
+):
+    """Integrate the Prufer angle and one more component from a box end to t = 0.
+
+    The half starts on ``_start_angle`` at its box end.  With ``radius`` the
+    second component is log r, (log r)' = (m kappa sin 2phi - b cos 2phi) /
+    s with log r = 0 at the box end, and the dense output is kept;
+    otherwise it is the variational psi = d phi / d theta,
+    psi' = (2 (b cos 2phi - m kappa sin 2phi) psi - 1) / s, started on the
+    theta derivative of the start angle.
+    """
+    s, mass, wall = params.speed_t, params.mass, params.wall
+    b = params.mu * params.speed_mu * _real_gauge(params)[1]
+    end = -T if side == "left" else T
+    phi0, dphi0 = _start_angle(params, theta, end)
 
     def rhs(t, y):
         mk = mass * wall(t)
         c, sn = math.cos(2.0 * y[0]), math.sin(2.0 * y[0])
         dphi = (mk * c + b * sn - theta) / s
-        return [dphi, (mk * sn - b * c) / s] if radius else [dphi]
+        if radius:
+            return [dphi, (mk * sn - b * c) / s]
+        return [dphi, (2.0 * (b * c - mk * sn) * y[1] - 1.0) / s]
 
     sol = solve_ivp(
-        rhs, (end, 0.0), [phi0, 0.0] if radius else [phi0],
+        rhs, (end, 0.0), [phi0, 0.0 if radius else dphi0],
         method="DOP853", rtol=PRUFER_RTOL, atol=PRUFER_ATOL, dense_output=radius,
     )
     if not sol.success:
@@ -310,30 +344,91 @@ def _prufer_half(
     return sol
 
 
+def _mismatch(params: DiracParams, theta: float, T: float) -> tuple[float, float]:
+    """g = phi_left(0) - phi_right(0) and its slope psi_left(0) - psi_right(0)."""
+    left = _prufer_half(params, theta, T, "left", radius=False)
+    right = _prufer_half(params, theta, T, "right", radius=False)
+    g, slope = left.y[:, -1] - right.y[:, -1]
+    return float(g), float(slope)
+
+
+def _glued_mode(params: DiracParams, theta: float, T: float):
+    """Real-gauge eigenfunction chi(t) at an eigenvalue theta, chi(0) of unit length.
+
+    The two Prufer halves meet at t = 0 with angles k pi apart, so the right
+    one is glued on with the left one's radius and the sign (-1)^k.  Returns
+    a function that maps an array of t to (n, 2) real values, evaluating the
+    dense outputs of both halves.
+    """
+    left = _prufer_half(params, theta, T, "left", radius=True)
+    right = _prufer_half(params, theta, T, "right", radius=True)
+    sign = (-1.0) ** round((left.y[0, -1] - right.y[0, -1]) / np.pi)
+
+    def chi(ts: np.ndarray) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        y = np.empty((len(ts), 2))
+        amp = np.empty(len(ts))
+        for half, mask, scale in ((left, ts < 0.0, 1.0), (right, ts >= 0.0, sign)):
+            if np.any(mask):
+                y[mask] = half.sol(ts[mask]).T
+                amp[mask] = scale * np.exp(y[mask, 1] - half.y[1, -1])
+        return amp[:, None] * np.column_stack([np.cos(y[:, 0]), np.sin(y[:, 0])])
+
+    return chi
+
+
 def _sample_mode(
     params: DiracParams, theta: float, T: float, t: np.ndarray
 ) -> np.ndarray:
     """Eigenvector at an eigenvalue theta, sampled on t, unit 2-norm.
 
-    The halves meet at t = 0 with angles k pi apart, so the right one is
-    glued on with the left one's radius and the sign (-1)^k, then mapped
-    back to the original spinor frame with [1, -i conj(e1)].
+    The glued real-gauge solution is mapped back to the original spinor
+    frame with [1, -i conj(e1)].
     """
-    left = _prufer_half(params, theta, T, "left", radius=True)
-    right = _prufer_half(params, theta, T, "right", radius=True)
-    k = round((left.y[0, -1] - right.y[0, -1]) / np.pi)
-    neg = t < 0.0
-    y = np.empty((len(t), 2))
-    y[neg] = left.sol(t[neg]).T
-    y[~neg] = right.sol(t[~neg]).T
-    y[~neg, 1] += left.y[1, -1] - right.y[1, -1]
-    amp = np.exp(y[:, 1] - y[:, 1].max())
-    amp[~neg] *= (-1.0) ** k
     e1, _ = _real_gauge(params)
     back = np.array([1.0, -1j * np.conj(e1)])
-    chi = amp[:, None] * np.column_stack([np.cos(y[:, 0]), np.sin(y[:, 0])])
-    vec = (chi * back[None, :]).reshape(-1)
+    vec = (_glued_mode(params, theta, T)(t) * back[None, :]).reshape(-1)
     return vec / np.linalg.norm(vec)
+
+
+def _refine_roots(mismatch, levels, ends) -> list[float]:
+    """The theta with g(theta) = level for each level, by safeguarded Newton.
+
+    ``mismatch`` returns (g, g') of a strictly decreasing g, and ``ends``
+    holds (theta, g, g') at the two window ends, which bracket every level.
+    Every evaluation narrows the bracket of every level.  A Newton step that
+    leaves its bracket bisects it instead, and a root is done once its
+    Newton step (or half-bracket) is under ``ROOT_XTOL``.
+    """
+    levels = np.asarray(levels, dtype=float)
+    (lo, *at_lo), (hi, *at_hi) = ends
+    below = np.full(len(levels), lo)  # g(below) > level
+    above = np.full(len(levels), hi)  # g(above) < level
+    seen = {lo: at_lo, hi: at_hi}
+    roots = []
+    for i, level in enumerate(levels):
+        # start from the bracket end with the shorter Newton step
+        x = min(
+            (below[i], above[i]),
+            key=lambda th: abs((seen[th][0] - level) / seen[th][1]),
+        )
+        f, slope = seen[x]
+        while True:
+            step = (level - f) / slope
+            if abs(step) < ROOT_XTOL:
+                x += step
+                break
+            if below[i] < x + step < above[i]:
+                x += step
+            else:
+                x = 0.5 * (below[i] + above[i])
+                if above[i] - below[i] < 2.0 * ROOT_XTOL:
+                    break
+            f, slope = seen[x] = mismatch(x)
+            below[f > levels] = np.maximum(below[f > levels], x)
+            above[f < levels] = np.minimum(above[f < levels], x)
+        roots.append(float(x))
+    return roots
 
 
 def window_spectrum(
@@ -342,11 +437,12 @@ def window_spectrum(
     """Every eigenpair of the reduced operator with theta inside ``window``.
 
     The count is the number of multiples k pi strictly between g(hi) and
-    g(lo); each eigenvalue is the root of g - k pi by brentq, and its
-    eigenvector is sampled on linspace(-T, T, N).  T is the half-width of
-    the integration box, which must hold the wall's plateau half-width.
-    Raises LadderFailure if an integration fails or the refined roots are
-    not ``count`` distinct values inside the window.
+    g(lo); each eigenvalue is the root of g - k pi, refined by
+    ``_refine_roots`` on the slope from the variational equation.  The
+    eigenvectors are sampled on linspace(-T, T, N) when first read.  T is
+    the half-width of the integration box, which must hold the wall's
+    plateau half-width.  Raises LadderFailure if an integration fails or the
+    refined roots are not ``count`` distinct values inside the window.
     """
     lo, hi = map(float, window)
     if not lo < hi:
@@ -359,17 +455,12 @@ def window_spectrum(
     if N < 2:
         raise ValueError("need at least two sample points")
 
-    def g(theta: float) -> float:
-        left = _prufer_half(params, theta, T, "left", radius=False)
-        right = _prufer_half(params, theta, T, "right", radius=False)
-        return float(left.y[0, -1] - right.y[0, -1])
-
-    g_lo, g_hi = g(lo), g(hi)
+    ends = [(theta, *_mismatch(params, theta, T)) for theta in (lo, hi)]
+    g_lo, g_hi = ends[0][1], ends[1][1]
     ks = range(math.floor(g_hi / np.pi) + 1, math.ceil(g_lo / np.pi))
-    roots = [
-        float(brentq(lambda th, k=k: g(th) - k * np.pi, lo, hi, xtol=ROOT_XTOL))
-        for k in ks
-    ]
+    roots = _refine_roots(
+        lambda theta: _mismatch(params, theta, T), [k * np.pi for k in ks], ends
+    )
     roots = np.unique([r for r in roots if lo < r < hi])
     if len(roots) != len(ks):
         raise LadderFailure(
@@ -377,8 +468,6 @@ def window_spectrum(
             f"{len(roots)} distinct roots refined",
             theta=None, side=None, count=len(ks), found=len(roots),
         )
-    t = np.linspace(-T, T, N)
-    vecs = [_sample_mode(params, theta, T, t) for theta in roots]
     return Dirac1DSpectrum(
         params=params,
         T=T,
@@ -386,7 +475,6 @@ def window_spectrum(
         essential_edge=params.essential_edge(),
         window=(lo, hi),
         eigenvalues=roots,
-        eigenvectors=np.column_stack(vecs) if vecs else np.zeros((2 * N, 0), complex),
     )
 
 

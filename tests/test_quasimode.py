@@ -44,8 +44,8 @@ def setup(medium):
 
 @pytest.fixture(scope="module")
 def detuned_pair(setup):
-    # mu = 0.3 has no closed-form pair: the envelope comes from the FD ladder
-    # refined by shooting
+    # mu = 0.3 has no closed-form pair: the envelope comes from the Prufer
+    # ladder's eigenvalue and its glued half-line solutions
     params, _ = setup
     detuned = dataclasses.replace(params, mu=0.3)
     return quasimode.ladder_pair(wall_dirac.gap_spectrum(detuned, 30.0, 6000))
@@ -53,6 +53,33 @@ def detuned_pair(setup):
 
 def _pair(setup, detuned_pair, mu):
     return quasimode.zero_mode_pair(setup[0]) if mu == 0.0 else detuned_pair
+
+
+@pytest.mark.parametrize("wall_kind", ["mu=0.3", "tanh"])
+def test_ladder_pair_matches_shooting(setup, monkeypatch, wall_kind):
+    # the ladder pair takes the Prufer eigenvalue as it stands and samples
+    # the glued Prufer halves, with no shooting; the independent shooting
+    # route lands on the same eigenvalue and the same envelope
+    params = dataclasses.replace(setup[0], mu=0.3)
+    if wall_kind == "tanh":
+        params = dataclasses.replace(
+            params, wall=potentials.domain_wall("tanh_scaled", 5.0)
+        )
+    shots = []
+    real_shoot = quasimode._shoot_halves
+
+    def counted(*args):
+        shots.append(args)
+        return real_shoot(*args)
+
+    monkeypatch.setattr(quasimode, "_shoot_halves", counted)
+    pair = quasimode.ladder_pair(wall_dirac.gap_spectrum(params, 30.0, 6000))
+    assert shots == []
+    ref = quasimode.shooting_pair(params, pair.theta)
+    assert len(shots) > 0
+    assert abs(pair.theta - ref.theta) <= 1e-12
+    ts = np.linspace(-27.0, 27.0, 1081)
+    assert np.abs(pair.alpha(ts) - ref.alpha(ts)).max() <= 1e-10
 
 
 def test_residual_exponents_are_order_plus_one(setup):

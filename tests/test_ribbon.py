@@ -561,6 +561,27 @@ def test_detuned_channel(frame, fields, basis, cone, masses):
     assert comp.max_residual < 3e-3
 
 
+def test_compare_samples_no_eigenvectors(
+    base_spec, cone, frame, fields, masses, monkeypatch
+):
+    # the comparison reads only the ladder's eigenvalues, so no eigenvector
+    # (log-radius) half-line is integrated
+    from artifact import wall_dirac
+
+    real_half = wall_dirac._prufer_half
+    radius_flags = []
+
+    def counted(params, theta, T, side, radius):
+        radius_flags.append(radius)
+        return real_half(params, theta, T, side, radius)
+
+    monkeypatch.setattr(wall_dirac, "_prufer_half", counted)
+    params = params_from_frames(cone, frame, masses[10], fields["wall"])
+    comp = rb.compare_with_dirac(base_spec, params, cone.E_star)
+    assert comp.count == 1
+    assert len(radius_flags) > 0 and not any(radius_flags)
+
+
 def test_doubling_invariance(lat, frame, fields, cone, base_spec):
     # refining both scales at once (ball radius x sqrt(2), envelope step / 2)
     # must not move a certified in-gap energy beyond the discretization floor

@@ -363,6 +363,29 @@ def test_tanh_wall_ladder_matches_shooting(frame, mu):
         assert abs(np.vdot(ref, vec)) / np.linalg.norm(ref) >= 1.0 - 1e-10
 
 
+def test_mismatch_slope_matches_central_difference(rich_params):
+    # g' from the variational equation is the theta derivative of g
+    h = 1e-5
+    for theta in (-2.2, 0.9, 3.0):
+        _, slope = wall_dirac._mismatch(rich_params, theta, 64.0)
+        g_plus, _ = wall_dirac._mismatch(rich_params, theta + h, 64.0)
+        g_minus, _ = wall_dirac._mismatch(rich_params, theta - h, 64.0)
+        assert abs(slope - (g_plus - g_minus) / (2 * h)) <= 1e-6 * abs(slope)
+
+
+def test_shooting_start_is_continuous_in_theta(default_params):
+    # the shooting halves start on the Prufer start angle, which is
+    # continuous in theta: at mu = 0.5 the matching determinant keeps its
+    # sign across theta = |mass|, where a start vector built from
+    # (theta + m kappa, s lambda + b) vanished and flipped, and shooting
+    # around 1.03 finds no root (the only eigenvalue is near 1.7722)
+    shifted = dataclasses.replace(default_params, mu=0.5)
+    dets = np.array([_matching_det(shifted, th) for th in np.linspace(1.0, 1.5, 51)])
+    assert np.all(np.sign(dets) == np.sign(dets[0]))
+    with pytest.raises(RuntimeError, match="does not change sign"):
+        shooting_pair(shifted, 1.03)
+
+
 def test_ladder_failures_are_typed(default_params, rich_params, monkeypatch):
     # an integration that reports failure raises with its theta and side
     real_solve_ivp = wall_dirac.solve_ivp
@@ -382,7 +405,9 @@ def test_ladder_failures_are_typed(default_params, rich_params, monkeypatch):
     monkeypatch.undo()
 
     # a refinement that lands on one root for every k leaves the count unmet
-    monkeypatch.setattr(wall_dirac, "brentq", lambda *args, **kwargs: 0.25)
+    monkeypatch.setattr(
+        wall_dirac, "_refine_roots", lambda mismatch, levels, ends: [0.25] * len(levels)
+    )
     with pytest.raises(LadderFailure, match="distinct roots") as info:
         window_spectrum(rich_params, 64.0, 2000, (-3.0, 3.0))
     assert (info.value.count, info.value.found) == (5, 1)

@@ -38,7 +38,8 @@ Envelope eigenpairs come either from the closed-form zero mode (mu = 0,
 center branch) or straight from the Prufer-counted ladder
 (``wall_dirac.gap_spectrum``).  ``ladder_pair`` takes the ladder's refined
 eigenvalue as it stands and samples the glued Prufer half-solutions at it
-(angle and log radius, dense output), normalized in L2 on the ladder's box.
+(angle and log radius, dense output), normalized in L2 on the ladder's box
+by the integral of r^2 that the halves carry as one more component.
 ``shooting_pair`` is the independent reference the tests hold it to: it
 integrates the two-component real-gauge system from both plateaus, starting
 on the same decaying plateau solution, and drives the matching determinant
@@ -236,6 +237,10 @@ def _shoot_halves(params: DiracParams, theta: float):
     Each half starts on the unit vector (cos phi0, sin phi0) at its box end,
     with phi0 the Prufer start angle of ``wall_dirac._start_angle``: the
     plateau solution that decays away from the wall, continuous in theta.
+    A third component carries the integral of |y|^2 from the box end.  The
+    tolerance is relative on y, which grows from unit length toward the
+    wall; the integral starts at 0 with a unit integrand, so it gets the
+    absolute tolerance ``SHOOTING_RTOL`` as well.
     """
     p = params
     s, smu, mass = p.speed_t, p.speed_mu, p.mass
@@ -244,13 +249,18 @@ def _shoot_halves(params: DiracParams, theta: float):
 
     def rhs(t, y):
         mk = mass * p.wall(t)
-        return [(-b * y[0] + (theta + mk) * y[1]) / s, ((mk - theta) * y[0] + b * y[1]) / s]
+        return [
+            (-b * y[0] + (theta + mk) * y[1]) / s,
+            ((mk - theta) * y[0] + b * y[1]) / s,
+            y[0] * y[0] + y[1] * y[1],
+        ]
 
     def half(end: float):
         phi0, _ = _start_angle(p, theta, end)
         return solve_ivp(
-            rhs, (end, 0.0), [np.cos(phi0), np.sin(phi0)],
-            method="DOP853", rtol=SHOOTING_RTOL, atol=1e-300, dense_output=True,
+            rhs, (end, 0.0), [np.cos(phi0), np.sin(phi0), 0.0],
+            method="DOP853", rtol=SHOOTING_RTOL, atol=[1e-300, 1e-300, SHOOTING_RTOL],
+            dense_output=True,
         )
 
     left, right = half(-SHOOTING_BOX), half(SHOOTING_BOX)
@@ -261,21 +271,27 @@ def _shoot_halves(params: DiracParams, theta: float):
 
 def _matching_det(params: DiracParams, theta: float) -> float:
     left, right = _shoot_halves(params, theta)
-    a = left.y[:, -1] / np.linalg.norm(left.y[:, -1])
-    c = right.y[:, -1] / np.linalg.norm(right.y[:, -1])
+    a = left.y[:2, -1] / np.linalg.norm(left.y[:2, -1])
+    c = right.y[:2, -1] / np.linalg.norm(right.y[:2, -1])
     return float(a[0] * c[1] - a[1] * c[0])
 
 
 def _glued_pair(
-    params: DiracParams, theta: float, chi, box: float, label: str, diagnostics: dict
+    params: DiracParams,
+    theta: float,
+    chi,
+    norm_sq: float,
+    box: float,
+    label: str,
+    diagnostics: dict,
 ) -> EnvelopePair:
     """Envelope pair at theta from a real-gauge solution chi(t).
 
     The sampler maps chi back to the spinor frame with [1, -i conj(e1)] and
-    is normalized in L2 on |t| <= box.
+    is normalized in L2 on |t| <= box, by ``norm_sq``, the integral of
+    |chi|^2 there that the half-line integrations carry.
     """
-    fine = np.linspace(-box, box, 40001)
-    norm = np.sqrt(np.trapezoid(np.sum(chi(fine) ** 2, axis=1), fine))
+    norm = np.sqrt(norm_sq)
     e1, _ = _real_gauge(params)
     back = np.array([1.0, -1j * np.conj(e1)])
 
@@ -296,7 +312,8 @@ def shooting_pair(params: DiracParams, theta_guess: float) -> EnvelopePair:
     ``theta_guess`` brackets the root; the bracket is widened geometrically
     until the matching determinant changes sign, and a RuntimeError is
     raised if it never does.  The returned sampler evaluates the dense
-    outputs of the two half-line integrations, so the envelope and the
+    outputs of the two half-line integrations, and the integral of |y|^2
+    that they carry normalizes it, so the envelope, its norm and the
     eigenvalue are accurate to the integrator tolerance.
     """
     box = SHOOTING_BOX
@@ -323,8 +340,8 @@ def shooting_pair(params: DiracParams, theta_guess: float) -> EnvelopePair:
     theta = float(brentq(det, lo, hi, xtol=1e-13))
 
     left, right = _shoot_halves(params, theta)
-    chi_l = left.y[:, -1]
-    chi_r = right.y[:, -1]
+    chi_l = left.y[:2, -1]
+    chi_r = right.y[:2, -1]
     # glue the right half onto the left one's scale (collinear at the root)
     glue = float(chi_l @ chi_r) / float(chi_r @ chi_r)
     mismatch = float(np.linalg.norm(chi_l - glue * chi_r)) / max(
@@ -336,13 +353,15 @@ def shooting_pair(params: DiracParams, theta_guess: float) -> EnvelopePair:
         out = np.empty((len(ts), 2))
         neg = ts < 0.0
         if np.any(neg):
-            out[neg] = left.sol(ts[neg]).T
+            out[neg] = left.sol(ts[neg])[:2].T
         if np.any(~neg):
-            out[~neg] = glue * right.sol(ts[~neg]).T
+            out[~neg] = glue * right.sol(ts[~neg])[:2].T
         return out
 
+    # the right half runs from +box down to 0, so its integral is negative
+    norm_sq = float(left.y[2, -1] - glue * glue * right.y[2, -1])
     return _glued_pair(
-        params, theta, chi, box, "shooting",
+        params, theta, chi, norm_sq, box, "shooting",
         {
             "theta_guess": float(theta_guess),
             "theta_shift": float(theta - theta_guess),
@@ -359,8 +378,9 @@ def ladder_pair(spectrum: Dirac1DSpectrum, branch: int = 0) -> EnvelopePair:
     (branch 0 = eigenvalue closest to zero), matching the config convention.
     The eigenvalue is the ladder's own, already refined; the sampler is the
     glued Prufer half-solutions at it (``wall_dirac._glued_mode``) on the
-    ladder's box |t| <= spectrum.T, normalized in L2 on that box.  The
-    exact zero at mu = 0 gets the closed-form ``zero_mode_pair``.
+    ladder's box |t| <= spectrum.T, normalized in L2 on that box by the
+    integral the halves carry (no samples are taken for it).  The exact
+    zero at mu = 0 gets the closed-form ``zero_mode_pair``.
     """
     n = len(spectrum.eigenvalues)
     if n == 0:
@@ -373,8 +393,8 @@ def ladder_pair(spectrum: Dirac1DSpectrum, branch: int = 0) -> EnvelopePair:
     params = spectrum.params
     if branch == 0 and abs(params.mu) < 1e-12 and abs(theta) < 1e-8:
         return zero_mode_pair(params)
-    chi = _glued_mode(params, theta, spectrum.T)
-    return _glued_pair(params, theta, chi, spectrum.T, "ladder", {})
+    chi, norm_sq = _glued_mode(params, theta, spectrum.T)
+    return _glued_pair(params, theta, chi, norm_sq, spectrum.T, "ladder", {})
 
 
 # ---------------------------------------------------------------------------

@@ -309,14 +309,22 @@ def _start_angle(params: DiracParams, theta: float, end: float) -> tuple[float, 
 def _prufer_half(
     params: DiracParams, theta: float, T: float, side: str, radius: bool
 ):
-    """Integrate the Prufer angle and one more component from a box end to t = 0.
+    """Integrate the Prufer angle and more components from a box end to t = 0.
 
     The half starts on ``_start_angle`` at its box end.  With ``radius`` the
     second component is log r, (log r)' = (m kappa sin 2phi - b cos 2phi) /
-    s with log r = 0 at the box end, and the dense output is kept;
-    otherwise it is the variational psi = d phi / d theta,
+    s with log r = 0 at the box end, the third is w, the integral of r^2 in
+    units of the current r^2, w' = 1 - 2 (log r)' w, and the dense output is
+    kept; otherwise the second is the variational psi = d phi / d theta,
     psi' = (2 (b cos 2phi - m kappa sin 2phi) psi - 1) / s, started on the
     theta derivative of the start angle.
+
+    Scaled so, w stays of order the decay length however far r grows.  It
+    starts on its plateau value 1 / (2 (log r)'), the integral of the
+    exponential tail beyond the box end, so it holds still along the plateau
+    rather than relaxing onto it over many steps.  At t = 0 the half's own
+    integral of (r / r(0))^2, signed by the direction of integration, is
+    ``w(0) - w(end) / r(0)^2``.
     """
     s, mass, wall = params.speed_t, params.mass, params.wall
     b = params.mu * params.speed_mu * _real_gauge(params)[1]
@@ -328,11 +336,16 @@ def _prufer_half(
         c, sn = math.cos(2.0 * y[0]), math.sin(2.0 * y[0])
         dphi = (mk * c + b * sn - theta) / s
         if radius:
-            return [dphi, (mk * sn - b * c) / s]
+            dlog_r = (mk * sn - b * c) / s
+            return [dphi, dlog_r, 1.0 - 2.0 * dlog_r * y[2]]
         return [dphi, (2.0 * (b * c - mk * sn) * y[1] - 1.0) / s]
 
+    start = [phi0, dphi0]
+    if radius:
+        start = [phi0, 0.0, 0.0]
+        start[2] = 0.5 / rhs(end, start)[1]
     sol = solve_ivp(
-        rhs, (end, 0.0), [phi0, 0.0 if radius else dphi0],
+        rhs, (end, 0.0), start,
         method="DOP853", rtol=PRUFER_RTOL, atol=PRUFER_ATOL, dense_output=radius,
     )
     if not sol.success:
@@ -357,8 +370,9 @@ def _glued_mode(params: DiracParams, theta: float, T: float):
 
     The two Prufer halves meet at t = 0 with angles k pi apart, so the right
     one is glued on with the left one's radius and the sign (-1)^k.  Returns
-    a function that maps an array of t to (n, 2) real values, evaluating the
-    dense outputs of both halves.
+    ``(chi, norm_sq)``: a function that maps an array of t to (n, 2) real
+    values, evaluating the dense outputs of both halves, and the integral
+    of |chi|^2 over [-T, T], which the halves carry to integrator accuracy.
     """
     left = _prufer_half(params, theta, T, "left", radius=True)
     right = _prufer_half(params, theta, T, "right", radius=True)
@@ -370,11 +384,15 @@ def _glued_mode(params: DiracParams, theta: float, T: float):
         amp = np.empty(len(ts))
         for half, mask, scale in ((left, ts < 0.0, 1.0), (right, ts >= 0.0, sign)):
             if np.any(mask):
-                y[mask] = half.sol(ts[mask]).T
+                y[mask] = half.sol(ts[mask])[:2].T
                 amp[mask] = scale * np.exp(y[mask, 1] - half.y[1, -1])
         return amp[:, None] * np.column_stack([np.cos(y[:, 0]), np.sin(y[:, 0])])
 
-    return chi
+    left_sq, right_sq = (
+        half.y[2, -1] - half.y[2, 0] * np.exp(-2.0 * half.y[1, -1])
+        for half in (left, right)
+    )
+    return chi, float(left_sq - right_sq)
 
 
 def _sample_mode(
@@ -387,7 +405,8 @@ def _sample_mode(
     """
     e1, _ = _real_gauge(params)
     back = np.array([1.0, -1j * np.conj(e1)])
-    vec = (_glued_mode(params, theta, T)(t) * back[None, :]).reshape(-1)
+    chi, _ = _glued_mode(params, theta, T)
+    vec = (chi(t) * back[None, :]).reshape(-1)
     return vec / np.linalg.norm(vec)
 
 
@@ -397,7 +416,11 @@ def _refine_roots(mismatch, levels, ends) -> list[float]:
     ``mismatch`` returns (g, g') of a strictly decreasing g, and ``ends``
     holds (theta, g, g') at the two window ends, which bracket every level.
     Every evaluation narrows the bracket of every level.  A Newton step that
-    leaves its bracket bisects it instead, and a root is done once its
+    leaves its bracket bisects it instead.  A root is done, after its last
+    Newton step, once g meets its level to within the integrator's
+    tolerance on the two angles it subtracts, which differ by the level
+    there: ``PRUFER_RTOL * |level| + 2 * PRUFER_ATOL``.  A further
+    evaluation would only resolve rounding noise.  It is also done once its
     Newton step (or half-bracket) is under ``ROOT_XTOL``.
     """
     levels = np.asarray(levels, dtype=float)
@@ -407,6 +430,7 @@ def _refine_roots(mismatch, levels, ends) -> list[float]:
     seen = {lo: at_lo, hi: at_hi}
     roots = []
     for i, level in enumerate(levels):
+        noise = PRUFER_RTOL * abs(level) + 2.0 * PRUFER_ATOL
         # start from the bracket end with the shorter Newton step
         x = min(
             (below[i], above[i]),
@@ -415,7 +439,7 @@ def _refine_roots(mismatch, levels, ends) -> list[float]:
         f, slope = seen[x]
         while True:
             step = (level - f) / slope
-            if abs(step) < ROOT_XTOL:
+            if abs(level - f) <= noise or abs(step) < ROOT_XTOL:
                 x += step
                 break
             if below[i] < x + step < above[i]:

@@ -285,6 +285,60 @@ def test_kron_apply_matches_assembled_matvec(lat, frame, fields, basis, case):
     assert np.linalg.norm(applied.ravel() - matvec) <= 1e-14 * np.linalg.norm(matvec)
 
 
+@pytest.mark.parametrize("case", ["W", "A", "W_flip", "cutoff2"])
+def test_node_pair_blocks_match_csc_slices(lat, frame, fields, basis, case):
+    # the sweep's diagonal blocks and couplings, built from the Kronecker
+    # terms, are the slices of the CSC strip bit for bit: on the base-channel
+    # strips, and on a cutoff-2 strip (dim 1833) whose odd node count leaves
+    # one node in the last block
+    from artifact.potentials import magnetic_A
+
+    wall, delta, fast = fields["wall"], DELTA, basis
+    if case == "cutoff2":
+        wall, delta = domain_wall("bump_smoothstep", 1.0), 0.1
+        fast = build_basis(lat, 2.0)
+    pert = magnetic_A(lat, 2.2) if case == "A" else fields["W10"]
+    op = rb.assemble_strip(
+        frame, fields["V"], wall, frame.zeta_star("A"), delta, fast,
+        perturbation=pert, t_factor=3.5, flip_wall=case == "W_flip",
+    )
+    H = op.matrix
+    assert op.grid.n_t % 2 == 1
+    rows, couplings = [], set()
+    for r0, r1, block, coupling, adjoint in rb._node_pairs(op.terms):
+        rows.append((r0, r1))
+        assert np.array_equal(block, H[r0:r1, r0:r1].toarray())
+        if coupling is None:
+            continue
+        couplings.add(id(coupling))
+        ref = H[r0:r1, r1 : r1 + coupling.shape[1]]
+        assert coupling.shape == ref.shape and coupling.nnz == ref.nnz
+        assert np.array_equal(coupling.toarray(), ref.toarray())
+        assert np.array_equal(adjoint.toarray(), ref.getH().toarray())
+    assert len(rows) == (op.grid.n_t + 1) // 2
+    assert rows[-1] == (op.dim - op.grid.n_fast, op.dim)
+    # a scalar wall's couplings have the same t-coefficients at every pair:
+    # one shared coupling, and one more into the single-node last block
+    assert (len(couplings) == 2) == (case != "A")
+
+
+def test_channel_solve_forms_no_csc_strip(frame, fields, basis, cone, monkeypatch):
+    # the count, the shift-invert solve, the Krylov operator and the
+    # Rayleigh/residual screens all work from the Kronecker terms, so the
+    # base channel solves with the CSC writer disabled
+    def no_csc(*args, **kwargs):
+        raise AssertionError("the CSC strip was written")
+
+    monkeypatch.setattr(rb, "_kron_sum_csc", no_csc)
+    spec = rb.solve_edge_channel(
+        frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA, basis,
+        cone.j_star, SPEED_T, perturbation=fields["W10"], t_factor=3.5,
+    )
+    assert len(spec) == 1
+    assert abs(spec.values[0] - BASE_VALUE) < 1e-6
+    assert spec.diagnostics["inertia"] == (874, 876)
+
+
 @pytest.mark.parametrize("n_t", [2, 3, 4, 5, 9])
 def test_kron_sum_csc_general_terms(n_t):
     # random non-Hermitian t-factors of bandwidth <= 2 with zero rows, and
@@ -677,16 +731,15 @@ def test_inertia_matches_dense_count(lat, frame, fields, magnetic):
     assert op.grid.n_t % 2 == 1
     dense_h = op.matrix.toarray()
     evals = np.linalg.eigvalsh(dense_h)
-    n_fast = op.grid.n_fast
     below = {evals[0] - 1.0: 0, evals[-1] + 1.0: op.dim}
     for i in (3, 250, 917, 1500, 1831):
         below[0.5 * (evals[i - 1] + evals[i])] = i
     rng = np.random.default_rng(7)
     compared = 0
     for shift, i in below.items():
-        assert rb._inertia(op.matrix, n_fast, shift) == i
+        assert rb._inertia(op.terms, shift) == i
         b = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-        solve, _ = rb._shift_invert_solve(op.matrix, n_fast, shift)
+        solve, _ = rb._shift_invert_solve(op.terms, shift)
         x = solve(b)
         # backward stable at every shift ...
         dist = np.abs(evals - shift)
@@ -743,7 +796,8 @@ def test_block_ldl_on_dense_couplings():
     # the sweep on a random Hermitian matrix of the strip's block shape (nodes
     # coupled up to distance 2, n_fast = 5, an odd node count) whose node
     # couplings are dense rather than the strip's near-diagonal ones, and
-    # whose zero node diagonals force 2x2 Bunch-Kaufman pivots
+    # whose zero node diagonals force 2x2 Bunch-Kaufman pivots; the sweep
+    # reads it as single-entry T_k (x) dense F_k terms, one per node block
     n_fast, n_t = 5, 9
     dim = n_fast * n_t
     rng = np.random.default_rng(11)
@@ -762,6 +816,12 @@ def test_block_ldl_on_dense_couplings():
                 dense[node[j], node[j + d]] = c
                 dense[node[j + d], node[j]] = c.conj().T
     assert np.count_nonzero(dense.diagonal()) == 0
+    terms = [
+        (sp.csr_matrix(([1.0], ([j], [i])), shape=(n_t, n_t)), dense[node[j], node[i]])
+        for j in range(n_t)
+        for i in range(max(j - 2, 0), min(j + 3, n_t))
+    ]
+    assert np.array_equal(rb._kron_sum_csc(terms, n_t).toarray(), dense)
     mat = sp.csc_matrix(dense)
     evals = np.linalg.eigvalsh(dense)
     below = {evals[0] - 1.0: 0, evals[-1] + 1.0: dim}
@@ -769,12 +829,12 @@ def test_block_ldl_on_dense_couplings():
         below[0.5 * (evals[i - 1] + evals[i])] = i
     two_by_two = 0
     for shift, i in below.items():
-        for _, _, ldu, ipiv, _ in rb._block_ldl(mat, n_fast, shift):
+        for _, _, ldu, ipiv, *_ in rb._block_ldl(terms, shift):
             two_by_two += int(np.any(ipiv < 0))
             assert rb._negative_pivots(ldu, ipiv) == _negative_pivots_loop(ldu, ipiv)
-        assert rb._inertia(mat, n_fast, shift) == i
+        assert rb._inertia(terms, shift) == i
         b = cplx(dim)
-        solve, _ = rb._shift_invert_solve(mat, n_fast, shift)
+        solve, _ = rb._shift_invert_solve(terms, shift)
         x = solve(b)
         dist = np.abs(evals - shift)
         residual = np.linalg.norm(mat @ x - shift * x - b)

@@ -42,23 +42,24 @@ The sweep reads no matrix.  H is kept as its Kronecker terms
 coupling B_(i+1) to the next pair are summed from the 2x2 node blocks of
 the T_k times their F_k.  Only the t-derivative terms reach the next pair,
 and their t-coefficients repeat (everywhere on a scalar wall, on the
-plateaus of a magnetic one), so each sweep builds one coupling, and its
-adjoint, per distinct coefficient set.  Each step factors one Schur block
-S_i by Bunch-Kaufman (zhetrf), inverts it from that factor (zhetri), and
-passes ``B^H S_i^-1 B`` on to the next block.  B stays sparse: it holds only
-the distance-one and distance-two node couplings (165 nonzeros of its
-12,100 entries on the base channel, 257 with a magnetic wall), so both
-products with it cost next to nothing and only the inverse is dense.  The
-sweep at the shift keeps the factors and the couplings, about one dense
-block per node pair, and drops the inverses.  The CSC matrix of the strip
-is written only when ``StripOperator.matrix`` is read.
+plateaus of a magnetic one), so one coupling, and its adjoint, is built per
+distinct coefficient set and shared by every sweep of the strip.  Each step
+factors one Schur block S_i by Bunch-Kaufman (zhetrf), inverts it from that
+factor (zhetri), and passes ``B^H S_i^-1 B`` on to the next block.  B
+stays sparse: it holds only the distance-one and distance-two node
+couplings (165 nonzeros of its 12,100 entries on the base channel, 257 with
+a magnetic wall), so both products with it cost next to nothing and only
+the inverse is dense.  The sweep at the shift keeps the factors and the
+couplings, about one dense block per node pair, and drops the inverses.
+The CSC matrix of the strip is written only when ``StripOperator.matrix``
+is read.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field, replace as dc_replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -360,6 +361,17 @@ def _check_band(T) -> None:
         raise ValueError(f"a t-factor couples nodes farther apart than {BAND}")
 
 
+def _band_coefficients(terms: list) -> np.ndarray:
+    """``coef[k, i, d + BAND] = T_k[i + d, i]``, zero where i + d leaves the strip."""
+    n_t = terms[0][0].shape[0]
+    coef = np.zeros((len(terms), n_t, 2 * BAND + 1), dtype=complex)
+    for k, (T, _) in enumerate(terms):
+        _check_band(T)
+        for d in range(-BAND, BAND + 1):
+            coef[k, max(-d, 0) : n_t - max(d, 0), d + BAND] = T.diagonal(-d)
+    return coef
+
+
 def _kron_sum_csc(terms: list, n_t: int) -> sp.csc_matrix:
     """CSC form of H = sum_k T_k (x) F_k, written once into preallocated arrays.
 
@@ -378,21 +390,13 @@ def _kron_sum_csc(terms: list, n_t: int) -> sp.csc_matrix:
     """
     n_fast = terms[0][1].shape[0]
     offsets = np.arange(-BAND, BAND + 1)
-    coeffs, placed = [], []
-    for T, F in terms:
-        _check_band(T)
-        for d in offsets:
-            band = T.T.diagonal(d)  # (T^T)[i, i + d]
-            if not np.any(band):
-                continue
-            col = np.zeros(n_t, dtype=complex)
-            col[max(-d, 0) : n_t - max(d, 0)] = band
-            block = np.zeros((n_fast, len(offsets), n_fast), dtype=complex)
-            block[:, d + BAND, :] = F.T
-            coeffs.append(col)
-            placed.append(block.reshape(n_fast, -1))
-    C = np.stack(coeffs, axis=1)  # (n_t, terms x offsets)
-    placed = np.stack(placed)
+    coef = _band_coefficients(terms)  # (T^T)[i, i + d] = T[i + d, i]
+    used = np.any(coef, axis=1)  # (term, offset) pairs that reach some node
+    C = np.ascontiguousarray(coef.transpose(1, 0, 2)[:, used])  # (n_t, used)
+    placed = np.zeros((used.sum(), n_fast, len(offsets), n_fast), dtype=complex)
+    for block, (k, d) in zip(placed, np.argwhere(used)):
+        block[:, d, :] = terms[k][1].T
+    placed = placed.reshape(len(placed), n_fast, -1)
     rows, cols = np.nonzero(np.any(placed != 0, axis=0))  # template, CSR order
     V = placed[:, rows, cols]
     offset = cols // n_fast - BAND  # t-offset of each template entry
@@ -970,24 +974,13 @@ def _negative_pivots(ldu: np.ndarray, ipiv: np.ndarray) -> int:
     return int(np.count_nonzero(d[ipiv > 0] < 0) + pairs.sum())
 
 
-def _band_coefficients(terms: list) -> np.ndarray:
-    """``coef[k, j, d + BAND] = T_k[j, j + d]``, zero where j + d leaves the strip."""
-    n_t = terms[0][0].shape[0]
-    coef = np.zeros((len(terms), n_t, 2 * BAND + 1), dtype=complex)
-    for k, (T, _) in enumerate(terms):
-        _check_band(T)
-        for d in range(-BAND, BAND + 1):
-            coef[k, max(-d, 0) : n_t - max(d, 0), d + BAND] = T.diagonal(d)
-    return coef
-
-
 def _node_coefficients(coef: np.ndarray, rows: range, cols: range) -> np.ndarray:
     """``T_k[rows, cols]`` for every term k, from the band coefficients ``coef``."""
     out = np.zeros((coef.shape[0], len(rows), len(cols)), dtype=complex)
     for a, j in enumerate(rows):
         for b, i in enumerate(cols):
-            if abs(i - j) <= BAND:
-                out[:, a, b] = coef[:, j, i - j + BAND]
+            if abs(j - i) <= BAND:
+                out[:, a, b] = coef[:, i, j - i + BAND]
     return out
 
 
@@ -995,8 +988,9 @@ def _kron_block(t_block: np.ndarray, fast: list) -> np.ndarray:
     """Dense ``sum_k t_block[k] (x) fast[k]``, one strip block.
 
     The scaled F_k are added term by term, the order in which
-    ``_kron_sum_csc`` sums them, so the block equals the CSC slice entry
-    for entry.
+    ``_kron_sum_csc`` sums them, so the block is the CSC slice up to the
+    rounding of that sum (bit for bit unless the BLAS kernel of
+    ``_kron_sum_csc`` fuses its multiplies and adds).
     """
     _, m, n = t_block.shape
     n_fast = fast[0].shape[0]
@@ -1006,31 +1000,28 @@ def _kron_block(t_block: np.ndarray, fast: list) -> np.ndarray:
     return out.reshape(m * n_fast, n * n_fast)
 
 
-def _node_pairs(terms: list):
-    """Diagonal block and coupling of every node pair, built from the terms.
+def _node_pairs(terms: list) -> list:
+    """The strip's node pairs, read once from its terms for every sweep.
 
-    Yields ``(r0, r1, block, coupling, adjoint)`` per pair of t-nodes: its
-    rows, the dense diagonal block D_i (a fresh array), and the sparse (CSC)
-    coupling B_(i+1) to the next pair with its adjoint (CSR), both None for
-    the last pair.  A coupling depends only on the terms' t-coefficients
-    between the two pairs, so it and its adjoint are built once per
-    distinct set of them and shared by every pair with that set.  A
-    diagonal block whose t-coefficients equal the previous pair's, as on
-    the wall's plateaus, is copied from it rather than summed again.
+    Returns ``(r0, r1, diagonal, coupling, adjoint)`` per pair of t-nodes:
+    its rows, ``diagonal()`` that sums its diagonal block D_i as a fresh
+    dense array, and the sparse (CSC) coupling B_(i+1) to the next pair with
+    its adjoint (CSR), both None for the last pair.  Nothing here depends on
+    the shift, so one table serves all sweeps of a strip, and a sweep holds
+    one D_i at a time.  A coupling depends only on the terms' t-coefficients
+    between the two pairs, so it and its adjoint are built once per distinct
+    set of them and shared by every pair with that set.
     """
     n_t = terms[0][0].shape[0]
     fast = [F for _, F in terms]
     n_fast = fast[0].shape[0]
     coef = _band_coefficients(terms)
     built: dict = {}
-    last = None, None  # t-coefficients and block of the last diagonal block built
+    pairs = []
     for j0 in range(0, n_t, 2):
         j1, j2 = min(j0 + 2, n_t), min(j0 + 4, n_t)
         pair = range(j0, j1)
-        inside = _node_coefficients(coef, pair, pair)
-        if inside.tobytes() != last[0]:
-            last = inside.tobytes(), _kron_block(inside, fast)
-        block = last[1].copy()
+        diagonal = partial(_kron_block, _node_coefficients(coef, pair, pair), fast)
         coupling = adjoint = None
         if j1 < n_t:
             reach = _node_coefficients(coef, pair, range(j1, j2))
@@ -1039,18 +1030,21 @@ def _node_pairs(terms: list):
                 c = sp.csc_matrix(_kron_block(reach, fast))
                 built[key] = (c, c.conj().T)
             coupling, adjoint = built[key]
-        yield j0 * n_fast, j1 * n_fast, block, coupling, adjoint
+        pairs.append((j0 * n_fast, j1 * n_fast, diagonal, coupling, adjoint))
+    return pairs
 
 
-def _block_ldl(terms: list, shift: float):
+def _block_ldl(pairs: list, shift: float):
     """Block LDL^H of ``H - shift`` for H = sum_k T_k (x) F_k, one node pair at a time.
 
     The t-major strip is block tridiagonal in blocks of two nodes (``2 *
     n_fast`` rows), so ``H - shift = L D L^H`` with D = diag(S_i), the
     Schur blocks ``S_i = D_i - shift - B_i^H S_(i-1)^-1 B_i`` (B_i the
     coupling of block i - 1 to block i), and ``(S_i^-1 B_(i+1))^H`` below the
-    diagonal of L.  D_i and B_(i+1) come from the terms (``_node_pairs``);
-    no matrix of the strip is formed.  Yields ``(r0, r1, ldu, ipiv,
+    diagonal of L.  ``pairs`` is the node-pair table of the terms
+    (``_node_pairs``): each D_i is summed from the terms as the sweep reaches
+    it, and B_(i+1) is the table's shared coupling; no matrix of the strip is
+    formed.  Yields ``(r0, r1, ldu, ipiv,
     coupling, adjoint)`` per block: its rows, the Bunch-Kaufman factor of
     S_i (zhetrf, lower), and the sparse coupling B_(i+1) with its adjoint
     (None for the last block).
@@ -1067,7 +1061,8 @@ def _block_ldl(terms: list, shift: float):
     instead of 0.43 s on a two-core host).
     """
     adjoint = inverse = None  # B_i^H and S_(i-1)^-1 for the next block
-    for r0, r1, block, coupling, next_adjoint in _node_pairs(terms):
+    for r0, r1, diagonal, coupling, next_adjoint in pairs:
+        block = diagonal()
         block[np.diag_indices(r1 - r0)] -= shift
         if adjoint is not None:
             # (B^H S^-1)^H = S^-1 B, as S^-1 is exactly Hermitian
@@ -1086,7 +1081,7 @@ def _block_ldl(terms: list, shift: float):
         yield r0, r1, ldu, ipiv, coupling, adjoint
 
 
-def _inertia(terms: list, shift: float) -> int:
+def _inertia(pairs: list, shift: float) -> int:
     """Number of strip eigenvalues below ``shift``, by Sylvester's law of inertia.
 
     The Schur blocks of the block LDL^H sweep (``_block_ldl``) together carry
@@ -1094,17 +1089,18 @@ def _inertia(terms: list, shift: float) -> int:
     negative pivots are counted and the factor dropped.
     """
     return sum(
-        _negative_pivots(ldu, ipiv) for _, _, ldu, ipiv, *_ in _block_ldl(terms, shift)
+        _negative_pivots(ldu, ipiv) for _, _, ldu, ipiv, *_ in _block_ldl(pairs, shift)
     )
 
 
-def _shift_invert_solve(terms: list, sigma: float):
+def _shift_invert_solve(pairs: list, sigma: float):
     """``x -> (H - sigma)^-1 x`` from the block LDL^H factors at ``sigma``.
 
-    H is given by its Kronecker terms.  Returns ``(solve, kept)``.  Per node
-    pair, the solve keeps only the Bunch-Kaufman factor of S_i and the
-    sparse coupling B_(i+1) with its adjoint, as the sweep at ``sigma``
-    built them: pairs with the same coupling coefficients share one copy.
+    H is given by the node-pair table of its Kronecker terms
+    (``_node_pairs``).  Returns ``(solve, kept)``.  Per node pair, the solve
+    keeps only the Bunch-Kaufman factor of S_i and the table's sparse
+    coupling B_(i+1) with its adjoint: pairs with the same coupling
+    coefficients share one copy.
     ``kept`` counts the stored values per pair all the same (factor entries
     plus coupling nonzeros).
 
@@ -1115,7 +1111,7 @@ def _shift_invert_solve(terms: list, sigma: float):
     inertia count (CountMismatch) or as states failing the RESIDUAL_TOL
     screen against H.
     """
-    factors = list(_block_ldl(terms, sigma))
+    factors = list(_block_ldl(pairs, sigma))
 
     def solve(b: np.ndarray) -> np.ndarray:
         x = np.array(b, dtype=np.complex128).ravel()
@@ -1159,8 +1155,9 @@ def gap_eigenpairs(
     CountMismatch.
 
     Every sweep is one pass of ``_block_ldl`` over the node pairs, with the
-    blocks built from the strip's Kronecker terms; no step here forms, slices
-    or multiplies the CSC strip.  ARPACK in shift-invert mode applies only
+    blocks built from the strip's Kronecker terms; the node-pair table and
+    its shared couplings (``_node_pairs``) are read once per call, and no
+    step here forms, slices or multiplies the CSC strip.  ARPACK in shift-invert mode applies only
     the solve; the strip operator it is handed, and the Rayleigh quotients
     and residuals of the screens below, apply the terms (``_kron_apply``).
     A counting sweep keeps only its tally of negative pivots; the sweep at
@@ -1185,9 +1182,9 @@ def gap_eigenpairs(
     if not lo < hi:
         return _empty_spectrum(op, window, edges, mu, "degenerate window, no solve")
 
-    terms = op.terms
+    terms, pairs = op.terms, _node_pairs(op.terms)
     n, n_t, n_fast = op.dim, op.grid.n_t, op.grid.n_fast
-    nu_lo, nu_hi = _inertia(terms, lo), _inertia(terms, hi)
+    nu_lo, nu_hi = _inertia(pairs, lo), _inertia(pairs, hi)
     count = nu_hi - nu_lo
     sigma = 0.5 * (lo + hi) + 0.00137 * (hi - lo)
     diagnostics: dict = {
@@ -1204,7 +1201,7 @@ def gap_eigenpairs(
     if count == 0:
         return _empty_spectrum(op, window, edges, mu, "no states in window", diagnostics)
 
-    solve, diagnostics["factor_values"] = _shift_invert_solve(terms, sigma)
+    solve, diagnostics["factor_values"] = _shift_invert_solve(pairs, sigma)
     diagnostics["inertia_sweeps"] += 1
 
     def shift_invert(b: np.ndarray) -> np.ndarray:
@@ -1239,7 +1236,7 @@ def gap_eigenpairs(
     sub_vals, sub_vecs = ritz_in_window(count)
     if len(sub_vals) < count:
         radius = max(hi - sigma, sigma - lo)
-        k_disc = _inertia(terms, sigma + radius) - _inertia(terms, sigma - radius)
+        k_disc = _inertia(pairs, sigma + radius) - _inertia(pairs, sigma - radius)
         diagnostics["inertia_sweeps"] += 2
         if k_disc > count:
             sub_vals, sub_vecs = ritz_in_window(k_disc)

@@ -527,27 +527,26 @@ class TransverseCorrection:
     alpha: np.ndarray  # (n, 2) envelope samples the solve was built from
     d_alpha: np.ndarray  # (n, 2) D_t alpha at the same nodes
     values: np.ndarray  # (M, n) corrector in the fast fiber, per node
-    subtracted: np.ndarray  # (2, n) solvability projection removed from g
     defect: float  # max |projection| before subtraction
-    projected_residual: float  # max |projection| of the actual rhs (machine)
 
 
 def _order1_bracket(
     ws: QuasimodeWorkspace,
     pair: EnvelopePair,
-    ts: np.ndarray,
-    alpha: np.ndarray,
-    d_alpha: np.ndarray,
+    kap: np.ndarray,
+    values: np.ndarray,
+    d_values: np.ndarray,
 ) -> np.ndarray:
-    """g = [2 (kp.D) D_t + 2 mu (ell.D) + kappa W - theta] (alpha . phi)."""
-    fast = ws.phi @ alpha.T
-    d_fast = ws.phi @ d_alpha.T
-    kap = ws.wall(ts)
+    """[2 (kp.D) D_t + 2 mu (ell.D) + kappa W - theta] on a fast field per node.
+
+    ``values`` is the (M, n) field, ``d_values`` its D_t, and ``kap`` the wall
+    profile at the n nodes.
+    """
     return (
-        2.0 * ws.d_kp[:, None] * d_fast
-        + 2.0 * pair.mu * ws.d_ell[:, None] * fast
-        + (ws.conv_w @ fast) * kap[None, :]
-        - pair.theta * fast
+        2.0 * ws.d_kp[:, None] * d_values
+        + 2.0 * pair.mu * ws.d_ell[:, None] * values
+        + (ws.conv_w @ values) * kap[None, :]
+        - pair.theta * values
     )
 
 
@@ -567,7 +566,7 @@ def first_correction(
     ts = np.asarray(ts, dtype=float)
     alpha = pair.alpha(ts)
     d_alpha = pair.d_alpha(ts, alpha)
-    g = _order1_bracket(ws, pair, ts, alpha, d_alpha)
+    g = _order1_bracket(ws, pair, ws.wall(ts), ws.phi @ alpha.T, ws.phi @ d_alpha.T)
     projection = ws.pair_projection(g)
     defect = float(np.abs(projection).max())
     if defect > SOLVABILITY_TOL:
@@ -576,16 +575,12 @@ def first_correction(
             "the reduced coefficients do not match the fiber (check the fast "
             "cutoff and the envelope eigenvalue accuracy)"
         )
-    g_perp = g - ws.phi @ projection
-    residual = float(np.abs(ws.pair_projection(g_perp)).max())
     return TransverseCorrection(
         ts=ts,
         alpha=alpha,
         d_alpha=d_alpha,
-        values=-ws.complement_solve(g_perp),
-        subtracted=projection,
+        values=-ws.complement_solve(g - ws.phi @ projection),
         defect=defect,
-        projected_residual=residual,
     )
 
 
@@ -733,25 +728,13 @@ def second_order_layer(
     d_fast = ws.phi @ d_alpha.T
     d2_fast = ws.phi @ d2_alpha.T
 
-    # D_t of the order-delta bracket, for D_t V via the shared pseudo-inverse
-    d_g = (
-        2.0 * ws.d_kp[:, None] * d2_fast
-        + 2.0 * mu * ws.d_ell[:, None] * d_fast
-        + (ws.conv_w @ fast) * d_kap_t[None, :]
-        + (ws.conv_w @ d_fast) * kap[None, :]
-        - pair.theta * d_fast
-    )
+    # D_t of the order-delta bracket, for D_t V via the shared pseudo-inverse:
+    # the bracket on D_t of the field, plus D_t kappa times W on the field
+    d_g = _order1_bracket(ws, pair, kap, d_fast, d2_fast)
+    d_g += (ws.conv_w @ fast) * d_kap_t[None, :]
     d_corr = -ws.complement_solve(d_g - ws.phi @ ws.pair_projection(d_g))
 
-    def bracket(values: np.ndarray, d_values: np.ndarray) -> np.ndarray:
-        return (
-            2.0 * ws.d_kp[:, None] * d_values
-            + 2.0 * mu * ws.d_ell[:, None] * values
-            + (ws.conv_w @ values) * kap[None, :]
-            - pair.theta * values
-        )
-
-    on_corr = bracket(corr.values, d_corr)
+    on_corr = _order1_bracket(ws, pair, kap, corr.values, d_corr)
     curvature = ws.kp_sq * d2_alpha.T + mu**2 * ws.ell_sq * alpha.T
     forcing = ws.pair_projection(on_corr) + curvature  # (2, n)
     a2_complex = complex(np.sum(np.conj(alpha.T) * forcing) * h)
@@ -764,7 +747,7 @@ def second_order_layer(
     d_beta_fast = ws.phi @ d_beta.T
     g2 = (
         on_corr
-        + bracket(beta_fast, d_beta_fast)
+        + _order1_bracket(ws, pair, kap, beta_fast, d_beta_fast)
         + ws.kp_sq * d2_fast
         + mu**2 * ws.ell_sq * fast
         - a2 * fast

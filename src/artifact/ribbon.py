@@ -51,8 +51,8 @@ couplings (165 nonzeros of its 12,100 entries on the base channel, 257 with
 a magnetic wall), so both products with it cost next to nothing and only
 the inverse is dense.  The sweep at the shift keeps the factors and the
 couplings, about one dense block per node pair, and drops the inverses.
-The CSC matrix of the strip is written only when ``StripOperator.matrix``
-is read.
+The CSC matrix of the strip is the plain sum of its Kronecker products,
+built only when a check reads ``StripOperator.matrix``.
 """
 
 from __future__ import annotations
@@ -349,10 +349,8 @@ def _conv_table(fld: FourierField, basis: PlaneWaveBasis) -> np.ndarray:
 
 
 # The strip couples t-nodes at distance at most BAND (the squared centered
-# difference), and _kron_sum_csc writes block rows of roughly CHUNK_ENTRIES
-# values at a time so each chunk is still in cache when it is checked.
+# difference), so two nodes per block make it block tridiagonal for the sweep.
 BAND = 2
-CHUNK_ENTRIES = 1 << 17
 
 
 def _check_band(T) -> None:
@@ -372,84 +370,6 @@ def _band_coefficients(terms: list) -> np.ndarray:
     return coef
 
 
-def _kron_sum_csc(terms: list, n_t: int) -> sp.csc_matrix:
-    """CSC form of H = sum_k T_k (x) F_k, written once into preallocated arrays.
-
-    Each T_k is a sparse n_t x n_t matrix with bandwidth at most ``BAND`` and
-    each F_k a dense n_fast x n_fast array.  The CSC arrays of H are the CSR
-    arrays of H^T = sum_k T_k^T (x) F_k^T, whose block row i (t-node i) holds
-    the blocks at nodes i + d, |d| <= BAND.  At each offset d the F_k^T that
-    reach it share one union pattern, so every block row away from the ends
-    has the same column template, and the BAND nodes at each end keep the
-    part of it inside the strip.  A block row's values on its template are
-    one product ``C[i] @ V``: C[i] holds each term's t-coefficient at each
-    offset, and V the fast factors laid out on the template.  Nothing here
-    assumes H is Hermitian.  Entries that come out exactly 0 (at a node
-    where every term reaching a fast entry has a zero t-coefficient, or by
-    exact cancellation) are removed, as a sparse sum removes them.
-    """
-    n_fast = terms[0][1].shape[0]
-    offsets = np.arange(-BAND, BAND + 1)
-    coef = _band_coefficients(terms)  # (T^T)[i, i + d] = T[i + d, i]
-    used = np.any(coef, axis=1)  # (term, offset) pairs that reach some node
-    C = np.ascontiguousarray(coef.transpose(1, 0, 2)[:, used])  # (n_t, used)
-    placed = np.zeros((used.sum(), n_fast, len(offsets), n_fast), dtype=complex)
-    for block, (k, d) in zip(placed, np.argwhere(used)):
-        block[:, d, :] = terms[k][1].T
-    placed = placed.reshape(len(placed), n_fast, -1)
-    rows, cols = np.nonzero(np.any(placed != 0, axis=0))  # template, CSR order
-    V = placed[:, rows, cols]
-    offset = cols // n_fast - BAND  # t-offset of each template entry
-
-    reached = np.arange(n_t)[:, None] + offsets  # node each offset reaches
-    inside = (reached >= 0) & (reached < n_t)
-    per_offset = np.zeros((n_fast, len(offsets)), dtype=np.int64)
-    np.add.at(per_offset, (rows, offset + BAND), 1)
-    row_counts = inside.astype(np.int64) @ per_offset.T  # (n_t, n_fast)
-    dim = n_t * n_fast
-    nnz = int(row_counts.sum())
-    idx = np.int32 if max(nnz, dim) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(dim + 1, dtype=idx)
-    np.cumsum(row_counts.ravel(), out=indptr[1:])
-    data = np.empty(nnz, dtype=complex)
-    indices = np.empty(nnz, dtype=idx)
-    rel_col = (cols - BAND * n_fast).astype(idx)  # column minus i * n_fast
-    has_zero = False
-
-    # block rows BAND .. n_t - BAND - 1 use the whole template
-    size = len(cols)
-    chunk = max(1, CHUNK_ENTRIES // size)
-    for i0 in range(BAND, n_t - BAND, chunk):
-        i1 = min(i0 + chunk, n_t - BAND)
-        lo = int(indptr[i0 * n_fast])
-        hi = lo + (i1 - i0) * size
-        out = data[lo:hi].reshape(i1 - i0, size)
-        np.matmul(C[i0:i1], V, out=out)
-        has_zero |= not out.all()
-        np.add(
-            rel_col,
-            (np.arange(i0, i1, dtype=idx) * n_fast)[:, None],
-            out=indices[lo:hi].reshape(i1 - i0, size),
-        )
-    # the end rows keep the template entries whose node lies in the strip
-    for i in np.flatnonzero(~inside.all(axis=1)):
-        keep = inside[i, offset + BAND]
-        lo, hi = int(indptr[i * n_fast]), int(indptr[(i + 1) * n_fast])
-        data[lo:hi] = C[i] @ V[:, keep]
-        has_zero |= not data[lo:hi].all()
-        indices[lo:hi] = i * n_fast + rel_col[keep]
-
-    if has_zero:
-        nonzero = data != 0
-        kept = np.concatenate([[0], np.cumsum(nonzero)])
-        indptr = kept[indptr].astype(idx)
-        data, indices = data[nonzero], indices[nonzero]
-    H = sp.csc_matrix((data, indices, indptr), shape=(dim, dim))
-    H.has_sorted_indices = True
-    H.has_canonical_format = True
-    return H
-
-
 @dataclass
 class StripOperator:
     """Strip Hamiltonian as its Kronecker terms, with its grid and bookkeeping.
@@ -457,8 +377,9 @@ class StripOperator:
     ``terms`` is H = sum_k T_k (x) F_k as ``[(T_k, F_k)]`` (see
     ``assemble_strip``); the window count, the shift-invert solve and the
     residual screen of ``gap_eigenpairs`` all work from them.  ``matrix``
-    is the CSC form of H, written by ``_kron_sum_csc`` when it is first read
-    and kept from then on; ``dim`` comes from the grid and builds nothing.
+    is the CSC form of H, the sum of the sparse Kronecker products with exact
+    zeros removed, built when it is first read and kept from then on; only
+    checks read it.  ``dim`` comes from the grid and builds nothing.
     """
 
     grid: StripGrid
@@ -469,7 +390,9 @@ class StripOperator:
 
     @cached_property
     def matrix(self) -> sp.csc_matrix:
-        return _kron_sum_csc(self.terms, self.grid.n_t)
+        H = sum(sp.kron(T, F, format="csc") for T, F in self.terms)
+        H.eliminate_zeros()
+        return H
 
     @property
     def dim(self) -> int:
@@ -503,8 +426,8 @@ def _strip_terms(
 
     The strip Hamiltonian is H = sum_k T_k (x) F_k with each T_k a sparse
     n_t x n_t band and each F_k a dense n_fast x n_fast array; see
-    ``assemble_strip`` for the terms.  ``_kron_sum_csc`` writes H from them
-    and ``_kron_apply`` applies it without forming it.
+    ``assemble_strip`` for the terms.  ``_kron_apply`` applies H without
+    forming it, and ``StripOperator.matrix`` sums it when a check needs it.
     """
     if tau_ref is None:
         tau_ref = fold_phase(frame, zeta)
@@ -615,8 +538,8 @@ def assemble_strip(
     ``-i delta (diag(kappa) D1 + D1 diag(kappa)) (x) (k' . A)``, the
     symmetrized ``A . D + D . A`` split into its parts without and with a
     t-derivative.  ``_strip_terms`` builds them and the returned operator
-    carries them; nothing is summed here.  Its ``matrix`` is written by
-    ``_kron_sum_csc`` straight into CSC arrays, once, when first read.
+    carries them; nothing is summed here.  Its ``matrix`` is their sum as
+    CSC, built once, when first read.
     """
     grid, terms, kappa = _strip_terms(
         frame,
@@ -987,10 +910,9 @@ def _node_coefficients(coef: np.ndarray, rows: range, cols: range) -> np.ndarray
 def _kron_block(t_block: np.ndarray, fast: list) -> np.ndarray:
     """Dense ``sum_k t_block[k] (x) fast[k]``, one strip block.
 
-    The scaled F_k are added term by term, the order in which
-    ``_kron_sum_csc`` sums them, so the block is the CSC slice up to the
-    rounding of that sum (bit for bit unless the BLAS kernel of
-    ``_kron_sum_csc`` fuses its multiplies and adds).
+    The scaled F_k are added term by term, elementwise and in the order in
+    which ``StripOperator.matrix`` sums the Kronecker products, so the block
+    is the slice of that matrix bit for bit.
     """
     _, m, n = t_block.shape
     n_fast = fast[0].shape[0]

@@ -290,10 +290,9 @@ def test_node_pair_blocks_match_csc_slices(lat, frame, fields, basis, case):
     # the sweep's diagonal blocks and couplings, built from the Kronecker
     # terms, are the slices of the CSC strip: on the base-channel strips, and
     # on a cutoff-2 strip (dim 1833) whose odd node count leaves one node in
-    # the last block.  Both sides add the same products in the same order,
-    # but _kron_sum_csc sums them inside one BLAS product, whose kernel may
-    # fuse a multiply and an add; so the pattern must match exactly and the
-    # values to a few roundings of sum_k |t_k| |F_k|
+    # the last block.  Both sides multiply and add elementwise, with no BLAS
+    # call, and add the same products in the same order, so they are equal
+    # bit for bit
     from artifact.potentials import magnetic_A
 
     wall, delta, fast = fields["wall"], DELTA, basis
@@ -306,14 +305,9 @@ def test_node_pair_blocks_match_csc_slices(lat, frame, fields, basis, case):
         perturbation=pert, t_factor=3.5, flip_wall=case == "W_flip",
     )
     H = op.matrix
-    bound = 4 * np.finfo(float).eps * abs(
-        rb._kron_sum_csc([(abs(T), np.abs(F)) for T, F in op.terms], op.grid.n_t)
-    )
 
     def assert_slice(built, r0, r1, c0, c1):
-        ref, tol = H[r0:r1, c0:c1].toarray(), bound[r0:r1, c0:c1].toarray()
-        assert np.array_equal(built != 0, ref != 0)
-        assert np.all(np.abs(built - ref) <= tol)
+        assert np.array_equal(built, H[r0:r1, c0:c1].toarray())
 
     assert op.grid.n_t % 2 == 1
     rows, couplings = [], set()
@@ -337,11 +331,11 @@ def test_node_pair_blocks_match_csc_slices(lat, frame, fields, basis, case):
 def test_channel_solve_forms_no_csc_strip(frame, fields, basis, cone, monkeypatch):
     # the count, the shift-invert solve, the Krylov operator and the
     # Rayleigh/residual screens all work from the Kronecker terms, so the
-    # base channel solves with the CSC writer disabled
+    # base channel solves with the CSC strip unreadable
     def no_csc(*args, **kwargs):
-        raise AssertionError("the CSC strip was written")
+        raise AssertionError("the CSC strip was built")
 
-    monkeypatch.setattr(rb, "_kron_sum_csc", no_csc)
+    monkeypatch.setattr(rb.StripOperator, "matrix", property(no_csc))
     spec = rb.solve_edge_channel(
         frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA, basis,
         cone.j_star, SPEED_T, perturbation=fields["W10"], t_factor=3.5,
@@ -349,51 +343,6 @@ def test_channel_solve_forms_no_csc_strip(frame, fields, basis, cone, monkeypatc
     assert len(spec) == 1
     assert abs(spec.values[0] - BASE_VALUE) < 1e-6
     assert spec.diagnostics["inertia"] == (874, 876)
-
-
-@pytest.mark.parametrize("n_t", [2, 3, 4, 5, 9])
-def test_kron_sum_csc_general_terms(n_t):
-    # random non-Hermitian t-factors of bandwidth <= 2 with zero rows, and
-    # sparse non-symmetric fast factors: the one-pass CSC write equals the
-    # sum of sparse Kronecker products, entry for entry and pattern for
-    # pattern, with no explicit zeros
-    rng = np.random.default_rng(n_t)
-    n_fast = 6
-
-    def band(offsets):
-        offsets = [d for d in offsets if abs(d) < n_t]
-        diagonals = [
-            rng.standard_normal(n_t - abs(d)) + 1j * rng.standard_normal(n_t - abs(d))
-            for d in offsets
-        ]
-        return sp.diags(diagonals, offsets, shape=(n_t, n_t), format="csr")
-
-    def fast():
-        shape = (n_fast, n_fast)
-        F = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return np.where(rng.random(shape) < 0.5, F, 0.0)
-
-    kappa = rng.standard_normal(n_t)
-    kappa[n_t // 2] = 0.0  # a node where one term vanishes
-    terms = [
-        (band([0, 2]), fast()),
-        (band([-1, 1, -2]), fast()),
-        (sp.diags(kappa), fast()),
-        (sp.identity(n_t), np.diag(rng.standard_normal(n_fast))),
-    ]
-    H = rb._kron_sum_csc(terms, n_t)
-    ref = sum(sp.kron(T, sp.csr_matrix(F), format="csr") for T, F in terms).tocsc()
-    ref.eliminate_zeros()
-    assert H.shape == ref.shape
-    assert np.all(H.data != 0)
-    assert H.nnz == ref.nnz
-    assert _sparse_max_abs(H - ref) <= 1e-14 * np.abs(ref.data).max()
-    H.sort_indices()  # the flag must already be true
-    assert np.array_equal(H.indptr, ref.indptr)
-    assert np.array_equal(H.indices, ref.indices)
-    if n_t > 3:
-        with pytest.raises(ValueError, match="farther apart"):
-            rb._kron_sum_csc([(band([3]), fast())], n_t)
 
 
 def test_interior_remap(frame, fields, basis):
@@ -810,7 +759,8 @@ def test_block_ldl_on_dense_couplings():
     # coupled up to distance 2, n_fast = 5, an odd node count) whose node
     # couplings are dense rather than the strip's near-diagonal ones, and
     # whose zero node diagonals force 2x2 Bunch-Kaufman pivots; the sweep
-    # reads it as single-entry T_k (x) dense F_k terms, one per node block
+    # reads it as single-entry T_k (x) dense F_k terms, one per node block,
+    # and refuses a term that couples nodes at distance 3
     n_fast, n_t = 5, 9
     dim = n_fast * n_t
     rng = np.random.default_rng(11)
@@ -834,8 +784,11 @@ def test_block_ldl_on_dense_couplings():
         for j in range(n_t)
         for i in range(max(j - 2, 0), min(j + 3, n_t))
     ]
-    assert np.array_equal(rb._kron_sum_csc(terms, n_t).toarray(), dense)
-    mat = sp.csc_matrix(dense)
+    mat = rb.StripOperator(grid=None, basis=None, terms=terms, kappa=None).matrix
+    assert np.array_equal(mat.toarray(), dense)
+    reach3 = sp.csr_matrix(([1.0], ([3], [0])), shape=(n_t, n_t))
+    with pytest.raises(ValueError, match="farther apart"):
+        rb._node_pairs(terms + [(reach3, np.ones((n_fast, n_fast)))])
     evals = np.linalg.eigvalsh(dense)
     below = {evals[0] - 1.0: 0, evals[-1] + 1.0: dim}
     for i in (1, 10, 22, 23, 30, 44):

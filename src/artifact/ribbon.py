@@ -49,22 +49,28 @@ factor (zhetri), and passes ``B^H S_i^-1 B`` on to the next block.  B
 stays sparse: it holds only the distance-one and distance-two node
 couplings (165 nonzeros of its 12,100 entries on the base channel, 257 with
 a magnetic wall), so both products with it cost next to nothing and only
-the inverse is dense.  The sweep at the shift keeps the factors and the
-couplings, about one dense block per node pair, and drops the inverses.
-The CSC matrix of the strip is the plain sum of its Kronecker products,
-built only when a check reads ``StripOperator.matrix``.
+the inverse is dense.  The sweep at the shift keeps, per node pair, only
+the lower triangle of S_i^-1 in LAPACK's packed form, half a dense block,
+next to the shared couplings, and each solve applies it with one packed
+Hermitian matrix-vector product (zhpmv) instead of triangular solves
+with the Bunch-Kaufman factor.  On the base channel that keeps 2.74 M
+values instead of 5.36 M, and takes the channel's peak RSS from 191 to
+162 MB and one solve from 34 to 20 ms (two-core host, BLAS on one
+thread).  The CSC matrix of the strip is the plain sum of its Kronecker
+products, built only when a check reads ``StripOperator.matrix``.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field, replace as dc_replace
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import zhetrf, zhetri, zhetrs
+from scipy.linalg.blas import zhpmv
+from scipy.linalg.lapack import zhetrf, zhetri
 from scipy.optimize import minimize_scalar
 
 from .bloch import (
@@ -956,6 +962,25 @@ def _node_pairs(terms: list) -> list:
     return pairs
 
 
+@cache
+def _strict_upper(n: int) -> np.ndarray:
+    """Mask of the strict upper triangle of an n x n block (cached, read-only)."""
+    mask = ~np.tri(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+@cache
+def _packed_lower(n: int) -> tuple:
+    """Indices into ``S.T`` that read the lower triangle of an n x n S column
+    by column, in LAPACK's packed order as zhpmv reads it with lower=1
+    (cached, read-only)."""
+    index = np.triu_indices(n)
+    for a in index:
+        a.flags.writeable = False
+    return index
+
+
 def _block_ldl(pairs: list, shift: float):
     """Block LDL^H of ``H - shift`` for H = sum_k T_k (x) F_k, one node pair at a time.
 
@@ -966,19 +991,22 @@ def _block_ldl(pairs: list, shift: float):
     diagonal of L.  ``pairs`` is the node-pair table of the terms
     (``_node_pairs``): each D_i is summed from the terms as the sweep reaches
     it, and B_(i+1) is the table's shared coupling; no matrix of the strip is
-    formed.  Yields ``(r0, r1, ldu, ipiv,
-    coupling, adjoint)`` per block: its rows, the Bunch-Kaufman factor of
-    S_i (zhetrf, lower), and the sparse coupling B_(i+1) with its adjoint
+    formed.  Yields ``(r0, r1, ldu, ipiv, inverse, coupling, adjoint)`` per
+    block: its rows, the Bunch-Kaufman factor of S_i (zhetrf, lower), the
+    full Hermitian S_i^-1, and the sparse coupling B_(i+1) with its adjoint
     (None for the last block).
 
-    Each step inverts S_i from its factor (zhetri), expands the inverse to
-    full Hermitian form, and subtracts ``B^H (S_i^-1 B)`` from the next
-    block as two sparse-times-dense products with ``B^H``.  B_(i+1) couples
-    only nodes at distance one or two, so it holds a few hundred nonzeros
-    and is never made dense.  The inverse lives one step; a consumer that
-    keeps nothing holds only a few blocks at a time, however long the strip
-    is.  No BLAS call is made outside LAPACK: numpy and scipy each bundle an
-    OpenBLAS with its own thread pool, and alternating the two here left both
+    Each step inverts S_i from its factor (zhetri, the last block too),
+    copies the conjugate of the inverse's lower triangle over its upper one
+    (one masked copy, 22 us per 110-row block where two ``np.tril`` and an
+    add took 94 us), and subtracts ``B^H (S_i^-1 B)`` from the next block
+    as two sparse-times-dense products with ``B^H``.  B_(i+1) couples only
+    nodes at distance one or two, so it holds a few hundred nonzeros and is
+    never made dense.  A consumer that keeps nothing holds only a few blocks
+    at a time, however long the strip is.  Every dense BLAS call goes
+    through scipy's LAPACK and BLAS wrappers (here and in
+    ``_shift_invert_solve``), which share one OpenBLAS: numpy bundles
+    another with its own thread pool, and alternating the two left both
     pools spinning against each other (a base channel sweep took 5.8 s
     instead of 0.43 s on a two-core host).
     """
@@ -991,16 +1019,15 @@ def _block_ldl(pairs: list, shift: float):
             block -= adjoint @ (adjoint @ inverse).conj().T
         ldu, ipiv, info = zhetrf(block, lower=1)
         adjoint = next_adjoint
-        if info == 0 and coupling is not None:
+        if info == 0:
             inverse, info = zhetri(ldu, ipiv, lower=1)
-            inverse = np.tril(inverse)
-            inverse += np.tril(inverse, -1).conj().T
+            np.copyto(inverse, inverse.T.conj(), where=_strict_upper(r1 - r0))
         if info != 0:
             raise FactorizationFailure(
                 f"block LDL^H of the strip is singular at shift = {shift:.12g} "
                 f"(rows {r0}:{r1}, info = {info})"
             )
-        yield r0, r1, ldu, ipiv, coupling, adjoint
+        yield r0, r1, ldu, ipiv, inverse, coupling, adjoint
 
 
 def _inertia(pairs: list, shift: float) -> int:
@@ -1016,38 +1043,46 @@ def _inertia(pairs: list, shift: float) -> int:
 
 
 def _shift_invert_solve(pairs: list, sigma: float):
-    """``x -> (H - sigma)^-1 x`` from the block LDL^H factors at ``sigma``.
+    """``x -> (H - sigma)^-1 x`` from the block LDL^H sweep at ``sigma``.
 
     H is given by the node-pair table of its Kronecker terms
     (``_node_pairs``).  Returns ``(solve, kept)``.  Per node pair, the solve
-    keeps only the Bunch-Kaufman factor of S_i and the table's sparse
-    coupling B_(i+1) with its adjoint: pairs with the same coupling
-    coefficients share one copy.
-    ``kept`` counts the stored values per pair all the same (factor entries
-    plus coupling nonzeros).
+    keeps only the lower triangle of the Hermitian S_i^-1, packed column by
+    column (n (n + 1) / 2 values for a block of n rows), and the table's
+    sparse coupling B_(i+1) with its adjoint: pairs with the same coupling
+    coefficients share one copy.  ``kept`` counts the stored values per pair
+    all the same (packed inverse entries plus coupling nonzeros): 2,741,475
+    on the base channel, where the Bunch-Kaufman factors took 5,362,775.
+    One solve there takes 20 ms; with a timer around each stage (a copy of
+    the loop, 25 ms), zhpmv takes 17 ms, the 874 sparse coupling products
+    5 ms and slicing 2 ms (two-core host, BLAS on one thread).
 
     Forward ``z_(i+1) -= B_(i+1)^H S_i^-1 z_i``, then backward ``x_i =
-    S_i^-1 (z_i - B_(i+1) x_(i+1))``, each S_i^-1 applied to one vector by
-    zhetrs.  Pivots stay inside each Schur block, so nothing bounds growth
-    across blocks; a poor factor shows up as Ritz values that miss the
-    inertia count (CountMismatch) or as states failing the RESIDUAL_TOL
-    screen against H.
+    S_i^-1 (z_i - B_(i+1) x_(i+1))``, each S_i^-1 applied to one vector as a
+    packed Hermitian matrix-vector product (zhpmv), which reads the forward
+    pass's z_i in place.  Pivots stay inside each Schur block, so nothing
+    bounds growth across blocks; a poor factor shows up as Ritz values that
+    miss the inertia count (CountMismatch) or as states failing the
+    RESIDUAL_TOL screen against H.
     """
-    factors = list(_block_ldl(pairs, sigma))
+    factors = [
+        (r0, r1, inverse.T[_packed_lower(r1 - r0)], coupling, adjoint)
+        for r0, r1, _, _, inverse, coupling, adjoint in _block_ldl(pairs, sigma)
+    ]
 
     def solve(b: np.ndarray) -> np.ndarray:
         x = np.array(b, dtype=np.complex128).ravel()
-        for r0, r1, ldu, ipiv, coupling, adjoint in factors[:-1]:
-            y = zhetrs(ldu, ipiv, x[r0:r1], lower=1)[0]
+        for r0, r1, packed, coupling, adjoint in factors[:-1]:
+            y = zhpmv(r1 - r0, 1.0, packed, x, offx=r0, lower=1)
             x[r1 : r1 + coupling.shape[1]] -= adjoint @ y
-        for r0, r1, ldu, ipiv, coupling, _ in reversed(factors):
+        for r0, r1, packed, coupling, _ in reversed(factors):
             z = x[r0:r1]
             if coupling is not None:
                 z = z - coupling @ x[r1 : r1 + coupling.shape[1]]
-            x[r0:r1] = zhetrs(ldu, ipiv, z, lower=1)[0]
+            x[r0:r1] = zhpmv(r1 - r0, 1.0, packed, z, lower=1)
         return x
 
-    kept = sum(ldu.size + (0 if b is None else b.nnz) for _, _, ldu, _, b, _ in factors)
+    kept = sum(p.size + (0 if b is None else b.nnz) for _, _, p, b, _ in factors)
     return solve, kept
 
 
@@ -1083,12 +1118,17 @@ def gap_eigenpairs(
     the solve; the strip operator it is handed, and the Rayleigh quotients
     and residuals of the screens below, apply the terms (``_kron_apply``).
     A counting sweep keeps only its tally of negative pivots; the sweep at
-    the shift keeps the Bunch-Kaufman factor of each Schur block and the
-    sparse coupling to the next one.  The diagnostics record
-    ``inertia_sweeps`` (2 for an empty window, 3 with the sweep at the
-    shift, 5 when the shortfall retry counts its disc), ``block_solves``
-    (applications of the shift-invert operator) and ``factor_values``
-    (values kept by the sweep at the shift, counted per node pair).
+    the shift keeps the packed lower triangle of each Schur block's inverse
+    and the sparse coupling to the next one, and each block solve is one
+    packed Hermitian product per node pair and direction (on the base
+    channel ``factor_values`` is 2,741,475 against 5,362,775 for the
+    Bunch-Kaufman factors, and the 21 block solves take 0.42 s against
+    0.72 s by triangular solves with the factors, two-core host, BLAS on
+    one thread).  The diagnostics record ``inertia_sweeps`` (2 for an empty
+    window, 3 with the sweep at the shift, 5 when the shortfall retry counts
+    its disc), ``block_solves`` (applications of the shift-invert operator)
+    and ``factor_values`` (values kept by the sweep at the shift, counted per
+    node pair).
 
     Quasi-degenerate clusters are then rotated in envelope Fourier mass to
     split physical states from their zone-edge mirrors; only smooth members

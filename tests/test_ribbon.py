@@ -17,6 +17,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.lapack import zhetri
 
 from artifact import ribbon as rb
 from artifact.bloch import assemble_fiber, build_basis, convolution_matrix
@@ -516,17 +517,13 @@ def test_base_channel(base_spec, base_comp, base_op):
     # exactly the inertia count of the window
     assert base_spec.diagnostics["raw_in_window"] == 2
     assert base_spec.diagnostics["count"] == 2
-    # two counting sweeps and the sweep at the shift, which keeps the factor
-    # of every Schur block and the sparse coupling to the next one
+    # two counting sweeps and the sweep at the shift, which keeps the lower
+    # triangle of every Schur block's inverse, packed (n (n + 1) / 2 values
+    # for n rows), and the sparse coupling to the next block
     assert base_spec.diagnostics["inertia_sweeps"] == 3
     assert base_spec.diagnostics["block_solves"] > 0
-    mat, size = base_op.matrix, 2 * base_op.grid.n_fast
-    kept = sum(
-        min(size, base_op.dim - r0) ** 2
-        + mat[r0 : r0 + size, r0 + size : r0 + 2 * size].nnz
-        for r0 in range(0, base_op.dim, size)
-    )
-    assert base_spec.diagnostics["factor_values"] == kept < 5.5e6
+    kept = _packed_count(base_op.matrix, 2 * base_op.grid.n_fast)
+    assert base_spec.diagnostics["factor_values"] == kept < 2.8e6
     assert base_spec.grid is not None
     assert base_comp.count == 1
     assert base_comp.max_residual < 3e-3  # O(delta^2) at delta = 0.08
@@ -534,6 +531,19 @@ def test_base_channel(base_spec, base_comp, base_op):
     assert [r[2] for r in rows[:2]] == ["ess_lo", "ess_hi"]
     assert rows[2][2] == "eig" and rows[2][4] == pytest.approx(
         base_spec.localization[0]
+    )
+
+
+def _packed_count(mat, size):
+    """Values the sweep at the shift keeps for the strip matrix ``mat`` in
+    node pairs of ``size`` rows: the packed lower triangle of each pair's
+    inverse, n (n + 1) / 2 values for n rows, plus the nonzeros of the
+    pair's coupling to the next one."""
+    dim = mat.shape[0]
+    return sum(
+        (n := min(size, dim - r0)) * (n + 1) // 2
+        + mat[r0 : r0 + size, r0 + size : r0 + 2 * size].nnz
+        for r0 in range(0, dim, size)
     )
 
 
@@ -796,12 +806,21 @@ def test_block_ldl_on_dense_couplings():
     two_by_two = 0
     pairs = rb._node_pairs(terms)
     for shift, i in below.items():
-        for _, _, ldu, ipiv, *_ in rb._block_ldl(pairs, shift):
+        for _, _, ldu, ipiv, inverse, *_ in rb._block_ldl(pairs, shift):
             two_by_two += int(np.any(ipiv < 0))
             assert rb._negative_pivots(ldu, ipiv) == _negative_pivots_loop(ldu, ipiv)
+            # the inverse is zhetri's lower triangle with its conjugate copied
+            # over the upper one: bit for bit the lower triangle plus the
+            # adjoint of its strict part, 2x2 pivots and the last block included
+            ref = np.tril(zhetri(ldu, ipiv, lower=1)[0])
+            ref += np.tril(ref, -1).conj().T
+            assert np.array_equal(inverse, ref)
         assert rb._inertia(pairs, shift) == i
         b = cplx(dim)
-        solve, _ = rb._shift_invert_solve(pairs, shift)
+        solve, kept = rb._shift_invert_solve(pairs, shift)
+        # four pairs of 10 rows and a last block of 5, coupled by three and by
+        # two dense node blocks
+        assert kept == _packed_count(mat, 2 * n_fast) == 4 * 55 + 15 + 3 * 75 + 50
         x = solve(b)
         dist = np.abs(evals - shift)
         residual = np.linalg.norm(mat @ x - shift * x - b)

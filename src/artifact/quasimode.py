@@ -15,6 +15,10 @@ which buys one more power of delta in the residual:
     order 2   + envelope correction, a2,       residual ~ delta^3
                 second transverse corrector
 
+``lift_order0`` samples the bare product from the cone data alone, with no
+workspace, so it serves any cutoff and the magnetic wall; the strip solver
+seeds each edge state with it.
+
 The transverse corrector solves, per transverse node, a linear system in the
 fast plane-wave fiber restricted to the complement of the pair.  Solvability
 of that restriction is exactly the statement that (theta, alpha) is an
@@ -435,10 +439,6 @@ class QuasimodeWorkspace:
     @property
     def zeta_star(self) -> float:
         return self.frame.zeta_star(self.data.which)
-
-    @property
-    def tau_star(self) -> float:
-        return self.frame.tau_star(self.data.which)
 
     def complement_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Apply the deflated pseudo-inverse of (P0 - E*) columnwise."""
@@ -867,7 +867,7 @@ def leading_quasimode(
         order=order,
         energy=energy,
         grid=grid,
-        vector=_strip_vector(ws, grid, delta, mu, field),
+        vector=_strip_vector(ws.frame, ws.data.which, grid, mu, field),
         alpha=alpha,
         correction=correction,
         second=second,
@@ -907,14 +907,52 @@ def _truncated_field(
     return float(energy + delta**2 * second.a2), field
 
 
+def _cone_offset(frame: EdgeFrame, which: str, grid: StripGrid) -> float:
+    """tau* - tau_ref wrapped into [-pi, pi): the cone's transverse phase on the grid.
+
+    Unwrapped, a tau_ref a full turn from tau* (say -tau*(A) = tau*(B) - 2 pi)
+    would give the envelope a momentum of 2 pi, which on a grid of step 0.5
+    is the envelope zone edge pi / step, where the mirror channel lives.
+    """
+    return float((frame.tau_star(which) - grid.tau_ref + np.pi) % TWO_PI - np.pi)
+
+
 def _strip_vector(
-    ws: QuasimodeWorkspace, grid: StripGrid, delta: float, mu: float, field: np.ndarray
+    frame: EdgeFrame, which: str, grid: StripGrid, mu: float, field: np.ndarray
 ) -> np.ndarray:
     """Unit strip sample (t-major) of a fast-fiber field times the edge phase."""
-    ell_vp = float(ws.frame.ell @ ws.frame.vp)
-    phase = np.exp(1j * ((ws.tau_star - grid.tau_ref) + mu * delta * ell_vp) * grid.t)
+    ell_vp = float(frame.ell @ frame.vp)
+    offset = _cone_offset(frame, which, grid)
+    phase = np.exp(1j * (offset + mu * grid.delta * ell_vp) * grid.t)
     vector = (field * phase[None, :]).T.ravel()
     return vector / np.linalg.norm(vector)
+
+
+def lift_order0(
+    data: DiracPointData,
+    frame: EdgeFrame,
+    basis: PlaneWaveBasis,
+    pair: EnvelopePair,
+    grid: StripGrid,
+) -> np.ndarray:
+    """Unit strip sample of the order-0 quasimode: cone pair times envelope.
+
+    ``data`` is the cone nearest the grid's edge phase and ``pair`` an
+    envelope pair at the grid's detuning; no workspace is built.  The pair's
+    coefficients sit on the ball around xi*, the strip's fast modes on the
+    ball around xi_of(zeta, tau_ref).  With the wrapped offset of
+    ``_cone_offset``, the cone momentum seen from the strip,
+    xi_of(zeta - mu delta, tau_ref + offset), differs from xi* by a
+    dual-lattice vector 2 pi S, so coefficient n moves to n - S; a mode moved
+    out of the ball is dropped.
+    """
+    offset = _cone_offset(frame, data.which, grid)
+    xi = frame.xi_of(grid.zeta - pair.mu * grid.delta, grid.tau_ref + offset)
+    shift = np.rint(frame.lattice.dual_coords(xi - data.xi_star))
+    moves = np.all(basis.indices[:, None] - shift == basis.indices[None, :], axis=2)
+    cone_pair = moves.T @ np.stack([data.phi1, data.phi2], axis=1)
+    field = cone_pair @ pair.alpha(grid.delta * grid.t).T
+    return _strip_vector(frame, data.which, grid, pair.mu, field)
 
 
 # ---------------------------------------------------------------------------
@@ -984,7 +1022,7 @@ def residual_orders(
                 energy, field = _truncated_field(
                     ws, pair, delta, top.alpha, top.correction, top.second, o
                 )
-                vector = _strip_vector(ws, grid, delta, mu, field)
+                vector = _strip_vector(ws.frame, ws.data.which, grid, mu, field)
             u = vector.reshape(grid.n_t, grid.n_fast)
             residuals[o][i] = float(np.linalg.norm(_kron_apply(terms, u) - energy * u))
             energies[o][i] = energy

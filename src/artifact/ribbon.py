@@ -20,12 +20,13 @@ Two design points matter and are easy to get wrong:
   physical channel (same gap, reversed transverse group velocity), so every
   in-gap state comes with a mirror twin nearby: on the base channel the
   mirror sits 4.0e-3 below the physical state (1.8965668163 against
-  1.9005822821), at the wall, with a smooth fraction of 7e-13.  The raw
-  eigensolver counts and returns both, and a near-degenerate pair comes back
-  as arbitrary mixtures.  Eigenvector clusters are therefore rotated so
-  envelope Fourier mass separates the smooth member from the mirror one,
-  and only the smooth member is kept.  Skipping this filter makes every
-  crossing count appear twice with opposite slopes and cancel.
+  1.9005822821), at the wall, with a smooth fraction of 7e-13.  Any count
+  of the window counts both.  The states are therefore never searched for
+  blindly: each is seeded from its state of the reduced Dirac ladder, the
+  cone pair times the ladder envelope, which is smooth and carries no
+  mirror content, and refined by inverse iteration.  A count that treated
+  the mirrors as states would see every crossing twice, with opposite
+  slopes, and cancel it.
 
 A window is certified complete by counting, not by over-solving.  The strip
 couples t-nodes at distance at most 2 (the squared centered difference), so
@@ -33,9 +34,10 @@ grouped in node pairs it is block tridiagonal, magnetic terms included.  A
 block LDL^H sweep over those pairs gives the inertia of ``H - s`` and, by
 Sylvester's law, the number of eigenvalues below s; two sweeps count the
 window exactly (spectrum slicing, Ericsson & Ruhe, Math. Comp. 35, 1980).
-The Krylov solve then asks for that many pairs and must find that many.  Its
-shift-invert solve comes from the same sweep at the shift: one forward and
-one backward pass over the node pairs.
+That count must be twice the reduced ladder's, one state and its mirror
+each.  Each seed's inverse iteration solves with the same sweep taken at the
+seed's Rayleigh quotient: one forward and one backward pass over the node
+pairs.
 
 The sweep reads no matrix.  H is kept as its Kronecker terms
 ``sum_k T_k (x) F_k``, and each node pair's diagonal block D_i and its
@@ -68,7 +70,7 @@ from functools import cache, cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # noqa: F401  bench/tracer.py patches ribbon.spla
 from scipy.linalg.blas import zhpmv
 from scipy.linalg.lapack import zhetrf, zhetri
 from scipy.optimize import minimize_scalar
@@ -79,16 +81,16 @@ from .bloch import (
     convolution_matrix,
     eigs as fiber_eigs,
 )
+from .dirac_cone import compute_mass, compute_nu_star, find_dirac_point
 from .geometry import TWO_PI, EdgeFrame
 from .potentials import DomainWall, FourierField
-from .wall_dirac import GridTooCoarse
+from .wall_dirac import GridTooCoarse, params_from_frames, window_spectrum
 
 __all__ = [
     "PlateauNotReached",
     "GapClosed",
     "FactorizationFailure",
     "CountMismatch",
-    "MissedMultiplicityWarning",
     "BoxTooShortWarning",
     "GapTooTightWarning",
     "StripGrid",
@@ -124,22 +126,18 @@ class FactorizationFailure(RuntimeError):
 class CountMismatch(RuntimeError):
     """Two routes to the number of states in one window disagree.
 
-    Raised when the strip's certified states and the reduced operator's ladder
-    differ in number, and when the converged Ritz values in a window differ
-    from its inertia count.  ``count`` is the reference count (ladder or
-    inertia), ``found`` the number the strip solve produced, and ``k`` the
-    Krylov subspace size asked for (None for the ladder comparison).
+    Raised by ``gap_eigenpairs`` when the window's inertia count is not twice
+    the number of reduced-ladder seeds (each state comes with its mirror),
+    and by ``compare_with_dirac`` when the certified strip states and the
+    reduced ladder in the window differ in number.  ``count`` is the
+    reference count (inertia, or ladder), ``found`` the number the other
+    route gives (twice the seeds, or the certified states).
     """
 
-    def __init__(self, message: str, *, count: int, found: int, k: int | None):
+    def __init__(self, message: str, *, count: int, found: int):
         super().__init__(message)
         self.count = count
         self.found = found
-        self.k = k
-
-
-class MissedMultiplicityWarning(UserWarning):
-    """An eigenvalue cluster looks like an unresolved smooth/mirror pair."""
 
 
 class BoxTooShortWarning(UserWarning):
@@ -195,17 +193,21 @@ class GapTooTightWarning(UserWarning):
 # its zone-edge mirror (mass near p = pi / step).
 MIRROR_CUT = 0.5
 
-# gap_eigenpairs screens.  Raw eigenvalues closer than CLUSTER_TOL form one
-# smooth/mirror cluster; a rotated member is kept when its smooth fraction
-# reaches SMOOTH_CUT, and a fraction strictly inside MIXED_BAND marks an
-# unresolved pair.  Kept states must have a relative residual at most
+# gap_eigenpairs screens: kept states must have a relative residual at most
 # RESIDUAL_TOL and at most BOUNDARY_MASS_TOL of their mass in the outer 10%
 # of the box.
-CLUSTER_TOL = 1e-6
-SMOOTH_CUT = 0.5
-MIXED_BAND = (0.15, 0.85)
 RESIDUAL_TOL = 1e-6
 BOUNDARY_MASS_TOL = 1e-6
+
+# Most block solves of one seed's inverse iteration, which stops earlier, as
+# soon as a solve no longer lowers the residual (after 5 to 8 solves on the
+# tested channels).
+SEED_SOLVES = 20
+
+# solve_edge_channel's cone velocity check: the relative linearity floor of
+# the truncated plane-wave ball is about 3e-6 at cutoff 4, above
+# compute_nu_star's default.
+NU_LINEARITY_TOL = 1e-4
 
 # gap_window pulls the window in by this multiple of the minimum edge
 # distance before falling back to its smaller ``fallback_factor``.
@@ -772,11 +774,6 @@ def gap_window(
 # interior eigenpairs
 
 
-def _smooth_mask(grid: StripGrid) -> np.ndarray:
-    """Envelope momenta below the mirror cut, in np.fft order."""
-    return np.abs(grid.envelope_momenta()) <= MIRROR_CUT * np.pi / grid.step
-
-
 def envelope_band_fraction(vec: np.ndarray, grid: StripGrid) -> float:
     """Fraction of a state's envelope Fourier mass below the mirror cut.
 
@@ -787,23 +784,11 @@ def envelope_band_fraction(vec: np.ndarray, grid: StripGrid) -> float:
     """
     env = vec.reshape(grid.n_t, grid.n_fast)
     spec = np.fft.fft(env, axis=0)
-    mask = _smooth_mask(grid)
+    mask = np.abs(grid.envelope_momenta()) <= MIRROR_CUT * np.pi / grid.step
     total = np.sum(np.abs(spec) ** 2)
     if total == 0:
         return 0.0
     return float(np.sum(np.abs(spec[mask]) ** 2) / total)
-
-
-def _band_projection(block: np.ndarray, grid: StripGrid):
-    """Apply the envelope low-momentum projector to columns of a state block."""
-    n_states = block.shape[1]
-    mask = _smooth_mask(grid)
-    out = np.empty_like(block)
-    for j in range(n_states):
-        spec = np.fft.fft(block[:, j].reshape(grid.n_t, grid.n_fast), axis=0)
-        spec[~mask] = 0.0
-        out[:, j] = np.fft.ifft(spec, axis=0).ravel()
-    return out
 
 
 def transverse_profile(vec: np.ndarray, grid: StripGrid) -> np.ndarray:
@@ -963,22 +948,13 @@ def _node_pairs(terms: list) -> list:
 
 
 @cache
-def _strict_upper(n: int) -> np.ndarray:
-    """Mask of the strict upper triangle of an n x n block (cached, read-only)."""
-    mask = ~np.tri(n, dtype=bool)
+def _upper(n: int, k: int) -> np.ndarray:
+    """Mask of an n x n block's upper triangle from its k-th diagonal up
+    (cached, read-only).  ``S.T[_upper(n, 0)]`` reads the lower triangle of S
+    column by column, LAPACK's packed order as zhpmv reads it with lower=1."""
+    mask = np.triu(np.ones((n, n), dtype=bool), k)
     mask.flags.writeable = False
     return mask
-
-
-@cache
-def _packed_lower(n: int) -> tuple:
-    """Indices into ``S.T`` that read the lower triangle of an n x n S column
-    by column, in LAPACK's packed order as zhpmv reads it with lower=1
-    (cached, read-only)."""
-    index = np.triu_indices(n)
-    for a in index:
-        a.flags.writeable = False
-    return index
 
 
 def _block_ldl(pairs: list, shift: float):
@@ -1021,7 +997,7 @@ def _block_ldl(pairs: list, shift: float):
         adjoint = next_adjoint
         if info == 0:
             inverse, info = zhetri(ldu, ipiv, lower=1)
-            np.copyto(inverse, inverse.T.conj(), where=_strict_upper(r1 - r0))
+            np.copyto(inverse, inverse.T.conj(), where=_upper(r1 - r0, 1))
         if info != 0:
             raise FactorizationFailure(
                 f"block LDL^H of the strip is singular at shift = {shift:.12g} "
@@ -1061,12 +1037,12 @@ def _shift_invert_solve(pairs: list, sigma: float):
     S_i^-1 (z_i - B_(i+1) x_(i+1))``, each S_i^-1 applied to one vector as a
     packed Hermitian matrix-vector product (zhpmv), which reads the forward
     pass's z_i in place.  Pivots stay inside each Schur block, so nothing
-    bounds growth across blocks; a poor factor shows up as Ritz values that
-    miss the inertia count (CountMismatch) or as states failing the
+    bounds growth across blocks; a poor factor shows up as an inverse
+    iteration whose residual stalls, and its state then fails the
     RESIDUAL_TOL screen against H.
     """
     factors = [
-        (r0, r1, inverse.T[_packed_lower(r1 - r0)], coupling, adjoint)
+        (r0, r1, inverse.T[_upper(r1 - r0, 0)], coupling, adjoint)
         for r0, r1, _, _, inverse, coupling, adjoint in _block_ldl(pairs, sigma)
     ]
 
@@ -1086,57 +1062,80 @@ def _shift_invert_solve(pairs: list, sigma: float):
     return solve, kept
 
 
+def _inverse_iteration(pairs: list, apply, seed: np.ndarray) -> tuple:
+    """Refine one seed into a strip eigenpair with one factor at its Rayleigh quotient.
+
+    Factors ``H - e0`` once (``_shift_invert_solve``), e0 the seed's
+    Rayleigh quotient, and applies the solve until a solve no longer lowers
+    the residual ||H w - e w|| (at most ``SEED_SOLVES``); the best iterate is
+    kept.  A reduced-ladder seed carries no mirror content and sits nearer
+    its own state than any other, so each solve shrinks the rest by their
+    distance ratio: on the base channel the residual falls 0.17, 3.5e-6,
+    4.9e-9, 8.7e-12.  Returns ``(w, e, residual, shift, solves, kept)``
+    with ``kept`` the values the factor stores.
+    """
+
+    def rayleigh(x: np.ndarray) -> tuple[float, float]:
+        hx = apply(x)
+        e = float(np.real(np.vdot(x, hx)))
+        return e, float(np.linalg.norm(hx - e * x))
+
+    w = seed / np.linalg.norm(seed)
+    shift, res = rayleigh(w)
+    e = shift
+    solve, kept = _shift_invert_solve(pairs, shift)
+    for solves in range(1, SEED_SOLVES + 1):
+        x = solve(w)
+        x /= np.linalg.norm(x)
+        e_x, res_x = rayleigh(x)
+        if not res_x < res:
+            break
+        w, e, res = x, e_x, res_x
+    return w, e, res, shift, solves, kept
+
+
 def gap_eigenpairs(
     op: StripOperator,
     window: tuple[float, float] | None,
     edges: BulkEdges,
+    seeds: list,
     *,
     mu: float = np.nan,
-    seed: int = 20250818,
 ) -> EdgeSpectrum:
     """All certified eigenpairs of the strip inside the given energy window.
 
-    The window is counted first: ``count = nu(hi) - nu(lo)`` from two inertia
-    sweeps (``_inertia``) is the exact number of strip eigenvalues in it, so
-    an empty window returns without factoring at the shift.  Otherwise the
-    strip is shift-inverted about (almost) the window center, with a
-    deliberately asymmetric offset since the in-gap ladder is nearly
-    symmetric about midgap and exact magnitude ties stall the Lanczos
-    iteration.  The solve applies the block LDL^H factors of the same sweep
-    taken at the shift (``_shift_invert_solve``), and ARPACK is asked for
-    exactly ``count`` pairs.  The window is complete when ``count`` converged
-    Ritz values lie in it.  Out-of-window eigenvalues on the near side of the
-    shift can outrank in-window ones on the far side; on a shortfall the
-    solve is repeated once with every eigenvalue within the window's radius
-    of the shift, counted the same way.  Any other number raises
-    CountMismatch.
+    ``seeds`` are unit strip vectors, one per state of the reduced ladder in
+    the window (``solve_edge_channel`` lifts them with
+    ``quasimode.lift_order0``).  The window is counted first: ``count =
+    nu(hi) - nu(lo)`` from two inertia sweeps (``_inertia``) is the exact
+    number of strip eigenvalues in it.  Every state comes with its
+    zone-edge mirror, so the count must be twice the number of seeds; any
+    other count raises CountMismatch with both numbers, and a window that
+    counts none returns without factoring.  Each seed is then refined by
+    inverse iteration with its own factor at its Rayleigh quotient
+    (``_inverse_iteration``): with one factor shared at the window centre,
+    the side states of the amp-15 ladder stall near 4e-3 and then fall onto
+    the midgap state, the one nearest that shift.  The mirrors are counted,
+    never solved for.
 
     Every sweep is one pass of ``_block_ldl`` over the node pairs, with the
     blocks built from the strip's Kronecker terms; the node-pair table and
     its shared couplings (``_node_pairs``) are read once per call, and no
-    step here forms, slices or multiplies the CSC strip.  ARPACK in shift-invert mode applies only
-    the solve; the strip operator it is handed, and the Rayleigh quotients
-    and residuals of the screens below, apply the terms (``_kron_apply``).
-    A counting sweep keeps only its tally of negative pivots; the sweep at
-    the shift keeps the packed lower triangle of each Schur block's inverse
-    and the sparse coupling to the next one, and each block solve is one
-    packed Hermitian product per node pair and direction (on the base
-    channel ``factor_values`` is 2,741,475 against 5,362,775 for the
-    Bunch-Kaufman factors, and the 21 block solves take 0.42 s against
-    0.72 s by triangular solves with the factors, two-core host, BLAS on
-    one thread).  The diagnostics record ``inertia_sweeps`` (2 for an empty
-    window, 3 with the sweep at the shift, 5 when the shortfall retry counts
-    its disc), ``block_solves`` (applications of the shift-invert operator)
-    and ``factor_values`` (values kept by the sweep at the shift, counted per
-    node pair).
+    step here forms, slices or multiplies the CSC strip.  The Rayleigh
+    quotients and residuals apply the terms (``_kron_apply``).  The
+    diagnostics record ``inertia_sweeps`` (2 for the count, plus one factor
+    per seed), ``block_solves`` (applications of the shift-invert solves),
+    ``shifts`` (one Rayleigh quotient per seed), ``seed_overlaps`` (|<seed,
+    state>|^2 per seed: a seed with the wrong reduced model can still reach
+    its state from rounding noise, but not with a large overlap) and
+    ``factor_values`` (values one factor keeps, counted per node pair).  On
+    the base channel that is 3 sweeps and 6 block solves.
 
-    Quasi-degenerate clusters are then rotated in envelope Fourier mass to
-    split physical states from their zone-edge mirrors; only smooth members
-    are kept and their energies re-evaluated as Rayleigh quotients.  A
-    post-rotation fraction stuck inside ``MIXED_BAND`` means an unresolved
-    pair and raises a MissedMultiplicityWarning.  ``CLUSTER_TOL``,
-    ``SMOOTH_CUT``, ``RESIDUAL_TOL`` and ``BOUNDARY_MASS_TOL`` set the other
-    screens.
+    A refined state is kept when its relative residual is at most
+    ``RESIDUAL_TOL``, its energy lies in the window and at most
+    ``BOUNDARY_MASS_TOL`` of its mass is in the outer 10% of the box; the
+    others are counted in ``dropped``.  ``smooth_fraction`` records each
+    kept state's envelope Fourier mass below the mirror cut.
     """
     if window is None:
         return _empty_spectrum(op, None, edges, mu, "empty window, no solve")
@@ -1145,115 +1144,43 @@ def gap_eigenpairs(
         return _empty_spectrum(op, window, edges, mu, "degenerate window, no solve")
 
     terms, pairs = op.terms, _node_pairs(op.terms)
-    n, n_t, n_fast = op.dim, op.grid.n_t, op.grid.n_fast
+    n_t, n_fast = op.grid.n_t, op.grid.n_fast
     nu_lo, nu_hi = _inertia(pairs, lo), _inertia(pairs, hi)
     count = nu_hi - nu_lo
-    sigma = 0.5 * (lo + hi) + 0.00137 * (hi - lo)
     diagnostics: dict = {
-        "sigma": float(sigma),
         "inertia": (nu_lo, nu_hi),
         "count": count,
-        "k_used": 0,
-        "solves": 0,
-        "raw_in_window": 0,
+        "seeds": len(seeds),
+        "shifts": (),
+        "seed_overlaps": (),
         "inertia_sweeps": 2,
         "block_solves": 0,
         "factor_values": 0,
     }
+    if count != 2 * len(seeds):
+        raise CountMismatch(
+            f"inertia counts {count} strip eigenvalues in [{lo:.6f}, {hi:.6f}] "
+            f"but the reduced ladder seeds {len(seeds)} states, "
+            f"{2 * len(seeds)} with their mirrors (zeta = {op.grid.zeta:.6f})",
+            count=count,
+            found=2 * len(seeds),
+        )
     if count == 0:
         return _empty_spectrum(op, window, edges, mu, "no states in window", diagnostics)
-
-    solve, diagnostics["factor_values"] = _shift_invert_solve(pairs, sigma)
-    diagnostics["inertia_sweeps"] += 1
-
-    def shift_invert(b: np.ndarray) -> np.ndarray:
-        diagnostics["block_solves"] += 1
-        return solve(b)
 
     def apply(x: np.ndarray) -> np.ndarray:
         return _kron_apply(terms, x.reshape(n_t, n_fast)).ravel()
 
-    strip = spla.LinearOperator((n, n), matvec=apply, dtype=np.complex128)
-    op_inv = spla.LinearOperator((n, n), matvec=shift_invert, dtype=np.complex128)
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v0 /= np.linalg.norm(v0)
-
-    def ritz_in_window(k: int):
-        try:
-            vals, vecs = spla.eigsh(
-                strip, k=k, sigma=sigma, which="LM", OPinv=op_inv, v0=v0, maxiter=3000
-            )
-        except spla.ArpackNoConvergence as exc:
-            raise FactorizationFailure(
-                f"shift-inverted iteration stalled at sigma = {sigma:.6f} "
-                f"with k = {k}: {exc}"
-            ) from exc
-        diagnostics["solves"] += 1
-        diagnostics["k_used"] = k
-        in_win = np.flatnonzero((vals >= lo) & (vals <= hi))
-        in_win = in_win[np.argsort(vals[in_win])]
-        return vals[in_win], vecs[:, in_win]
-
-    sub_vals, sub_vecs = ritz_in_window(count)
-    if len(sub_vals) < count:
-        radius = max(hi - sigma, sigma - lo)
-        k_disc = _inertia(pairs, sigma + radius) - _inertia(pairs, sigma - radius)
-        diagnostics["inertia_sweeps"] += 2
-        if k_disc > count:
-            sub_vals, sub_vecs = ritz_in_window(k_disc)
-    diagnostics["raw_in_window"] = int(len(sub_vals))
-    if len(sub_vals) != count:
-        raise CountMismatch(
-            f"inertia counts {count} strip eigenvalues in [{lo:.6f}, {hi:.6f}] "
-            f"but {len(sub_vals)} converged Ritz values lie there "
-            f"(k = {diagnostics['k_used']}, zeta = {op.grid.zeta:.6f})",
-            count=count,
-            found=len(sub_vals),
-            k=diagnostics["k_used"],
-        )
-
-    # cluster quasi-degenerate values, rotate each cluster so envelope
-    # Fourier mass is diagonal, and keep the smooth members
-    splits = np.flatnonzero(np.diff(sub_vals) > CLUSTER_TOL) + 1
-    kept_vecs, kept_fracs = [], []
-    mixed = False
-    for idx in np.split(np.arange(len(sub_vals)), splits):
-        q, _ = np.linalg.qr(sub_vecs[:, idx])
-        pq = _band_projection(q, op.grid)
-        gram = q.conj().T @ pq
-        gram = 0.5 * (gram + gram.conj().T)
-        fracs, rot = np.linalg.eigh(gram)
-        rotated = q @ rot
-        for j in range(rotated.shape[1]):
-            frac = float(np.clip(fracs[j], 0.0, 1.0))
-            if MIXED_BAND[0] < frac < MIXED_BAND[1]:
-                mixed = True
-            if frac >= SMOOTH_CUT:
-                w = rotated[:, j]
-                kept_vecs.append(w / np.linalg.norm(w))
-                kept_fracs.append(frac)
-    if mixed:
-        warnings.warn(
-            f"unresolved smooth/mirror mixture at zeta = {op.grid.zeta:.6f}; "
-            "the rotation did not separate a state from its mirror twin",
-            MissedMultiplicityWarning,
-        )
-        diagnostics["mixed_unresolved"] = True
-    if not kept_vecs:
-        return _empty_spectrum(
-            op, window, edges, mu, "all states were mirrors", diagnostics
-        )
-
-    # Rayleigh re-evaluation on the rotated states, then residual and
-    # boundary screens
     values, vectors, loc, bnd, smooth = [], [], [], [], []
     dropped = {"boundary": 0, "residual": 0, "window": 0}
     max_residual = 0.0
-    for w, frac in zip(kept_vecs, kept_fracs):
-        hw = apply(w)
-        e = float(np.real(np.vdot(w, hw)))
-        res = float(np.linalg.norm(hw - e * w))
+    for seed in seeds:
+        w, e, res, shift, solves, kept = _inverse_iteration(pairs, apply, seed)
+        diagnostics["shifts"] += (shift,)
+        diagnostics["seed_overlaps"] += (state_overlap(seed, w),)
+        diagnostics["inertia_sweeps"] += 1
+        diagnostics["block_solves"] += solves
+        diagnostics["factor_values"] = kept
         max_residual = max(max_residual, res)
         if res > RESIDUAL_TOL * max(1.0, abs(e)):
             dropped["residual"] += 1
@@ -1269,7 +1196,7 @@ def gap_eigenpairs(
         vectors.append(w)
         loc.append(inner)
         bnd.append(outer)
-        smooth.append(frac)
+        smooth.append(envelope_band_fraction(w, op.grid))
 
     diagnostics["dropped"] = dropped
     diagnostics["max_residual"] = max_residual
@@ -1363,7 +1290,6 @@ def compare_with_dirac(
             f"{len(thetas)} (zeta = {spectrum.zeta:.6f}, delta = {spectrum.delta})",
             count=len(thetas),
             found=len(spectrum.values),
-            k=None,
         )
     predicted = e_star + spectrum.delta * np.sort(thetas)
     measured = np.sort(spectrum.values)
@@ -1406,9 +1332,22 @@ def solve_edge_channel(
     Labels the result with the envelope detuning mu = (wrapped distance to the
     nearest conical momentum) / delta.  ``decay_speed`` is the transverse group
     speed of the reduced operator (used to convert decay lengths into window
-    margins); pass ``params.speed_t``.
+    margins); pass ``params.speed_t``.  ``seed`` is accepted and not read:
+    nothing in the solve is random.
+
+    The strip states are seeded from the reduced model, which is derived here
+    from the inputs: the nearest cone (``find_dirac_point``), its velocity
+    nu*, the wall's mass on it (negated for ``flip_wall``, as the wall
+    profile is odd) and ``params_from_frames`` at mu.  The Prufer ladder is
+    counted in the strip window's theta range, (E - E*) / delta, on the
+    strip's own box (``window_spectrum``), and each of its states' order-0
+    quasimode, the cone pair times the envelope of ``ladder_pair`` (the
+    closed-form ``zero_mode_pair`` for the zero mode), is lifted onto the
+    strip grid (``quasimode.lift_order0``) as the seed of ``gap_eigenpairs``.
     """
-    _, dz = nearest_cone(frame, zeta)
+    from .quasimode import ladder_pair, lift_order0  # quasimode imports this module
+
+    which, dz = nearest_cone(frame, zeta)
     mu = dz / delta if delta > 0 else np.nan
     edges = essential_edges_bulk(
         frame, potential, perturbation, zeta, delta, basis, j_star,
@@ -1422,4 +1361,20 @@ def solve_edge_channel(
     window = gap_window(
         edges, decay_speed, op.grid.half_width, wall.plateau_halfwidth, delta
     )
-    return gap_eigenpairs(op, window, edges, mu=mu, seed=seed)
+    seeds = []
+    if window is not None:
+        cone = find_dirac_point(potential, which, basis)
+        compute_nu_star(cone, basis, linearity_tol=NU_LINEARITY_TOL)
+        mass = compute_mass(cone, basis, perturbation)
+        params = params_from_frames(
+            cone, frame, -mass if flip_wall else mass, wall, mu=mu
+        )
+        thetas = tuple((e - cone.E_star) / delta for e in window)
+        ladder = window_spectrum(params, delta * op.grid.half_width, op.grid.n_t, thetas)
+        n = len(ladder.eigenvalues)
+        center = int(np.argmin(np.abs(ladder.eigenvalues))) if n else 0
+        seeds = [
+            lift_order0(cone, frame, basis, ladder_pair(ladder, j - center), op.grid)
+            for j in range(n)
+        ]
+    return gap_eigenpairs(op, window, edges, seeds, mu=mu)

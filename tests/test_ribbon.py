@@ -17,6 +17,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import zhetri
 
 from artifact import ribbon as rb
@@ -330,13 +331,15 @@ def test_node_pair_blocks_match_csc_slices(lat, frame, fields, basis, case):
 
 
 def test_channel_solve_forms_no_csc_strip(frame, fields, basis, cone, monkeypatch):
-    # the count, the shift-invert solve, the Krylov operator and the
-    # Rayleigh/residual screens all work from the Kronecker terms, so the
-    # base channel solves with the CSC strip unreadable
-    def no_csc(*args, **kwargs):
-        raise AssertionError("the CSC strip was built")
+    # the count, the shift-invert solves and the Rayleigh/residual screens
+    # all work from the Kronecker terms, so the base channel solves with the
+    # CSC strip unreadable; and the seeded solve runs no Krylov eigensolver:
+    # two counting sweeps and one factor for its one seed
+    def no_call(*args, **kwargs):
+        raise AssertionError("the CSC strip or eigsh was used")
 
-    monkeypatch.setattr(rb.StripOperator, "matrix", property(no_csc))
+    monkeypatch.setattr(rb.StripOperator, "matrix", property(no_call))
+    monkeypatch.setattr(rb.spla, "eigsh", no_call)
     spec = rb.solve_edge_channel(
         frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA, basis,
         cone.j_star, SPEED_T, perturbation=fields["W10"], t_factor=3.5,
@@ -344,6 +347,7 @@ def test_channel_solve_forms_no_csc_strip(frame, fields, basis, cone, monkeypatc
     assert len(spec) == 1
     assert abs(spec.values[0] - BASE_VALUE) < 1e-6
     assert spec.diagnostics["inertia"] == (874, 876)
+    assert spec.diagnostics["inertia_sweeps"] == 3
 
 
 def test_interior_remap(frame, fields, basis):
@@ -443,7 +447,7 @@ def test_gap_closed_guard(frame, fields, basis, cone):
     op0 = rb.assemble_strip(
         frame, fields["V"], fields["wall"], zs, 0.0, basis, half_width=20.0
     )
-    spec = rb.gap_eigenpairs(op0, None, edges0)
+    spec = rb.gap_eigenpairs(op0, None, edges0, [])
     assert len(spec) == 0
     assert "no solve" in spec.diagnostics["note"]
 
@@ -513,10 +517,10 @@ def test_base_channel(base_spec, base_comp, base_op):
     assert base_spec.localization[0] > 0.999
     assert base_spec.boundary_mass[0] < 1e-5
     assert base_spec.smooth_fraction[0] > 0.9
-    # the raw solve sees the state and its zone-edge mirror twin, which is
-    # exactly the inertia count of the window
-    assert base_spec.diagnostics["raw_in_window"] == 2
-    assert base_spec.diagnostics["count"] == 2
+    # the window counts the state and its zone-edge mirror twin: twice the
+    # reduced ladder, which seeds the one state
+    assert base_spec.diagnostics["count"] == 2 == 2 * base_spec.diagnostics["seeds"]
+    assert min(base_spec.diagnostics["seed_overlaps"]) > 0.99
     # two counting sweeps and the sweep at the shift, which keeps the lower
     # triangle of every Schur block's inverse, packed (n (n + 1) / 2 values
     # for n rows), and the sparse coupling to the next block
@@ -547,13 +551,17 @@ def _packed_count(mat, size):
     )
 
 
-def test_amp15_ladder(frame, fields, basis, cone, masses):
-    # heavier coupling pulls a symmetric pair into the gap: 2N + 1 = 3 states
-    zs = frame.zeta_star("A")
-    spec = rb.solve_edge_channel(
-        frame, fields["V"], fields["wall"], zs, DELTA, basis, cone.j_star,
-        SPEED_T, perturbation=fields["W15"], t_factor=5.0,
+@pytest.fixture(scope="module")
+def amp15_spec(frame, fields, basis, cone):
+    return rb.solve_edge_channel(
+        frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA, basis,
+        cone.j_star, SPEED_T, perturbation=fields["W15"], t_factor=5.0,
     )
+
+
+def test_amp15_ladder(frame, fields, cone, masses, amp15_spec):
+    # heavier coupling pulls a symmetric pair into the gap: 2N + 1 = 3 states
+    spec = amp15_spec
     assert len(spec) == 3
     np.testing.assert_allclose(spec.values, AMP15_VALUES, atol=1e-6)
     params = params_from_frames(cone, frame, masses[15], fields["wall"])
@@ -636,6 +644,10 @@ def test_inversion_double_solve(frame, fields, basis, cone, base_spec):
     assert spec_r.mu == 0.0
     assert len(spec_r) == len(base_spec) == 1
     assert abs(spec_r.values[0] - base_spec.values[0]) < 1e-8
+    # the reflected strip's seed comes from cone B on the flipped wall and
+    # is its state to O(delta): a wrong-signed mass or an unwrapped phase
+    # seeds a vector orthogonal to it
+    assert min(spec_r.diagnostics["seed_overlaps"]) > 0.99
 
 
 @pytest.fixture(scope="module")
@@ -646,37 +658,106 @@ def base_op(frame, fields, basis):
     )
 
 
-def test_dropped_ritz_pair_raises_count_mismatch(monkeypatch, base_op, base_spec):
-    # a Krylov solve that loses an in-window pair cannot match the inertia
-    # count of the window and must say so with both numbers
-    real_eigsh = rb.spla.eigsh
-    lo, hi = base_spec.window
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_ladder_count_mismatch(monkeypatch, frame, fields, basis, cone, change):
+    # a reduced ladder that loses its root, or gains one, seeds a number of
+    # states whose mirrors do not make up the inertia count of the window,
+    # and the solve must say so with both counts
+    real = rb.window_spectrum
 
-    def lossy_eigsh(*args, **kwargs):
-        vals, vecs = real_eigsh(*args, **kwargs)
-        drop = np.flatnonzero((vals >= lo) & (vals <= hi))[0]
-        keep = np.arange(len(vals)) != drop
-        return vals[keep], vecs[:, keep]
+    def changed(*args, **kwargs):
+        ladder = real(*args, **kwargs)
+        thetas = ladder.eigenvalues
+        thetas = thetas[:-1] if change == "drop" else np.append(thetas, 1.0)
+        return dataclasses.replace(ladder, eigenvalues=thetas)
 
-    monkeypatch.setattr(rb.spla, "eigsh", lossy_eigsh)
+    monkeypatch.setattr(rb, "window_spectrum", changed)
     with pytest.raises(rb.CountMismatch, match="inertia counts 2") as err:
-        rb.gap_eigenpairs(base_op, base_spec.window, base_spec.edges)
+        rb.solve_edge_channel(
+            frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA,
+            basis, cone.j_star, SPEED_T, perturbation=fields["W10"], t_factor=3.5,
+        )
     assert err.value.count == 2
-    assert err.value.found == 1
-    assert err.value.k == 2
+    assert err.value.found == (0 if change == "drop" else 4)
+
+
+def _arpack_smooth_values(op, window):
+    """Reference route to a window's states: shift-invert ARPACK, applying the
+    block LDL^H solve at the window centre, asked for every eigenvalue the
+    window counts, and the smooth members of what it returns there (envelope
+    Fourier mass mostly below the mirror cut)."""
+    lo, hi = window
+    pairs = rb._node_pairs(op.terms)
+    count = rb._inertia(pairs, hi) - rb._inertia(pairs, lo)
+    sigma = 0.5 * (lo + hi) + 0.00137 * (hi - lo)
+    solve, _ = rb._shift_invert_solve(pairs, sigma)
+    n, shape = op.dim, (op.grid.n_t, op.grid.n_fast)
+    strip = spla.LinearOperator(
+        (n, n), matvec=lambda x: rb._kron_apply(op.terms, x.reshape(shape)).ravel(),
+        dtype=complex,
+    )
+    op_inv = spla.LinearOperator((n, n), matvec=solve, dtype=complex)
+    rng = np.random.default_rng(20250818)
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    vals, vecs = spla.eigsh(
+        strip, k=count, sigma=sigma, which="LM", OPinv=op_inv, v0=v0
+    )
+    inside = (vals >= lo) & (vals <= hi)
+    assert np.count_nonzero(inside) == count
+    fractions = [rb.envelope_band_fraction(v, op.grid) for v in vecs[:, inside].T]
+    return np.sort(vals[inside][np.asarray(fractions) > 0.5])
+
+
+@pytest.mark.parametrize("channel", ["base", "amp15"])
+def test_seeded_values_match_arpack(frame, fields, basis, base_spec, amp15_spec, channel):
+    # the seeded inverse iteration against a blind Krylov solve of the same
+    # strip: the same smooth states in the window, to 1e-10
+    spec = base_spec if channel == "base" else amp15_spec
+    op = rb.assemble_strip(
+        frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA, basis,
+        perturbation=fields["W10" if channel == "base" else "W15"],
+        t_factor=3.5 if channel == "base" else 5.0,
+    )
+    reference = _arpack_smooth_values(op, spec.window)
+    assert len(reference) == len(spec) == spec.diagnostics["seeds"]
+    assert np.abs(spec.values - reference).max() < 1e-10
+
+
+def test_magnetic_channel(lat, frame, fields, basis, cone):
+    # the order-0 seed needs only the cone pair and the envelope, so the
+    # magnetic wall is seeded like the scalar one: one state and its mirror,
+    # on the reduced ladder to O(delta^2) and on the Krylov reference
+    from artifact.potentials import magnetic_A
+
+    pert = magnetic_A(lat, 2.2)
+    params = params_from_frames(
+        cone, frame, compute_mass(cone, basis, pert), fields["wall"]
+    )
+    spec = rb.solve_edge_channel(
+        frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA, basis,
+        cone.j_star, params.speed_t, perturbation=pert, t_factor=3.5,
+    )
+    assert len(spec) == 1
+    assert spec.diagnostics["count"] == 2 == 2 * spec.diagnostics["seeds"]
+    assert min(spec.diagnostics["seed_overlaps"]) > 0.99
+    assert rb.compare_with_dirac(spec, params, cone.E_star).max_residual < 3e-3
+    op = rb.assemble_strip(
+        frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA, basis,
+        perturbation=pert, t_factor=3.5,
+    )
+    assert np.abs(spec.values - _arpack_smooth_values(op, spec.window)).max() < 1e-10
 
 
 def test_empty_window_skips_solve(monkeypatch, base_op, base_spec):
     # a window inside the gap that holds no state is certified empty by the
-    # count alone, without factoring the shift or running the Krylov solve
+    # count alone, without factoring at any shift
     def no_call(*args, **kwargs):
         raise AssertionError("solver called on an empty window")
 
-    monkeypatch.setattr(rb.spla, "eigsh", no_call)
     monkeypatch.setattr(rb, "_shift_invert_solve", no_call)
     window = (1.95, 2.0)
     assert base_spec.edges.lower < window[0] and window[1] < base_spec.edges.upper
-    spec = rb.gap_eigenpairs(base_op, window, base_spec.edges)
+    spec = rb.gap_eigenpairs(base_op, window, base_spec.edges, [])
     assert len(spec) == 0
     assert spec.diagnostics["count"] == 0
     assert spec.diagnostics["note"] == "no states in window"
@@ -726,26 +807,6 @@ def test_inertia_matches_dense_count(lat, frame, fields, magnetic):
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
             compared += 1
     assert compared >= 5
-    # the second window ends just below an eigenvalue; the shift sits above
-    # the window center, so that eigenvalue outranks the in-window one next
-    # to the lower edge, the solve at k = count comes up short, and it is
-    # repeated with every eigenvalue within the window radius of the shift
-    a, b = np.searchsorted(evals, [1.6, 2.1])
-    near_miss = (evals[a] - 1e-5, evals[b] - 1e-5)
-    for window, solves in (((1.45, 2.2), 1), (near_miss, 2)):
-        dense = int(np.sum((evals >= window[0]) & (evals <= window[1])))
-        assert dense >= 3
-        # cutoff 2 does not resolve the cone, so the window holds band states
-        # rather than smooth/mirror pairs; only the count is under test here
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", rb.MissedMultiplicityWarning)
-            spec = rb.gap_eigenpairs(
-                op, window, _synthetic_edges(*window, delta=0.1)
-            )
-        assert spec.diagnostics["count"] == dense
-        assert spec.diagnostics["raw_in_window"] == dense
-        assert spec.diagnostics["solves"] == solves
-        assert (spec.diagnostics["k_used"] > dense) == (solves == 2)
 
 
 def _negative_pivots_loop(ldu, ipiv):

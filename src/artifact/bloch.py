@@ -9,7 +9,6 @@ machinery.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,53 +180,3 @@ def eigs(op: FiberOperator, count: int) -> tuple[np.ndarray, np.ndarray]:
     except scipy.linalg.LinAlgError as err:  # pragma: no cover - rare
         raise ConvergenceFailure(f"dense eigh failed: {err}") from err
     return vals, vecs
-
-
-@dataclass(frozen=True)
-class DispersionTable:
-    """Bands sampled along a quasimomentum polyline."""
-
-    xis: np.ndarray  # (P, 2)
-    arc: np.ndarray  # (P,) cumulative arc length
-    bands: np.ndarray  # (P, J) ascending rows
-
-    def __post_init__(self) -> None:
-        self.xis.setflags(write=False)
-        self.arc.setflags(write=False)
-        self.bands.setflags(write=False)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        J = self.bands.shape[1]
-        buf.write("arc_length,xi1,xi2," + ",".join(f"lambda_{j+1}" for j in range(J)) + "\n")
-        for p in range(len(self.arc)):
-            row = [self.arc[p], self.xis[p, 0], self.xis[p, 1], *self.bands[p]]
-            buf.write(",".join(f"{x:.12g}" for x in row) + "\n")
-        return buf.getvalue()
-
-
-def band_path(
-    waypoints: list[np.ndarray],
-    samples_per_segment: int,
-    J: int,
-    delta: float,
-    V: FourierField | None,
-    basis: PlaneWaveBasis,
-    perturbation: FourierField | None = None,
-) -> DispersionTable:
-    """Dispersion surfaces along the polyline through the waypoints."""
-    points: list[np.ndarray] = []
-    for i in range(len(waypoints) - 1):
-        seg = np.linspace(waypoints[i], waypoints[i + 1], samples_per_segment + 1)
-        points.extend(seg[: -1 if i < len(waypoints) - 2 else None])
-    if len(waypoints) == 1:
-        points = [np.asarray(waypoints[0], dtype=float)]
-    xis = np.array(points, dtype=float)
-    arc = np.concatenate(
-        [[0.0], np.cumsum(np.linalg.norm(np.diff(xis, axis=0), axis=1))]
-    )
-    bands = np.empty((len(xis), J))
-    for p, xi in enumerate(xis):
-        op = assemble_fiber(xi, delta, V, basis, perturbation)
-        bands[p] = eigs(op, J)[0]
-    return DispersionTable(xis=xis, arc=arc, bands=bands)

@@ -10,7 +10,6 @@ scalar field (or the magnetic analogue).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -40,6 +39,16 @@ TAU = np.exp(2j * np.pi / 3.0)
 MASS_THRESHOLD = 1e-8
 SPREAD_TOL = 0.10
 CONE_EXCLUSION = 0.35
+
+# find_dirac_point looks for the degenerate pair among the lowest
+# CONE_BANDS bands at the pinned momentum.
+CONE_BANDS = 8
+
+# fit_fermi_velocity samples the cone at FERMI_RADII (in units of |k1|,
+# inside the linear regime r <= 0.2 |k1|) along FERMI_DIRECTIONS
+# equally spaced directions.
+FERMI_RADII = (0.05, 0.1, 0.2)
+FERMI_DIRECTIONS = 12
 
 
 class NoDegeneracyFound(RuntimeError):
@@ -134,32 +143,12 @@ class DiracPointData:
             raise DegenerateDiracPoint("velocity not computed yet")
         return abs(self.nu_star)
 
-    def to_json(self) -> str:
-        payload = {
-            "which": self.which,
-            "xi_star": self.xi_star.tolist(),
-            "E_star": self.E_star,
-            "j_star": self.j_star,
-            "phi1_real": np.real(self.phi1).tolist(),
-            "phi1_imag": np.imag(self.phi1).tolist(),
-            "degeneracy_split": self.degeneracy_split,
-            "rotation_residual": self.rotation_residual,
-            "k_cutoff": self.k_cutoff,
-            "nu_star": None
-            if self.nu_star is None
-            else [self.nu_star.real, self.nu_star.imag],
-            "nu_fermi": self.nu_fermi,
-            "mass": self.mass,
-        }
-        return json.dumps(payload, sort_keys=True)
-
 
 def find_dirac_point(
     V: FourierField,
     which: str,
     basis: PlaneWaveBasis,
     degeneracy_tol: float = 1e-6,
-    n_bands: int = 8,
     phase_anchor: int | None = None,
 ) -> DiracPointData:
     """Certify the cone at the pinned momentum and build (phi1, phi2).
@@ -175,11 +164,11 @@ def find_dirac_point(
     xi_a, xi_b = dirac_momenta(lattice)
     xi_star = xi_a if which.upper() == "A" else xi_b
     op = assemble_fiber(xi_star, 0.0, V, basis)
-    vals, vecs = eigs(op, n_bands)
+    vals, vecs = eigs(op, CONE_BANDS)
     scale = max(abs(vals[0]), abs(vals[-1]), 1.0)
 
     pair = None
-    for j in range(n_bands - 1):
+    for j in range(CONE_BANDS - 1):
         if (vals[j + 1] - vals[j]) / scale < degeneracy_tol:
             pair = j
             break
@@ -315,8 +304,6 @@ def fit_fermi_velocity(
     V: FourierField,
     data: DiracPointData,
     basis: PlaneWaveBasis,
-    radii: tuple[float, ...] | None = None,
-    n_directions: int = 12,
 ) -> tuple[float, dict]:
     """Fitted cone slope: directional secants extrapolated to radius zero.
 
@@ -325,11 +312,8 @@ def fit_fermi_velocity(
     Returns (nu_F, diagnostics with per-direction intercepts and spread).
     """
     k1_norm = float(np.linalg.norm(basis.lattice.k1))
-    if radii is None:
-        radii = (0.05 * k1_norm, 0.1 * k1_norm, 0.2 * k1_norm)
-    if max(radii) > 0.2 * k1_norm + 1e-12:
-        raise ValueError("radii extend beyond the linear cone regime")
-    angles = np.arange(n_directions) * (2.0 * np.pi / n_directions) + 0.1
+    radii = tuple(r * k1_norm for r in FERMI_RADII)
+    angles = np.arange(FERMI_DIRECTIONS) * (2.0 * np.pi / FERMI_DIRECTIONS) + 0.1
     j = data.j_star - 1  # 0-based lower band of the pair
     intercepts = []
     for ang in angles:
@@ -356,7 +340,6 @@ def fit_fermi_velocity(
         "intercepts": intercepts,
         "spread": spread,
         "radii": radii,
-        "n_directions": n_directions,
     }
     data.diagnostics["velocity_fit_spread"] = spread
     return nu_f, diag

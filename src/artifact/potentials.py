@@ -10,7 +10,6 @@ invariance) holding on the coefficients by construction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Literal
@@ -90,35 +89,6 @@ class FourierField:
             values = phases @ self.coeffs  # (P,)
             out_shape = pts.shape[:-1]
         return np.real(values).reshape(out_shape)
-
-    def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "value_kind": "vector" if self.is_vector else "scalar",
-            "parity": self.parity,
-            "rotation_invariant": self.rotation_invariant,
-            "indices": self.indices.tolist(),
-            "coeffs_real": np.real(self.coeffs).tolist(),
-            "coeffs_imag": np.imag(self.coeffs).tolist(),
-            "meta": self.meta,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str, lattice: LatticeFrame) -> "FourierField":
-        payload = json.loads(text)
-        coeffs = np.array(payload["coeffs_real"]) + 1j * np.array(
-            payload["coeffs_imag"]
-        )
-        return FourierField(
-            lattice=lattice,
-            indices=np.array(payload["indices"], dtype=int),
-            coeffs=coeffs,
-            parity=payload["parity"],
-            rotation_invariant=payload["rotation_invariant"],
-            kind=payload["kind"],
-            meta=payload.get("meta", {}),
-        )
 
 
 def _gaussian_sublattice_sum(
@@ -247,7 +217,7 @@ def magnetic_A(lattice: LatticeFrame, amplitude: float) -> FourierField:
 
 
 # ---------------------------------------------------------------------------
-# symmetry residuals / projectors
+# symmetry residuals
 # ---------------------------------------------------------------------------
 
 
@@ -294,53 +264,6 @@ def rotation_residual(field_: FourierField) -> float:
         mirror = field_.coeffs[j] if j is not None else 0.0
         worst = max(worst, float(np.abs(mirror - field_.coeffs[i])))
     return worst
-
-
-def symmetrize_parity(field_: FourierField, parity: Parity) -> FourierField:
-    """Project onto the even/odd part (idempotent on coefficients)."""
-    if parity == "none":
-        return field_
-    sign = 1.0 if parity == "even" else -1.0
-    table = _index_map(field_)
-    new = np.array(field_.coeffs, copy=True)
-    for i, (n1, n2) in enumerate(field_.indices):
-        j = table.get((-int(n1), -int(n2)))
-        mirror = field_.coeffs[j] if j is not None else np.zeros_like(new[i])
-        new[i] = 0.5 * (field_.coeffs[i] + sign * mirror)
-    return FourierField(
-        lattice=field_.lattice,
-        indices=np.array(field_.indices, copy=True),
-        coeffs=new,
-        parity=parity,
-        rotation_invariant=field_.rotation_invariant,
-        kind=field_.kind,
-        meta=dict(field_.meta),
-    )
-
-
-def symmetrize_rotation(field_: FourierField) -> FourierField:
-    """Average scalar coefficients over rotation orbits (idempotent)."""
-    if field_.is_vector:
-        raise ValueError("rotation symmetrization implemented for scalar fields")
-    table = _index_map(field_)
-    new = np.array(field_.coeffs, copy=True)
-    rot = ROTATION_ON_DUAL_INTS
-    for i, pair in enumerate(field_.indices):
-        orbit = [pair, rot @ pair, rot @ (rot @ pair)]
-        vals = []
-        for member in orbit:
-            j = table.get((int(member[0]), int(member[1])))
-            vals.append(field_.coeffs[j] if j is not None else 0.0)
-        new[i] = np.mean(vals)
-    return FourierField(
-        lattice=field_.lattice,
-        indices=np.array(field_.indices, copy=True),
-        coeffs=new,
-        parity=field_.parity,
-        rotation_invariant=True,
-        kind=field_.kind,
-        meta=dict(field_.meta),
-    )
 
 
 # ---------------------------------------------------------------------------

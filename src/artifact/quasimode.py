@@ -87,6 +87,11 @@ from .wall_dirac import (
 # accept.
 SOLVABILITY_TOL = 1e-8
 
+# quasimode_workspace deflates the cone pair within DEFLATION_TOL, relative
+# to the magnitude scale of the low bands: the cone certificate's default
+# degeneracy tolerance.
+DEFLATION_TOL = 1e-6
+
 # Shooting: half-width (slow units) of the integration box and the
 # integrator's relative tolerance.  The root bracket starts at
 # +-SHOOTING_BRACKET around the guess and doubles at most SHOOTING_MAX_WIDEN
@@ -211,12 +216,18 @@ def zero_mode_pair(params: DiracParams) -> EnvelopePair:
 
     The spinor is the eigenvector of i*m1*m3 with eigenvalue sgn(mass); the
     profile is exp(-decay_rate * antiderivative(kappa)), normalized in L2.
+    It decays on both sides because the wall's antiderivative is even and
+    grows linearly on the plateaus.
     """
     if abs(params.mu) > 1e-12:
         raise ValueError("closed-form zero mode requires mu = 0")
     m1, _, m3 = params.matrices()
     vals, vecs = np.linalg.eigh(1j * (m1 @ m3))
-    spinor = vecs[:, int(np.argmin(np.abs(vals - np.sign(params.mass))))]
+    sgn = np.sign(params.mass)
+    idx = int(np.argmin(np.abs(vals - sgn)))
+    if abs(vals[idx] - sgn) > 1e-12:
+        raise ValueError("spinor eigenproblem did not produce a +/-1 pair")
+    spinor = vecs[:, idx]
     rate = params.decay_rate
     wall = params.wall
     norm_sq, _ = quad(
@@ -379,7 +390,7 @@ def ladder_pair(spectrum: Dirac1DSpectrum, branch: int = 0) -> EnvelopePair:
     """Envelope pair for one branch of the Prufer-counted in-gap ladder.
 
     ``branch`` counts from the middle of the sorted in-gap spectrum
-    (branch 0 = eigenvalue closest to zero), matching the config convention.
+    (branch 0 = eigenvalue closest to zero).
     The eigenvalue is the ladder's own, already refined; the sampler is the
     glued Prufer half-solutions at it (``wall_dirac._glued_mode``) on the
     ladder's box |t| <= spectrum.T, normalized in L2 on that box by the
@@ -457,15 +468,11 @@ def quasimode_workspace(
     wall: DomainWall,
     perturbation: FourierField,
     basis: PlaneWaveBasis,
-    *,
-    degeneracy_tol: float = 1e-6,
 ) -> QuasimodeWorkspace:
     """Diagonalize the unperturbed fiber at the cone and deflate the pair.
 
-    The deflation threshold follows the cone certificate's convention:
-    relative tolerance ``degeneracy_tol`` against the magnitude scale of the
-    low bands.  Exactly two eigenvalues must sit inside the threshold around
-    E*, and the next one must be far outside it.
+    Exactly two eigenvalues must sit inside the ``DEFLATION_TOL`` threshold
+    around E*, and the next one must be far outside it.
     """
     if data.nu_star is None:
         raise ValueError("cone velocity not computed yet")
@@ -479,7 +486,7 @@ def quasimode_workspace(
 
     low = vals[: max(data.j_star + 4, 8)]
     scale = max(abs(low[0]), abs(low[-1]), 1.0)
-    threshold = degeneracy_tol * scale
+    threshold = DEFLATION_TOL * scale
     order = np.argsort(np.abs(vals - data.E_star))
     split = float(abs(vals[order[1]] - vals[order[0]]))
     if split > threshold:
@@ -808,7 +815,6 @@ def leading_quasimode(
     grid: StripGrid | None = None,
     *,
     order: int = 1,
-    step: float = 0.5,
     t_factor: float = 4.5,
 ) -> QuasimodeAnsatz:
     """Sample the two-scale ansatz on a strip grid.
@@ -820,8 +826,9 @@ def leading_quasimode(
 
     When ``grid`` is supplied it must match delta and the detuned Bloch
     phase zeta* + mu delta, so the sample lives in the same discrete space
-    as an edge solve at that phase; otherwise a grid is built with the
-    reference phase ``assemble_strip`` uses by default, ``fold_phase``.
+    as an edge solve at that phase; otherwise a grid is built at the
+    strip's default step, with the reference phase ``assemble_strip`` uses
+    by default, ``fold_phase``.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
@@ -838,7 +845,7 @@ def leading_quasimode(
     if grid is None:
         grid = strip_grid(
             ws.frame, ws.wall, zeta_eff, delta, ws.basis,
-            step=step, t_factor=t_factor, tau_ref=fold_phase(ws.frame, zeta_eff),
+            t_factor=t_factor, tau_ref=fold_phase(ws.frame, zeta_eff),
         )
     else:
         if abs(grid.delta - delta) > 1e-12:
@@ -980,7 +987,6 @@ def residual_orders(
     deltas: tuple[float, ...] = (0.08, 0.04, 0.02),
     *,
     orders: tuple[int, ...] = (1, 2),
-    step: float = 0.5,
     t_factor: float = 4.5,
 ) -> ResidualStudy:
     """Measure ||(strip - E) u|| / ||u|| across delta for each ansatz order.
@@ -1009,7 +1015,7 @@ def residual_orders(
         zeta_eff = effective_zeta(ws, delta, mu)
         grid, terms, _ = _strip_terms(
             ws.frame, ws.potential, ws.wall, zeta_eff, delta, ws.basis,
-            perturbation=ws.perturbation, step=step, t_factor=t_factor,
+            perturbation=ws.perturbation, t_factor=t_factor,
         )
         top = leading_quasimode(ws, pair, delta, mu, grid, order=max(orders))
         edge_values[i] = top.diagnostics["envelope_edge_value"]

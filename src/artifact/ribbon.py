@@ -199,10 +199,18 @@ MIRROR_CUT = 0.5
 RESIDUAL_TOL = 1e-6
 BOUNDARY_MASS_TOL = 1e-6
 
-# Most block solves of one seed's inverse iteration, which stops earlier, as
-# soon as a solve no longer lowers the residual (after 5 to 8 solves on the
-# tested channels).
+# Most block solves of one seed's inverse iteration.  It stops earlier, at
+# the first solve that lowers the residual by less than SOLVE_GAIN: a
+# converging seed gains at least 28x per solve until it is below 1e-10, so a
+# smaller gain means the residual has reached rounding noise (after 4 to 7
+# solves on the tested channels).
 SEED_SOLVES = 20
+SOLVE_GAIN = 10.0
+
+# compare_with_dirac counts the reduced ladder on the box |t| <= LADDER_BOX
+# (slow units), with LADDER_POINTS samples for eigenvectors it never reads.
+LADDER_BOX = 30.0
+LADDER_POINTS = 6000
 
 # solve_edge_channel's cone velocity check: the relative linearity floor of
 # the truncated plane-wave ball is about 3e-6 at cutoff 4, above
@@ -844,16 +852,6 @@ class EdgeSpectrum:
     def __len__(self) -> int:
         return len(self.values)
 
-    def to_csv_rows(self) -> list[tuple]:
-        """Rows (zeta, delta, kind, value, localization) for the artifact CSV."""
-        rows = [
-            (self.zeta, self.delta, "ess_lo", self.edges.lower, np.nan),
-            (self.zeta, self.delta, "ess_hi", self.edges.upper, np.nan),
-        ]
-        for val, loc in zip(self.values, self.localization):
-            rows.append((self.zeta, self.delta, "eig", float(val), float(loc)))
-        return rows
-
 
 def _empty_spectrum(op, window, edges, mu, note, extra=None) -> EdgeSpectrum:
     diag = dict(extra) if extra else {}
@@ -1066,13 +1064,14 @@ def _inverse_iteration(pairs: list, apply, seed: np.ndarray) -> tuple:
     """Refine one seed into a strip eigenpair with one factor at its Rayleigh quotient.
 
     Factors ``H - e0`` once (``_shift_invert_solve``), e0 the seed's
-    Rayleigh quotient, and applies the solve until a solve no longer lowers
-    the residual ||H w - e w|| (at most ``SEED_SOLVES``); the best iterate is
-    kept.  A reduced-ladder seed carries no mirror content and sits nearer
-    its own state than any other, so each solve shrinks the rest by their
-    distance ratio: on the base channel the residual falls 0.17, 3.5e-6,
-    4.9e-9, 8.7e-12.  Returns ``(w, e, residual, shift, solves, kept)``
-    with ``kept`` the values the factor stores.
+    Rayleigh quotient, and applies the solve until one lowers the residual
+    ||H w - e w|| by less than ``SOLVE_GAIN`` (at most ``SEED_SOLVES``); the
+    better of the last two iterates is kept.  A reduced-ladder seed carries
+    no mirror content and sits nearer its own state than any other, so each
+    solve shrinks the rest by their distance ratio: on the base channel the
+    residual falls 0.17, 3.5e-6, 4.9e-9, 8.6e-12 and then only to 3.5e-12,
+    where the iteration stops after 4 solves.  Returns ``(w, e, residual,
+    shift, solves, kept)`` with ``kept`` the values the factor stores.
     """
 
     def rayleigh(x: np.ndarray) -> tuple[float, float]:
@@ -1088,9 +1087,11 @@ def _inverse_iteration(pairs: list, apply, seed: np.ndarray) -> tuple:
         x = solve(w)
         x /= np.linalg.norm(x)
         e_x, res_x = rayleigh(x)
-        if not res_x < res:
+        converging = res_x * SOLVE_GAIN < res
+        if res_x < res:
+            w, e, res = x, e_x, res_x
+        if not converging:
             break
-        w, e, res = x, e_x, res_x
     return w, e, res, shift, solves, kept
 
 
@@ -1129,7 +1130,7 @@ def gap_eigenpairs(
     state>|^2 per seed: a seed with the wrong reduced model can still reach
     its state from rounding noise, but not with a large overlap) and
     ``factor_values`` (values one factor keeps, counted per node pair).  On
-    the base channel that is 3 sweeps and 6 block solves.
+    the base channel that is 3 sweeps and 4 block solves.
 
     A refined state is kept when its relative residual is at most
     ``RESIDUAL_TOL``, its energy lies in the window and at most
@@ -1253,9 +1254,6 @@ def compare_with_dirac(
     spectrum: EdgeSpectrum,
     params,
     e_star: float,
-    *,
-    grid_half_width: float = 30.0,
-    grid_points: int = 6000,
 ) -> DiracComparison:
     """Match a strip in-gap spectrum against the reduced operator's ladder.
 
@@ -1276,7 +1274,7 @@ def compare_with_dirac(
             f"reduced-operator detuning {params.mu} does not match the strip's "
             f"{spectrum.mu}"
         )
-    ladder = gap_spectrum(params, grid_half_width, grid_points)
+    ladder = gap_spectrum(params, LADDER_BOX, LADDER_POINTS)
     lo, hi = spectrum.window
     t_lo = (lo - e_star) / spectrum.delta
     t_hi = (hi - e_star) / spectrum.delta

@@ -124,11 +124,6 @@ class DiracParams:
         return abs(self.nu_star)
 
     @property
-    def gap_rate(self) -> float:
-        """|mass| scaled speed along t: the essential half-gap at mu = 0."""
-        return abs(self.mass)
-
-    @property
     def speed_t(self) -> float:
         return self.nu_f * abs(self.kp)
 
@@ -534,26 +529,6 @@ def measured_essential_edge(
         maxiter=2000,
     )
     return float(np.min(np.abs(vals)))
-
-
-def analytic_zero_mode(params: DiracParams, t: np.ndarray) -> np.ndarray:
-    """Closed-form zero mode of H(0), normalized on the grid.
-
-    The spinor is the eigenvector of i*m1*m3 with eigenvalue sgn(mass); the
-    profile is exp(-(|mass| / (nu_F |kp|)) * int_0^t kappa), which decays on
-    both sides because the wall's antiderivative is even and grows linearly.
-    """
-    m1, _, m3 = params.matrices()
-    s = float(np.sign(params.mass))
-    op = 1j * (m1 @ m3)
-    evals, evecs = np.linalg.eigh(op)
-    idx = int(np.argmin(np.abs(evals - s)))
-    if abs(evals[idx] - s) > 1e-12:
-        raise ValueError("spinor eigenproblem did not produce a +/-1 pair")
-    u0 = evecs[:, idx]
-    profile = np.exp(-params.decay_rate * params.wall.antiderivative(t))
-    mode = (profile[:, None] * u0[None, :]).reshape(-1)
-    return mode / np.linalg.norm(mode)
 
 
 def predict_mu_spectrum(

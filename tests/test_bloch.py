@@ -155,23 +155,6 @@ def test_eigs_rejects_overcount(lat, wells):
         bloch.eigs(op, op.dim + 1)
 
 
-def test_band_path_table_structure(lat, wells, basis8):
-    xi_a, _ = geometry.dirac_momenta(lat)
-    gamma = np.zeros(2)
-    table = bloch.band_path([gamma, xi_a], 6, 3, 0.0, wells, basis8)
-    assert table.bands.shape == (7, 3)
-    assert np.all(np.diff(table.arc) > 0)
-    # bands sorted ascending within each row
-    assert np.all(np.diff(table.bands, axis=1) >= -1e-12)
-    # endpoint hits the cone degeneracy
-    assert abs(table.bands[-1, 0] - E_CONE) < 1e-9
-    assert abs(table.bands[-1, 1] - E_CONE) < 1e-9
-    csv = table.to_csv()
-    lines = csv.strip().splitlines()
-    assert lines[0].startswith("arc_length,xi1,xi2,")
-    assert len(lines) == 8
-
-
 def test_gap_opens_linearly_with_delta(lat, wells, basis8):
     # at the cone, a small transition-breaking perturbation opens a split
     # that is linear in delta with slope 2*|mass|

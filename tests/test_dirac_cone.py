@@ -13,7 +13,6 @@ medium (wells of depth -30, width 0.15*|v1|, tables and basis at cutoff 8):
     field: +1.5616859763, equal at both cones.
 """
 
-import json
 
 import numpy as np
 import pytest
@@ -158,14 +157,6 @@ def test_no_degeneracy_below_resolving_cutoff(wells, lat):
     basis4 = bloch.build_basis(lat, 4.0)
     with pytest.raises(dirac_cone.NoDegeneracyFound):
         dirac_cone.find_dirac_point(wells, "A", basis4, degeneracy_tol=1e-9)
-
-
-def test_data_json_round_trip(cone_a, basis8):
-    dirac_cone.compute_nu_star(cone_a, basis8)
-    payload = json.loads(cone_a.to_json())
-    assert abs(payload["E_star"] - E_CONE) < 1e-9
-    assert payload["which"] == "A"
-    assert "nu_star" in payload
 
 
 def test_rank_two_model_reduces_at_cone(lat, wells, cone_a, basis8):

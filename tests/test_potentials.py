@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from artifact.geometry import build_lattice, rotation_matrix
 from artifact.potentials import (
     BadCutoff,
-    FourierField,
     domain_wall,
     honeycomb_potential,
     magnetic_A,
@@ -17,8 +16,6 @@ from artifact.potentials import (
     parity_residual,
     realness_residual,
     rotation_residual,
-    symmetrize_parity,
-    symmetrize_rotation,
 )
 
 LATTICE = build_lattice()
@@ -153,33 +150,6 @@ def test_magnetic_field_is_not_a_pure_gradient():
     duals = A.dual_vectors()
     curl_coeffs = 2j * np.pi * (duals[:, 0] * A.coeffs[:, 1] - duals[:, 1] * A.coeffs[:, 0])
     assert np.max(np.abs(curl_coeffs)) > 0.1
-
-
-def test_symmetrization_is_idempotent(V):
-    rng = np.random.default_rng(17)
-    noisy = FourierField(
-        lattice=LATTICE,
-        indices=np.array(V.indices, copy=True),
-        coeffs=V.coeffs + rng.normal(size=V.coeffs.shape) * 0.05,
-        parity="none",
-        rotation_invariant=False,
-        kind="noisy",
-    )
-    once = symmetrize_parity(noisy, "even")
-    twice = symmetrize_parity(once, "even")
-    np.testing.assert_allclose(once.coeffs, twice.coeffs, atol=1e-15)
-    ronce = symmetrize_rotation(noisy)
-    rtwice = symmetrize_rotation(ronce)
-    np.testing.assert_allclose(ronce.coeffs, rtwice.coeffs, atol=1e-15)
-    assert rotation_residual(rtwice) < 1e-13
-
-
-def test_json_round_trip(W):
-    back = FourierField.from_json(W.to_json(), LATTICE)
-    np.testing.assert_array_equal(back.indices, W.indices)
-    np.testing.assert_allclose(back.coeffs, W.coeffs, atol=0)
-    assert back.parity == W.parity
-    assert back.kind == W.kind
 
 
 def test_domain_wall_plateaus_and_oddness():

@@ -531,11 +531,6 @@ def test_base_channel(base_spec, base_comp, base_op):
     assert base_spec.grid is not None
     assert base_comp.count == 1
     assert base_comp.max_residual < 3e-3  # O(delta^2) at delta = 0.08
-    rows = base_spec.to_csv_rows()
-    assert [r[2] for r in rows[:2]] == ["ess_lo", "ess_hi"]
-    assert rows[2][2] == "eig" and rows[2][4] == pytest.approx(
-        base_spec.localization[0]
-    )
 
 
 def _packed_count(mat, size):

@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 from artifact import geometry, potentials, wall_dirac
-from artifact.quasimode import _matching_det, shooting_pair
+from artifact.quasimode import _matching_det, shooting_pair, zero_mode_pair
 from artifact.wall_dirac import (
     DiracParams,
     GridTooCoarse,
     LadderFailure,
-    analytic_zero_mode,
     assemble_dirac,
     gap_spectrum,
     measured_essential_edge,
@@ -150,9 +149,16 @@ def test_default_zero_mode(default_spec):
     assert s.essential_edge == pytest.approx(abs(DEFAULT_MASS), abs=1e-12)
 
 
+def _zero_mode(params, t):
+    """The closed-form zero mode of ``zero_mode_pair`` on t, unit 2-norm on
+    the grid, t outer."""
+    u = zero_mode_pair(params).alpha(t).reshape(-1)
+    return u / np.linalg.norm(u)
+
+
 def test_zero_mode_overlap(default_params, default_spec):
     u_num = default_spec.eigenvectors[:, 0]
-    u_an = analytic_zero_mode(default_params, default_spec.grid())
+    u_an = _zero_mode(default_params, default_spec.grid())
     overlap = abs(np.vdot(u_an.ravel(), u_num))
     assert overlap >= 1.0 - 1e-12
 
@@ -160,7 +166,7 @@ def test_zero_mode_overlap(default_params, default_spec):
 def test_analytic_mode_residual_fine_grid(default_params):
     T, N = 80.0, 40000
     t = np.linspace(-T, T, N)
-    u = analytic_zero_mode(default_params, t)
+    u = _zero_mode(default_params, t)
     H = assemble_dirac(default_params, T, N)
     resid = np.linalg.norm(H @ u.ravel()) / np.linalg.norm(u)
     assert resid <= 1e-6
@@ -170,7 +176,7 @@ def test_zero_mode_spinor_relations(default_params):
     p = default_params
     m1, m2, m3 = p.matrices()
     t = np.linspace(-30.0, 30.0, 2001)
-    u = analytic_zero_mode(p, t).reshape(len(t), 2)
+    u = _zero_mode(p, t).reshape(len(t), 2)
     spinor = u[len(t) // 2]
     spinor = spinor / np.linalg.norm(spinor)
     sgn = np.sign(p.mass)

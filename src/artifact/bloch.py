@@ -119,9 +119,20 @@ def _difference_tables(basis: PlaneWaveBasis) -> tuple[int, np.ndarray, np.ndarr
 
 
 def convolution_matrix(field: FourierField, basis: PlaneWaveBasis) -> np.ndarray:
-    """Dense matrix of multiplication by a scalar field: F[m, n] = coeff(eta_m - eta_n)."""
+    """Dense matrix of multiplication by a scalar field: F[m, n] = coeff(eta_m - eta_n).
+
+    For a vector field the same gather gives both components, shape (M, M, 2).
+    """
     span, d1, d2 = _difference_tables(basis)
     return _coefficient_grid(field, span)[d1, d2]
+
+
+def _magnetic_term(table: np.ndarray, basis: PlaneWaveBasis, xi: np.ndarray) -> np.ndarray:
+    """A.D + D.A at xi from the field's gathered table A_hat(eta_m - eta_n)."""
+    shifted = xi[None, :] + TWO_PI * basis.duals
+    s1 = shifted[:, 0, None] + shifted[None, :, 0]
+    s2 = shifted[:, 1, None] + shifted[None, :, 1]
+    return table[..., 0] * s1 + table[..., 1] * s2
 
 
 def magnetic_matrix(
@@ -133,12 +144,50 @@ def magnetic_matrix(
     the symmetrized quantization.
     """
     xi = np.asarray(xi, dtype=float)
-    span, d1, d2 = _difference_tables(basis)
-    grid = _coefficient_grid(field, span)  # (.., .., 2)
-    shifted = xi[None, :] + TWO_PI * basis.duals
-    s1 = shifted[:, 0, None] + shifted[None, :, 0]
-    s2 = shifted[:, 1, None] + shifted[None, :, 1]
-    return grid[d1, d2, 0] * s1 + grid[d1, d2, 1] * s2
+    return _magnetic_term(convolution_matrix(field, basis), basis, xi)
+
+
+def fiber_tables(
+    V: FourierField | None, basis: PlaneWaveBasis, perturbation: FourierField | None
+) -> tuple:
+    """The xi-independent tables of the fiber matrix: ``(V, perturbation)``.
+
+    Each is the field's gathered coefficient table ``convolution_matrix``
+    (M x M for a scalar field, M x M x 2 for a vector one), or None without
+    the field.  A scan over many fibers builds them once and passes them to
+    ``fiber_from_tables``; ``_coefficient_grid`` and its CutoffMismatch check
+    then run once per field, not once per fiber.
+    """
+    return tuple(
+        None if fld is None else convolution_matrix(fld, basis)
+        for fld in (V, perturbation)
+    )
+
+
+def fiber_from_tables(
+    xi: np.ndarray, delta: float, basis: PlaneWaveBasis, tables: tuple
+) -> FiberOperator:
+    """Fiber at xi from the tables of ``fiber_tables``.
+
+    Sums ``diag |xi + 2*pi*eta|^2``, then V, then ``delta`` times the
+    perturbation's matrix: its table for a scalar field, the symmetrized
+    A.D + D.A at xi for a vector one.
+    """
+    xi = np.array(xi, dtype=float)
+    m = len(basis)
+    shifted = xi[None, :] + TWO_PI * basis.duals  # (M, 2)
+    H = np.zeros((m, m), dtype=complex)
+    H[np.diag_indices(m)] = np.sum(shifted * shifted, axis=1)
+
+    v_table, w_table = tables
+    if v_table is not None:
+        H += v_table
+    if w_table is not None and delta != 0.0:
+        if w_table.ndim == 3:  # a vector field's two components
+            H += delta * _magnetic_term(w_table, basis, xi)
+        else:
+            H += delta * w_table
+    return FiberOperator(xi=xi, delta=delta, basis=basis, matrix=H)
 
 
 def assemble_fiber(
@@ -151,22 +200,11 @@ def assemble_fiber(
     """Fiber matrix |xi + 2*pi*eta|^2 + V + delta * (W or magnetic term).
 
     A scalar perturbation enters as a convolution like V; a vector field A
-    enters through the symmetrized quantization A.D + D.A.
+    enters through the symmetrized quantization A.D + D.A.  One fiber: the
+    tables of ``fiber_tables`` are built for it and dropped.
     """
-    xi = np.asarray(xi, dtype=float)
-    m = len(basis)
-    shifted = xi[None, :] + TWO_PI * basis.duals  # (M, 2)
-    H = np.zeros((m, m), dtype=complex)
-    H[np.diag_indices(m)] = np.sum(shifted * shifted, axis=1)
-
-    if V is not None:
-        H += convolution_matrix(V, basis)
-    if perturbation is not None and delta != 0.0:
-        if perturbation.is_vector:
-            H += delta * magnetic_matrix(perturbation, basis, xi)
-        else:
-            H += delta * convolution_matrix(perturbation, basis)
-    return FiberOperator(xi=xi.copy(), delta=delta, basis=basis, matrix=H)
+    tables = fiber_tables(V, basis, perturbation if delta != 0.0 else None)
+    return fiber_from_tables(xi, delta, basis, tables)
 
 
 def eigs(op: FiberOperator, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -45,7 +45,12 @@ coupling B_(i+1) to the next pair are summed from the 2x2 node blocks of
 the T_k times their F_k.  Only the t-derivative terms reach the next pair,
 and their t-coefficients repeat (everywhere on a scalar wall, on the
 plateaus of a magnetic one), so one coupling, and its adjoint, is built per
-distinct coefficient set and shared by every sweep of the strip.  Each step
+distinct coefficient set and shared by every sweep of the strip.  Off the
+wall the diagonal coefficients repeat too: the base channel's 438 node pairs
+fall into 123 runs of equal ones, so each sweep builds D_i once per run and
+copies it for the rest (0.53 -> 0.47 s per counting sweep there, median of
+12 interleaved in one process on a two-core host, BLAS on one thread; the
+ldu, ipiv and inverse of every block are unchanged bit for bit).  Each step
 factors one Schur block S_i by Bunch-Kaufman (zhetrf), inverts it from that
 factor (zhetri), and passes ``B^H S_i^-1 B`` on to the next block.  B
 stays sparse: it holds only the distance-one and distance-two node
@@ -77,9 +82,10 @@ from scipy.optimize import minimize_scalar
 
 from .bloch import (
     PlaneWaveBasis,
-    assemble_fiber,
     convolution_matrix,
     eigs as fiber_eigs,
+    fiber_from_tables,
+    fiber_tables,
 )
 from .dirac_cone import compute_mass, compute_nu_star, find_dirac_point
 from .geometry import TWO_PI, EdgeFrame
@@ -202,10 +208,14 @@ BOUNDARY_MASS_TOL = 1e-6
 # Most block solves of one seed's inverse iteration.  It stops earlier, at
 # the first solve that lowers the residual by less than SOLVE_GAIN: a
 # converging seed gains at least 28x per solve until it is below 1e-10, so a
-# smaller gain means the residual has reached rounding noise (after 4 to 7
+# smaller gain means the residual has reached rounding noise.  It also stops
+# once the residual is at most RESIDUAL_FLOOR * max(1, |e|), 1e-4 of
+# RESIDUAL_TOL: a further solve moves the energy by less than the residual
+# squared over the gap to the next state, far below rounding (after 3 to 5
 # solves on the tested channels).
 SEED_SOLVES = 20
 SOLVE_GAIN = 10.0
+RESIDUAL_FLOOR = 1e-10
 
 # compare_with_dirac counts the reduced ladder on the box |t| <= LADDER_BOX
 # (slow units), with LADDER_POINTS samples for eigenvectors it never reads.
@@ -611,10 +621,8 @@ class BulkEdges:
         return 0.5 * (self.lower + self.upper)
 
 
-def _fiber_pair(frame, potential, perturbation, zeta, tau, delta, basis, j_star):
-    op = assemble_fiber(
-        frame.xi_of(zeta, tau), delta, potential, basis, perturbation=perturbation
-    )
+def _fiber_pair(tables, frame, zeta, tau, delta, basis, j_star):
+    op = fiber_from_tables(frame.xi_of(zeta, tau), delta, basis, tables)
     vals, _ = fiber_eigs(op, j_star + 1)
     return vals[j_star - 1], vals[j_star]
 
@@ -640,12 +648,16 @@ def essential_edges_bulk(
     between bands ``j_star`` and ``j_star + 1`` (1-based, matching the cone
     certificate) is the intersection over both signs of the per-sign gaps,
     each an extremum over the transverse phase tau, located on the sample
-    grid and then refined by a bounded scalar search.
+    grid and then refined by a bounded scalar search.  The fibers differ only
+    in xi and the sign of delta, so the tables of V and the perturbation are
+    built once per call (``fiber_tables``), not once per fiber: 2 tables
+    where 706 were built on the base channel.
     """
     if tau_samples < 128:
         raise ValueError("tau_samples must be at least 128")
     taus = np.linspace(0.0, TWO_PI, tau_samples, endpoint=False)
     width = TWO_PI / tau_samples
+    tables = fiber_tables(potential, basis, perturbation if delta != 0.0 else None)
 
     per_sign = {}
     samples = np.empty((tau_samples, 5))
@@ -656,7 +668,7 @@ def essential_edges_bulk(
         hi = np.empty(tau_samples)
         for i, tau in enumerate(taus):
             lo[i], hi[i] = _fiber_pair(
-                frame, potential, perturbation, zeta, tau, sgn * delta, basis, j_star
+                tables, frame, zeta, tau, sgn * delta, basis, j_star
             )
         samples[:, 1 + 2 * col] = lo
         samples[:, 2 + 2 * col] = hi
@@ -667,10 +679,7 @@ def essential_edges_bulk(
         tau_hi, val_hi = taus[i_hi], hi[i_hi]
 
         def band(tau, index, s=sgn):
-            pair = _fiber_pair(
-                frame, potential, perturbation, zeta, tau, s * delta, basis, j_star
-            )
-            return pair[index]
+            return _fiber_pair(tables, frame, zeta, tau, s * delta, basis, j_star)[index]
 
         res = minimize_scalar(
             lambda tau: -band(tau, 0),
@@ -918,10 +927,14 @@ def _node_pairs(terms: list) -> list:
     its rows, ``diagonal()`` that sums its diagonal block D_i as a fresh
     dense array, and the sparse (CSC) coupling B_(i+1) to the next pair with
     its adjoint (CSR), both None for the last pair.  Nothing here depends on
-    the shift, so one table serves all sweeps of a strip, and a sweep holds
-    one D_i at a time.  A coupling depends only on the terms' t-coefficients
-    between the two pairs, so it and its adjoint are built once per distinct
-    set of them and shared by every pair with that set.
+    the shift, so one table serves all sweeps of a strip.  A coupling
+    depends only on the terms' t-coefficients between the two pairs, so it
+    and its adjoint are built once per distinct set of them and shared by
+    every pair with that set.  Consecutive pairs whose own t-coefficients
+    are equal share one ``diagonal`` callable in the same way, which
+    ``_block_ldl`` calls once per run: on the base channel, scalar or
+    magnetic wall, 438 pairs have 123 distinct callables, since kappa is
+    constant on the plateaus and every other coefficient is constant.
     """
     n_t = terms[0][0].shape[0]
     fast = [F for _, F in terms]
@@ -929,10 +942,13 @@ def _node_pairs(terms: list) -> list:
     coef = _band_coefficients(terms)
     built: dict = {}
     pairs = []
+    diagonal = None
     for j0 in range(0, n_t, 2):
         j1, j2 = min(j0 + 2, n_t), min(j0 + 4, n_t)
         pair = range(j0, j1)
-        diagonal = partial(_kron_block, _node_coefficients(coef, pair, pair), fast)
+        block = _node_coefficients(coef, pair, pair)
+        if diagonal is None or not np.array_equal(diagonal.args[0], block):
+            diagonal = partial(_kron_block, block, fast)
         coupling = adjoint = None
         if j1 < n_t:
             reach = _node_coefficients(coef, pair, range(j1, j2))
@@ -970,6 +986,12 @@ def _block_ldl(pairs: list, shift: float):
     full Hermitian S_i^-1, and the sparse coupling B_(i+1) with its adjoint
     (None for the last block).
 
+    The sweep keeps the last D_i it built and copies it while the table's
+    ``diagonal`` callable repeats, so it sums D_i from the terms once per
+    run of equal coefficients (123 times for the base channel's 438 pairs,
+    about 0.05 s less per sweep) and holds one extra block.  Keeping every
+    distinct D_i instead would hold 123 blocks of 194 kB.
+
     Each step inverts S_i from its factor (zhetri, the last block too),
     copies the conjugate of the inverse's lower triangle over its upper one
     (one masked copy, 22 us per 110-row block where two ``np.tril`` and an
@@ -985,8 +1007,11 @@ def _block_ldl(pairs: list, shift: float):
     instead of 0.43 s on a two-core host).
     """
     adjoint = inverse = None  # B_i^H and S_(i-1)^-1 for the next block
+    built = last = None  # the last D_i built, and the callable that built it
     for r0, r1, diagonal, coupling, next_adjoint in pairs:
-        block = diagonal()
+        if diagonal is not last:
+            built, last = diagonal(), diagonal
+        block = built.copy()
         block[np.diag_indices(r1 - r0)] -= shift
         if adjoint is not None:
             # (B^H S^-1)^H = S^-1 B, as S^-1 is exactly Hermitian
@@ -1065,13 +1090,16 @@ def _inverse_iteration(pairs: list, apply, seed: np.ndarray) -> tuple:
 
     Factors ``H - e0`` once (``_shift_invert_solve``), e0 the seed's
     Rayleigh quotient, and applies the solve until one lowers the residual
-    ||H w - e w|| by less than ``SOLVE_GAIN`` (at most ``SEED_SOLVES``); the
-    better of the last two iterates is kept.  A reduced-ladder seed carries
+    ||H w - e w|| by less than ``SOLVE_GAIN`` or takes it to
+    ``RESIDUAL_FLOOR * max(1, |e|)`` (at most ``SEED_SOLVES``); the better of
+    the last two iterates is kept.  A reduced-ladder seed carries
     no mirror content and sits nearer its own state than any other, so each
     solve shrinks the rest by their distance ratio: on the base channel the
-    residual falls 0.17, 3.5e-6, 4.9e-9, 8.6e-12 and then only to 3.5e-12,
-    where the iteration stops after 4 solves.  Returns ``(w, e, residual,
-    shift, solves, kept)`` with ``kept`` the values the factor stores.
+    residual falls 0.17, 3.5e-6, 4.9e-9, 8.6e-12, and the iteration stops
+    there, after 3 solves, as it is below ``RESIDUAL_FLOOR`` (a fourth solve
+    took it only to 3.5e-12 and moved e by 2.4e-15).  Returns ``(w, e,
+    residual, shift, solves, kept)`` with ``kept`` the values the factor
+    stores.
     """
 
     def rayleigh(x: np.ndarray) -> tuple[float, float]:
@@ -1090,7 +1118,7 @@ def _inverse_iteration(pairs: list, apply, seed: np.ndarray) -> tuple:
         converging = res_x * SOLVE_GAIN < res
         if res_x < res:
             w, e, res = x, e_x, res_x
-        if not converging:
+        if not converging or res <= RESIDUAL_FLOOR * max(1.0, abs(e)):
             break
     return w, e, res, shift, solves, kept
 
@@ -1130,7 +1158,7 @@ def gap_eigenpairs(
     state>|^2 per seed: a seed with the wrong reduced model can still reach
     its state from rounding noise, but not with a large overlap) and
     ``factor_values`` (values one factor keeps, counted per node pair).  On
-    the base channel that is 3 sweeps and 4 block solves.
+    the base channel that is 3 sweeps and 3 block solves.
 
     A refined state is kept when its relative residual is at most
     ``RESIDUAL_TOL``, its energy lies in the window and at most
@@ -1259,12 +1287,18 @@ def compare_with_dirac(
 
     ``params`` bundles the reduced-operator coefficients (velocity, frame,
     mass, wall) and must already carry the detuning mu = spectrum.mu.  The
-    reduced ladder is filtered to the strip's certified window, rescaled to
-    strip energies, and compared state by state; a count difference raises
-    CountMismatch since the windows are constructed to match.
+    reduced ladder is counted and refined on its own box, |t| <= LADDER_BOX,
+    only where the strip's certified window, in theta = (E - E*) / delta,
+    meets the reduced gap less a margin 3 / LADDER_BOX at each edge (the
+    window of ``gap_spectrum`` on that box).  Its roots are rescaled to strip
+    energies and compared state by state; a count difference raises
+    CountMismatch since the windows are constructed to match, and a window
+    that misses the reduced gap predicts no state, with no integration.
+    Refining only the window's roots takes about a quarter of the time the
+    whole ladder (3 roots, 1 in the window) took on the base channel, 0.05
+    against 0.16 s in process on a two-core host, and moves its theta by
+    7.8e-15.
     """
-    from .wall_dirac import gap_spectrum  # local import keeps startup light
-
     if spectrum.window is None:
         raise ValueError("strip spectrum has no certified window to compare on")
     if not np.isfinite(spectrum.mu):
@@ -1274,13 +1308,14 @@ def compare_with_dirac(
             f"reduced-operator detuning {params.mu} does not match the strip's "
             f"{spectrum.mu}"
         )
-    ladder = gap_spectrum(params, LADDER_BOX, LADDER_POINTS)
     lo, hi = spectrum.window
-    t_lo = (lo - e_star) / spectrum.delta
-    t_hi = (hi - e_star) / spectrum.delta
-    thetas = ladder.eigenvalues[
-        (ladder.eigenvalues >= t_lo) & (ladder.eigenvalues <= t_hi)
-    ]
+    edge = params.essential_edge() - 3.0 / LADDER_BOX  # gap_spectrum's margin
+    t_lo = max((lo - e_star) / spectrum.delta, -edge)
+    t_hi = min((hi - e_star) / spectrum.delta, edge)
+    thetas = np.empty(0)
+    if t_lo < t_hi:
+        window = (t_lo, t_hi)
+        thetas = window_spectrum(params, LADDER_BOX, LADDER_POINTS, window).eigenvalues
     if len(thetas) != len(spectrum.values):
         raise CountMismatch(
             f"strip found {len(spectrum.values)} in-gap states in "

@@ -13,6 +13,7 @@ below 1e-6.
 import dataclasses
 import time
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,12 +21,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import zhetri
 
+from artifact import bloch
 from artifact import ribbon as rb
 from artifact.bloch import assemble_fiber, build_basis, convolution_matrix
 from artifact.dirac_cone import compute_mass, compute_nu_star, find_dirac_point
 from artifact.geometry import TWO_PI, build_lattice, make_edge_frame
 from artifact.potentials import domain_wall, honeycomb_potential, parity_breaking_W
-from artifact.wall_dirac import GridTooCoarse, params_from_frames
+from artifact.wall_dirac import GridTooCoarse, gap_spectrum, params_from_frames
 
 DELTA = 0.08
 E_STAR = 1.9000088541213909
@@ -330,6 +332,42 @@ def test_node_pair_blocks_match_csc_slices(lat, frame, fields, basis, case):
     assert (len(couplings) == 2) == (case != "A")
 
 
+@pytest.mark.parametrize("channel", ["base", "amp15", "A", "inversion"])
+def test_shared_diagonal_blocks_match_fresh_blocks(lat, frame, fields, basis, channel):
+    # consecutive node pairs with equal t-coefficients share one diagonal
+    # callable, and the sweep copies the block it built for the first of
+    # them; every factor, pivot list and inverse it yields is bit for bit
+    # that of a sweep that sums a fresh D_i from the terms at every pair
+    from artifact.potentials import magnetic_A
+
+    zeta, pert, kwargs = frame.zeta_star("A"), fields["W10"], dict(t_factor=3.5)
+    if channel == "amp15":
+        pert, kwargs = fields["W15"], dict(t_factor=5.0)
+    elif channel == "A":
+        pert = magnetic_A(lat, 2.2)
+    elif channel == "inversion":
+        zeta, pert = -zeta, dataclasses.replace(pert, coeffs=-pert.coeffs)
+        kwargs.update(flip_wall=True, tau_ref=-frame.tau_star("A"))
+    op = rb.assemble_strip(
+        frame, fields["V"], fields["wall"], zeta, DELTA, basis, perturbation=pert,
+        **kwargs,
+    )
+    pairs = rb._node_pairs(op.terms)
+    coef, fast = rb._band_coefficients(op.terms), [F for _, F in op.terms]
+    fresh = []
+    for r0, r1, _, coupling, adjoint in pairs:
+        nodes = range(r0 // op.grid.n_fast, r1 // op.grid.n_fast)
+        block = rb._node_coefficients(coef, nodes, nodes)
+        fresh.append((r0, r1, partial(rb._kron_block, block, fast), coupling, adjoint))
+    # kappa is constant on the plateaus and every other t-coefficient is
+    # constant: the 438 pairs (626 at t_factor 5) fall into 123 runs
+    assert len({id(p[2]) for p in pairs}) == 123 < len(pairs)
+    shared = rb._block_ldl(pairs, 1.88)
+    for ours, theirs in zip(shared, rb._block_ldl(fresh, 1.88), strict=True):
+        for a, b in zip(ours[2:5], theirs[2:5]):
+            assert np.array_equal(a, b)
+
+
 def test_channel_solve_forms_no_csc_strip(frame, fields, basis, cone, monkeypatch):
     # the count, the shift-invert solves and the Rayleigh/residual screens
     # all work from the Kronecker terms, so the base channel solves with the
@@ -472,6 +510,46 @@ def test_edges_amp10(frame, fields, basis, cone, base_spec, masses):
     assert edges.lower < lo < hi < edges.upper
 
 
+@pytest.mark.parametrize("magnetic", [False, True], ids=["W", "A"])
+def test_bulk_edges_match_per_fiber_assembly(
+    lat, frame, fields, basis, cone, magnetic, monkeypatch
+):
+    # the scan builds the V and perturbation tables once per call, each with
+    # its truncation check; its samples are bit for bit those of fibers that
+    # rebuild both tables one by one and sum diag |xi + 2 pi eta|^2, then V,
+    # then the +-delta perturbation
+    from artifact.potentials import magnetic_A
+
+    pert = magnetic_A(lat, 2.2) if magnetic else fields["W10"]
+    real, grids = bloch._coefficient_grid, []
+
+    def counted(field, span):
+        grids.append(field)
+        return real(field, span)
+
+    monkeypatch.setattr(bloch, "_coefficient_grid", counted)
+    zeta = frame.zeta_star("A")
+    edges = rb.essential_edges_bulk(
+        frame, fields["V"], pert, zeta, DELTA, basis, cone.j_star
+    )
+    assert grids == [fields["V"], pert]
+    m = len(basis)
+    for col, delta in ((1, DELTA), (3, -DELTA)):
+        for tau, lo, hi in edges.samples[:, [0, col, col + 1]]:
+            xi = frame.xi_of(zeta, tau)
+            shifted = xi[None, :] + TWO_PI * basis.duals
+            H = np.zeros((m, m), dtype=complex)
+            H[np.diag_indices(m)] = np.sum(shifted * shifted, axis=1)
+            H += convolution_matrix(fields["V"], basis)
+            if magnetic:
+                H += delta * bloch.magnetic_matrix(pert, basis, xi)
+            else:
+                H += delta * convolution_matrix(pert, basis)
+            fiber = bloch.FiberOperator(xi=xi, delta=delta, basis=basis, matrix=H)
+            vals, _ = bloch.eigs(fiber, cone.j_star + 1)
+            assert (lo, hi) == (vals[cone.j_star - 1], vals[cone.j_star])
+
+
 def test_window_formula():
     e = _synthetic_edges(1.623957230, 2.173092367)
     w6 = rb.gap_window(e, SPEED_T, 218.75, 5.0, DELTA)
@@ -525,7 +603,10 @@ def test_base_channel(base_spec, base_comp, base_op):
     # triangle of every Schur block's inverse, packed (n (n + 1) / 2 values
     # for n rows), and the sparse coupling to the next block
     assert base_spec.diagnostics["inertia_sweeps"] == 3
-    assert base_spec.diagnostics["block_solves"] > 0
+    # the seed's residual falls 0.17, 3.5e-6, 4.9e-9, 8.6e-12: below the
+    # floor after the third solve, where the iteration stops
+    assert base_spec.diagnostics["block_solves"] == 3
+    assert base_spec.diagnostics["max_residual"] <= rb.RESIDUAL_FLOOR
     kept = _packed_count(base_op.matrix, 2 * base_op.grid.n_fast)
     assert base_spec.diagnostics["factor_values"] == kept < 2.8e6
     assert base_spec.grid is not None
@@ -568,16 +649,19 @@ def test_amp15_ladder(frame, fields, cone, masses, amp15_spec):
     assert abs(masses[15] - MASS_15) < 1e-9
 
 
-def test_detuned_channel(frame, fields, basis, cone, masses):
+@pytest.fixture(scope="module")
+def mu03_spec(frame, fields, basis, cone):
+    return rb.solve_edge_channel(
+        frame, fields["V"], fields["wall"], frame.zeta_star("A") + 0.3 * DELTA,
+        DELTA, basis, cone.j_star, SPEED_T, perturbation=fields["W10"], t_factor=5.0,
+    )
+
+
+def test_detuned_channel(frame, fields, cone, masses, mu03_spec):
     # off the cone the envelope detuning tilts the ladder; the window must
     # still hold the crossing branch (t_factor 5) and match the reduced model
-    mu = 0.3
-    z = frame.zeta_star("A") + mu * DELTA
-    spec = rb.solve_edge_channel(
-        frame, fields["V"], fields["wall"], z, DELTA, basis, cone.j_star,
-        SPEED_T, perturbation=fields["W10"], t_factor=5.0,
-    )
-    assert abs(spec.mu - mu) < 1e-9
+    spec = mu03_spec
+    assert abs(spec.mu - 0.3) < 1e-9
     assert len(spec) == 1
     assert abs(spec.values[0] - MU03_VALUE) < 1e-6
     params = params_from_frames(
@@ -587,6 +671,22 @@ def test_detuned_channel(frame, fields, basis, cone, masses):
     assert comp.count == 1
     np.testing.assert_allclose(comp.thetas, [MU03_THETA], atol=1e-6)
     assert comp.max_residual < 3e-3
+
+
+@pytest.mark.parametrize("channel", ["base", "amp15", "mu03"])
+def test_check_ladder_matches_gap_spectrum(request, cone, frame, fields, masses, channel):
+    # the check ladder is refined only where the strip window meets the
+    # reduced gap, on its own box-30 route: the roots of the whole box-30
+    # ladder (gap_spectrum) that fall in the window, to 1e-12
+    spec = request.getfixturevalue(f"{channel}_spec")
+    mass = masses[15 if channel == "amp15" else 10]
+    params = params_from_frames(cone, frame, mass, fields["wall"], mu=spec.mu)
+    comp = rb.compare_with_dirac(spec, params, cone.E_star)
+    ladder = gap_spectrum(params, rb.LADDER_BOX, rb.LADDER_POINTS).eigenvalues
+    t_lo, t_hi = ((e - cone.E_star) / DELTA for e in spec.window)
+    whole = ladder[(ladder >= t_lo) & (ladder <= t_hi)]
+    assert len(comp.thetas) == len(whole) == len(spec)
+    assert np.abs(comp.thetas - whole).max() <= 1e-12
 
 
 def test_compare_samples_no_eigenvectors(
@@ -908,7 +1008,7 @@ def test_short_box_warns_on_21_edge(lat, fields, basis, cone, masses):
     assert rb.gap_window(spec.edges, speed, 8.0 * 5.0 / DELTA, 5.0, DELTA) is not None
 
 
-def test_compare_count_mismatch(base_spec, cone, frame, fields, masses):
+def test_compare_count_mismatch(base_spec, cone, frame, fields, masses, monkeypatch):
     # widening the window beyond what the solve certified must be caught by
     # the ladder comparison, not silently matched
     edges = base_spec.edges
@@ -918,6 +1018,16 @@ def test_compare_count_mismatch(base_spec, cone, frame, fields, masses):
     params = params_from_frames(cone, frame, masses[10], fields["wall"])
     with pytest.raises(rb.CountMismatch):
         rb.compare_with_dirac(wide, params, cone.E_star)
+
+    # a window past the reduced gap predicts no state, with no integration
+    def no_call(*args, **kwargs):
+        raise AssertionError("the ladder was integrated outside the reduced gap")
+
+    monkeypatch.setattr(rb, "window_spectrum", no_call)
+    past = dataclasses.replace(base_spec, window=(edges.upper + 0.5, edges.upper + 0.6))
+    with pytest.raises(rb.CountMismatch) as err:
+        rb.compare_with_dirac(past, params, cone.E_star)
+    assert (err.value.count, err.value.found) == (0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -133,8 +133,6 @@ class DiracPointData:
     rotation_residual: float
     k_cutoff: float
     nu_star: complex | None = None
-    nu_fermi: float | None = None  # fitted cone slope
-    mass: float | None = None  # <phi1, W phi1> or the magnetic analogue
     diagnostics: dict = dc_field(default_factory=dict)
 
     @property
@@ -293,7 +291,6 @@ def compute_mass(
         raise DegenerateMass(
             f"|mass| = {abs(mass):.3e} below threshold {MASS_THRESHOLD:.1e}"
         )
-    data.mass = mass
     data.diagnostics["mass_cross_term"] = abs(m12)
     data.diagnostics["mass_diagonal_sum"] = abs(m11 + m22)
     data.diagnostics["mass_22"] = float(np.real(m22))
@@ -335,7 +332,6 @@ def fit_fermi_velocity(
     spread = float((intercepts.max() - intercepts.min()) / abs(nu_f))
     if spread > SPREAD_TOL:
         raise PoorFit(f"directional slope spread {spread:.2%} exceeds {SPREAD_TOL:.0%}")
-    data.nu_fermi = nu_f
     diag = {
         "intercepts": intercepts,
         "spread": spread,
@@ -355,13 +351,14 @@ def rank_two_model(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Two-level prediction vs. the true fiber pair near the gapped cone.
 
-    The model eigenvalues are E* +- sqrt(mass^2 delta^2 + nu_F^2 |xi-xi*|^2);
-    returns (model pair, fiber pair nearest E*, max deviation).
+    The model eigenvalues are E* +- sqrt(mass^2 delta^2 + nu_F^2 |xi-xi*|^2)
+    with the mass of W on this cone (``compute_mass``) and the velocity
+    that ``compute_nu_star`` stored on it; returns (model pair, fiber pair
+    nearest E*, max deviation).
     """
-    if data.mass is None or data.nu_star is None:
-        raise DegenerateDiracPoint("need mass and velocity before the model")
+    mass = compute_mass(data, basis, W)
     dist = float(np.linalg.norm(xi - data.xi_star))
-    radius = np.sqrt(data.mass**2 * delta**2 + data.nu_abs**2 * dist**2)
+    radius = np.sqrt(mass**2 * delta**2 + data.nu_abs**2 * dist**2)
     model = np.array([data.E_star - radius, data.E_star + radius])
     vals, _ = eigs(assemble_fiber(xi, delta, V, basis, W), data.j_star + 3)
     order = np.argsort(np.abs(vals - data.E_star))

@@ -72,8 +72,6 @@ from .ribbon import (
     _kron_apply,
     _strip_terms,
     fit_power_law,
-    fold_phase,
-    strip_grid,
 )
 from .wall_dirac import (
     Dirac1DSpectrum,
@@ -810,12 +808,9 @@ def effective_zeta(ws: QuasimodeWorkspace, delta: float, mu: float) -> float:
 def leading_quasimode(
     ws: QuasimodeWorkspace,
     pair: EnvelopePair,
-    delta: float,
-    mu: float | None = None,
-    grid: StripGrid | None = None,
+    grid: StripGrid,
     *,
     order: int = 1,
-    t_factor: float = 4.5,
 ) -> QuasimodeAnsatz:
     """Sample the two-scale ansatz on a strip grid.
 
@@ -824,37 +819,21 @@ def leading_quasimode(
     order 2 adds the envelope correction, the next energy coefficient, and
     the second transverse corrector (~ delta^3).
 
-    When ``grid`` is supplied it must match delta and the detuned Bloch
-    phase zeta* + mu delta, so the sample lives in the same discrete space
-    as an edge solve at that phase; otherwise a grid is built at the
-    strip's default step, with the reference phase ``assemble_strip`` uses
-    by default, ``fold_phase``.
+    delta is the grid's and mu the pair's.  The grid must sit at the
+    detuned Bloch phase zeta* + mu delta, so the sample lives in the same
+    discrete space as an edge solve at that phase.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
-    if mu is None:
-        mu = pair.mu
-    elif abs(mu - pair.mu) > 1e-12:
-        raise ValueError(
-            f"mu = {mu} does not match the envelope pair (mu = {pair.mu})"
-        )
+    delta, mu = grid.delta, pair.mu
     if delta <= 0:
         raise ValueError("delta must be positive")
-
     zeta_eff = effective_zeta(ws, delta, mu)
-    if grid is None:
-        grid = strip_grid(
-            ws.frame, ws.wall, zeta_eff, delta, ws.basis,
-            t_factor=t_factor, tau_ref=fold_phase(ws.frame, zeta_eff),
+    if abs(grid.zeta - zeta_eff) > 1e-9:
+        raise ValueError(
+            f"grid.zeta = {grid.zeta:.9f} but the detuned ansatz needs "
+            f"{zeta_eff:.9f}"
         )
-    else:
-        if abs(grid.delta - delta) > 1e-12:
-            raise ValueError("grid.delta does not match the requested delta")
-        if abs(grid.zeta - zeta_eff) > 1e-9:
-            raise ValueError(
-                f"grid.zeta = {grid.zeta:.9f} but the detuned ansatz needs "
-                f"{zeta_eff:.9f}"
-            )
     ts = delta * grid.t
     span = float(np.max(np.abs(ts)))
     if span > pair.box + 1e-9:
@@ -1013,11 +992,11 @@ def residual_orders(
     edge_values = np.zeros(len(deltas))
     for i, delta in enumerate(deltas):
         zeta_eff = effective_zeta(ws, delta, mu)
-        grid, terms, _ = _strip_terms(
+        grid, terms = _strip_terms(
             ws.frame, ws.potential, ws.wall, zeta_eff, delta, ws.basis,
             perturbation=ws.perturbation, t_factor=t_factor,
         )
-        top = leading_quasimode(ws, pair, delta, mu, grid, order=max(orders))
+        top = leading_quasimode(ws, pair, grid, order=max(orders))
         edge_values[i] = top.diagnostics["envelope_edge_value"]
         if top.correction is not None:
             defects[i] = top.correction.defect

@@ -217,11 +217,6 @@ SEED_SOLVES = 20
 SOLVE_GAIN = 10.0
 RESIDUAL_FLOOR = 1e-10
 
-# compare_with_dirac counts the reduced ladder on the box |t| <= LADDER_BOX
-# (slow units), with LADDER_POINTS samples for eigenvectors it never reads.
-LADDER_BOX = 30.0
-LADDER_POINTS = 6000
-
 # solve_edge_channel's cone velocity check: the relative linearity floor of
 # the truncated plane-wave ball is about 3e-6 at cutoff 4, above
 # compute_nu_star's default.
@@ -398,7 +393,7 @@ def _band_coefficients(terms: list) -> np.ndarray:
 
 @dataclass
 class StripOperator:
-    """Strip Hamiltonian as its Kronecker terms, with its grid and bookkeeping.
+    """Strip Hamiltonian as its Kronecker terms, with its grid.
 
     ``terms`` is H = sum_k T_k (x) F_k as ``[(T_k, F_k)]`` (see
     ``assemble_strip``); the window count, the shift-invert solve and the
@@ -411,8 +406,6 @@ class StripOperator:
     grid: StripGrid
     basis: PlaneWaveBasis
     terms: list
-    kappa: np.ndarray  # wall profile on the envelope nodes (slow argument)
-    meta: dict = dc_field(default_factory=dict)
 
     @cached_property
     def matrix(self) -> sp.csc_matrix:
@@ -447,8 +440,8 @@ def _strip_terms(
     tau_ref: float | None = None,
     half_width: float | None = None,
     flip_wall: bool = False,
-) -> tuple[StripGrid, list, np.ndarray]:
-    """Grid, Kronecker terms ``[(T_k, F_k)]`` and wall profile of the strip.
+) -> tuple[StripGrid, list]:
+    """Grid and Kronecker terms ``[(T_k, F_k)]`` of the strip.
 
     The strip Hamiltonian is H = sum_k T_k (x) F_k with each T_k a sparse
     n_t x n_t band and each F_k a dense n_fast x n_fast array; see
@@ -502,7 +495,7 @@ def _strip_terms(
             terms.append((-1j * (wall_diag @ D1 + D1 @ wall_diag), along))
         else:
             terms.append((wall_diag, _conv_table(perturbation, basis)))
-    return grid, terms, kappa
+    return grid, terms
 
 
 def _kron_apply(terms: list, u: np.ndarray) -> np.ndarray:
@@ -567,7 +560,7 @@ def assemble_strip(
     carries them; nothing is summed here.  Its ``matrix`` is their sum as
     CSC, built once, when first read.
     """
-    grid, terms, kappa = _strip_terms(
+    grid, terms = _strip_terms(
         frame,
         potential,
         wall,
@@ -581,17 +574,7 @@ def assemble_strip(
         half_width=half_width,
         flip_wall=flip_wall,
     )
-    return StripOperator(
-        grid=grid,
-        basis=basis,
-        terms=terms,
-        kappa=kappa,
-        meta={
-            "tau_ref": grid.tau_ref,
-            "flip_wall": flip_wall,
-            "magnetic": bool(perturbation is not None and perturbation.is_vector),
-        },
-    )
+    return StripOperator(grid=grid, basis=basis, terms=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -843,7 +826,13 @@ def fit_power_law(x: np.ndarray, y: np.ndarray) -> float:
 
 @dataclass
 class EdgeSpectrum:
-    """Certified in-gap eigenpairs of one strip assembly."""
+    """Certified in-gap eigenpairs of one strip assembly.
+
+    ``thetas`` are the reduced-ladder eigenvalues in the window, in theta =
+    (E - E*) / delta, that seeded the states (sorted; empty when no ladder
+    was counted); ``compare_with_dirac`` predicts the strip energies from
+    them.
+    """
 
     zeta: float
     delta: float
@@ -857,6 +846,7 @@ class EdgeSpectrum:
     edges: BulkEdges
     diagnostics: dict = dc_field(default_factory=dict)
     grid: StripGrid | None = None  # strip geometry, kept for profile sampling
+    thetas: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -1257,8 +1247,9 @@ class DiracComparison:
     """Pairing of strip in-gap energies with reduced-operator predictions.
 
     Predictions are E_star + delta * theta_j with theta_j the reduced in-gap
-    eigenvalues at the matching envelope detuning mu; residuals are the
-    per-state absolute differences after sorting both lists.
+    eigenvalues at the matching envelope detuning mu, the ones the strip
+    solve counted in its window and seeded its states from; residuals are
+    the per-state absolute differences after sorting both lists.
     """
 
     zeta: float
@@ -1285,19 +1276,17 @@ def compare_with_dirac(
 ) -> DiracComparison:
     """Match a strip in-gap spectrum against the reduced operator's ladder.
 
-    ``params`` bundles the reduced-operator coefficients (velocity, frame,
-    mass, wall) and must already carry the detuning mu = spectrum.mu.  The
-    reduced ladder is counted and refined on its own box, |t| <= LADDER_BOX,
-    only where the strip's certified window, in theta = (E - E*) / delta,
-    meets the reduced gap less a margin 3 / LADDER_BOX at each edge (the
-    window of ``gap_spectrum`` on that box).  Its roots are rescaled to strip
-    energies and compared state by state; a count difference raises
-    CountMismatch since the windows are constructed to match, and a window
-    that misses the reduced gap predicts no state, with no integration.
-    Refining only the window's roots takes about a quarter of the time the
-    whole ladder (3 roots, 1 in the window) took on the base channel, 0.05
-    against 0.16 s in process on a two-core host, and moves its theta by
-    7.8e-15.
+    The ladder is the one ``solve_edge_channel`` counted and refined in the
+    strip's certified window, in theta = (E - E*) / delta, on the strip's
+    own box; the spectrum carries its roots as ``thetas``, and nothing is
+    integrated here.
+    ``params`` bundles the reduced-operator coefficients and must carry the
+    detuning mu = spectrum.mu.  The thetas are rescaled to strip energies
+    E* + delta * theta and compared state by state; a kept state count that
+    differs from the ladder's (a seed refined to a state the screens
+    dropped) raises CountMismatch.  The independent route, the whole ladder
+    on the box |t| <= 30 (``gap_spectrum``), gives the same thetas to
+    1e-12 on the tested channels.
     """
     if spectrum.window is None:
         raise ValueError("strip spectrum has no certified window to compare on")
@@ -1308,33 +1297,26 @@ def compare_with_dirac(
             f"reduced-operator detuning {params.mu} does not match the strip's "
             f"{spectrum.mu}"
         )
-    lo, hi = spectrum.window
-    edge = params.essential_edge() - 3.0 / LADDER_BOX  # gap_spectrum's margin
-    t_lo = max((lo - e_star) / spectrum.delta, -edge)
-    t_hi = min((hi - e_star) / spectrum.delta, edge)
-    thetas = np.empty(0)
-    if t_lo < t_hi:
-        window = (t_lo, t_hi)
-        thetas = window_spectrum(params, LADDER_BOX, LADDER_POINTS, window).eigenvalues
+    thetas = spectrum.thetas
     if len(thetas) != len(spectrum.values):
+        lo, hi = spectrum.window
         raise CountMismatch(
-            f"strip found {len(spectrum.values)} in-gap states in "
-            f"[{lo:.6f}, {hi:.6f}] but the reduced operator predicts "
+            f"strip kept {len(spectrum.values)} in-gap states in "
+            f"[{lo:.6f}, {hi:.6f}] but the reduced ladder has "
             f"{len(thetas)} (zeta = {spectrum.zeta:.6f}, delta = {spectrum.delta})",
             count=len(thetas),
             found=len(spectrum.values),
         )
-    predicted = e_star + spectrum.delta * np.sort(thetas)
+    predicted = e_star + spectrum.delta * thetas
     measured = np.sort(spectrum.values)
-    residuals = np.abs(measured - predicted)
     return DiracComparison(
         zeta=spectrum.zeta,
         delta=spectrum.delta,
         mu=spectrum.mu,
         measured=measured,
         predicted=predicted,
-        thetas=np.sort(thetas),
-        residuals=residuals,
+        thetas=thetas,
+        residuals=np.abs(measured - predicted),
     )
 
 
@@ -1355,7 +1337,6 @@ def solve_edge_channel(
     perturbation: FourierField | None = None,
     step: float = 0.5,
     t_factor: float = 8.0,
-    tau_samples: int = 160,
     seed: int = 20250818,
     flip_wall: bool = False,
     tau_ref: float | None = None,
@@ -1372,19 +1353,20 @@ def solve_edge_channel(
     from the inputs: the nearest cone (``find_dirac_point``), its velocity
     nu*, the wall's mass on it (negated for ``flip_wall``, as the wall
     profile is odd) and ``params_from_frames`` at mu.  The Prufer ladder is
-    counted in the strip window's theta range, (E - E*) / delta, on the
-    strip's own box (``window_spectrum``), and each of its states' order-0
+    counted once, in the strip window's theta range, (E - E*) / delta, on
+    the strip's own box (``window_spectrum``).  Each of its states' order-0
     quasimode, the cone pair times the envelope of ``ladder_pair`` (the
     closed-form ``zero_mode_pair`` for the zero mode), is lifted onto the
-    strip grid (``quasimode.lift_order0``) as the seed of ``gap_eigenpairs``.
+    strip grid (``quasimode.lift_order0``) as the seed of ``gap_eigenpairs``,
+    and its eigenvalues are kept as the spectrum's ``thetas``, which
+    ``compare_with_dirac`` reads.
     """
     from .quasimode import ladder_pair, lift_order0  # quasimode imports this module
 
     which, dz = nearest_cone(frame, zeta)
     mu = dz / delta if delta > 0 else np.nan
     edges = essential_edges_bulk(
-        frame, potential, perturbation, zeta, delta, basis, j_star,
-        tau_samples=tau_samples,
+        frame, potential, perturbation, zeta, delta, basis, j_star
     )
     op = assemble_strip(
         frame, potential, wall, zeta, delta, basis,
@@ -1394,7 +1376,7 @@ def solve_edge_channel(
     window = gap_window(
         edges, decay_speed, op.grid.half_width, wall.plateau_halfwidth, delta
     )
-    seeds = []
+    seeds, thetas = [], np.empty(0)
     if window is not None:
         cone = find_dirac_point(potential, which, basis)
         compute_nu_star(cone, basis, linearity_tol=NU_LINEARITY_TOL)
@@ -1402,12 +1384,13 @@ def solve_edge_channel(
         params = params_from_frames(
             cone, frame, -mass if flip_wall else mass, wall, mu=mu
         )
-        thetas = tuple((e - cone.E_star) / delta for e in window)
-        ladder = window_spectrum(params, delta * op.grid.half_width, op.grid.n_t, thetas)
-        n = len(ladder.eigenvalues)
-        center = int(np.argmin(np.abs(ladder.eigenvalues))) if n else 0
+        bounds = tuple((e - cone.E_star) / delta for e in window)
+        ladder = window_spectrum(params, delta * op.grid.half_width, op.grid.n_t, bounds)
+        thetas = ladder.eigenvalues
+        center = int(np.argmin(np.abs(thetas))) if len(thetas) else 0
         seeds = [
             lift_order0(cone, frame, basis, ladder_pair(ladder, j - center), op.grid)
-            for j in range(n)
+            for j in range(len(thetas))
         ]
-    return gap_eigenpairs(op, window, edges, seeds, mu=mu)
+    spectrum = gap_eigenpairs(op, window, edges, seeds, mu=mu)
+    return dc_replace(spectrum, thetas=thetas)

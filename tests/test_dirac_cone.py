@@ -100,7 +100,6 @@ def test_conjugate_cone_velocity_modulus(cone_b, basis8):
 def test_fermi_velocity_fit_matches_modulus(wells, cone_a, basis8):
     nu_f, diag = dirac_cone.fit_fermi_velocity(wells, cone_a, basis8)
     assert abs(nu_f - NU_ABS) / NU_ABS < 0.02
-    assert cone_a.nu_fermi == nu_f
     assert diag["spread"] < 0.10
 
 
@@ -162,7 +161,6 @@ def test_no_degeneracy_below_resolving_cutoff(wells, lat):
 def test_rank_two_model_reduces_at_cone(lat, wells, cone_a, basis8):
     W = potentials.parity_breaking_W(lat, 3.0, 0.15 * np.linalg.norm(lat.v1), 8.0)
     dirac_cone.compute_nu_star(cone_a, basis8)
-    dirac_cone.compute_mass(cone_a, basis8, W)
     model, fiber, dev = dirac_cone.rank_two_model(
         cone_a, basis8, wells, W, cone_a.xi_star, 0.0
     )
@@ -175,7 +173,6 @@ def test_rank_two_model_deviation_scales(lat, wells, cone_a, basis8):
     # second-order accuracy: deviation drops ~4x when (delta, offset) halve
     W = potentials.parity_breaking_W(lat, 3.0, 0.15 * np.linalg.norm(lat.v1), 8.0)
     dirac_cone.compute_nu_star(cone_a, basis8)
-    dirac_cone.compute_mass(cone_a, basis8, W)
     direction = np.array([0.6, 0.8])
     devs = []
     for scale in (1.0, 0.5):

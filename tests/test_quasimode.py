@@ -139,25 +139,6 @@ def test_truncated_envelope_warns(medium):
     assert study.exponents[2] < 1.0
 
 
-def test_default_grid_matches_assembled_strip(setup):
-    # without a grid the ansatz builds its own, at the reference phase the
-    # strip assembly uses; it must be the same vector as on the strip's grid
-    params, ws = setup
-    pair = quasimode.zero_mode_pair(params)
-    delta = 0.08
-    op = rb.assemble_strip(
-        ws.frame, ws.potential, ws.wall, quasimode.effective_zeta(ws, delta, 0.0),
-        delta, ws.basis, perturbation=ws.perturbation, t_factor=4.5,
-    )
-    for order in (0, 1, 2):
-        own = quasimode.leading_quasimode(ws, pair, delta, order=order, t_factor=4.5)
-        on_strip = quasimode.leading_quasimode(
-            ws, pair, delta, grid=op.grid, order=order
-        )
-        assert np.all(np.isfinite(own.vector))
-        assert np.abs(own.vector - on_strip.vector).max() <= 1e-12
-
-
 def test_solvability_gate_rejects_mismatched_mass(setup):
     params, ws = setup
     off = dataclasses.replace(params, mass=1.001 * params.mass)
@@ -188,7 +169,12 @@ def test_bordered_solve_matches_dense(setup, detuned_pair, monkeypatch, mu):
         return beta
 
     monkeypatch.setattr(quasimode, "_bordered_solve", capture)
-    ansatz = quasimode.leading_quasimode(ws, pair, 0.08, order=2, t_factor=4.5)
+    zeta = quasimode.effective_zeta(ws, 0.08, mu)
+    grid = rb.strip_grid(
+        ws.frame, ws.wall, zeta, 0.08, ws.basis, t_factor=4.5,
+        tau_ref=rb.fold_phase(ws.frame, zeta),
+    )
+    ansatz = quasimode.leading_quasimode(ws, pair, grid, order=2)
     ((squared, w, rhs, beta),) = seen
     n = squared.shape[0]
     assert n + 1 == 2251
@@ -227,12 +213,12 @@ def test_residual_orders_is_one_pass_per_delta(setup, detuned_pair, monkeypatch,
     # the orders cut from the shared pieces are the vectors each order builds;
     # the apply is the study's own, so the match is bitwise
     for i, delta in enumerate(deltas):
-        grid, terms, _ = rb._strip_terms(
+        grid, terms = rb._strip_terms(
             ws.frame, ws.potential, ws.wall, quasimode.effective_zeta(ws, delta, mu),
             delta, ws.basis, perturbation=ws.perturbation, t_factor=4.5,
         )
         for order in (0, 1):
-            u = quasimode.leading_quasimode(ws, pair, delta, mu, grid, order=order)
+            u = quasimode.leading_quasimode(ws, pair, grid, order=order)
             v = u.vector.reshape(grid.n_t, grid.n_fast)
             direct = float(np.linalg.norm(rb._kron_apply(terms, v) - u.energy * v))
             assert study.residuals[order][i] == direct

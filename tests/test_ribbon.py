@@ -199,15 +199,17 @@ def test_hermiticity(lat, frame, fields, basis):
         frame, fields["V"], wall, zs, DELTA, basis,
         perturbation=magnetic_A(lat, 2.2), **common,
     )
-    assert opm.meta["magnetic"]
+    assert len(opm.terms) == 5  # the magnetic wall's two terms
     assert opm.hermiticity_residual() < 1e-12
 
 
-def _kron_formula(frame, fields, basis, op, perturbation):
-    """The strip matrix as a chain of sparse Kronecker products and sums."""
+def _kron_formula(frame, fields, basis, op, perturbation, wall, flip):
+    """The strip matrix as a chain of sparse Kronecker products and sums,
+    with the wall profile kappa(delta t), or kappa(-delta t) for a flipped
+    wall, evaluated here."""
     grid = op.grid
     n_t, n_fast, h, delta = grid.n_t, grid.n_fast, grid.step, grid.delta
-    K = frame.xi_of(grid.zeta, op.meta["tau_ref"])[None, :] + TWO_PI * basis.duals
+    K = frame.xi_of(grid.zeta, grid.tau_ref)[None, :] + TWO_PI * basis.duals
     kp = frame.kp
 
     def conv(fld):
@@ -224,7 +226,7 @@ def _kron_formula(frame, fields, basis, op, perturbation):
     H = H + float(kp @ kp) * sp.kron(D1.T @ D1, I_f, format="csr")
     H = H + sp.kron(I_t, conv(fields["V"]), format="csr")
     if perturbation is not None and delta != 0.0:
-        wall_diag = sp.diags(op.kappa)
+        wall_diag = sp.diags(wall((-1.0 if flip else 1.0) * delta * grid.t))
         if perturbation.is_vector:
             for c in (0, 1):
                 comp = dataclasses.replace(
@@ -251,7 +253,7 @@ def test_assembly_matches_kron_formula(lat, frame, fields, basis, case):
         frame, fields["V"], wall, frame.zeta_star("A"), delta, basis,
         perturbation=pert, half_width=20.0, flip_wall=case == "W_flip",
     )
-    ref = _kron_formula(frame, fields, basis, op, pert)
+    ref = _kron_formula(frame, fields, basis, op, pert, wall, case == "W_flip")
     new = op.matrix
     scale = np.abs(ref.data).max()
     assert _sparse_max_abs(new - ref) <= 1e-13 * scale
@@ -279,7 +281,7 @@ def test_kron_apply_matches_assembled_matvec(lat, frame, fields, basis, case):
     pert = magnetic_A(lat, 2.2) if case == "A" else fields["W10"]
     args = (frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA, basis)
     kwargs = dict(perturbation=pert, t_factor=3.5, flip_wall=case == "W_flip")
-    grid, terms, _ = rb._strip_terms(*args, **kwargs)
+    grid, terms = rb._strip_terms(*args, **kwargs)
     op = rb.assemble_strip(*args, **kwargs)
     rng = np.random.default_rng(7)
     u = rng.standard_normal((grid.n_t, grid.n_fast, 2)) @ np.array([1.0, 1.0j])
@@ -406,7 +408,7 @@ def test_interior_remap(frame, fields, basis):
     y0 = op0.matrix @ x0
     shift = np.sin(p * op0.grid.step) / op0.grid.step
     fib = assemble_fiber(
-        frame.xi_of(op0.grid.zeta, op0.meta["tau_ref"] + shift), 0.0,
+        frame.xi_of(op0.grid.zeta, op0.grid.tau_ref + shift), 0.0,
         fields["V"], basis,
     )
     pred = (wave[:, None] * (fib.matrix @ u)[None, :]).ravel()
@@ -675,39 +677,50 @@ def test_detuned_channel(frame, fields, cone, masses, mu03_spec):
 
 @pytest.mark.parametrize("channel", ["base", "amp15", "mu03"])
 def test_check_ladder_matches_gap_spectrum(request, cone, frame, fields, masses, channel):
-    # the check ladder is refined only where the strip window meets the
-    # reduced gap, on its own box-30 route: the roots of the whole box-30
-    # ladder (gap_spectrum) that fall in the window, to 1e-12
+    # the ladder the solve counted on the strip's own box, which the
+    # comparison reads, against the independent box-30 route: the roots of
+    # the whole box-30 ladder (gap_spectrum) that fall in the window, to 1e-12
     spec = request.getfixturevalue(f"{channel}_spec")
     mass = masses[15 if channel == "amp15" else 10]
     params = params_from_frames(cone, frame, mass, fields["wall"], mu=spec.mu)
-    comp = rb.compare_with_dirac(spec, params, cone.E_star)
-    ladder = gap_spectrum(params, rb.LADDER_BOX, rb.LADDER_POINTS).eigenvalues
+    ladder = gap_spectrum(params, 30.0, 6000).eigenvalues
     t_lo, t_hi = ((e - cone.E_star) / DELTA for e in spec.window)
     whole = ladder[(ladder >= t_lo) & (ladder <= t_hi)]
-    assert len(comp.thetas) == len(whole) == len(spec)
-    assert np.abs(comp.thetas - whole).max() <= 1e-12
+    assert len(spec.thetas) == len(whole) == len(spec)
+    assert np.abs(spec.thetas - whole).max() <= 1e-12
+    comp = rb.compare_with_dirac(spec, params, cone.E_star)
+    assert np.array_equal(comp.thetas, spec.thetas)
+    np.testing.assert_array_equal(comp.predicted, cone.E_star + DELTA * spec.thetas)
 
 
-def test_compare_samples_no_eigenvectors(
-    base_spec, cone, frame, fields, masses, monkeypatch
-):
-    # the comparison reads only the ladder's eigenvalues, so no eigenvector
-    # (log-radius) half-line is integrated
+def test_compare_samples_no_eigenvectors(frame, fields, basis, cone, masses, monkeypatch):
+    # the reduced ladder is integrated once per channel: the solve counts it
+    # (one window_spectrum call) and the comparison reads its thetas, with no
+    # Prufer half-line of its own
     from artifact import wall_dirac
 
-    real_half = wall_dirac._prufer_half
-    radius_flags = []
+    real_window, windows = rb.window_spectrum, []
 
-    def counted(params, theta, T, side, radius):
-        radius_flags.append(radius)
-        return real_half(params, theta, T, side, radius)
+    def counted_window(*args, **kwargs):
+        windows.append(args)
+        return real_window(*args, **kwargs)
 
-    monkeypatch.setattr(wall_dirac, "_prufer_half", counted)
+    monkeypatch.setattr(rb, "window_spectrum", counted_window)
+    spec = rb.solve_edge_channel(
+        frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA, basis,
+        cone.j_star, SPEED_T, perturbation=fields["W10"], t_factor=3.5,
+    )
+    real_half, halves = wall_dirac._prufer_half, []
+
+    def counted_half(*args, **kwargs):
+        halves.append(args)
+        return real_half(*args, **kwargs)
+
+    monkeypatch.setattr(wall_dirac, "_prufer_half", counted_half)
     params = params_from_frames(cone, frame, masses[10], fields["wall"])
-    comp = rb.compare_with_dirac(base_spec, params, cone.E_star)
+    comp = rb.compare_with_dirac(spec, params, cone.E_star)
     assert comp.count == 1
-    assert len(radius_flags) > 0 and not any(radius_flags)
+    assert len(windows) == 1 and halves == []
 
 
 def test_doubling_invariance(lat, frame, fields, cone, base_spec):
@@ -950,7 +963,7 @@ def test_block_ldl_on_dense_couplings():
         for j in range(n_t)
         for i in range(max(j - 2, 0), min(j + 3, n_t))
     ]
-    mat = rb.StripOperator(grid=None, basis=None, terms=terms, kappa=None).matrix
+    mat = rb.StripOperator(grid=None, basis=None, terms=terms).matrix
     assert np.array_equal(mat.toarray(), dense)
     reach3 = sp.csr_matrix(([1.0], ([3], [0])), shape=(n_t, n_t))
     with pytest.raises(ValueError, match="farther apart"):
@@ -1008,26 +1021,15 @@ def test_short_box_warns_on_21_edge(lat, fields, basis, cone, masses):
     assert rb.gap_window(spec.edges, speed, 8.0 * 5.0 / DELTA, 5.0, DELTA) is not None
 
 
-def test_compare_count_mismatch(base_spec, cone, frame, fields, masses, monkeypatch):
-    # widening the window beyond what the solve certified must be caught by
-    # the ladder comparison, not silently matched
-    edges = base_spec.edges
-    wide = dataclasses.replace(
-        base_spec, window=(edges.lower + 1e-4, edges.upper - 1e-4)
-    )
+def test_compare_count_mismatch(base_spec, cone, frame, fields, masses):
+    # a strip that keeps fewer states than the ladder it was seeded from (a
+    # refined seed the screens dropped) must be caught by the comparison,
+    # not silently matched
+    fewer = dataclasses.replace(base_spec, values=np.empty(0))
     params = params_from_frames(cone, frame, masses[10], fields["wall"])
-    with pytest.raises(rb.CountMismatch):
-        rb.compare_with_dirac(wide, params, cone.E_star)
-
-    # a window past the reduced gap predicts no state, with no integration
-    def no_call(*args, **kwargs):
-        raise AssertionError("the ladder was integrated outside the reduced gap")
-
-    monkeypatch.setattr(rb, "window_spectrum", no_call)
-    past = dataclasses.replace(base_spec, window=(edges.upper + 0.5, edges.upper + 0.6))
     with pytest.raises(rb.CountMismatch) as err:
-        rb.compare_with_dirac(past, params, cone.E_star)
-    assert (err.value.count, err.value.found) == (0, 1)
+        rb.compare_with_dirac(fewer, params, cone.E_star)
+    assert (err.value.count, err.value.found) == (1, 0)
 
 
 # ---------------------------------------------------------------------------

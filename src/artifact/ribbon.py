@@ -48,27 +48,43 @@ plateaus of a magnetic one), so one coupling, and its adjoint, is built per
 distinct coefficient set and shared by every sweep of the strip.  Off the
 wall the diagonal coefficients repeat too: the base channel's 438 node pairs
 fall into 123 runs of equal ones, so each sweep builds D_i once per run and
-copies it for the rest (0.53 -> 0.47 s per counting sweep there, median of
-12 interleaved in one process on a two-core host, BLAS on one thread; the
-ldu, ipiv and inverse of every block are unchanged bit for bit).  Each step
-factors one Schur block S_i by Bunch-Kaufman (zhetrf), inverts it from that
-factor (zhetri), and passes ``B^H S_i^-1 B`` on to the next block.  B
-stays sparse: it holds only the distance-one and distance-two node
-couplings (165 nonzeros of its 12,100 entries on the base channel, 257 with
-a magnetic wall), so both products with it cost next to nothing and only
-the inverse is dense.  The sweep at the shift keeps, per node pair, only
-the lower triangle of S_i^-1 in LAPACK's packed form, half a dense block,
-next to the shared couplings, and each solve applies it with one packed
-Hermitian matrix-vector product (zhpmv) instead of triangular solves
-with the Bunch-Kaufman factor.  On the base channel that keeps 2.74 M
-values instead of 5.36 M, and takes the channel's peak RSS from 191 to
-162 MB and one solve from 34 to 20 ms (two-core host, BLAS on one
-thread).  The CSC matrix of the strip is the plain sum of its Kronecker
-products, built only when a check reads ``StripOperator.matrix``.
+copies it for the rest (0.53 -> 0.47 s per sweep there, median of 12
+interleaved in one process on a two-core host, BLAS on one thread; the ldu,
+ipiv and inverse of every block are unchanged bit for bit).  Each step
+factors one Schur block S_i by Bunch-Kaufman (zhetrf, blocked: 0.28 ->
+0.25 s per sweep), inverts it from that factor (zhetri), and passes ``B^H
+S_i^-1 B`` on to the next block.  B stays sparse: it holds only the
+distance-one and distance-two node couplings (165 nonzeros of its 12,100
+entries on the base channel, 257 with a magnetic wall), so both products
+with it cost next to nothing and only the inverse is dense.  The sweep at
+the shift keeps, per node pair, only the lower triangle of S_i^-1 in
+LAPACK's packed form, half a dense block, next to the shared couplings, and
+each solve applies it with one packed Hermitian matrix-vector product
+(zhpmv) instead of triangular solves with the Bunch-Kaufman factor.  On
+the base channel that keeps 2.74 M values instead of 5.36 M, and takes the
+channel's peak RSS from 191 to 162 MB and one solve from 34 to 20 ms
+(two-core host, BLAS on one thread).  The CSC matrix of the strip is the
+plain sum of its Kronecker products, built only when a check reads
+``StripOperator.matrix``.
+
+The count walks the plateaus by block cyclic reduction (Buzbee, Golub &
+Nielson, SIAM J. Numer. Anal. 7, 1970), the in-box form of the decimation
+of Sancho, Sancho & Rubio (J. Phys. F 15, 1985).  Off the wall consecutive
+node pairs have the same diagonal block and the same coupling, so a run of
+m of them reduces to its last pair's Schur block in about 2 log2(m)
+factorizations: each level factors one pivot for all the blocks it
+eliminates.  That Schur block is the one the per-pair sweep reaches, and by
+Haynsworth additivity the pivots carry the same inertia.  The base
+channel's 438 pairs make 123 runs, two of them the plateaus of 158 and 159
+pairs, so one count takes 147 factorizations where the per-pair sweep takes
+438, and 0.30 -> 0.13 s (median of 6 interleaved in one process, two-core
+host, BLAS on one thread; 0.43 -> 0.15 s at amp 15).  The solves stay per
+pair, since each applies every pair's Schur inverse.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field as dc_field, replace as dc_replace
 from functools import cache, cached_property, partial
@@ -76,8 +92,8 @@ from functools import cache, cached_property, partial
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla  # noqa: F401  bench/tracer.py patches ribbon.spla
-from scipy.linalg.blas import zhpmv
-from scipy.linalg.lapack import zhetrf, zhetri
+from scipy.linalg.blas import zgemm, zhpmv
+from scipy.linalg.lapack import zhetrf, zhetrf_lwork, zhetri
 from scipy.optimize import minimize_scalar
 
 from .bloch import (
@@ -404,7 +420,6 @@ class StripOperator:
     """
 
     grid: StripGrid
-    basis: PlaneWaveBasis
     terms: list
 
     @cached_property
@@ -574,7 +589,7 @@ def assemble_strip(
         half_width=half_width,
         flip_wall=flip_wall,
     )
-    return StripOperator(grid=grid, basis=basis, terms=terms)
+    return StripOperator(grid=grid, terms=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -961,6 +976,53 @@ def _upper(n: int, k: int) -> np.ndarray:
     return mask
 
 
+@cache
+def _lwork(n: int) -> int:
+    """Workspace size for zhetrf on an n-row block (zhetrf_lwork, cached).
+
+    scipy's default ``lwork = n`` keeps LAPACK on its unblocked path; this
+    size lets it block (7,040 for a 110-row block: 244 -> 124 us per block,
+    two-core host, BLAS on one thread).
+    Blocks of at most 64 rows take the unblocked path either way.
+    """
+    work, _ = zhetrf_lwork(n, lower=1)
+    return int(work.real)
+
+
+def _schur_block(built: np.ndarray, shift: float, adjoint, inverse) -> np.ndarray:
+    """``D - shift - B^H X B`` as a fresh array: the Schur block of one node
+    pair from its diagonal block D (``built``, not changed), the incoming
+    coupling's adjoint B^H and the previous Schur block's inverse X, or
+    ``D - shift`` when ``adjoint`` is None."""
+    block = built.copy()
+    block[np.diag_indices(len(block))] -= shift
+    if adjoint is not None:
+        # (B^H X)^H = X B, as X is exactly Hermitian
+        block -= adjoint @ (adjoint @ inverse).conj().T
+    return block
+
+
+def _factor(block: np.ndarray, where: str) -> tuple:
+    """Bunch-Kaufman factor of a Hermitian block (zhetrf, lower) and its inverse.
+
+    Returns ``(ldu, ipiv, inverse)``.  The inverse comes from the factor
+    (zhetri), with the conjugate of its lower triangle copied over its upper
+    one (one masked copy, 22 us per 110-row block where two ``np.tril`` and
+    an add took 94 us), so it is exactly Hermitian.  A singular block raises
+    FactorizationFailure with ``where`` in the message.
+    """
+    n = len(block)
+    ldu, ipiv, info = zhetrf(block, lower=1, lwork=_lwork(n))
+    if info == 0:
+        inverse, info = zhetri(ldu, ipiv, lower=1)
+        np.copyto(inverse, inverse.T.conj(), where=_upper(n, 1))
+    if info != 0:
+        raise FactorizationFailure(
+            f"block LDL^H of the strip is singular {where} (info = {info})"
+        )
+    return ldu, ipiv, inverse
+
+
 def _block_ldl(pairs: list, shift: float):
     """Block LDL^H of ``H - shift`` for H = sum_k T_k (x) F_k, one node pair at a time.
 
@@ -974,7 +1036,9 @@ def _block_ldl(pairs: list, shift: float):
     formed.  Yields ``(r0, r1, ldu, ipiv, inverse, coupling, adjoint)`` per
     block: its rows, the Bunch-Kaufman factor of S_i (zhetrf, lower), the
     full Hermitian S_i^-1, and the sparse coupling B_(i+1) with its adjoint
-    (None for the last block).
+    (None for the last block).  The solves of ``_shift_invert_solve`` need
+    every S_i^-1, so this sweep stays per pair; the count (``_inertia``)
+    reduces the runs of equal blocks instead.
 
     The sweep keeps the last D_i it built and copies it while the table's
     ``diagonal`` callable repeats, so it sums D_i from the terms once per
@@ -982,15 +1046,13 @@ def _block_ldl(pairs: list, shift: float):
     about 0.05 s less per sweep) and holds one extra block.  Keeping every
     distinct D_i instead would hold 123 blocks of 194 kB.
 
-    Each step inverts S_i from its factor (zhetri, the last block too),
-    copies the conjugate of the inverse's lower triangle over its upper one
-    (one masked copy, 22 us per 110-row block where two ``np.tril`` and an
-    add took 94 us), and subtracts ``B^H (S_i^-1 B)`` from the next block
-    as two sparse-times-dense products with ``B^H``.  B_(i+1) couples only
+    Each step builds S_i (``_schur_block``), subtracting ``B^H (S_(i-1)^-1
+    B)`` as two sparse-times-dense products with ``B^H``, and factors and
+    inverts it (``_factor``; the last block too).  B_(i+1) couples only
     nodes at distance one or two, so it holds a few hundred nonzeros and is
     never made dense.  A consumer that keeps nothing holds only a few blocks
     at a time, however long the strip is.  Every dense BLAS call goes
-    through scipy's LAPACK and BLAS wrappers (here and in
+    through scipy's LAPACK and BLAS wrappers (here, in ``_inertia`` and in
     ``_shift_invert_solve``), which share one OpenBLAS: numpy bundles
     another with its own thread pool, and alternating the two left both
     pools spinning against each other (a base channel sweep took 5.8 s
@@ -1001,34 +1063,127 @@ def _block_ldl(pairs: list, shift: float):
     for r0, r1, diagonal, coupling, next_adjoint in pairs:
         if diagonal is not last:
             built, last = diagonal(), diagonal
-        block = built.copy()
-        block[np.diag_indices(r1 - r0)] -= shift
-        if adjoint is not None:
-            # (B^H S^-1)^H = S^-1 B, as S^-1 is exactly Hermitian
-            block -= adjoint @ (adjoint @ inverse).conj().T
-        ldu, ipiv, info = zhetrf(block, lower=1)
+        # drop the Schur block once factored: held to the next step, it took
+        # the base channel's peak RSS to 150 MB, against 142 MB dropped
+        block = _schur_block(built, shift, adjoint, inverse)
+        ldu, ipiv, inverse = _factor(block, f"at shift = {shift:.12g}, rows {r0}:{r1}")
+        del block
         adjoint = next_adjoint
-        if info == 0:
-            inverse, info = zhetri(ldu, ipiv, lower=1)
-            np.copyto(inverse, inverse.T.conj(), where=_upper(r1 - r0, 1))
-        if info != 0:
-            raise FactorizationFailure(
-                f"block LDL^H of the strip is singular at shift = {shift:.12g} "
-                f"(rows {r0}:{r1}, info = {info})"
-            )
         yield r0, r1, ldu, ipiv, inverse, coupling, adjoint
 
 
-def _inertia(pairs: list, shift: float) -> int:
+def _runs(pairs: list) -> list:
+    """The node-pair table cut into runs: stretches of consecutive pairs with
+    one ``diagonal`` callable, each coupled to the next by one shared
+    coupling object (the last pair's own coupling may differ).  The base
+    channel's 438 pairs make 123 runs: the two plateaus of 158 and 159
+    pairs, 119 single pairs on the wall and one at each end of the box."""
+    runs: list = []
+    for pair in pairs:
+        run = runs[-1] if runs else None
+        if run and pair[2] is run[0][2] and run[-1][3] is run[0][3]:
+            run.append(pair)
+        else:
+            runs.append([pair])
+    return runs
+
+
+def _reduce_run(first, plateau, coupling, m: int, where: str) -> tuple:
+    """Schur complement of a run's last block, by block cyclic reduction.
+
+    The run is the block tridiagonal chain of m >= 2 blocks ``[F, A, ...,
+    A, A]`` with every coupling B (block j to block j + 1; B^H below): F =
+    ``first`` is the first pair's Schur block, A = ``plateau`` is D - shift,
+    and B = ``coupling`` (dense).  Each level eliminates every second block,
+    counting back from the last, which is never eliminated.  The eliminated
+    blocks are not coupled to each other, so their Schur update is local:
+    every interior one has the pivot A, which is factored and inverted once
+    for all of them, and the first block, when eliminated, is its own pivot.
+    The kept blocks form the next level's chain, with
+
+        F <- F - B A^-1 B^H                          (F kept), or
+        F <- A - B^H F^-1 B - B A^-1 B^H             (F eliminated),
+        A <- A - B^H A^-1 B - B A^-1 B^H,
+        L <- L - B^H P^-1 B,   B <- -B A^-1 B,
+
+    with L the last block (A at the start) and P its eliminated neighbour's
+    pivot (A, or F when the chain has two blocks).  The block left at the
+    end is the Schur complement of the last pair, the same matrix the
+    per-pair sweep reaches (it is unique).  Returns ``(schur, negatives,
+    factorizations)``: by Haynsworth additivity the eliminated blocks'
+    negative pivots, each pivot's count times the blocks it stands for, add
+    up to the inertia of the first m - 1 blocks of the sweep.  A run of 158
+    pairs takes 12 factorizations in 8 levels.  Every dense product is a
+    zgemm (see ``_block_ldl`` on the two BLAS pools).
+    """
+    F, A, L, B = first, plateau, plateau.copy(), coupling
+    negatives = factorizations = 0
+    for level in itertools.count(1):
+        interior = m // 2 - (m % 2 == 0)  # eliminated blocks with pivot A
+        if interior:
+            ldu, ipiv, inv_a = _factor(A, f"{where}, level {level}")
+            negatives += interior * _negative_pivots(ldu, ipiv)
+            factorizations += 1
+            a_b = zgemm(1.0, inv_a, B)  # A^-1 B
+            # what a kept block loses to the eliminated block after it, and
+            # to the one before it
+            from_next = zgemm(1.0, B, zgemm(1.0, inv_a, B, trans_b=2))  # B A^-1 B^H
+            from_prev = zgemm(1.0, B, a_b, trans_a=2)  # B^H A^-1 B
+        if m % 2 == 0:
+            ldu, ipiv, inv_f = _factor(F, f"{where}, level {level}")
+            negatives += _negative_pivots(ldu, ipiv)
+            factorizations += 1
+            f_b = zgemm(-1.0, B, zgemm(1.0, inv_f, B), trans_a=2)  # -B^H F^-1 B
+            if m == 2:
+                return L + f_b, negatives, factorizations
+            F = A + f_b - from_next
+        else:
+            F = F - from_next
+        L = L - from_prev
+        A = A - from_prev - from_next
+        B = zgemm(-1.0, B, a_b)
+        m = (m + 1) // 2
+
+
+def _inertia(pairs: list, shift: float) -> tuple[int, int]:
     """Number of strip eigenvalues below ``shift``, by Sylvester's law of inertia.
 
-    The Schur blocks of the block LDL^H sweep (``_block_ldl``) together carry
-    the inertia of ``H - shift`` (Haynsworth additivity); each one's
-    negative pivots are counted and the factor dropped.
+    Returns ``(count, factorizations)``: the negative pivots of a block
+    LDL^H of ``H - shift``, which by Haynsworth additivity carry its
+    inertia, and the block factorizations that took.  The node pairs are
+    walked run by run (``_runs``).  A single pair takes the sweep's step
+    (``_schur_block``, ``_factor``); a run of m >= 2 equal pairs enters
+    with its first pair's Schur block and is reduced to its last pair's
+    (``_reduce_run``) in about 2 log2(m) factorizations, where the per-pair
+    sweep (``_block_ldl``) takes m.  The next run goes on from the inverse
+    of that block, as the sweep does.  On the base channel one count takes
+    147 factorizations where the sweep takes 438 (150 where 626 at
+    amp 15), and 0.30 -> 0.13 s (two-core host, BLAS on one thread).  The
+    count keeps no factor; the solves of ``_shift_invert_solve`` apply
+    every pair's Schur inverse, so their factor stays a per-pair sweep.
     """
-    return sum(
-        _negative_pivots(ldu, ipiv) for _, _, ldu, ipiv, *_ in _block_ldl(pairs, shift)
-    )
+    negatives = factorizations = 0
+    adjoint = inverse = None  # B^H into the next run and the last Schur inverse
+    for index, run in enumerate(_runs(pairs)):
+        r0, _, diagonal, coupling, _ = run[0]
+        where = f"at shift = {shift:.12g}, run {index} (rows {r0}:{run[-1][1]})"
+        built = diagonal()
+        block = _schur_block(built, shift, adjoint, inverse)
+        if len(run) > 1:
+            block, neg, made = _reduce_run(
+                block,
+                _schur_block(built, shift, None, None),
+                coupling.toarray(),
+                len(run),
+                where,
+            )
+            negatives += neg
+            factorizations += made
+        ldu, ipiv, inverse = _factor(block, where)
+        negatives += _negative_pivots(ldu, ipiv)
+        factorizations += 1
+        adjoint = run[-1][4]
+    return negatives, factorizations
 
 
 def _shift_invert_solve(pairs: list, sigma: float):
@@ -1137,18 +1292,23 @@ def gap_eigenpairs(
     the midgap state, the one nearest that shift.  The mirrors are counted,
     never solved for.
 
-    Every sweep is one pass of ``_block_ldl`` over the node pairs, with the
-    blocks built from the strip's Kronecker terms; the node-pair table and
-    its shared couplings (``_node_pairs``) are read once per call, and no
-    step here forms, slices or multiplies the CSC strip.  The Rayleigh
-    quotients and residuals apply the terms (``_kron_apply``).  The
-    diagnostics record ``inertia_sweeps`` (2 for the count, plus one factor
-    per seed), ``block_solves`` (applications of the shift-invert solves),
-    ``shifts`` (one Rayleigh quotient per seed), ``seed_overlaps`` (|<seed,
-    state>|^2 per seed: a seed with the wrong reduced model can still reach
-    its state from rounding noise, but not with a large overlap) and
-    ``factor_values`` (values one factor keeps, counted per node pair).  On
-    the base channel that is 3 sweeps and 3 block solves.
+    Every sweep builds its blocks from the strip's Kronecker terms; the
+    node-pair table and its shared couplings (``_node_pairs``) are read once
+    per call, and no step here forms, slices or multiplies the CSC strip.
+    The two counts walk the table run by run and reduce each plateau run by
+    block cyclic reduction (``_inertia``); each seed's factor is a per-pair
+    sweep (``_block_ldl``), because its solves apply every pair's Schur
+    inverse.  The Rayleigh quotients and residuals apply the terms
+    (``_kron_apply``).  The diagnostics record ``inertia_sweeps`` (2 for
+    the count, plus one factor per seed), ``count_factorizations`` (the
+    block factorizations one count takes), ``block_solves`` (applications
+    of the shift-invert solves), ``shifts`` (one Rayleigh quotient per
+    seed), ``seed_overlaps`` (|<seed, state>|^2 per seed: a seed with the
+    wrong reduced model can still reach its state from rounding noise, but
+    not with a large overlap) and ``factor_values`` (values one factor
+    keeps, counted per node pair).  On the base channel that is 3 sweeps, a
+    count of 147 factorizations where a per-pair sweep takes 438, and 3
+    block solves.
 
     A refined state is kept when its relative residual is at most
     ``RESIDUAL_TOL``, its energy lies in the window and at most
@@ -1164,7 +1324,7 @@ def gap_eigenpairs(
 
     terms, pairs = op.terms, _node_pairs(op.terms)
     n_t, n_fast = op.grid.n_t, op.grid.n_fast
-    nu_lo, nu_hi = _inertia(pairs, lo), _inertia(pairs, hi)
+    (nu_lo, factorizations), (nu_hi, _) = _inertia(pairs, lo), _inertia(pairs, hi)
     count = nu_hi - nu_lo
     diagnostics: dict = {
         "inertia": (nu_lo, nu_hi),
@@ -1173,6 +1333,7 @@ def gap_eigenpairs(
         "shifts": (),
         "seed_overlaps": (),
         "inertia_sweeps": 2,
+        "count_factorizations": factorizations,
         "block_solves": 0,
         "factor_values": 0,
     }

@@ -79,7 +79,11 @@ channel's 438 pairs make 123 runs, two of them the plateaus of 158 and 159
 pairs, so one count takes 147 factorizations where the per-pair sweep takes
 438, and 0.30 -> 0.13 s (median of 6 interleaved in one process, two-core
 host, BLAS on one thread; 0.43 -> 0.15 s at amp 15).  The solves stay per
-pair, since each applies every pair's Schur inverse.
+pair, since each applies every pair's Schur inverse.  The reduction's
+pivots come from the plateau alone (the first is D - shift), so a shift
+within about 1e-6 of an eigenvalue of one of them can miscount where the
+sweep does not; the windows lie in the bulk gap, far from those
+(``_reduce_run``).
 """
 
 from __future__ import annotations
@@ -1115,6 +1119,16 @@ def _reduce_run(first, plateau, coupling, m: int, where: str) -> tuple:
     up to the inertia of the first m - 1 blocks of the sweep.  A run of 158
     pairs takes 12 factorizations in 8 levels.  Every dense product is a
     zgemm (see ``_block_ldl`` on the two BLAS pools).
+
+    The pivots are Schur blocks of stretches of the plateau alone (D -
+    shift, then 3, 7, ... pairs cut off at both ends), where the sweep's are
+    those of the box from its first pair.  Near an eigenvalue of one of them
+    the count loses accuracy where the sweep keeps it: 1e-6 below the
+    eigenvalue 6.31 of the base plateau's D it is one short, 3e-8 from
+    -1.38 up to 5 short; 1e-4 from either it is right.  No window comes
+    near: D has no eigenvalue within 2.9 of the window on the four test
+    channels, and inside the windows no pivot of the reduction has an
+    eigenvalue below 0.28 in size (``BENCH_plateau_reduction.json``).
     """
     F, A, L, B = first, plateau, plateau.copy(), coupling
     negatives = factorizations = 0

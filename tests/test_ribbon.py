@@ -898,55 +898,67 @@ def test_empty_window_skips_solve(monkeypatch, base_op, base_spec):
     assert spec.diagnostics["block_solves"] == spec.diagnostics["factor_values"] == 0
 
 
-def _assert_counts_match_dense(pairs, evals):
+def _assert_counts_match_dense(pairs, evals, split=0.0):
     """The count below both ends of the spectrum and at the midpoints of 82
     eigenvalue pairs spread over it, against a dense eigensolve.  A midpoint
-    between eigenvalues split by 1e-8 or less is left out: a shift that
-    close to two eigenvalues is decided by rounding, not by the method, and
-    on the wall-free strip 42 of the 82 pairs are split by less than 1e-12,
-    where the per-pair sweep misses 38 as the run-reduced count does."""
+    between eigenvalues split by ``split`` or less is left out; by default
+    only an exactly degenerate pair, whose midpoint is an eigenvalue.
+    Returns the number of midpoints checked."""
     dim = len(evals)
     assert rb._inertia(pairs, evals[0] - 1.0)[0] == 0
     assert rb._inertia(pairs, evals[-1] + 1.0)[0] == dim
     index = np.unique(np.linspace(1, dim - 1, 82).astype(int))
-    index = index[evals[index] - evals[index - 1] > 1e-8]
-    assert len(index) >= 40
+    index = index[evals[index] - evals[index - 1] > split]
     for i in index:
         assert rb._inertia(pairs, 0.5 * (evals[i - 1] + evals[i]))[0] == i
+    return len(index)
 
 
 def _long_runs(pairs):
     return [len(run) for run in rb._runs(pairs) if len(run) > 1]
 
 
-@pytest.mark.parametrize("magnetic", [False, True], ids=["W", "A"])
-def test_inertia_matches_dense_count(lat, frame, fields, magnetic):
+@pytest.mark.parametrize(
+    "magnetic, t_factor, dim, runs",
+    [
+        (False, 3.5, 1833, [25, 25]),
+        (True, 3.5, 1833, [25, 25]),
+        (False, 3.75, 1963, [27, 28]),
+        (True, 3.75, 1963, [27, 28]),
+    ],
+    ids=["W", "A", "W-3.75", "A-3.75"],
+)
+def test_inertia_matches_dense_count(lat, frame, fields, magnetic, t_factor, dim, runs):
     # Sylvester inertia of the run-reduced count against a dense eigensolve,
-    # and the per-pair sweep's shift-invert solve against a dense solve, on a
-    # small strip (cutoff 2, dim 1963) for a scalar and a magnetic wall; its
-    # plateaus are runs of 27 and 28 equal node pairs, odd and even
+    # and the per-pair sweep's shift-invert solve against a dense solve, on
+    # small strips (cutoff 2) for a scalar and a magnetic wall; the plateaus
+    # are runs of 25 and 25 equal node pairs at t_factor 3.5, and of 27 and
+    # 28 at 3.75, so runs of odd and even length are reduced
     from artifact.potentials import magnetic_A
 
     basis = build_basis(lat, 2.0)
     pert = magnetic_A(lat, 2.2) if magnetic else fields["W10"]
     op = rb.assemble_strip(
         frame, fields["V"], domain_wall("bump_smoothstep", 1.0),
-        frame.zeta_star("A"), 0.1, basis, perturbation=pert, t_factor=3.75,
+        frame.zeta_star("A"), 0.1, basis, perturbation=pert, t_factor=t_factor,
     )
-    assert op.dim == 1963
+    assert op.dim == dim
     # an odd node count leaves a single node in the last block
     assert op.grid.n_t % 2 == 1
     pairs = rb._node_pairs(op.terms)
-    assert _long_runs(pairs) == [27, 28]
+    assert _long_runs(pairs) == runs
     dense_h = op.matrix.toarray()
     evals = np.linalg.eigvalsh(dense_h)
-    _assert_counts_match_dense(pairs, evals)
+    # every midpoint, the mirror pairs split by 1e-12 to 1e-8 on the scalar
+    # wall included
+    assert _assert_counts_match_dense(pairs, evals) == 82
     below = {evals[0] - 1.0: 0, evals[-1] + 1.0: op.dim}
     for i in (3, 250, 917, 1500, 1831):
         below[0.5 * (evals[i - 1] + evals[i])] = i
     rng = np.random.default_rng(7)
     compared = 0
     for shift, i in below.items():
+        assert rb._inertia(pairs, shift)[0] == i
         b = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
         solve, _ = rb._shift_invert_solve(pairs, shift)
         x = solve(b)
@@ -955,8 +967,8 @@ def test_inertia_matches_dense_count(lat, frame, fields, magnetic):
         residual = np.linalg.norm(op.matrix @ x - shift * x - b)
         assert residual <= 1e-14 * (dist.max() * np.linalg.norm(x) + np.linalg.norm(b))
         # ... and equal to the dense solve wherever the shift is not an
-        # eigenvalue to working precision: on the scalar strip two midpoints
-        # fall inside mirror pairs (condition numbers 6e10 and 2e12), where
+        # eigenvalue to working precision: on the scalar strips two midpoints
+        # fall inside mirror pairs (condition numbers 6e10 to 2e12), where
         # no solver, the dense one included, resolves x to 1e-10
         if dist.max() / dist.min() < 1e6:
             ref = np.linalg.solve(dense_h - shift * np.eye(op.dim), b)
@@ -967,7 +979,12 @@ def test_inertia_matches_dense_count(lat, frame, fields, magnetic):
 
 def test_inertia_matches_dense_count_without_wall(lat, frame, fields):
     # with no wall (delta = 0) every node pair but the first and the last has
-    # the same blocks, so the count reduces one run of 74 pairs
+    # the same blocks, so the count reduces one run of 74 pairs.  Here 42 of
+    # the 82 midpoints sit between eigenvalues degenerate to rounding (split
+    # by 1e-12 or so, two of them exactly; every other split is 4e-3 or
+    # more): rounding, not the method, decides a shift that close to two
+    # eigenvalues, and the per-pair sweep misses 38 of them as the
+    # run-reduced count does, so they are left out
     basis = build_basis(lat, 2.0)
     op = rb.assemble_strip(
         frame, fields["V"], fields["wall"], frame.zeta_star("A"), 0.0, basis,
@@ -976,7 +993,8 @@ def test_inertia_matches_dense_count_without_wall(lat, frame, fields):
     assert op.dim == 1963
     pairs = rb._node_pairs(op.terms)
     assert _long_runs(pairs) == [74]
-    _assert_counts_match_dense(pairs, np.linalg.eigvalsh(op.matrix.toarray()))
+    evals = np.linalg.eigvalsh(op.matrix.toarray())
+    assert _assert_counts_match_dense(pairs, evals, split=1e-8) == 40
 
 
 @pytest.mark.parametrize("channel", ["base", "amp15", "A", "inversion"])
@@ -999,6 +1017,19 @@ def test_run_reduced_count_matches_sweep(request, lat, frame, fields, basis, cha
     assert tuple(map(swept, spec.window)) == spec.diagnostics["inertia"]
     for shift in spec.values + 1e-9:
         assert rb._inertia(pairs, shift) == (swept(shift), factorizations)
+    # the reduction's first pivot is the plateau's D - shift, which the sweep
+    # never factors.  D has no eigenvalue within 2.9 of the window (the nearest
+    # lie near -1.38 and 6.3 on all four channels), and 1e-4 from those two
+    # the count equals the sweep's.  Closer it loses accuracy where the
+    # sweep does not: 1e-6 below 6.31 it is one short on the base and the
+    # inverted channel, and 3e-8 from -1.38 up to 5 short on all four
+    plateau = max(rb._runs(pairs), key=len)
+    lam = np.linalg.eigvalsh(plateau[0][2]())
+    lo, hi = spec.window
+    below, above = lam[lam < lo].max(), lam[lam > hi].min()
+    assert lo - below > 2.9 and above - hi > 2.9
+    for shift in (below - 1e-4, below + 1e-4, above - 1e-4, above + 1e-4):
+        assert rb._inertia(pairs, shift)[0] == swept(shift)
 
 
 def _toeplitz_terms(stretches, rng, n_fast=5, singular=None):

@@ -31,59 +31,58 @@ Two design points matter and are easy to get wrong:
 A window is certified complete by counting, not by over-solving.  The strip
 couples t-nodes at distance at most 2 (the squared centered difference), so
 grouped in node pairs it is block tridiagonal, magnetic terms included.  A
-block LDL^H sweep over those pairs gives the inertia of ``H - s`` and, by
-Sylvester's law, the number of eigenvalues below s; two sweeps count the
-window exactly (spectrum slicing, Ericsson & Ruhe, Math. Comp. 35, 1980).
-That count must be twice the reduced ladder's, one state and its mirror
-each.  Each seed's inverse iteration solves with the same sweep taken at the
-seed's Rayleigh quotient: one forward and one backward pass over the node
-pairs.
+block LDL^H of ``H - s`` gives its inertia and, by Sylvester's law, the
+number of eigenvalues below s; two counts give the window exactly (spectrum
+slicing, Ericsson & Ruhe, Math. Comp. 35, 1980).  That count must be twice
+the reduced ladder's, one state and its mirror each.  Each seed's inverse
+iteration solves with the same LDL^H taken at the seed's Rayleigh quotient:
+one forward and one backward pass over its segments.
 
-The sweep reads no matrix.  H is kept as its Kronecker terms
-``sum_k T_k (x) F_k``, and each node pair's diagonal block D_i and its
-coupling B_(i+1) to the next pair are summed from the 2x2 node blocks of
-the T_k times their F_k.  Only the t-derivative terms reach the next pair,
-and their t-coefficients repeat (everywhere on a scalar wall, on the
-plateaus of a magnetic one), so one coupling, and its adjoint, is built per
-distinct coefficient set and shared by every sweep of the strip.  Off the
-wall the diagonal coefficients repeat too: the base channel's 438 node pairs
-fall into 123 runs of equal ones, so each sweep builds D_i once per run and
-copies it for the rest (0.53 -> 0.47 s per sweep there, median of 12
-interleaved in one process on a two-core host, BLAS on one thread; the ldu,
-ipiv and inverse of every block are unchanged bit for bit).  Each step
-factors one Schur block S_i by Bunch-Kaufman (zhetrf, blocked: 0.28 ->
-0.25 s per sweep), inverts it from that factor (zhetri), and passes ``B^H
-S_i^-1 B`` on to the next block.  B stays sparse: it holds only the
-distance-one and distance-two node couplings (165 nonzeros of its 12,100
-entries on the base channel, 257 with a magnetic wall), so both products
-with it cost next to nothing and only the inverse is dense.  The sweep at
-the shift keeps, per node pair, only the lower triangle of S_i^-1 in
-LAPACK's packed form, half a dense block, next to the shared couplings, and
-each solve applies it with one packed Hermitian matrix-vector product
-(zhpmv) instead of triangular solves with the Bunch-Kaufman factor.  On
-the base channel that keeps 2.74 M values instead of 5.36 M, and takes the
-channel's peak RSS from 191 to 162 MB and one solve from 34 to 20 ms
-(two-core host, BLAS on one thread).  The CSC matrix of the strip is the
-plain sum of its Kronecker products, built only when a check reads
-``StripOperator.matrix``.
+The LDL^H reads no matrix.  H is kept as its Kronecker terms ``sum_k T_k
+(x) F_k``, and each node pair's diagonal block D_i and its coupling
+B_(i+1) to the next pair are summed from the 2x2 node blocks of the T_k
+times their F_k.  Only the t-derivative terms reach the next pair, and
+their t-coefficients repeat (everywhere on a scalar wall, on the plateaus
+of a magnetic one), so one coupling, and its adjoint, is built per distinct
+coefficient set and shared by every factorization of the strip.  Off the
+wall the diagonal coefficients repeat too: the base channel's 438 node
+pairs fall into 123 runs of equal ones (``_runs``), and D_i is built once
+per run.  A single pair takes the sweep's step: its Schur block S_i
+(``_schur_block``) is factored by Bunch-Kaufman (zhetrf, blocked) and
+inverted from that factor (zhetri), and ``B^H S_i^-1 B`` is passed on to
+the next block.  B stays sparse there: it holds only the distance-one and
+distance-two node couplings (165 nonzeros of its 12,100 entries on the base
+channel, 257 with a magnetic wall), so both products with it cost next to
+nothing and only the inverse is dense.
 
-The count walks the plateaus by block cyclic reduction (Buzbee, Golub &
+A run of equal pairs is reduced by block cyclic reduction (Buzbee, Golub &
 Nielson, SIAM J. Numer. Anal. 7, 1970), the in-box form of the decimation
-of Sancho, Sancho & Rubio (J. Phys. F 15, 1985).  Off the wall consecutive
-node pairs have the same diagonal block and the same coupling, so a run of
-m of them reduces to its last pair's Schur block in about 2 log2(m)
-factorizations: each level factors one pivot for all the blocks it
-eliminates.  That Schur block is the one the per-pair sweep reaches, and by
-Haynsworth additivity the pivots carry the same inertia.  The base
-channel's 438 pairs make 123 runs, two of them the plateaus of 158 and 159
-pairs, so one count takes 147 factorizations where the per-pair sweep takes
-438, and 0.30 -> 0.13 s (median of 6 interleaved in one process, two-core
-host, BLAS on one thread; 0.43 -> 0.15 s at amp 15).  The solves stay per
-pair, since each applies every pair's Schur inverse.  The reduction's
-pivots come from the plateau alone (the first is D - shift), so a shift
-within about 1e-6 of an eigenvalue of one of them can miscount where the
-sweep does not; the windows lie in the bulk gap, far from those
-(``_reduce_run``).
+of Sancho, Sancho & Rubio (J. Phys. F 15, 1985): a run of m pairs reduces
+to its last pair's Schur block in about 2 log2(m) factorizations, each
+level factoring one pivot for all the blocks it eliminates.  That Schur
+block is the one the per-pair sweep reaches, and by Haynsworth additivity
+the pivots carry the same inertia.  The base channel's 123 runs include the
+plateaus of 158 and 159 pairs, so one count takes 147 factorizations where
+a per-pair sweep takes 438, and 0.30 -> 0.13 s.  The count and the factor
+at the shift walk the table with one generator (``_run_ldl``).  The count
+keeps nothing; the factor keeps, per run, the lower triangle of its last
+pair's Schur inverse in LAPACK's packed form and, per level of a reduction,
+its pivot inverses and coupling.  Each solve applies a single pair's
+inverse by one packed Hermitian matrix-vector product (zhpmv) and a level
+by zgemm on all the blocks it eliminates at once.  On the base channel the
+factor keeps 1.25 M values where a per-pair one kept 2.74 M (5.36 M as
+Bunch-Kaufman factors), and takes 0.29 -> 0.15 s; one solve takes 21 -> 14
+ms (medians of three alternating processes, two-core host, BLAS on one
+thread).  The CSC matrix of the strip is the plain sum of its Kronecker
+products, built only when a check reads ``StripOperator.matrix``.
+
+The reduction's pivots are Schur blocks of stretches of the plateau (the
+first is D - shift), and near an eigenvalue of one of them it is not
+backward stable where the per-pair sweep is: uncertified, a count 1e-6
+from an eigenvalue of D was one short.  So every pivot carries a condition
+estimate (``_pivot``), and a run with a pivot above ``PIVOT_CONDITION`` is
+walked pair by pair.  Inside the gap windows of the tested channels no run
+falls back.
 """
 
 from __future__ import annotations
@@ -92,6 +91,7 @@ import itertools
 import warnings
 from dataclasses import dataclass, field as dc_field, replace as dc_replace
 from functools import cache, cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -245,6 +245,10 @@ NU_LINEARITY_TOL = 1e-4
 # gap_window pulls the window in by this multiple of the minimum edge
 # distance before falling back to its smaller ``fallback_factor``.
 WINDOW_MARGIN = 3.0
+
+# Largest condition estimate of a pivot of the run reduction (_pivot, about
+# ||P||_1 ||P^-1||_1); a run with a pivot above it is walked pair by pair.
+PIVOT_CONDITION = 1e4
 
 
 # ---------------------------------------------------------------------------
@@ -941,7 +945,7 @@ def _node_pairs(terms: list) -> list:
     and its adjoint are built once per distinct set of them and shared by
     every pair with that set.  Consecutive pairs whose own t-coefficients
     are equal share one ``diagonal`` callable in the same way, which
-    ``_block_ldl`` calls once per run: on the base channel, scalar or
+    ``_run_ldl`` calls once per run: on the base channel, scalar or
     magnetic wall, 438 pairs have 123 distinct callables, since kappa is
     constant on the plateaus and every other coefficient is constant.
     """
@@ -1027,55 +1031,6 @@ def _factor(block: np.ndarray, where: str) -> tuple:
     return ldu, ipiv, inverse
 
 
-def _block_ldl(pairs: list, shift: float):
-    """Block LDL^H of ``H - shift`` for H = sum_k T_k (x) F_k, one node pair at a time.
-
-    The t-major strip is block tridiagonal in blocks of two nodes (``2 *
-    n_fast`` rows), so ``H - shift = L D L^H`` with D = diag(S_i), the
-    Schur blocks ``S_i = D_i - shift - B_i^H S_(i-1)^-1 B_i`` (B_i the
-    coupling of block i - 1 to block i), and ``(S_i^-1 B_(i+1))^H`` below the
-    diagonal of L.  ``pairs`` is the node-pair table of the terms
-    (``_node_pairs``): each D_i is summed from the terms as the sweep reaches
-    it, and B_(i+1) is the table's shared coupling; no matrix of the strip is
-    formed.  Yields ``(r0, r1, ldu, ipiv, inverse, coupling, adjoint)`` per
-    block: its rows, the Bunch-Kaufman factor of S_i (zhetrf, lower), the
-    full Hermitian S_i^-1, and the sparse coupling B_(i+1) with its adjoint
-    (None for the last block).  The solves of ``_shift_invert_solve`` need
-    every S_i^-1, so this sweep stays per pair; the count (``_inertia``)
-    reduces the runs of equal blocks instead.
-
-    The sweep keeps the last D_i it built and copies it while the table's
-    ``diagonal`` callable repeats, so it sums D_i from the terms once per
-    run of equal coefficients (123 times for the base channel's 438 pairs,
-    about 0.05 s less per sweep) and holds one extra block.  Keeping every
-    distinct D_i instead would hold 123 blocks of 194 kB.
-
-    Each step builds S_i (``_schur_block``), subtracting ``B^H (S_(i-1)^-1
-    B)`` as two sparse-times-dense products with ``B^H``, and factors and
-    inverts it (``_factor``; the last block too).  B_(i+1) couples only
-    nodes at distance one or two, so it holds a few hundred nonzeros and is
-    never made dense.  A consumer that keeps nothing holds only a few blocks
-    at a time, however long the strip is.  Every dense BLAS call goes
-    through scipy's LAPACK and BLAS wrappers (here, in ``_inertia`` and in
-    ``_shift_invert_solve``), which share one OpenBLAS: numpy bundles
-    another with its own thread pool, and alternating the two left both
-    pools spinning against each other (a base channel sweep took 5.8 s
-    instead of 0.43 s on a two-core host).
-    """
-    adjoint = inverse = None  # B_i^H and S_(i-1)^-1 for the next block
-    built = last = None  # the last D_i built, and the callable that built it
-    for r0, r1, diagonal, coupling, next_adjoint in pairs:
-        if diagonal is not last:
-            built, last = diagonal(), diagonal
-        # drop the Schur block once factored: held to the next step, it took
-        # the base channel's peak RSS to 150 MB, against 142 MB dropped
-        block = _schur_block(built, shift, adjoint, inverse)
-        ldu, ipiv, inverse = _factor(block, f"at shift = {shift:.12g}, rows {r0}:{r1}")
-        del block
-        adjoint = next_adjoint
-        yield r0, r1, ldu, ipiv, inverse, coupling, adjoint
-
-
 def _runs(pairs: list) -> list:
     """The node-pair table cut into runs: stretches of consecutive pairs with
     one ``diagonal`` callable, each coupled to the next by one shared
@@ -1092,7 +1047,33 @@ def _runs(pairs: list) -> list:
     return runs
 
 
-def _reduce_run(first, plateau, coupling, m: int, where: str) -> tuple:
+def _norm1(a: np.ndarray) -> float:
+    """The 1-norm of a dense block: its largest column sum of moduli."""
+    return float(np.abs(a).sum(axis=0).max())
+
+
+def _pivot(
+    block: np.ndarray, coupling: np.ndarray, scale: float, where: str
+) -> tuple | None:
+    """Negative pivots and inverse of one pivot P of the run reduction, or
+    None when it fails the certificate: a singular block, or a condition
+    estimate ``||P^-1||_1 max(||P||_1, ||B||_1^2 / scale)`` above
+    ``PIVOT_CONDITION``, with B the level's coupling and ``scale`` the run's
+    ``||D - shift||_1 + 2 ||B_1||_1``.  The first term is P's condition
+    number; the second bounds the update ``B^H P^-1 B`` against the run's
+    scale, which grows where the reduction's couplings grow and costs
+    backward accuracy as a poor pivot does."""
+    try:
+        ldu, ipiv, inverse = _factor(block, where)
+    except FactorizationFailure:
+        return None
+    estimate = _norm1(inverse) * max(_norm1(block), _norm1(coupling) ** 2 / scale)
+    if estimate > PIVOT_CONDITION:
+        return None
+    return _negative_pivots(ldu, ipiv), inverse
+
+
+def _reduce_run(first, plateau, coupling, m: int, where: str) -> tuple | None:
     """Schur complement of a run's last block, by block cyclic reduction.
 
     The run is the block tridiagonal chain of m >= 2 blocks ``[F, A, ...,
@@ -1113,30 +1094,45 @@ def _reduce_run(first, plateau, coupling, m: int, where: str) -> tuple:
     with L the last block (A at the start) and P its eliminated neighbour's
     pivot (A, or F when the chain has two blocks).  The block left at the
     end is the Schur complement of the last pair, the same matrix the
-    per-pair sweep reaches (it is unique).  Returns ``(schur, negatives,
-    factorizations)``: by Haynsworth additivity the eliminated blocks'
-    negative pivots, each pivot's count times the blocks it stands for, add
-    up to the inertia of the first m - 1 blocks of the sweep.  A run of 158
-    pairs takes 12 factorizations in 8 levels.  Every dense product is a
-    zgemm (see ``_block_ldl`` on the two BLAS pools).
+    per-pair sweep reaches (it is unique).  Returns ``(schur, levels,
+    negatives, factorizations)``: by Haynsworth additivity the eliminated
+    blocks' negative pivots, each pivot's count times the blocks it stands
+    for, add up to the inertia of the first m - 1 blocks of the sweep.
+    ``levels`` holds, per level, what its solve applies (``_solve_levels``):
+    ``(s, k, A^-1, F^-1, B)``, the chain's stride s in pairs and its length
+    k, the pivots' inverses (None where the level eliminates no interior
+    block, or keeps F) and the level's coupling.  A run of 158 pairs takes
+    12 factorizations in 8 levels.  Every dense product is a zgemm (see
+    ``_run_ldl`` on the two BLAS pools).
 
-    The pivots are Schur blocks of stretches of the plateau alone (D -
-    shift, then 3, 7, ... pairs cut off at both ends), where the sweep's are
-    those of the box from its first pair.  Near an eigenvalue of one of them
-    the count loses accuracy where the sweep keeps it: 1e-6 below the
-    eigenvalue 6.31 of the base plateau's D it is one short, 3e-8 from
-    -1.38 up to 5 short; 1e-4 from either it is right.  No window comes
-    near: D has no eigenvalue within 2.9 of the window on the four test
-    channels, and inside the windows no pivot of the reduction has an
-    eigenvalue below 0.28 in size (``BENCH_plateau_reduction.json``).
+    The pivots are Schur blocks of stretches of the plateau, cut off at
+    both ends (D - shift, then 3, 7, ... pairs) or, for F, joined to the box
+    before the run; the sweep's are those of the box from its first pair.
+    Near an eigenvalue of one of them the reduction is not backward stable
+    where the sweep is: uncertified, the count was one short 1e-6 below the
+    eigenvalue 6.31 of the base plateau's D and up to 5 short 3e-8 from
+    -1.38, and a solve on a small magnetic strip missed the backward bound
+    244-fold at a pivot estimate of 2.4e6.  So each pivot carries a
+    certificate (``_pivot``), and the first that fails it returns None: the
+    caller walks the run pair by pair.  Inside the windows of the tested
+    channels the largest estimate is 6.4e3 (amp 15, at the lower window
+    edge; 1.0e3 on the base channel).  Within about 3e-4 above a state that
+    lies before the run, F's own eigenvalues come close, and the run falls
+    back there (``BENCH_run_factor.json``).
     """
     F, A, L, B = first, plateau, plateau.copy(), coupling
+    scale = _norm1(plateau) + 2 * _norm1(coupling)
+    levels: list = []
     negatives = factorizations = 0
-    for level in itertools.count(1):
+    for level in itertools.count():
         interior = m // 2 - (m % 2 == 0)  # eliminated blocks with pivot A
+        inv_a = inv_f = None
         if interior:
-            ldu, ipiv, inv_a = _factor(A, f"{where}, level {level}")
-            negatives += interior * _negative_pivots(ldu, ipiv)
+            pivot = _pivot(A, B, scale, f"{where}, level {level + 1}")
+            if pivot is None:
+                return None
+            neg, inv_a = pivot
+            negatives += interior * neg
             factorizations += 1
             a_b = zgemm(1.0, inv_a, B)  # A^-1 B
             # what a kept block loses to the eliminated block after it, and
@@ -1144,104 +1140,226 @@ def _reduce_run(first, plateau, coupling, m: int, where: str) -> tuple:
             from_next = zgemm(1.0, B, zgemm(1.0, inv_a, B, trans_b=2))  # B A^-1 B^H
             from_prev = zgemm(1.0, B, a_b, trans_a=2)  # B^H A^-1 B
         if m % 2 == 0:
-            ldu, ipiv, inv_f = _factor(F, f"{where}, level {level}")
-            negatives += _negative_pivots(ldu, ipiv)
+            pivot = _pivot(F, B, scale, f"{where}, level {level + 1}")
+            if pivot is None:
+                return None
+            neg, inv_f = pivot
+            negatives += neg
             factorizations += 1
             f_b = zgemm(-1.0, B, zgemm(1.0, inv_f, B), trans_a=2)  # -B^H F^-1 B
-            if m == 2:
-                return L + f_b, negatives, factorizations
-            F = A + f_b - from_next
-        else:
-            F = F - from_next
+        levels.append((2**level, m, inv_a, inv_f, B))
+        if m == 2:
+            return L + f_b, levels, negatives, factorizations
+        F = A + f_b - from_next if m % 2 == 0 else F - from_next
         L = L - from_prev
         A = A - from_prev - from_next
         B = zgemm(-1.0, B, a_b)
         m = (m + 1) // 2
 
 
-def _inertia(pairs: list, shift: float) -> tuple[int, int]:
-    """Number of strip eigenvalues below ``shift``, by Sylvester's law of inertia.
+class _Segment(NamedTuple):
+    """One step of the run walker (``_run_ldl``): a run reduced to its last
+    pair, or one pair.  Rows ``r0:r1`` are the run's; ``levels`` its
+    reduction (``_reduce_run``; empty for one pair); ``inverse`` the full
+    Hermitian inverse of the last pair's Schur block; ``coupling`` and
+    ``adjoint`` the sparse coupling of that pair to the next one and its
+    adjoint (None at the end of the strip); ``negatives`` and
+    ``factorizations`` what the step's pivots count and how many blocks it
+    factored."""
 
-    Returns ``(count, factorizations)``: the negative pivots of a block
-    LDL^H of ``H - shift``, which by Haynsworth additivity carry its
-    inertia, and the block factorizations that took.  The node pairs are
-    walked run by run (``_runs``).  A single pair takes the sweep's step
-    (``_schur_block``, ``_factor``); a run of m >= 2 equal pairs enters
-    with its first pair's Schur block and is reduced to its last pair's
-    (``_reduce_run``) in about 2 log2(m) factorizations, where the per-pair
-    sweep (``_block_ldl``) takes m.  The next run goes on from the inverse
-    of that block, as the sweep does.  On the base channel one count takes
-    147 factorizations where the sweep takes 438 (150 where 626 at
-    amp 15), and 0.30 -> 0.13 s (two-core host, BLAS on one thread).  The
-    count keeps no factor; the solves of ``_shift_invert_solve`` apply
-    every pair's Schur inverse, so their factor stays a per-pair sweep.
+    r0: int
+    r1: int
+    levels: tuple
+    inverse: np.ndarray
+    coupling: object
+    adjoint: object
+    negatives: int
+    factorizations: int
+
+
+def _run_ldl(pairs: list, shift: float):
+    """Block LDL^H of ``H - shift`` for H = sum_k T_k (x) F_k, one run at a time.
+
+    The t-major strip is block tridiagonal in blocks of two nodes (``2 *
+    n_fast`` rows), so ``H - shift = L D L^H`` with D = diag(S_i), the
+    Schur blocks ``S_i = D_i - shift - B_i^H S_(i-1)^-1 B_i`` (B_i the
+    coupling of block i - 1 to block i).  ``pairs`` is the node-pair table
+    of the terms (``_node_pairs``): each D_i is summed from the terms once
+    per run (``_runs``) and copied for the rest, and B_(i+1) is the table's
+    shared coupling; no matrix of the strip is formed.  Yields one
+    ``_Segment`` per run (per pair where a run is walked pair by pair).  A
+    run of m >= 2 equal pairs enters with its first pair's Schur block and
+    is reduced to its last pair's by block cyclic reduction
+    (``_reduce_run``), in about 2 log2(m) factorizations where a per-pair
+    sweep takes m; the elimination order changes inside the run only, so
+    the last pair's Schur block is the sweep's, and the next run goes on
+    from its inverse.  A single pair, and every pair of a run whose
+    reduction fails its pivot certificate, takes the per-pair step: build
+    S_i (``_schur_block``, two sparse-times-dense products with ``B^H``),
+    factor and invert it (``_factor``) and yield it as a segment of its own.
+    B_(i+1) couples only nodes at distance one or two, so it holds a few
+    hundred nonzeros and is made dense only as a run's reduction coupling.
+    On the base channel the 438 pairs make 123 runs and 147
+    factorizations.
+
+    A consumer that keeps nothing (``_inertia``) holds at most one run's
+    reduction at a time.  Each Schur block is dropped once factored: held
+    to the next step it took the base channel's peak RSS from 142 to 150
+    MB.  Every dense BLAS call goes through scipy's LAPACK and BLAS
+    wrappers (here and in ``_shift_invert_solve``), which share one
+    OpenBLAS: numpy bundles another with its own thread pool, and
+    alternating the two left both pools spinning against each other (a base
+    channel sweep took 5.8 s instead of 0.43 s on a two-core host).
     """
-    negatives = factorizations = 0
-    adjoint = inverse = None  # B^H into the next run and the last Schur inverse
+    adjoint = inverse = None  # B^H into the next segment and the last Schur inverse
     for index, run in enumerate(_runs(pairs)):
         r0, _, diagonal, coupling, _ = run[0]
         where = f"at shift = {shift:.12g}, run {index} (rows {r0}:{run[-1][1]})"
         built = diagonal()
         block = _schur_block(built, shift, adjoint, inverse)
+        reduced = None
         if len(run) > 1:
-            block, neg, made = _reduce_run(
+            reduced = _reduce_run(
                 block,
                 _schur_block(built, shift, None, None),
-                coupling.toarray(),
+                coupling.toarray(order="F"),
                 len(run),
                 where,
             )
-            negatives += neg
-            factorizations += made
+        if reduced is None:
+            for r0, r1, _, coupling, next_adjoint in run:
+                if block is None:
+                    block = _schur_block(built, shift, adjoint, inverse)
+                at = f"at shift = {shift:.12g}, rows {r0}:{r1}"
+                ldu, ipiv, inverse = _factor(block, at)
+                block = None
+                adjoint = next_adjoint
+                negatives = _negative_pivots(ldu, ipiv)
+                yield _Segment(r0, r1, (), inverse, coupling, adjoint, negatives, 1)
+            continue
+        block, levels, negatives, made = reduced
         ldu, ipiv, inverse = _factor(block, where)
+        del block
+        _, r1, _, coupling, adjoint = run[-1]
         negatives += _negative_pivots(ldu, ipiv)
-        factorizations += 1
-        adjoint = run[-1][4]
+        yield _Segment(
+            r0, r1, tuple(levels), inverse, coupling, adjoint, negatives, made + 1
+        )
+
+
+def _inertia(pairs: list, shift: float) -> tuple[int, int]:
+    """Number of strip eigenvalues below ``shift``, by Sylvester's law of inertia.
+
+    Returns ``(count, factorizations)``: the negative pivots of the block
+    LDL^H of ``H - shift`` that the run walker takes (``_run_ldl``), which
+    by Haynsworth additivity carry its inertia, and the block
+    factorizations that took.  Each plateau run is reduced by block cyclic
+    reduction, so on the base channel one count takes 147 factorizations
+    where a per-pair sweep takes 438 (150 where 626 at amp 15), and 0.30 ->
+    0.13 s (two-core host, BLAS on one thread).  A run whose reduction
+    fails its pivot certificate is walked pair by pair, so the count stays
+    right next to the eigenvalues of the plateau's own blocks, and then
+    takes more factorizations.  The count keeps nothing.
+    """
+    negatives = factorizations = 0
+    for segment in _run_ldl(pairs, shift):
+        negatives += segment.negatives
+        factorizations += segment.factorizations
     return negatives, factorizations
 
 
+def _solve_levels(x: np.ndarray, levels: tuple, forward: bool) -> None:
+    """One pass of a run's reduction over ``x`` (its rows as m x n, in place).
+
+    At each level the chain is the run's pairs m - 1 - j s, j < k, with the
+    last pair at j = 0 and F at j = k - 1; the level eliminates the odd j,
+    the interior ones by the pivot A and F when k is even.  Forward, level by
+    level, ``z_(e-s) -= B P^-1 z_e`` and ``z_(e+s) -= B^H P^-1 z_e`` for every
+    eliminated pair e with pivot P; backward, levels reversed, ``x_e = P^-1
+    (z_e - B^H x_(e-s) - B x_(e+s))``.  Each pivot is applied to all the
+    pairs it eliminates at once, as one zgemm on their columns.
+    """
+    m = len(x)
+    for s, k, inv_a, inv_f, b in levels if forward else reversed(levels):
+        # (pivot inverse, the pairs it eliminates, whether they have a
+        # neighbour before them in the chain: F has none)
+        eliminated = (
+            (inv_a, m - 1 - s * np.arange(1, k - 1, 2), True),
+            (inv_f, np.array([m - 1 - (k - 1) * s]), False),
+        )
+        for pivot, e, before in eliminated:
+            if pivot is None:
+                continue
+            if forward:
+                y = zgemm(1.0, pivot, x[e].T)
+                if before:
+                    x[e - s] -= zgemm(1.0, b, y).T
+                x[e + s] -= zgemm(1.0, b, y, trans_a=2).T
+            else:
+                z = x[e].T - zgemm(1.0, b, x[e + s].T)
+                if before:
+                    z -= zgemm(1.0, b, x[e - s].T, trans_a=2)
+                x[e] = zgemm(1.0, pivot, z).T
+
+
 def _shift_invert_solve(pairs: list, sigma: float):
-    """``x -> (H - sigma)^-1 x`` from the block LDL^H sweep at ``sigma``.
+    """``x -> (H - sigma)^-1 x`` from the run walker's LDL^H at ``sigma``.
 
     H is given by the node-pair table of its Kronecker terms
-    (``_node_pairs``).  Returns ``(solve, kept)``.  Per node pair, the solve
-    keeps only the lower triangle of the Hermitian S_i^-1, packed column by
-    column (n (n + 1) / 2 values for a block of n rows), and the table's
-    sparse coupling B_(i+1) with its adjoint: pairs with the same coupling
-    coefficients share one copy.  ``kept`` counts the stored values per pair
-    all the same (packed inverse entries plus coupling nonzeros): 2,741,475
-    on the base channel, where the Bunch-Kaufman factors took 5,362,775.
-    One solve there takes 20 ms; with a timer around each stage (a copy of
-    the loop, 25 ms), zhpmv takes 17 ms, the 874 sparse coupling products
-    5 ms and slicing 2 ms (two-core host, BLAS on one thread).
+    (``_node_pairs``).  Returns ``(solve, kept, factorizations)``.  Per
+    segment of the walker (``_run_ldl``) the solve keeps the lower triangle
+    of the last pair's Hermitian Schur inverse, packed column by column (n
+    (n + 1) / 2 values for a block of n rows), the table's sparse coupling
+    to the next pair, and a run's reduction: per level its pivot inverses
+    and its coupling, dense.  ``kept`` counts those values (coupling
+    nonzeros once per segment, though segments with equal coefficients
+    share one coupling); ``factorizations`` the blocks factored.  On the
+    base channel that is 1,250,425 values (2,741,475 for a per-pair
+    factor) and 147 factorizations (438).
 
-    Forward ``z_(i+1) -= B_(i+1)^H S_i^-1 z_i``, then backward ``x_i =
-    S_i^-1 (z_i - B_(i+1) x_(i+1))``, each S_i^-1 applied to one vector as a
-    packed Hermitian matrix-vector product (zhpmv), which reads the forward
-    pass's z_i in place.  Pivots stay inside each Schur block, so nothing
-    bounds growth across blocks; a poor factor shows up as an inverse
-    iteration whose residual stalls, and its state then fails the
+    Forward, per segment: the run's levels (``_solve_levels``), then
+    ``z_(i+1) -= B_(i+1)^H S_i^-1 z_i`` from its last pair i into the next
+    segment; backward, segments reversed: ``x_i = S_i^-1 (z_i - B_(i+1)
+    x_(i+1))``, then the run's levels.  Each S_i^-1 is applied to one
+    vector as a packed Hermitian matrix-vector product (zhpmv), which reads
+    the forward pass's z_i in place.  Pivots stay inside each block, so
+    nothing bounds growth across blocks; a poor factor shows up as an
+    inverse iteration whose residual stalls, and its state then fails the
     RESIDUAL_TOL screen against H.
     """
-    factors = [
-        (r0, r1, inverse.T[_upper(r1 - r0, 0)], coupling, adjoint)
-        for r0, r1, _, _, inverse, coupling, adjoint in _block_ldl(pairs, sigma)
-    ]
+    factors, factorizations = [], 0
+    for seg in _run_ldl(pairs, sigma):
+        n = len(seg.inverse)
+        packed = seg.inverse.T[_upper(n, 0)]
+        factors.append(
+            (seg.r0, seg.r1, n, seg.levels, packed, seg.coupling, seg.adjoint)
+        )
+        factorizations += seg.factorizations
 
     def solve(b: np.ndarray) -> np.ndarray:
         x = np.array(b, dtype=np.complex128).ravel()
-        for r0, r1, packed, coupling, adjoint in factors[:-1]:
-            y = zhpmv(r1 - r0, 1.0, packed, x, offx=r0, lower=1)
-            x[r1 : r1 + coupling.shape[1]] -= adjoint @ y
-        for r0, r1, packed, coupling, _ in reversed(factors):
-            z = x[r0:r1]
+        for r0, r1, n, levels, packed, coupling, adjoint in factors:
+            if levels:
+                _solve_levels(x[r0:r1].reshape(-1, n), levels, forward=True)
+            if coupling is not None:
+                y = zhpmv(n, 1.0, packed, x, offx=r1 - n, lower=1)
+                x[r1 : r1 + coupling.shape[1]] -= adjoint @ y
+        for r0, r1, n, levels, packed, coupling, _ in reversed(factors):
+            z = x[r1 - n : r1]
             if coupling is not None:
                 z = z - coupling @ x[r1 : r1 + coupling.shape[1]]
-            x[r0:r1] = zhpmv(r1 - r0, 1.0, packed, z, lower=1)
+            x[r1 - n : r1] = zhpmv(n, 1.0, packed, z, lower=1)
+            if levels:
+                _solve_levels(x[r0:r1].reshape(-1, n), levels, forward=False)
         return x
 
-    kept = sum(p.size + (0 if b is None else b.nnz) for _, _, p, b, _ in factors)
-    return solve, kept
+    kept = sum(
+        p.size
+        + (0 if c is None else c.nnz)
+        + sum(a.size for _, _, *arrays in lv for a in arrays if a is not None)
+        for _, _, _, lv, p, c, _ in factors
+    )
+    return solve, kept, factorizations
 
 
 def _inverse_iteration(pairs: list, apply, seed: np.ndarray) -> tuple:
@@ -1257,8 +1375,8 @@ def _inverse_iteration(pairs: list, apply, seed: np.ndarray) -> tuple:
     residual falls 0.17, 3.5e-6, 4.9e-9, 8.6e-12, and the iteration stops
     there, after 3 solves, as it is below ``RESIDUAL_FLOOR`` (a fourth solve
     took it only to 3.5e-12 and moved e by 2.4e-15).  Returns ``(w, e,
-    residual, shift, solves, kept)`` with ``kept`` the values the factor
-    stores.
+    residual, shift, solves, kept, factorizations)`` with ``kept`` the
+    values the factor stores and ``factorizations`` the blocks it factored.
     """
 
     def rayleigh(x: np.ndarray) -> tuple[float, float]:
@@ -1269,7 +1387,7 @@ def _inverse_iteration(pairs: list, apply, seed: np.ndarray) -> tuple:
     w = seed / np.linalg.norm(seed)
     shift, res = rayleigh(w)
     e = shift
-    solve, kept = _shift_invert_solve(pairs, shift)
+    solve, kept, factorizations = _shift_invert_solve(pairs, shift)
     for solves in range(1, SEED_SOLVES + 1):
         x = solve(w)
         x /= np.linalg.norm(x)
@@ -1279,7 +1397,7 @@ def _inverse_iteration(pairs: list, apply, seed: np.ndarray) -> tuple:
             w, e, res = x, e_x, res_x
         if not converging or res <= RESIDUAL_FLOOR * max(1.0, abs(e)):
             break
-    return w, e, res, shift, solves, kept
+    return w, e, res, shift, solves, kept, factorizations
 
 
 def gap_eigenpairs(
@@ -1306,23 +1424,23 @@ def gap_eigenpairs(
     the midgap state, the one nearest that shift.  The mirrors are counted,
     never solved for.
 
-    Every sweep builds its blocks from the strip's Kronecker terms; the
-    node-pair table and its shared couplings (``_node_pairs``) are read once
-    per call, and no step here forms, slices or multiplies the CSC strip.
-    The two counts walk the table run by run and reduce each plateau run by
-    block cyclic reduction (``_inertia``); each seed's factor is a per-pair
-    sweep (``_block_ldl``), because its solves apply every pair's Schur
-    inverse.  The Rayleigh quotients and residuals apply the terms
-    (``_kron_apply``).  The diagnostics record ``inertia_sweeps`` (2 for
-    the count, plus one factor per seed), ``count_factorizations`` (the
-    block factorizations one count takes), ``block_solves`` (applications
-    of the shift-invert solves), ``shifts`` (one Rayleigh quotient per
-    seed), ``seed_overlaps`` (|<seed, state>|^2 per seed: a seed with the
-    wrong reduced model can still reach its state from rounding noise, but
-    not with a large overlap) and ``factor_values`` (values one factor
-    keeps, counted per node pair).  On the base channel that is 3 sweeps, a
-    count of 147 factorizations where a per-pair sweep takes 438, and 3
-    block solves.
+    Every factorization builds its blocks from the strip's Kronecker terms;
+    the node-pair table and its shared couplings (``_node_pairs``) are read
+    once per call, and no step here forms, slices or multiplies the CSC
+    strip.  The two counts and each seed's factor walk the table run by run
+    and reduce each plateau run by block cyclic reduction (``_run_ldl``).
+    The Rayleigh quotients and residuals apply the terms (``_kron_apply``).
+    The diagnostics record ``inertia_sweeps`` (2 for the count, plus one
+    factor per seed), ``count_factorizations`` and
+    ``factor_factorizations`` (the block factorizations of one count and of
+    one seed's factor), ``block_solves`` (applications of the shift-invert
+    solves), ``shifts`` (one Rayleigh quotient per seed), ``seed_overlaps``
+    (|<seed, state>|^2 per seed: a seed with the wrong reduced model can
+    still reach its state from rounding noise, but not with a large
+    overlap) and ``factor_values`` (values one factor keeps,
+    ``_shift_invert_solve``).  On the base channel that is 3 sweeps of 147
+    factorizations each where a per-pair sweep takes 438, 1,250,425 values
+    kept, and 3 block solves.
 
     A refined state is kept when its relative residual is at most
     ``RESIDUAL_TOL``, its energy lies in the window and at most
@@ -1350,6 +1468,7 @@ def gap_eigenpairs(
         "count_factorizations": factorizations,
         "block_solves": 0,
         "factor_values": 0,
+        "factor_factorizations": 0,
     }
     if count != 2 * len(seeds):
         raise CountMismatch(
@@ -1369,12 +1488,13 @@ def gap_eigenpairs(
     dropped = {"boundary": 0, "residual": 0, "window": 0}
     max_residual = 0.0
     for seed in seeds:
-        w, e, res, shift, solves, kept = _inverse_iteration(pairs, apply, seed)
+        w, e, res, shift, solves, kept, made = _inverse_iteration(pairs, apply, seed)
         diagnostics["shifts"] += (shift,)
         diagnostics["seed_overlaps"] += (state_overlap(seed, w),)
         diagnostics["inertia_sweeps"] += 1
         diagnostics["block_solves"] += solves
         diagnostics["factor_values"] = kept
+        diagnostics["factor_factorizations"] = made
         max_residual = max(max_residual, res)
         if res > RESIDUAL_TOL * max(1.0, abs(e)):
             dropped["residual"] += 1

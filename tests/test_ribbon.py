@@ -358,12 +358,36 @@ def _channel_op(lat, frame, fields, basis, channel):
     )
 
 
+def _per_pair_sweep(pairs, shift):
+    """Reference block LDL^H of ``H - shift``, one node pair at a time: the
+    Schur block of every pair from its own ``diagonal()`` (``_schur_block``),
+    factored and inverted (``_factor``).  Yields ``(r0, r1, block, ldu,
+    ipiv, inverse)`` per pair."""
+    adjoint = inverse = None
+    for r0, r1, diagonal, _, next_adjoint in pairs:
+        block = rb._schur_block(diagonal(), shift, adjoint, inverse)
+        ldu, ipiv, inverse = rb._factor(block, f"rows {r0}:{r1}")
+        adjoint = next_adjoint
+        yield r0, r1, block, ldu, ipiv, inverse
+
+
+def _swept(pairs, shift):
+    """Negative pivots of the per-pair reference sweep: the count below shift."""
+    sweep = _per_pair_sweep(pairs, shift)
+    return sum(rb._negative_pivots(ldu, ipiv) for *_, ldu, ipiv, _ in sweep)
+
+
 @pytest.mark.parametrize("channel", ["base", "amp15", "A", "inversion"])
-def test_shared_diagonal_blocks_match_fresh_blocks(lat, frame, fields, basis, channel):
+def test_shared_diagonal_blocks_match_fresh_blocks(
+    monkeypatch, lat, frame, fields, basis, channel
+):
     # consecutive node pairs with equal t-coefficients share one diagonal
-    # callable, and the sweep copies the block it built for the first of
-    # them; every factor, pivot list and inverse it yields is bit for bit
-    # that of a sweep that sums a fresh D_i from the terms at every pair
+    # callable, and the walker builds the block once per run and copies it
+    # for the rest.  With every run walked pair by pair (no pivot passes a
+    # certificate of 0), every inverse and pivot count it yields is bit for
+    # bit that of a per-pair sweep that sums a fresh D_i from the terms at
+    # every pair; with the certificate, the last pair of each reduced run
+    # gets the sweep's Schur inverse to rounding and the count is the same
     op = _channel_op(lat, frame, fields, basis, channel)
     pairs = rb._node_pairs(op.terms)
     coef, fast = rb._band_coefficients(op.terms), [F for _, F in op.terms]
@@ -375,10 +399,25 @@ def test_shared_diagonal_blocks_match_fresh_blocks(lat, frame, fields, basis, ch
     # kappa is constant on the plateaus and every other t-coefficient is
     # constant: the 438 pairs (626 at t_factor 5) fall into 123 runs
     assert len({id(p[2]) for p in pairs}) == 123 < len(pairs)
-    shared = rb._block_ldl(pairs, 1.88)
-    for ours, theirs in zip(shared, rb._block_ldl(fresh, 1.88), strict=True):
-        for a, b in zip(ours[2:5], theirs[2:5]):
-            assert np.array_equal(a, b)
+    reference = {
+        r1: (ldu, ipiv, inv) for _, r1, _, ldu, ipiv, inv in _per_pair_sweep(fresh, 1.88)
+    }
+    reduced = list(rb._run_ldl(pairs, 1.88))
+    assert len(reduced) == 123
+    for seg in reduced:
+        ldu, ipiv, inverse = reference[seg.r1]
+        scale = np.abs(inverse).max()
+        assert np.abs(seg.inverse - inverse).max() <= 1e-10 * scale
+    count = sum(rb._negative_pivots(ldu, ipiv) for ldu, ipiv, _ in reference.values())
+    assert sum(seg.negatives for seg in reduced) == count
+    monkeypatch.setattr(rb, "PIVOT_CONDITION", 0.0)
+    walked = list(rb._run_ldl(pairs, 1.88))
+    assert len(walked) == len(pairs)
+    for seg in walked:
+        ldu, ipiv, inverse = reference[seg.r1]
+        assert seg.levels == () and seg.factorizations == 1
+        assert seg.negatives == rb._negative_pivots(ldu, ipiv)
+        assert np.array_equal(seg.inverse, inverse)
 
 
 def test_channel_solve_forms_no_csc_strip(frame, fields, basis, cone, monkeypatch):
@@ -612,38 +651,64 @@ def test_base_channel(base_spec, base_comp, base_op):
     # reduced ladder, which seeds the one state
     assert base_spec.diagnostics["count"] == 2 == 2 * base_spec.diagnostics["seeds"]
     assert min(base_spec.diagnostics["seed_overlaps"]) > 0.99
-    # two counting sweeps and the sweep at the shift, which keeps the lower
-    # triangle of every Schur block's inverse, packed (n (n + 1) / 2 values
-    # for n rows), and the sparse coupling to the next block
+    # two counts and the factor at the shift, each a walk of the 438 node
+    # pairs as 123 runs: 121 single pairs (119 on the wall, one at each end
+    # of the box) take one factorization each, and the plateau runs of 158
+    # and 159 pairs, reduced by block cyclic reduction, 13 each
     assert base_spec.diagnostics["inertia_sweeps"] == 3
-    # each count walks the 438 node pairs as 123 runs: 121 single pairs (119
-    # on the wall, one at each end of the box) take one factorization each,
-    # and the plateau runs of 158 and 159 pairs, reduced by block cyclic
-    # reduction, 13 each
-    assert base_spec.diagnostics["count_factorizations"] == 147
+    plateaus = {1: 158, 278: 159}  # first pair and length of each plateau run
+    assert _long_runs(rb._node_pairs(base_op.terms)) == list(plateaus.values())
+    made = 121 + sum(
+        1 + sum(a + f for a, f in _reduction_levels(m)) for m in plateaus.values()
+    )
+    assert base_spec.diagnostics["count_factorizations"] == made == 147
     assert type(base_spec.diagnostics["count_factorizations"]) is int
+    assert base_spec.diagnostics["factor_factorizations"] == made
     # the seed's residual falls 0.17, 3.5e-6, 4.9e-9, 8.6e-12: below the
     # floor after the third solve, where the iteration stops
     assert base_spec.diagnostics["block_solves"] == 3
     assert base_spec.diagnostics["max_residual"] <= rb.RESIDUAL_FLOOR
-    kept = _packed_count(base_op.matrix, 2 * base_op.grid.n_fast)
-    assert base_spec.diagnostics["factor_values"] == kept < 2.8e6
+    # the factor keeps the packed Schur inverse of the last pair of every
+    # run and its coupling, and per level of each reduction its coupling and
+    # pivot inverses, dense (110-row blocks)
+    size = 2 * base_op.grid.n_fast
+    eliminated = [p for first, m in plateaus.items() for p in range(first, first + m - 1)]
+    kept = _packed_count(base_op.matrix, size, skip=eliminated) + size**2 * sum(
+        1 + a + f for m in plateaus.values() for a, f in _reduction_levels(m)
+    )
+    assert base_spec.diagnostics["factor_values"] == kept == 1_250_425
     assert base_spec.grid is not None
     assert base_comp.count == 1
     assert base_comp.max_residual < 3e-3  # O(delta^2) at delta = 0.08
 
 
-def _packed_count(mat, size):
-    """Values the sweep at the shift keeps for the strip matrix ``mat`` in
-    node pairs of ``size`` rows: the packed lower triangle of each pair's
+def _packed_count(mat, size, skip=()):
+    """Values a per-pair factor keeps for the strip matrix ``mat`` in node
+    pairs of ``size`` rows: the packed lower triangle of each pair's
     inverse, n (n + 1) / 2 values for n rows, plus the nonzeros of the
-    pair's coupling to the next one."""
+    pair's coupling to the next one; the pairs numbered in ``skip`` left
+    out."""
     dim = mat.shape[0]
     return sum(
         (n := min(size, dim - r0)) * (n + 1) // 2
         + mat[r0 : r0 + size, r0 + size : r0 + 2 * size].nnz
-        for r0 in range(0, dim, size)
+        for i, r0 in enumerate(range(0, dim, size))
+        if i not in skip
     )
+
+
+def _reduction_levels(m):
+    """Per level of the block cyclic reduction of a run of m >= 2 pairs,
+    whether it factors an interior pivot and whether it factors the run's
+    first block: each level eliminates every second block of its chain,
+    counting back from the last, and the chain of k blocks keeps (k + 1) //
+    2 of them, down to two."""
+    levels = []
+    while True:
+        levels.append((int(m // 2 - (m % 2 == 0) > 0), int(m % 2 == 0)))
+        if m == 2:
+            return levels
+        m = (m + 1) // 2
 
 
 @pytest.fixture(scope="module")
@@ -818,7 +883,7 @@ def _arpack_smooth_values(op, window):
     pairs = rb._node_pairs(op.terms)
     count = rb._inertia(pairs, hi)[0] - rb._inertia(pairs, lo)[0]
     sigma = 0.5 * (lo + hi) + 0.00137 * (hi - lo)
-    solve, _ = rb._shift_invert_solve(pairs, sigma)
+    solve, *_ = rb._shift_invert_solve(pairs, sigma)
     n, shape = op.dim, (op.grid.n_t, op.grid.n_fast)
     strip = spla.LinearOperator(
         (n, n), matvec=lambda x: rb._kron_apply(op.terms, x.reshape(shape)).ravel(),
@@ -896,6 +961,7 @@ def test_empty_window_skips_solve(monkeypatch, base_op, base_spec):
     assert spec.diagnostics["note"] == "no states in window"
     assert spec.diagnostics["inertia_sweeps"] == 2
     assert spec.diagnostics["block_solves"] == spec.diagnostics["factor_values"] == 0
+    assert spec.diagnostics["factor_factorizations"] == 0
 
 
 def _assert_counts_match_dense(pairs, evals, split=0.0):
@@ -930,10 +996,14 @@ def _long_runs(pairs):
 )
 def test_inertia_matches_dense_count(lat, frame, fields, magnetic, t_factor, dim, runs):
     # Sylvester inertia of the run-reduced count against a dense eigensolve,
-    # and the per-pair sweep's shift-invert solve against a dense solve, on
-    # small strips (cutoff 2) for a scalar and a magnetic wall; the plateaus
-    # are runs of 25 and 25 equal node pairs at t_factor 3.5, and of 27 and
-    # 28 at 3.75, so runs of odd and even length are reduced
+    # and the run-reduced shift-invert solve against a dense solve, on small
+    # strips (cutoff 2) for a scalar and a magnetic wall; the plateaus are
+    # runs of 25 and 25 equal node pairs at t_factor 3.5, and of 27 and 28
+    # at 3.75, so runs of odd and even length are reduced.  At some of these
+    # shifts a reduction fails its pivot certificate and the run is walked
+    # pair by pair: at the top one of the magnetic strip at 3.75 (a pivot
+    # estimate of 2.4e6) the uncertified solve missed the backward bound
+    # 244-fold
     from artifact.potentials import magnetic_A
 
     basis = build_basis(lat, 2.0)
@@ -960,7 +1030,7 @@ def test_inertia_matches_dense_count(lat, frame, fields, magnetic, t_factor, dim
     for shift, i in below.items():
         assert rb._inertia(pairs, shift)[0] == i
         b = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-        solve, _ = rb._shift_invert_solve(pairs, shift)
+        solve, *_ = rb._shift_invert_solve(pairs, shift)
         x = solve(b)
         # backward stable at every shift ...
         dist = np.abs(evals - shift)
@@ -999,37 +1069,40 @@ def test_inertia_matches_dense_count_without_wall(lat, frame, fields):
 
 @pytest.mark.parametrize("channel", ["base", "amp15", "A", "inversion"])
 def test_run_reduced_count_matches_sweep(request, lat, frame, fields, basis, channel):
-    # the run-reduced count against the negative pivots of the per-pair sweep
-    # (_block_ldl) at the window edges, where the solve counted, and 1e-9
-    # above each state, where a Schur block is all but singular
+    # the run-reduced count against the negative pivots of the per-pair
+    # reference sweep at the window edges, where the solve counted, and 1e-9
+    # above each state, where a Schur block is all but singular.  There the
+    # plateau run after the wall is walked pair by pair: its first block,
+    # eliminated at the second level, is as close to singular as the sweep's
+    # blocks past the state, and fails its pivot certificate
     name = "magnetic" if channel == "A" else channel
     spec = request.getfixturevalue(f"{name}_spec")
     pairs = rb._node_pairs(_channel_op(lat, frame, fields, basis, channel).terms)
-
-    def swept(shift):
-        return sum(
-            rb._negative_pivots(ldu, ipiv)
-            for _, _, ldu, ipiv, *_ in rb._block_ldl(pairs, shift)
-        )
-
     factorizations = spec.diagnostics["count_factorizations"]
     assert factorizations < 160
-    assert tuple(map(swept, spec.window)) == spec.diagnostics["inertia"]
+    assert spec.diagnostics["factor_factorizations"] == factorizations
+    counts = tuple(_swept(pairs, shift) for shift in spec.window)
+    assert counts == spec.diagnostics["inertia"]
     for shift in spec.values + 1e-9:
-        assert rb._inertia(pairs, shift) == (swept(shift), factorizations)
+        assert rb._inertia(pairs, shift)[0] == _swept(pairs, shift)
     # the reduction's first pivot is the plateau's D - shift, which the sweep
-    # never factors.  D has no eigenvalue within 2.9 of the window (the nearest
-    # lie near -1.38 and 6.3 on all four channels), and 1e-4 from those two
-    # the count equals the sweep's.  Closer it loses accuracy where the
-    # sweep does not: 1e-6 below 6.31 it is one short on the base and the
-    # inverted channel, and 3e-8 from -1.38 up to 5 short on all four
+    # never factors.  D has no eigenvalue within 2.9 of the window (the
+    # nearest lie near -1.38 and 6.31 on all four channels).  Uncertified,
+    # the count was one short 1e-6 below 6.31 on the base and the inverted
+    # channel, and up to 5 short 3e-8 from -1.38 on all four; there the
+    # pivot fails its certificate, the run is walked pair by pair, and the
+    # count is the sweep's
     plateau = max(rb._runs(pairs), key=len)
     lam = np.linalg.eigvalsh(plateau[0][2]())
     lo, hi = spec.window
     below, above = lam[lam < lo].max(), lam[lam > hi].min()
     assert lo - below > 2.9 and above - hi > 2.9
     for shift in (below - 1e-4, below + 1e-4, above - 1e-4, above + 1e-4):
-        assert rb._inertia(pairs, shift)[0] == swept(shift)
+        assert rb._inertia(pairs, shift)[0] == _swept(pairs, shift)
+    for shift in (below - 3e-8, below + 3e-8, above - 1e-6):
+        count, made = rb._inertia(pairs, shift)
+        assert count == _swept(pairs, shift)
+        assert made > factorizations + len(plateau) // 2  # a plateau walked per pair
 
 
 def _toeplitz_terms(stretches, rng, n_fast=5, singular=None):
@@ -1072,17 +1145,19 @@ def _toeplitz_terms(stretches, rng, n_fast=5, singular=None):
 
 
 def test_run_reduction_on_dense_toeplitz_runs(monkeypatch):
-    # the count on repeated random node blocks with dense couplings, in runs
-    # of 1, 2, 3, 4 and 7 node pairs, then 7 pairs with one diagonal block
-    # whose coupling changes after the third, then a pair and a node of their
-    # own: against eigvalsh at every midpoint.  The coupling change splits the
-    # 7 pairs into runs of 4 (the fourth pair only leaves by the new coupling)
-    # and 3.  The zero node diagonals force 2x2 Bunch-Kaufman pivots in the
-    # reduction's own factorizations too
+    # the count and the solve on repeated random node blocks with dense
+    # couplings, in runs of 1, 2, 3, 4 and 7 node pairs, then 7 pairs with
+    # one diagonal block whose coupling changes after the third, then a pair
+    # and a node of their own: against eigvalsh and a dense solve at every
+    # midpoint.  The coupling change splits the 7 pairs into runs of 4 (the
+    # fourth pair only leaves by the new coupling) and 3.  The zero node
+    # diagonals force 2x2 Bunch-Kaufman pivots in the reduction's own
+    # factorizations too
     stretches = [(1, 0, 0), (2, 1, 1), (3, 2, 2), (4, 3, 3), (7, 4, 4), (3, 5, 5),
                  (4, 5, 6), (1, 6, 7)]
     terms = _toeplitz_terms(stretches, np.random.default_rng(5))
-    dense = rb.StripOperator(grid=None, terms=terms).matrix.toarray()
+    mat = rb.StripOperator(grid=None, terms=terms).matrix
+    dense = mat.toarray()
     assert np.array_equal(dense, dense.conj().T)
     pairs = rb._node_pairs(terms)
     assert [len(run) for run in rb._runs(pairs)] == [1, 2, 3, 4, 7, 4, 3, 1, 1]
@@ -1098,21 +1173,50 @@ def test_run_reduction_on_dense_toeplitz_runs(monkeypatch):
     evals = np.linalg.eigvalsh(dense)
     assert np.diff(evals).min() > 1e-8
     shifts = [evals[0] - 1.0, *(0.5 * (evals[1:] + evals[:-1])), evals[-1] + 1.0]
+    rng = np.random.default_rng(6)
+    reduced = checked = 0
     for i, shift in enumerate(shifts):
+        solve, kept, made = rb._shift_invert_solve(pairs, shift)
         # one factorization for the last block of each of the 9 runs; the
         # runs of 2, 3, 4, 7, 4 and 3 pairs add 1, 2, 3, 4, 3 and 2 pivots of
-        # the reduction, at most two per level
-        assert rb._inertia(pairs, shift) == (i, 24)
-    assert len(two_by_two) == 15 * len(shifts) and any(two_by_two)
-    # a run whose blocks D - shift are singular breaks the reduction at the
-    # first level, where the per-pair sweep would factor the Schur block
-    # instead; the failure names the shift, the run and the level
+        # the reduction, at most two per level.  Where a pivot fails its
+        # certificate the run is walked pair by pair, which costs 2 more in
+        # the run of 7 (and none in the shorter ones)
+        assert rb._inertia(pairs, shift) == (i, made)
+        assert made in (24, 26)
+        reduced += made == 24
+        b = rng.standard_normal(len(dense)) + 1j * rng.standard_normal(len(dense))
+        x = solve(b)
+        dist = np.abs(evals - shift)
+        residual = np.linalg.norm(mat @ x - shift * x - b)
+        ref = np.linalg.solve(dense - shift * np.eye(len(dense)), b)
+        # block LDL^H pivots inside each block only, so at an indefinite
+        # shift its accuracy rests on the blocks it factors; the bounds hold
+        # wherever the per-pair reference's Schur blocks are well conditioned
+        # (its own solve misses the backward bound at 89 of these 256
+        # midpoints, the run-reduced one at 63)
+        worst = max(
+            np.linalg.norm(block, 1) * np.linalg.norm(inverse, 1)
+            for _, _, block, _, _, inverse in _per_pair_sweep(pairs, shift)
+        )
+        if worst <= 1e4:
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        if worst <= 1e3:
+            assert residual <= 1e-14 * (dist.max() * np.linalg.norm(x) + np.linalg.norm(b))
+            checked += 1
+    assert reduced == 226 and checked == 54
+    assert len(two_by_two) >= 2 * 15 * reduced and any(two_by_two)
+    # a run whose blocks D - shift are singular fails the certificate at its
+    # first pivot and is walked pair by pair, whose Schur blocks are not
+    # singular: the count at shift 0 is right
     monkeypatch.undo()
     stretches = [(1, 0, 0), (2, 1, 1), (3, 2, 2), (4, 3, 3)]
     terms = _toeplitz_terms(stretches, np.random.default_rng(5), singular=3)
-    where = r"shift = 0, run 3 \(rows 60:100\), level 1"
-    with pytest.raises(rb.FactorizationFailure, match=where):
-        rb._inertia(rb._node_pairs(terms), 0.0)
+    dense = rb.StripOperator(grid=None, terms=terms).matrix.toarray()
+    below = np.count_nonzero(np.linalg.eigvalsh(dense) < 0.0)
+    # 1, 1 + 1 and 1 + 2 factorizations for the first three runs, 4 for the
+    # run of 4 walked per pair, and 1 for the node
+    assert rb._inertia(rb._node_pairs(terms), 0.0) == (below, 11)
 
 
 def _negative_pivots_loop(ldu, ipiv):
@@ -1173,7 +1277,7 @@ def test_block_ldl_on_dense_couplings():
     two_by_two = 0
     pairs = rb._node_pairs(terms)
     for shift, i in below.items():
-        for _, _, ldu, ipiv, inverse, *_ in rb._block_ldl(pairs, shift):
+        for *_, ldu, ipiv, inverse in _per_pair_sweep(pairs, shift):
             two_by_two += int(np.any(ipiv < 0))
             assert rb._negative_pivots(ldu, ipiv) == _negative_pivots_loop(ldu, ipiv)
             # the inverse is zhetri's lower triangle with its conjugate copied
@@ -1184,10 +1288,12 @@ def test_block_ldl_on_dense_couplings():
             assert np.array_equal(inverse, ref)
         assert rb._inertia(pairs, shift)[0] == i
         b = cplx(dim)
-        solve, kept = rb._shift_invert_solve(pairs, shift)
+        solve, kept, made = rb._shift_invert_solve(pairs, shift)
         # four pairs of 10 rows and a last block of 5, coupled by three and by
-        # two dense node blocks
+        # two dense node blocks; no two pairs share a block, so each is a run
+        # of its own and the factor is per pair
         assert kept == _packed_count(mat, 2 * n_fast) == 4 * 55 + 15 + 3 * 75 + 50
+        assert made == 5
         x = solve(b)
         dist = np.abs(evals - shift)
         residual = np.linalg.norm(mat @ x - shift * x - b)

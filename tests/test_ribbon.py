@@ -1072,9 +1072,10 @@ def test_run_reduced_count_matches_sweep(request, lat, frame, fields, basis, cha
     # the run-reduced count against the negative pivots of the per-pair
     # reference sweep at the window edges, where the solve counted, and 1e-9
     # above each state, where a Schur block is all but singular.  There the
-    # plateau run after the wall is walked pair by pair: its first block,
-    # eliminated at the second level, is as close to singular as the sweep's
-    # blocks past the state, and fails its pivot certificate
+    # plateau run after the wall is walked pair by pair: the F pivot of a
+    # late level (a Schur block of the box up to deep inside the run) is as
+    # close to singular as the sweep's blocks past the state, and fails its
+    # pivot certificate
     name = "magnetic" if channel == "A" else channel
     spec = request.getfixturevalue(f"{name}_spec")
     pairs = rb._node_pairs(_channel_op(lat, frame, fields, basis, channel).terms)

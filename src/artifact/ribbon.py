@@ -82,7 +82,7 @@ backward stable where the per-pair sweep is: uncertified, a count 1e-6
 from an eigenvalue of D was one short.  So every pivot carries a condition
 estimate (``_pivot``), and a run with a pivot above ``PIVOT_CONDITION`` is
 walked pair by pair.  Inside the gap windows of the tested channels no run
-falls back.
+falls back, within 1e-10 of a state included.
 """
 
 from __future__ import annotations
@@ -248,6 +248,7 @@ WINDOW_MARGIN = 3.0
 
 # Largest condition estimate of a pivot of the run reduction (_pivot, about
 # ||P||_1 ||P^-1||_1); a run with a pivot above it is walked pair by pair.
+# Inside the tested windows the largest estimate is 1.7e3.
 PIVOT_CONDITION = 1e4
 
 
@@ -1047,13 +1048,8 @@ def _runs(pairs: list) -> list:
     return runs
 
 
-def _norm1(a: np.ndarray) -> float:
-    """The 1-norm of a dense block: its largest column sum of moduli."""
-    return float(np.abs(a).sum(axis=0).max())
-
-
 def _pivot(
-    block: np.ndarray, coupling: np.ndarray, scale: float, where: str
+    block: np.ndarray, coupling: np.ndarray, scale: float, first: bool = False
 ) -> tuple | None:
     """Negative pivots and inverse of one pivot P of the run reduction, or
     None when it fails the certificate: a singular block, or a condition
@@ -1062,18 +1058,24 @@ def _pivot(
     ``||D - shift||_1 + 2 ||B_1||_1``.  The first term is P's condition
     number; the second bounds the update ``B^H P^-1 B`` against the run's
     scale, which grows where the reduction's couplings grow and costs
-    backward accuracy as a poor pivot does."""
+    backward accuracy as a poor pivot does.  The run's ``first`` block F
+    is tested on the second term alone: F is a Schur block of the box up
+    to inside the run, near singular close to a state as the sweep's own
+    blocks past it are, and its update is small however near singular F
+    is once the level's coupling has decayed."""
     try:
-        ldu, ipiv, inverse = _factor(block, where)
+        ldu, ipiv, inverse = _factor(block, "in a run's reduction")
     except FactorizationFailure:
         return None
-    estimate = _norm1(inverse) * max(_norm1(block), _norm1(coupling) ** 2 / scale)
-    if estimate > PIVOT_CONDITION:
+    growth = np.linalg.norm(coupling, 1) ** 2 / scale
+    if not first:
+        growth = max(growth, np.linalg.norm(block, 1))
+    if np.linalg.norm(inverse, 1) * growth > PIVOT_CONDITION:
         return None
     return _negative_pivots(ldu, ipiv), inverse
 
 
-def _reduce_run(first, plateau, coupling, m: int, where: str) -> tuple | None:
+def _reduce_run(first, plateau, coupling, m: int) -> tuple | None:
     """Schur complement of a run's last block, by block cyclic reduction.
 
     The run is the block tridiagonal chain of m >= 2 blocks ``[F, A, ...,
@@ -1115,20 +1117,22 @@ def _reduce_run(first, plateau, coupling, m: int, where: str) -> tuple | None:
     244-fold at a pivot estimate of 2.4e6.  So each pivot carries a
     certificate (``_pivot``), and the first that fails it returns None: the
     caller walks the run pair by pair.  Inside the windows of the tested
-    channels the largest estimate is 6.4e3 (amp 15, at the lower window
-    edge; 1.0e3 on the base channel).  Within about 3e-4 above a state that
-    lies before the run, F's own eigenvalues come close, and the run falls
-    back there (``BENCH_run_factor.json``).
+    channels the largest estimate is 1.7e3 (amp 15, at the lower window
+    edge; 539 on the base channel).  Close to a state that lies before the
+    run, F's own eigenvalues come close too, but F's certificate reads its
+    coupling term only, and no run falls back there: on the base channel
+    the largest estimate stays 488 from 1e-10 to 1e-2 either side of its
+    state (``BENCH_run_factor.json``).
     """
     F, A, L, B = first, plateau, plateau.copy(), coupling
-    scale = _norm1(plateau) + 2 * _norm1(coupling)
+    scale = np.linalg.norm(plateau, 1) + 2 * np.linalg.norm(coupling, 1)
     levels: list = []
     negatives = factorizations = 0
     for level in itertools.count():
         interior = m // 2 - (m % 2 == 0)  # eliminated blocks with pivot A
         inv_a = inv_f = None
         if interior:
-            pivot = _pivot(A, B, scale, f"{where}, level {level + 1}")
+            pivot = _pivot(A, B, scale)
             if pivot is None:
                 return None
             neg, inv_a = pivot
@@ -1140,7 +1144,7 @@ def _reduce_run(first, plateau, coupling, m: int, where: str) -> tuple | None:
             from_next = zgemm(1.0, B, zgemm(1.0, inv_a, B, trans_b=2))  # B A^-1 B^H
             from_prev = zgemm(1.0, B, a_b, trans_a=2)  # B^H A^-1 B
         if m % 2 == 0:
-            pivot = _pivot(F, B, scale, f"{where}, level {level + 1}")
+            pivot = _pivot(F, B, scale, first=True)
             if pivot is None:
                 return None
             neg, inv_f = pivot
@@ -1224,7 +1228,6 @@ def _run_ldl(pairs: list, shift: float):
                 _schur_block(built, shift, None, None),
                 coupling.toarray(order="F"),
                 len(run),
-                where,
             )
         if reduced is None:
             for r0, r1, _, coupling, next_adjoint in run:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import zhetri
+from scipy.linalg.lapack import zhetrf, zhetri
 
 from artifact import bloch
 from artifact import ribbon as rb
@@ -1071,11 +1071,11 @@ def test_inertia_matches_dense_count_without_wall(lat, frame, fields):
 def test_run_reduced_count_matches_sweep(request, lat, frame, fields, basis, channel):
     # the run-reduced count against the negative pivots of the per-pair
     # reference sweep at the window edges, where the solve counted, and 1e-9
-    # above each state, where a Schur block is all but singular.  There the
-    # plateau run after the wall is walked pair by pair: the F pivot of a
-    # late level (a Schur block of the box up to deep inside the run) is as
-    # close to singular as the sweep's blocks past the state, and fails its
-    # pivot certificate
+    # above each state, where a Schur block is all but singular.  There no
+    # run falls back: the F pivot of a late level (a Schur block of the box
+    # up to deep inside the run) is as close to singular as the sweep's
+    # blocks past the state, but its certificate reads its coupling term
+    # only, and the level's coupling has decayed
     name = "magnetic" if channel == "A" else channel
     spec = request.getfixturevalue(f"{name}_spec")
     pairs = rb._node_pairs(_channel_op(lat, frame, fields, basis, channel).terms)
@@ -1085,7 +1085,7 @@ def test_run_reduced_count_matches_sweep(request, lat, frame, fields, basis, cha
     counts = tuple(_swept(pairs, shift) for shift in spec.window)
     assert counts == spec.diagnostics["inertia"]
     for shift in spec.values + 1e-9:
-        assert rb._inertia(pairs, shift)[0] == _swept(pairs, shift)
+        assert rb._inertia(pairs, shift) == (_swept(pairs, shift), factorizations)
     # the reduction's first pivot is the plateau's D - shift, which the sweep
     # never factors.  D has no eigenvalue within 2.9 of the window (the
     # nearest lie near -1.38 and 6.31 on all four channels).  Uncertified,
@@ -1149,11 +1149,11 @@ def test_run_reduction_on_dense_toeplitz_runs(monkeypatch):
     # the count and the solve on repeated random node blocks with dense
     # couplings, in runs of 1, 2, 3, 4 and 7 node pairs, then 7 pairs with
     # one diagonal block whose coupling changes after the third, then a pair
-    # and a node of their own: against eigvalsh and a dense solve at every
-    # midpoint.  The coupling change splits the 7 pairs into runs of 4 (the
-    # fourth pair only leaves by the new coupling) and 3.  The zero node
-    # diagonals force 2x2 Bunch-Kaufman pivots in the reduction's own
-    # factorizations too
+    # and a node of their own: against eigvalsh, a dense solve and the solve
+    # with every run walked pair by pair at every midpoint.  The coupling
+    # change splits the 7 pairs into runs of 4 (the fourth pair only leaves
+    # by the new coupling) and 3.  The zero node diagonals force 2x2
+    # Bunch-Kaufman pivots in the reduction's own factorizations too
     stretches = [(1, 0, 0), (2, 1, 1), (3, 2, 2), (4, 3, 3), (7, 4, 4), (3, 5, 5),
                  (4, 5, 6), (1, 6, 7)]
     terms = _toeplitz_terms(stretches, np.random.default_rng(5))
@@ -1161,41 +1161,63 @@ def test_run_reduction_on_dense_toeplitz_runs(monkeypatch):
     dense = mat.toarray()
     assert np.array_equal(dense, dense.conj().T)
     pairs = rb._node_pairs(terms)
-    assert [len(run) for run in rb._runs(pairs)] == [1, 2, 3, 4, 7, 4, 3, 1, 1]
-    real_factor, two_by_two = rb._factor, []
+    runs = [len(run) for run in rb._runs(pairs)]
+    assert runs == [1, 2, 3, 4, 7, 4, 3, 1, 1]
+    # the pivots of each run's reduction, at most two per level
+    pivots = [sum(a + f for a, f in _reduction_levels(m)) if m > 1 else 0 for m in runs]
+    assert pivots == [0, 1, 2, 3, 4, 3, 2, 0, 0]
+    real_pivot, taken = rb._pivot, []
 
-    def recorded_factor(block, where):
-        ldu, ipiv, inverse = real_factor(block, where)
-        if "level" in where:  # a pivot of the reduction
-            two_by_two.append(bool(np.any(ipiv < 0)))
-        return ldu, ipiv, inverse
+    def recorded_pivot(block, coupling, scale, first=False):
+        two_by_two = bool(np.any(zhetrf(block, lower=1)[1] < 0))
+        out = real_pivot(block, coupling, scale, first)
+        taken.append((out is not None, two_by_two))
+        return out
 
-    monkeypatch.setattr(rb, "_factor", recorded_factor)
+    monkeypatch.setattr(rb, "_pivot", recorded_pivot)
     evals = np.linalg.eigvalsh(dense)
     assert np.diff(evals).min() > 1e-8
     shifts = [evals[0] - 1.0, *(0.5 * (evals[1:] + evals[:-1])), evals[-1] + 1.0]
     rng = np.random.default_rng(6)
-    reduced = checked = 0
+    two_by_two, walked, ratios, checked = [], [], [], 0
     for i, shift in enumerate(shifts):
+        taken.clear()
+        count, made = rb._inertia(pairs, shift)
+        # each run's reduction takes all its pivots, or stops at the first
+        # that fails its certificate, and the run is walked pair by pair: m
+        # factorizations for a run of m pairs where its pivots and its last
+        # block took p + 1
+        attempts, expected, rest = list(taken), len(runs), [ok for ok, _ in taken]
+        for m, p in zip(runs, pivots):
+            if all(rest[:p]):
+                del rest[:p]
+                expected += p
+            else:
+                del rest[: rest.index(False) + 1]
+                expected += m - 1
+                walked.append((i, m))
+        assert rest == [] and (count, made) == (i, expected)
+        two_by_two += [t for _, t in attempts]
         solve, kept, made = rb._shift_invert_solve(pairs, shift)
-        # one factorization for the last block of each of the 9 runs; the
-        # runs of 2, 3, 4, 7, 4 and 3 pairs add 1, 2, 3, 4, 3 and 2 pivots of
-        # the reduction, at most two per level.  Where a pivot fails its
-        # certificate the run is walked pair by pair, which costs 2 more in
-        # the run of 7 (and none in the shorter ones)
-        assert rb._inertia(pairs, shift) == (i, made)
-        assert made in (24, 26)
-        reduced += made == 24
+        assert made == expected and taken == 2 * attempts
+        with monkeypatch.context() as per_pair:
+            per_pair.setattr(rb, "PIVOT_CONDITION", 0.0)
+            walk, *_ = rb._shift_invert_solve(pairs, shift)
         b = rng.standard_normal(len(dense)) + 1j * rng.standard_normal(len(dense))
-        x = solve(b)
         dist = np.abs(evals - shift)
-        residual = np.linalg.norm(mat @ x - shift * x - b)
+
+        def backward(x):
+            residual = np.linalg.norm(mat @ x - shift * x - b)
+            return residual / (dist.max() * np.linalg.norm(x) + np.linalg.norm(b))
+
+        x = solve(b)
+        ratios.append(backward(x) / backward(walk(b)))
         ref = np.linalg.solve(dense - shift * np.eye(len(dense)), b)
         # block LDL^H pivots inside each block only, so at an indefinite
         # shift its accuracy rests on the blocks it factors; the bounds hold
         # wherever the per-pair reference's Schur blocks are well conditioned
-        # (its own solve misses the backward bound at 89 of these 256
-        # midpoints, the run-reduced one at 63)
+        # (the solve walked pair by pair misses the backward bound at 89 of
+        # these 256 midpoints, the run-reduced one at 62)
         worst = max(
             np.linalg.norm(block, 1) * np.linalg.norm(inverse, 1)
             for _, _, block, _, _, inverse in _per_pair_sweep(pairs, shift)
@@ -1203,10 +1225,19 @@ def test_run_reduction_on_dense_toeplitz_runs(monkeypatch):
         if worst <= 1e4:
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
         if worst <= 1e3:
-            assert residual <= 1e-14 * (dist.max() * np.linalg.norm(x) + np.linalg.norm(b))
+            assert backward(x) <= 1e-14
             checked += 1
-    assert reduced == 226 and checked == 54
-    assert len(two_by_two) >= 2 * 15 * reduced and any(two_by_two)
+    assert checked == 54
+    # at every midpoint the run-reduced solve's backward error is within a
+    # fixed factor of the one walked pair by pair: 24 at most (midpoint 246,
+    # where the only pivot near singular, the first of the run of 2, is the
+    # sweep's own Schur block, condition 1.6e4), 0.9 at the median
+    assert max(ratios) <= 30 and np.median(ratios) <= 1
+    # the pivots of a reduction that fell back are counted up to the one
+    # that failed: 3,803 where 15 a shift would make 3,840; a run of 3, 4
+    # or 7 pairs fell back 88 times, at 66 of the 256 shifts
+    assert len(two_by_two) == 3803 and any(two_by_two)
+    assert len(walked) == 88 and len({i for i, _ in walked}) == 66
     # a run whose blocks D - shift are singular fails the certificate at its
     # first pivot and is walked pair by pair, whose Schur blocks are not
     # singular: the count at shift 0 is right

@@ -19,6 +19,16 @@ which buys one more power of delta in the residual:
 workspace, so it serves any cutoff and the magnetic wall; the strip solver
 seeds each edge state with it.
 
+The fast part of every corrector is the deflated resolvent applied to a few
+fixed fiber vectors, and only the slow envelope coefficients vary along t.
+So every fast field is kept factored (``FastField``): an (M, r) basis of
+fiber columns times (r, n) coefficients, one column per transverse node.
+The bracket of the order-delta equation maps a field of rank r to one of
+rank about 3r, and the W product and the complement solve act on the basis
+alone.  The ranks do not depend on n or delta: the first corrector has 6,
+D_t of it 8, the second corrector 28 and the order-2 field 38.  Only
+``_strip_vector`` forms an array of the strip's size, the sampled vector.
+
 The transverse corrector solves, per transverse node, a linear system in the
 fast plane-wave fiber restricted to the complement of the pair.  Solvability
 of that restriction is exactly the statement that (theta, alpha) is an
@@ -55,7 +65,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -455,7 +465,7 @@ class QuasimodeWorkspace:
         return self.comp_vecs @ (co / (self.comp_vals - self.e_star)[:, None])
 
     def pair_projection(self, rhs: np.ndarray) -> np.ndarray:
-        """(2, n) projection of fiber columns onto the cone pair."""
+        """(2, k) projection of k fiber columns onto the cone pair."""
         return self.phi.conj().T @ rhs
 
 
@@ -524,6 +534,29 @@ def quasimode_workspace(
 # first transverse corrector
 
 
+class FastField(NamedTuple):
+    """A fast-fiber field per transverse node, kept factored: ``basis @ coeffs``.
+
+    ``basis`` is (M, r) fiber columns and ``coeffs`` (r, n) slow coefficients,
+    one column per node.  The rank r depends on the ansatz order only, not on
+    n or delta, so the W product and the complement solve act on the r basis
+    columns where a dense (M, n) field would take n.
+    """
+
+    basis: np.ndarray
+    coeffs: np.ndarray
+
+    def scaled(self, factor: float) -> FastField:
+        return FastField(self.basis, factor * self.coeffs)
+
+
+def _stack(*fields: FastField) -> FastField:
+    """The sum of factored fields, as one field of the summed rank."""
+    return FastField(
+        np.hstack([f.basis for f in fields]), np.vstack([f.coeffs for f in fields])
+    )
+
+
 @dataclass
 class TransverseCorrection:
     """Per-node complement solve for the order-delta equation."""
@@ -531,7 +564,7 @@ class TransverseCorrection:
     ts: np.ndarray  # slow transverse nodes
     alpha: np.ndarray  # (n, 2) envelope samples the solve was built from
     d_alpha: np.ndarray  # (n, 2) D_t alpha at the same nodes
-    values: np.ndarray  # (M, n) corrector in the fast fiber, per node
+    values: FastField  # corrector in the fast fiber, rank 6
     defect: float  # max |projection| before subtraction
 
 
@@ -539,20 +572,36 @@ def _order1_bracket(
     ws: QuasimodeWorkspace,
     pair: EnvelopePair,
     kap: np.ndarray,
-    values: np.ndarray,
-    d_values: np.ndarray,
-) -> np.ndarray:
+    field: FastField,
+    d_field: FastField,
+) -> FastField:
     """[2 (kp.D) D_t + 2 mu (ell.D) + kappa W - theta] on a fast field per node.
 
-    ``values`` is the (M, n) field, ``d_values`` its D_t, and ``kap`` the wall
-    profile at the n nodes.
+    ``field`` is the factored field (U, C), ``d_field`` its D_t (U', C'), and
+    ``kap`` the wall profile at the n nodes.  The result is factored too,
+    columns [2 d_kp U' | 2 mu d_ell U - theta U | W U] on rows [C'; C; kappa C],
+    of rank r' + 2 r.
     """
-    return (
-        2.0 * ws.d_kp[:, None] * d_values
-        + 2.0 * pair.mu * ws.d_ell[:, None] * values
-        + (ws.conv_w @ values) * kap[None, :]
-        - pair.theta * values
+    u = field.basis
+    return FastField(
+        np.hstack([
+            2.0 * ws.d_kp[:, None] * d_field.basis,
+            2.0 * pair.mu * ws.d_ell[:, None] * u - pair.theta * u,
+            ws.conv_w @ u,
+        ]),
+        np.vstack([d_field.coeffs, field.coeffs, kap[None, :] * field.coeffs]),
     )
+
+
+def _deflated_corrector(ws: QuasimodeWorkspace, g: FastField) -> tuple:
+    """-(P0 - E*)^+ g on the complement of the cone pair, and g's pair projection.
+
+    Both act on the basis alone: the corrector keeps g's coefficients, and the
+    (2, n) projection is (phi^H U) C.
+    """
+    on_pair = ws.pair_projection(g.basis)
+    corrector = -ws.complement_solve(g.basis - ws.phi @ on_pair)
+    return FastField(corrector, g.coeffs), on_pair @ g.coeffs
 
 
 def first_correction(
@@ -567,12 +616,15 @@ def first_correction(
     magnitude is the solvability defect and is gated at ``SOLVABILITY_TOL``.
     The envelope samples alpha and D_t alpha are kept on the result, so the
     ansatz and the second-order layer reuse them instead of sampling again.
+    The bracket of the order-0 field (phi, alpha^T) has rank 6, and so has V.
     """
     ts = np.asarray(ts, dtype=float)
     alpha = pair.alpha(ts)
     d_alpha = pair.d_alpha(ts, alpha)
-    g = _order1_bracket(ws, pair, ws.wall(ts), ws.phi @ alpha.T, ws.phi @ d_alpha.T)
-    projection = ws.pair_projection(g)
+    g = _order1_bracket(
+        ws, pair, ws.wall(ts), FastField(ws.phi, alpha.T), FastField(ws.phi, d_alpha.T)
+    )
+    values, projection = _deflated_corrector(ws, g)
     defect = float(np.abs(projection).max())
     if defect > SOLVABILITY_TOL:
         raise SolvabilityViolation(
@@ -584,7 +636,7 @@ def first_correction(
         ts=ts,
         alpha=alpha,
         d_alpha=d_alpha,
-        values=-ws.complement_solve(g - ws.phi @ projection),
+        values=values,
         defect=defect,
     )
 
@@ -599,7 +651,7 @@ class SecondOrderLayer:
 
     beta: np.ndarray  # (n, 2) envelope correction, orthogonal to alpha
     a2: float  # next energy coefficient
-    values: np.ndarray  # (M, n) second transverse corrector
+    values: FastField  # second transverse corrector, rank 28
     a2_imag: float  # imaginary part discarded from a2 (diagnostic)
     envelope_residual: float  # first-order equation check on beta
     projection: float  # pair projection of the second-order rhs
@@ -718,7 +770,9 @@ def second_order_layer(
     is the envelope average of the projected forcing and beta solves the
     deflated reduced operator against what remains (``_envelope_correction``,
     one banded solve).  The complement projection then yields the second
-    transverse corrector exactly as at first order.
+    transverse corrector exactly as at first order.  Every fast field stays
+    factored: D_t V has rank 8, the bracket on (V, D_t V) rank 20 and the
+    second corrector rank 28.
     """
     ts = corr.ts
     alpha = corr.alpha
@@ -728,37 +782,35 @@ def second_order_layer(
     d_kap_t = -1j * ws.wall.derivative(ts)
     h = float(ts[1] - ts[0])
     mu = pair.mu
-
-    fast = ws.phi @ alpha.T
-    d_fast = ws.phi @ d_alpha.T
-    d2_fast = ws.phi @ d2_alpha.T
+    phi = ws.phi
 
     # D_t of the order-delta bracket, for D_t V via the shared pseudo-inverse:
     # the bracket on D_t of the field, plus D_t kappa times W on the field
-    d_g = _order1_bracket(ws, pair, kap, d_fast, d2_fast)
-    d_g += (ws.conv_w @ fast) * d_kap_t[None, :]
-    d_corr = -ws.complement_solve(d_g - ws.phi @ ws.pair_projection(d_g))
+    d_g = _stack(
+        _order1_bracket(
+            ws, pair, kap, FastField(phi, d_alpha.T), FastField(phi, d2_alpha.T)
+        ),
+        FastField(ws.conv_w @ phi, d_kap_t[None, :] * alpha.T),
+    )
+    d_corr, _ = _deflated_corrector(ws, d_g)
 
     on_corr = _order1_bracket(ws, pair, kap, corr.values, d_corr)
     curvature = ws.kp_sq * d2_alpha.T + mu**2 * ws.ell_sq * alpha.T
-    forcing = ws.pair_projection(on_corr) + curvature  # (2, n)
+    forcing = ws.pair_projection(on_corr.basis) @ on_corr.coeffs + curvature  # (2, n)
     a2_complex = complex(np.sum(np.conj(alpha.T) * forcing) * h)
     a2 = float(a2_complex.real)
 
     rho = -(forcing.T - a2 * alpha)
     beta, d_beta, env_res = _envelope_correction(pair, ts, rho, alpha)
 
-    beta_fast = ws.phi @ beta.T
-    d_beta_fast = ws.phi @ d_beta.T
-    g2 = (
-        on_corr
-        + _order1_bracket(ws, pair, kap, beta_fast, d_beta_fast)
-        + ws.kp_sq * d2_fast
-        + mu**2 * ws.ell_sq * fast
-        - a2 * fast
+    g2 = _stack(
+        on_corr,
+        _order1_bracket(
+            ws, pair, kap, FastField(phi, beta.T), FastField(phi, d_beta.T)
+        ),
+        FastField(phi, curvature - a2 * alpha.T),
     )
-    projection = ws.pair_projection(g2)
-    values = -ws.complement_solve(g2 - ws.phi @ projection)
+    values, projection = _deflated_corrector(ws, g2)
     return SecondOrderLayer(
         beta=beta,
         a2=a2,
@@ -819,6 +871,11 @@ def leading_quasimode(
     order 2 adds the envelope correction, the next energy coefficient, and
     the second transverse corrector (~ delta^3).
 
+    Every fast field is kept factored as fiber columns times slow
+    coefficients (``FastField``), of rank 2, 8 and 38 at orders 0, 1 and 2
+    whatever the grid; only ``_strip_vector`` forms an array of the strip's
+    size, the returned vector itself.
+
     delta is the grid's and mu the pair's.  The grid must sit at the
     detuned Bloch phase zeta* + mu delta, so the sample lives in the same
     discrete space as an edge solve at that phase.
@@ -873,22 +930,24 @@ def _truncated_field(
     correction: TransverseCorrection | None,
     second: SecondOrderLayer | None,
     order: int,
-) -> tuple[float, np.ndarray]:
-    """Energy and (M, n) fast-fiber field of the ansatz cut at ``order``.
+) -> tuple[float, FastField]:
+    """Energy and factored fast-fiber field of the ansatz cut at ``order``.
 
     ``correction`` is needed from order 1 on and ``second`` at order 2; the
-    pieces of a higher order serve every lower one.
+    pieces of a higher order serve every lower one.  The field's rank is 2,
+    8 and 38 at orders 0, 1 and 2.
     """
-    fast = ws.phi @ alpha.T
+    fast = FastField(ws.phi, alpha.T)
     energy = ws.e_star + delta * pair.theta
     if order == 0:
         return float(energy), fast
     if order == 1:
-        return float(energy), fast + delta * correction.values
-    field = (
-        fast
-        + delta * (correction.values + ws.phi @ second.beta.T)
-        + delta**2 * second.values
+        return float(energy), _stack(fast, correction.values.scaled(delta))
+    field = _stack(
+        fast,
+        correction.values.scaled(delta),
+        FastField(ws.phi, delta * second.beta.T),
+        second.values.scaled(delta**2),
     )
     return float(energy + delta**2 * second.a2), field
 
@@ -904,14 +963,19 @@ def _cone_offset(frame: EdgeFrame, which: str, grid: StripGrid) -> float:
 
 
 def _strip_vector(
-    frame: EdgeFrame, which: str, grid: StripGrid, mu: float, field: np.ndarray
+    frame: EdgeFrame, which: str, grid: StripGrid, mu: float, field: FastField
 ) -> np.ndarray:
-    """Unit strip sample (t-major) of a fast-fiber field times the edge phase."""
+    """Unit strip sample (t-major) of a factored fast-fiber field times the edge phase.
+
+    The only place where an array of the strip's size is formed: the t-major
+    sample is (C phase)^T U^T, written by one GEMM and normalized in place.
+    """
     ell_vp = float(frame.ell @ frame.vp)
     offset = _cone_offset(frame, which, grid)
     phase = np.exp(1j * (offset + mu * grid.delta * ell_vp) * grid.t)
-    vector = (field * phase[None, :]).T.ravel()
-    return vector / np.linalg.norm(vector)
+    vector = ((field.coeffs * phase[None, :]).T @ field.basis.T).ravel()
+    vector /= np.linalg.norm(vector)
+    return vector
 
 
 def lift_order0(
@@ -937,7 +1001,7 @@ def lift_order0(
     shift = np.rint(frame.lattice.dual_coords(xi - data.xi_star))
     moves = np.all(basis.indices[:, None] - shift == basis.indices[None, :], axis=2)
     cone_pair = moves.T @ np.stack([data.phi1, data.phi2], axis=1)
-    field = cone_pair @ pair.alpha(grid.delta * grid.t).T
+    field = FastField(cone_pair, pair.alpha(grid.delta * grid.t).T)
     return _strip_vector(frame, data.which, grid, pair.mu, field)
 
 
@@ -976,7 +1040,13 @@ def residual_orders(
     which samples the envelope once and solves each corrector once.  The lower
     orders are cut from the same pieces (``_truncated_field``), so every
     order's vector is the one ``leading_quasimode`` builds at that order.
-    The fitted exponents should land near order + 1.
+    The pieces are factored fields of rank at most 38, and only
+    ``_strip_vector`` forms a strip-sized array from them, so the ones
+    alive at once are at most four: the top order's vector, the order's
+    own, and the apply's output and fast product.  At delta = 0.02
+    (M = 85, n = 4,501) a vector is 6.1 MB and the study's traced peak 29
+    MB.  The fitted exponents should land near
+    order + 1.
 
     The envelope's value at the box ends is recorded per delta
     (``edge_values``).  Where it exceeds ``EDGE_FLOOR_RATIO`` times an
@@ -1009,7 +1079,10 @@ def residual_orders(
                 )
                 vector = _strip_vector(ws.frame, ws.data.which, grid, mu, field)
             u = vector.reshape(grid.n_t, grid.n_fast)
-            residuals[o][i] = float(np.linalg.norm(_kron_apply(terms, u) - energy * u))
+            residual = _kron_apply(terms, u)
+            residual -= energy * u
+            residuals[o][i] = float(np.linalg.norm(residual))
+            del residual, vector, u  # before the next order's vector is made
             energies[o][i] = energy
             if edge_values[i] > EDGE_FLOOR_RATIO * residuals[o][i]:
                 warnings.warn(

@@ -398,6 +398,10 @@ def _conv_table(fld: FourierField, basis: PlaneWaveBasis) -> np.ndarray:
 # difference), so two nodes per block make it block tridiagonal for the sweep.
 BAND = 2
 
+# Rows per slab when _kron_apply adds a banded t-factor into its output: a
+# slab's temporary is APPLY_ROWS x n_fast, 0.35 MB at n_fast = 85.
+APPLY_ROWS = 256
+
 
 def _check_band(T) -> None:
     reach = sp.coo_matrix(T)
@@ -468,7 +472,8 @@ def _strip_terms(
     """Grid and Kronecker terms ``[(T_k, F_k)]`` of the strip.
 
     The strip Hamiltonian is H = sum_k T_k (x) F_k with each T_k a sparse
-    n_t x n_t band and each F_k a dense n_fast x n_fast array; see
+    n_t x n_t band in DIA form (offsets within +-``BAND``) and each F_k a
+    dense n_fast x n_fast array; see
     ``assemble_strip`` for the terms.  ``_kron_apply`` applies H without
     forming it, and ``StripOperator.matrix`` sums it when a check needs it.
     """
@@ -493,20 +498,20 @@ def _strip_terms(
     kp = frame.kp
 
     ones = np.ones(n_t - 1)
-    D1 = sp.diags([ones / (2 * h), -ones / (2 * h)], [1, -1], format="csr")
-    S2 = D1.T @ D1  # = -D1 @ D1 on the Dirichlet grid, PSD
+    D1 = sp.diags([ones / (2 * h), -ones / (2 * h)], [1, -1], format="dia")
+    S2 = (D1.T @ D1).todia()  # = -D1 @ D1 on the Dirichlet grid, PSD
 
     sign = -1.0 if flip_wall else 1.0
     kappa = wall(sign * delta * grid.t)
 
     kinetic = np.diag(np.einsum("md,md->m", K, K))
     terms = [
-        (sp.identity(n_t), kinetic + _conv_table(potential, basis)),
+        (sp.identity(n_t, format="dia"), kinetic + _conv_table(potential, basis)),
         (D1, np.diag(-2j * (K @ kp))),
         (float(kp @ kp) * S2, np.eye(n_fast)),
     ]
     if perturbation is not None and delta != 0.0:
-        wall_diag = sp.diags(delta * kappa)
+        wall_diag = sp.diags(delta * kappa, format="dia")
         if perturbation.is_vector:
             coeffs = perturbation.coeffs
             comps = [
@@ -516,7 +521,7 @@ def _strip_terms(
             sym = sum(a * (K[:, c, None] + K[None, :, c]) for c, a in enumerate(comps))
             along = _conv_table(dc_replace(perturbation, coeffs=coeffs @ kp), basis)
             terms.append((wall_diag, sym))
-            terms.append((-1j * (wall_diag @ D1 + D1 @ wall_diag), along))
+            terms.append((-1j * (wall_diag @ D1 + D1 @ wall_diag).todia(), along))
         else:
             terms.append((wall_diag, _conv_table(perturbation, basis)))
     return grid, terms
@@ -528,8 +533,12 @@ def _kron_apply(terms: list, u: np.ndarray) -> np.ndarray:
     Row j of u is the fast vector at node t_j, so (T (x) F) u = T (u F^T).
     A diagonal fast factor scales the columns of u; only the dense ones
     cost a GEMM.  An identity factor on either side is skipped: u F^T is
-    added as it is, and u itself stands for u I.
+    added as it is, and u itself stands for u I.  Any other T is added into
+    the output by its diagonals (DIA form, as ``_strip_terms`` holds it), in
+    slabs of ``APPLY_ROWS`` rows, so the only arrays of u's size are the
+    output and u F^T: no T (u F^T) is formed.
     """
+    n_t = u.shape[0]
     out = np.zeros(u.shape, dtype=complex)
     for T, F in terms:
         diag = np.diagonal(F)
@@ -539,10 +548,19 @@ def _kron_apply(terms: list, u: np.ndarray) -> np.ndarray:
             v = u
         else:
             v = u * diag
-        if T.nnz == T.shape[0] and np.all(T.diagonal() == 1.0):
+        if T.nnz == n_t and np.all(T.diagonal() == 1.0):
             out += v
         else:
-            out += T @ v
+            T = T.todia()
+            # DIA row k holds T[j - offsets[k], j] at column j, so output row
+            # i takes data[k, i + offset] * v[i + offset]
+            for offset, coef in zip(T.offsets, T.data):
+                end = min(n_t, n_t - offset)
+                for r0 in range(max(0, -offset), end, APPLY_ROWS):
+                    r1 = min(r0 + APPLY_ROWS, end)
+                    rows = slice(r0 + offset, r1 + offset)
+                    out[r0:r1] += coef[rows, None] * v[rows]
+        del v  # before the next term's u F^T is made
     return out
 
 
@@ -1075,7 +1093,7 @@ def _pivot(
     return _negative_pivots(ldu, ipiv), inverse
 
 
-def _reduce_run(first, plateau, coupling, m: int) -> tuple | None:
+def _reduce_run(first, plateau, coupling, m: int) -> tuple:
     """Schur complement of a run's last block, by block cyclic reduction.
 
     The run is the block tridiagonal chain of m >= 2 blocks ``[F, A, ...,
@@ -1099,7 +1117,8 @@ def _reduce_run(first, plateau, coupling, m: int) -> tuple | None:
     per-pair sweep reaches (it is unique).  Returns ``(schur, levels,
     negatives, factorizations)``: by Haynsworth additivity the eliminated
     blocks' negative pivots, each pivot's count times the blocks it stands
-    for, add up to the inertia of the first m - 1 blocks of the sweep.
+    for, add up to the inertia of the first m - 1 blocks of the sweep, and
+    ``factorizations`` counts the pivots factored.
     ``levels`` holds, per level, what its solve applies (``_solve_levels``):
     ``(s, k, A^-1, F^-1, B)``, the chain's stride s in pairs and its length
     k, the pivots' inverses (None where the level eliminates no interior
@@ -1115,10 +1134,11 @@ def _reduce_run(first, plateau, coupling, m: int) -> tuple | None:
     eigenvalue 6.31 of the base plateau's D and up to 5 short 3e-8 from
     -1.38, and a solve on a small magnetic strip missed the backward bound
     244-fold at a pivot estimate of 2.4e6.  So each pivot carries a
-    certificate (``_pivot``), and the first that fails it returns None: the
-    caller walks the run pair by pair.  Inside the windows of the tested
-    channels the largest estimate is 1.7e3 (amp 15, at the lower window
-    edge; 539 on the base channel).  Close to a state that lies before the
+    certificate (``_pivot``), and the first that fails it ends the
+    reduction with ``schur`` None and the pivots factored so far, the failed
+    one included: the caller walks the run pair by pair.  Inside the windows
+    of the tested channels the largest estimate is 1.7e3 (amp 15, at the
+    lower window edge; 539 on the base channel).  Close to a state that lies before the
     run, F's own eigenvalues come close too, but F's certificate reads its
     coupling term only, and no run falls back there: on the base channel
     the largest estimate stays 488 from 1e-10 to 1e-2 either side of its
@@ -1133,11 +1153,11 @@ def _reduce_run(first, plateau, coupling, m: int) -> tuple | None:
         inv_a = inv_f = None
         if interior:
             pivot = _pivot(A, B, scale)
+            factorizations += 1
             if pivot is None:
-                return None
+                return None, (), 0, factorizations
             neg, inv_a = pivot
             negatives += interior * neg
-            factorizations += 1
             a_b = zgemm(1.0, inv_a, B)  # A^-1 B
             # what a kept block loses to the eliminated block after it, and
             # to the one before it
@@ -1145,11 +1165,11 @@ def _reduce_run(first, plateau, coupling, m: int) -> tuple | None:
             from_prev = zgemm(1.0, B, a_b, trans_a=2)  # B^H A^-1 B
         if m % 2 == 0:
             pivot = _pivot(F, B, scale, first=True)
+            factorizations += 1
             if pivot is None:
-                return None
+                return None, (), 0, factorizations
             neg, inv_f = pivot
             negatives += neg
-            factorizations += 1
             f_b = zgemm(-1.0, B, zgemm(1.0, inv_f, B), trans_a=2)  # -B^H F^-1 B
         levels.append((2**level, m, inv_a, inv_f, B))
         if m == 2:
@@ -1200,7 +1220,9 @@ def _run_ldl(pairs: list, shift: float):
     from its inverse.  A single pair, and every pair of a run whose
     reduction fails its pivot certificate, takes the per-pair step: build
     S_i (``_schur_block``, two sparse-times-dense products with ``B^H``),
-    factor and invert it (``_factor``) and yield it as a segment of its own.
+    factor and invert it (``_factor``) and yield it as a segment of its own;
+    the first pair of a run whose reduction failed also counts the pivots
+    that reduction factored.
     B_(i+1) couples only nodes at distance one or two, so it holds a few
     hundred nonzeros and is made dense only as a run's reduction coupling.
     On the base channel the 438 pairs make 123 runs and 147
@@ -1221,15 +1243,15 @@ def _run_ldl(pairs: list, shift: float):
         where = f"at shift = {shift:.12g}, run {index} (rows {r0}:{run[-1][1]})"
         built = diagonal()
         block = _schur_block(built, shift, adjoint, inverse)
-        reduced = None
+        schur, made = None, 0
         if len(run) > 1:
-            reduced = _reduce_run(
+            schur, levels, negatives, made = _reduce_run(
                 block,
                 _schur_block(built, shift, None, None),
                 coupling.toarray(order="F"),
                 len(run),
             )
-        if reduced is None:
+        if schur is None:
             for r0, r1, _, coupling, next_adjoint in run:
                 if block is None:
                     block = _schur_block(built, shift, adjoint, inverse)
@@ -1238,11 +1260,14 @@ def _run_ldl(pairs: list, shift: float):
                 block = None
                 adjoint = next_adjoint
                 negatives = _negative_pivots(ldu, ipiv)
-                yield _Segment(r0, r1, (), inverse, coupling, adjoint, negatives, 1)
+                yield _Segment(
+                    r0, r1, (), inverse, coupling, adjoint, negatives, made + 1
+                )
+                made = 0
             continue
-        block, levels, negatives, made = reduced
-        ldu, ipiv, inverse = _factor(block, where)
         del block
+        ldu, ipiv, inverse = _factor(schur, where)
+        del schur
         _, r1, _, coupling, adjoint = run[-1]
         negatives += _negative_pivots(ldu, ipiv)
         yield _Segment(

@@ -8,6 +8,7 @@ envelope, so each ansatz order gains one power of delta in its residual.
 """
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -223,3 +224,130 @@ def test_residual_orders_is_one_pass_per_delta(setup, detuned_pair, monkeypatch,
             direct = float(np.linalg.norm(rb._kron_apply(terms, v) - u.energy * v))
             assert study.residuals[order][i] == direct
             assert study.energies[order][i] == u.energy
+
+
+# ---------------------------------------------------------------------------
+# the correctors as dense (M, n) fields: the test's own route to the
+# factored ones, built from the order-delta and order-delta^2 equations
+# node by node
+
+
+def _dense_bracket(ws, pair, kap, values, d_values):
+    """[2 (kp.D) D_t + 2 mu (ell.D) + kappa W - theta] on a dense (M, n) field."""
+    return (
+        2.0 * ws.d_kp[:, None] * d_values
+        + 2.0 * pair.mu * ws.d_ell[:, None] * values
+        + (ws.conv_w @ values) * kap[None, :]
+        - pair.theta * values
+    )
+
+
+def _dense_complement(ws, g):
+    """-(P0 - E*)^+ on the complement of the pair, and g's pair projection."""
+    projection = ws.phi.conj().T @ g
+    co = ws.comp_vecs.conj().T @ (g - ws.phi @ projection)
+    solved = ws.comp_vecs @ (co / (ws.comp_vals - ws.e_star)[:, None])
+    return -solved, projection
+
+
+def _dense_layers(ws, pair, ts, delta):
+    """V1, its defect, and the order-2 layer (V2, a2, beta, order-2 field)."""
+    alpha = pair.alpha(ts)
+    d_alpha = pair.d_alpha(ts, alpha)
+    d2_alpha = pair.d2_alpha(ts, alpha, d_alpha)
+    kap = ws.wall(ts)
+    d_kap_t = -1j * ws.wall.derivative(ts)
+    h, mu, phi = float(ts[1] - ts[0]), pair.mu, ws.phi
+    fast, d_fast, d2_fast = phi @ alpha.T, phi @ d_alpha.T, phi @ d2_alpha.T
+
+    v1, projection = _dense_complement(ws, _dense_bracket(ws, pair, kap, fast, d_fast))
+    d_g = _dense_bracket(ws, pair, kap, d_fast, d2_fast)
+    d_g += (ws.conv_w @ fast) * d_kap_t[None, :]
+    d_v1, _ = _dense_complement(ws, d_g)
+
+    on_v1 = _dense_bracket(ws, pair, kap, v1, d_v1)
+    forcing = (
+        phi.conj().T @ on_v1 + ws.kp_sq * d2_alpha.T + mu**2 * ws.ell_sq * alpha.T
+    )
+    a2 = float(np.real(np.sum(np.conj(alpha.T) * forcing) * h))
+    rho = -(forcing.T - a2 * alpha)
+    beta, d_beta, env_res = quasimode._envelope_correction(pair, ts, rho, alpha)
+    g2 = (
+        on_v1
+        + _dense_bracket(ws, pair, kap, phi @ beta.T, phi @ d_beta.T)
+        + ws.kp_sq * d2_fast
+        + mu**2 * ws.ell_sq * fast
+        - a2 * fast
+    )
+    v2, projection2 = _dense_complement(ws, g2)
+    return {
+        "v1": v1,
+        "defect": float(np.abs(projection).max()),
+        "v2": v2,
+        "a2": a2,
+        "envelope_residual": env_res,
+        "projection": float(np.abs(projection2).max()),
+        "field": fast + delta * (v1 + phi @ beta.T) + delta**2 * v2,
+    }
+
+
+def _grid(ws, delta, mu):
+    zeta = quasimode.effective_zeta(ws, delta, mu)
+    return rb.strip_grid(
+        ws.frame, ws.wall, zeta, delta, ws.basis, t_factor=4.5,
+        tau_ref=rb.fold_phase(ws.frame, zeta),
+    )
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3])
+def test_factored_correctors_match_dense_fields(setup, detuned_pair, mu):
+    # the correctors are fiber columns times slow coefficients; their
+    # products are the (M, n) fields the equations give node by node
+    _, ws = setup
+    pair = _pair(setup, detuned_pair, mu)
+    for delta in (0.08, 0.04):
+        ts = delta * _grid(ws, delta, mu).t
+        corr = quasimode.first_correction(ws, pair, ts)
+        second = quasimode.second_order_layer(ws, pair, corr)
+        # the ranks are the equations', whatever the number of nodes
+        assert corr.values.basis.shape == (len(ws.phi), 6)
+        assert second.values.basis.shape == (len(ws.phi), 28)
+        assert corr.values.coeffs.shape == (6, len(ts))
+    delta = 0.08
+    ts = delta * _grid(ws, delta, mu).t
+    ref = _dense_layers(ws, pair, ts, delta)
+    corr = quasimode.first_correction(ws, pair, ts)
+    second = quasimode.second_order_layer(ws, pair, corr)
+    _, field = quasimode._truncated_field(
+        ws, pair, delta, corr.alpha, corr, second, 2
+    )
+    assert field.basis.shape[1] == 38
+    for got, want in (
+        (corr.values, ref["v1"]), (second.values, ref["v2"]), (field, ref["field"]),
+    ):
+        dense = got.basis @ got.coeffs
+        assert np.linalg.norm(dense - want) <= 1e-12 * np.linalg.norm(want)
+    assert abs(second.a2 - ref["a2"]) <= 1e-14
+    assert abs(corr.defect - ref["defect"]) <= 1e-12
+    assert abs(second.projection - ref["projection"]) <= 1e-12
+    assert abs(second.envelope_residual - ref["envelope_residual"]) <= 1e-12
+
+
+def test_residual_study_holds_no_dense_field(setup):
+    # only the strip vectors reach the strip's size: the study's traced peak
+    # stays below 8 vectors at its finest delta, where dense (M, n)
+    # correctors took it to 15
+    params, ws = setup
+    grid = _grid(ws, 0.02, 0.0)
+    vector_bytes = grid.n_t * grid.n_fast * 16
+    assert (grid.n_fast, grid.n_t) == (85, 4501)
+    pair = quasimode.zero_mode_pair(params)
+    tracemalloc.start()
+    try:
+        quasimode.residual_orders(
+            ws, pair, (0.04, 0.02), orders=(0, 1, 2), t_factor=4.5
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * vector_bytes

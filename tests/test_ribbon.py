@@ -413,9 +413,11 @@ def test_shared_diagonal_blocks_match_fresh_blocks(
     monkeypatch.setattr(rb, "PIVOT_CONDITION", 0.0)
     walked = list(rb._run_ldl(pairs, 1.88))
     assert len(walked) == len(pairs)
+    # the first pair of a run also reports the reduction's one failed pivot
+    firsts = {run[0][1] for run in rb._runs(pairs) if len(run) > 1}
     for seg in walked:
         ldu, ipiv, inverse = reference[seg.r1]
-        assert seg.levels == () and seg.factorizations == 1
+        assert seg.levels == () and seg.factorizations == 1 + (seg.r1 in firsts)
         assert seg.negatives == rb._negative_pivots(ldu, ipiv)
         assert np.array_equal(seg.inverse, inverse)
 
@@ -1175,28 +1177,40 @@ def test_run_reduction_on_dense_toeplitz_runs(monkeypatch):
         return out
 
     monkeypatch.setattr(rb, "_pivot", recorded_pivot)
+    real_factor, factored = rb._factor, []
+
+    def counted_factor(block, where):
+        factored.append(where)
+        return real_factor(block, where)
+
+    monkeypatch.setattr(rb, "_factor", counted_factor)
     evals = np.linalg.eigvalsh(dense)
     assert np.diff(evals).min() > 1e-8
     shifts = [evals[0] - 1.0, *(0.5 * (evals[1:] + evals[:-1])), evals[-1] + 1.0]
     rng = np.random.default_rng(6)
-    two_by_two, walked, ratios, checked = [], [], [], 0
+    two_by_two, walked, ratios, checked, reported = [], [], [], 0, 0
     for i, shift in enumerate(shifts):
         taken.clear()
+        factored.clear()
         count, made = rb._inertia(pairs, shift)
         # each run's reduction takes all its pivots, or stops at the first
         # that fails its certificate, and the run is walked pair by pair: m
-        # factorizations for a run of m pairs where its pivots and its last
-        # block took p + 1
+        # factorizations for a run of m pairs, plus the pivots tried up to
+        # the failed one, where its pivots and its last block took p + 1
         attempts, expected, rest = list(taken), len(runs), [ok for ok, _ in taken]
         for m, p in zip(runs, pivots):
             if all(rest[:p]):
                 del rest[:p]
                 expected += p
             else:
-                del rest[: rest.index(False) + 1]
-                expected += m - 1
+                tried = rest.index(False) + 1
+                del rest[:tried]
+                expected += m - 1 + tried
                 walked.append((i, m))
         assert rest == [] and (count, made) == (i, expected)
+        # every block factored is reported, those of a failed reduction too
+        assert made == len(factored)
+        reported += made
         two_by_two += [t for _, t in attempts]
         solve, kept, made = rb._shift_invert_solve(pairs, shift)
         assert made == expected and taken == 2 * attempts
@@ -1238,6 +1252,9 @@ def test_run_reduction_on_dense_toeplitz_runs(monkeypatch):
     # or 7 pairs fell back 88 times, at 66 of the 256 shifts
     assert len(two_by_two) == 3803 and any(two_by_two)
     assert len(walked) == 88 and len({i for i, _ in walked}) == 66
+    # over the 256 counts: 6,198 blocks of the kept paths and 223 pivots of
+    # the reductions that fell back
+    assert reported == 6421
     # a run whose blocks D - shift are singular fails the certificate at its
     # first pivot and is walked pair by pair, whose Schur blocks are not
     # singular: the count at shift 0 is right
@@ -1247,8 +1264,9 @@ def test_run_reduction_on_dense_toeplitz_runs(monkeypatch):
     dense = rb.StripOperator(grid=None, terms=terms).matrix.toarray()
     below = np.count_nonzero(np.linalg.eigvalsh(dense) < 0.0)
     # 1, 1 + 1 and 1 + 2 factorizations for the first three runs, 4 for the
-    # run of 4 walked per pair, and 1 for the node
-    assert rb._inertia(rb._node_pairs(terms), 0.0) == (below, 11)
+    # run of 4 walked per pair plus its singular first pivot, and 1 for the
+    # node
+    assert rb._inertia(rb._node_pairs(terms), 0.0) == (below, 12)
 
 
 def _negative_pivots_loop(ldu, ipiv):

@@ -3,8 +3,8 @@
 The fiber at quasimomentum xi acts on lattice-periodic amplitudes through
 the shifted Laplacian |xi + 2*pi*eta|^2 plus convolution with the potential
 coefficients.  Fibers at desk cutoffs are a few hundred modes, so everything
-here is dense Hermitian linear algebra; the ribbon solver owns the sparse
-machinery.
+here is dense Hermitian linear algebra; the strip (``strip``) and its block
+solver (``blocktri``) own the sparse machinery.
 """
 
 from __future__ import annotations

@@ -77,18 +77,13 @@ from .bloch import PlaneWaveBasis, assemble_fiber, convolution_matrix
 from .dirac_cone import DiracPointData
 from .geometry import TWO_PI, EdgeFrame
 from .potentials import DomainWall, FourierField
-from .ribbon import (
-    StripGrid,
-    _kron_apply,
-    _strip_terms,
-    fit_power_law,
-)
+from .strip import StripGrid, kron_apply, strip_terms
 from .wall_dirac import (
     Dirac1DSpectrum,
     DiracParams,
-    _glued_mode,
-    _real_gauge,
-    _start_angle,
+    glued_mode,
+    real_gauge,
+    start_angle,
 )
 
 # Largest pair projection of the order-delta right-hand side the correctors
@@ -170,7 +165,6 @@ class EnvelopePair:
     theta: float
     sampler: Callable[[np.ndarray], np.ndarray]
     box: float
-    label: str = "numeric"
     diagnostics: dict = dc_field(default_factory=dict)
 
     @property
@@ -249,16 +243,14 @@ def zero_mode_pair(params: DiracParams) -> EnvelopePair:
         profile = scale * np.exp(-rate * wall.antiderivative(ts))
         return profile[:, None] * spinor[None, :]
 
-    return EnvelopePair(
-        params=params, theta=0.0, sampler=sampler, box=np.inf, label="zero-mode"
-    )
+    return EnvelopePair(params=params, theta=0.0, sampler=sampler, box=np.inf)
 
 
 def _shoot_halves(params: DiracParams, theta: float):
     """Integrate the real-gauge system from both plateaus toward the wall.
 
     Each half starts on the unit vector (cos phi0, sin phi0) at its box end,
-    with phi0 the Prufer start angle of ``wall_dirac._start_angle``: the
+    with phi0 the Prufer start angle of ``wall_dirac.start_angle``: the
     plateau solution that decays away from the wall, continuous in theta.
     A third component carries the integral of |y|^2 from the box end.  The
     tolerance is relative on y, which grows from unit length toward the
@@ -267,7 +259,7 @@ def _shoot_halves(params: DiracParams, theta: float):
     """
     p = params
     s, smu, mass = p.speed_t, p.speed_mu, p.mass
-    _, sign = _real_gauge(p)
+    _, sign = real_gauge(p)
     b = p.mu * smu * sign
 
     def rhs(t, y):
@@ -279,7 +271,7 @@ def _shoot_halves(params: DiracParams, theta: float):
         ]
 
     def half(end: float):
-        phi0, _ = _start_angle(p, theta, end)
+        phi0, _ = start_angle(p, theta, end)
         return solve_ivp(
             rhs, (end, 0.0), [np.cos(phi0), np.sin(phi0), 0.0],
             method="DOP853", rtol=SHOOTING_RTOL, atol=[1e-300, 1e-300, SHOOTING_RTOL],
@@ -305,7 +297,6 @@ def _glued_pair(
     chi,
     norm_sq: float,
     box: float,
-    label: str,
     diagnostics: dict,
 ) -> EnvelopePair:
     """Envelope pair at theta from a real-gauge solution chi(t).
@@ -315,7 +306,7 @@ def _glued_pair(
     |chi|^2 there that the half-line integrations carry.
     """
     norm = np.sqrt(norm_sq)
-    e1, _ = _real_gauge(params)
+    e1, _ = real_gauge(params)
     back = np.array([1.0, -1j * np.conj(e1)])
 
     def sampler(ts: np.ndarray) -> np.ndarray:
@@ -323,7 +314,7 @@ def _glued_pair(
 
     return EnvelopePair(
         params=params, theta=theta, sampler=sampler, box=float(box),
-        label=label, diagnostics=diagnostics,
+        diagnostics=diagnostics,
     )
 
 
@@ -384,7 +375,7 @@ def shooting_pair(params: DiracParams, theta_guess: float) -> EnvelopePair:
     # the right half runs from +box down to 0, so its integral is negative
     norm_sq = float(left.y[2, -1] - glue * glue * right.y[2, -1])
     return _glued_pair(
-        params, theta, chi, norm_sq, box, "shooting",
+        params, theta, chi, norm_sq, box,
         {
             "theta_guess": float(theta_guess),
             "theta_shift": float(theta - theta_guess),
@@ -400,7 +391,7 @@ def ladder_pair(spectrum: Dirac1DSpectrum, branch: int = 0) -> EnvelopePair:
     ``branch`` counts from the middle of the sorted in-gap spectrum
     (branch 0 = eigenvalue closest to zero).
     The eigenvalue is the ladder's own, already refined; the sampler is the
-    glued Prufer half-solutions at it (``wall_dirac._glued_mode``) on the
+    glued Prufer half-solutions at it (``wall_dirac.glued_mode``) on the
     ladder's box |t| <= spectrum.T, normalized in L2 on that box by the
     integral the halves carry (no samples are taken for it).  The exact
     zero at mu = 0 gets the closed-form ``zero_mode_pair``.
@@ -416,8 +407,8 @@ def ladder_pair(spectrum: Dirac1DSpectrum, branch: int = 0) -> EnvelopePair:
     params = spectrum.params
     if branch == 0 and abs(params.mu) < 1e-12 and abs(theta) < 1e-8:
         return zero_mode_pair(params)
-    chi, norm_sq = _glued_mode(params, theta, spectrum.T)
-    return _glued_pair(params, theta, chi, norm_sq, spectrum.T, "ladder", {})
+    chi, norm_sq = glued_mode(params, theta, spectrum.T)
+    return _glued_pair(params, theta, chi, norm_sq, spectrum.T, {})
 
 
 # ---------------------------------------------------------------------------
@@ -1009,6 +1000,15 @@ def lift_order0(
 # residual study
 
 
+def fit_power_law(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares exponent of y ~ x**a on log-log axes."""
+    x = np.asarray(x, dtype=float)
+    y = np.abs(np.asarray(y, dtype=float))
+    if np.any(x <= 0) or np.any(y <= 0):
+        raise ValueError("power-law fit needs positive data")
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+
+
 @dataclass
 class ResidualStudy:
     """Residual norms of the sampled ansatz against the strip operators."""
@@ -1034,8 +1034,8 @@ def residual_orders(
 ) -> ResidualStudy:
     """Measure ||(strip - E) u|| / ||u|| across delta for each ansatz order.
 
-    One pass per delta: the strip's Kronecker terms (``_strip_terms``),
-    applied matrix-free by ``_kron_apply`` so the strip matrix is never
+    One pass per delta: the strip's Kronecker terms (``strip_terms``),
+    applied matrix-free by ``kron_apply`` so the strip matrix is never
     formed, and one ``leading_quasimode`` at the highest requested order,
     which samples the envelope once and solves each corrector once.  The lower
     orders are cut from the same pieces (``_truncated_field``), so every
@@ -1062,7 +1062,7 @@ def residual_orders(
     edge_values = np.zeros(len(deltas))
     for i, delta in enumerate(deltas):
         zeta_eff = effective_zeta(ws, delta, mu)
-        grid, terms = _strip_terms(
+        grid, terms = strip_terms(
             ws.frame, ws.potential, ws.wall, zeta_eff, delta, ws.basis,
             perturbation=ws.perturbation, t_factor=t_factor,
         )
@@ -1079,7 +1079,7 @@ def residual_orders(
                 )
                 vector = _strip_vector(ws.frame, ws.data.which, grid, mu, field)
             u = vector.reshape(grid.n_t, grid.n_fast)
-            residual = _kron_apply(terms, u)
+            residual = kron_apply(terms, u)
             residual -= energy * u
             residuals[o][i] = float(np.linalg.norm(residual))
             del residual, vector, u  # before the next order's vector is made

@@ -10,7 +10,7 @@ frame vectors kp (transverse dual) and ell (Bloch line direction) read as
 complex numbers, and kappa the domain wall.
 
 The in-gap ladder comes from one scalar ODE and no grid.  The spinor gauge
-of ``_real_gauge`` turns H alpha = theta alpha into a real 2x2 system whose
+of ``real_gauge`` turns H alpha = theta alpha into a real 2x2 system whose
 solutions r (cos phi, sin phi) carry the Prufer angle
 
     phi' = (mass * kappa(t) * cos 2phi + b * sin 2phi - theta) / s,
@@ -265,7 +265,7 @@ def assemble_dirac(
     return H
 
 
-def _real_gauge(params: DiracParams) -> tuple[complex, float]:
+def real_gauge(params: DiracParams) -> tuple[complex, float]:
     """Spinor phase and sign that rotate the reduced operator to real form.
 
     With U = diag(1, e1) the D_t channel becomes sigma_1 and the mu channel
@@ -278,7 +278,7 @@ def _real_gauge(params: DiracParams) -> tuple[complex, float]:
     return e1, sign
 
 
-def _start_angle(params: DiracParams, theta: float, end: float) -> tuple[float, float]:
+def start_angle(params: DiracParams, theta: float, end: float) -> tuple[float, float]:
     """Prufer angle at the box end ``end`` and its theta derivative.
 
     The angle is the plateau fixed point of the solution that decays away
@@ -288,7 +288,7 @@ def _start_angle(params: DiracParams, theta: float, end: float) -> tuple[float, 
     theta, so the mismatch at t = 0 is too; its theta derivative is
     -/+ 1 / (2 sqrt(R^2 - theta^2)).
     """
-    b = params.mu * params.speed_mu * _real_gauge(params)[1]
+    b = params.mu * params.speed_mu * real_gauge(params)[1]
     m_end = params.mass * params.wall(end)
     R = math.hypot(m_end, b)
     if not abs(theta) < R:
@@ -306,7 +306,7 @@ def _prufer_half(
 ):
     """Integrate the Prufer angle and more components from a box end to t = 0.
 
-    The half starts on ``_start_angle`` at its box end.  With ``radius`` the
+    The half starts on ``start_angle`` at its box end.  With ``radius`` the
     second component is log r, (log r)' = (m kappa sin 2phi - b cos 2phi) /
     s with log r = 0 at the box end, the third is w, the integral of r^2 in
     units of the current r^2, w' = 1 - 2 (log r)' w, and the dense output is
@@ -322,9 +322,9 @@ def _prufer_half(
     ``w(0) - w(end) / r(0)^2``.
     """
     s, mass, wall = params.speed_t, params.mass, params.wall
-    b = params.mu * params.speed_mu * _real_gauge(params)[1]
+    b = params.mu * params.speed_mu * real_gauge(params)[1]
     end = -T if side == "left" else T
-    phi0, dphi0 = _start_angle(params, theta, end)
+    phi0, dphi0 = start_angle(params, theta, end)
 
     def rhs(t, y):
         mk = mass * wall(t)
@@ -360,7 +360,7 @@ def _mismatch(params: DiracParams, theta: float, T: float) -> tuple[float, float
     return float(g), float(slope)
 
 
-def _glued_mode(params: DiracParams, theta: float, T: float):
+def glued_mode(params: DiracParams, theta: float, T: float):
     """Real-gauge eigenfunction chi(t) at an eigenvalue theta, chi(0) of unit length.
 
     The two Prufer halves meet at t = 0 with angles k pi apart, so the right
@@ -398,9 +398,9 @@ def _sample_mode(
     The glued real-gauge solution is mapped back to the original spinor
     frame with [1, -i conj(e1)].
     """
-    e1, _ = _real_gauge(params)
+    e1, _ = real_gauge(params)
     back = np.array([1.0, -1j * np.conj(e1)])
-    chi, _ = _glued_mode(params, theta, T)
+    chi, _ = glued_mode(params, theta, T)
     vec = (chi(t) * back[None, :]).reshape(-1)
     return vec / np.linalg.norm(vec)
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from artifact import bloch, dirac_cone, geometry, potentials, quasimode, wall_dirac
-from artifact import ribbon as rb
+from artifact import strip as st
 
 
 @pytest.fixture(scope="module")
@@ -171,9 +171,9 @@ def test_bordered_solve_matches_dense(setup, detuned_pair, monkeypatch, mu):
 
     monkeypatch.setattr(quasimode, "_bordered_solve", capture)
     zeta = quasimode.effective_zeta(ws, 0.08, mu)
-    grid = rb.strip_grid(
+    grid = st.strip_grid(
         ws.frame, ws.wall, zeta, 0.08, ws.basis, t_factor=4.5,
-        tau_ref=rb.fold_phase(ws.frame, zeta),
+        tau_ref=st.fold_phase(ws.frame, zeta),
     )
     ansatz = quasimode.leading_quasimode(ws, pair, grid, order=2)
     ((squared, w, rhs, beta),) = seen
@@ -207,21 +207,21 @@ def test_residual_orders_is_one_pass_per_delta(setup, detuned_pair, monkeypatch,
         raise AssertionError("the CSC strip was built")
 
     # the residuals apply the strip's terms and never build its CSC matrix
-    monkeypatch.setattr(rb.StripOperator, "matrix", property(no_csc))
+    monkeypatch.setattr(st.StripOperator, "matrix", property(no_csc))
     deltas = (0.08, 0.04)
     study = quasimode.residual_orders(ws, pair, deltas, orders=(0, 1, 2), t_factor=4.5)
     assert calls == {"first_correction": len(deltas), "second_order_layer": len(deltas)}
     # the orders cut from the shared pieces are the vectors each order builds;
     # the apply is the study's own, so the match is bitwise
     for i, delta in enumerate(deltas):
-        grid, terms = rb._strip_terms(
+        grid, terms = st.strip_terms(
             ws.frame, ws.potential, ws.wall, quasimode.effective_zeta(ws, delta, mu),
             delta, ws.basis, perturbation=ws.perturbation, t_factor=4.5,
         )
         for order in (0, 1):
             u = quasimode.leading_quasimode(ws, pair, grid, order=order)
             v = u.vector.reshape(grid.n_t, grid.n_fast)
-            direct = float(np.linalg.norm(rb._kron_apply(terms, v) - u.energy * v))
+            direct = float(np.linalg.norm(st.kron_apply(terms, v) - u.energy * v))
             assert study.residuals[order][i] == direct
             assert study.energies[order][i] == u.energy
 
@@ -293,9 +293,9 @@ def _dense_layers(ws, pair, ts, delta):
 
 def _grid(ws, delta, mu):
     zeta = quasimode.effective_zeta(ws, delta, mu)
-    return rb.strip_grid(
+    return st.strip_grid(
         ws.frame, ws.wall, zeta, delta, ws.basis, t_factor=4.5,
-        tau_ref=rb.fold_phase(ws.frame, zeta),
+        tau_ref=st.fold_phase(ws.frame, zeta),
     )
 
 

@@ -19,15 +19,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import zhetrf, zhetri
 
 from artifact import bloch
+from artifact import blocktri as bt
 from artifact import ribbon as rb
+from artifact import strip as st
 from artifact.bloch import assemble_fiber, build_basis, convolution_matrix
 from artifact.dirac_cone import compute_mass, compute_nu_star, find_dirac_point
 from artifact.geometry import TWO_PI, build_lattice, make_edge_frame
 from artifact.potentials import domain_wall, honeycomb_potential, parity_breaking_W
+from artifact.quasimode import fit_power_law
 from artifact.wall_dirac import GridTooCoarse, gap_spectrum, params_from_frames
+from test_blocktri import packed_count, per_pair_sweep, reduction_levels
 
 DELTA = 0.08
 E_STAR = 1.9000088541213909
@@ -132,15 +135,15 @@ def test_step_guards(frame, fields, basis):
     wall = fields["wall"]
     zs = frame.zeta_star("A")
     with pytest.raises(GridTooCoarse, match="transverse phase range"):
-        rb.strip_grid(frame, wall, zs, DELTA, basis, step=0.7)
+        st.strip_grid(frame, wall, zs, DELTA, basis, step=0.7)
     with pytest.raises(GridTooCoarse, match="alias"):
-        rb.strip_grid(frame, wall, zs, DELTA, basis, step=0.15)
+        st.strip_grid(frame, wall, zs, DELTA, basis, step=0.15)
     with pytest.raises(GridTooCoarse, match="under-resolved"):
-        rb.strip_grid(frame, wall, zs, 0.3, basis, step=0.5, t_factor=3.5)
-    with pytest.raises(rb.PlateauNotReached):
-        rb.strip_grid(frame, wall, zs, DELTA, basis, t_factor=2.0)
+        st.strip_grid(frame, wall, zs, 0.3, basis, step=0.5, t_factor=3.5)
+    with pytest.raises(st.PlateauNotReached):
+        st.strip_grid(frame, wall, zs, DELTA, basis, t_factor=2.0)
     with pytest.raises(ValueError, match="explicit half_width"):
-        rb.strip_grid(frame, wall, zs, 0.0, basis)
+        st.strip_grid(frame, wall, zs, 0.0, basis)
     with pytest.raises(ValueError, match="at least 128"):
         rb.essential_edges_bulk(
             frame, fields["V"], None, zs, DELTA, basis, 1, tau_samples=100
@@ -148,7 +151,7 @@ def test_step_guards(frame, fields, basis):
 
 
 def test_grid_structure(frame, fields, basis):
-    grid = rb.strip_grid(
+    grid = st.strip_grid(
         frame, fields["wall"], frame.zeta_star("A"), DELTA, basis, t_factor=3.5
     )
     assert grid.n_t % 2 == 1
@@ -164,13 +167,13 @@ def test_grid_structure(frame, fields, basis):
 def test_cone_tracking(frame):
     zs = frame.zeta_star("A")
     ta = frame.tau_star("A")
-    which, dz = rb.nearest_cone(frame, zs + 0.1)
+    which, dz = st.nearest_cone(frame, zs + 0.1)
     assert which == "A"
     assert abs(dz - 0.1) < 1e-12
     # the transverse fold tracks the cone with slope -(k.k')/|k'|^2 = +1/2
-    assert abs(rb.fold_phase(frame, zs + 0.1) - (ta + 0.05)) < 1e-9
+    assert abs(st.fold_phase(frame, zs + 0.1) - (ta + 0.05)) < 1e-9
     # the reflected momentum -zeta_star(A) is cone B's home, at zero offset
-    which, dz = rb.nearest_cone(frame, -zs)
+    which, dz = st.nearest_cone(frame, -zs)
     assert which == "B"
     assert abs(dz) < 1e-12
 
@@ -185,17 +188,17 @@ def test_hermiticity(lat, frame, fields, basis):
     wall = domain_wall("bump_smoothstep", 0.5)
     zs = frame.zeta_star("A")
     common = dict(half_width=20.0)
-    op = rb.assemble_strip(
+    op = st.assemble_strip(
         frame, fields["V"], wall, zs, DELTA, basis,
         perturbation=fields["W10"], **common,
     )
     assert op.hermiticity_residual() < 1e-12
-    opf = rb.assemble_strip(
+    opf = st.assemble_strip(
         frame, fields["V"], wall, zs, DELTA, basis,
         perturbation=fields["W10"], flip_wall=True, **common,
     )
     assert opf.hermiticity_residual() < 1e-12
-    opm = rb.assemble_strip(
+    opm = st.assemble_strip(
         frame, fields["V"], wall, zs, DELTA, basis,
         perturbation=magnetic_A(lat, 2.2), **common,
     )
@@ -249,7 +252,7 @@ def test_assembly_matches_kron_formula(lat, frame, fields, basis, case):
     wall = domain_wall("bump_smoothstep", 0.5)
     pert = magnetic_A(lat, 2.2) if case == "A" else fields["W10"]
     delta = 0.0 if case == "delta0" else DELTA
-    op = rb.assemble_strip(
+    op = st.assemble_strip(
         frame, fields["V"], wall, frame.zeta_star("A"), delta, basis,
         perturbation=pert, half_width=20.0, flip_wall=case == "W_flip",
     )
@@ -281,12 +284,12 @@ def test_kron_apply_matches_assembled_matvec(lat, frame, fields, basis, case):
     pert = magnetic_A(lat, 2.2) if case == "A" else fields["W10"]
     args = (frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA, basis)
     kwargs = dict(perturbation=pert, t_factor=3.5, flip_wall=case == "W_flip")
-    grid, terms = rb._strip_terms(*args, **kwargs)
-    op = rb.assemble_strip(*args, **kwargs)
+    grid, terms = st.strip_terms(*args, **kwargs)
+    op = st.assemble_strip(*args, **kwargs)
     rng = np.random.default_rng(7)
     u = rng.standard_normal((grid.n_t, grid.n_fast, 2)) @ np.array([1.0, 1.0j])
     matvec = op.matrix @ u.ravel()
-    applied = rb._kron_apply(terms, u)
+    applied = st.kron_apply(terms, u)
     assert applied.shape == (grid.n_t, grid.n_fast)
     assert np.linalg.norm(applied.ravel() - matvec) <= 1e-14 * np.linalg.norm(matvec)
 
@@ -306,7 +309,7 @@ def test_node_pair_blocks_match_csc_slices(lat, frame, fields, basis, case):
         wall, delta = domain_wall("bump_smoothstep", 1.0), 0.1
         fast = build_basis(lat, 2.0)
     pert = magnetic_A(lat, 2.2) if case == "A" else fields["W10"]
-    op = rb.assemble_strip(
+    op = st.assemble_strip(
         frame, fields["V"], wall, frame.zeta_star("A"), delta, fast,
         perturbation=pert, t_factor=3.5, flip_wall=case == "W_flip",
     )
@@ -317,7 +320,7 @@ def test_node_pair_blocks_match_csc_slices(lat, frame, fields, basis, case):
 
     assert op.grid.n_t % 2 == 1
     rows, couplings = [], set()
-    for r0, r1, diagonal, coupling, adjoint in rb._node_pairs(op.terms):
+    for r0, r1, diagonal, coupling, adjoint in bt.node_pairs(op.terms):
         rows.append((r0, r1))
         assert_slice(diagonal(), r0, r1, r0, r1)
         if coupling is None:
@@ -352,29 +355,16 @@ def _channel(lat, frame, fields, channel):
 
 def _channel_op(lat, frame, fields, basis, channel):
     zeta, pert, kwargs = _channel(lat, frame, fields, channel)
-    return rb.assemble_strip(
+    return st.assemble_strip(
         frame, fields["V"], fields["wall"], zeta, DELTA, basis, perturbation=pert,
         **kwargs,
     )
 
 
-def _per_pair_sweep(pairs, shift):
-    """Reference block LDL^H of ``H - shift``, one node pair at a time: the
-    Schur block of every pair from its own ``diagonal()`` (``_schur_block``),
-    factored and inverted (``_factor``).  Yields ``(r0, r1, block, ldu,
-    ipiv, inverse)`` per pair."""
-    adjoint = inverse = None
-    for r0, r1, diagonal, _, next_adjoint in pairs:
-        block = rb._schur_block(diagonal(), shift, adjoint, inverse)
-        ldu, ipiv, inverse = rb._factor(block, f"rows {r0}:{r1}")
-        adjoint = next_adjoint
-        yield r0, r1, block, ldu, ipiv, inverse
-
-
 def _swept(pairs, shift):
     """Negative pivots of the per-pair reference sweep: the count below shift."""
-    sweep = _per_pair_sweep(pairs, shift)
-    return sum(rb._negative_pivots(ldu, ipiv) for *_, ldu, ipiv, _ in sweep)
+    sweep = per_pair_sweep(pairs, shift)
+    return sum(bt._negative_pivots(ldu, ipiv) for *_, ldu, ipiv, _ in sweep)
 
 
 @pytest.mark.parametrize("channel", ["base", "amp15", "A", "inversion"])
@@ -389,36 +379,36 @@ def test_shared_diagonal_blocks_match_fresh_blocks(
     # every pair; with the certificate, the last pair of each reduced run
     # gets the sweep's Schur inverse to rounding and the count is the same
     op = _channel_op(lat, frame, fields, basis, channel)
-    pairs = rb._node_pairs(op.terms)
-    coef, fast = rb._band_coefficients(op.terms), [F for _, F in op.terms]
+    pairs = bt.node_pairs(op.terms)
+    coef, fast = bt._band_coefficients(op.terms), [F for _, F in op.terms]
     fresh = []
     for r0, r1, _, coupling, adjoint in pairs:
         nodes = range(r0 // op.grid.n_fast, r1 // op.grid.n_fast)
-        block = rb._node_coefficients(coef, nodes, nodes)
-        fresh.append((r0, r1, partial(rb._kron_block, block, fast), coupling, adjoint))
+        block = bt._node_coefficients(coef, nodes, nodes)
+        fresh.append((r0, r1, partial(bt._kron_block, block, fast), coupling, adjoint))
     # kappa is constant on the plateaus and every other t-coefficient is
     # constant: the 438 pairs (626 at t_factor 5) fall into 123 runs
     assert len({id(p[2]) for p in pairs}) == 123 < len(pairs)
     reference = {
-        r1: (ldu, ipiv, inv) for _, r1, _, ldu, ipiv, inv in _per_pair_sweep(fresh, 1.88)
+        r1: (ldu, ipiv, inv) for _, r1, _, ldu, ipiv, inv in per_pair_sweep(fresh, 1.88)
     }
-    reduced = list(rb._run_ldl(pairs, 1.88))
+    reduced = list(bt._run_ldl(pairs, 1.88))
     assert len(reduced) == 123
     for seg in reduced:
         ldu, ipiv, inverse = reference[seg.r1]
         scale = np.abs(inverse).max()
         assert np.abs(seg.inverse - inverse).max() <= 1e-10 * scale
-    count = sum(rb._negative_pivots(ldu, ipiv) for ldu, ipiv, _ in reference.values())
+    count = sum(bt._negative_pivots(ldu, ipiv) for ldu, ipiv, _ in reference.values())
     assert sum(seg.negatives for seg in reduced) == count
-    monkeypatch.setattr(rb, "PIVOT_CONDITION", 0.0)
-    walked = list(rb._run_ldl(pairs, 1.88))
+    monkeypatch.setattr(bt, "PIVOT_CONDITION", 0.0)
+    walked = list(bt._run_ldl(pairs, 1.88))
     assert len(walked) == len(pairs)
     # the first pair of a run also reports the reduction's one failed pivot
-    firsts = {run[0][1] for run in rb._runs(pairs) if len(run) > 1}
+    firsts = {run[0][1] for run in bt._runs(pairs) if len(run) > 1}
     for seg in walked:
         ldu, ipiv, inverse = reference[seg.r1]
         assert seg.levels == () and seg.factorizations == 1 + (seg.r1 in firsts)
-        assert seg.negatives == rb._negative_pivots(ldu, ipiv)
+        assert seg.negatives == bt._negative_pivots(ldu, ipiv)
         assert np.array_equal(seg.inverse, inverse)
 
 
@@ -430,7 +420,7 @@ def test_channel_solve_forms_no_csc_strip(frame, fields, basis, cone, monkeypatc
     def no_call(*args, **kwargs):
         raise AssertionError("the CSC strip or eigsh was used")
 
-    monkeypatch.setattr(rb.StripOperator, "matrix", property(no_call))
+    monkeypatch.setattr(st.StripOperator, "matrix", property(no_call))
     monkeypatch.setattr(rb.spla, "eigsh", no_call)
     spec = rb.solve_edge_channel(
         frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA, basis,
@@ -446,7 +436,7 @@ def test_interior_remap(frame, fields, basis):
     # without a wall the strip is t-translation invariant, so a plane-wave
     # envelope must reproduce the bulk fiber at the finite-difference remap
     # tau_ref + sin(p h)/h of its momentum, exactly, away from the boundary
-    op0 = rb.assemble_strip(
+    op0 = st.assemble_strip(
         frame, fields["V"], fields["wall"], frame.zeta_star("A"), 0.0, basis,
         half_width=60.0,
     )
@@ -478,24 +468,24 @@ def test_inversion_and_conjugation_maps(frame, fields, basis):
     ta = frame.tau_star("A")
     Wneg = dataclasses.replace(fields["W10"], coeffs=-fields["W10"].coeffs)
     common = dict(half_width=20.0)
-    A = rb.assemble_strip(
+    A = st.assemble_strip(
         frame, fields["V"], wall, zs, DELTA, basis,
         perturbation=fields["W10"], **common,
     )
-    B = rb.assemble_strip(
+    B = st.assemble_strip(
         frame, fields["V"], wall, zs, DELTA, basis,
         perturbation=Wneg, flip_wall=True, **common,
     )
     assert _sparse_max_abs(A.matrix - B.matrix) < 1e-12
 
-    C = rb.assemble_strip(
+    C = st.assemble_strip(
         frame, fields["V"], wall, -zs, DELTA, basis,
         perturbation=Wneg, flip_wall=True, tau_ref=-ta, **common,
     )
     diff = A.matrix - _permuted(C.matrix, C.grid, basis, True, True, False)
     assert _sparse_max_abs(diff) < 1e-10
 
-    D = rb.assemble_strip(
+    D = st.assemble_strip(
         frame, fields["V"], wall, -zs, DELTA, basis,
         perturbation=fields["W10"], tau_ref=-ta, **common,
     )
@@ -536,7 +526,7 @@ def test_gap_closed_guard(frame, fields, basis, cone):
         closed_tol=1e-4, allow_closed=True,
     )
     assert edges0.closed
-    op0 = rb.assemble_strip(
+    op0 = st.assemble_strip(
         frame, fields["V"], fields["wall"], zs, 0.0, basis, half_width=20.0
     )
     spec = rb.gap_eigenpairs(op0, None, edges0, [])
@@ -628,12 +618,14 @@ def test_window_formula():
     f = _synthetic_edges(1.75, 2.05)
     wf = rb.gap_window(f, SPEED_T, 315.0, 5.0, DELTA)
     assert wf is not None and f.lower < wf[0] < wf[1] < f.upper
+    # a narrower gap fails the fallback margin too
+    g = _synthetic_edges(1.7675, 2.0325)
     with pytest.warns(rb.GapTooTightWarning, match="too tight") as caught:
-        assert rb.gap_window(f, SPEED_T, 315.0, 5.0, DELTA, fallback_factor=3.0) is None
+        assert rb.gap_window(g, SPEED_T, 315.0, 5.0, DELTA) is None
     tight = caught[0].message
-    assert tight.gap == f.gap and tight.factor == 3.0
-    pulled_lo = f.lower + 3.0 * tight.d_min[0] * DELTA
-    pulled_hi = f.upper - 3.0 * tight.d_min[1] * DELTA
+    assert tight.gap == g.gap and tight.factor == rb.WINDOW_FALLBACK == 1.5
+    pulled_lo = g.lower + 1.5 * tight.d_min[0] * DELTA
+    pulled_hi = g.upper - 1.5 * tight.d_min[1] * DELTA
     assert pulled_lo >= pulled_hi
 
 
@@ -659,9 +651,9 @@ def test_base_channel(base_spec, base_comp, base_op):
     # and 159 pairs, reduced by block cyclic reduction, 13 each
     assert base_spec.diagnostics["inertia_sweeps"] == 3
     plateaus = {1: 158, 278: 159}  # first pair and length of each plateau run
-    assert _long_runs(rb._node_pairs(base_op.terms)) == list(plateaus.values())
+    assert _long_runs(bt.node_pairs(base_op.terms)) == list(plateaus.values())
     made = 121 + sum(
-        1 + sum(a + f for a, f in _reduction_levels(m)) for m in plateaus.values()
+        1 + sum(a + f for a, f in reduction_levels(m)) for m in plateaus.values()
     )
     assert base_spec.diagnostics["count_factorizations"] == made == 147
     assert type(base_spec.diagnostics["count_factorizations"]) is int
@@ -669,48 +661,19 @@ def test_base_channel(base_spec, base_comp, base_op):
     # the seed's residual falls 0.17, 3.5e-6, 4.9e-9, 8.6e-12: below the
     # floor after the third solve, where the iteration stops
     assert base_spec.diagnostics["block_solves"] == 3
-    assert base_spec.diagnostics["max_residual"] <= rb.RESIDUAL_FLOOR
+    assert base_spec.diagnostics["max_residual"] <= bt.RESIDUAL_FLOOR
     # the factor keeps the packed Schur inverse of the last pair of every
     # run and its coupling, and per level of each reduction its coupling and
     # pivot inverses, dense (110-row blocks)
     size = 2 * base_op.grid.n_fast
     eliminated = [p for first, m in plateaus.items() for p in range(first, first + m - 1)]
-    kept = _packed_count(base_op.matrix, size, skip=eliminated) + size**2 * sum(
-        1 + a + f for m in plateaus.values() for a, f in _reduction_levels(m)
+    kept = packed_count(base_op.matrix, size, skip=eliminated) + size**2 * sum(
+        1 + a + f for m in plateaus.values() for a, f in reduction_levels(m)
     )
     assert base_spec.diagnostics["factor_values"] == kept == 1_250_425
     assert base_spec.grid is not None
     assert base_comp.count == 1
     assert base_comp.max_residual < 3e-3  # O(delta^2) at delta = 0.08
-
-
-def _packed_count(mat, size, skip=()):
-    """Values a per-pair factor keeps for the strip matrix ``mat`` in node
-    pairs of ``size`` rows: the packed lower triangle of each pair's
-    inverse, n (n + 1) / 2 values for n rows, plus the nonzeros of the
-    pair's coupling to the next one; the pairs numbered in ``skip`` left
-    out."""
-    dim = mat.shape[0]
-    return sum(
-        (n := min(size, dim - r0)) * (n + 1) // 2
-        + mat[r0 : r0 + size, r0 + size : r0 + 2 * size].nnz
-        for i, r0 in enumerate(range(0, dim, size))
-        if i not in skip
-    )
-
-
-def _reduction_levels(m):
-    """Per level of the block cyclic reduction of a run of m >= 2 pairs,
-    whether it factors an interior pivot and whether it factors the run's
-    first block: each level eliminates every second block of its chain,
-    counting back from the last, and the chain of k blocks keeps (k + 1) //
-    2 of them, down to two."""
-    levels = []
-    while True:
-        levels.append((int(m // 2 - (m % 2 == 0) > 0), int(m % 2 == 0)))
-        if m == 2:
-            return levels
-        m = (m + 1) // 2
 
 
 @pytest.fixture(scope="module")
@@ -847,7 +810,7 @@ def test_inversion_double_solve(base_spec, inversion_spec):
 
 @pytest.fixture(scope="module")
 def base_op(frame, fields, basis):
-    return rb.assemble_strip(
+    return st.assemble_strip(
         frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA,
         basis, perturbation=fields["W10"], t_factor=3.5,
     )
@@ -882,13 +845,13 @@ def _arpack_smooth_values(op, window):
     window counts, and the smooth members of what it returns there (envelope
     Fourier mass mostly below the mirror cut)."""
     lo, hi = window
-    pairs = rb._node_pairs(op.terms)
-    count = rb._inertia(pairs, hi)[0] - rb._inertia(pairs, lo)[0]
+    pairs = bt.node_pairs(op.terms)
+    count = bt.inertia(pairs, hi)[0] - bt.inertia(pairs, lo)[0]
     sigma = 0.5 * (lo + hi) + 0.00137 * (hi - lo)
-    solve, *_ = rb._shift_invert_solve(pairs, sigma)
+    solve, *_ = bt.shift_invert_solve(pairs, sigma)
     n, shape = op.dim, (op.grid.n_t, op.grid.n_fast)
     strip = spla.LinearOperator(
-        (n, n), matvec=lambda x: rb._kron_apply(op.terms, x.reshape(shape)).ravel(),
+        (n, n), matvec=lambda x: st.kron_apply(op.terms, x.reshape(shape)).ravel(),
         dtype=complex,
     )
     op_inv = spla.LinearOperator((n, n), matvec=solve, dtype=complex)
@@ -899,7 +862,7 @@ def _arpack_smooth_values(op, window):
     )
     inside = (vals >= lo) & (vals <= hi)
     assert np.count_nonzero(inside) == count
-    fractions = [rb.envelope_band_fraction(v, op.grid) for v in vecs[:, inside].T]
+    fractions = [st.envelope_band_fraction(v, op.grid) for v in vecs[:, inside].T]
     return np.sort(vals[inside][np.asarray(fractions) > 0.5])
 
 
@@ -908,7 +871,7 @@ def test_seeded_values_match_arpack(frame, fields, basis, base_spec, amp15_spec,
     # the seeded inverse iteration against a blind Krylov solve of the same
     # strip: the same smooth states in the window, to 1e-10
     spec = base_spec if channel == "base" else amp15_spec
-    op = rb.assemble_strip(
+    op = st.assemble_strip(
         frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA, basis,
         perturbation=fields["W10" if channel == "base" else "W15"],
         t_factor=3.5 if channel == "base" else 5.0,
@@ -954,7 +917,7 @@ def test_empty_window_skips_solve(monkeypatch, base_op, base_spec):
     def no_call(*args, **kwargs):
         raise AssertionError("solver called on an empty window")
 
-    monkeypatch.setattr(rb, "_shift_invert_solve", no_call)
+    monkeypatch.setattr(bt, "shift_invert_solve", no_call)
     window = (1.95, 2.0)
     assert base_spec.edges.lower < window[0] and window[1] < base_spec.edges.upper
     spec = rb.gap_eigenpairs(base_op, window, base_spec.edges, [])
@@ -973,17 +936,17 @@ def _assert_counts_match_dense(pairs, evals, split=0.0):
     only an exactly degenerate pair, whose midpoint is an eigenvalue.
     Returns the number of midpoints checked."""
     dim = len(evals)
-    assert rb._inertia(pairs, evals[0] - 1.0)[0] == 0
-    assert rb._inertia(pairs, evals[-1] + 1.0)[0] == dim
+    assert bt.inertia(pairs, evals[0] - 1.0)[0] == 0
+    assert bt.inertia(pairs, evals[-1] + 1.0)[0] == dim
     index = np.unique(np.linspace(1, dim - 1, 82).astype(int))
     index = index[evals[index] - evals[index - 1] > split]
     for i in index:
-        assert rb._inertia(pairs, 0.5 * (evals[i - 1] + evals[i]))[0] == i
+        assert bt.inertia(pairs, 0.5 * (evals[i - 1] + evals[i]))[0] == i
     return len(index)
 
 
 def _long_runs(pairs):
-    return [len(run) for run in rb._runs(pairs) if len(run) > 1]
+    return [len(run) for run in bt._runs(pairs) if len(run) > 1]
 
 
 @pytest.mark.parametrize(
@@ -1010,14 +973,14 @@ def test_inertia_matches_dense_count(lat, frame, fields, magnetic, t_factor, dim
 
     basis = build_basis(lat, 2.0)
     pert = magnetic_A(lat, 2.2) if magnetic else fields["W10"]
-    op = rb.assemble_strip(
+    op = st.assemble_strip(
         frame, fields["V"], domain_wall("bump_smoothstep", 1.0),
         frame.zeta_star("A"), 0.1, basis, perturbation=pert, t_factor=t_factor,
     )
     assert op.dim == dim
     # an odd node count leaves a single node in the last block
     assert op.grid.n_t % 2 == 1
-    pairs = rb._node_pairs(op.terms)
+    pairs = bt.node_pairs(op.terms)
     assert _long_runs(pairs) == runs
     dense_h = op.matrix.toarray()
     evals = np.linalg.eigvalsh(dense_h)
@@ -1030,9 +993,9 @@ def test_inertia_matches_dense_count(lat, frame, fields, magnetic, t_factor, dim
     rng = np.random.default_rng(7)
     compared = 0
     for shift, i in below.items():
-        assert rb._inertia(pairs, shift)[0] == i
+        assert bt.inertia(pairs, shift)[0] == i
         b = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-        solve, *_ = rb._shift_invert_solve(pairs, shift)
+        solve, *_ = bt.shift_invert_solve(pairs, shift)
         x = solve(b)
         # backward stable at every shift ...
         dist = np.abs(evals - shift)
@@ -1058,12 +1021,12 @@ def test_inertia_matches_dense_count_without_wall(lat, frame, fields):
     # eigenvalues, and the per-pair sweep misses 38 of them as the
     # run-reduced count does, so they are left out
     basis = build_basis(lat, 2.0)
-    op = rb.assemble_strip(
+    op = st.assemble_strip(
         frame, fields["V"], fields["wall"], frame.zeta_star("A"), 0.0, basis,
         half_width=37.5,
     )
     assert op.dim == 1963
-    pairs = rb._node_pairs(op.terms)
+    pairs = bt.node_pairs(op.terms)
     assert _long_runs(pairs) == [74]
     evals = np.linalg.eigvalsh(op.matrix.toarray())
     assert _assert_counts_match_dense(pairs, evals, split=1e-8) == 40
@@ -1080,14 +1043,14 @@ def test_run_reduced_count_matches_sweep(request, lat, frame, fields, basis, cha
     # only, and the level's coupling has decayed
     name = "magnetic" if channel == "A" else channel
     spec = request.getfixturevalue(f"{name}_spec")
-    pairs = rb._node_pairs(_channel_op(lat, frame, fields, basis, channel).terms)
+    pairs = bt.node_pairs(_channel_op(lat, frame, fields, basis, channel).terms)
     factorizations = spec.diagnostics["count_factorizations"]
     assert factorizations < 160
     assert spec.diagnostics["factor_factorizations"] == factorizations
     counts = tuple(_swept(pairs, shift) for shift in spec.window)
     assert counts == spec.diagnostics["inertia"]
     for shift in spec.values + 1e-9:
-        assert rb._inertia(pairs, shift) == (_swept(pairs, shift), factorizations)
+        assert bt.inertia(pairs, shift) == (_swept(pairs, shift), factorizations)
     # the reduction's first pivot is the plateau's D - shift, which the sweep
     # never factors.  D has no eigenvalue within 2.9 of the window (the
     # nearest lie near -1.38 and 6.31 on all four channels).  Uncertified,
@@ -1095,262 +1058,17 @@ def test_run_reduced_count_matches_sweep(request, lat, frame, fields, basis, cha
     # channel, and up to 5 short 3e-8 from -1.38 on all four; there the
     # pivot fails its certificate, the run is walked pair by pair, and the
     # count is the sweep's
-    plateau = max(rb._runs(pairs), key=len)
+    plateau = max(bt._runs(pairs), key=len)
     lam = np.linalg.eigvalsh(plateau[0][2]())
     lo, hi = spec.window
     below, above = lam[lam < lo].max(), lam[lam > hi].min()
     assert lo - below > 2.9 and above - hi > 2.9
     for shift in (below - 1e-4, below + 1e-4, above - 1e-4, above + 1e-4):
-        assert rb._inertia(pairs, shift)[0] == _swept(pairs, shift)
+        assert bt.inertia(pairs, shift)[0] == _swept(pairs, shift)
     for shift in (below - 3e-8, below + 3e-8, above - 1e-6):
-        count, made = rb._inertia(pairs, shift)
+        count, made = bt.inertia(pairs, shift)
         assert count == _swept(pairs, shift)
         assert made > factorizations + len(plateau) // 2  # a plateau walked per pair
-
-
-def _toeplitz_terms(stretches, rng, n_fast=5, singular=None):
-    """Kronecker terms of a random Hermitian matrix of the strip's block shape
-    whose node blocks repeat.  ``stretches`` lists ``(pairs, d, c)``: that
-    many node pairs whose nodes take family d's node block N_d (random, zero
-    diagonal) and coupling C1_d to the next node, and family c's coupling
-    C2_c to the node after that; one node of its own closes the strip.  The
-    pairs of one stretch share one diagonal block and one coupling, and so
-    do consecutive stretches with equal (d, c).  Family ``singular`` has N =
-    C1 = 0, so the diagonal block of its pairs is zero."""
-    sizes = [2 * m for m, _, _ in stretches] + [1]
-    node_family = np.repeat([d for _, d, _ in stretches] + [-1], sizes)
-    reach_family = np.repeat([c for _, _, c in stretches] + [-1], sizes)
-    n_t = len(node_family)
-
-    def cplx(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    terms = []
-
-    def add(nodes, d, block):
-        # block at (j, j + d) for every node j in nodes, and its adjoint below
-        left = nodes[nodes + d < n_t]
-        if len(left):
-            ones = np.ones(len(left))
-            T = sp.csr_matrix((ones, (left, left + d)), shape=(n_t, n_t))
-            terms.append((T, block))
-            if d:
-                terms.append((T.T.tocsr(), block.conj().T))
-
-    for family in np.unique(node_family):
-        nodes, kept = np.flatnonzero(node_family == family), family != singular
-        a = cplx(n_fast, n_fast)
-        add(nodes, 0, (a + a.conj().T - np.diag(2 * a.diagonal().real)) * kept)
-        add(nodes, 1, cplx(n_fast, n_fast) * kept)
-    for family in np.unique(reach_family):
-        add(np.flatnonzero(reach_family == family), 2, cplx(n_fast, n_fast))
-    return terms
-
-
-def test_run_reduction_on_dense_toeplitz_runs(monkeypatch):
-    # the count and the solve on repeated random node blocks with dense
-    # couplings, in runs of 1, 2, 3, 4 and 7 node pairs, then 7 pairs with
-    # one diagonal block whose coupling changes after the third, then a pair
-    # and a node of their own: against eigvalsh, a dense solve and the solve
-    # with every run walked pair by pair at every midpoint.  The coupling
-    # change splits the 7 pairs into runs of 4 (the fourth pair only leaves
-    # by the new coupling) and 3.  The zero node diagonals force 2x2
-    # Bunch-Kaufman pivots in the reduction's own factorizations too
-    stretches = [(1, 0, 0), (2, 1, 1), (3, 2, 2), (4, 3, 3), (7, 4, 4), (3, 5, 5),
-                 (4, 5, 6), (1, 6, 7)]
-    terms = _toeplitz_terms(stretches, np.random.default_rng(5))
-    mat = rb.StripOperator(grid=None, terms=terms).matrix
-    dense = mat.toarray()
-    assert np.array_equal(dense, dense.conj().T)
-    pairs = rb._node_pairs(terms)
-    runs = [len(run) for run in rb._runs(pairs)]
-    assert runs == [1, 2, 3, 4, 7, 4, 3, 1, 1]
-    # the pivots of each run's reduction, at most two per level
-    pivots = [sum(a + f for a, f in _reduction_levels(m)) if m > 1 else 0 for m in runs]
-    assert pivots == [0, 1, 2, 3, 4, 3, 2, 0, 0]
-    real_pivot, taken = rb._pivot, []
-
-    def recorded_pivot(block, coupling, scale, first=False):
-        two_by_two = bool(np.any(zhetrf(block, lower=1)[1] < 0))
-        out = real_pivot(block, coupling, scale, first)
-        taken.append((out is not None, two_by_two))
-        return out
-
-    monkeypatch.setattr(rb, "_pivot", recorded_pivot)
-    real_factor, factored = rb._factor, []
-
-    def counted_factor(block, where):
-        factored.append(where)
-        return real_factor(block, where)
-
-    monkeypatch.setattr(rb, "_factor", counted_factor)
-    evals = np.linalg.eigvalsh(dense)
-    assert np.diff(evals).min() > 1e-8
-    shifts = [evals[0] - 1.0, *(0.5 * (evals[1:] + evals[:-1])), evals[-1] + 1.0]
-    rng = np.random.default_rng(6)
-    two_by_two, walked, ratios, checked, reported = [], [], [], 0, 0
-    for i, shift in enumerate(shifts):
-        taken.clear()
-        factored.clear()
-        count, made = rb._inertia(pairs, shift)
-        # each run's reduction takes all its pivots, or stops at the first
-        # that fails its certificate, and the run is walked pair by pair: m
-        # factorizations for a run of m pairs, plus the pivots tried up to
-        # the failed one, where its pivots and its last block took p + 1
-        attempts, expected, rest = list(taken), len(runs), [ok for ok, _ in taken]
-        for m, p in zip(runs, pivots):
-            if all(rest[:p]):
-                del rest[:p]
-                expected += p
-            else:
-                tried = rest.index(False) + 1
-                del rest[:tried]
-                expected += m - 1 + tried
-                walked.append((i, m))
-        assert rest == [] and (count, made) == (i, expected)
-        # every block factored is reported, those of a failed reduction too
-        assert made == len(factored)
-        reported += made
-        two_by_two += [t for _, t in attempts]
-        solve, kept, made = rb._shift_invert_solve(pairs, shift)
-        assert made == expected and taken == 2 * attempts
-        with monkeypatch.context() as per_pair:
-            per_pair.setattr(rb, "PIVOT_CONDITION", 0.0)
-            walk, *_ = rb._shift_invert_solve(pairs, shift)
-        b = rng.standard_normal(len(dense)) + 1j * rng.standard_normal(len(dense))
-        dist = np.abs(evals - shift)
-
-        def backward(x):
-            residual = np.linalg.norm(mat @ x - shift * x - b)
-            return residual / (dist.max() * np.linalg.norm(x) + np.linalg.norm(b))
-
-        x = solve(b)
-        ratios.append(backward(x) / backward(walk(b)))
-        ref = np.linalg.solve(dense - shift * np.eye(len(dense)), b)
-        # block LDL^H pivots inside each block only, so at an indefinite
-        # shift its accuracy rests on the blocks it factors; the bounds hold
-        # wherever the per-pair reference's Schur blocks are well conditioned
-        # (the solve walked pair by pair misses the backward bound at 89 of
-        # these 256 midpoints, the run-reduced one at 62)
-        worst = max(
-            np.linalg.norm(block, 1) * np.linalg.norm(inverse, 1)
-            for _, _, block, _, _, inverse in _per_pair_sweep(pairs, shift)
-        )
-        if worst <= 1e4:
-            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-        if worst <= 1e3:
-            assert backward(x) <= 1e-14
-            checked += 1
-    assert checked == 54
-    # at every midpoint the run-reduced solve's backward error is within a
-    # fixed factor of the one walked pair by pair: 24 at most (midpoint 246,
-    # where the only pivot near singular, the first of the run of 2, is the
-    # sweep's own Schur block, condition 1.6e4), 0.9 at the median
-    assert max(ratios) <= 30 and np.median(ratios) <= 1
-    # the pivots of a reduction that fell back are counted up to the one
-    # that failed: 3,803 where 15 a shift would make 3,840; a run of 3, 4
-    # or 7 pairs fell back 88 times, at 66 of the 256 shifts
-    assert len(two_by_two) == 3803 and any(two_by_two)
-    assert len(walked) == 88 and len({i for i, _ in walked}) == 66
-    # over the 256 counts: 6,198 blocks of the kept paths and 223 pivots of
-    # the reductions that fell back
-    assert reported == 6421
-    # a run whose blocks D - shift are singular fails the certificate at its
-    # first pivot and is walked pair by pair, whose Schur blocks are not
-    # singular: the count at shift 0 is right
-    monkeypatch.undo()
-    stretches = [(1, 0, 0), (2, 1, 1), (3, 2, 2), (4, 3, 3)]
-    terms = _toeplitz_terms(stretches, np.random.default_rng(5), singular=3)
-    dense = rb.StripOperator(grid=None, terms=terms).matrix.toarray()
-    below = np.count_nonzero(np.linalg.eigvalsh(dense) < 0.0)
-    # 1, 1 + 1 and 1 + 2 factorizations for the first three runs, 4 for the
-    # run of 4 walked per pair plus its singular first pivot, and 1 for the
-    # node
-    assert rb._inertia(rb._node_pairs(terms), 0.0) == (below, 12)
-
-
-def _negative_pivots_loop(ldu, ipiv):
-    """Pivot-by-pivot count of negative D eigenvalues, the reference for
-    the vectorised rb._negative_pivots."""
-    d = ldu.diagonal().real
-    neg, k = 0, 0
-    while k < len(ipiv):
-        if ipiv[k] > 0:
-            neg += int(d[k] < 0)
-            k += 1
-        else:  # 2x2 pivot: det < 0 means one eigenvalue of each sign
-            det = d[k] * d[k + 1] - abs(ldu[k + 1, k]) ** 2
-            neg += 1 if det < 0 else (2 if d[k] < 0 else 0)
-            k += 2
-    return neg
-
-
-def test_block_ldl_on_dense_couplings():
-    # the sweep on a random Hermitian matrix of the strip's block shape (nodes
-    # coupled up to distance 2, n_fast = 5, an odd node count) whose node
-    # couplings are dense rather than the strip's near-diagonal ones, and
-    # whose zero node diagonals force 2x2 Bunch-Kaufman pivots; the sweep
-    # reads it as single-entry T_k (x) dense F_k terms, one per node block,
-    # and refuses a term that couples nodes at distance 3
-    n_fast, n_t = 5, 9
-    dim = n_fast * n_t
-    rng = np.random.default_rng(11)
-
-    def cplx(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    dense = np.zeros((dim, dim), dtype=complex)
-    node = [slice(j * n_fast, (j + 1) * n_fast) for j in range(n_t)]
-    for j in range(n_t):
-        a = cplx(n_fast, n_fast)
-        dense[node[j], node[j]] = a + a.conj().T - np.diag(2 * a.diagonal().real)
-        for d in (1, 2):
-            if j + d < n_t:
-                c = cplx(n_fast, n_fast)
-                dense[node[j], node[j + d]] = c
-                dense[node[j + d], node[j]] = c.conj().T
-    assert np.count_nonzero(dense.diagonal()) == 0
-    terms = [
-        (sp.csr_matrix(([1.0], ([j], [i])), shape=(n_t, n_t)), dense[node[j], node[i]])
-        for j in range(n_t)
-        for i in range(max(j - 2, 0), min(j + 3, n_t))
-    ]
-    mat = rb.StripOperator(grid=None, terms=terms).matrix
-    assert np.array_equal(mat.toarray(), dense)
-    reach3 = sp.csr_matrix(([1.0], ([3], [0])), shape=(n_t, n_t))
-    with pytest.raises(ValueError, match="farther apart"):
-        rb._node_pairs(terms + [(reach3, np.ones((n_fast, n_fast)))])
-    evals = np.linalg.eigvalsh(dense)
-    below = {evals[0] - 1.0: 0, evals[-1] + 1.0: dim}
-    for i in (1, 10, 22, 23, 30, 44):
-        below[0.5 * (evals[i - 1] + evals[i])] = i
-    two_by_two = 0
-    pairs = rb._node_pairs(terms)
-    for shift, i in below.items():
-        for *_, ldu, ipiv, inverse in _per_pair_sweep(pairs, shift):
-            two_by_two += int(np.any(ipiv < 0))
-            assert rb._negative_pivots(ldu, ipiv) == _negative_pivots_loop(ldu, ipiv)
-            # the inverse is zhetri's lower triangle with its conjugate copied
-            # over the upper one: bit for bit the lower triangle plus the
-            # adjoint of its strict part, 2x2 pivots and the last block included
-            ref = np.tril(zhetri(ldu, ipiv, lower=1)[0])
-            ref += np.tril(ref, -1).conj().T
-            assert np.array_equal(inverse, ref)
-        assert rb._inertia(pairs, shift)[0] == i
-        b = cplx(dim)
-        solve, kept, made = rb._shift_invert_solve(pairs, shift)
-        # four pairs of 10 rows and a last block of 5, coupled by three and by
-        # two dense node blocks; no two pairs share a block, so each is a run
-        # of its own and the factor is per pair
-        assert kept == _packed_count(mat, 2 * n_fast) == 4 * 55 + 15 + 3 * 75 + 50
-        assert made == 5
-        x = solve(b)
-        dist = np.abs(evals - shift)
-        residual = np.linalg.norm(mat @ x - shift * x - b)
-        assert residual <= 1e-14 * (dist.max() * np.linalg.norm(x) + np.linalg.norm(b))
-        ref = np.linalg.solve(dense - shift * np.eye(dim), b)
-        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-    assert two_by_two > 0
 
 
 def test_short_box_warns_on_21_edge(lat, fields, basis, cone, masses):
@@ -1391,7 +1109,7 @@ def test_compare_count_mismatch(base_spec, cone, frame, fields, masses):
 
 
 def test_profile_utilities(frame, fields, basis):
-    grid = rb.strip_grid(
+    grid = st.strip_grid(
         frame, fields["wall"], frame.zeta_star("A"), 0.0, basis,
         half_width=10.0,
     )
@@ -1405,12 +1123,12 @@ def test_profile_utilities(frame, fields, basis):
     fast[np.arange(grid.n_t) * n_f] = np.exp(1j * p[j_fast] * grid.t)
     slow /= np.linalg.norm(slow)
     fast /= np.linalg.norm(fast)
-    assert rb.envelope_band_fraction(slow, grid) > 0.99
-    assert rb.envelope_band_fraction(fast, grid) < 0.01
-    prof = rb.transverse_profile(slow, grid)
+    assert st.envelope_band_fraction(slow, grid) > 0.99
+    assert st.envelope_band_fraction(fast, grid) < 0.01
+    prof = st.transverse_profile(slow, grid)
     assert prof.shape == (grid.n_t,)
     assert abs(prof.sum() - 1.0) < 1e-12
-    assert rb.state_overlap(slow, slow) == pytest.approx(1.0)
-    assert rb.state_overlap(slow, fast) < 1e-12
+    assert st.state_overlap(slow, slow) == pytest.approx(1.0)
+    assert st.state_overlap(slow, fast) < 1e-12
     x = np.array([0.08, 0.04, 0.02])
-    assert abs(rb.fit_power_law(x, 3.0 * x**2) - 2.0) < 1e-12
+    assert abs(fit_power_law(x, 3.0 * x**2) - 2.0) < 1e-12

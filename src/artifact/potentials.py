@@ -39,15 +39,15 @@ class FourierField:
 
     `indices` holds the integer dual coordinates (n1, n2); the corresponding
     wave vector is n1*k1 + n2*k2.  `coeffs` is (M,) for scalar fields and
-    (M, 2) for vector fields.  Parity and rotation symmetry are declarations,
-    checked by the symmetry-residual helpers below.
+    (M, 2) for vector fields.  Parity is a declaration, checked by
+    ``parity_residual``; rotation symmetry is measured by
+    ``rotation_residual``.
     """
 
     lattice: LatticeFrame
     indices: np.ndarray  # (M, 2) int
     coeffs: np.ndarray  # (M,) or (M, 2) complex
     parity: Parity
-    rotation_invariant: bool
     kind: str  # free-form provenance tag ("honeycomb_wells", ...)
     meta: dict = field(default_factory=dict)
 
@@ -154,7 +154,6 @@ def honeycomb_potential(
         indices=indices,
         coeffs=coeffs,
         parity="even",
-        rotation_invariant=True,
         kind="honeycomb_wells",
         meta={"depth": depth, "width": width, "cutoff": cutoff},
     )
@@ -180,7 +179,6 @@ def parity_breaking_W(
         indices=indices,
         coeffs=coeffs,
         parity="odd",
-        rotation_invariant=True,
         kind="sublattice_wall_field",
         meta={"amplitude": amplitude, "width": width, "cutoff": cutoff},
     )
@@ -210,7 +208,6 @@ def magnetic_A(lattice: LatticeFrame, amplitude: float) -> FourierField:
         indices=indices,
         coeffs=coeffs,
         parity="odd",
-        rotation_invariant=False,
         kind="transverse_sine_pair",
         meta={"amplitude": amplitude, "exact_table": True},
     )

@@ -3,17 +3,22 @@
 A gapped cone plus a slowly varying domain wall carries edge channels whose
 strip eigenvectors are, to leading order, a product of the degenerate cone
 pair and an envelope that solves the reduced two-by-two wall operator.  This
-module builds those products explicitly: sample the envelope eigenpair on
-the strip's transverse nodes, attach the fast cone eigenvectors, add the
-transverse corrector that solves the order-delta equation on the orthogonal
-complement of the cone pair, and optionally the full second-order layer
-(envelope correction, next energy coefficient, second transverse corrector),
-which buys one more power of delta in the residual:
+module builds those products explicitly, as one series in delta
+(``ansatz_series``): sample the envelope eigenpair on the strip's
+transverse nodes and attach the fast cone eigenvectors (order 0); add the
+transverse corrector V1 that solves the order-delta equation on the
+orthogonal complement of the cone pair (order 1); add the envelope
+correction beta, the next energy coefficient a2 and the second transverse
+corrector V2 (order 2).  Each order appends (order, power) entries to the
+series, a term entering times delta**power, and buys one more power of
+delta in the residual.  The ansatz at an order is the series cut there
+(``AnsatzSeries.cut``), so the pieces of a higher order serve every lower
+one:
 
-    order 0   bare product                     residual ~ delta
-    order 1   + delta * transverse corrector   residual ~ delta^2
-    order 2   + envelope correction, a2,       residual ~ delta^3
-                second transverse corrector
+    order   terms (power)           energy (power)      residual
+    0       phi alpha (0)           E* (0), theta (1)   ~ delta
+    1       + V1 (1)                                    ~ delta^2
+    2       + phi beta (1), V2 (2)  + a2 (2)            ~ delta^3
 
 ``lift_order0`` samples the bare product from the cone data alone, with no
 workspace, so it serves any cutoff and the magnetic wall; the strip solver
@@ -36,8 +41,9 @@ eigenpair of the reduced operator, so the projection of the right-hand side
 onto the pair is a direct consistency meter between the extracted
 coefficients (nu*, mass, theta) and the fiber itself; it is gated at
 ``SOLVABILITY_TOL``.  The gate is honest: at fast cutoff 4 the truncation
-split of the pair (~1e-5) leaves a projection near 2e-6, so quasimode work
-needs cutoff >= 5, where the projection drops below 1e-9.
+split of the pair (2.2e-5) leaves a projection of 1.6e-6, so quasimode work
+needs cutoff >= 5, where the split is 5.4e-8 and the projection drops below
+1e-9.
 
 The envelope correction at second order needs the reduced operator solved
 with its eigendirection deflated.  Naive central differences are useless for
@@ -174,11 +180,9 @@ class EnvelopePair:
     def alpha(self, ts: np.ndarray) -> np.ndarray:
         return self.sampler(np.asarray(ts, dtype=float))
 
-    def d_alpha(self, ts: np.ndarray, alpha: np.ndarray | None = None) -> np.ndarray:
+    def d_alpha(self, ts: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """D_t alpha via the eigenvalue relation (m1 is an involution)."""
         p = self.params
-        if alpha is None:
-            alpha = self.alpha(ts)
         m1, m2, m3 = p.matrices()
         kap = p.wall(np.asarray(ts, dtype=float))
         rest = (
@@ -189,18 +193,11 @@ class EnvelopePair:
         return (rest @ m1.T) / p.speed_t
 
     def d2_alpha(
-        self,
-        ts: np.ndarray,
-        alpha: np.ndarray | None = None,
-        d_alpha: np.ndarray | None = None,
+        self, ts: np.ndarray, alpha: np.ndarray, d_alpha: np.ndarray
     ) -> np.ndarray:
         """D_t^2 alpha by differentiating the eigenvalue relation once."""
         p = self.params
         ts = np.asarray(ts, dtype=float)
-        if alpha is None:
-            alpha = self.alpha(ts)
-        if d_alpha is None:
-            d_alpha = self.d_alpha(ts, alpha)
         m1, m2, m3 = p.matrices()
         kap = p.wall(ts)
         d_kap = -1j * p.wall.derivative(ts)  # D_t kappa
@@ -522,7 +519,7 @@ def quasimode_workspace(
 
 
 # ---------------------------------------------------------------------------
-# first transverse corrector
+# factored fast fields and the order-delta bracket
 
 
 class FastField(NamedTuple):
@@ -546,17 +543,6 @@ def _stack(*fields: FastField) -> FastField:
     return FastField(
         np.hstack([f.basis for f in fields]), np.vstack([f.coeffs for f in fields])
     )
-
-
-@dataclass
-class TransverseCorrection:
-    """Per-node complement solve for the order-delta equation."""
-
-    ts: np.ndarray  # slow transverse nodes
-    alpha: np.ndarray  # (n, 2) envelope samples the solve was built from
-    d_alpha: np.ndarray  # (n, 2) D_t alpha at the same nodes
-    values: FastField  # corrector in the fast fiber, rank 6
-    defect: float  # max |projection| before subtraction
 
 
 def _order1_bracket(
@@ -595,57 +581,8 @@ def _deflated_corrector(ws: QuasimodeWorkspace, g: FastField) -> tuple:
     return FastField(corrector, g.coeffs), on_pair @ g.coeffs
 
 
-def first_correction(
-    ws: QuasimodeWorkspace,
-    pair: EnvelopePair,
-    ts: np.ndarray,
-) -> TransverseCorrection:
-    """Solve (P0 - E*) V = -g on the complement of the cone pair, per node.
-
-    The projection of g onto the pair is subtracted before the solve (it
-    vanishes identically for an exact eigenpair); its pre-subtraction
-    magnitude is the solvability defect and is gated at ``SOLVABILITY_TOL``.
-    The envelope samples alpha and D_t alpha are kept on the result, so the
-    ansatz and the second-order layer reuse them instead of sampling again.
-    The bracket of the order-0 field (phi, alpha^T) has rank 6, and so has V.
-    """
-    ts = np.asarray(ts, dtype=float)
-    alpha = pair.alpha(ts)
-    d_alpha = pair.d_alpha(ts, alpha)
-    g = _order1_bracket(
-        ws, pair, ws.wall(ts), FastField(ws.phi, alpha.T), FastField(ws.phi, d_alpha.T)
-    )
-    values, projection = _deflated_corrector(ws, g)
-    defect = float(np.abs(projection).max())
-    if defect > SOLVABILITY_TOL:
-        raise SolvabilityViolation(
-            f"solvability projection {defect:.3e} exceeds {SOLVABILITY_TOL:.1e}; "
-            "the reduced coefficients do not match the fiber (check the fast "
-            "cutoff and the envelope eigenvalue accuracy)"
-        )
-    return TransverseCorrection(
-        ts=ts,
-        alpha=alpha,
-        d_alpha=d_alpha,
-        values=values,
-        defect=defect,
-    )
-
-
 # ---------------------------------------------------------------------------
-# second-order layer: envelope correction, energy coefficient, corrector
-
-
-@dataclass
-class SecondOrderLayer:
-    """Envelope correction, next energy coefficient, second corrector."""
-
-    beta: np.ndarray  # (n, 2) envelope correction, orthogonal to alpha
-    a2: float  # next energy coefficient
-    values: FastField  # second transverse corrector, rank 28
-    a2_imag: float  # imaginary part discarded from a2 (diagnostic)
-    envelope_residual: float  # first-order equation check on beta
-    projection: float  # pair projection of the second-order rhs
+# envelope correction: the deflated reduced operator
 
 
 def _reduced_matrix_apply(
@@ -749,67 +686,137 @@ def _envelope_correction(
     return beta, d_beta, float(np.abs(check).max())
 
 
-def second_order_layer(
+# ---------------------------------------------------------------------------
+# the ansatz as one series in delta
+
+
+@dataclass(frozen=True)
+class AnsatzSeries:
+    """The two-scale ansatz through one order, as a series in delta.
+
+    ``terms`` are (order, power, field) entries in stacking order, each a
+    factored fast field that enters times delta**power: phi alpha at (0, 0),
+    the first transverse corrector V1 at (1, 1), the envelope correction
+    phi beta at (2, 1) and the second corrector V2 at (2, 2).  ``energies``
+    are (order, power, coefficient) entries the same way: E* at (0, 0),
+    theta at (0, 1) and a2 at (2, 2).  A higher order only appends entries,
+    so every lower order is cut from the same record by one rule (``cut``).
+
+    ``diagnostics`` holds the solvability ``defect`` from order 1 on, and at
+    order 2 ``a2_imag`` (the imaginary part dropped from a2),
+    ``envelope_residual`` (the first-order equation checked on beta) and
+    ``projection`` (the pair projection of the order-2 right-hand side).
+    """
+
+    alpha: np.ndarray  # (n, 2) envelope samples at the nodes
+    terms: tuple  # (order, power, FastField) entries
+    energies: tuple  # (order, power, coefficient) entries
+    diagnostics: dict
+
+    def cut(self, delta: float, order: int) -> tuple[float, FastField]:
+        """Energy and factored field of the ansatz truncated at ``order``.
+
+        Sums the entries of order at most ``order``, each scaled by
+        delta**power.  The field's rank is 2, 8 and 38 at orders 0, 1 and 2.
+        """
+        built = self.terms[-1][0]
+        if order > built:
+            raise ValueError(f"series built through order {built}, cut at {order}")
+        energy = sum(c * delta**p for o, p, c in self.energies if o <= order)
+        field = _stack(*(f.scaled(delta**p) for o, p, f in self.terms if o <= order))
+        return float(energy), field
+
+
+def ansatz_series(
     ws: QuasimodeWorkspace,
     pair: EnvelopePair,
-    corr: TransverseCorrection,
-) -> SecondOrderLayer:
-    """Assemble the order-delta^2 equation and solve both of its halves.
+    ts: np.ndarray,
+    order: int,
+) -> AnsatzSeries:
+    """The ansatz series through ``order`` on the slow transverse nodes ``ts``.
 
-    The envelope samples alpha and D_t alpha are the ones ``corr`` was built
-    from; only D_t^2 alpha is new.  The pair projection fixes (a2, beta): a2
-    is the envelope average of the projected forcing and beta solves the
-    deflated reduced operator against what remains (``_envelope_correction``,
-    one banded solve).  The complement projection then yields the second
-    transverse corrector exactly as at first order.  Every fast field stays
-    factored: D_t V has rank 8, the bracket on (V, D_t V) rank 20 and the
-    second corrector rank 28.
+    The envelope is sampled once; alpha and D_t alpha serve every order.
+
+    Order 1 solves (P0 - E*) V1 = -g per node on the complement of the cone
+    pair, g the bracket of the order-0 field (phi, alpha^T), of rank 6 like
+    V1.  The projection of g onto the pair is subtracted before the solve (it
+    vanishes identically for an exact eigenpair); its pre-subtraction
+    magnitude is the solvability ``defect`` and is gated at
+    ``SOLVABILITY_TOL``.
+
+    Order 2 assembles the order-delta^2 equation and solves both of its
+    halves.  The pair projection fixes (a2, beta): a2 is the envelope average
+    of the projected forcing and beta solves the deflated reduced operator
+    against what remains (``_envelope_correction``, one banded solve).  The
+    complement projection then yields V2 exactly as at order 1.  Every fast
+    field stays factored: D_t V1 has rank 8, the bracket on (V1, D_t V1)
+    rank 20 and V2 rank 28.
     """
-    ts = corr.ts
-    alpha = corr.alpha
-    d_alpha = corr.d_alpha
-    d2_alpha = pair.d2_alpha(ts, alpha, d_alpha)
-    kap = ws.wall(ts)
-    d_kap_t = -1j * ws.wall.derivative(ts)
-    h = float(ts[1] - ts[0])
-    mu = pair.mu
+    if order not in (0, 1, 2):
+        raise ValueError("order must be 0, 1, or 2")
+    ts = np.asarray(ts, dtype=float)
     phi = ws.phi
+    alpha = pair.alpha(ts)
+    bare = FastField(phi, alpha.T)
+    terms = [(0, 0, bare)]
+    energies = [(0, 0, ws.e_star), (0, 1, pair.theta)]
+    diagnostics = {}
+    if order >= 1:
+        d_alpha = pair.d_alpha(ts, alpha)
+        kap = ws.wall(ts)
+        g = _order1_bracket(ws, pair, kap, bare, FastField(phi, d_alpha.T))
+        v1, projection = _deflated_corrector(ws, g)
+        defect = float(np.abs(projection).max())
+        if defect > SOLVABILITY_TOL:
+            raise SolvabilityViolation(
+                f"solvability projection {defect:.3e} exceeds {SOLVABILITY_TOL:.1e}; "
+                "the reduced coefficients do not match the fiber (check the fast "
+                "cutoff and the envelope eigenvalue accuracy)"
+            )
+        terms.append((1, 1, v1))
+        diagnostics["defect"] = defect
+    if order >= 2:
+        d2_alpha = pair.d2_alpha(ts, alpha, d_alpha)
+        d_kap_t = -1j * ws.wall.derivative(ts)
+        h = float(ts[1] - ts[0])
+        mu = pair.mu
 
-    # D_t of the order-delta bracket, for D_t V via the shared pseudo-inverse:
-    # the bracket on D_t of the field, plus D_t kappa times W on the field
-    d_g = _stack(
-        _order1_bracket(
-            ws, pair, kap, FastField(phi, d_alpha.T), FastField(phi, d2_alpha.T)
-        ),
-        FastField(ws.conv_w @ phi, d_kap_t[None, :] * alpha.T),
-    )
-    d_corr, _ = _deflated_corrector(ws, d_g)
+        # D_t of the order-delta bracket, for D_t V1 via the shared
+        # pseudo-inverse: the bracket on D_t of the field, plus D_t kappa
+        # times W on the field
+        d_g = _stack(
+            _order1_bracket(
+                ws, pair, kap, FastField(phi, d_alpha.T), FastField(phi, d2_alpha.T)
+            ),
+            FastField(ws.conv_w @ phi, d_kap_t[None, :] * alpha.T),
+        )
+        d_v1, _ = _deflated_corrector(ws, d_g)
 
-    on_corr = _order1_bracket(ws, pair, kap, corr.values, d_corr)
-    curvature = ws.kp_sq * d2_alpha.T + mu**2 * ws.ell_sq * alpha.T
-    forcing = ws.pair_projection(on_corr.basis) @ on_corr.coeffs + curvature  # (2, n)
-    a2_complex = complex(np.sum(np.conj(alpha.T) * forcing) * h)
-    a2 = float(a2_complex.real)
+        on_v1 = _order1_bracket(ws, pair, kap, v1, d_v1)
+        curvature = ws.kp_sq * d2_alpha.T + mu**2 * ws.ell_sq * alpha.T
+        forcing = ws.pair_projection(on_v1.basis) @ on_v1.coeffs + curvature  # (2, n)
+        a2_complex = complex(np.sum(np.conj(alpha.T) * forcing) * h)
+        a2 = float(a2_complex.real)
 
-    rho = -(forcing.T - a2 * alpha)
-    beta, d_beta, env_res = _envelope_correction(pair, ts, rho, alpha)
+        rho = -(forcing.T - a2 * alpha)
+        beta, d_beta, env_res = _envelope_correction(pair, ts, rho, alpha)
 
-    g2 = _stack(
-        on_corr,
-        _order1_bracket(
-            ws, pair, kap, FastField(phi, beta.T), FastField(phi, d_beta.T)
-        ),
-        FastField(phi, curvature - a2 * alpha.T),
-    )
-    values, projection = _deflated_corrector(ws, g2)
-    return SecondOrderLayer(
-        beta=beta,
-        a2=a2,
-        values=values,
-        a2_imag=abs(a2_complex.imag),
-        envelope_residual=env_res,
-        projection=float(np.abs(projection).max()),
-    )
+        g2 = _stack(
+            on_v1,
+            _order1_bracket(
+                ws, pair, kap, FastField(phi, beta.T), FastField(phi, d_beta.T)
+            ),
+            FastField(phi, curvature - a2 * alpha.T),
+        )
+        v2, projection = _deflated_corrector(ws, g2)
+        terms += [(2, 1, FastField(phi, beta.T)), (2, 2, v2)]
+        energies.append((2, 2, a2))
+        diagnostics.update(
+            a2_imag=abs(a2_complex.imag),
+            envelope_residual=env_res,
+            projection=float(np.abs(projection).max()),
+        )
+    return AnsatzSeries(alpha, tuple(terms), tuple(energies), diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -821,8 +828,8 @@ class QuasimodeAnsatz:
     """A two-scale quasimode sampled on one strip grid.
 
     ``vector`` is the unit-norm strip sample (t-major, matching the strip
-    assembly); ``energy`` is E* + delta * theta, plus delta^2 * a2 when the
-    second-order layer is included.
+    assembly) of ``series`` cut at ``order``; ``energy`` is E* + delta *
+    theta, plus delta^2 * a2 at order 2.
     """
 
     delta: float
@@ -832,15 +839,8 @@ class QuasimodeAnsatz:
     energy: float
     grid: StripGrid
     vector: np.ndarray
-    alpha: np.ndarray  # (n, 2) envelope samples at the grid nodes
-    correction: TransverseCorrection | None
-    second: SecondOrderLayer | None
-    pair: EnvelopePair
+    series: AnsatzSeries
     diagnostics: dict = dc_field(default_factory=dict)
-
-    @property
-    def defect(self) -> float:
-        return self.correction.defect if self.correction is not None else np.nan
 
 
 def effective_zeta(ws: QuasimodeWorkspace, delta: float, mu: float) -> float:
@@ -860,7 +860,8 @@ def leading_quasimode(
     order 0 is the bare envelope-times-pair product (residual ~ delta),
     order 1 adds the transverse corrector (~ delta^2, the default), and
     order 2 adds the envelope correction, the next energy coefficient, and
-    the second transverse corrector (~ delta^3).
+    the second transverse corrector (~ delta^3).  The series is built
+    through ``order`` (``ansatz_series``) and cut there (``AnsatzSeries.cut``).
 
     Every fast field is kept factored as fiber columns times slow
     coefficients (``FastField``), of rank 2, 8 and 38 at orders 0, 1 and 2
@@ -871,8 +872,6 @@ def leading_quasimode(
     detuned Bloch phase zeta* + mu delta, so the sample lives in the same
     discrete space as an edge solve at that phase.
     """
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1, or 2")
     delta, mu = grid.delta, pair.mu
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -890,10 +889,8 @@ def leading_quasimode(
             f"on |t| <= {pair.box:.2f}; rebuild the pair with a larger box"
         )
 
-    correction = first_correction(ws, pair, ts) if order >= 1 else None
-    alpha = pair.alpha(ts) if correction is None else correction.alpha
-    second = second_order_layer(ws, pair, correction) if order >= 2 else None
-    energy, field = _truncated_field(ws, pair, delta, alpha, correction, second, order)
+    series = ansatz_series(ws, pair, ts, order)
+    energy, field = series.cut(delta, order)
     return QuasimodeAnsatz(
         delta=float(delta),
         mu=float(mu),
@@ -902,45 +899,12 @@ def leading_quasimode(
         energy=energy,
         grid=grid,
         vector=_strip_vector(ws.frame, ws.data.which, grid, mu, field),
-        alpha=alpha,
-        correction=correction,
-        second=second,
-        pair=pair,
+        series=series,
         diagnostics={
             "zeta_effective": zeta_eff,
-            "envelope_edge_value": float(np.abs(alpha[[0, -1]]).max()),
+            "envelope_edge_value": float(np.abs(series.alpha[[0, -1]]).max()),
         },
     )
-
-
-def _truncated_field(
-    ws: QuasimodeWorkspace,
-    pair: EnvelopePair,
-    delta: float,
-    alpha: np.ndarray,
-    correction: TransverseCorrection | None,
-    second: SecondOrderLayer | None,
-    order: int,
-) -> tuple[float, FastField]:
-    """Energy and factored fast-fiber field of the ansatz cut at ``order``.
-
-    ``correction`` is needed from order 1 on and ``second`` at order 2; the
-    pieces of a higher order serve every lower one.  The field's rank is 2,
-    8 and 38 at orders 0, 1 and 2.
-    """
-    fast = FastField(ws.phi, alpha.T)
-    energy = ws.e_star + delta * pair.theta
-    if order == 0:
-        return float(energy), fast
-    if order == 1:
-        return float(energy), _stack(fast, correction.values.scaled(delta))
-    field = _stack(
-        fast,
-        correction.values.scaled(delta),
-        FastField(ws.phi, delta * second.beta.T),
-        second.values.scaled(delta**2),
-    )
-    return float(energy + delta**2 * second.a2), field
 
 
 def _cone_offset(frame: EdgeFrame, which: str, grid: StripGrid) -> float:
@@ -1037,10 +1001,11 @@ def residual_orders(
     One pass per delta: the strip's Kronecker terms (``strip_terms``),
     applied matrix-free by ``kron_apply`` so the strip matrix is never
     formed, and one ``leading_quasimode`` at the highest requested order,
-    which samples the envelope once and solves each corrector once.  The lower
-    orders are cut from the same pieces (``_truncated_field``), so every
-    order's vector is the one ``leading_quasimode`` builds at that order.
-    The pieces are factored fields of rank at most 38, and only
+    whose ``ansatz_series`` samples the envelope once and solves each
+    corrector once.  The lower orders are cut from the same series
+    (``AnsatzSeries.cut``), so every order's vector is the one
+    ``leading_quasimode`` builds at that order; the top order's is the
+    ansatz's own.  The terms are factored fields of rank at most 38, and only
     ``_strip_vector`` forms a strip-sized array from them, so the ones
     alive at once are at most four: the top order's vector, the order's
     own, and the apply's output and fast product.  At delta = 0.02
@@ -1068,15 +1033,12 @@ def residual_orders(
         )
         top = leading_quasimode(ws, pair, grid, order=max(orders))
         edge_values[i] = top.diagnostics["envelope_edge_value"]
-        if top.correction is not None:
-            defects[i] = top.correction.defect
+        defects[i] = top.series.diagnostics.get("defect", 0.0)
         for o in sorted(orders):
             if o == top.order:
                 energy, vector = top.energy, top.vector
             else:
-                energy, field = _truncated_field(
-                    ws, pair, delta, top.alpha, top.correction, top.second, o
-                )
+                energy, field = top.series.cut(delta, o)
                 vector = _strip_vector(ws.frame, ws.data.which, grid, mu, field)
             u = vector.reshape(grid.n_t, grid.n_fast)
             residual = kron_apply(terms, u)

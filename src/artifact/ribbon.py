@@ -148,8 +148,6 @@ class BulkEdges:
     delta: float
     lower: float  # top of the band below the gap, max over tau and both signs
     upper: float  # bottom of the band above, min over tau and both signs
-    tau_lower: float
-    tau_upper: float
     per_sign: dict  # {"+": (lower, upper), "-": (lower, upper)}
     samples: np.ndarray  # columns: tau, lo+, hi+, lo-, hi-
     closed: bool
@@ -204,7 +202,6 @@ def essential_edges_bulk(
     per_sign = {}
     samples = np.empty((tau_samples, 5))
     samples[:, 0] = taus
-    winners = {}
     for col, (label, sgn) in enumerate((("+", 1.0), ("-", -1.0))):
         lo = np.empty(tau_samples)
         hi = np.empty(tau_samples)
@@ -215,10 +212,8 @@ def essential_edges_bulk(
         samples[:, 1 + 2 * col] = lo
         samples[:, 2 + 2 * col] = hi
 
-        i_lo = int(np.argmax(lo))
-        i_hi = int(np.argmin(hi))
-        tau_lo, val_lo = taus[i_lo], lo[i_lo]
-        tau_hi, val_hi = taus[i_hi], hi[i_hi]
+        tau_lo = taus[int(np.argmax(lo))]
+        tau_hi = taus[int(np.argmin(hi))]
 
         def band(tau, index, s=sgn):
             return _fiber_pair(tables, frame, zeta, tau, s * delta, basis, j_star)[index]
@@ -229,25 +224,17 @@ def essential_edges_bulk(
             method="bounded",
             options={"xatol": 1e-8},
         )
-        tau_lo, val_lo = float(res.x), float(-res.fun)
+        val_lo = float(-res.fun)
         res = minimize_scalar(
             lambda tau: band(tau, 1),
             bounds=(tau_hi - width, tau_hi + width),
             method="bounded",
             options={"xatol": 1e-8},
         )
-        tau_hi, val_hi = float(res.x), float(res.fun)
-        per_sign[label] = {
-            "lower": float(val_lo),
-            "upper": float(val_hi),
-            "tau_lower": float(np.mod(tau_lo, TWO_PI)),
-            "tau_upper": float(np.mod(tau_hi, TWO_PI)),
-        }
+        per_sign[label] = (val_lo, float(res.fun))
 
-    lower_sign = max(per_sign, key=lambda s: per_sign[s]["lower"])
-    upper_sign = min(per_sign, key=lambda s: per_sign[s]["upper"])
-    lower = per_sign[lower_sign]["lower"]
-    upper = per_sign[upper_sign]["upper"]
+    lower = max(edges[0] for edges in per_sign.values())
+    upper = min(edges[1] for edges in per_sign.values())
     closed = (upper - lower) <= closed_tol * max(1.0, abs(upper), abs(lower))
     if closed and not allow_closed:
         raise GapClosed(
@@ -259,11 +246,7 @@ def essential_edges_bulk(
         delta=float(delta),
         lower=float(lower),
         upper=float(upper),
-        tau_lower=per_sign[lower_sign]["tau_lower"],
-        tau_upper=per_sign[upper_sign]["tau_upper"],
-        per_sign={
-            s: (per_sign[s]["lower"], per_sign[s]["upper"]) for s in per_sign
-        },
+        per_sign=per_sign,
         samples=samples,
         closed=bool(closed),
     )

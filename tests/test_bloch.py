@@ -140,7 +140,6 @@ def test_truncated_table_raises_mismatch(lat, basis8):
         indices=wide.indices[keep],
         coeffs=wide.coeffs[keep],
         parity=wide.parity,
-        rotation_invariant=False,
         kind="clipped",
         meta={},
     )

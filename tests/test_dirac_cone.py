@@ -142,7 +142,6 @@ def test_longitudinal_polarization_would_be_gauge_trivial(lat, cone_a, basis8):
         indices=A.indices,
         coeffs=longitudinal,
         parity="odd",
-        rotation_invariant=False,
         kind="longitudinal_probe",
         meta={"exact_table": True},
     )

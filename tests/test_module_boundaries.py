@@ -3,7 +3,9 @@
 Two rules keep the modules separable: a module uses only the public names of
 another (no ``from .x import _y``, no ``x._y`` on an imported module), and
 every import sits at module level, so the import graph is the one the module
-headers show and has no cycle hidden inside a function.
+headers show and has no cycle hidden inside a function.  A third keeps the
+records lean: every annotated field of a package class is read as an
+attribute somewhere in the library, its tests or its benchmark.
 """
 
 import ast
@@ -55,3 +57,34 @@ def test_no_imports_inside_functions(path):
         if isinstance(inner, (ast.Import, ast.ImportFrom))
     ]
     assert not found, found
+
+
+ROOT = PACKAGE.parents[1]
+READERS = sorted(
+    path
+    for folder in ("src", "tests", "bench")
+    for path in (ROOT / folder).rglob("*.py")
+)
+
+
+def test_every_field_is_read():
+    # a stored value that no code reads as x.name is dead weight: every
+    # annotated field of a package class must be read somewhere in the
+    # library, its tests or its benchmark
+    read = {
+        node.attr
+        for path in READERS
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{path.stem}.{cls.name}.{item.target.id}"
+        for path in MODULES
+        for cls in ast.walk(_tree(path))
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.AnnAssign)
+        and isinstance(item.target, ast.Name)
+        and item.target.id not in read
+    ]
+    assert not unread, unread

@@ -25,11 +25,15 @@ def medium():
     width = 0.15 * np.linalg.norm(lat.v1)
     V = potentials.honeycomb_potential(lat, -30.0, width, 8)
     wall = potentials.domain_wall("bump_smoothstep", 5.0)
-    basis = bloch.build_basis(lat, 5.0)
-    cone = dirac_cone.find_dirac_point(V, "A", basis)
-    dirac_cone.compute_nu_star(cone, basis, linearity_tol=1e-4)
+    cones = {}
 
-    def at_amplitude(amplitude):
+    def at_amplitude(amplitude, cutoff=5.0):
+        if cutoff not in cones:
+            basis = bloch.build_basis(lat, cutoff)
+            cone = dirac_cone.find_dirac_point(V, "A", basis)
+            dirac_cone.compute_nu_star(cone, basis, linearity_tol=1e-4)
+            cones[cutoff] = basis, cone
+        basis, cone = cones[cutoff]
         W = potentials.parity_breaking_W(lat, amplitude, width, 8)
         mass = dirac_cone.compute_mass(cone, basis, W)
         params = wall_dirac.params_from_frames(cone, frame, mass, wall)
@@ -140,16 +144,38 @@ def test_truncated_envelope_warns(medium):
     assert study.exponents[2] < 1.0
 
 
+
+@pytest.mark.parametrize("cutoff, split", [(4.0, 2.2e-5), (5.0, 5.4e-8)])
+def test_deflation_split_sets_the_cutoff(medium, cutoff, split):
+    # the workspace deflates the pair the cone certificate found, so its
+    # split is the cone's truncation split.  It passes the deflation
+    # threshold (9.4e-5) at both cutoffs, but at cutoff 4 the split leaves a
+    # solvability projection of 1.6e-6, and the gate refuses the corrector
+    params, ws = medium(10.0, cutoff)
+    assert abs(ws.deflation_split - ws.data.degeneracy_split) <= 1e-12
+    assert abs(ws.deflation_split - split) <= 0.05 * split
+    assert abs(ws.deflation_threshold - 9.4e-5) <= 1e-6
+    assert ws.deflation_split < ws.deflation_threshold
+    pair = quasimode.zero_mode_pair(params)
+    ts = 0.08 * np.arange(-200, 201) * 0.5
+    if cutoff == 4.0:
+        with pytest.raises(quasimode.SolvabilityViolation, match="1.580e-06"):
+            quasimode.ansatz_series(ws, pair, ts, 1)
+    else:
+        series = quasimode.ansatz_series(ws, pair, ts, 1)
+        assert series.diagnostics["defect"] < 1e-9
+
+
 def test_solvability_gate_rejects_mismatched_mass(setup):
     params, ws = setup
     off = dataclasses.replace(params, mass=1.001 * params.mass)
     pair = quasimode.zero_mode_pair(off)
     ts = 0.08 * np.arange(-200, 201) * 0.5
     with pytest.raises(quasimode.SolvabilityViolation, match="solvability projection"):
-        quasimode.first_correction(ws, pair, ts)
+        quasimode.ansatz_series(ws, pair, ts, 1)
     # the consistent pair on the same nodes passes
-    ok = quasimode.first_correction(ws, quasimode.zero_mode_pair(params), ts)
-    assert ok.defect < quasimode.SOLVABILITY_TOL
+    ok = quasimode.ansatz_series(ws, quasimode.zero_mode_pair(params), ts, 1)
+    assert ok.diagnostics["defect"] < quasimode.SOLVABILITY_TOL
 
 
 # envelope_residual of the order-2 layer at delta = 0.08 when the bordered
@@ -185,23 +211,24 @@ def test_bordered_solve_matches_dense(setup, detuned_pair, monkeypatch, mu):
     bordered[n, :n] = np.conj(w)
     dense = np.linalg.solve(bordered, np.append(rhs, 0.0))[:n]
     assert np.linalg.norm(beta - dense) <= 1e-10 * np.linalg.norm(dense)
-    alpha = ansatz.alpha.ravel()
+    alpha = ansatz.series.alpha.ravel()
     assert abs(np.vdot(alpha, beta)) <= 1e-12 * np.linalg.norm(beta)
     reference = SPARSE_LU_ENVELOPE_RESIDUAL[mu]
-    assert abs(ansatz.second.envelope_residual - reference) <= 1e-6 * reference
+    assert abs(ansatz.series.diagnostics["envelope_residual"] - reference) <= 1e-6 * reference
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.3])
 def test_residual_orders_is_one_pass_per_delta(setup, detuned_pair, monkeypatch, mu):
     _, ws = setup
     pair = _pair(setup, detuned_pair, mu)
-    calls = {"first_correction": 0, "second_order_layer": 0}
-    for name in calls:
-        def counted(*args, _name=name, _solve=getattr(quasimode, name), **kwargs):
-            calls[_name] += 1
-            return _solve(*args, **kwargs)
+    calls = []
+    build = quasimode.ansatz_series
 
-        monkeypatch.setattr(quasimode, name, counted)
+    def counted(*args, **kwargs):
+        calls.append(args[-1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(quasimode, "ansatz_series", counted)
 
     def no_csc(*args, **kwargs):
         raise AssertionError("the CSC strip was built")
@@ -210,9 +237,10 @@ def test_residual_orders_is_one_pass_per_delta(setup, detuned_pair, monkeypatch,
     monkeypatch.setattr(st.StripOperator, "matrix", property(no_csc))
     deltas = (0.08, 0.04)
     study = quasimode.residual_orders(ws, pair, deltas, orders=(0, 1, 2), t_factor=4.5)
-    assert calls == {"first_correction": len(deltas), "second_order_layer": len(deltas)}
-    # the orders cut from the shared pieces are the vectors each order builds;
-    # the apply is the study's own, so the match is bitwise
+    # one series per delta, built through the top order
+    assert calls == [2] * len(deltas)
+    # the orders cut from the shared series are the vectors each order
+    # builds; the apply is the study's own, so the match is bitwise
     for i, delta in enumerate(deltas):
         grid, terms = st.strip_terms(
             ws.frame, ws.potential, ws.wall, quasimode.effective_zeta(ws, delta, mu),
@@ -307,30 +335,31 @@ def test_factored_correctors_match_dense_fields(setup, detuned_pair, mu):
     pair = _pair(setup, detuned_pair, mu)
     for delta in (0.08, 0.04):
         ts = delta * _grid(ws, delta, mu).t
-        corr = quasimode.first_correction(ws, pair, ts)
-        second = quasimode.second_order_layer(ws, pair, corr)
+        series = quasimode.ansatz_series(ws, pair, ts, 2)
+        assert [(o, p) for o, p, _ in series.terms] == [(0, 0), (1, 1), (2, 1), (2, 2)]
+        assert [(o, p) for o, p, _ in series.energies] == [(0, 0), (0, 1), (2, 2)]
+        v1, v2 = series.terms[1][2], series.terms[3][2]
         # the ranks are the equations', whatever the number of nodes
-        assert corr.values.basis.shape == (len(ws.phi), 6)
-        assert second.values.basis.shape == (len(ws.phi), 28)
-        assert corr.values.coeffs.shape == (6, len(ts))
+        assert v1.basis.shape == (len(ws.phi), 6)
+        assert v2.basis.shape == (len(ws.phi), 28)
+        assert v1.coeffs.shape == (6, len(ts))
     delta = 0.08
     ts = delta * _grid(ws, delta, mu).t
     ref = _dense_layers(ws, pair, ts, delta)
-    corr = quasimode.first_correction(ws, pair, ts)
-    second = quasimode.second_order_layer(ws, pair, corr)
-    _, field = quasimode._truncated_field(
-        ws, pair, delta, corr.alpha, corr, second, 2
-    )
+    series = quasimode.ansatz_series(ws, pair, ts, 2)
+    _, field = series.cut(delta, 2)
     assert field.basis.shape[1] == 38
     for got, want in (
-        (corr.values, ref["v1"]), (second.values, ref["v2"]), (field, ref["field"]),
+        (series.terms[1][2], ref["v1"]), (series.terms[3][2], ref["v2"]),
+        (field, ref["field"]),
     ):
         dense = got.basis @ got.coeffs
         assert np.linalg.norm(dense - want) <= 1e-12 * np.linalg.norm(want)
-    assert abs(second.a2 - ref["a2"]) <= 1e-14
-    assert abs(corr.defect - ref["defect"]) <= 1e-12
-    assert abs(second.projection - ref["projection"]) <= 1e-12
-    assert abs(second.envelope_residual - ref["envelope_residual"]) <= 1e-12
+    diagnostics = series.diagnostics
+    assert abs(series.energies[2][2] - ref["a2"]) <= 1e-14
+    assert abs(diagnostics["defect"] - ref["defect"]) <= 1e-12
+    assert abs(diagnostics["projection"] - ref["projection"]) <= 1e-12
+    assert abs(diagnostics["envelope_residual"] - ref["envelope_residual"]) <= 1e-12
 
 
 def test_residual_study_holds_no_dense_field(setup):

@@ -102,7 +102,7 @@ def base_comp(base_spec, cone, frame, fields, masses):
 
 def _synthetic_edges(lo, hi, delta=DELTA):
     return rb.BulkEdges(
-        zeta=0.0, delta=delta, lower=lo, upper=hi, tau_lower=0.0, tau_upper=0.0,
+        zeta=0.0, delta=delta, lower=lo, upper=hi,
         per_sign={"+": (lo, hi), "-": (lo, hi)}, samples=np.zeros((1, 5)),
         closed=False,
     )
@@ -880,6 +880,30 @@ def test_seeded_values_match_arpack(frame, fields, basis, base_spec, amp15_spec,
     assert len(reference) == len(spec) == spec.diagnostics["seeds"]
     assert np.abs(spec.values - reference).max() < 1e-10
 
+
+
+@pytest.mark.parametrize("channel", ["base", "amp15"])
+def test_edge_states_are_eigenvectors(
+    lat, frame, fields, basis, base_spec, amp15_spec, channel
+):
+    # the kept vectors are the states themselves: unit columns whose residual
+    # under the channel's own terms passes the screen, and whose Rayleigh
+    # quotients are the reported values
+    spec = base_spec if channel == "base" else amp15_spec
+    zeta, pert, kwargs = _channel(lat, frame, fields, channel)
+    grid, terms = st.strip_terms(
+        frame, fields["V"], fields["wall"], zeta, DELTA, basis, perturbation=pert,
+        **kwargs,
+    )
+    assert np.array_equal(grid.t, spec.grid.t)
+    assert spec.vectors.shape == (grid.n_t * grid.n_fast, len(spec))
+    for value, vector in zip(spec.values, spec.vectors.T):
+        assert abs(np.linalg.norm(vector) - 1.0) <= 1e-12
+        u = vector.reshape(grid.n_t, grid.n_fast)
+        applied = st.kron_apply(terms, u)
+        residual = np.linalg.norm(applied - value * u)
+        assert residual <= rb.RESIDUAL_TOL * max(1.0, abs(value))
+        assert abs(np.vdot(u, applied).real - value) <= 1e-12
 
 def _magnetic_params(lat, frame, fields, basis, cone):
     _, pert, _ = _channel(lat, frame, fields, "A")

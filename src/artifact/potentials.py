@@ -341,15 +341,19 @@ class DomainWall:
             # log(cosh(x)) = |x| + log1p(exp(-2|x|)) - log(2), overflow-safe
             x = np.abs(3.0 * t / L)
             return (L / 3.0) * (x + np.log1p(np.exp(-2.0 * x)) - np.log(2.0))
-        # inside the transition: Gauss-Legendre on [0, |t|]; outside: linear
+        # inside the transition: Gauss-Legendre on [0, |t|]; outside: the
+        # one value at L plus the linear plateau part, so the rule runs only
+        # on nodes with |t| < L (and once at L)
         scalar = t.ndim == 0
         tt = np.atleast_1d(np.abs(t))
-        nodes, weights = _GAUSS_NODES, _GAUSS_WEIGHTS
-        inner = np.minimum(tt, L)
-        half = inner / 2.0
-        samples = half[:, None] * (nodes[None, :] + 1.0)  # map [-1,1] -> [0, inner]
-        core = np.sum(weights[None, :] * self(samples), axis=1) * half
-        out = core + np.maximum(tt - L, 0.0)
+        inside = tt < L
+        upper = np.append(tt[inside], L)
+        half = upper / 2.0
+        samples = half[:, None] * (_GAUSS_NODES[None, :] + 1.0)  # [-1,1] -> [0, upper]
+        core = np.sum(_GAUSS_WEIGHTS[None, :] * self(samples), axis=1) * half
+        out = np.empty_like(tt)
+        out[inside] = core[:-1]
+        out[~inside] = core[-1] + (tt[~inside] - L)
         return float(out[0]) if scalar else out
 
 

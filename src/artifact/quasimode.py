@@ -469,6 +469,14 @@ def quasimode_workspace(
 
     Exactly two eigenvalues must sit inside the ``DEFLATION_TOL`` threshold
     around E*, and the next one must be far outside it.
+
+    The fiber and the momenta are taken at ``frame.xi_of(zeta*, tau*)``,
+    with both phases wrapped into [0, 2 pi), while the cone pair's
+    coefficients sit on the ball around ``data.xi_star``.  The two differ by
+    2 pi S for a dual-lattice vector S: 0 on the (1, 0) edge, but (-1, 0) on
+    (0, 1) and (1, 1) and (-1, 1) on (2, 1).  The pair would then be read on
+    a translated ball, so a nonzero S raises a ValueError that names the
+    edge, the cone and S.
     """
     if data.nu_star is None:
         raise ValueError("cone velocity not computed yet")
@@ -477,6 +485,14 @@ def quasimode_workspace(
             "quasimode construction supports scalar gap-opening perturbations only"
         )
     xi_star = frame.xi_of(frame.zeta_star(data.which), frame.tau_star(data.which))
+    shift = np.rint(frame.lattice.dual_coords(xi_star - data.xi_star)).astype(int)
+    if np.any(shift != 0):
+        raise ValueError(
+            f"edge ({frame.a1}, {frame.a2}), cone {data.which}: the wrapped "
+            f"momentum xi_of(zeta*, tau*) is xi* + 2 pi S with S = "
+            f"({shift[0]}, {shift[1]}), so the cone pair's coefficients would be "
+            "read on a translated plane-wave ball"
+        )
     fiber = assemble_fiber(xi_star, 0.0, potential, basis)
     vals, vecs = np.linalg.eigh(fiber.matrix)
 
@@ -981,7 +997,7 @@ class ResidualStudy:
     orders: tuple[int, ...]
     residuals: dict  # order -> array of residual norms, one per delta
     exponents: dict  # order -> fitted power of delta
-    defects: np.ndarray  # solvability defect per delta
+    defects: np.ndarray  # solvability defect per delta, NaN below order 1
     edge_values: np.ndarray  # envelope |alpha| at the box ends, per delta
     energies: dict  # order -> array of ansatz energies
     mu: float
@@ -998,20 +1014,24 @@ def residual_orders(
 ) -> ResidualStudy:
     """Measure ||(strip - E) u|| / ||u|| across delta for each ansatz order.
 
-    One pass per delta: the strip's Kronecker terms (``strip_terms``),
-    applied matrix-free by ``kron_apply`` so the strip matrix is never
-    formed, and one ``leading_quasimode`` at the highest requested order,
+    One pass per delta: the strip operator (``strip_terms``, the builder
+    the channel solve uses), whose grid the ansatz is sampled on and whose
+    Kronecker terms ``kron_apply`` applies without forming the strip
+    matrix, and one ``leading_quasimode`` at the highest requested order,
     whose ``ansatz_series`` samples the envelope once and solves each
     corrector once.  The lower orders are cut from the same series
     (``AnsatzSeries.cut``), so every order's vector is the one
     ``leading_quasimode`` builds at that order; the top order's is the
-    ansatz's own.  The terms are factored fields of rank at most 38, and only
-    ``_strip_vector`` forms a strip-sized array from them, so the ones
-    alive at once are at most four: the top order's vector, the order's
-    own, and the apply's output and fast product.  At delta = 0.02
-    (M = 85, n = 4,501) a vector is 6.1 MB and the study's traced peak 29
-    MB.  The fitted exponents should land near
-    order + 1.
+    ansatz's own.  The series' terms are factored fields of rank at most 38,
+    and only ``_strip_vector`` forms a strip-sized array from them, so the
+    ones alive at once are at most four: the top order's vector, the order's
+    own, and the apply's output and fast product.  At delta = 0.02 (M = 85,
+    n = 4,501) a vector is 6.1 MB and the study's traced peak 29 MB.  The
+    fitted exponents should land near order + 1.
+
+    ``defects`` holds the solvability defect of the first corrector per
+    delta, or NaN at every delta when the top order is 0 and no corrector
+    is solved.
 
     The envelope's value at the box ends is recorded per delta
     (``edge_values``).  Where it exceeds ``EDGE_FLOOR_RATIO`` times an
@@ -1027,21 +1047,21 @@ def residual_orders(
     edge_values = np.zeros(len(deltas))
     for i, delta in enumerate(deltas):
         zeta_eff = effective_zeta(ws, delta, mu)
-        grid, terms = strip_terms(
+        op = strip_terms(
             ws.frame, ws.potential, ws.wall, zeta_eff, delta, ws.basis,
             perturbation=ws.perturbation, t_factor=t_factor,
         )
-        top = leading_quasimode(ws, pair, grid, order=max(orders))
+        top = leading_quasimode(ws, pair, op.grid, order=max(orders))
         edge_values[i] = top.diagnostics["envelope_edge_value"]
-        defects[i] = top.series.diagnostics.get("defect", 0.0)
+        defects[i] = top.series.diagnostics.get("defect", np.nan)
         for o in sorted(orders):
             if o == top.order:
                 energy, vector = top.energy, top.vector
             else:
                 energy, field = top.series.cut(delta, o)
-                vector = _strip_vector(ws.frame, ws.data.which, grid, mu, field)
-            u = vector.reshape(grid.n_t, grid.n_fast)
-            residual = kron_apply(terms, u)
+                vector = _strip_vector(ws.frame, ws.data.which, op.grid, mu, field)
+            u = vector.reshape(op.grid.n_t, op.grid.n_fast)
+            residual = kron_apply(op.terms, u)
             residual -= energy * u
             residuals[o][i] = float(np.linalg.norm(residual))
             del residual, vector, u  # before the next order's vector is made

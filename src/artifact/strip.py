@@ -26,10 +26,13 @@ Two design points matter and are easy to get wrong:
   ``envelope_band_fraction`` tells the two apart: the fraction of a state's
   envelope Fourier mass below ``MIRROR_CUT`` of the envelope zone.
 
-The strip is kept as its Kronecker terms ``sum_k T_k (x) F_k``
-(``strip_terms``), applied without a matrix (``kron_apply``).  The CSC
-matrix of the strip is the plain sum of its Kronecker products, built only
-when a check reads ``StripOperator.matrix``.
+One builder, ``strip_terms``, makes the strip: it guards the step and the
+box, lays out the grid and returns a ``StripOperator`` holding the grid and
+the Kronecker terms ``sum_k T_k (x) F_k``.  The channel solve and the
+quasimode residual study read the same object.  The terms are applied
+without a matrix (``kron_apply``); the CSC matrix of the strip is the plain
+sum of its Kronecker products, built only when a check reads
+``StripOperator.matrix``.
 """
 
 from __future__ import annotations
@@ -113,46 +116,6 @@ def _check_step(step: float, delta: float) -> None:
         )
 
 
-def strip_grid(
-    frame: EdgeFrame,
-    wall: DomainWall,
-    zeta: float,
-    delta: float,
-    basis: PlaneWaveBasis,
-    *,
-    step: float = 0.5,
-    t_factor: float = 8.0,
-    tau_ref: float | None = None,
-    half_width: float | None = None,
-) -> StripGrid:
-    """Build the transverse grid, enforcing the plateau and step guards."""
-    _check_step(step, delta)
-    L = wall.plateau_halfwidth
-    if half_width is None:
-        if delta <= 0:
-            raise ValueError("delta = 0 needs an explicit half_width")
-        half_width = t_factor * L / delta
-    if delta > 0 and half_width * delta < 3.0 * L - 1e-9:
-        raise PlateauNotReached(
-            f"box half-width {half_width:.1f} covers only {half_width * delta:.2f} "
-            f"slow units; need at least 3x the wall half-width {L:.2f} so in-gap "
-            "states see true plateaus"
-        )
-    half = int(np.floor(half_width / step + 1e-9))
-    t = (np.arange(2 * half + 1) - half) * step
-    m = basis.indices @ np.array([frame.a1, frame.a2])
-    return StripGrid(
-        zeta=float(zeta),
-        delta=float(delta),
-        tau_ref=float(tau_ref) if tau_ref is not None else np.nan,
-        step=float(step),
-        t=t,
-        half_width=float(half_width),
-        n_fast=len(basis),
-        n_edge_harmonics=int(len(np.unique(m))),
-    )
-
-
 def nearest_cone(frame: EdgeFrame, zeta: float) -> tuple[str, float]:
     """Which cone the edge phase zeta is closest to, and the wrapped offset.
 
@@ -168,7 +131,7 @@ def nearest_cone(frame: EdgeFrame, zeta: float) -> tuple[str, float]:
     return best
 
 
-def fold_phase(frame: EdgeFrame, zeta: float, which: str | None = None) -> float:
+def fold_phase(frame: EdgeFrame, zeta: float) -> float:
     """Transverse reference phase that keeps the nearest cone at envelope rest.
 
     The fold follows the cone: moving the edge phase by dz moves the momentum
@@ -176,11 +139,7 @@ def fold_phase(frame: EdgeFrame, zeta: float, which: str | None = None) -> float
     returned tau_ref tracks it and the envelope momentum p = 0 stays at the
     cone, where the finite-difference remap has unit Jacobian.
     """
-    if which is None:
-        which, dz = nearest_cone(frame, zeta)
-    else:
-        dz = zeta - frame.zeta_star(which)
-        dz = (dz + np.pi) % TWO_PI - np.pi
+    which, dz = nearest_cone(frame, zeta)
     slope = -float(frame.k @ frame.kp) / float(frame.kp @ frame.kp)
     return float(frame.tau_star(which) + slope * dz)
 
@@ -202,9 +161,10 @@ def _conv_table(fld: FourierField, basis: PlaneWaveBasis) -> np.ndarray:
 class StripOperator:
     """Strip Hamiltonian as its Kronecker terms, with its grid.
 
-    ``terms`` is H = sum_k T_k (x) F_k as ``[(T_k, F_k)]`` (see
-    ``assemble_strip``); the window count, the shift-invert solve and the
-    residual screen of ``ribbon.gap_eigenpairs`` all work from them.
+    ``terms`` is H = sum_k T_k (x) F_k as ``[(T_k, F_k)]`` (``strip_terms``
+    builds both); the window count, the shift-invert solve and the residual
+    screen of ``ribbon.gap_eigenpairs`` and the residuals of
+    ``quasimode.residual_orders`` all work from them.
     ``matrix`` is the CSC form of H, the sum of the sparse Kronecker products
     with exact zeros removed, built when it is first read and kept from then
     on; only checks read it.  ``dim`` comes from the grid and builds nothing.
@@ -246,27 +206,61 @@ def strip_terms(
     tau_ref: float | None = None,
     half_width: float | None = None,
     flip_wall: bool = False,
-) -> tuple[StripGrid, list]:
-    """Grid and Kronecker terms ``[(T_k, F_k)]`` of the strip.
+) -> StripOperator:
+    """The wall-modulated strip Hamiltonian at one edge phase: grid and terms.
 
-    The strip Hamiltonian is H = sum_k T_k (x) F_k with each T_k a sparse
-    n_t x n_t band in DIA form (offsets within +-2, the squared centered
-    difference) and each F_k a dense n_fast x n_fast array; see
-    ``assemble_strip`` for the terms.  ``kron_apply`` applies H without
-    forming it, and ``StripOperator.matrix`` sums it when a check needs it.
+    The grid is the box |t| <= half_width (``t_factor`` L / delta by
+    default) at ``step``, both guarded: the step by ``_check_step``, the box
+    by ``PlateauNotReached`` when it does not reach 3 L in slow units, so
+    in-gap states see true plateaus.  ``tau_ref`` defaults to ``fold_phase``.
+
+    The state vector is t-major: entry ``j * n_fast + m`` is the envelope
+    value of ball mode m at node t_j.  The kinetic part per fast mode is
+    ``|K_m|^2 - 2i (K_m . k') D1 + |k'|^2 D1^T D1``, an exact remap of the
+    bulk fiber at transverse phase ``tau_ref + sin(p h)/h`` for envelope
+    momentum p.  The wall enters through its slow profile kappa(delta * t)
+    multiplying the (scalar or magnetic) perturbation; ``flip_wall`` reverses
+    the profile's argument, which is the reflected-wall variant used by the
+    covariance checks.
+
+    H = sum_k T_k (x) F_k, each T_k a sparse n_t x n_t band in DIA form
+    (offsets within +-2) and each F_k a dense n_fast x n_fast array:
+
+        I (x) (diag |K|^2 + V),   D1 (x) diag(-2i K . k'),   |k'|^2 S2 (x) I,
+
+    with S2 = D1^T D1, plus for a scalar wall ``delta diag(kappa) (x) W``,
+    or for a magnetic wall ``delta diag(kappa) (x) (A . K + K . A)`` and
+    ``-i delta (diag(kappa) D1 + D1 diag(kappa)) (x) (k' . A)``, the
+    symmetrized ``A . D + D . A`` split into its parts without and with a
+    t-derivative.  Nothing is summed here: ``kron_apply`` applies the terms
+    without a matrix, and ``StripOperator.matrix`` sums them when a check
+    needs it.
     """
+    _check_step(step, delta)
+    L = wall.plateau_halfwidth
+    if half_width is None:
+        if delta <= 0:
+            raise ValueError("delta = 0 needs an explicit half_width")
+        half_width = t_factor * L / delta
+    if delta > 0 and half_width * delta < 3.0 * L - 1e-9:
+        raise PlateauNotReached(
+            f"box half-width {half_width:.1f} covers only {half_width * delta:.2f} "
+            f"slow units; need at least 3x the wall half-width {L:.2f} so in-gap "
+            "states see true plateaus"
+        )
     if tau_ref is None:
         tau_ref = fold_phase(frame, zeta)
-    grid = strip_grid(
-        frame,
-        wall,
-        zeta,
-        delta,
-        basis,
-        step=step,
-        t_factor=t_factor,
-        tau_ref=tau_ref,
-        half_width=half_width,
+    half = int(np.floor(half_width / step + 1e-9))
+    m = basis.indices @ np.array([frame.a1, frame.a2])
+    grid = StripGrid(
+        zeta=float(zeta),
+        delta=float(delta),
+        tau_ref=float(tau_ref),
+        step=float(step),
+        t=(np.arange(2 * half + 1) - half) * step,
+        half_width=float(half_width),
+        n_fast=len(basis),
+        n_edge_harmonics=int(len(np.unique(m))),
     )
     n_t, n_fast = grid.n_t, grid.n_fast
     h = grid.step
@@ -302,7 +296,7 @@ def strip_terms(
             terms.append((-1j * (wall_diag @ D1 + D1 @ wall_diag).todia(), along))
         else:
             terms.append((wall_diag, _conv_table(perturbation, basis)))
-    return grid, terms
+    return StripOperator(grid, terms)
 
 
 def kron_apply(terms: list, u: np.ndarray) -> np.ndarray:
@@ -340,61 +334,6 @@ def kron_apply(terms: list, u: np.ndarray) -> np.ndarray:
                     out[r0:r1] += coef[rows, None] * v[rows]
         del v  # before the next term's u F^T is made
     return out
-
-
-def assemble_strip(
-    frame: EdgeFrame,
-    potential: FourierField,
-    wall: DomainWall,
-    zeta: float,
-    delta: float,
-    basis: PlaneWaveBasis,
-    *,
-    perturbation: FourierField | None = None,
-    step: float = 0.5,
-    t_factor: float = 8.0,
-    tau_ref: float | None = None,
-    half_width: float | None = None,
-    flip_wall: bool = False,
-) -> StripOperator:
-    """Assemble the wall-modulated strip Hamiltonian at one edge phase.
-
-    The state vector is t-major: entry ``j * n_fast + m`` is the envelope
-    value of ball mode m at node t_j.  The kinetic part per fast mode is
-    ``|K_m|^2 - 2i (K_m . k') D1 + |k'|^2 D1^T D1``, an exact remap of the
-    bulk fiber at transverse phase ``tau_ref + sin(p h)/h`` for envelope
-    momentum p.  The wall enters through its slow profile kappa(delta * t)
-    multiplying the (scalar or magnetic) perturbation; ``flip_wall`` reverses
-    the profile's argument, which is the reflected-wall variant used by the
-    covariance checks.
-
-    The matrix is a sum of Kronecker terms (t-factor (x) fast factor):
-
-        I (x) (diag |K|^2 + V),   D1 (x) diag(-2i K . k'),   |k'|^2 S2 (x) I,
-
-    with S2 = D1^T D1, plus for a scalar wall ``delta diag(kappa) (x) W``,
-    or for a magnetic wall ``delta diag(kappa) (x) (A . K + K . A)`` and
-    ``-i delta (diag(kappa) D1 + D1 diag(kappa)) (x) (k' . A)``, the
-    symmetrized ``A . D + D . A`` split into its parts without and with a
-    t-derivative.  ``strip_terms`` builds them and the returned operator
-    carries them; nothing is summed here.  Its ``matrix`` is their sum as
-    CSC, built once, when first read.
-    """
-    grid, terms = strip_terms(
-        frame,
-        potential,
-        wall,
-        zeta,
-        delta,
-        basis,
-        perturbation=perturbation,
-        step=step,
-        t_factor=t_factor,
-        tau_ref=tau_ref,
-        half_width=half_width,
-        flip_wall=flip_wall,
-    )
-    return StripOperator(grid=grid, terms=terms)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,14 @@ another (no ``from .x import _y``, no ``x._y`` on an imported module), and
 every import sits at module level, so the import graph is the one the module
 headers show and has no cycle hidden inside a function.  A third keeps the
 records lean: every annotated field of a package class is read as an
-attribute somewhere in the library, its tests or its benchmark.
+attribute somewhere in the library, its tests or its benchmark.  A fourth
+keeps the benchmark's tracer on the channel's strip only: it wraps
+``ribbon.assemble_strip`` by object identity in every module, so no other
+module may bind that object.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -88,3 +92,21 @@ def test_every_field_is_read():
         and item.target.id not in read
     ]
     assert not unread, unread
+
+
+def test_only_ribbon_binds_the_traced_strip_builder():
+    # the tracer sums op.matrix of every strip the wrapped object returns;
+    # a second binding (say in strip or quasimode) would put the residual
+    # study's strips, up to dim 382,585, under that observer
+    traced = importlib.import_module("artifact.ribbon").assemble_strip
+    names = ["artifact"] + [
+        f"artifact.{path.stem}" for path in MODULES if path.stem != "__init__"
+    ]
+    binders = [
+        f"{module}.{attr}"
+        for module in names
+        if module != "artifact.ribbon"
+        for attr, value in vars(importlib.import_module(module)).items()
+        if value is traced
+    ]
+    assert not binders, binders

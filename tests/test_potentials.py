@@ -203,6 +203,32 @@ def test_bump_antiderivative_matches_quadrature():
         assert wall.antiderivative(t) == pytest.approx(expected, abs=1e-9)
 
 
+def test_bump_antiderivative_samples_only_the_transition(monkeypatch):
+    # the Gauss rule runs at the nodes with |t| < L and once at L; a plateau
+    # node is the value at L plus |t| - L, so an array gives the same numbers
+    # as one call per node
+    from artifact.potentials import DomainWall
+
+    wall = domain_wall("bump_smoothstep", 2.0)
+    ts = np.linspace(-8.0, 8.0, 33)
+    per_node = np.array([wall.antiderivative(t) for t in ts])
+    at_plateau = wall.antiderivative(2.0)
+    rows = []
+    profile = DomainWall.__call__
+
+    def counted(self, t):
+        rows.append(np.shape(t))
+        return profile(self, t)
+
+    monkeypatch.setattr(DomainWall, "__call__", counted)
+    values = wall.antiderivative(ts)
+    inside = int(np.count_nonzero(np.abs(ts) < 2.0))
+    assert rows == [(inside + 1, 48)]
+    assert np.array_equal(values, per_node)
+    plateau = np.abs(ts) >= 2.0
+    assert np.array_equal(values[plateau], at_plateau + (np.abs(ts[plateau]) - 2.0))
+
+
 def test_domain_wall_rejects_bad_arguments():
     with pytest.raises(ValueError):
         domain_wall("tanh_scaled", 0.0)

@@ -122,6 +122,31 @@ def test_detuned_exponents_through_ladder_pair(setup, detuned_pair):
     assert np.all(study.defects < quasimode.SOLVABILITY_TOL)
 
 
+def test_top_order_zero_records_no_defect(setup):
+    # no corrector is solved at order 0, so no solvability defect is
+    # measured: the study says so with NaN, not with a perfect 0
+    params, ws = setup
+    study = quasimode.residual_orders(
+        ws, quasimode.zero_mode_pair(params), (0.08, 0.04), orders=(0,), t_factor=4.5
+    )
+    assert np.all(np.isnan(study.defects))
+    assert np.all(study.residuals[0] > 0)
+
+
+def test_workspace_rejects_translated_ball(setup):
+    # on the (0, 1) edge the wrapped phases (zeta*, tau*) put the fiber at
+    # xi* + 2 pi (-1, 0), a ball the cone pair's coefficients do not sit on
+    _, ws = setup
+    other = geometry.make_edge_frame(ws.frame.lattice, 0, 1)
+    args = (ws.potential, ws.wall, ws.perturbation, ws.basis)
+    with pytest.raises(ValueError, match=r"edge \(0, 1\), cone A: .* S = \(-1, 0\)"):
+        quasimode.quasimode_workspace(ws.data, other, *args)
+    # the (1, 0) edge needs no translation and builds as before
+    again = quasimode.quasimode_workspace(ws.data, ws.frame, *args)
+    for name in ("d_kp", "d_ell", "comp_vals", "comp_vecs", "conv_w", "phi"):
+        assert np.array_equal(getattr(again, name), getattr(ws, name))
+
+
 def test_truncated_envelope_warns(medium):
     # at amplitude 3 the envelope decays too slowly for t_factor 4.5: its
     # value at the box ends (~1.4e-3) floors the order-1 and order-2
@@ -197,10 +222,9 @@ def test_bordered_solve_matches_dense(setup, detuned_pair, monkeypatch, mu):
 
     monkeypatch.setattr(quasimode, "_bordered_solve", capture)
     zeta = quasimode.effective_zeta(ws, 0.08, mu)
-    grid = st.strip_grid(
-        ws.frame, ws.wall, zeta, 0.08, ws.basis, t_factor=4.5,
-        tau_ref=st.fold_phase(ws.frame, zeta),
-    )
+    grid = st.strip_terms(
+        ws.frame, ws.potential, ws.wall, zeta, 0.08, ws.basis, t_factor=4.5
+    ).grid
     ansatz = quasimode.leading_quasimode(ws, pair, grid, order=2)
     ((squared, w, rhs, beta),) = seen
     n = squared.shape[0]
@@ -242,14 +266,14 @@ def test_residual_orders_is_one_pass_per_delta(setup, detuned_pair, monkeypatch,
     # the orders cut from the shared series are the vectors each order
     # builds; the apply is the study's own, so the match is bitwise
     for i, delta in enumerate(deltas):
-        grid, terms = st.strip_terms(
+        op = st.strip_terms(
             ws.frame, ws.potential, ws.wall, quasimode.effective_zeta(ws, delta, mu),
             delta, ws.basis, perturbation=ws.perturbation, t_factor=4.5,
         )
         for order in (0, 1):
-            u = quasimode.leading_quasimode(ws, pair, grid, order=order)
-            v = u.vector.reshape(grid.n_t, grid.n_fast)
-            direct = float(np.linalg.norm(st.kron_apply(terms, v) - u.energy * v))
+            u = quasimode.leading_quasimode(ws, pair, op.grid, order=order)
+            v = u.vector.reshape(op.grid.n_t, op.grid.n_fast)
+            direct = float(np.linalg.norm(st.kron_apply(op.terms, v) - u.energy * v))
             assert study.residuals[order][i] == direct
             assert study.energies[order][i] == u.energy
 
@@ -321,10 +345,9 @@ def _dense_layers(ws, pair, ts, delta):
 
 def _grid(ws, delta, mu):
     zeta = quasimode.effective_zeta(ws, delta, mu)
-    return st.strip_grid(
-        ws.frame, ws.wall, zeta, delta, ws.basis, t_factor=4.5,
-        tau_ref=st.fold_phase(ws.frame, zeta),
-    )
+    return st.strip_terms(
+        ws.frame, ws.potential, ws.wall, zeta, delta, ws.basis, t_factor=4.5
+    ).grid
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.3])

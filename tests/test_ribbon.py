@@ -132,18 +132,18 @@ def _sparse_max_abs(diff):
 
 
 def test_step_guards(frame, fields, basis):
-    wall = fields["wall"]
+    V, wall = fields["V"], fields["wall"]
     zs = frame.zeta_star("A")
     with pytest.raises(GridTooCoarse, match="transverse phase range"):
-        st.strip_grid(frame, wall, zs, DELTA, basis, step=0.7)
+        st.strip_terms(frame, V, wall, zs, DELTA, basis, step=0.7)
     with pytest.raises(GridTooCoarse, match="alias"):
-        st.strip_grid(frame, wall, zs, DELTA, basis, step=0.15)
+        st.strip_terms(frame, V, wall, zs, DELTA, basis, step=0.15)
     with pytest.raises(GridTooCoarse, match="under-resolved"):
-        st.strip_grid(frame, wall, zs, 0.3, basis, step=0.5, t_factor=3.5)
+        st.strip_terms(frame, V, wall, zs, 0.3, basis, step=0.5, t_factor=3.5)
     with pytest.raises(st.PlateauNotReached):
-        st.strip_grid(frame, wall, zs, DELTA, basis, t_factor=2.0)
+        st.strip_terms(frame, V, wall, zs, DELTA, basis, t_factor=2.0)
     with pytest.raises(ValueError, match="explicit half_width"):
-        st.strip_grid(frame, wall, zs, 0.0, basis)
+        st.strip_terms(frame, V, wall, zs, 0.0, basis)
     with pytest.raises(ValueError, match="at least 128"):
         rb.essential_edges_bulk(
             frame, fields["V"], None, zs, DELTA, basis, 1, tau_samples=100
@@ -151,9 +151,10 @@ def test_step_guards(frame, fields, basis):
 
 
 def test_grid_structure(frame, fields, basis):
-    grid = st.strip_grid(
-        frame, fields["wall"], frame.zeta_star("A"), DELTA, basis, t_factor=3.5
-    )
+    grid = st.strip_terms(
+        frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA, basis,
+        t_factor=3.5,
+    ).grid
     assert grid.n_t % 2 == 1
     assert np.any(grid.t == 0.0)
     np.testing.assert_allclose(grid.t, -grid.t[::-1])
@@ -188,17 +189,17 @@ def test_hermiticity(lat, frame, fields, basis):
     wall = domain_wall("bump_smoothstep", 0.5)
     zs = frame.zeta_star("A")
     common = dict(half_width=20.0)
-    op = st.assemble_strip(
+    op = st.strip_terms(
         frame, fields["V"], wall, zs, DELTA, basis,
         perturbation=fields["W10"], **common,
     )
     assert op.hermiticity_residual() < 1e-12
-    opf = st.assemble_strip(
+    opf = st.strip_terms(
         frame, fields["V"], wall, zs, DELTA, basis,
         perturbation=fields["W10"], flip_wall=True, **common,
     )
     assert opf.hermiticity_residual() < 1e-12
-    opm = st.assemble_strip(
+    opm = st.strip_terms(
         frame, fields["V"], wall, zs, DELTA, basis,
         perturbation=magnetic_A(lat, 2.2), **common,
     )
@@ -252,7 +253,7 @@ def test_assembly_matches_kron_formula(lat, frame, fields, basis, case):
     wall = domain_wall("bump_smoothstep", 0.5)
     pert = magnetic_A(lat, 2.2) if case == "A" else fields["W10"]
     delta = 0.0 if case == "delta0" else DELTA
-    op = st.assemble_strip(
+    op = st.strip_terms(
         frame, fields["V"], wall, frame.zeta_star("A"), delta, basis,
         perturbation=pert, half_width=20.0, flip_wall=case == "W_flip",
     )
@@ -284,13 +285,12 @@ def test_kron_apply_matches_assembled_matvec(lat, frame, fields, basis, case):
     pert = magnetic_A(lat, 2.2) if case == "A" else fields["W10"]
     args = (frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA, basis)
     kwargs = dict(perturbation=pert, t_factor=3.5, flip_wall=case == "W_flip")
-    grid, terms = st.strip_terms(*args, **kwargs)
-    op = st.assemble_strip(*args, **kwargs)
+    op = st.strip_terms(*args, **kwargs)
     rng = np.random.default_rng(7)
-    u = rng.standard_normal((grid.n_t, grid.n_fast, 2)) @ np.array([1.0, 1.0j])
+    u = rng.standard_normal((op.grid.n_t, op.grid.n_fast, 2)) @ np.array([1.0, 1.0j])
     matvec = op.matrix @ u.ravel()
-    applied = st.kron_apply(terms, u)
-    assert applied.shape == (grid.n_t, grid.n_fast)
+    applied = st.kron_apply(op.terms, u)
+    assert applied.shape == (op.grid.n_t, op.grid.n_fast)
     assert np.linalg.norm(applied.ravel() - matvec) <= 1e-14 * np.linalg.norm(matvec)
 
 
@@ -309,7 +309,7 @@ def test_node_pair_blocks_match_csc_slices(lat, frame, fields, basis, case):
         wall, delta = domain_wall("bump_smoothstep", 1.0), 0.1
         fast = build_basis(lat, 2.0)
     pert = magnetic_A(lat, 2.2) if case == "A" else fields["W10"]
-    op = st.assemble_strip(
+    op = st.strip_terms(
         frame, fields["V"], wall, frame.zeta_star("A"), delta, fast,
         perturbation=pert, t_factor=3.5, flip_wall=case == "W_flip",
     )
@@ -355,7 +355,7 @@ def _channel(lat, frame, fields, channel):
 
 def _channel_op(lat, frame, fields, basis, channel):
     zeta, pert, kwargs = _channel(lat, frame, fields, channel)
-    return st.assemble_strip(
+    return st.strip_terms(
         frame, fields["V"], fields["wall"], zeta, DELTA, basis, perturbation=pert,
         **kwargs,
     )
@@ -436,7 +436,7 @@ def test_interior_remap(frame, fields, basis):
     # without a wall the strip is t-translation invariant, so a plane-wave
     # envelope must reproduce the bulk fiber at the finite-difference remap
     # tau_ref + sin(p h)/h of its momentum, exactly, away from the boundary
-    op0 = st.assemble_strip(
+    op0 = st.strip_terms(
         frame, fields["V"], fields["wall"], frame.zeta_star("A"), 0.0, basis,
         half_width=60.0,
     )
@@ -468,24 +468,24 @@ def test_inversion_and_conjugation_maps(frame, fields, basis):
     ta = frame.tau_star("A")
     Wneg = dataclasses.replace(fields["W10"], coeffs=-fields["W10"].coeffs)
     common = dict(half_width=20.0)
-    A = st.assemble_strip(
+    A = st.strip_terms(
         frame, fields["V"], wall, zs, DELTA, basis,
         perturbation=fields["W10"], **common,
     )
-    B = st.assemble_strip(
+    B = st.strip_terms(
         frame, fields["V"], wall, zs, DELTA, basis,
         perturbation=Wneg, flip_wall=True, **common,
     )
     assert _sparse_max_abs(A.matrix - B.matrix) < 1e-12
 
-    C = st.assemble_strip(
+    C = st.strip_terms(
         frame, fields["V"], wall, -zs, DELTA, basis,
         perturbation=Wneg, flip_wall=True, tau_ref=-ta, **common,
     )
     diff = A.matrix - _permuted(C.matrix, C.grid, basis, True, True, False)
     assert _sparse_max_abs(diff) < 1e-10
 
-    D = st.assemble_strip(
+    D = st.strip_terms(
         frame, fields["V"], wall, -zs, DELTA, basis,
         perturbation=fields["W10"], tau_ref=-ta, **common,
     )
@@ -526,7 +526,7 @@ def test_gap_closed_guard(frame, fields, basis, cone):
         closed_tol=1e-4, allow_closed=True,
     )
     assert edges0.closed
-    op0 = st.assemble_strip(
+    op0 = st.strip_terms(
         frame, fields["V"], fields["wall"], zs, 0.0, basis, half_width=20.0
     )
     spec = rb.gap_eigenpairs(op0, None, edges0, [])
@@ -810,7 +810,7 @@ def test_inversion_double_solve(base_spec, inversion_spec):
 
 @pytest.fixture(scope="module")
 def base_op(frame, fields, basis):
-    return st.assemble_strip(
+    return st.strip_terms(
         frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA,
         basis, perturbation=fields["W10"], t_factor=3.5,
     )
@@ -871,7 +871,7 @@ def test_seeded_values_match_arpack(frame, fields, basis, base_spec, amp15_spec,
     # the seeded inverse iteration against a blind Krylov solve of the same
     # strip: the same smooth states in the window, to 1e-10
     spec = base_spec if channel == "base" else amp15_spec
-    op = st.assemble_strip(
+    op = st.strip_terms(
         frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA, basis,
         perturbation=fields["W10" if channel == "base" else "W15"],
         t_factor=3.5 if channel == "base" else 5.0,
@@ -891,16 +891,17 @@ def test_edge_states_are_eigenvectors(
     # quotients are the reported values
     spec = base_spec if channel == "base" else amp15_spec
     zeta, pert, kwargs = _channel(lat, frame, fields, channel)
-    grid, terms = st.strip_terms(
+    op = st.strip_terms(
         frame, fields["V"], fields["wall"], zeta, DELTA, basis, perturbation=pert,
         **kwargs,
     )
+    grid = op.grid
     assert np.array_equal(grid.t, spec.grid.t)
     assert spec.vectors.shape == (grid.n_t * grid.n_fast, len(spec))
     for value, vector in zip(spec.values, spec.vectors.T):
         assert abs(np.linalg.norm(vector) - 1.0) <= 1e-12
         u = vector.reshape(grid.n_t, grid.n_fast)
-        applied = st.kron_apply(terms, u)
+        applied = st.kron_apply(op.terms, u)
         residual = np.linalg.norm(applied - value * u)
         assert residual <= rb.RESIDUAL_TOL * max(1.0, abs(value))
         assert abs(np.vdot(u, applied).real - value) <= 1e-12
@@ -953,6 +954,33 @@ def test_empty_window_skips_solve(monkeypatch, base_op, base_spec):
     assert spec.diagnostics["factor_factorizations"] == 0
 
 
+@pytest.mark.parametrize("screen", ["residual", "window", "boundary"])
+def test_refined_state_screens(monkeypatch, base_op, base_spec, screen):
+    # seeded with the converged base state, inverse iteration returns it
+    # again; each screen, made to fail on its own, drops it and counts it
+    # under its own name, and nothing is kept
+    lo, hi = base_spec.window
+    if screen == "residual":
+        monkeypatch.setattr(rb, "RESIDUAL_TOL", 0.0)
+    elif screen == "window":
+        refine = rb.inverse_iteration
+
+        def outside(*args):
+            w, e, *rest = refine(*args)
+            return (w, hi + 1.0, *rest)
+
+        monkeypatch.setattr(rb, "inverse_iteration", outside)
+    else:
+        monkeypatch.setattr(rb, "BOUNDARY_MASS_TOL", 0.0)
+    seed = base_spec.vectors[:, 0]
+    spec = rb.gap_eigenpairs(base_op, (lo, hi), base_spec.edges, [seed])
+    expected = {"boundary": 0, "residual": 0, "window": 0}
+    expected[screen] = 1
+    assert spec.diagnostics["dropped"] == expected
+    assert len(spec) == 0 and len(spec.values) == 0
+    assert spec.diagnostics["seeds"] == 1 and spec.diagnostics["count"] == 2
+
+
 def _assert_counts_match_dense(pairs, evals, split=0.0):
     """The count below both ends of the spectrum and at the midpoints of 82
     eigenvalue pairs spread over it, against a dense eigensolve.  A midpoint
@@ -997,7 +1025,7 @@ def test_inertia_matches_dense_count(lat, frame, fields, magnetic, t_factor, dim
 
     basis = build_basis(lat, 2.0)
     pert = magnetic_A(lat, 2.2) if magnetic else fields["W10"]
-    op = st.assemble_strip(
+    op = st.strip_terms(
         frame, fields["V"], domain_wall("bump_smoothstep", 1.0),
         frame.zeta_star("A"), 0.1, basis, perturbation=pert, t_factor=t_factor,
     )
@@ -1045,7 +1073,7 @@ def test_inertia_matches_dense_count_without_wall(lat, frame, fields):
     # eigenvalues, and the per-pair sweep misses 38 of them as the
     # run-reduced count does, so they are left out
     basis = build_basis(lat, 2.0)
-    op = st.assemble_strip(
+    op = st.strip_terms(
         frame, fields["V"], fields["wall"], frame.zeta_star("A"), 0.0, basis,
         half_width=37.5,
     )
@@ -1133,10 +1161,10 @@ def test_compare_count_mismatch(base_spec, cone, frame, fields, masses):
 
 
 def test_profile_utilities(frame, fields, basis):
-    grid = st.strip_grid(
-        frame, fields["wall"], frame.zeta_star("A"), 0.0, basis,
+    grid = st.strip_terms(
+        frame, fields["V"], fields["wall"], frame.zeta_star("A"), 0.0, basis,
         half_width=10.0,
-    )
+    ).grid
     p = grid.envelope_momenta()
     n_f = grid.n_fast
     slow = np.zeros(grid.dim, dtype=complex)

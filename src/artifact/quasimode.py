@@ -45,51 +45,31 @@ split of the pair (2.2e-5) leaves a projection of 1.6e-6, so quasimode work
 needs cutoff >= 5, where the split is 5.4e-8 and the projection drops below
 1e-9.
 
-The envelope correction at second order needs the reduced operator solved
-with its eigendirection deflated.  Naive central differences are useless for
-that: the discrete first-derivative operator commutes with a sawtooth
-conjugation that plants an exact spurious copy of the wall zero mode at the
-grid scale, and a mass-channel penalty term cannot lift it (wall zero modes
-carry no mass-channel expectation).  We solve the squared operator instead
--- a local Schrodinger form with no lattice artifacts -- which recovers the
-first-order solution exactly on the deflated complement.
-
-Envelope eigenpairs come either from the closed-form zero mode (mu = 0,
-center branch) or straight from the Prufer-counted ladder
-(``wall_dirac.gap_spectrum``).  ``ladder_pair`` takes the ladder's refined
-eigenvalue as it stands and samples the glued Prufer half-solutions at it
-(angle and log radius, dense output), normalized in L2 on the ladder's box
-by the integral of r^2 that the halves carry as one more component.
-``shooting_pair`` is the independent reference the tests hold it to: it
-integrates the two-component real-gauge system from both plateaus, starting
-on the same decaying plateau solution, and drives the matching determinant
-at the wall center to zero in the eigenvalue, on |t| <= ``SHOOTING_BOX`` at
-relative tolerance ``SHOOTING_RTOL``.
+The envelope pair (theta, alpha) and the envelope correction beta belong to
+the reduced wall operator and come from ``wall_dirac``: a pair is the
+closed-form ``zero_mode_pair`` (mu = 0, center branch) or the Prufer
+ladder's ``ladder_pair``, with ``shooting_pair`` as the independent
+reference, and beta is its deflated solve ``envelope_correction``.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.integrate import quad, solve_ivp
-from scipy.linalg import solve_banded
-from scipy.optimize import brentq
 
 from .bloch import PlaneWaveBasis, assemble_fiber, convolution_matrix
 from .dirac_cone import DiracPointData
 from .geometry import TWO_PI, EdgeFrame
 from .potentials import DomainWall, FourierField
 from .strip import StripGrid, kron_apply, strip_terms
-from .wall_dirac import (
-    Dirac1DSpectrum,
-    DiracParams,
-    glued_mode,
-    real_gauge,
-    start_angle,
+from .wall_dirac import EnvelopePair, envelope_correction
+from .wall_dirac import (  # noqa: F401  bench/ calls and wraps these here
+    ladder_pair,
+    shooting_pair,
+    zero_mode_pair,
 )
 
 # Largest pair projection of the order-delta right-hand side the correctors
@@ -100,20 +80,6 @@ SOLVABILITY_TOL = 1e-8
 # to the magnitude scale of the low bands: the cone certificate's default
 # degeneracy tolerance.
 DEFLATION_TOL = 1e-6
-
-# Shooting: half-width (slow units) of the integration box and the
-# integrator's relative tolerance.  The root bracket starts at
-# +-SHOOTING_BRACKET around the guess and doubles at most SHOOTING_MAX_WIDEN
-# times.
-SHOOTING_BOX = 30.0
-SHOOTING_RTOL = 1e-12
-SHOOTING_BRACKET = 2e-3
-SHOOTING_MAX_WIDEN = 6
-
-# Half-bandwidth of the squared reduced operator in the interleaved
-# (node, spinor) order: the first-difference term couples spinor a of node i
-# to spinor b of node i +- 1, at most three columns away.
-ENVELOPE_BAND = 3
 
 # residual_orders warns when the envelope at the box ends exceeds this
 # fraction of an order's residual: the Dirichlet cut then sets a floor under
@@ -150,262 +116,6 @@ class TruncationFloorWarning(UserWarning):
         self.order = order
         self.residual = residual
         self.edge_value = edge_value
-
-
-# ---------------------------------------------------------------------------
-# envelope eigenpairs of the reduced wall operator
-
-
-@dataclass(frozen=True)
-class EnvelopePair:
-    """In-gap eigenpair (theta, alpha) of the reduced wall operator.
-
-    ``sampler`` maps transverse positions (slow units) to (n, 2) complex
-    envelope values, normalized to unit L2 norm in the slow variable;
-    ``box`` is the half-width on which the sampler is trustworthy.
-    Derivatives come from the eigenvalue relation itself, not from finite
-    differences of the samples, so they inherit the sampler's accuracy.
-    """
-
-    params: DiracParams
-    theta: float
-    sampler: Callable[[np.ndarray], np.ndarray]
-    box: float
-    diagnostics: dict = dc_field(default_factory=dict)
-
-    @property
-    def mu(self) -> float:
-        return self.params.mu
-
-    def alpha(self, ts: np.ndarray) -> np.ndarray:
-        return self.sampler(np.asarray(ts, dtype=float))
-
-    def d_alpha(self, ts: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        """D_t alpha via the eigenvalue relation (m1 is an involution)."""
-        p = self.params
-        m1, m2, m3 = p.matrices()
-        kap = p.wall(np.asarray(ts, dtype=float))
-        rest = (
-            self.theta * alpha
-            - p.mu * p.speed_mu * (alpha @ m2.T)
-            - p.mass * kap[:, None] * (alpha @ m3.T)
-        )
-        return (rest @ m1.T) / p.speed_t
-
-    def d2_alpha(
-        self, ts: np.ndarray, alpha: np.ndarray, d_alpha: np.ndarray
-    ) -> np.ndarray:
-        """D_t^2 alpha by differentiating the eigenvalue relation once."""
-        p = self.params
-        ts = np.asarray(ts, dtype=float)
-        m1, m2, m3 = p.matrices()
-        kap = p.wall(ts)
-        d_kap = -1j * p.wall.derivative(ts)  # D_t kappa
-        rest = (
-            -p.mass * d_kap[:, None] * (alpha @ m3.T)
-            + self.theta * d_alpha
-            - p.mu * p.speed_mu * (d_alpha @ m2.T)
-            - p.mass * kap[:, None] * (d_alpha @ m3.T)
-        )
-        return (rest @ m1.T) / p.speed_t
-
-
-def zero_mode_pair(params: DiracParams) -> EnvelopePair:
-    """Closed-form center-branch pair at mu = 0: theta = 0 exactly.
-
-    The spinor is the eigenvector of i*m1*m3 with eigenvalue sgn(mass); the
-    profile is exp(-decay_rate * antiderivative(kappa)), normalized in L2.
-    It decays on both sides because the wall's antiderivative is even and
-    grows linearly on the plateaus.
-    """
-    if abs(params.mu) > 1e-12:
-        raise ValueError("closed-form zero mode requires mu = 0")
-    m1, _, m3 = params.matrices()
-    vals, vecs = np.linalg.eigh(1j * (m1 @ m3))
-    sgn = np.sign(params.mass)
-    idx = int(np.argmin(np.abs(vals - sgn)))
-    if abs(vals[idx] - sgn) > 1e-12:
-        raise ValueError("spinor eigenproblem did not produce a +/-1 pair")
-    spinor = vecs[:, idx]
-    rate = params.decay_rate
-    wall = params.wall
-    norm_sq, _ = quad(
-        lambda t: np.exp(-2.0 * rate * wall.antiderivative(np.array([t]))[0]),
-        -np.inf,
-        np.inf,
-    )
-    scale = 1.0 / np.sqrt(norm_sq)
-
-    def sampler(ts: np.ndarray) -> np.ndarray:
-        profile = scale * np.exp(-rate * wall.antiderivative(ts))
-        return profile[:, None] * spinor[None, :]
-
-    return EnvelopePair(params=params, theta=0.0, sampler=sampler, box=np.inf)
-
-
-def _shoot_halves(params: DiracParams, theta: float):
-    """Integrate the real-gauge system from both plateaus toward the wall.
-
-    Each half starts on the unit vector (cos phi0, sin phi0) at its box end,
-    with phi0 the Prufer start angle of ``wall_dirac.start_angle``: the
-    plateau solution that decays away from the wall, continuous in theta.
-    A third component carries the integral of |y|^2 from the box end.  The
-    tolerance is relative on y, which grows from unit length toward the
-    wall; the integral starts at 0 with a unit integrand, so it gets the
-    absolute tolerance ``SHOOTING_RTOL`` as well.
-    """
-    p = params
-    s, smu, mass = p.speed_t, p.speed_mu, p.mass
-    _, sign = real_gauge(p)
-    b = p.mu * smu * sign
-
-    def rhs(t, y):
-        mk = mass * p.wall(t)
-        return [
-            (-b * y[0] + (theta + mk) * y[1]) / s,
-            ((mk - theta) * y[0] + b * y[1]) / s,
-            y[0] * y[0] + y[1] * y[1],
-        ]
-
-    def half(end: float):
-        phi0, _ = start_angle(p, theta, end)
-        return solve_ivp(
-            rhs, (end, 0.0), [np.cos(phi0), np.sin(phi0), 0.0],
-            method="DOP853", rtol=SHOOTING_RTOL, atol=[1e-300, 1e-300, SHOOTING_RTOL],
-            dense_output=True,
-        )
-
-    left, right = half(-SHOOTING_BOX), half(SHOOTING_BOX)
-    if not (left.success and right.success):
-        raise RuntimeError("plateau integration failed")
-    return left, right
-
-
-def _matching_det(params: DiracParams, theta: float) -> float:
-    left, right = _shoot_halves(params, theta)
-    a = left.y[:2, -1] / np.linalg.norm(left.y[:2, -1])
-    c = right.y[:2, -1] / np.linalg.norm(right.y[:2, -1])
-    return float(a[0] * c[1] - a[1] * c[0])
-
-
-def _glued_pair(
-    params: DiracParams,
-    theta: float,
-    chi,
-    norm_sq: float,
-    box: float,
-    diagnostics: dict,
-) -> EnvelopePair:
-    """Envelope pair at theta from a real-gauge solution chi(t).
-
-    The sampler maps chi back to the spinor frame with [1, -i conj(e1)] and
-    is normalized in L2 on |t| <= box, by ``norm_sq``, the integral of
-    |chi|^2 there that the half-line integrations carry.
-    """
-    norm = np.sqrt(norm_sq)
-    e1, _ = real_gauge(params)
-    back = np.array([1.0, -1j * np.conj(e1)])
-
-    def sampler(ts: np.ndarray) -> np.ndarray:
-        return (chi(ts) / norm) * back[None, :]
-
-    return EnvelopePair(
-        params=params, theta=theta, sampler=sampler, box=float(box),
-        diagnostics=diagnostics,
-    )
-
-
-def shooting_pair(params: DiracParams, theta_guess: float) -> EnvelopePair:
-    """Refine an in-gap eigenvalue by shooting and return the glued pair.
-
-    The independent reference for the Prufer ladder and ``ladder_pair``:
-    it integrates the two-component real-gauge system itself, not its angle.
-    ``theta_guess`` brackets the root; the bracket is widened geometrically
-    until the matching determinant changes sign, and a RuntimeError is
-    raised if it never does.  The returned sampler evaluates the dense
-    outputs of the two half-line integrations, and the integral of |y|^2
-    that they carry normalizes it, so the envelope, its norm and the
-    eigenvalue are accurate to the integrator tolerance.
-    """
-    box = SHOOTING_BOX
-    if box <= params.wall.plateau_halfwidth:
-        raise ValueError("shooting box must exceed the wall plateau")
-
-    def det(th: float) -> float:
-        return _matching_det(params, th)
-
-    half = SHOOTING_BRACKET
-    lo, hi = theta_guess - half, theta_guess + half
-    f_lo, f_hi = det(lo), det(hi)
-    widened = 0
-    while f_lo * f_hi > 0 and widened < SHOOTING_MAX_WIDEN:
-        half *= 2.0
-        lo, hi = theta_guess - half, theta_guess + half
-        f_lo, f_hi = det(lo), det(hi)
-        widened += 1
-    if f_lo * f_hi > 0:
-        raise RuntimeError(
-            f"matching determinant does not change sign around theta = "
-            f"{theta_guess:.6f} (final bracket half-width {half:.2e})"
-        )
-    theta = float(brentq(det, lo, hi, xtol=1e-13))
-
-    left, right = _shoot_halves(params, theta)
-    chi_l = left.y[:2, -1]
-    chi_r = right.y[:2, -1]
-    # glue the right half onto the left one's scale (collinear at the root)
-    glue = float(chi_l @ chi_r) / float(chi_r @ chi_r)
-    mismatch = float(np.linalg.norm(chi_l - glue * chi_r)) / max(
-        np.linalg.norm(chi_l), 1e-300
-    )
-
-    def chi(ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        out = np.empty((len(ts), 2))
-        neg = ts < 0.0
-        if np.any(neg):
-            out[neg] = left.sol(ts[neg])[:2].T
-        if np.any(~neg):
-            out[~neg] = glue * right.sol(ts[~neg])[:2].T
-        return out
-
-    # the right half runs from +box down to 0, so its integral is negative
-    norm_sq = float(left.y[2, -1] - glue * glue * right.y[2, -1])
-    return _glued_pair(
-        params, theta, chi, norm_sq, box,
-        {
-            "theta_guess": float(theta_guess),
-            "theta_shift": float(theta - theta_guess),
-            "glue_mismatch": mismatch,
-            "bracket_halfwidth": half,
-        },
-    )
-
-
-def ladder_pair(spectrum: Dirac1DSpectrum, branch: int = 0) -> EnvelopePair:
-    """Envelope pair for one branch of the Prufer-counted in-gap ladder.
-
-    ``branch`` counts from the middle of the sorted in-gap spectrum
-    (branch 0 = eigenvalue closest to zero).
-    The eigenvalue is the ladder's own, already refined; the sampler is the
-    glued Prufer half-solutions at it (``wall_dirac.glued_mode``) on the
-    ladder's box |t| <= spectrum.T, normalized in L2 on that box by the
-    integral the halves carry (no samples are taken for it).  The exact
-    zero at mu = 0 gets the closed-form ``zero_mode_pair``.
-    """
-    n = len(spectrum.eigenvalues)
-    if n == 0:
-        raise ValueError("1D spectrum has no in-gap eigenvalues")
-    center = int(np.argmin(np.abs(spectrum.eigenvalues)))
-    idx = center + branch
-    if not 0 <= idx < n:
-        raise ValueError(f"branch {branch} outside the ladder (count {n})")
-    theta = float(spectrum.eigenvalues[idx])
-    params = spectrum.params
-    if branch == 0 and abs(params.mu) < 1e-12 and abs(theta) < 1e-8:
-        return zero_mode_pair(params)
-    chi, norm_sq = glued_mode(params, theta, spectrum.T)
-    return _glued_pair(params, theta, chi, norm_sq, spectrum.T, {})
 
 
 # ---------------------------------------------------------------------------
@@ -598,111 +308,6 @@ def _deflated_corrector(ws: QuasimodeWorkspace, g: FastField) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# envelope correction: the deflated reduced operator
-
-
-def _reduced_matrix_apply(
-    params: DiracParams, theta: float, ts: np.ndarray, values: np.ndarray,
-    d_values: np.ndarray,
-) -> np.ndarray:
-    """(reduced operator - theta) applied to envelope samples."""
-    m1, m2, m3 = params.matrices()
-    kap = params.wall(ts)
-    return (
-        params.speed_t * (d_values @ m1.T)
-        + params.mu * params.speed_mu * (values @ m2.T)
-        + params.mass * kap[:, None] * (values @ m3.T)
-        - theta * values
-    )
-
-
-def _bordered_solve(
-    squared: sp.csr_matrix, w: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
-    """beta from [[S, w], [w^H, 0]] [beta; lam] = [rhs; 0], S banded.
-
-    One banded LU of S solves S y0 = rhs and S y1 = w together; the border
-    then leaves one scalar, lam = w^H y0 / w^H y1, and beta = y0 - lam y1 is
-    orthogonal to w.  S is nearly singular along w, so y0 and y1 are both
-    large along it, and the subtraction cancels exactly that direction.
-    """
-    band = ENVELOPE_BAND
-    dia = squared.todia()
-    if np.abs(dia.offsets).max() > band:
-        raise ValueError(f"squared operator is wider than half-bandwidth {band}")
-    # LAPACK band storage: ab[band + i - j, j] = S[i, j]; a DIA row k holds
-    # S[j - offsets[k], j] at column j
-    ab = np.zeros((2 * band + 1, squared.shape[1]), dtype=complex)
-    ab[band - dia.offsets, : dia.data.shape[1]] = dia.data
-    y = solve_banded((band, band), ab, np.column_stack([rhs, w]), check_finite=False)
-    lam = (np.conj(w) @ y[:, 0]) / (np.conj(w) @ y[:, 1])
-    return y[:, 0] - lam * y[:, 1]
-
-
-def _envelope_correction(
-    pair: EnvelopePair,
-    ts: np.ndarray,
-    rho: np.ndarray,
-    alpha: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Solve (reduced - theta) beta = rho with the alpha direction deflated.
-
-    Works on the squared operator: central differences on the first-order
-    system carry an exact sawtooth ghost of the wall zero mode, while the
-    squared operator is a local Schrodinger form whose only near-kernel
-    direction is alpha itself.  For rho orthogonal to alpha the squared
-    solve reproduces the first-order solution exactly.  In the interleaved
-    (node, spinor) order the squared operator is banded with half-bandwidth
-    ``ENVELOPE_BAND``; the deflation is a border, so beta is the solution
-    orthogonal to w = alpha / |alpha|, found by ``_bordered_solve`` from one
-    banded LU of the squared operator.
-    """
-    p = pair.params
-    n = len(ts)
-    h = float(ts[1] - ts[0])
-    s, mass, theta = p.speed_t, p.mass, pair.theta
-    m1, m2, m3 = p.matrices()
-    kap = p.wall(ts)
-    d_kap = p.wall.derivative(ts)
-
-    d_rho = np.zeros_like(rho)
-    d_rho[1:-1] = (rho[2:] - rho[:-2]) / (2.0 * h)
-    rhs = _reduced_matrix_apply(p, theta, ts, rho, -1j * d_rho).ravel()
-
-    lap = sp.diags(
-        [np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
-        [-1, 0, 1], format="csr",
-    ) / (h * h)
-    eye2 = sp.identity(2, format="csr")
-    diag_sq = p.mu**2 * p.speed_mu**2 + mass**2 * kap**2 + theta**2
-    squared = (
-        s**2 * sp.kron(lap, eye2)
-        + sp.kron(sp.diags(diag_sq), eye2)
-        + (-1j * s * mass) * sp.kron(sp.diags(d_kap), m1 @ m3)
-    )
-    if theta != 0.0 or p.mu != 0.0:
-        off = np.ones(n - 1) / (2.0 * h)
-        d1 = sp.diags([off, -off], [1, -1], format="csr")
-        first_order = (
-            s * sp.kron(-1j * d1, m1)
-            + p.mu * p.speed_mu * sp.kron(sp.identity(n, format="csr"), m2)
-            + mass * sp.kron(sp.diags(kap), m3)
-        )
-        squared = squared - 2.0 * theta * first_order
-    squared = squared.tocsr()
-
-    w = alpha.ravel()
-    w = w / np.linalg.norm(w)
-    beta = _bordered_solve(squared, w, rhs).reshape(n, 2)
-
-    d_beta = np.zeros_like(beta)
-    d_beta[1:-1] = (beta[2:] - beta[:-2]) / (2.0 * h)
-    d_beta *= -1j
-    check = _reduced_matrix_apply(p, theta, ts, beta, d_beta) - rho
-    return beta, d_beta, float(np.abs(check).max())
-
-
-# ---------------------------------------------------------------------------
 # the ansatz as one series in delta
 
 
@@ -763,10 +368,10 @@ def ansatz_series(
     Order 2 assembles the order-delta^2 equation and solves both of its
     halves.  The pair projection fixes (a2, beta): a2 is the envelope average
     of the projected forcing and beta solves the deflated reduced operator
-    against what remains (``_envelope_correction``, one banded solve).  The
-    complement projection then yields V2 exactly as at order 1.  Every fast
-    field stays factored: D_t V1 has rank 8, the bracket on (V1, D_t V1)
-    rank 20 and V2 rank 28.
+    against what remains (``wall_dirac.envelope_correction``, one banded
+    solve).  The complement projection then yields V2 exactly as at order 1.
+    Every fast field stays factored: D_t V1 has rank 8, the bracket on (V1,
+    D_t V1) rank 20 and V2 rank 28.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
@@ -815,7 +420,7 @@ def ansatz_series(
         a2 = float(a2_complex.real)
 
         rho = -(forcing.T - a2 * alpha)
-        beta, d_beta, env_res = _envelope_correction(pair, ts, rho, alpha)
+        beta, d_beta, env_res = envelope_correction(pair, ts, rho, alpha)
 
         g2 = _stack(
             on_v1,

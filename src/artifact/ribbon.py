@@ -35,8 +35,9 @@ from .blocktri import inertia, inverse_iteration, node_pairs
 from .dirac_cone import compute_mass, compute_nu_star, find_dirac_point
 from .geometry import TWO_PI, EdgeFrame
 from .potentials import FourierField
-from .quasimode import ladder_pair, lift_order0
+from .quasimode import lift_order0
 from .strip import (
+    BOUNDARY_FRACTION,
     StripGrid,
     StripOperator,
     envelope_band_fraction,
@@ -46,7 +47,7 @@ from .strip import (
     state_overlap,
     strip_terms,
 )
-from .wall_dirac import params_from_frames, window_spectrum
+from .wall_dirac import ladder_pair, params_from_frames, window_spectrum
 
 
 class GapClosed(RuntimeError):
@@ -119,8 +120,9 @@ class GapTooTightWarning(UserWarning):
 
 
 # gap_eigenpairs screens: kept states must have a relative residual at most
-# RESIDUAL_TOL and at most BOUNDARY_MASS_TOL of their mass in the outer 10%
-# of the box.
+# RESIDUAL_TOL and at most BOUNDARY_MASS_TOL of their mass past
+# strip.BOUNDARY_FRACTION of the box.  gap_window sizes the window so that a
+# state's mass there stays under the same BOUNDARY_MASS_TOL.
 RESIDUAL_TOL = 1e-6
 BOUNDARY_MASS_TOL = 1e-6
 
@@ -258,34 +260,33 @@ def gap_window(
     half_width: float,
     wall_halfwidth: float,
     delta: float,
-    *,
-    boundary_tol: float = 1e-6,
 ) -> tuple[float, float] | None:
     """Energy window inside the gap whose states the finite box can certify.
 
     A state at energy E in the gap decays past the wall like
     ``exp(-sqrt(H^2 - (H - d)^2) / decay_speed * |t_slow|)`` where H is the
     half-gap and d the distance to the nearer edge, both in slow (per-delta)
-    units.  Requiring boundary mass below ``boundary_tol`` over the tail the
-    box actually provides gives a minimum edge distance d_min; the window
-    pulls in ``WINDOW_MARGIN`` times that, falling back to the smaller
-    ``WINDOW_FALLBACK``; a gap too tight for both gives no window, with a
-    GapTooTightWarning.  An open gap the box is too short for (no tail past
-    the wall, or a required rate R at least the half-gap H) also gives no
-    window, with a BoxTooShortWarning.  A closed gap or delta <= 0 gives no
-    window and no warning.
+    units.  Requiring boundary mass below ``BOUNDARY_MASS_TOL``, the bound
+    ``gap_eigenpairs`` screens states with, over the tail from the wall to
+    ``BOUNDARY_FRACTION`` of the box half-width gives a minimum edge
+    distance d_min; the window pulls in ``WINDOW_MARGIN`` times that,
+    falling back to the smaller ``WINDOW_FALLBACK``; a gap too tight for
+    both gives no window, with a GapTooTightWarning.  An open gap the box is
+    too short for (no tail past the wall, or a required rate R at least the
+    half-gap H) also gives no window, with a BoxTooShortWarning.  A closed
+    gap or delta <= 0 gives no window and no warning.
     """
     if edges.closed or edges.gap <= 0:
         return None
     if delta <= 0:
         return None
-    tail_slow = 0.9 * half_width * delta - wall_halfwidth
+    tail_slow = BOUNDARY_FRACTION * half_width * delta - wall_halfwidth
     if tail_slow <= 0:
         warnings.warn(
             BoxTooShortWarning(edges.zeta, tail_slow, np.inf, 0.5 * edges.gap / delta)
         )
         return None
-    r_req = np.log(1.0 / boundary_tol) / (2.0 * tail_slow)
+    r_req = np.log(1.0 / BOUNDARY_MASS_TOL) / (2.0 * tail_slow)
     R = r_req * decay_speed
     center = edges.center
     d_min = {}
@@ -647,7 +648,7 @@ def solve_edge_channel(
             cone, frame, -mass if flip_wall else mass, wall, mu=mu
         )
         bounds = tuple((e - cone.E_star) / delta for e in window)
-        ladder = window_spectrum(params, delta * op.grid.half_width, op.grid.n_t, bounds)
+        ladder = window_spectrum(params, delta * op.grid.half_width, bounds)
         thetas = ladder.eigenvalues
         center = int(np.argmin(np.abs(thetas))) if len(thetas) else 0
         seeds = [

@@ -58,6 +58,10 @@ class PlateauNotReached(ValueError):
 # its zone-edge mirror (mass near p = pi / step).
 MIRROR_CUT = 0.5
 
+# A state's boundary mass is its mass at |t| >= BOUNDARY_FRACTION times the
+# box half-width, the outer 10% of the box.
+BOUNDARY_FRACTION = 0.9
+
 # Rows per slab when kron_apply adds a banded t-factor into its output: a
 # slab's temporary is APPLY_ROWS x n_fast, 0.35 MB at n_fast = 85.
 APPLY_ROWS = 256
@@ -369,7 +373,7 @@ def mass_fractions(vec: np.ndarray, grid: StripGrid) -> tuple[float, float]:
     """(localization in |t| <= T/2, boundary mass in the outer 10%)."""
     prof = transverse_profile(vec, grid)
     inner = np.abs(grid.t) <= 0.5 * grid.half_width
-    outer = np.abs(grid.t) >= 0.9 * grid.half_width
+    outer = np.abs(grid.t) >= BOUNDARY_FRACTION * grid.half_width
     return float(prof[inner].sum()), float(prof[outer].sum())
 
 

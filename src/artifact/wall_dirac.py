@@ -10,7 +10,7 @@ frame vectors kp (transverse dual) and ell (Bloch line direction) read as
 complex numbers, and kappa the domain wall.
 
 The in-gap ladder comes from one scalar ODE and no grid.  The spinor gauge
-of ``real_gauge`` turns H alpha = theta alpha into a real 2x2 system whose
+of ``_real_gauge`` turns H alpha = theta alpha into a real 2x2 system whose
 solutions r (cos phi, sin phi) carry the Prufer angle
 
     phi' = (mass * kappa(t) * cos 2phi + b * sin 2phi - theta) / s,
@@ -33,10 +33,31 @@ psi_left(0) - psi_right(0) comes from the variational equation of psi =
 d phi / d theta, integrated as one more component of the same half-line
 solve.  Since g is strictly decreasing, every evaluation of g narrows the
 bracket of every root still open, and a Newton step that leaves its bracket
-bisects it instead.  The eigenvectors are the glued half-line solutions,
-with (log r)' integrated beside phi, and are sampled only when a caller
-reads them.  ``assemble_dirac`` keeps a centered finite-difference matrix of
-H as a test reference.
+bisects it instead.
+
+Envelope eigenpairs (``EnvelopePair``) come either from the closed-form zero
+mode (mu = 0, center branch, ``zero_mode_pair``) or straight from the
+ladder.  ``ladder_pair`` takes the ladder's refined eigenvalue as it stands
+and samples the glued Prufer half-solutions at it (angle and log radius,
+dense output), normalized in L2 on the ladder's box by the integral of r^2
+that the halves carry as one more component; this is the one sampler of a
+ladder state.  ``shooting_pair`` is the independent reference the tests hold
+it to: it integrates the two-component real-gauge system from both
+plateaus, starting on the same decaying plateau solution, and drives the
+matching determinant at the wall center to zero in the eigenvalue, on |t|
+<= ``SHOOTING_BOX`` at relative tolerance ``SHOOTING_RTOL``.
+
+The envelope correction of the two-scale ansatz at second order
+(``envelope_correction``) needs the reduced operator solved with its
+eigendirection deflated.  Naive central differences are useless for that:
+the discrete first-derivative operator commutes with a sawtooth conjugation
+that plants an exact spurious copy of the wall zero mode at the grid scale,
+and a mass-channel penalty term cannot lift it (wall zero modes carry no
+mass-channel expectation).  We solve the squared operator instead -- a local
+Schrodinger form with no lattice artifacts -- which recovers the
+first-order solution exactly on the deflated complement.  Its first-order
+part is the centered-difference matrix of H that ``assemble_dirac`` also
+builds (``_dirac_matrix``), which the tests read as a reference.
 
 Frame orientation matters for the mu-linear branch: the slope of the
 topological eigenvalue is nu_F*|ell| * sgn(mass) * orientation, where
@@ -49,13 +70,15 @@ picks up exactly that orientation sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field as dc_field
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
+from scipy.linalg import solve_banded
+from scipy.optimize import brentq
 
 from .dirac_cone import DiracPointData
 from .geometry import EdgeFrame
@@ -96,6 +119,20 @@ class LadderFailure(RuntimeError):
 PRUFER_RTOL = 1e-12
 PRUFER_ATOL = 1e-12
 ROOT_XTOL = 1e-13
+
+# Shooting: half-width (slow units) of the integration box and the
+# integrator's relative tolerance.  The root bracket starts at
+# +-SHOOTING_BRACKET around the guess and doubles at most SHOOTING_MAX_WIDEN
+# times.
+SHOOTING_BOX = 30.0
+SHOOTING_RTOL = 1e-12
+SHOOTING_BRACKET = 2e-3
+SHOOTING_MAX_WIDEN = 6
+
+# Half-bandwidth of the squared reduced operator in the interleaved
+# (node, spinor) order: the first-difference term couples spinor a of node i
+# to spinor b of node i +- 1, at most three columns away.
+ENVELOPE_BAND = 3
 
 
 @dataclass(frozen=True)
@@ -141,9 +178,8 @@ class DiracParams:
         """Zero-mode decay rate |mass| / (nu_F |kp|) on the plateaus."""
         return abs(self.mass) / self.speed_t
 
-    def essential_edge(self, mu: float | None = None) -> float:
-        m = self.mu if mu is None else mu
-        return float(np.sqrt(self.mass**2 + (m * self.speed_mu) ** 2))
+    def essential_edge(self) -> float:
+        return float(np.sqrt(self.mass**2 + (self.mu * self.speed_mu) ** 2))
 
     def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(m1, m2, m3): unit Hermitian coefficient matrices."""
@@ -177,37 +213,43 @@ def params_from_frames(
 
 @dataclass
 class Dirac1DSpectrum:
-    """In-gap eigenpairs of the reduced operator in a window."""
+    """In-gap eigenvalues of the reduced operator in a window, on the box |t| <= T.
+
+    A state's samples come from its envelope pair (``ladder_pair``).
+    """
 
     params: DiracParams
     T: float
-    N: int
-    essential_edge: float
     window: tuple[float, float]
     eigenvalues: np.ndarray  # sorted, inside the window
     # always 0: the Prufer count has no grid doublers to reject; the
     # benchmark tracer still reads it
     doubling_rejected: int = 0
 
-    @property
-    def min_spacing(self) -> float:
-        if len(self.eigenvalues) < 2:
-            return np.inf
-        return float(np.min(np.diff(self.eigenvalues)))
 
-    def grid(self) -> np.ndarray:
-        return np.linspace(-self.T, self.T, self.N)
+def _dirac_matrix(
+    params: DiracParams, h: float, kappa: np.ndarray, wrap: bool
+) -> sp.spmatrix:
+    """H(mu) by centered differences on len(kappa) nodes of step h.
 
-    @cached_property
-    def eigenvectors(self) -> np.ndarray:
-        """(2N, len(eigenvalues)) unit eigenvectors on grid(), t outer.
-
-        Sampled from the glued Prufer halves on first read, so a caller that
-        needs only the eigenvalues integrates no radius.
-        """
-        t = self.grid()
-        vecs = [_sample_mode(self.params, th, self.T, t) for th in self.eigenvalues]
-        return np.column_stack(vecs) if vecs else np.zeros((2 * self.N, 0), complex)
+    Interleaved layout: unknown (node, spinor) at row 2 node + spinor.  D_t
+    is the centered antisymmetric stencil, clamped at the ends or, with
+    ``wrap``, closed periodically.  ``assemble_dirac`` and
+    ``envelope_correction`` both build H here.
+    """
+    n = len(kappa)
+    m1, m2, m3 = params.matrices()
+    off = np.ones(n - 1) / (2.0 * h)
+    bands, offsets = [off, -off], [1, -1]
+    if wrap:
+        bands += [off[:1], -off[:1]]
+        offsets += [-(n - 1), n - 1]
+    d1 = sp.diags(bands, offsets, format="csr")
+    return (
+        params.speed_t * sp.kron(-1j * d1, m1)
+        + params.mu * params.speed_mu * sp.kron(sp.identity(n, format="csr"), m2)
+        + params.mass * sp.kron(sp.diags(kappa), m3)
+    )
 
 
 def assemble_dirac(
@@ -244,28 +286,12 @@ def assemble_dirac(
         kappa = params.wall(t)
     else:
         kappa = np.full(N, float(kappa_const))
-
-    m1, m2, m3 = params.matrices()
-    # D_t: centered antisymmetric stencil, Dirichlet clamp or periodic wrap
-    ones = np.ones(N - 1)
-    bands = [ones, -ones]
-    offsets = [1, -1]
-    if periodic:
-        bands += [np.array([1.0]), np.array([-1.0])]
-        offsets += [-(N - 1), N - 1]
-    shift = sp.diags(bands, offsets=offsets, format="csr")
-    d_t = (-1j / (2.0 * h)) * shift
-
-    eye = sp.identity(N, format="csr")
-    H = (
-        sp.kron(d_t, params.speed_t * m1, format="csr")
-        + sp.kron(eye, params.mu * params.speed_mu * m2, format="csr")
-        + sp.kron(sp.diags(kappa), params.mass * m3, format="csr")
-    )
+    H = _dirac_matrix(params, h, kappa, wrap=periodic).tocsr()
+    H.eliminate_zeros()  # the 2x2 blocks of the kron products store zeros
     return H
 
 
-def real_gauge(params: DiracParams) -> tuple[complex, float]:
+def _real_gauge(params: DiracParams) -> tuple[complex, float]:
     """Spinor phase and sign that rotate the reduced operator to real form.
 
     With U = diag(1, e1) the D_t channel becomes sigma_1 and the mu channel
@@ -278,7 +304,7 @@ def real_gauge(params: DiracParams) -> tuple[complex, float]:
     return e1, sign
 
 
-def start_angle(params: DiracParams, theta: float, end: float) -> tuple[float, float]:
+def _start_angle(params: DiracParams, theta: float, end: float) -> tuple[float, float]:
     """Prufer angle at the box end ``end`` and its theta derivative.
 
     The angle is the plateau fixed point of the solution that decays away
@@ -288,7 +314,7 @@ def start_angle(params: DiracParams, theta: float, end: float) -> tuple[float, f
     theta, so the mismatch at t = 0 is too; its theta derivative is
     -/+ 1 / (2 sqrt(R^2 - theta^2)).
     """
-    b = params.mu * params.speed_mu * real_gauge(params)[1]
+    b = params.mu * params.speed_mu * _real_gauge(params)[1]
     m_end = params.mass * params.wall(end)
     R = math.hypot(m_end, b)
     if not abs(theta) < R:
@@ -306,7 +332,7 @@ def _prufer_half(
 ):
     """Integrate the Prufer angle and more components from a box end to t = 0.
 
-    The half starts on ``start_angle`` at its box end.  With ``radius`` the
+    The half starts on ``_start_angle`` at its box end.  With ``radius`` the
     second component is log r, (log r)' = (m kappa sin 2phi - b cos 2phi) /
     s with log r = 0 at the box end, the third is w, the integral of r^2 in
     units of the current r^2, w' = 1 - 2 (log r)' w, and the dense output is
@@ -322,9 +348,9 @@ def _prufer_half(
     ``w(0) - w(end) / r(0)^2``.
     """
     s, mass, wall = params.speed_t, params.mass, params.wall
-    b = params.mu * params.speed_mu * real_gauge(params)[1]
+    b = params.mu * params.speed_mu * _real_gauge(params)[1]
     end = -T if side == "left" else T
-    phi0, dphi0 = start_angle(params, theta, end)
+    phi0, dphi0 = _start_angle(params, theta, end)
 
     def rhs(t, y):
         mk = mass * wall(t)
@@ -360,7 +386,7 @@ def _mismatch(params: DiracParams, theta: float, T: float) -> tuple[float, float
     return float(g), float(slope)
 
 
-def glued_mode(params: DiracParams, theta: float, T: float):
+def _glued_mode(params: DiracParams, theta: float, T: float):
     """Real-gauge eigenfunction chi(t) at an eigenvalue theta, chi(0) of unit length.
 
     The two Prufer halves meet at t = 0 with angles k pi apart, so the right
@@ -388,21 +414,6 @@ def glued_mode(params: DiracParams, theta: float, T: float):
         for half in (left, right)
     )
     return chi, float(left_sq - right_sq)
-
-
-def _sample_mode(
-    params: DiracParams, theta: float, T: float, t: np.ndarray
-) -> np.ndarray:
-    """Eigenvector at an eigenvalue theta, sampled on t, unit 2-norm.
-
-    The glued real-gauge solution is mapped back to the original spinor
-    frame with [1, -i conj(e1)].
-    """
-    e1, _ = real_gauge(params)
-    back = np.array([1.0, -1j * np.conj(e1)])
-    chi, _ = glued_mode(params, theta, T)
-    vec = (chi(t) * back[None, :]).reshape(-1)
-    return vec / np.linalg.norm(vec)
 
 
 def _refine_roots(mismatch, levels, ends) -> list[float]:
@@ -451,15 +462,15 @@ def _refine_roots(mismatch, levels, ends) -> list[float]:
 
 
 def window_spectrum(
-    params: DiracParams, T: float, N: int, window: tuple[float, float]
+    params: DiracParams, T: float, window: tuple[float, float]
 ) -> Dirac1DSpectrum:
-    """Every eigenpair of the reduced operator with theta inside ``window``.
+    """Every eigenvalue of the reduced operator with theta inside ``window``.
 
     The count is the number of multiples k pi strictly between g(hi) and
     g(lo); each eigenvalue is the root of g - k pi, refined by
-    ``_refine_roots`` on the slope from the variational equation.  The
-    eigenvectors are sampled on linspace(-T, T, N) when first read.  T is
-    the half-width of the integration box, which must hold the wall's
+    ``_refine_roots`` on the slope from the variational equation.  A state
+    is sampled through its envelope pair (``ladder_pair``).  T is the
+    half-width of the integration box, which must hold the wall's
     plateau half-width.  Raises LadderFailure if an integration fails or the
     refined roots are not ``count`` distinct values inside the window.
     """
@@ -471,8 +482,6 @@ def window_spectrum(
             f"box half-width {T} must exceed the wall plateau "
             f"{params.wall.plateau_halfwidth}"
         )
-    if N < 2:
-        raise ValueError("need at least two sample points")
 
     ends = [(theta, *_mismatch(params, theta, T)) for theta in (lo, hi)]
     g_lo, g_hi = ends[0][1], ends[1][1]
@@ -487,28 +496,22 @@ def window_spectrum(
             f"{len(roots)} distinct roots refined",
             theta=None, side=None, count=len(ks), found=len(roots),
         )
-    return Dirac1DSpectrum(
-        params=params,
-        T=T,
-        N=N,
-        essential_edge=params.essential_edge(),
-        window=(lo, hi),
-        eigenvalues=roots,
-    )
+    return Dirac1DSpectrum(params=params, T=T, window=(lo, hi), eigenvalues=roots)
 
 
 def gap_spectrum(params: DiracParams, T: float, N: int) -> Dirac1DSpectrum:
-    """All in-gap eigenpairs, counted and refined by the Prufer angle.
+    """All in-gap eigenvalues, counted and refined by the Prufer angle.
 
     The window is the essential gap shrunk by a margin 3/T at each end; see
-    ``window_spectrum`` for the count, the roots and the samples.
+    ``window_spectrum`` for the count and the roots.  ``N`` is not read: it
+    stays in the signature because the benchmark calls it with one.
     """
     edge = params.essential_edge()
     margin = 3.0 / T
     window = (-edge + margin, edge - margin)
     if window[0] >= window[1]:
         raise ValueError("essential gap too small for the boundary margin")
-    return window_spectrum(params, T, N, window)
+    return window_spectrum(params, T, window)
 
 
 def measured_essential_edge(
@@ -565,3 +568,358 @@ def susy_conjugation_residual(params: DiracParams, T: float, N: int) -> float:
     resid = M2 @ H @ M2 + H
     scale = max(float(np.abs(H.data).max()), 1e-300)
     return float(np.abs(resid.data).max() / scale) if resid.nnz else 0.0
+
+
+# ---------------------------------------------------------------------------
+# envelope eigenpairs of the reduced wall operator
+
+
+@dataclass(frozen=True)
+class EnvelopePair:
+    """In-gap eigenpair (theta, alpha) of the reduced wall operator.
+
+    ``sampler`` maps transverse positions (slow units) to (n, 2) complex
+    envelope values, normalized to unit L2 norm in the slow variable;
+    ``box`` is the half-width on which the sampler is trustworthy.
+    Derivatives come from the eigenvalue relation itself, not from finite
+    differences of the samples, so they inherit the sampler's accuracy.
+    """
+
+    params: DiracParams
+    theta: float
+    sampler: Callable[[np.ndarray], np.ndarray]
+    box: float
+    diagnostics: dict = dc_field(default_factory=dict)
+
+    @property
+    def mu(self) -> float:
+        return self.params.mu
+
+    def alpha(self, ts: np.ndarray) -> np.ndarray:
+        return self.sampler(np.asarray(ts, dtype=float))
+
+    def d_alpha(self, ts: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """D_t alpha via the eigenvalue relation (m1 is an involution)."""
+        p = self.params
+        m1, m2, m3 = p.matrices()
+        kap = p.wall(np.asarray(ts, dtype=float))
+        rest = (
+            self.theta * alpha
+            - p.mu * p.speed_mu * (alpha @ m2.T)
+            - p.mass * kap[:, None] * (alpha @ m3.T)
+        )
+        return (rest @ m1.T) / p.speed_t
+
+    def d2_alpha(
+        self, ts: np.ndarray, alpha: np.ndarray, d_alpha: np.ndarray
+    ) -> np.ndarray:
+        """D_t^2 alpha by differentiating the eigenvalue relation once."""
+        p = self.params
+        ts = np.asarray(ts, dtype=float)
+        m1, m2, m3 = p.matrices()
+        kap = p.wall(ts)
+        d_kap = -1j * p.wall.derivative(ts)  # D_t kappa
+        rest = (
+            -p.mass * d_kap[:, None] * (alpha @ m3.T)
+            + self.theta * d_alpha
+            - p.mu * p.speed_mu * (d_alpha @ m2.T)
+            - p.mass * kap[:, None] * (d_alpha @ m3.T)
+        )
+        return (rest @ m1.T) / p.speed_t
+
+
+def zero_mode_pair(params: DiracParams) -> EnvelopePair:
+    """Closed-form center-branch pair at mu = 0: theta = 0 exactly.
+
+    The spinor is the eigenvector of i*m1*m3 with eigenvalue sgn(mass); the
+    profile is exp(-decay_rate * antiderivative(kappa)), normalized in L2.
+    It decays on both sides because the wall's antiderivative is even and
+    grows linearly on the plateaus.
+    """
+    if abs(params.mu) > 1e-12:
+        raise ValueError("closed-form zero mode requires mu = 0")
+    m1, _, m3 = params.matrices()
+    vals, vecs = np.linalg.eigh(1j * (m1 @ m3))
+    sgn = np.sign(params.mass)
+    idx = int(np.argmin(np.abs(vals - sgn)))
+    if abs(vals[idx] - sgn) > 1e-12:
+        raise ValueError("spinor eigenproblem did not produce a +/-1 pair")
+    spinor = vecs[:, idx]
+    rate = params.decay_rate
+    wall = params.wall
+    norm_sq, _ = quad(
+        lambda t: np.exp(-2.0 * rate * wall.antiderivative(np.array([t]))[0]),
+        -np.inf,
+        np.inf,
+    )
+    scale = 1.0 / np.sqrt(norm_sq)
+
+    def sampler(ts: np.ndarray) -> np.ndarray:
+        profile = scale * np.exp(-rate * wall.antiderivative(ts))
+        return profile[:, None] * spinor[None, :]
+
+    return EnvelopePair(params=params, theta=0.0, sampler=sampler, box=np.inf)
+
+
+def _shoot_halves(params: DiracParams, theta: float):
+    """Integrate the real-gauge system from both plateaus toward the wall.
+
+    Each half starts on the unit vector (cos phi0, sin phi0) at its box end,
+    with phi0 the Prufer start angle of ``_start_angle``: the plateau
+    solution that decays away from the wall, continuous in theta.
+    A third component carries the integral of |y|^2 from the box end.  The
+    tolerance is relative on y, which grows from unit length toward the
+    wall; the integral starts at 0 with a unit integrand, so it gets the
+    absolute tolerance ``SHOOTING_RTOL`` as well.
+    """
+    p = params
+    s, smu, mass = p.speed_t, p.speed_mu, p.mass
+    _, sign = _real_gauge(p)
+    b = p.mu * smu * sign
+
+    def rhs(t, y):
+        mk = mass * p.wall(t)
+        return [
+            (-b * y[0] + (theta + mk) * y[1]) / s,
+            ((mk - theta) * y[0] + b * y[1]) / s,
+            y[0] * y[0] + y[1] * y[1],
+        ]
+
+    def half(end: float):
+        phi0, _ = _start_angle(p, theta, end)
+        return solve_ivp(
+            rhs, (end, 0.0), [np.cos(phi0), np.sin(phi0), 0.0],
+            method="DOP853", rtol=SHOOTING_RTOL, atol=[1e-300, 1e-300, SHOOTING_RTOL],
+            dense_output=True,
+        )
+
+    left, right = half(-SHOOTING_BOX), half(SHOOTING_BOX)
+    if not (left.success and right.success):
+        raise RuntimeError("plateau integration failed")
+    return left, right
+
+
+def _matching_det(params: DiracParams, theta: float) -> float:
+    left, right = _shoot_halves(params, theta)
+    a = left.y[:2, -1] / np.linalg.norm(left.y[:2, -1])
+    c = right.y[:2, -1] / np.linalg.norm(right.y[:2, -1])
+    return float(a[0] * c[1] - a[1] * c[0])
+
+
+def _glued_pair(
+    params: DiracParams,
+    theta: float,
+    chi,
+    norm_sq: float,
+    box: float,
+    diagnostics: dict,
+) -> EnvelopePair:
+    """Envelope pair at theta from a real-gauge solution chi(t).
+
+    The sampler maps chi back to the spinor frame with [1, -i conj(e1)] and
+    is normalized in L2 on |t| <= box, by ``norm_sq``, the integral of
+    |chi|^2 there that the half-line integrations carry.
+    """
+    norm = np.sqrt(norm_sq)
+    e1, _ = _real_gauge(params)
+    back = np.array([1.0, -1j * np.conj(e1)])
+
+    def sampler(ts: np.ndarray) -> np.ndarray:
+        return (chi(ts) / norm) * back[None, :]
+
+    return EnvelopePair(
+        params=params, theta=theta, sampler=sampler, box=float(box),
+        diagnostics=diagnostics,
+    )
+
+
+def shooting_pair(params: DiracParams, theta_guess: float) -> EnvelopePair:
+    """Refine an in-gap eigenvalue by shooting and return the glued pair.
+
+    The independent reference for the Prufer ladder and ``ladder_pair``:
+    it integrates the two-component real-gauge system itself, not its angle.
+    ``theta_guess`` brackets the root; the bracket is widened geometrically
+    until the matching determinant changes sign, and a RuntimeError is
+    raised if it never does.  The returned sampler evaluates the dense
+    outputs of the two half-line integrations, and the integral of |y|^2
+    that they carry normalizes it, so the envelope, its norm and the
+    eigenvalue are accurate to the integrator tolerance.
+    """
+    box = SHOOTING_BOX
+    if box <= params.wall.plateau_halfwidth:
+        raise ValueError("shooting box must exceed the wall plateau")
+
+    def det(th: float) -> float:
+        return _matching_det(params, th)
+
+    half = SHOOTING_BRACKET
+    lo, hi = theta_guess - half, theta_guess + half
+    f_lo, f_hi = det(lo), det(hi)
+    widened = 0
+    while f_lo * f_hi > 0 and widened < SHOOTING_MAX_WIDEN:
+        half *= 2.0
+        lo, hi = theta_guess - half, theta_guess + half
+        f_lo, f_hi = det(lo), det(hi)
+        widened += 1
+    if f_lo * f_hi > 0:
+        raise RuntimeError(
+            f"matching determinant does not change sign around theta = "
+            f"{theta_guess:.6f} (final bracket half-width {half:.2e})"
+        )
+    theta = float(brentq(det, lo, hi, xtol=1e-13))
+
+    left, right = _shoot_halves(params, theta)
+    chi_l = left.y[:2, -1]
+    chi_r = right.y[:2, -1]
+    # glue the right half onto the left one's scale (collinear at the root)
+    glue = float(chi_l @ chi_r) / float(chi_r @ chi_r)
+    mismatch = float(np.linalg.norm(chi_l - glue * chi_r)) / max(
+        np.linalg.norm(chi_l), 1e-300
+    )
+
+    def chi(ts: np.ndarray) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        out = np.empty((len(ts), 2))
+        neg = ts < 0.0
+        if np.any(neg):
+            out[neg] = left.sol(ts[neg])[:2].T
+        if np.any(~neg):
+            out[~neg] = glue * right.sol(ts[~neg])[:2].T
+        return out
+
+    # the right half runs from +box down to 0, so its integral is negative
+    norm_sq = float(left.y[2, -1] - glue * glue * right.y[2, -1])
+    return _glued_pair(
+        params, theta, chi, norm_sq, box,
+        {
+            "theta_guess": float(theta_guess),
+            "theta_shift": float(theta - theta_guess),
+            "glue_mismatch": mismatch,
+            "bracket_halfwidth": half,
+        },
+    )
+
+
+def ladder_pair(spectrum: Dirac1DSpectrum, branch: int = 0) -> EnvelopePair:
+    """Envelope pair for one branch of the Prufer-counted in-gap ladder.
+
+    ``branch`` counts from the middle of the sorted in-gap spectrum
+    (branch 0 = eigenvalue closest to zero).
+    The eigenvalue is the ladder's own, already refined; the sampler is the
+    glued Prufer half-solutions at it (``_glued_mode``) on the ladder's
+    box |t| <= spectrum.T, normalized in L2 on that box by the integral the
+    halves carry (no samples are taken for it).  The exact zero at mu = 0
+    gets the closed-form ``zero_mode_pair``.
+    """
+    n = len(spectrum.eigenvalues)
+    if n == 0:
+        raise ValueError("1D spectrum has no in-gap eigenvalues")
+    center = int(np.argmin(np.abs(spectrum.eigenvalues)))
+    idx = center + branch
+    if not 0 <= idx < n:
+        raise ValueError(f"branch {branch} outside the ladder (count {n})")
+    theta = float(spectrum.eigenvalues[idx])
+    params = spectrum.params
+    if branch == 0 and abs(params.mu) < 1e-12 and abs(theta) < 1e-8:
+        return zero_mode_pair(params)
+    chi, norm_sq = _glued_mode(params, theta, spectrum.T)
+    return _glued_pair(params, theta, chi, norm_sq, spectrum.T, {})
+
+
+# ---------------------------------------------------------------------------
+# envelope correction: the deflated reduced operator
+
+
+def _reduced_matrix_apply(
+    params: DiracParams, theta: float, ts: np.ndarray, values: np.ndarray,
+    d_values: np.ndarray,
+) -> np.ndarray:
+    """(reduced operator - theta) applied to envelope samples."""
+    m1, m2, m3 = params.matrices()
+    kap = params.wall(ts)
+    return (
+        params.speed_t * (d_values @ m1.T)
+        + params.mu * params.speed_mu * (values @ m2.T)
+        + params.mass * kap[:, None] * (values @ m3.T)
+        - theta * values
+    )
+
+
+def _bordered_solve(
+    squared: sp.csr_matrix, w: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """beta from [[S, w], [w^H, 0]] [beta; lam] = [rhs; 0], S banded.
+
+    One banded LU of S solves S y0 = rhs and S y1 = w together; the border
+    then leaves one scalar, lam = w^H y0 / w^H y1, and beta = y0 - lam y1 is
+    orthogonal to w.  S is nearly singular along w, so y0 and y1 are both
+    large along it, and the subtraction cancels exactly that direction.
+    """
+    band = ENVELOPE_BAND
+    dia = squared.todia()
+    if np.abs(dia.offsets).max() > band:
+        raise ValueError(f"squared operator is wider than half-bandwidth {band}")
+    # LAPACK band storage: ab[band + i - j, j] = S[i, j]; a DIA row k holds
+    # S[j - offsets[k], j] at column j
+    ab = np.zeros((2 * band + 1, squared.shape[1]), dtype=complex)
+    ab[band - dia.offsets, : dia.data.shape[1]] = dia.data
+    y = solve_banded((band, band), ab, np.column_stack([rhs, w]), check_finite=False)
+    lam = (np.conj(w) @ y[:, 0]) / (np.conj(w) @ y[:, 1])
+    return y[:, 0] - lam * y[:, 1]
+
+
+def envelope_correction(
+    pair: EnvelopePair,
+    ts: np.ndarray,
+    rho: np.ndarray,
+    alpha: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Solve (reduced - theta) beta = rho with the alpha direction deflated.
+
+    Works on the squared operator: central differences on the first-order
+    system carry an exact sawtooth ghost of the wall zero mode, while the
+    squared operator is a local Schrodinger form whose only near-kernel
+    direction is alpha itself.  For rho orthogonal to alpha the squared
+    solve reproduces the first-order solution exactly.  In the interleaved
+    (node, spinor) order the squared operator is banded with half-bandwidth
+    ``ENVELOPE_BAND``; the deflation is a border, so beta is the solution
+    orthogonal to w = alpha / |alpha|, found by ``_bordered_solve`` from one
+    banded LU of the squared operator.  Its first-order part is
+    ``_dirac_matrix``, the difference matrix of ``assemble_dirac``.
+    """
+    p = pair.params
+    n = len(ts)
+    h = float(ts[1] - ts[0])
+    s, mass, theta = p.speed_t, p.mass, pair.theta
+    m1, _, m3 = p.matrices()
+    kap = p.wall(ts)
+    d_kap = p.wall.derivative(ts)
+
+    d_rho = np.zeros_like(rho)
+    d_rho[1:-1] = (rho[2:] - rho[:-2]) / (2.0 * h)
+    rhs = _reduced_matrix_apply(p, theta, ts, rho, -1j * d_rho).ravel()
+
+    lap = sp.diags(
+        [np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
+        [-1, 0, 1], format="csr",
+    ) / (h * h)
+    eye2 = sp.identity(2, format="csr")
+    diag_sq = p.mu**2 * p.speed_mu**2 + mass**2 * kap**2 + theta**2
+    squared = (
+        s**2 * sp.kron(lap, eye2)
+        + sp.kron(sp.diags(diag_sq), eye2)
+        + (-1j * s * mass) * sp.kron(sp.diags(d_kap), m1 @ m3)
+    )
+    if theta != 0.0 or p.mu != 0.0:
+        squared = squared - 2.0 * theta * _dirac_matrix(p, h, kap, wrap=False)
+    squared = squared.tocsr()
+
+    w = alpha.ravel()
+    w = w / np.linalg.norm(w)
+    beta = _bordered_solve(squared, w, rhs).reshape(n, 2)
+
+    d_beta = np.zeros_like(beta)
+    d_beta[1:-1] = (beta[2:] - beta[:-2]) / (2.0 * h)
+    d_beta *= -1j
+    check = _reduced_matrix_apply(p, theta, ts, beta, d_beta) - rho
+    return beta, d_beta, float(np.abs(check).max())

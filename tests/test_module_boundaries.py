@@ -8,7 +8,9 @@ records lean: every annotated field of a package class is read as an
 attribute somewhere in the library, its tests or its benchmark.  A fourth
 keeps the benchmark's tracer on the channel's strip only: it wraps
 ``ribbon.assemble_strip`` by object identity in every module, so no other
-module may bind that object.
+module may bind that object.  A fifth keeps the reduced wall operator in one
+module: its envelope pairs, shooting and envelope solve are defined in
+``wall_dirac`` only.
 """
 
 import ast
@@ -110,3 +112,19 @@ def test_only_ribbon_binds_the_traced_strip_builder():
         if value is traced
     ]
     assert not binders, binders
+
+
+def test_reduced_model_lives_in_wall_dirac():
+    # envelope pairs, shooting and the envelope solve are defined once, in
+    # wall_dirac; quasimode only re-binds the three objects the benchmark
+    # calls and wraps on it, so the tracer wraps one object in every module
+    quasimode = importlib.import_module("artifact.quasimode")
+    wall_dirac = importlib.import_module("artifact.wall_dirac")
+    for name in ("ladder_pair", "shooting_pair", "zero_mode_pair"):
+        assert getattr(quasimode, name) is getattr(wall_dirac, name), name
+    defined = {
+        node.name
+        for node in _tree(PACKAGE / "quasimode.py").body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not defined & {"EnvelopePair", "_shoot_halves", "_bordered_solve"}

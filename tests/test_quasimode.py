@@ -53,11 +53,11 @@ def detuned_pair(setup):
     # ladder's eigenvalue and its glued half-line solutions
     params, _ = setup
     detuned = dataclasses.replace(params, mu=0.3)
-    return quasimode.ladder_pair(wall_dirac.gap_spectrum(detuned, 30.0, 6000))
+    return wall_dirac.ladder_pair(wall_dirac.gap_spectrum(detuned, 30.0, 6000))
 
 
 def _pair(setup, detuned_pair, mu):
-    return quasimode.zero_mode_pair(setup[0]) if mu == 0.0 else detuned_pair
+    return wall_dirac.zero_mode_pair(setup[0]) if mu == 0.0 else detuned_pair
 
 
 @pytest.mark.parametrize("wall_kind", ["mu=0.3", "tanh"])
@@ -71,16 +71,16 @@ def test_ladder_pair_matches_shooting(setup, monkeypatch, wall_kind):
             params, wall=potentials.domain_wall("tanh_scaled", 5.0)
         )
     shots = []
-    real_shoot = quasimode._shoot_halves
+    real_shoot = wall_dirac._shoot_halves
 
     def counted(*args):
         shots.append(args)
         return real_shoot(*args)
 
-    monkeypatch.setattr(quasimode, "_shoot_halves", counted)
-    pair = quasimode.ladder_pair(wall_dirac.gap_spectrum(params, 30.0, 6000))
+    monkeypatch.setattr(wall_dirac, "_shoot_halves", counted)
+    pair = wall_dirac.ladder_pair(wall_dirac.gap_spectrum(params, 30.0, 6000))
     assert shots == []
-    ref = quasimode.shooting_pair(params, pair.theta)
+    ref = wall_dirac.shooting_pair(params, pair.theta)
     assert len(shots) > 0
     assert abs(pair.theta - ref.theta) <= 1e-12
     ts = np.linspace(-27.0, 27.0, 1081)
@@ -92,7 +92,7 @@ def test_residual_exponents_are_order_plus_one(setup):
     with warnings.catch_warnings():
         warnings.simplefilter("error", quasimode.TruncationFloorWarning)
         study = quasimode.residual_orders(
-            ws, quasimode.zero_mode_pair(params), (0.08, 0.04),
+            ws, wall_dirac.zero_mode_pair(params), (0.08, 0.04),
             orders=(0, 1, 2), t_factor=4.5,
         )
     assert study.orders == (0, 1, 2)
@@ -127,7 +127,7 @@ def test_top_order_zero_records_no_defect(setup):
     # measured: the study says so with NaN, not with a perfect 0
     params, ws = setup
     study = quasimode.residual_orders(
-        ws, quasimode.zero_mode_pair(params), (0.08, 0.04), orders=(0,), t_factor=4.5
+        ws, wall_dirac.zero_mode_pair(params), (0.08, 0.04), orders=(0,), t_factor=4.5
     )
     assert np.all(np.isnan(study.defects))
     assert np.all(study.residuals[0] > 0)
@@ -155,7 +155,7 @@ def test_truncated_envelope_warns(medium):
     floor = quasimode.TruncationFloorWarning
     with pytest.warns(floor, match="floors the residual") as caught:
         study = quasimode.residual_orders(
-            ws, quasimode.zero_mode_pair(params), (0.08, 0.04),
+            ws, wall_dirac.zero_mode_pair(params), (0.08, 0.04),
             orders=(0, 1, 2), t_factor=4.5,
         )
     tripped = {(w.message.delta, w.message.order) for w in caught}
@@ -181,7 +181,7 @@ def test_deflation_split_sets_the_cutoff(medium, cutoff, split):
     assert abs(ws.deflation_split - split) <= 0.05 * split
     assert abs(ws.deflation_threshold - 9.4e-5) <= 1e-6
     assert ws.deflation_split < ws.deflation_threshold
-    pair = quasimode.zero_mode_pair(params)
+    pair = wall_dirac.zero_mode_pair(params)
     ts = 0.08 * np.arange(-200, 201) * 0.5
     if cutoff == 4.0:
         with pytest.raises(quasimode.SolvabilityViolation, match="1.580e-06"):
@@ -194,12 +194,12 @@ def test_deflation_split_sets_the_cutoff(medium, cutoff, split):
 def test_solvability_gate_rejects_mismatched_mass(setup):
     params, ws = setup
     off = dataclasses.replace(params, mass=1.001 * params.mass)
-    pair = quasimode.zero_mode_pair(off)
+    pair = wall_dirac.zero_mode_pair(off)
     ts = 0.08 * np.arange(-200, 201) * 0.5
     with pytest.raises(quasimode.SolvabilityViolation, match="solvability projection"):
         quasimode.ansatz_series(ws, pair, ts, 1)
     # the consistent pair on the same nodes passes
-    ok = quasimode.ansatz_series(ws, quasimode.zero_mode_pair(params), ts, 1)
+    ok = quasimode.ansatz_series(ws, wall_dirac.zero_mode_pair(params), ts, 1)
     assert ok.diagnostics["defect"] < quasimode.SOLVABILITY_TOL
 
 
@@ -213,14 +213,14 @@ def test_bordered_solve_matches_dense(setup, detuned_pair, monkeypatch, mu):
     _, ws = setup
     pair = _pair(setup, detuned_pair, mu)
     seen = []
-    banded = quasimode._bordered_solve
+    banded = wall_dirac._bordered_solve
 
     def capture(squared, w, rhs):
         beta = banded(squared, w, rhs)
         seen.append((squared, w, rhs, beta))
         return beta
 
-    monkeypatch.setattr(quasimode, "_bordered_solve", capture)
+    monkeypatch.setattr(wall_dirac, "_bordered_solve", capture)
     zeta = quasimode.effective_zeta(ws, 0.08, mu)
     grid = st.strip_terms(
         ws.frame, ws.potential, ws.wall, zeta, 0.08, ws.basis, t_factor=4.5
@@ -323,7 +323,7 @@ def _dense_layers(ws, pair, ts, delta):
     )
     a2 = float(np.real(np.sum(np.conj(alpha.T) * forcing) * h))
     rho = -(forcing.T - a2 * alpha)
-    beta, d_beta, env_res = quasimode._envelope_correction(pair, ts, rho, alpha)
+    beta, d_beta, env_res = wall_dirac.envelope_correction(pair, ts, rho, alpha)
     g2 = (
         on_v1
         + _dense_bracket(ws, pair, kap, phi @ beta.T, phi @ d_beta.T)
@@ -393,7 +393,7 @@ def test_residual_study_holds_no_dense_field(setup):
     grid = _grid(ws, 0.02, 0.0)
     vector_bytes = grid.n_t * grid.n_fast * 16
     assert (grid.n_fast, grid.n_t) == (85, 4501)
-    pair = quasimode.zero_mode_pair(params)
+    pair = wall_dirac.zero_mode_pair(params)
     tracemalloc.start()
     try:
         quasimode.residual_orders(

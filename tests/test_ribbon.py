@@ -594,10 +594,12 @@ def test_bulk_edges_match_per_fiber_assembly(
             assert (lo, hi) == (vals[cone.j_star - 1], vals[cone.j_star])
 
 
-def test_window_formula():
+def test_window_formula(monkeypatch):
     e = _synthetic_edges(1.623957230, 2.173092367)
     w6 = rb.gap_window(e, SPEED_T, 218.75, 5.0, DELTA)
-    w3 = rb.gap_window(e, SPEED_T, 218.75, 5.0, DELTA, boundary_tol=1e-3)
+    with monkeypatch.context() as patch:
+        patch.setattr(rb, "BOUNDARY_MASS_TOL", 1e-3)
+        w3 = rb.gap_window(e, SPEED_T, 218.75, 5.0, DELTA)
     assert w6 is not None and w3 is not None
     # a looser boundary target certifies a wider window
     assert w3[0] < w6[0] < w6[1] < w3[1]

@@ -23,12 +23,12 @@ for.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field as dc_field, replace as dc_replace
 
 import numpy as np
 import scipy.sparse.linalg as spla  # noqa: F401  bench/tracer.py patches ribbon.spla
-from scipy.optimize import minimize_scalar
 
 from .bloch import PlaneWaveBasis, eigs as fiber_eigs, fiber_from_tables, fiber_tables
 from .blocktri import inertia, inverse_iteration, node_pairs
@@ -169,6 +169,75 @@ def _fiber_pair(tables, frame, zeta, tau, delta, basis, j_star):
     return vals[j_star - 1], vals[j_star]
 
 
+def _bounded_minimum(func, a: float, b: float, xatol: float) -> tuple[float, float]:
+    """Brent's minimum of func on [a, b]: golden sections and parabolic steps.
+
+    A port of scipy's ``minimize_scalar(method="bounded")`` (fminbound) with
+    its cap of 500 evaluations; returns the minimizer and the minimum.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = x = fulc
+    rat = e = 0.0
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx
+
+
 def essential_edges_bulk(
     frame: EdgeFrame,
     potential: FourierField,
@@ -190,7 +259,7 @@ def essential_edges_bulk(
     between bands ``j_star`` and ``j_star + 1`` (1-based, matching the cone
     certificate) is the intersection over both signs of the per-sign gaps,
     each an extremum over the transverse phase tau, located on the sample
-    grid and then refined by a bounded scalar search.  The fibers differ only
+    grid and then refined by Brent's bounded search (``_bounded_minimum``).  The fibers differ only
     in xi and the sign of delta, so the tables of V and the perturbation are
     built once per call (``fiber_tables``), not once per fiber: 2 tables
     where 706 were built on the base channel.
@@ -220,20 +289,13 @@ def essential_edges_bulk(
         def band(tau, index, s=sgn):
             return _fiber_pair(tables, frame, zeta, tau, s * delta, basis, j_star)[index]
 
-        res = minimize_scalar(
-            lambda tau: -band(tau, 0),
-            bounds=(tau_lo - width, tau_lo + width),
-            method="bounded",
-            options={"xatol": 1e-8},
+        _, val_lo = _bounded_minimum(
+            lambda tau: -band(tau, 0), tau_lo - width, tau_lo + width, 1e-8
         )
-        val_lo = float(-res.fun)
-        res = minimize_scalar(
-            lambda tau: band(tau, 1),
-            bounds=(tau_hi - width, tau_hi + width),
-            method="bounded",
-            options={"xatol": 1e-8},
+        _, val_hi = _bounded_minimum(
+            lambda tau: band(tau, 1), tau_hi - width, tau_hi + width, 1e-8
         )
-        per_sign[label] = (val_lo, float(res.fun))
+        per_sign[label] = (float(-val_lo), float(val_hi))
 
     lower = max(edges[0] for edges in per_sign.values())
     upper = min(edges[1] for edges in per_sign.values())

@@ -35,6 +35,14 @@ solve.  Since g is strictly decreasing, every evaluation of g narrows the
 bracket of every root still open, and a Newton step that leaves its bracket
 bisects it instead.
 
+Every half-line integration runs on the module's own DOP853 (``_dop853``):
+Dormand and Prince's 8(5,3) pair with the error norm and step control of
+scipy's ``solve_ivp(method="DOP853")``, stepping on plain floats, with the
+pair's continuous extension as its dense output.  With Brent's zero search
+(``_brentq``) for shooting and a closed-form zero-mode norm
+(``_zero_mode_norm_sq``), the module needs neither ``scipy.integrate`` nor
+``scipy.optimize``, whose imports cost more than the ladder itself.
+
 Envelope eigenpairs (``EnvelopePair``) come either from the closed-form zero
 mode (mu = 0, center branch, ``zero_mode_pair``) or straight from the
 ladder.  ``ladder_pair`` takes the ladder's refined eigenvalue as it stands
@@ -76,9 +84,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import quad, solve_ivp
 from scipy.linalg import solve_banded
-from scipy.optimize import brentq
 
 from .dirac_cone import DiracPointData
 from .geometry import EdgeFrame
@@ -129,10 +135,257 @@ SHOOTING_RTOL = 1e-12
 SHOOTING_BRACKET = 2e-3
 SHOOTING_MAX_WIDEN = 6
 
+# Gauss-Legendre rule on [-1, 1] for the zero mode's norm across a bump
+# wall's transition.
+_NORM_NODES, _NORM_WEIGHTS = np.polynomial.legendre.leggauss(48)
+
 # Half-bandwidth of the squared reduced operator in the interleaved
 # (node, spinor) order: the first-difference term couples spinor a of node i
 # to spinor b of node i +- 1, at most three columns away.
 ENVELOPE_BAND = 3
+
+
+# ---------------------------------------------------------------------------
+# the embedded DOP853 integrator
+
+# Dormand & Prince's explicit pair of order 8(5,3) with its continuous
+# extension of order 7 (Hairer, Norsett & Wanner, Solving Ordinary
+# Differential Equations I, Sec. II.10, code DOP853).  _DOP_C holds the
+# nodes; each row of _DOP_A lists the nonzero (j, a_sj) of stage s, rows 1-11
+# the stages, row 12 the 8th-order weights b and rows 13-15 the three extra
+# stages of the continuous extension.
+_DOP_C = (
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+    0.7777777777777778,
+)
+_DOP_A = (
+    (),
+    ((0, 0.05260015195876773),),
+    ((0, 0.0197250569845379), (1, 0.0591751709536137)),
+    ((0, 0.02958758547680685), (2, 0.08876275643042054)),
+    ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)),
+    ((0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242)),
+    ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596),
+     (5, -0.017578125)),
+    ((0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
+     (5, -0.015319437748624402), (6, 0.008273789163814023)),
+    ((0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
+     (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996)),
+    ((0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
+     (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
+     (8, -0.020331201708508627)),
+    ((0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
+     (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
+     (8, 2.4936055526796523), (9, -3.0467644718982196)),
+    ((0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
+     (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
+     (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)),
+    ((0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
+     (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+     (10, 0.20136540080403034), (11, 0.04471061572777259)),
+    ((0, 0.056167502283047954), (6, 0.25350021021662483), (7, -0.2462390374708025),
+     (8, -0.12419142326381637), (9, 0.15329179827876568), (10, 0.00820105229563469),
+     (11, 0.007567897660545699), (12, -0.008298)),
+    ((0, 0.03183464816350214), (5, 0.028300909672366776), (6, 0.053541988307438566),
+     (7, -0.05492374857139099), (10, -0.00010834732869724932),
+     (11, 0.0003825710908356584), (12, -0.00034046500868740456),
+     (13, 0.1413124436746325)),
+    ((0, -0.42889630158379194), (5, -4.697621415361164), (6, 7.683421196062599),
+     (7, 4.06898981839711), (8, 0.3567271874552811), (12, -0.0013990241651590145),
+     (13, 2.9475147891527724), (14, -9.15095847217987)),
+)
+# error weights: the 5th-order estimate, and the 3rd-order one as b minus
+# the weights bhh at stages 0, 8 and 11
+_DOP_E5 = (
+    (0, 0.01312004499419488), (5, -1.2251564463762044), (6, -0.4957589496572502),
+    (7, 1.6643771824549864), (8, -0.35032884874997366), (9, 0.3341791187130175),
+    (10, 0.08192320648511571), (11, -0.022355307863886294),
+)
+_DOP_BHH = {
+    0: 0.244094488188976377952755905512,
+    8: 0.733846688281611857341361741547,
+    11: 0.0220588235294117647058823529412,
+}
+_DOP_E3 = tuple((j, b - _DOP_BHH.get(j, 0.0)) for j, b in _DOP_A[12])
+# rows d_4 .. d_7 of the continuous extension over all 16 stages
+_DOP_D = (
+    ((0, -8.428938276109013), (5, 0.5667149535193777), (6, -3.0689499459498917),
+     (7, 2.38466765651207), (8, 2.117034582445028), (9, -0.871391583777973),
+     (10, 2.2404374302607883), (11, 0.6315787787694688), (12, -0.08899033645133331),
+     (13, 18.148505520854727), (14, -9.194632392478356), (15, -4.436036387594894)),
+    ((0, 10.427508642579134), (5, 242.28349177525817), (6, 165.20045171727028),
+     (7, -374.5467547226902), (8, -22.113666853125306), (9, 7.733432668472264),
+     (10, -30.674084731089398), (11, -9.332130526430229), (12, 15.697238121770845),
+     (13, -31.139403219565178), (14, -9.35292435884448), (15, 35.81684148639408)),
+    ((0, 19.985053242002433), (5, -387.0373087493518), (6, -189.17813819516758),
+     (7, 527.8081592054236), (8, -11.57390253995963), (9, 6.8812326946963),
+     (10, -1.0006050966910838), (11, 0.7777137798053443), (12, -2.778205752353508),
+     (13, -60.19669523126412), (14, 84.32040550667716), (15, 11.99229113618279)),
+    ((0, -25.69393346270375), (5, -154.18974869023643), (6, -231.5293791760455),
+     (7, 357.6391179106141), (8, 93.40532418362432), (9, -37.45832313645163),
+     (10, 104.0996495089623), (11, 29.8402934266605), (12, -43.53345659001114),
+     (13, 96.32455395918828), (14, -39.17726167561544), (15, -149.72683625798564)),
+)
+# step control: safety factor, bounds of the step ratio, and the exponent
+# -1 / (q + 1) of the order q = 7 of the error estimate
+_DOP_SAFETY, _DOP_MIN_FACTOR, _DOP_MAX_FACTOR = 0.9, 0.2, 10.0
+_DOP_EXPONENT = -1.0 / 8.0
+
+
+class _StepTooSmall(ArithmeticError):
+    """The DOP853 step fell below ten spacings of the floats at t."""
+
+
+def _combine(y: list, h: float, K: list, row) -> list:
+    """y + h * sum_j a_j K_j over one tableau row of (j, a_j)."""
+    return [yi + h * sum(a * K[j][i] for j, a in row) for i, yi in enumerate(y)]
+
+
+def _rms(values) -> float:
+    return math.sqrt(sum(v * v for v in values) / len(values))
+
+
+def _first_step(rhs, t0, y0, f0, t1, rtol, atol) -> float:
+    """The starting step of Hairer, Norsett & Wanner (Sec. II.4)."""
+    direction = 1.0 if t1 > t0 else -1.0
+    span = abs(t1 - t0)
+    scale = [a + abs(y) * rtol for a, y in zip(atol, y0)]
+    d0 = _rms([y / s for y, s in zip(y0, scale)])
+    d1 = _rms([f / s for f, s in zip(f0, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = rhs(t0 + h0 * direction, [y + h0 * direction * f for y, f in zip(y0, f0)])
+    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100.0 * h0, h1, span)
+
+
+class _DenseOutput:
+    """DOP853's continuous extension over the accepted steps of one path.
+
+    Step k holds its start time, its length, its start state and the seven
+    (n,) coefficients of its interpolant, which matches the state and its
+    derivative at both ends of the step.  A call evaluates every sample
+    point on its own step at once, by the nested product of the extension.
+    """
+
+    def __init__(self, steps: list, direction: float):
+        t_old, h, y_old, coeffs = zip(*steps)
+        self.t_old, self.h = np.array(t_old), np.array(h)
+        self.y_old, self.coeffs = np.array(y_old), np.array(coeffs)
+        self.direction = direction
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        """(len(ts), n) states at the times ``ts`` inside the path."""
+        ts = np.asarray(ts, dtype=float)
+        d = self.direction
+        k = np.searchsorted(d * self.t_old, d * ts, side="right") - 1
+        k = np.clip(k, 0, len(self.h) - 1)
+        x = ((ts - self.t_old[k]) / self.h[k])[:, None]
+        coeffs = self.coeffs[k]
+        y = np.zeros((len(ts), self.y_old.shape[1]))
+        for i in range(6, -1, -1):
+            y += coeffs[:, i]
+            y *= x if i % 2 == 0 else 1.0 - x
+        return y + self.y_old[k]
+
+
+def _extension(rhs, t: float, y: list, h: float, K: list, y_new: list, f_new: list):
+    """The seven coefficient rows of the continuous extension of one step.
+
+    ``K`` holds the step's 12 stages; the three extra stages are appended.
+    """
+    K.append(f_new)
+    for s in range(13, 16):
+        K.append(rhs(t + _DOP_C[s] * h, _combine(y, h, K, _DOP_A[s])))
+    f = K[0]
+    dy = [b - a for a, b in zip(y, y_new)]
+    return [
+        dy,
+        [h * fo - d for fo, d in zip(f, dy)],
+        [2.0 * d - h * (fn + fo) for d, fn, fo in zip(dy, f_new, f)],
+        *(_combine([0.0] * len(y), h, K, row) for row in _DOP_D),
+    ]
+
+
+@dataclass(frozen=True)
+class _Path:
+    """One DOP853 integration: start and end states, accepted steps, dense output."""
+
+    start: list
+    end: list
+    steps: int
+    dense: _DenseOutput | None
+
+
+def _dop853(rhs, t0: float, t1: float, y0, rtol: float, atol, dense: bool) -> _Path:
+    """Integrate y' = rhs(t, y) from t0 to t1 by DOP853 on plain floats.
+
+    ``rhs`` maps a float and a list of floats to a list of floats.  The step
+    control is that of ``scipy.integrate.solve_ivp(method="DOP853")``: the
+    error is the blend |h| e5^2 / sqrt(n (e5^2 + e3^2 / 100)) of the 5th-
+    and 3rd-order estimates, each scaled per component by atol_i + rtol
+    max(|y_i|, |y_new_i|), and a step is accepted when it is below one.
+    ``atol`` is one float or one per component.  With ``dense`` each step
+    also takes the three extra stages of the continuous extension.  Raises
+    ``_StepTooSmall`` once a rejected step falls below ten float spacings
+    of t.
+    """
+    n = len(y0)
+    atol = [float(atol)] * n if np.ndim(atol) == 0 else [float(a) for a in atol]
+    direction = 1.0 if t1 > t0 else -1.0
+    t, y = float(t0), [float(v) for v in y0]
+    start, f = y, rhs(t, y)
+    h_abs = _first_step(rhs, t, y, f, t1, rtol, atol)
+    steps, count = [], 0
+    while direction * (t - t1) < 0.0:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise _StepTooSmall(f"step size below {min_step:.3g} at t = {t:.17g}")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t1) > 0.0:
+                t_new = t1
+            h = t_new - t
+            h_abs = abs(h)
+            K = [f]
+            for s in range(1, 12):
+                K.append(rhs(t + _DOP_C[s] * h, _combine(y, h, K, _DOP_A[s])))
+            y_new = _combine(y, h, K, _DOP_A[12])
+            e5 = e3 = 0.0
+            for i in range(n):
+                scale = atol[i] + max(abs(y[i]), abs(y_new[i])) * rtol
+                e5 += (sum(e * K[j][i] for j, e in _DOP_E5) / scale) ** 2
+                e3 += (sum(e * K[j][i] for j, e in _DOP_E3) / scale) ** 2
+            if e5 == 0.0 and e3 == 0.0:
+                error = 0.0
+            else:
+                error = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * n)
+            if error < 1.0:
+                if error == 0.0:
+                    factor = _DOP_MAX_FACTOR
+                else:
+                    factor = min(_DOP_MAX_FACTOR, _DOP_SAFETY * error**_DOP_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_DOP_MIN_FACTOR, _DOP_SAFETY * error**_DOP_EXPONENT)
+            rejected = True
+        f_new = rhs(t + h, y_new)
+        if dense:
+            steps.append((t, h, y, _extension(rhs, t, y, h, K, y_new, f_new)))
+        t, y, f = t_new, y_new, f_new
+        count += 1
+    return _Path(
+        start=start, end=y, steps=count,
+        dense=_DenseOutput(steps, direction) if dense else None,
+    )
 
 
 @dataclass(frozen=True)
@@ -365,25 +618,21 @@ def _prufer_half(
     if radius:
         start = [phi0, 0.0, 0.0]
         start[2] = 0.5 / rhs(end, start)[1]
-    sol = solve_ivp(
-        rhs, (end, 0.0), start,
-        method="DOP853", rtol=PRUFER_RTOL, atol=PRUFER_ATOL, dense_output=radius,
-    )
-    if not sol.success:
+    try:
+        return _dop853(rhs, end, 0.0, start, PRUFER_RTOL, PRUFER_ATOL, radius)
+    except _StepTooSmall as exc:
         raise LadderFailure(
             f"Prufer integration from the {side} box end failed at "
-            f"theta = {theta:.12f}: {sol.message}",
+            f"theta = {theta:.12f}: {exc}",
             theta=theta, side=side, count=None, found=None,
-        )
-    return sol
+        ) from exc
 
 
 def _mismatch(params: DiracParams, theta: float, T: float) -> tuple[float, float]:
     """g = phi_left(0) - phi_right(0) and its slope psi_left(0) - psi_right(0)."""
     left = _prufer_half(params, theta, T, "left", radius=False)
     right = _prufer_half(params, theta, T, "right", radius=False)
-    g, slope = left.y[:, -1] - right.y[:, -1]
-    return float(g), float(slope)
+    return left.end[0] - right.end[0], left.end[1] - right.end[1]
 
 
 def _glued_mode(params: DiracParams, theta: float, T: float):
@@ -397,7 +646,7 @@ def _glued_mode(params: DiracParams, theta: float, T: float):
     """
     left = _prufer_half(params, theta, T, "left", radius=True)
     right = _prufer_half(params, theta, T, "right", radius=True)
-    sign = (-1.0) ** round((left.y[0, -1] - right.y[0, -1]) / np.pi)
+    sign = (-1.0) ** round((left.end[0] - right.end[0]) / np.pi)
 
     def chi(ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -405,15 +654,15 @@ def _glued_mode(params: DiracParams, theta: float, T: float):
         amp = np.empty(len(ts))
         for half, mask, scale in ((left, ts < 0.0, 1.0), (right, ts >= 0.0, sign)):
             if np.any(mask):
-                y[mask] = half.sol(ts[mask])[:2].T
-                amp[mask] = scale * np.exp(y[mask, 1] - half.y[1, -1])
+                y[mask] = half.dense(ts[mask])[:, :2]
+                amp[mask] = scale * np.exp(y[mask, 1] - half.end[1])
         return amp[:, None] * np.column_stack([np.cos(y[:, 0]), np.sin(y[:, 0])])
 
     left_sq, right_sq = (
-        half.y[2, -1] - half.y[2, 0] * np.exp(-2.0 * half.y[1, -1])
+        half.end[2] - half.start[2] * math.exp(-2.0 * half.end[1])
         for half in (left, right)
     )
-    return chi, float(left_sq - right_sq)
+    return chi, left_sq - right_sq
 
 
 def _refine_roots(mismatch, levels, ends) -> list[float]:
@@ -628,6 +877,25 @@ class EnvelopePair:
         return (rest @ m1.T) / p.speed_t
 
 
+def _zero_mode_norm_sq(wall: DomainWall, rate: float) -> float:
+    """Integral over the line of exp(-2 rate A(t)), A the wall's antiderivative.
+
+    On a tanh_scaled wall A = (L/3) log cosh(3t/L), so the integral is
+    (L/3) B(1/2, nu/2) = (L/3) sqrt(pi) Gamma(nu/2) / Gamma((nu + 1)/2) with
+    nu = 2 rate L / 3.  On a bump_smoothstep wall A = A(L) + |t| - L on the
+    plateaus, whose two tails give exp(-2 rate A(L)) / rate exactly, and the
+    even transition |t| < L is twice a Gauss-Legendre sum over [0, L].
+    """
+    L = wall.plateau_halfwidth
+    if wall.kind == "tanh_scaled":
+        nu = 2.0 * rate * L / 3.0
+        log_beta = math.lgamma(nu / 2.0) - math.lgamma((nu + 1.0) / 2.0)
+        return (L / 3.0) * math.sqrt(math.pi) * math.exp(log_beta)
+    profile = np.exp(-2.0 * rate * wall.antiderivative(0.5 * L * (_NORM_NODES + 1.0)))
+    core = L * float(_NORM_WEIGHTS @ profile)
+    return core + math.exp(-2.0 * rate * wall.antiderivative(L)) / rate
+
+
 def zero_mode_pair(params: DiracParams) -> EnvelopePair:
     """Closed-form center-branch pair at mu = 0: theta = 0 exactly.
 
@@ -647,12 +915,7 @@ def zero_mode_pair(params: DiracParams) -> EnvelopePair:
     spinor = vecs[:, idx]
     rate = params.decay_rate
     wall = params.wall
-    norm_sq, _ = quad(
-        lambda t: np.exp(-2.0 * rate * wall.antiderivative(np.array([t]))[0]),
-        -np.inf,
-        np.inf,
-    )
-    scale = 1.0 / np.sqrt(norm_sq)
+    scale = 1.0 / math.sqrt(_zero_mode_norm_sq(wall, rate))
 
     def sampler(ts: np.ndarray) -> np.ndarray:
         profile = scale * np.exp(-rate * wall.antiderivative(ts))
@@ -661,7 +924,7 @@ def zero_mode_pair(params: DiracParams) -> EnvelopePair:
     return EnvelopePair(params=params, theta=0.0, sampler=sampler, box=np.inf)
 
 
-def _shoot_halves(params: DiracParams, theta: float):
+def _shoot_halves(params: DiracParams, theta: float, dense: bool):
     """Integrate the real-gauge system from both plateaus toward the wall.
 
     Each half starts on the unit vector (cos phi0, sin phi0) at its box end,
@@ -670,7 +933,9 @@ def _shoot_halves(params: DiracParams, theta: float):
     A third component carries the integral of |y|^2 from the box end.  The
     tolerance is relative on y, which grows from unit length toward the
     wall; the integral starts at 0 with a unit integrand, so it gets the
-    absolute tolerance ``SHOOTING_RTOL`` as well.
+    absolute tolerance ``SHOOTING_RTOL`` as well.  ``dense`` keeps the
+    halves' dense output.  A failed half raises LadderFailure with its
+    theta and side.
     """
     p = params
     s, smu, mass = p.speed_t, p.speed_mu, p.mass
@@ -685,25 +950,83 @@ def _shoot_halves(params: DiracParams, theta: float):
             y[0] * y[0] + y[1] * y[1],
         ]
 
-    def half(end: float):
+    def half(end: float, side: str):
         phi0, _ = _start_angle(p, theta, end)
-        return solve_ivp(
-            rhs, (end, 0.0), [np.cos(phi0), np.sin(phi0), 0.0],
-            method="DOP853", rtol=SHOOTING_RTOL, atol=[1e-300, 1e-300, SHOOTING_RTOL],
-            dense_output=True,
-        )
+        try:
+            return _dop853(
+                rhs, end, 0.0, [math.cos(phi0), math.sin(phi0), 0.0],
+                SHOOTING_RTOL, (1e-300, 1e-300, SHOOTING_RTOL), dense,
+            )
+        except _StepTooSmall as exc:
+            raise LadderFailure(
+                f"shooting from the {side} plateau failed at "
+                f"theta = {theta:.12f}: {exc}",
+                theta=theta, side=side, count=None, found=None,
+            ) from exc
 
-    left, right = half(-SHOOTING_BOX), half(SHOOTING_BOX)
-    if not (left.success and right.success):
-        raise RuntimeError("plateau integration failed")
-    return left, right
+    return half(-SHOOTING_BOX, "left"), half(SHOOTING_BOX, "right")
 
 
 def _matching_det(params: DiracParams, theta: float) -> float:
-    left, right = _shoot_halves(params, theta)
-    a = left.y[:2, -1] / np.linalg.norm(left.y[:2, -1])
-    c = right.y[:2, -1] / np.linalg.norm(right.y[:2, -1])
-    return float(a[0] * c[1] - a[1] * c[0])
+    left, right = _shoot_halves(params, theta, False)
+    (a0, a1, _), (c0, c1, _) = left.end, right.end
+    return (a0 * c1 - a1 * c0) / (math.hypot(a0, a1) * math.hypot(c0, c1))
+
+
+def _brentq(f, a: float, b: float, f_a: float, f_b: float, xtol: float) -> float:
+    """Brent's zero of f in the bracket [a, b], given f at both ends.
+
+    A port of scipy's ``brentq`` (the C routine of ``scipy.optimize``) with
+    its default rtol of four machine epsilons and 100 iterations; it takes
+    the end values the bracket search already has instead of evaluating f
+    there again.  Raises RuntimeError if it has not converged by then.
+    """
+    rtol = 4.0 * 2.220446049250313e-16
+    x_pre, x_cur, f_pre, f_cur = a, b, f_a, f_b
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    if math.copysign(1.0, f_pre) == math.copysign(1.0, f_cur):
+        raise ValueError("f must have different signs at the bracket ends")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(100):
+        if f_pre != 0.0 and f_cur != 0.0 and (
+            math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur)
+        ):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (xtol + rtol * abs(x_cur)) / 2.0
+        s_bis = (x_blk - x_cur) / 2.0
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:
+                # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:
+                # inverse quadratic
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (
+                    d_blk * d_pre * (f_blk - f_pre)
+                )
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        if abs(s_cur) > delta:
+            x_cur += s_cur
+        else:
+            x_cur += delta if s_bis > 0 else -delta
+        f_cur = f(x_cur)
+    raise RuntimeError(f"Brent's method did not converge (last x = {x_cur!r})")
 
 
 def _glued_pair(
@@ -766,11 +1089,11 @@ def shooting_pair(params: DiracParams, theta_guess: float) -> EnvelopePair:
             f"matching determinant does not change sign around theta = "
             f"{theta_guess:.6f} (final bracket half-width {half:.2e})"
         )
-    theta = float(brentq(det, lo, hi, xtol=1e-13))
+    theta = _brentq(det, lo, hi, f_lo, f_hi, xtol=1e-13)
 
-    left, right = _shoot_halves(params, theta)
-    chi_l = left.y[:2, -1]
-    chi_r = right.y[:2, -1]
+    left, right = _shoot_halves(params, theta, True)
+    chi_l = np.array(left.end[:2])
+    chi_r = np.array(right.end[:2])
     # glue the right half onto the left one's scale (collinear at the root)
     glue = float(chi_l @ chi_r) / float(chi_r @ chi_r)
     mismatch = float(np.linalg.norm(chi_l - glue * chi_r)) / max(
@@ -782,13 +1105,13 @@ def shooting_pair(params: DiracParams, theta_guess: float) -> EnvelopePair:
         out = np.empty((len(ts), 2))
         neg = ts < 0.0
         if np.any(neg):
-            out[neg] = left.sol(ts[neg])[:2].T
+            out[neg] = left.dense(ts[neg])[:, :2]
         if np.any(~neg):
-            out[~neg] = glue * right.sol(ts[~neg])[:2].T
+            out[~neg] = glue * right.dense(ts[~neg])[:, :2]
         return out
 
     # the right half runs from +box down to 0, so its integral is negative
-    norm_sq = float(left.y[2, -1] - glue * glue * right.y[2, -1])
+    norm_sq = left.end[2] - glue * glue * right.end[2]
     return _glued_pair(
         params, theta, chi, norm_sq, box,
         {

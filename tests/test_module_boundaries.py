@@ -10,11 +10,16 @@ keeps the benchmark's tracer on the channel's strip only: it wraps
 ``ribbon.assemble_strip`` by object identity in every module, so no other
 module may bind that object.  A fifth keeps the reduced wall operator in one
 module: its envelope pairs, shooting and envelope solve are defined in
-``wall_dirac`` only.
+``wall_dirac`` only.  A sixth keeps the import graph light: importing the
+package loads no ``scipy.integrate``, ``scipy.optimize`` or
+``scipy.special``.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -128,3 +133,23 @@ def test_reduced_model_lives_in_wall_dirac():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
     assert not defined & {"EnvelopePair", "_shoot_halves", "_bordered_solve"}
+
+
+def test_no_integrate_optimize_or_special_in_the_import_graph():
+    # the package integrates, searches and normalizes with its own routines,
+    # so importing all of it loads none of these scipy subpackages (and the
+    # HiGHS, spatial and fft modules they pull in)
+    names = ", ".join(
+        f"artifact.{path.stem}" for path in MODULES if path.stem != "__init__"
+    )
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.special")
+    code = (
+        f"import sys, {names}\n"
+        f"print('\\n'.join(m for m in sys.modules if m.startswith({heavy!r})))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout.split()
+    assert out == [], out

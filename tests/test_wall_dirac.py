@@ -7,9 +7,12 @@ identity, and the exact square-sum relation for the transverse shift.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 from artifact import geometry, potentials, wall_dirac
 from artifact.wall_dirac import (
@@ -403,17 +406,27 @@ def test_shooting_start_is_continuous_in_theta(default_params):
         shooting_pair(shifted, 1.03)
 
 
+def _failing_right(real_dop853):
+    """The integrator with every right half's right-hand side NaN past its start.
+
+    Each step of such a half is rejected and shrunk until it falls below the
+    float spacing at t, the integrator's one failure route.
+    """
+
+    def integrate(rhs, t0, t1, *args):
+        if t0 > 0:
+            def poisoned(t, y):
+                return rhs(t, y) if t == t0 else [math.nan] * len(y)
+
+            return real_dop853(poisoned, t0, t1, *args)
+        return real_dop853(rhs, t0, t1, *args)
+
+    return integrate
+
+
 def test_ladder_failures_are_typed(default_params, rich_params, monkeypatch):
-    # an integration that reports failure raises with its theta and side
-    real_solve_ivp = wall_dirac.solve_ivp
-
-    def failing_right(fun, t_span, *args, **kwargs):
-        sol = real_solve_ivp(fun, t_span, *args, **kwargs)
-        if t_span[0] > 0:
-            sol.success, sol.message = False, "step size too small"
-        return sol
-
-    monkeypatch.setattr(wall_dirac, "solve_ivp", failing_right)
+    # an integration whose step underflows raises with its theta and side
+    monkeypatch.setattr(wall_dirac, "_dop853", _failing_right(wall_dirac._dop853))
     with pytest.raises(LadderFailure, match="right box end") as info:
         gap_spectrum(default_params, 30.0, 6000)
     assert info.value.side == "right"
@@ -429,3 +442,120 @@ def test_ladder_failures_are_typed(default_params, rich_params, monkeypatch):
         window_spectrum(rich_params, 64.0, (-3.0, 3.0))
     assert (info.value.count, info.value.found) == (5, 1)
     assert info.value.theta is None and info.value.side is None
+
+
+def test_shooting_failures_are_typed(default_params, monkeypatch):
+    # a shooting half whose step underflows raises the ladder's typed failure
+    monkeypatch.setattr(wall_dirac, "_dop853", _failing_right(wall_dirac._dop853))
+    with pytest.raises(LadderFailure, match="right plateau") as info:
+        _matching_det(default_params, 0.3)
+    assert (info.value.theta, info.value.side) == (0.3, "right")
+    assert info.value.count is None and info.value.found is None
+
+
+def _recorded_paths(monkeypatch, run):
+    """(arguments, path) of every integration that ``run()`` makes."""
+    real, calls = wall_dirac._dop853, []
+
+    def recorded(*args):
+        path = real(*args)
+        calls.append((args, path))
+        return path
+
+    monkeypatch.setattr(wall_dirac, "_dop853", recorded)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def _assert_matches_solve_ivp(args, path):
+    # same tableau, error norm and step control as solve_ivp's DOP853, at the
+    # same tolerances: end values within 1e-11 relative per component.  On a
+    # plateau the error estimate is rounding noise, so the two step sequences
+    # can part there by a step or two; dense samples of the whole path then
+    # differ by the global error of either, up to 2e-10 relative against a
+    # run at rtol 2.3e-14.  The continuous extension of each accepted step is
+    # checked on that step alone, to 1e-11, against solve_ivp started at its
+    # start with it as the first step.
+    rhs, t0, t1, y0, rtol, atol, dense = args
+    ref = solve_ivp(
+        rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol, dense_output=dense
+    )
+    assert ref.success
+    assert abs(path.steps - (len(ref.t) - 1)) <= 3
+    end = ref.y[:, -1]
+    assert np.all(np.abs(np.array(path.end) - end) <= 1e-11 * np.maximum(np.abs(end), 1))
+    if not dense:
+        return
+    ts = np.linspace(t0, t1, 4001)
+    theirs = ref.sol(ts).T
+    scale = np.maximum(np.abs(theirs), 1.0)
+    assert np.all(np.abs(path.dense(ts) - theirs) <= 3e-10 * scale)
+    d = path.dense
+    for t_old, h, y_old in zip(d.t_old, d.h, d.y_old):
+        step = solve_ivp(
+            rhs, (t_old, t_old + h), y_old, method="DOP853", rtol=rtol, atol=atol,
+            first_step=abs(h), dense_output=True,
+        )
+        assert len(step.t) == 2
+        ts = t_old + h * np.linspace(0.0, 1.0, 17)
+        theirs = step.sol(ts).T
+        assert np.all(np.abs(d(ts) - theirs) <= 1e-11 * np.maximum(np.abs(theirs), 1.0))
+
+
+@pytest.mark.parametrize("radius", [False, True], ids=["slope", "radius"])
+@pytest.mark.parametrize("mu", [0.0, 0.3])
+def test_prufer_halves_match_solve_ivp(rich_params, monkeypatch, radius, mu):
+    params = dataclasses.replace(rich_params, mu=mu)
+    calls = _recorded_paths(
+        monkeypatch,
+        lambda: [
+            wall_dirac._prufer_half(params, 1.2, 64.0, side, radius)
+            for side in ("left", "right")
+        ],
+    )
+    assert [args[1] for args, _ in calls] == [-64.0, 64.0]
+    for args, path in calls:
+        assert (path.dense is not None) == radius
+        _assert_matches_solve_ivp(args, path)
+
+
+def test_shooting_halves_match_solve_ivp(rich_params, monkeypatch):
+    # the right half runs backward from the box end, with the per-component
+    # atol of the shooting halves
+    params = dataclasses.replace(rich_params, mu=0.3)
+    calls = _recorded_paths(
+        monkeypatch, lambda: wall_dirac._shoot_halves(params, 1.2, True)
+    )
+    assert [args[1] for args, _ in calls] == [-30.0, 30.0]
+    for args, path in calls:
+        assert len(args[5]) == 3
+        _assert_matches_solve_ivp(args, path)
+
+
+def test_shooting_root_matches_brentq(rich_params):
+    # the ported Brent search lands where scipy's brentq does on the same
+    # bracket; the bracket search hands it the end values it already has
+    def det(theta):
+        return _matching_det(rich_params, theta)
+
+    for value in RICH_VALUES:
+        pair = shooting_pair(rich_params, value)
+        half = pair.diagnostics["bracket_halfwidth"]
+        ref = brentq(det, value - half, value + half, xtol=1e-13)
+        assert abs(pair.theta - ref) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "kind, L",
+    [("bump_smoothstep", 2.0), ("bump_smoothstep", 5.0), ("tanh_scaled", 10.0)],
+)
+def test_zero_mode_norm_matches_quadrature(kind, L):
+    # the closed-form norm against adaptive quadrature over the whole line
+    wall = potentials.domain_wall(kind, L)
+    for rate in (0.25, 0.84, 3.0):
+        ref, _ = quad(
+            lambda t: math.exp(-2.0 * rate * float(wall.antiderivative(t))),
+            -np.inf, np.inf,
+        )
+        assert abs(wall_dirac._zero_mode_norm_sq(wall, rate) - ref) <= 1e-13 * ref

@@ -169,11 +169,11 @@ def _fiber_pair(tables, frame, zeta, tau, delta, basis, j_star):
     return vals[j_star - 1], vals[j_star]
 
 
-def _bounded_minimum(func, a: float, b: float, xatol: float) -> tuple[float, float]:
+def _bounded_minimum(func, a: float, b: float, xatol: float) -> float:
     """Brent's minimum of func on [a, b]: golden sections and parabolic steps.
 
     A port of scipy's ``minimize_scalar(method="bounded")`` (fminbound) with
-    its cap of 500 evaluations; returns the minimizer and the minimum.
+    its cap of 500 evaluations; returns the minimum value.
     """
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
@@ -200,7 +200,7 @@ def _bounded_minimum(func, a: float, b: float, xatol: float) -> tuple[float, flo
             q = abs(q)
             r, e = e, rat
             if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
+                rat = p / q
                 x = xf + rat
                 if (x - a) < tol2 or (b - x) < tol2:
                     rat = tol1 if xm - xf >= 0.0 else -tol1
@@ -235,7 +235,7 @@ def _bounded_minimum(func, a: float, b: float, xatol: float) -> tuple[float, flo
         tol2 = 2.0 * tol1
         if num >= 500:
             break
-    return xf, fx
+    return fx
 
 
 def essential_edges_bulk(
@@ -259,10 +259,10 @@ def essential_edges_bulk(
     between bands ``j_star`` and ``j_star + 1`` (1-based, matching the cone
     certificate) is the intersection over both signs of the per-sign gaps,
     each an extremum over the transverse phase tau, located on the sample
-    grid and then refined by Brent's bounded search (``_bounded_minimum``).  The fibers differ only
-    in xi and the sign of delta, so the tables of V and the perturbation are
-    built once per call (``fiber_tables``), not once per fiber: 2 tables
-    where 706 were built on the base channel.
+    grid and then refined by Brent's bounded search (``_bounded_minimum``).
+    The fibers differ only in xi and the sign of delta, so the tables of V
+    and the perturbation are built once per call (``fiber_tables``), not
+    once per fiber: 2 tables where 706 were built on the base channel.
     """
     if tau_samples < 128:
         raise ValueError("tau_samples must be at least 128")
@@ -289,13 +289,13 @@ def essential_edges_bulk(
         def band(tau, index, s=sgn):
             return _fiber_pair(tables, frame, zeta, tau, s * delta, basis, j_star)[index]
 
-        _, val_lo = _bounded_minimum(
+        val_lo = -_bounded_minimum(
             lambda tau: -band(tau, 0), tau_lo - width, tau_lo + width, 1e-8
         )
-        _, val_hi = _bounded_minimum(
+        val_hi = _bounded_minimum(
             lambda tau: band(tau, 1), tau_hi - width, tau_hi + width, 1e-8
         )
-        per_sign[label] = (float(-val_lo), float(val_hi))
+        per_sign[label] = (float(val_lo), float(val_hi))
 
     lower = max(edges[0] for edges in per_sign.values())
     upper = min(edges[1] for edges in per_sign.values())

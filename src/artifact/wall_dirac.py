@@ -974,7 +974,7 @@ def _matching_det(params: DiracParams, theta: float) -> float:
 
 
 def _brentq(f, a: float, b: float, f_a: float, f_b: float, xtol: float) -> float:
-    """Brent's zero of f in the bracket [a, b], given f at both ends.
+    """Brent's zero of f in the bracket [a, b], given f of opposite signs there.
 
     A port of scipy's ``brentq`` (the C routine of ``scipy.optimize``) with
     its default rtol of four machine epsilons and 100 iterations; it takes
@@ -987,8 +987,6 @@ def _brentq(f, a: float, b: float, f_a: float, f_b: float, xtol: float) -> float
         return x_pre
     if f_cur == 0.0:
         return x_cur
-    if math.copysign(1.0, f_pre) == math.copysign(1.0, f_cur):
-        raise ValueError("f must have different signs at the bracket ends")
     x_blk = f_blk = s_pre = s_cur = 0.0
     for _ in range(100):
         if f_pre != 0.0 and f_cur != 0.0 and (

@@ -28,32 +28,38 @@ as there are multiples of pi strictly between g at its two ends, and each is
 the root of g - k pi.  No sample grid can miss two close states, and there
 are no grid doublers or box-end states to screen out.
 
-Each root is refined by a safeguarded Newton iteration.  The slope g' =
-psi_left(0) - psi_right(0) comes from the variational equation of psi =
-d phi / d theta, integrated as one more component of the same half-line
-solve.  Since g is strictly decreasing, every evaluation of g narrows the
-bracket of every root still open, and a Newton step that leaves its bracket
-bisects it instead.
+Every half-line solution comes from one propagator.  The real-gauge system
+chi' = M(t; theta) chi is linear, 2x2 and traceless, and M is constant on a
+bump_smoothstep plateau, where the solution that decays away from the wall
+is an eigenvector of M: its angle holds and log r falls linearly with |t|.
+So each half starts in closed form on ``_start_angle`` at the plateau's
+inner end |t| = L and crosses |t| < L in equal sixth-order Magnus steps
+(``_magnus``: the Gauss three-point method of Blanes, Casas, Oteo & Ros,
+Phys. Rep. 470 (2009) 151), each step's exponential in closed form.  The
+steps are evaluated in numpy over all steps, both halves and all theta at
+once, then applied in order, tracking the Prufer angle step by step.  A
+tanh_scaled wall, whose plateau is only asymptotic, is stepped from its box
+ends.  No ODE is integrated adaptively.
 
-Every half-line integration runs on the module's own DOP853 (``_dop853``):
-Dormand and Prince's 8(5,3) pair with the error norm and step control of
-scipy's ``solve_ivp(method="DOP853")``, stepping on plain floats, with the
-pair's continuous extension as its dense output.  With Brent's zero search
-(``_brentq``) for shooting and a closed-form zero-mode norm
-(``_zero_mode_norm_sq``), the module needs neither ``scipy.integrate`` nor
-``scipy.optimize``, whose imports cost more than the ladder itself.
+Each root is refined by a safeguarded Newton iteration, all roots of a
+window at once.  The slope needs no variational equation: psi = d phi / d
+theta obeys (r^2 psi)' = -r^2 / s and r^2 psi vanishes deep in each plateau,
+so g' = -(1/s) times the integral of (r / r(0))^2 over both half-lines.  The
+halves carry that integral as a Gauss sum over their steps plus the
+closed-form plateau tail.  Since g is strictly decreasing, every evaluation
+of g narrows the bracket of every root still open, and a Newton step that
+leaves its bracket bisects it instead.
 
 Envelope eigenpairs (``EnvelopePair``) come either from the closed-form zero
-mode (mu = 0, center branch, ``zero_mode_pair``) or straight from the
-ladder.  ``ladder_pair`` takes the ladder's refined eigenvalue as it stands
-and samples the glued Prufer half-solutions at it (angle and log radius,
-dense output), normalized in L2 on the ladder's box by the integral of r^2
-that the halves carry as one more component; this is the one sampler of a
-ladder state.  ``shooting_pair`` is the independent reference the tests hold
-it to: it integrates the two-component real-gauge system from both
-plateaus, starting on the same decaying plateau solution, and drives the
-matching determinant at the wall center to zero in the eigenvalue, on |t|
-<= ``SHOOTING_BOX`` at relative tolerance ``SHOOTING_RTOL``.
+mode (mu = 0, center branch, ``zero_mode_pair``) or from the halves.
+``ladder_pair`` takes the ladder's refined eigenvalue as it stands and
+samples the glued halves at it, from their node values and one partial
+Magnus step per sample, normalized in L2 over the line by the integral that
+gives the slope; this is the one sampler of a ladder state.
+``shooting_pair`` finds the eigenvalue near a guess by Brent's search
+(``_brentq``) on the matching determinant of the same halves and samples it
+the same way.  Neither is an independent check of the other: the tests
+hold both to an adaptive integration of their own.
 
 The envelope correction of the two-scale ansatz at second order
 (``envelope_correction``) needs the reduced operator solved with its
@@ -79,7 +85,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -120,18 +126,19 @@ class LadderFailure(RuntimeError):
         self.found = found
 
 
-# Relative and absolute tolerance of the Prufer integration, and the xtol of
-# each refined eigenvalue.
-PRUFER_RTOL = 1e-12
-PRUFER_ATOL = 1e-12
+# Magnus step across the wall, in decay lengths s / R (R the essential
+# edge), and the error of the mismatch g(theta) at that step: against an
+# adaptive DOP853 at rtol 3e-14, at most 2e-13 on the walls of the tests.
+# A refined root is done once g meets its level to within that error; its
+# xtol is ROOT_XTOL.
+MAGNUS_STEP = 0.02
+MAGNUS_ERROR = 5e-13
 ROOT_XTOL = 1e-13
 
-# Shooting: half-width (slow units) of the integration box and the
-# integrator's relative tolerance.  The root bracket starts at
-# +-SHOOTING_BRACKET around the guess and doubles at most SHOOTING_MAX_WIDEN
-# times.
+# Shooting: half-width (slow units) of the box, which a tanh_scaled wall is
+# stepped across.  The root bracket starts at +-SHOOTING_BRACKET around the
+# guess and doubles at most SHOOTING_MAX_WIDEN times.
 SHOOTING_BOX = 30.0
-SHOOTING_RTOL = 1e-12
 SHOOTING_BRACKET = 2e-3
 SHOOTING_MAX_WIDEN = 6
 
@@ -139,253 +146,15 @@ SHOOTING_MAX_WIDEN = 6
 # wall's transition.
 _NORM_NODES, _NORM_WEIGHTS = np.polynomial.legendre.leggauss(48)
 
+# The three-point Gauss-Legendre rule on [0, 1]: the nodes of a Magnus step
+# and the quadrature of r^2 over it.
+_GAUSS_NODES = 0.5 + math.sqrt(0.15) * np.array([-1.0, 0.0, 1.0])
+_GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
+
 # Half-bandwidth of the squared reduced operator in the interleaved
 # (node, spinor) order: the first-difference term couples spinor a of node i
 # to spinor b of node i +- 1, at most three columns away.
 ENVELOPE_BAND = 3
-
-
-# ---------------------------------------------------------------------------
-# the embedded DOP853 integrator
-
-# Dormand & Prince's explicit pair of order 8(5,3) with its continuous
-# extension of order 7 (Hairer, Norsett & Wanner, Solving Ordinary
-# Differential Equations I, Sec. II.10, code DOP853).  _DOP_C holds the
-# nodes; each row of _DOP_A lists the nonzero (j, a_sj) of stage s, rows 1-11
-# the stages, row 12 the 8th-order weights b and rows 13-15 the three extra
-# stages of the continuous extension.
-_DOP_C = (
-    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
-    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
-    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
-    0.7777777777777778,
-)
-_DOP_A = (
-    (),
-    ((0, 0.05260015195876773),),
-    ((0, 0.0197250569845379), (1, 0.0591751709536137)),
-    ((0, 0.02958758547680685), (2, 0.08876275643042054)),
-    ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)),
-    ((0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242)),
-    ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596),
-     (5, -0.017578125)),
-    ((0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
-     (5, -0.015319437748624402), (6, 0.008273789163814023)),
-    ((0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
-     (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996)),
-    ((0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
-     (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
-     (8, -0.020331201708508627)),
-    ((0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
-     (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
-     (8, 2.4936055526796523), (9, -3.0467644718982196)),
-    ((0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
-     (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
-     (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)),
-    ((0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
-     (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
-     (10, 0.20136540080403034), (11, 0.04471061572777259)),
-    ((0, 0.056167502283047954), (6, 0.25350021021662483), (7, -0.2462390374708025),
-     (8, -0.12419142326381637), (9, 0.15329179827876568), (10, 0.00820105229563469),
-     (11, 0.007567897660545699), (12, -0.008298)),
-    ((0, 0.03183464816350214), (5, 0.028300909672366776), (6, 0.053541988307438566),
-     (7, -0.05492374857139099), (10, -0.00010834732869724932),
-     (11, 0.0003825710908356584), (12, -0.00034046500868740456),
-     (13, 0.1413124436746325)),
-    ((0, -0.42889630158379194), (5, -4.697621415361164), (6, 7.683421196062599),
-     (7, 4.06898981839711), (8, 0.3567271874552811), (12, -0.0013990241651590145),
-     (13, 2.9475147891527724), (14, -9.15095847217987)),
-)
-# error weights: the 5th-order estimate, and the 3rd-order one as b minus
-# the weights bhh at stages 0, 8 and 11
-_DOP_E5 = (
-    (0, 0.01312004499419488), (5, -1.2251564463762044), (6, -0.4957589496572502),
-    (7, 1.6643771824549864), (8, -0.35032884874997366), (9, 0.3341791187130175),
-    (10, 0.08192320648511571), (11, -0.022355307863886294),
-)
-_DOP_BHH = {
-    0: 0.244094488188976377952755905512,
-    8: 0.733846688281611857341361741547,
-    11: 0.0220588235294117647058823529412,
-}
-_DOP_E3 = tuple((j, b - _DOP_BHH.get(j, 0.0)) for j, b in _DOP_A[12])
-# rows d_4 .. d_7 of the continuous extension over all 16 stages
-_DOP_D = (
-    ((0, -8.428938276109013), (5, 0.5667149535193777), (6, -3.0689499459498917),
-     (7, 2.38466765651207), (8, 2.117034582445028), (9, -0.871391583777973),
-     (10, 2.2404374302607883), (11, 0.6315787787694688), (12, -0.08899033645133331),
-     (13, 18.148505520854727), (14, -9.194632392478356), (15, -4.436036387594894)),
-    ((0, 10.427508642579134), (5, 242.28349177525817), (6, 165.20045171727028),
-     (7, -374.5467547226902), (8, -22.113666853125306), (9, 7.733432668472264),
-     (10, -30.674084731089398), (11, -9.332130526430229), (12, 15.697238121770845),
-     (13, -31.139403219565178), (14, -9.35292435884448), (15, 35.81684148639408)),
-    ((0, 19.985053242002433), (5, -387.0373087493518), (6, -189.17813819516758),
-     (7, 527.8081592054236), (8, -11.57390253995963), (9, 6.8812326946963),
-     (10, -1.0006050966910838), (11, 0.7777137798053443), (12, -2.778205752353508),
-     (13, -60.19669523126412), (14, 84.32040550667716), (15, 11.99229113618279)),
-    ((0, -25.69393346270375), (5, -154.18974869023643), (6, -231.5293791760455),
-     (7, 357.6391179106141), (8, 93.40532418362432), (9, -37.45832313645163),
-     (10, 104.0996495089623), (11, 29.8402934266605), (12, -43.53345659001114),
-     (13, 96.32455395918828), (14, -39.17726167561544), (15, -149.72683625798564)),
-)
-# step control: safety factor, bounds of the step ratio, and the exponent
-# -1 / (q + 1) of the order q = 7 of the error estimate
-_DOP_SAFETY, _DOP_MIN_FACTOR, _DOP_MAX_FACTOR = 0.9, 0.2, 10.0
-_DOP_EXPONENT = -1.0 / 8.0
-
-
-class _StepTooSmall(ArithmeticError):
-    """The DOP853 step fell below ten spacings of the floats at t."""
-
-
-def _combine(y: list, h: float, K: list, row) -> list:
-    """y + h * sum_j a_j K_j over one tableau row of (j, a_j)."""
-    return [yi + h * sum(a * K[j][i] for j, a in row) for i, yi in enumerate(y)]
-
-
-def _rms(values) -> float:
-    return math.sqrt(sum(v * v for v in values) / len(values))
-
-
-def _first_step(rhs, t0, y0, f0, t1, rtol, atol) -> float:
-    """The starting step of Hairer, Norsett & Wanner (Sec. II.4)."""
-    direction = 1.0 if t1 > t0 else -1.0
-    span = abs(t1 - t0)
-    scale = [a + abs(y) * rtol for a, y in zip(atol, y0)]
-    d0 = _rms([y / s for y, s in zip(y0, scale)])
-    d1 = _rms([f / s for f, s in zip(f0, scale)])
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, span)
-    f1 = rhs(t0 + h0 * direction, [y + h0 * direction * f for y, f in zip(y0, f0)])
-    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
-    return min(100.0 * h0, h1, span)
-
-
-class _DenseOutput:
-    """DOP853's continuous extension over the accepted steps of one path.
-
-    Step k holds its start time, its length, its start state and the seven
-    (n,) coefficients of its interpolant, which matches the state and its
-    derivative at both ends of the step.  A call evaluates every sample
-    point on its own step at once, by the nested product of the extension.
-    """
-
-    def __init__(self, steps: list, direction: float):
-        t_old, h, y_old, coeffs = zip(*steps)
-        self.t_old, self.h = np.array(t_old), np.array(h)
-        self.y_old, self.coeffs = np.array(y_old), np.array(coeffs)
-        self.direction = direction
-
-    def __call__(self, ts: np.ndarray) -> np.ndarray:
-        """(len(ts), n) states at the times ``ts`` inside the path."""
-        ts = np.asarray(ts, dtype=float)
-        d = self.direction
-        k = np.searchsorted(d * self.t_old, d * ts, side="right") - 1
-        k = np.clip(k, 0, len(self.h) - 1)
-        x = ((ts - self.t_old[k]) / self.h[k])[:, None]
-        coeffs = self.coeffs[k]
-        y = np.zeros((len(ts), self.y_old.shape[1]))
-        for i in range(6, -1, -1):
-            y += coeffs[:, i]
-            y *= x if i % 2 == 0 else 1.0 - x
-        return y + self.y_old[k]
-
-
-def _extension(rhs, t: float, y: list, h: float, K: list, y_new: list, f_new: list):
-    """The seven coefficient rows of the continuous extension of one step.
-
-    ``K`` holds the step's 12 stages; the three extra stages are appended.
-    """
-    K.append(f_new)
-    for s in range(13, 16):
-        K.append(rhs(t + _DOP_C[s] * h, _combine(y, h, K, _DOP_A[s])))
-    f = K[0]
-    dy = [b - a for a, b in zip(y, y_new)]
-    return [
-        dy,
-        [h * fo - d for fo, d in zip(f, dy)],
-        [2.0 * d - h * (fn + fo) for d, fn, fo in zip(dy, f_new, f)],
-        *(_combine([0.0] * len(y), h, K, row) for row in _DOP_D),
-    ]
-
-
-@dataclass(frozen=True)
-class _Path:
-    """One DOP853 integration: start and end states, accepted steps, dense output."""
-
-    start: list
-    end: list
-    steps: int
-    dense: _DenseOutput | None
-
-
-def _dop853(rhs, t0: float, t1: float, y0, rtol: float, atol, dense: bool) -> _Path:
-    """Integrate y' = rhs(t, y) from t0 to t1 by DOP853 on plain floats.
-
-    ``rhs`` maps a float and a list of floats to a list of floats.  The step
-    control is that of ``scipy.integrate.solve_ivp(method="DOP853")``: the
-    error is the blend |h| e5^2 / sqrt(n (e5^2 + e3^2 / 100)) of the 5th-
-    and 3rd-order estimates, each scaled per component by atol_i + rtol
-    max(|y_i|, |y_new_i|), and a step is accepted when it is below one.
-    ``atol`` is one float or one per component.  With ``dense`` each step
-    also takes the three extra stages of the continuous extension.  Raises
-    ``_StepTooSmall`` once a rejected step falls below ten float spacings
-    of t.
-    """
-    n = len(y0)
-    atol = [float(atol)] * n if np.ndim(atol) == 0 else [float(a) for a in atol]
-    direction = 1.0 if t1 > t0 else -1.0
-    t, y = float(t0), [float(v) for v in y0]
-    start, f = y, rhs(t, y)
-    h_abs = _first_step(rhs, t, y, f, t1, rtol, atol)
-    steps, count = [], 0
-    while direction * (t - t1) < 0.0:
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise _StepTooSmall(f"step size below {min_step:.3g} at t = {t:.17g}")
-            t_new = t + h_abs * direction
-            if direction * (t_new - t1) > 0.0:
-                t_new = t1
-            h = t_new - t
-            h_abs = abs(h)
-            K = [f]
-            for s in range(1, 12):
-                K.append(rhs(t + _DOP_C[s] * h, _combine(y, h, K, _DOP_A[s])))
-            y_new = _combine(y, h, K, _DOP_A[12])
-            e5 = e3 = 0.0
-            for i in range(n):
-                scale = atol[i] + max(abs(y[i]), abs(y_new[i])) * rtol
-                e5 += (sum(e * K[j][i] for j, e in _DOP_E5) / scale) ** 2
-                e3 += (sum(e * K[j][i] for j, e in _DOP_E3) / scale) ** 2
-            if e5 == 0.0 and e3 == 0.0:
-                error = 0.0
-            else:
-                error = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * n)
-            if error < 1.0:
-                if error == 0.0:
-                    factor = _DOP_MAX_FACTOR
-                else:
-                    factor = min(_DOP_MAX_FACTOR, _DOP_SAFETY * error**_DOP_EXPONENT)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs *= max(_DOP_MIN_FACTOR, _DOP_SAFETY * error**_DOP_EXPONENT)
-            rejected = True
-        f_new = rhs(t + h, y_new)
-        if dense:
-            steps.append((t, h, y, _extension(rhs, t, y, h, K, y_new, f_new)))
-        t, y, f = t_new, y_new, f_new
-        count += 1
-    return _Path(
-        start=start, end=y, steps=count,
-        dense=_DenseOutput(steps, direction) if dense else None,
-    )
 
 
 @dataclass(frozen=True)
@@ -557,157 +326,244 @@ def _real_gauge(params: DiracParams) -> tuple[complex, float]:
     return e1, sign
 
 
-def _start_angle(params: DiracParams, theta: float, end: float) -> tuple[float, float]:
-    """Prufer angle at the box end ``end`` and its theta derivative.
+def _start_angle(
+    params: DiracParams, theta: np.ndarray, end: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Prufer angle at the plateau point ``end`` and the decay rate there, per theta.
 
     The angle is the plateau fixed point of the solution that decays away
-    from the wall, 2 phi = atan2(b, m) + arccos(theta / R) at the left end
-    (end < 0) and - arccos at the right, with m the mass times kappa at the
-    end and R = hypot(m, b).  The arccos branch keeps it continuous in
-    theta, so the mismatch at t = 0 is too; its theta derivative is
-    -/+ 1 / (2 sqrt(R^2 - theta^2)).
+    from the wall, 2 phi = atan2(b, m) + arccos(theta / R) on the left (end
+    < 0) and - arccos on the right, with m the mass times kappa at the end
+    and R = hypot(m, b).  The arccos branch keeps it continuous in theta, so
+    the mismatch at t = 0 is too.  The rate sqrt(R^2 - theta^2) / s is the
+    one at which log r falls with |t| on the plateau.
     """
     b = params.mu * params.speed_mu * _real_gauge(params)[1]
     m_end = params.mass * params.wall(end)
     R = math.hypot(m_end, b)
-    if not abs(theta) < R:
+    theta = np.asarray(theta, dtype=float)
+    if not np.all(np.abs(theta) < R):
+        worst = float(theta.flat[np.argmax(np.abs(theta))])
         raise ValueError(
-            f"theta = {theta:.6f} is not inside the essential gap "
+            f"theta = {worst:.6f} is not inside the essential gap "
             f"(edge {R:.6f} at t = {end:g})"
         )
     sgn = 1.0 if end < 0 else -1.0
-    phi0 = 0.5 * (math.atan2(b, m_end) + sgn * math.acos(theta / R))
-    return phi0, -sgn / (2.0 * math.sqrt(R * R - theta * theta))
+    phi0 = 0.5 * (math.atan2(b, m_end) + sgn * np.arccos(theta / R))
+    return phi0, np.sqrt(R * R - theta * theta) / params.speed_t
 
 
-def _prufer_half(
-    params: DiracParams, theta: float, T: float, side: str, radius: bool
-):
-    """Integrate the Prufer angle and more components from a box end to t = 0.
+def _bracket(u, v) -> tuple:
+    """[u, v] of two elements z Z + j J + x X of sl(2, R), as (z, j, x)."""
+    (z1, j1, x1), (z2, j2, x2) = u, v
+    return (
+        2.0 * (j1 * x2 - x1 * j2),
+        2.0 * (z1 * x2 - x1 * z2),
+        2.0 * (z1 * j2 - j1 * z2),
+    )
 
-    The half starts on ``_start_angle`` at its box end.  With ``radius`` the
-    second component is log r, (log r)' = (m kappa sin 2phi - b cos 2phi) /
-    s with log r = 0 at the box end, the third is w, the integral of r^2 in
-    units of the current r^2, w' = 1 - 2 (log r)' w, and the dense output is
-    kept; otherwise the second is the variational psi = d phi / d theta,
-    psi' = (2 (b cos 2phi - m kappa sin 2phi) psi - 1) / s, started on the
-    theta derivative of the start angle.
 
-    Scaled so, w stays of order the decay length however far r grows.  It
-    starts on its plateau value 1 / (2 (log r)'), the integral of the
-    exponential tail beyond the box end, so it holds still along the plateau
-    rather than relaxing onto it over many steps.  At t = 0 the half's own
-    integral of (r / r(0))^2, signed by the direction of integration, is
-    ``w(0) - w(end) / r(0)^2``.
+def _magnus(
+    params: DiracParams, theta: np.ndarray, t0: np.ndarray, h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One sixth-order Magnus step of the real-gauge system from t0 over h.
+
+    The system is chi' = M chi with M = (-b Z + theta J + m kappa(t) X) / s,
+    on Z = diag(1, -1), J = [[0, 1], [-1, 0]] and X = [[0, 1], [1, 0]], whose
+    brackets are [Z, X] = 2J, [J, X] = 2Z and [Z, J] = 2X.  With a1 = h M at
+    the middle Gauss node, a2 = (sqrt(15) / 3) h (M3 - M1) and a3 = (10 / 3)
+    h (M3 - 2 M2 + M1) over the three nodes, the step is exp(Omega) with
+
+        Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240,
+        C1 = [a1, a2],  C2 = -[a1, 2 a3 + C1] / 60
+
+    (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151).  Omega is
+    traceless, so Omega^2 = w^2 I with w^2 = -det Omega and exp(Omega) =
+    cosh(w) I + (sinh(w) / w) Omega, with cos and sin when w^2 < 0.  On zeta
+    = chi_0 + i chi_1 the step is zeta -> A zeta + B conj(zeta); returns (A,
+    B), broadcast over theta, t0 and h (h < 0 steps backward).
     """
-    s, mass, wall = params.speed_t, params.mass, params.wall
     b = params.mu * params.speed_mu * _real_gauge(params)[1]
-    end = -T if side == "left" else T
-    phi0, dphi0 = _start_angle(params, theta, end)
+    q = h / params.speed_t
+    m1, m2, m3 = (params.mass * params.wall(t0 + c * h) for c in _GAUSS_NODES)
+    a1 = (-b * q, theta * q, m2 * q)
+    a2 = (0.0, 0.0, math.sqrt(15.0) / 3.0 * q * (m3 - m1))
+    a3 = (0.0, 0.0, 10.0 / 3.0 * q * (m3 - 2.0 * m2 + m1))
+    c1 = _bracket(a1, a2)
+    c2 = [-v / 60.0 for v in _bracket(a1, [2.0 * u + v for u, v in zip(a3, c1)])]
+    outer = _bracket(
+        [-20.0 * u - v + c for u, v, c in zip(a1, a3, c1)],
+        [u + c for u, c in zip(a2, c2)],
+    )
+    z, j, x = (u + v / 12.0 + o / 240.0 for u, v, o in zip(a1, a3, outer))
+    w2 = z * z + x * x - j * j
+    w = np.sqrt(np.abs(w2))
+    cosh = np.where(w2 > 0.0, np.cosh(w), np.cos(w))
+    sinhc = np.divide(
+        np.where(w2 > 0.0, np.sinh(w), np.sin(w)), w,
+        out=np.ones_like(w), where=w > 0.0,
+    )
+    return cosh - 1j * sinhc * j, sinhc * (z + 1j * x)
 
-    def rhs(t, y):
-        mk = mass * wall(t)
-        c, sn = math.cos(2.0 * y[0]), math.sin(2.0 * y[0])
-        dphi = (mk * c + b * sn - theta) / s
-        if radius:
-            dlog_r = (mk * sn - b * c) / s
-            return [dphi, dlog_r, 1.0 - 2.0 * dlog_r * y[2]]
-        return [dphi, (2.0 * (b * c - mk * sn) * y[1] - 1.0) / s]
 
-    start = [phi0, dphi0]
-    if radius:
-        start = [phi0, 0.0, 0.0]
-        start[2] = 0.5 / rhs(end, start)[1]
-    try:
-        return _dop853(rhs, end, 0.0, start, PRUFER_RTOL, PRUFER_ATOL, radius)
-    except _StepTooSmall as exc:
+class _Halves(NamedTuple):
+    """Both Prufer halves at m values of theta, from the plateaus to t = 0.
+
+    Axis 1 of the node arrays is the side (left, right).  ``nodes`` (n + 1,
+    2) run from -p and +p to 0; ``zeta`` (n + 1, 2, m) is the unit vector
+    chi / r at the nodes as chi_0 + i chi_1, and ``log_r`` its log radius, 0
+    at +-p.  ``rate`` (2, m) is the decay rate beyond +-p, ``angle`` (2, m)
+    the Prufer angle at t = 0, and ``norm`` (2, m) the integral of (r /
+    r(0))^2 over each half-line, plateau tail included.
+    """
+
+    nodes: np.ndarray
+    zeta: np.ndarray
+    log_r: np.ndarray
+    rate: np.ndarray
+    angle: np.ndarray
+    norm: np.ndarray
+
+
+def _halves(params: DiracParams, theta: np.ndarray, box: float) -> _Halves:
+    """Propagate both Prufer halves at each theta in the 1-D array ``theta``.
+
+    Each half starts on ``_start_angle`` at +-p, with p = L on a
+    bump_smoothstep wall (exact: the plateau beyond is closed form) and p =
+    ``box`` on a tanh_scaled wall, and crosses |t| < p in n equal Magnus
+    steps, n = ceil(p R / (MAGNUS_STEP s)).  The step matrices of all steps,
+    both sides and all theta come from one call of ``_magnus``; applying
+    them in order is the one loop.  A step that turns the angle by pi/4 or
+    more raises LadderFailure with its theta and side.  Each step's
+    three-point Gauss sum of r^2 reaches its nodes by partial Magnus steps.
+    """
+    p = params.wall.plateau_halfwidth if params.wall.kind == "bump_smoothstep" else box
+    n = math.ceil(p * params.essential_edge() / (MAGNUS_STEP * params.speed_t))
+    left = np.linspace(-p, 0.0, n + 1)
+    nodes = np.column_stack([left, -left])
+    t0, h = nodes[:-1, :, None], np.diff(nodes, axis=0)[:, :, None]
+    A, B = _magnus(params, theta, t0, h)
+    starts = [_start_angle(params, theta, end) for end in (-p, p)]
+    zeta = np.empty((n + 1, 2, len(theta)), dtype=complex)
+    angle0 = np.array([phi0 for phi0, _ in starts])
+    zeta[0] = np.exp(1j * angle0)
+    growth = np.empty((n, 2, len(theta)))
+    for k in range(n):
+        step = A[k] * zeta[k] + B[k] * np.conj(zeta[k])
+        growth[k] = np.abs(step)
+        zeta[k + 1] = step / growth[k]
+    turn = np.angle(zeta[1:] * np.conj(zeta[:-1]))
+    bad = ~(np.abs(turn) < 0.25 * np.pi)  # NaN counts as bad
+    if bad.any():
+        k, side, i = np.argwhere(bad)[0]
+        name = ("left", "right")[side]
         raise LadderFailure(
-            f"Prufer integration from the {side} box end failed at "
-            f"theta = {theta:.12f}: {exc}",
-            theta=theta, side=side, count=None, found=None,
-        ) from exc
+            f"a Magnus step from the {name} plateau turned the Prufer angle by "
+            f"{turn[k, side, i]:.3f} at theta = {theta[i]:.12f} (pi/4 at most)",
+            theta=float(theta[i]), side=name, count=None, found=None,
+        )
+    log_r = np.concatenate([np.zeros((1, 2, len(theta))), np.cumsum(np.log(growth), 0)])
+    rate = np.array([r for _, r in starts])
+    # r^2 at each step's Gauss nodes, by partial steps from its start node
+    A, B = _magnus(params, theta, t0[:, None], h[:, None] * _GAUSS_NODES[:, None, None])
+    inner = zeta[:-1, None]
+    r_sq = np.abs(A * inner + B * np.conj(inner)) ** 2 * np.exp(
+        2.0 * (log_r[:-1, None] - log_r[-1])
+    )
+    transition = np.einsum("kisj,i,ks->sj", r_sq, _GAUSS_WEIGHTS, np.abs(h[:, :, 0]))
+    return _Halves(
+        nodes=nodes, zeta=zeta, log_r=log_r, rate=rate,
+        angle=angle0 + turn.sum(axis=0),
+        norm=transition + np.exp(-2.0 * log_r[-1]) / (2.0 * rate),
+    )
 
 
-def _mismatch(params: DiracParams, theta: float, T: float) -> tuple[float, float]:
-    """g = phi_left(0) - phi_right(0) and its slope psi_left(0) - psi_right(0)."""
-    left = _prufer_half(params, theta, T, "left", radius=False)
-    right = _prufer_half(params, theta, T, "right", radius=False)
-    return left.end[0] - right.end[0], left.end[1] - right.end[1]
+def _mismatch(params: DiracParams, theta, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """g = phi_left(0) - phi_right(0) and its slope g', each shaped like ``theta``.
+
+    psi = d phi / d theta obeys (r^2 psi)' = -r^2 / s and r^2 psi vanishes
+    deep in each plateau, so psi(0) is -(1/s) times the left half's norm and
+    +(1/s) times the right one's: g' = -(norm_left + norm_right) / s.
+    """
+    halves = _halves(params, np.atleast_1d(np.asarray(theta, dtype=float)), T)
+    g = halves.angle[0] - halves.angle[1]
+    slope = -(halves.norm[0] + halves.norm[1]) / params.speed_t
+    return g.reshape(np.shape(theta)), slope.reshape(np.shape(theta))
 
 
 def _glued_mode(params: DiracParams, theta: float, T: float):
     """Real-gauge eigenfunction chi(t) at an eigenvalue theta, chi(0) of unit length.
 
-    The two Prufer halves meet at t = 0 with angles k pi apart, so the right
-    one is glued on with the left one's radius and the sign (-1)^k.  Returns
-    ``(chi, norm_sq)``: a function that maps an array of t to (n, 2) real
-    values, evaluating the dense outputs of both halves, and the integral
-    of |chi|^2 over [-T, T], which the halves carry to integrator accuracy.
+    The two halves meet at t = 0 with angles k pi apart, so the right one is
+    glued on with the sign (-1)^k.  Returns ``(chi, norm_sq)``: a function
+    that maps an array of t to (n, 2) real values, and the integral of
+    |chi|^2 over the line, which the halves carry.  A sample inside |t| < p
+    takes one partial Magnus step from the node of its half before it; one
+    beyond falls off the node at +-p at the plateau's decay rate.
     """
-    left = _prufer_half(params, theta, T, "left", radius=True)
-    right = _prufer_half(params, theta, T, "right", radius=True)
-    sign = (-1.0) ** round((left.end[0] - right.end[0]) / np.pi)
+    halves = _halves(params, np.array([float(theta)]), T)
+    nodes = halves.nodes
+    n, p = len(nodes) - 1, -nodes[0, 0]
+    sign = (-1.0) ** round(float(halves.angle[0, 0] - halves.angle[1, 0]) / np.pi)
 
     def chi(ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        y = np.empty((len(ts), 2))
-        amp = np.empty(len(ts))
-        for half, mask, scale in ((left, ts < 0.0, 1.0), (right, ts >= 0.0, sign)):
-            if np.any(mask):
-                y[mask] = half.dense(ts[mask])[:, :2]
-                amp[mask] = scale * np.exp(y[mask, 1] - half.end[1])
-        return amp[:, None] * np.column_stack([np.cos(y[:, 0]), np.sin(y[:, 0])])
+        side = (ts >= 0.0).astype(int)
+        k = np.clip(np.floor((p - np.abs(ts)) * n / p).astype(int), 0, n - 1)
+        beyond = np.maximum(np.abs(ts) - p, 0.0)
+        t0 = nodes[k, side]
+        A, B = _magnus(params, theta, t0, np.where(beyond > 0.0, 0.0, ts - t0))
+        start = halves.zeta[k, side, 0]
+        log_amp = (
+            halves.log_r[k, side, 0] - halves.log_r[-1, side, 0]
+            - halves.rate[side, 0] * beyond
+        )
+        z = np.where(side == 1, sign, 1.0) * np.exp(log_amp)
+        z = z * (A * start + B * np.conj(start))
+        return np.column_stack([z.real, z.imag])
 
-    left_sq, right_sq = (
-        half.end[2] - half.start[2] * math.exp(-2.0 * half.end[1])
-        for half in (left, right)
-    )
-    return chi, left_sq - right_sq
+    return chi, float(halves.norm[:, 0].sum())
 
 
 def _refine_roots(mismatch, levels, ends) -> list[float]:
     """The theta with g(theta) = level for each level, by safeguarded Newton.
 
-    ``mismatch`` returns (g, g') of a strictly decreasing g, and ``ends``
-    holds (theta, g, g') at the two window ends, which bracket every level.
-    Every evaluation narrows the bracket of every level.  A Newton step that
-    leaves its bracket bisects it instead.  A root is done, after its last
-    Newton step, once g meets its level to within the integrator's
-    tolerance on the two angles it subtracts, which differ by the level
-    there: ``PRUFER_RTOL * |level| + 2 * PRUFER_ATOL``.  A further
-    evaluation would only resolve rounding noise.  It is also done once its
+    ``mismatch`` maps an array of theta to (g, g') of a strictly decreasing
+    g, and ``ends`` holds (theta, g, g') at the two window ends, which
+    bracket every level.  Each round evaluates g at the iterates of all open
+    levels in one call, and every evaluation narrows the bracket of every
+    level.  A Newton step that leaves its bracket bisects it instead.  A
+    root is done, after its last Newton step, once g meets its level to
+    within ``MAGNUS_ERROR``, the propagator's error on g: a further
+    evaluation would only resolve that error.  It is also done once its
     Newton step (or half-bracket) is under ``ROOT_XTOL``.
     """
     levels = np.asarray(levels, dtype=float)
-    (lo, *at_lo), (hi, *at_hi) = ends
+    (lo, g_lo, d_lo), (hi, g_hi, d_hi) = ends
     below = np.full(len(levels), lo)  # g(below) > level
     above = np.full(len(levels), hi)  # g(above) < level
-    seen = {lo: at_lo, hi: at_hi}
-    roots = []
-    for i, level in enumerate(levels):
-        noise = PRUFER_RTOL * abs(level) + 2.0 * PRUFER_ATOL
-        # start from the bracket end with the shorter Newton step
-        x = min(
-            (below[i], above[i]),
-            key=lambda th: abs((seen[th][0] - level) / seen[th][1]),
-        )
-        f, slope = seen[x]
-        while True:
-            step = (level - f) / slope
-            if abs(level - f) <= noise or abs(step) < ROOT_XTOL:
-                x += step
-                break
-            if below[i] < x + step < above[i]:
-                x += step
-            else:
-                x = 0.5 * (below[i] + above[i])
-                if above[i] - below[i] < 2.0 * ROOT_XTOL:
-                    break
-            f, slope = seen[x] = mismatch(x)
-            below[f > levels] = np.maximum(below[f > levels], x)
-            above[f < levels] = np.minimum(above[f < levels], x)
-        roots.append(float(x))
-    return roots
+    # start from the bracket end with the shorter Newton step
+    from_lo = np.abs((g_lo - levels) / d_lo) <= np.abs((g_hi - levels) / d_hi)
+    x = np.where(from_lo, lo, hi)
+    f = np.where(from_lo, g_lo, g_hi)
+    slope = np.where(from_lo, d_lo, d_hi)
+    roots = np.full(len(levels), np.nan)
+    todo = np.ones(len(levels), dtype=bool)
+    while todo.any():
+        step = (levels - f) / slope
+        done = todo & ((np.abs(levels - f) <= MAGNUS_ERROR) | (np.abs(step) < ROOT_XTOL))
+        roots[done] = (x + step)[done]
+        inside = (below < x + step) & (x + step < above)
+        x = np.where(inside, x + step, 0.5 * (below + above))
+        stuck = todo & ~done & ~inside & (above - below < 2.0 * ROOT_XTOL)
+        roots[stuck] = x[stuck]
+        todo &= ~(done | stuck)
+        if todo.any():
+            f[todo], slope[todo] = mismatch(x[todo])
+            at = x[todo, None]
+            below = np.maximum(below, np.where(f[todo, None] > levels, at, -np.inf).max(0))
+            above = np.minimum(above, np.where(f[todo, None] < levels, at, np.inf).min(0))
+    return [float(r) for r in roots]
 
 
 def window_spectrum(
@@ -717,11 +573,12 @@ def window_spectrum(
 
     The count is the number of multiples k pi strictly between g(hi) and
     g(lo); each eigenvalue is the root of g - k pi, refined by
-    ``_refine_roots`` on the slope from the variational equation.  A state
-    is sampled through its envelope pair (``ladder_pair``).  T is the
-    half-width of the integration box, which must hold the wall's
-    plateau half-width.  Raises LadderFailure if an integration fails or the
-    refined roots are not ``count`` distinct values inside the window.
+    ``_refine_roots`` on the slope from the halves' norms.  A state is
+    sampled through its envelope pair (``ladder_pair``).  T is the
+    half-width of the box, which must hold the wall's plateau half-width; a
+    tanh_scaled wall is stepped across it.  Raises LadderFailure if a Magnus
+    step turns the angle too far or the refined roots are not ``count``
+    distinct values inside the window.
     """
     lo, hi = map(float, window)
     if not lo < hi:
@@ -732,8 +589,8 @@ def window_spectrum(
             f"{params.wall.plateau_halfwidth}"
         )
 
-    ends = [(theta, *_mismatch(params, theta, T)) for theta in (lo, hi)]
-    g_lo, g_hi = ends[0][1], ends[1][1]
+    (g_lo, g_hi), (d_lo, d_hi) = _mismatch(params, np.array([lo, hi]), T)
+    ends = [(lo, g_lo, d_lo), (hi, g_hi, d_hi)]
     ks = range(math.floor(g_hi / np.pi) + 1, math.ceil(g_lo / np.pi))
     roots = _refine_roots(
         lambda theta: _mismatch(params, theta, T), [k * np.pi for k in ks], ends
@@ -924,53 +781,14 @@ def zero_mode_pair(params: DiracParams) -> EnvelopePair:
     return EnvelopePair(params=params, theta=0.0, sampler=sampler, box=np.inf)
 
 
-def _shoot_halves(params: DiracParams, theta: float, dense: bool):
-    """Integrate the real-gauge system from both plateaus toward the wall.
+def _matching_det(params: DiracParams, theta):
+    """sin(phi_right(0) - phi_left(0)), shaped like ``theta``.
 
-    Each half starts on the unit vector (cos phi0, sin phi0) at its box end,
-    with phi0 the Prufer start angle of ``_start_angle``: the plateau
-    solution that decays away from the wall, continuous in theta.
-    A third component carries the integral of |y|^2 from the box end.  The
-    tolerance is relative on y, which grows from unit length toward the
-    wall; the integral starts at 0 with a unit integrand, so it gets the
-    absolute tolerance ``SHOOTING_RTOL`` as well.  ``dense`` keeps the
-    halves' dense output.  A failed half raises LadderFailure with its
-    theta and side.
+    The determinant of the two halves' unit vectors at the wall center, on
+    the shooting box: it changes sign at every eigenvalue.
     """
-    p = params
-    s, smu, mass = p.speed_t, p.speed_mu, p.mass
-    _, sign = _real_gauge(p)
-    b = p.mu * smu * sign
-
-    def rhs(t, y):
-        mk = mass * p.wall(t)
-        return [
-            (-b * y[0] + (theta + mk) * y[1]) / s,
-            ((mk - theta) * y[0] + b * y[1]) / s,
-            y[0] * y[0] + y[1] * y[1],
-        ]
-
-    def half(end: float, side: str):
-        phi0, _ = _start_angle(p, theta, end)
-        try:
-            return _dop853(
-                rhs, end, 0.0, [math.cos(phi0), math.sin(phi0), 0.0],
-                SHOOTING_RTOL, (1e-300, 1e-300, SHOOTING_RTOL), dense,
-            )
-        except _StepTooSmall as exc:
-            raise LadderFailure(
-                f"shooting from the {side} plateau failed at "
-                f"theta = {theta:.12f}: {exc}",
-                theta=theta, side=side, count=None, found=None,
-            ) from exc
-
-    return half(-SHOOTING_BOX, "left"), half(SHOOTING_BOX, "right")
-
-
-def _matching_det(params: DiracParams, theta: float) -> float:
-    left, right = _shoot_halves(params, theta, False)
-    (a0, a1, _), (c0, c1, _) = left.end, right.end
-    return (a0 * c1 - a1 * c0) / (math.hypot(a0, a1) * math.hypot(c0, c1))
+    halves = _halves(params, np.atleast_1d(np.asarray(theta, dtype=float)), SHOOTING_BOX)
+    return np.sin(halves.angle[1] - halves.angle[0]).reshape(np.shape(theta))[()]
 
 
 def _brentq(f, a: float, b: float, f_a: float, f_b: float, xtol: float) -> float:
@@ -1038,8 +856,8 @@ def _glued_pair(
     """Envelope pair at theta from a real-gauge solution chi(t).
 
     The sampler maps chi back to the spinor frame with [1, -i conj(e1)] and
-    is normalized in L2 on |t| <= box, by ``norm_sq``, the integral of
-    |chi|^2 there that the half-line integrations carry.
+    is normalized in L2 by ``norm_sq``, the integral of |chi|^2 over the
+    line that the halves carry.
     """
     norm = np.sqrt(norm_sq)
     e1, _ = _real_gauge(params)
@@ -1055,32 +873,29 @@ def _glued_pair(
 
 
 def shooting_pair(params: DiracParams, theta_guess: float) -> EnvelopePair:
-    """Refine an in-gap eigenvalue by shooting and return the glued pair.
+    """Refine an in-gap eigenvalue near a guess and return the glued pair.
 
-    The independent reference for the Prufer ladder and ``ladder_pair``:
-    it integrates the two-component real-gauge system itself, not its angle.
     ``theta_guess`` brackets the root; the bracket is widened geometrically
-    until the matching determinant changes sign, and a RuntimeError is
-    raised if it never does.  The returned sampler evaluates the dense
-    outputs of the two half-line integrations, and the integral of |y|^2
-    that they carry normalizes it, so the envelope, its norm and the
-    eigenvalue are accurate to the integrator tolerance.
+    until the matching determinant of the Magnus halves changes sign, and a
+    RuntimeError is raised if it never does.  Brent's search (``_brentq``)
+    then finds the root, and the pair samples the glued halves there on the
+    box |t| <= ``SHOOTING_BOX``, as ``ladder_pair`` does on the ladder's.
     """
     box = SHOOTING_BOX
     if box <= params.wall.plateau_halfwidth:
         raise ValueError("shooting box must exceed the wall plateau")
 
     def det(th: float) -> float:
-        return _matching_det(params, th)
+        return float(_matching_det(params, th))
 
     half = SHOOTING_BRACKET
-    lo, hi = theta_guess - half, theta_guess + half
-    f_lo, f_hi = det(lo), det(hi)
     widened = 0
-    while f_lo * f_hi > 0 and widened < SHOOTING_MAX_WIDEN:
-        half *= 2.0
+    while True:
         lo, hi = theta_guess - half, theta_guess + half
-        f_lo, f_hi = det(lo), det(hi)
+        f_lo, f_hi = map(float, _matching_det(params, np.array([lo, hi])))
+        if f_lo * f_hi <= 0 or widened == SHOOTING_MAX_WIDEN:
+            break
+        half *= 2.0
         widened += 1
     if f_lo * f_hi > 0:
         raise RuntimeError(
@@ -1088,34 +903,12 @@ def shooting_pair(params: DiracParams, theta_guess: float) -> EnvelopePair:
             f"{theta_guess:.6f} (final bracket half-width {half:.2e})"
         )
     theta = _brentq(det, lo, hi, f_lo, f_hi, xtol=1e-13)
-
-    left, right = _shoot_halves(params, theta, True)
-    chi_l = np.array(left.end[:2])
-    chi_r = np.array(right.end[:2])
-    # glue the right half onto the left one's scale (collinear at the root)
-    glue = float(chi_l @ chi_r) / float(chi_r @ chi_r)
-    mismatch = float(np.linalg.norm(chi_l - glue * chi_r)) / max(
-        np.linalg.norm(chi_l), 1e-300
-    )
-
-    def chi(ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        out = np.empty((len(ts), 2))
-        neg = ts < 0.0
-        if np.any(neg):
-            out[neg] = left.dense(ts[neg])[:, :2]
-        if np.any(~neg):
-            out[~neg] = glue * right.dense(ts[~neg])[:, :2]
-        return out
-
-    # the right half runs from +box down to 0, so its integral is negative
-    norm_sq = left.end[2] - glue * glue * right.end[2]
+    chi, norm_sq = _glued_mode(params, theta, box)
     return _glued_pair(
         params, theta, chi, norm_sq, box,
         {
             "theta_guess": float(theta_guess),
             "theta_shift": float(theta - theta_guess),
-            "glue_mismatch": mismatch,
             "bracket_halfwidth": half,
         },
     )
@@ -1127,10 +920,11 @@ def ladder_pair(spectrum: Dirac1DSpectrum, branch: int = 0) -> EnvelopePair:
     ``branch`` counts from the middle of the sorted in-gap spectrum
     (branch 0 = eigenvalue closest to zero).
     The eigenvalue is the ladder's own, already refined; the sampler is the
-    glued Prufer half-solutions at it (``_glued_mode``) on the ladder's
-    box |t| <= spectrum.T, normalized in L2 on that box by the integral the
-    halves carry (no samples are taken for it).  The exact zero at mu = 0
-    gets the closed-form ``zero_mode_pair``.
+    glued Prufer halves at it (``_glued_mode``): node values and one partial
+    Magnus step per sample, normalized in L2 over the line by the integral
+    the halves carry, the one that gives the ladder's slope (no samples are
+    taken for it).  Its box is the ladder's, |t| <= spectrum.T.  The exact
+    zero at mu = 0 gets the closed-form ``zero_mode_pair``.
     """
     n = len(spectrum.eigenvalues)
     if n == 0:

@@ -13,6 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
+import wall_reference
 
 from artifact import bloch, dirac_cone, geometry, potentials, quasimode, wall_dirac
 from artifact import strip as st
@@ -61,30 +62,24 @@ def _pair(setup, detuned_pair, mu):
 
 
 @pytest.mark.parametrize("wall_kind", ["mu=0.3", "tanh"])
-def test_ladder_pair_matches_shooting(setup, monkeypatch, wall_kind):
+def test_ladder_pair_matches_shooting(setup, wall_kind):
     # the ladder pair takes the Prufer eigenvalue as it stands and samples
-    # the glued Prufer halves, with no shooting; the independent shooting
-    # route lands on the same eigenvalue and the same envelope
+    # the glued Magnus halves; the tests' adaptive reference (solve_ivp and
+    # brentq) lands on the same eigenvalue and the same envelope, and
+    # shooting_pair, on the same propagator, on the same eigenvalue
     params = dataclasses.replace(setup[0], mu=0.3)
     if wall_kind == "tanh":
         params = dataclasses.replace(
             params, wall=potentials.domain_wall("tanh_scaled", 5.0)
         )
-    shots = []
-    real_shoot = wall_dirac._shoot_halves
-
-    def counted(*args):
-        shots.append(args)
-        return real_shoot(*args)
-
-    monkeypatch.setattr(wall_dirac, "_shoot_halves", counted)
     pair = wall_dirac.ladder_pair(wall_dirac.gap_spectrum(params, 30.0, 6000))
-    assert shots == []
-    ref = wall_dirac.shooting_pair(params, pair.theta)
-    assert len(shots) > 0
-    assert abs(pair.theta - ref.theta) <= 1e-12
+    theta = wall_reference.eigenvalue(params, pair.theta, 30.0)
+    assert abs(pair.theta - theta) <= 1e-12
+    assert abs(wall_dirac.shooting_pair(params, pair.theta).theta - theta) <= 1e-12
     ts = np.linspace(-27.0, 27.0, 1081)
-    assert np.abs(pair.alpha(ts) - ref.alpha(ts)).max() <= 1e-10
+    ours, ref = pair.alpha(ts), wall_reference.envelope(params, theta, 30.0)(ts)
+    ref *= np.sign(np.vdot(ref, ours).real)  # the reference has no preferred sign
+    assert np.abs(ours - ref).max() <= 1e-10
 
 
 def test_residual_exponents_are_order_plus_one(setup):

@@ -799,13 +799,13 @@ def test_compare_samples_no_eigenvectors(frame, fields, basis, cone, masses, mon
         frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA, basis,
         cone.j_star, SPEED_T, perturbation=fields["W10"], t_factor=3.5,
     )
-    real_half, halves = wall_dirac._prufer_half, []
+    real_halves, halves = wall_dirac._halves, []
 
-    def counted_half(*args, **kwargs):
+    def counted_halves(*args, **kwargs):
         halves.append(args)
-        return real_half(*args, **kwargs)
+        return real_halves(*args, **kwargs)
 
-    monkeypatch.setattr(wall_dirac, "_prufer_half", counted_half)
+    monkeypatch.setattr(wall_dirac, "_halves", counted_halves)
     params = params_from_frames(cone, frame, masses[10], fields["wall"])
     comp = rb.compare_with_dirac(spec, params, cone.E_star)
     assert comp.count == 1

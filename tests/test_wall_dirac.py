@@ -1,9 +1,10 @@
 """Tests for the effective 1D domain-wall operator.
 
-The ladder values below are pinned to shooting on the continuum operator
-(shooting_pair), a route independent of the Prufer count, and
-cross-checked against the closed-form zero mode, the chiral conjugation
-identity, and the exact square-sum relation for the transverse shift.
+The ladder values below are pinned to the tests' adaptive reference
+(``wall_reference``: solve_ivp's DOP853 at rtol 3e-14 and brentq), a route
+independent of the package's Magnus propagator, and cross-checked against
+the closed-form zero mode, the chiral conjugation identity, and the exact
+square-sum relation for the transverse shift.
 """
 
 import dataclasses
@@ -11,7 +12,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+import wall_reference
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from artifact import geometry, potentials, wall_dirac
@@ -35,8 +37,8 @@ NU_STAR = 3.2984584267 - 1.9043658606j
 DEFAULT_MASS = -1.0296486867
 RICH_MASS = -3.4321622890
 
-# shooting_pair values (integrator rtol 1e-12); the exact zero is pinned by
-# the conjugation symmetry
+# the reference's eigenvalues, to 13 digits; the exact zero is pinned by the
+# conjugation symmetry
 RICH_VALUES = [
     -3.0743380936622,
     -2.5739757915659,
@@ -239,15 +241,16 @@ def test_rich_spectrum_frozen(rich_base):
 
 
 def test_shooting_refines_fd_ladder(rich_base, default_params):
-    # second route to the ladder: shooting on the continuum operator (the
-    # matching determinant of the two-vector system) lands on each Prufer
-    # root, on the rich wall and for the topological value at mu = 0.5
+    # second route to the ladder: the adaptive reference lands on each
+    # Prufer root, on the rich wall and for the topological value at
+    # mu = 0.5; shooting_pair, on the same propagator, lands there too
     for value in rich_base.eigenvalues:
-        pair = shooting_pair(rich_base.params, float(value))
-        assert abs(pair.theta - value) <= 1e-10
+        ref = wall_reference.eigenvalue(rich_base.params, float(value), rich_base.T)
+        assert abs(ref - value) <= 1e-10
+        assert abs(shooting_pair(rich_base.params, float(value)).theta - value) <= 1e-12
     shifted = dataclasses.replace(default_params, mu=0.5)
     (topo,) = gap_spectrum(shifted, 30.0, 6000).eigenvalues
-    assert abs(shooting_pair(shifted, float(topo)).theta - topo) <= 1e-12
+    assert abs(wall_reference.eigenvalue(shifted, float(topo), 30.0) - topo) <= 1e-12
 
 
 def test_mu_prediction_matches_direct(rich_params, rich_base):
@@ -338,13 +341,14 @@ def test_predict_requires_unshifted_base(default_params):
 
 
 def test_count_matches_matching_det_sign_changes(rich_params, rich_base):
-    # independent route to the count: sign changes of the two-vector
-    # shooting determinant between consecutive points of a fine theta grid,
-    # over the full window and over 6 sub-windows with edges on that grid;
-    # an even point count keeps the exact zero mode off the grid
+    # independent route to the count: sign changes of the reference's
+    # matching determinant between consecutive points of a fine theta grid,
+    # all evaluated in one integration, over the full window and over 6
+    # sub-windows with edges on that grid; an even point count keeps the
+    # exact zero mode off the grid
     lo, hi = rich_base.window
     thetas = np.linspace(lo, hi, 122)
-    dets = np.array([_matching_det(rich_params, th) for th in thetas])
+    dets = wall_reference.matching_dets(rich_params, thetas, 64.0)
     flips = np.sign(dets[:-1]) != np.sign(dets[1:])
     assert len(rich_base.eigenvalues) == int(flips.sum()) == 7
     cuts = np.linspace(0, 121, 7).round().astype(int)
@@ -359,8 +363,9 @@ def test_count_matches_matching_det_sign_changes(rich_params, rich_base):
 
 @pytest.mark.parametrize("mu", [0.0, 0.4])
 def test_tanh_wall_ladder_matches_shooting(frame, mu):
-    # the tanh plateau is reached only asymptotically, so both routes start
-    # their integration at the box ends +-30 on the frozen-coefficient data
+    # the tanh plateau is reached only asymptotically, so both the ladder
+    # and the reference start at the box ends +-30 on the frozen-coefficient
+    # data
     params = DiracParams(
         NU_STAR,
         frame.kp_complex,
@@ -374,17 +379,17 @@ def test_tanh_wall_ladder_matches_shooting(frame, mu):
     t = np.linspace(-s.T, s.T, 3000)
     center = int(np.argmin(np.abs(s.eigenvalues)))
     for j, value in enumerate(s.eigenvalues):
-        pair = shooting_pair(params, float(value))
-        assert abs(pair.theta - value) <= 1e-10
-        # the ladder pair's samples are the shooting envelope up to a phase
+        theta = wall_reference.eigenvalue(params, float(value), s.T)
+        assert abs(theta - value) <= 1e-10
+        # the ladder pair's samples are the reference envelope up to a phase
         vec = ladder_pair(s, j - center).alpha(t).reshape(-1)
-        ref = pair.alpha(t).reshape(-1)
+        ref = wall_reference.envelope(params, theta, s.T)(t).reshape(-1)
         overlap = abs(np.vdot(ref, vec)) / (np.linalg.norm(ref) * np.linalg.norm(vec))
         assert overlap >= 1.0 - 1e-10
 
 
 def test_mismatch_slope_matches_central_difference(rich_params):
-    # g' from the variational equation is the theta derivative of g
+    # g' = -(norm_left + norm_right) / s is the theta derivative of g
     h = 1e-5
     for theta in (-2.2, 0.9, 3.0):
         _, slope = wall_dirac._mismatch(rich_params, theta, 64.0)
@@ -400,38 +405,20 @@ def test_shooting_start_is_continuous_in_theta(default_params):
     # (theta + m kappa, s lambda + b) vanished and flipped, and shooting
     # around 1.03 finds no root (the only eigenvalue is near 1.7722)
     shifted = dataclasses.replace(default_params, mu=0.5)
-    dets = np.array([_matching_det(shifted, th) for th in np.linspace(1.0, 1.5, 51)])
+    dets = _matching_det(shifted, np.linspace(1.0, 1.5, 51))
     assert np.all(np.sign(dets) == np.sign(dets[0]))
     with pytest.raises(RuntimeError, match="does not change sign"):
         shooting_pair(shifted, 1.03)
 
 
-def _failing_right(real_dop853):
-    """The integrator with every right half's right-hand side NaN past its start.
-
-    Each step of such a half is rejected and shrunk until it falls below the
-    float spacing at t, the integrator's one failure route.
-    """
-
-    def integrate(rhs, t0, t1, *args):
-        if t0 > 0:
-            def poisoned(t, y):
-                return rhs(t, y) if t == t0 else [math.nan] * len(y)
-
-            return real_dop853(poisoned, t0, t1, *args)
-        return real_dop853(rhs, t0, t1, *args)
-
-    return integrate
-
-
-def test_ladder_failures_are_typed(default_params, rich_params, monkeypatch):
-    # an integration whose step underflows raises with its theta and side
-    monkeypatch.setattr(wall_dirac, "_dop853", _failing_right(wall_dirac._dop853))
-    with pytest.raises(LadderFailure, match="right box end") as info:
-        gap_spectrum(default_params, 30.0, 6000)
-    assert info.value.side == "right"
-    assert info.value.theta == pytest.approx(-default_params.essential_edge() + 0.1)
-    assert info.value.count is None
+def test_ladder_failures_are_typed(rich_params, monkeypatch):
+    # a Magnus step that turns the Prufer angle by pi/4 or more raises with
+    # its theta and side: here steps of about one decay length
+    monkeypatch.setattr(wall_dirac, "MAGNUS_STEP", 1.0)
+    with pytest.raises(LadderFailure, match="pi/4 at most") as info:
+        window_spectrum(rich_params, 64.0, (-3.0, 3.0))
+    assert (info.value.theta, info.value.side) == (-3.0, "left")
+    assert info.value.count is None and info.value.found is None
     monkeypatch.undo()
 
     # a refinement that lands on one root for every k leaves the count unmet
@@ -444,93 +431,58 @@ def test_ladder_failures_are_typed(default_params, rich_params, monkeypatch):
     assert info.value.theta is None and info.value.side is None
 
 
-def test_shooting_failures_are_typed(default_params, monkeypatch):
-    # a shooting half whose step underflows raises the ladder's typed failure
-    monkeypatch.setattr(wall_dirac, "_dop853", _failing_right(wall_dirac._dop853))
-    with pytest.raises(LadderFailure, match="right plateau") as info:
-        _matching_det(default_params, 0.3)
+class _RightPoisoned:
+    """A bump wall that is NaN inside the right half of its transition."""
+
+    def __init__(self, wall):
+        self.wall = wall
+        self.kind = wall.kind
+        self.plateau_halfwidth = wall.plateau_halfwidth
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        inside = (t > 0.0) & (t < self.plateau_halfwidth)
+        return np.where(inside, np.nan, self.wall(t))[()]
+
+
+def test_shooting_failures_are_typed(default_params):
+    # a step whose angle change is NaN fails the same guard, on the side
+    # where it happens
+    poisoned = dataclasses.replace(default_params, wall=_RightPoisoned(default_params.wall))
+    with np.errstate(invalid="ignore"), pytest.raises(
+        LadderFailure, match="right plateau"
+    ) as info:
+        _matching_det(poisoned, 0.3)
     assert (info.value.theta, info.value.side) == (0.3, "right")
     assert info.value.count is None and info.value.found is None
 
 
-def _recorded_paths(monkeypatch, run):
-    """(arguments, path) of every integration that ``run()`` makes."""
-    real, calls = wall_dirac._dop853, []
-
-    def recorded(*args):
-        path = real(*args)
-        calls.append((args, path))
-        return path
-
-    monkeypatch.setattr(wall_dirac, "_dop853", recorded)
-    run()
-    monkeypatch.undo()
-    return calls
-
-
-def _assert_matches_solve_ivp(args, path):
-    # same tableau, error norm and step control as solve_ivp's DOP853, at the
-    # same tolerances: end values within 1e-11 relative per component.  On a
-    # plateau the error estimate is rounding noise, so the two step sequences
-    # can part there by a step or two; dense samples of the whole path then
-    # differ by the global error of either, up to 2e-10 relative against a
-    # run at rtol 2.3e-14.  The continuous extension of each accepted step is
-    # checked on that step alone, to 1e-11, against solve_ivp started at its
-    # start with it as the first step.
-    rhs, t0, t1, y0, rtol, atol, dense = args
-    ref = solve_ivp(
-        rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol, dense_output=dense
-    )
-    assert ref.success
-    assert abs(path.steps - (len(ref.t) - 1)) <= 3
-    end = ref.y[:, -1]
-    assert np.all(np.abs(np.array(path.end) - end) <= 1e-11 * np.maximum(np.abs(end), 1))
-    if not dense:
-        return
-    ts = np.linspace(t0, t1, 4001)
-    theirs = ref.sol(ts).T
-    scale = np.maximum(np.abs(theirs), 1.0)
-    assert np.all(np.abs(path.dense(ts) - theirs) <= 3e-10 * scale)
-    d = path.dense
-    for t_old, h, y_old in zip(d.t_old, d.h, d.y_old):
-        step = solve_ivp(
-            rhs, (t_old, t_old + h), y_old, method="DOP853", rtol=rtol, atol=atol,
-            first_step=abs(h), dense_output=True,
-        )
-        assert len(step.t) == 2
-        ts = t_old + h * np.linspace(0.0, 1.0, 17)
-        theirs = step.sol(ts).T
-        assert np.all(np.abs(d(ts) - theirs) <= 1e-11 * np.maximum(np.abs(theirs), 1.0))
-
-
-@pytest.mark.parametrize("radius", [False, True], ids=["slope", "radius"])
 @pytest.mark.parametrize("mu", [0.0, 0.3])
-def test_prufer_halves_match_solve_ivp(rich_params, monkeypatch, radius, mu):
+def test_magnus_halves_match_solve_ivp(rich_params, mu):
+    # the Magnus halves against the adaptive reference from the box ends:
+    # the start angle (mod pi, the reference's eigenvector has no preferred
+    # sign) and the angle turned on the way to t = 0, log r at t = 0 over
+    # the box end (the closed-form plateau from the box end to L included),
+    # each half's norm, and the samples of each half at 1001 points
     params = dataclasses.replace(rich_params, mu=mu)
-    calls = _recorded_paths(
-        monkeypatch,
-        lambda: [
-            wall_dirac._prufer_half(params, 1.2, 64.0, side, radius)
-            for side in ("left", "right")
-        ],
-    )
-    assert [args[1] for args, _ in calls] == [-64.0, 64.0]
-    for args, path in calls:
-        assert (path.dense is not None) == radius
-        _assert_matches_solve_ivp(args, path)
-
-
-def test_shooting_halves_match_solve_ivp(rich_params, monkeypatch):
-    # the right half runs backward from the box end, with the per-component
-    # atol of the shooting halves
-    params = dataclasses.replace(rich_params, mu=0.3)
-    calls = _recorded_paths(
-        monkeypatch, lambda: wall_dirac._shoot_halves(params, 1.2, True)
-    )
-    assert [args[1] for args, _ in calls] == [-30.0, 30.0]
-    for args, path in calls:
-        assert len(args[5]) == 3
-        _assert_matches_solve_ivp(args, path)
+    theta, T, L = 1.2, 64.0, params.wall.plateau_halfwidth
+    halves = wall_dirac._halves(params, np.array([theta]), T)
+    chi, _ = wall_dirac._glued_mode(params, theta, T)
+    ts = np.linspace(-T, T, 1001)
+    ours = chi(ts)
+    for side, end, mask in ((0, -L, ts < 0.0), (1, L, ts >= 0.0)):
+        ref = wall_reference.half(params, theta, T, ("left", "right")[side])
+        phi0 = wall_dirac._start_angle(params, np.array([theta]), end)[0][0]
+        assert abs((phi0 - ref.y[0, 0] + 0.5 * np.pi) % np.pi - 0.5 * np.pi) <= 1e-14
+        turned = halves.angle[side, 0] - phi0
+        assert abs(turned - (ref.y[0, -1] - ref.y[0, 0])) <= 1e-12
+        log_r = halves.log_r[-1, side, 0] + halves.rate[side, 0] * (T - L)
+        assert abs(log_r - ref.y[1, -1]) <= 1e-12 * ref.y[1, -1]
+        assert abs(halves.norm[side, 0] - abs(ref.y[2, -1])) <= 1e-12 * abs(ref.y[2, -1])
+        phi, log_rs, _ = ref.sol(ts[mask])
+        theirs = np.exp(log_rs - ref.y[1, -1]) * np.array([np.cos(phi), np.sin(phi)])
+        theirs = theirs.T * np.sign(np.sum(theirs.T * ours[mask]))
+        assert np.abs(ours[mask] - theirs).max() <= 1e-11
 
 
 def test_shooting_root_matches_brentq(rich_params):

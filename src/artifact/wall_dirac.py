@@ -70,8 +70,8 @@ and a mass-channel penalty term cannot lift it (wall zero modes carry no
 mass-channel expectation).  We solve the squared operator instead -- a local
 Schrodinger form with no lattice artifacts -- which recovers the
 first-order solution exactly on the deflated complement.  Its first-order
-part is the centered-difference matrix of H that ``assemble_dirac`` also
-builds (``_dirac_matrix``), which the tests read as a reference.
+part is the centered-difference matrix of H (``_dirac_matrix``), which the
+tests also assemble as a reference.
 
 Frame orientation matters for the mu-linear branch: the slope of the
 topological eigenvalue is nu_F*|ell| * sgn(mass) * orientation, where
@@ -89,7 +89,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
 from .dirac_cone import DiracPointData
@@ -256,8 +255,8 @@ def _dirac_matrix(
 
     Interleaved layout: unknown (node, spinor) at row 2 node + spinor.  D_t
     is the centered antisymmetric stencil, clamped at the ends or, with
-    ``wrap``, closed periodically.  ``assemble_dirac`` and
-    ``envelope_correction`` both build H here.
+    ``wrap``, closed periodically.  ``envelope_correction`` builds H here,
+    and the tests assemble their difference reference from it.
     """
     n = len(kappa)
     m1, m2, m3 = params.matrices()
@@ -272,45 +271,6 @@ def _dirac_matrix(
         + params.mu * params.speed_mu * sp.kron(sp.identity(n, format="csr"), m2)
         + params.mass * sp.kron(sp.diags(kappa), m3)
     )
-
-
-def assemble_dirac(
-    params: DiracParams,
-    T: float,
-    N: int,
-    kappa_const: float | None = None,
-    periodic: bool = False,
-) -> sp.csr_matrix:
-    """Sparse 2N x 2N Hermitian matrix of H(mu) on [-T, T].
-
-    Grid-major layout: unknown (n, spinor) at row 2n + spinor.  kappa_const
-    replaces the wall by a constant (the two asymptotic operators are the
-    +1 / -1 specializations).  periodic wraps the stencil instead of
-    clamping, which only makes sense for constant kappa; the wrapped grid
-    contains the zero momentum exactly, so the measured band edge is free
-    of the Dirichlet box shift.
-    """
-    L = params.wall.plateau_halfwidth
-    if T < 4 * L:
-        raise ValueError(f"need T >= 4L = {4 * L}, got {T}")
-    if N < 1000:
-        raise ValueError("need at least 1000 grid points")
-    if periodic and kappa_const is None:
-        raise ValueError("periodic wrap requires a constant kappa")
-    t = np.linspace(-T, T, N)
-    h = float(t[1] - t[0])
-    if kappa_const is None:
-        slope = float(np.max(np.abs(params.wall.derivative(t))))
-        if h * slope > 0.1:
-            raise GridTooCoarse(
-                f"h*max|kappa'| = {h * slope:.3f} > 0.1; refine the grid"
-            )
-        kappa = params.wall(t)
-    else:
-        kappa = np.full(N, float(kappa_const))
-    H = _dirac_matrix(params, h, kappa, wrap=periodic).tocsr()
-    H.eliminate_zeros()  # the 2x2 blocks of the kron products store zeros
-    return H
 
 
 def _real_gauge(params: DiracParams) -> tuple[complex, float]:
@@ -620,26 +580,6 @@ def gap_spectrum(params: DiracParams, T: float, N: int) -> Dirac1DSpectrum:
     return window_spectrum(params, T, window)
 
 
-def measured_essential_edge(
-    params: DiracParams, T: float, N: int, side: float = 1.0
-) -> float:
-    """Smallest |eigenvalue| of the constant-coefficient specialization.
-
-    Uses the periodic wrap so the grid momenta include zero; a clamped box
-    would shift the band bottom by the quantization offset ~(pi/2T)^2.
-    """
-    H = assemble_dirac(params, T, N, kappa_const=side, periodic=True)
-    v0 = np.random.default_rng(12345).standard_normal(H.shape[0])
-    # k must exceed the magnitude tie at the gap edges: the +/- band extremes
-    # and the grid doubler give four inverse eigenvalues of equal modulus, and
-    # asking for fewer than the tie stalls the iteration.
-    vals = spla.eigsh(
-        H, k=8, sigma=0.0, which="LM", v0=v0, return_eigenvectors=False,
-        maxiter=2000,
-    )
-    return float(np.min(np.abs(vals)))
-
-
 def predict_mu_spectrum(
     base: Dirac1DSpectrum, mu: float, params: DiracParams
 ) -> list[tuple[float, str]]:
@@ -662,18 +602,6 @@ def predict_mu_spectrum(
                 (float(np.sign(val)) * np.sqrt(val**2 + shift**2), "paired")
             )
     return sorted(out, key=lambda pair: pair[0])
-
-
-def susy_conjugation_residual(params: DiracParams, T: float, N: int) -> float:
-    """max |m2 H m2 + H| at mu = 0: the chiral conjugation flips the sign."""
-    if params.mu != 0:
-        raise ValueError("the conjugation identity holds at mu = 0")
-    H = assemble_dirac(params, T, N)
-    _, m2, _ = params.matrices()
-    M2 = sp.kron(sp.identity(N, format="csr"), m2, format="csr")
-    resid = M2 @ H @ M2 + H
-    scale = max(float(np.abs(H.data).max()), 1e-300)
-    return float(np.abs(resid.data).max() / scale) if resid.nnz else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -1000,7 +928,7 @@ def envelope_correction(
     ``ENVELOPE_BAND``; the deflation is a border, so beta is the solution
     orthogonal to w = alpha / |alpha|, found by ``_bordered_solve`` from one
     banded LU of the squared operator.  Its first-order part is
-    ``_dirac_matrix``, the difference matrix of ``assemble_dirac``.
+    ``_dirac_matrix``.
     """
     p = pair.params
     n = len(ts)

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 import wall_reference
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -22,13 +24,10 @@ from artifact.wall_dirac import (
     GridTooCoarse,
     LadderFailure,
     _matching_det,
-    assemble_dirac,
     gap_spectrum,
     ladder_pair,
-    measured_essential_edge,
     predict_mu_spectrum,
     shooting_pair,
-    susy_conjugation_residual,
     window_spectrum,
     zero_mode_pair,
 )
@@ -88,6 +87,87 @@ def rich_params(frame):
 @pytest.fixture(scope="module")
 def rich_base(rich_params):
     return gap_spectrum(rich_params, 64.0, 24000)
+
+
+# ---------------------------------------------------------------------------
+# the centered-difference matrix of H and two diagnostics read from it: a
+# grid reference for the closed-form zero mode, the chiral conjugation and
+# the essential edge
+
+
+def assemble_dirac(
+    params: DiracParams,
+    T: float,
+    N: int,
+    kappa_const: float | None = None,
+    periodic: bool = False,
+):
+    """Sparse 2N x 2N Hermitian matrix of H(mu) on [-T, T].
+
+    Grid-major layout: unknown (n, spinor) at row 2n + spinor.  kappa_const
+    replaces the wall by a constant (the two asymptotic operators are the
+    +1 / -1 specializations).  periodic wraps the stencil instead of
+    clamping, which only makes sense for constant kappa; the wrapped grid
+    contains the zero momentum exactly, so the measured band edge is free
+    of the Dirichlet box shift.
+    """
+    L = params.wall.plateau_halfwidth
+    if T < 4 * L:
+        raise ValueError(f"need T >= 4L = {4 * L}, got {T}")
+    if N < 1000:
+        raise ValueError("need at least 1000 grid points")
+    if periodic and kappa_const is None:
+        raise ValueError("periodic wrap requires a constant kappa")
+    t = np.linspace(-T, T, N)
+    h = float(t[1] - t[0])
+    if kappa_const is None:
+        slope = float(np.max(np.abs(params.wall.derivative(t))))
+        if h * slope > 0.1:
+            raise GridTooCoarse(
+                f"h*max|kappa'| = {h * slope:.3f} > 0.1; refine the grid"
+            )
+        kappa = params.wall(t)
+    else:
+        kappa = np.full(N, float(kappa_const))
+    H = wall_dirac._dirac_matrix(params, h, kappa, wrap=periodic).tocsr()
+    H.eliminate_zeros()  # the 2x2 blocks of the kron products store zeros
+    return H
+
+
+def measured_essential_edge(
+    params: DiracParams, T: float, N: int, side: float = 1.0
+) -> float:
+    """Smallest |eigenvalue| of the constant-coefficient specialization.
+
+    Uses the periodic wrap so the grid momenta include zero; a clamped box
+    would shift the band bottom by the quantization offset ~(pi/2T)^2.
+    """
+    H = assemble_dirac(params, T, N, kappa_const=side, periodic=True)
+    v0 = np.random.default_rng(12345).standard_normal(H.shape[0])
+    # k must exceed the magnitude tie at the gap edges: the +/- band extremes
+    # and the grid doubler give four inverse eigenvalues of equal modulus, and
+    # asking for fewer than the tie stalls the iteration.
+    vals = spla.eigsh(
+        H, k=8, sigma=0.0, which="LM", v0=v0, return_eigenvectors=False,
+        maxiter=2000,
+    )
+    return float(np.min(np.abs(vals)))
+
+
+def susy_conjugation_residual(params: DiracParams, T: float, N: int) -> float:
+    """max |m2 H m2 + H| at mu = 0: the chiral conjugation flips the sign."""
+    if params.mu != 0:
+        raise ValueError("the conjugation identity holds at mu = 0")
+    H = assemble_dirac(params, T, N)
+    _, m2, _ = params.matrices()
+    M2 = sp.kron(sp.identity(N, format="csr"), m2, format="csr")
+    resid = M2 @ H @ M2 + H
+    scale = max(float(np.abs(H.data).max()), 1e-300)
+    return float(np.abs(resid.data).max() / scale) if resid.nnz else 0.0
+
+
+
+# ---------------------------------------------------------------------------
 
 
 def test_params_properties(default_params):

@@ -132,7 +132,7 @@ def test_reduced_model_lives_in_wall_dirac():
         for node in _tree(PACKAGE / "quasimode.py").body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
-    assert not defined & {"EnvelopePair", "_shoot_halves", "_bordered_solve"}
+    assert not defined & {"EnvelopePair", "_halves", "_bordered_solve"}
 
 
 def test_no_integrate_optimize_or_special_in_the_import_graph():

@@ -103,9 +103,9 @@ class LadderFailure(RuntimeError):
     """The Prufer count or its roots could not be trusted.
 
     Carries ``theta`` and ``side`` ("left" or "right") of a half whose
-    Magnus step turned the angle too far, and ``count`` (multiples of pi crossed in the
-    window) with ``found`` (distinct roots refined inside it) once the count
-    is known; a field that does not apply is None.
+    Magnus step turned the angle too far, and ``count`` (multiples of pi
+    crossed in the window) with ``found`` (distinct roots refined inside it)
+    once the count is known; a field that does not apply is None.
     """
 
     def __init__(
@@ -510,7 +510,8 @@ def _refine_roots(mismatch, levels, ends) -> list[float]:
     todo = np.ones(len(levels), dtype=bool)
     while todo.any():
         step = (levels - f) / slope
-        done = todo & ((np.abs(levels - f) <= MAGNUS_ERROR) | (np.abs(step) < ROOT_XTOL))
+        close = (np.abs(levels - f) <= MAGNUS_ERROR) | (np.abs(step) < ROOT_XTOL)
+        done = todo & close
         roots[done] = (x + step)[done]
         inside = (below < x + step) & (x + step < above)
         x = np.where(inside, x + step, 0.5 * (below + above))
@@ -519,9 +520,9 @@ def _refine_roots(mismatch, levels, ends) -> list[float]:
         todo &= ~(done | stuck)
         if todo.any():
             f[todo], slope[todo] = mismatch(x[todo])
-            at = x[todo, None]
-            below = np.maximum(below, np.where(f[todo, None] > levels, at, -np.inf).max(0))
-            above = np.minimum(above, np.where(f[todo, None] < levels, at, np.inf).min(0))
+            new_x, new_f = x[todo, None], f[todo, None]
+            below = np.maximum(below, np.where(new_f > levels, new_x, -np.inf).max(0))
+            above = np.minimum(above, np.where(new_f < levels, new_x, np.inf).min(0))
     return [float(r) for r in roots]
 
 
@@ -714,7 +715,8 @@ def _matching_det(params: DiracParams, theta):
     The determinant of the two halves' unit vectors at the wall center, on
     the shooting box: it changes sign at every eigenvalue.
     """
-    halves = _halves(params, np.atleast_1d(np.asarray(theta, dtype=float)), SHOOTING_BOX)
+    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
+    halves = _halves(params, thetas, SHOOTING_BOX)
     return np.sin(halves.angle[1] - halves.angle[0]).reshape(np.shape(theta))[()]
 
 

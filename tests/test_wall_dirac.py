@@ -528,7 +528,8 @@ class _RightPoisoned:
 def test_shooting_failures_are_typed(default_params):
     # a step whose angle change is NaN fails the same guard, on the side
     # where it happens
-    poisoned = dataclasses.replace(default_params, wall=_RightPoisoned(default_params.wall))
+    wall = _RightPoisoned(default_params.wall)
+    poisoned = dataclasses.replace(default_params, wall=wall)
     with np.errstate(invalid="ignore"), pytest.raises(
         LadderFailure, match="right plateau"
     ) as info:
@@ -558,7 +559,8 @@ def test_magnus_halves_match_solve_ivp(rich_params, mu):
         assert abs(turned - (ref.y[0, -1] - ref.y[0, 0])) <= 1e-12
         log_r = halves.log_r[-1, side, 0] + halves.rate[side, 0] * (T - L)
         assert abs(log_r - ref.y[1, -1]) <= 1e-12 * ref.y[1, -1]
-        assert abs(halves.norm[side, 0] - abs(ref.y[2, -1])) <= 1e-12 * abs(ref.y[2, -1])
+        norm = abs(ref.y[2, -1])
+        assert abs(halves.norm[side, 0] - norm) <= 1e-12 * norm
         phi, log_rs, _ = ref.sol(ts[mask])
         theirs = np.exp(log_rs - ref.y[1, -1]) * np.array([np.cos(phi), np.sin(phi)])
         theirs = theirs.T * np.sign(np.sum(theirs.T * ours[mask]))

@@ -538,33 +538,47 @@ def test_shooting_failures_are_typed(default_params):
     assert info.value.count is None and info.value.found is None
 
 
-@pytest.mark.parametrize("mu", [0.0, 0.3])
-def test_magnus_halves_match_solve_ivp(rich_params, mu):
-    # the Magnus halves against the adaptive reference from the box ends:
-    # the start angle (mod pi, the reference's eigenvector has no preferred
-    # sign) and the angle turned on the way to t = 0, log r at t = 0 over
-    # the box end (the closed-form plateau from the box end to L included),
-    # each half's norm, and the samples of each half at 1001 points
-    params = dataclasses.replace(rich_params, mu=mu)
-    theta, T, L = 1.2, 64.0, params.wall.plateau_halfwidth
+def _assert_halves_match_solve_ivp(params, theta, T, slope, radius):
+    # the Magnus halves against the adaptive reference from the box ends.
+    # slope: the start angle (mod pi, the reference's eigenvector has no
+    # preferred sign), the angle turned on the way to t = 0 and each half's
+    # norm, which is the mismatch slope's denominator.  radius: log r at
+    # t = 0 over the box end (the closed-form plateau from the box end to L
+    # included) and the samples of each half at 1001 points
+    L = params.wall.plateau_halfwidth
     halves = wall_dirac._halves(params, np.array([theta]), T)
     chi, _ = wall_dirac._glued_mode(params, theta, T)
     ts = np.linspace(-T, T, 1001)
     ours = chi(ts)
     for side, end, mask in ((0, -L, ts < 0.0), (1, L, ts >= 0.0)):
         ref = wall_reference.half(params, theta, T, ("left", "right")[side])
-        phi0 = wall_dirac._start_angle(params, np.array([theta]), end)[0][0]
-        assert abs((phi0 - ref.y[0, 0] + 0.5 * np.pi) % np.pi - 0.5 * np.pi) <= 1e-14
-        turned = halves.angle[side, 0] - phi0
-        assert abs(turned - (ref.y[0, -1] - ref.y[0, 0])) <= 1e-12
-        log_r = halves.log_r[-1, side, 0] + halves.rate[side, 0] * (T - L)
-        assert abs(log_r - ref.y[1, -1]) <= 1e-12 * ref.y[1, -1]
-        norm = abs(ref.y[2, -1])
-        assert abs(halves.norm[side, 0] - norm) <= 1e-12 * norm
-        phi, log_rs, _ = ref.sol(ts[mask])
-        theirs = np.exp(log_rs - ref.y[1, -1]) * np.array([np.cos(phi), np.sin(phi)])
-        theirs = theirs.T * np.sign(np.sum(theirs.T * ours[mask]))
-        assert np.abs(ours[mask] - theirs).max() <= 1e-11
+        if slope:
+            phi0 = wall_dirac._start_angle(params, np.array([theta]), end)[0][0]
+            assert abs((phi0 - ref.y[0, 0] + 0.5 * np.pi) % np.pi - 0.5 * np.pi) <= 1e-14
+            turned = halves.angle[side, 0] - phi0
+            assert abs(turned - (ref.y[0, -1] - ref.y[0, 0])) <= 1e-12
+            norm = abs(ref.y[2, -1])
+            assert abs(halves.norm[side, 0] - norm) <= 1e-12 * norm
+        if radius:
+            log_r = halves.log_r[-1, side, 0] + halves.rate[side, 0] * (T - L)
+            assert abs(log_r - ref.y[1, -1]) <= 1e-12 * ref.y[1, -1]
+            phi, log_rs, _ = ref.sol(ts[mask])
+            theirs = np.exp(log_rs - ref.y[1, -1]) * np.array([np.cos(phi), np.sin(phi)])
+            theirs = theirs.T * np.sign(np.sum(theirs.T * ours[mask]))
+            assert np.abs(ours[mask] - theirs).max() <= 1e-11
+
+
+@pytest.mark.parametrize("radius", [False, True], ids=["slope", "radius"])
+@pytest.mark.parametrize("mu", [0.0, 0.3])
+def test_prufer_halves_match_solve_ivp(rich_params, radius, mu):
+    params = dataclasses.replace(rich_params, mu=mu)
+    _assert_halves_match_solve_ivp(params, 1.2, 64.0, not radius, radius)
+
+
+def test_shooting_halves_match_solve_ivp(rich_params):
+    # the halves on the shooting box, which _matching_det reads
+    params = dataclasses.replace(rich_params, mu=0.3)
+    _assert_halves_match_solve_ivp(params, 1.2, wall_dirac.SHOOTING_BOX, True, True)
 
 
 def test_shooting_root_matches_brentq(rich_params):

@@ -49,10 +49,10 @@ The envelope pair (theta, alpha) and the envelope correction beta belong to
 the reduced wall operator and come from ``wall_dirac``: a pair is the
 closed-form ``zero_mode_pair`` (mu = 0, center branch) or the Prufer
 ladder's ``ladder_pair``, and beta is its deflated solve
-``envelope_correction``.  ``shooting_pair`` finds a pair near a guessed
-eigenvalue on the same Magnus propagator as the ladder, so it is no
-independent check of it; the tests hold both to an adaptive integration of
-their own.
+``envelope_correction``.  ``shooting_pair`` takes the ladder's root nearest
+a guessed eigenvalue, counted in a window around it, so it is no
+independent check of the ladder; the tests hold both to an adaptive
+integration of their own.
 """
 
 from __future__ import annotations

@@ -3,10 +3,12 @@
 The strip (``strip``) keeps the bulk plane-wave ball and gives every ball
 mode a slow transverse envelope; its constant-coefficient part is an exact
 remap of the bulk fiber family, so its essential spectrum is that of the two
-plateau bulk operators.  ``essential_edges_bulk`` takes the gap edges from
-their fibers, and ``gap_window`` pulls them in by the margin the finite box
-needs to certify a state's decay, or returns no window with a warning that
-carries the numbers.
+plateau bulk operators.  Their fibers are complex conjugates of each other
+(V real and even, the perturbation real and odd), so ``essential_edges_bulk``
+takes the gap edges from one scan of the +delta fibers, each edge refined as
+the zero of its Hellmann-Feynman band slope, and ``gap_window`` pulls them in
+by the margin the finite box needs to certify a state's decay, or returns no
+window with a warning that carries the numbers.
 
 A window is certified complete by counting, not by over-solving.  Two
 inertia counts of the strip's block LDL^H (``blocktri.inertia``) give the
@@ -137,6 +139,11 @@ NU_LINEARITY_TOL = 1e-4
 WINDOW_MARGIN = 3.0
 WINDOW_FALLBACK = 1.5
 
+# essential_edges_bulk's check of its one-scan hypothesis: the largest
+# imaginary part of V's coefficient table, and real part of the
+# perturbation's, relative to the table's largest entry.
+CONJUGATION_TOL = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # bulk essential spectrum
@@ -144,14 +151,19 @@ WINDOW_FALLBACK = 1.5
 
 @dataclass(frozen=True)
 class BulkEdges:
-    """Essential-spectrum edges of the two plateau bulk operators."""
+    """Essential-spectrum edges of the two plateau bulk operators.
+
+    The -delta plateau's fibers are the complex conjugates of the +delta
+    plateau's, so one scan gives both (``essential_edges_bulk``) and
+    ``per_sign`` holds the same pair under both signs.
+    """
 
     zeta: float
     delta: float
-    lower: float  # top of the band below the gap, max over tau and both signs
-    upper: float  # bottom of the band above, min over tau and both signs
-    per_sign: dict  # {"+": (lower, upper), "-": (lower, upper)}
-    samples: np.ndarray  # columns: tau, lo+, hi+, lo-, hi-
+    lower: float  # top of the band below the gap, max over tau
+    upper: float  # bottom of the band above, min over tau
+    per_sign: dict  # {"+": (lower, upper), "-": (lower, upper)}, equal
+    samples: np.ndarray  # columns: tau, lo, hi
     closed: bool
 
     @property
@@ -163,79 +175,74 @@ class BulkEdges:
         return 0.5 * (self.lower + self.upper)
 
 
-def _fiber_pair(tables, frame, zeta, tau, delta, basis, j_star):
-    op = fiber_from_tables(frame.xi_of(zeta, tau), delta, basis, tables)
-    vals, _ = fiber_eigs(op, j_star + 1)
-    return vals[j_star - 1], vals[j_star]
+def _fiber_pair(tables, frame, zeta, tau, delta, basis, j_star, d_tau):
+    """Bands ``j_star`` and ``j_star + 1`` at tau and their tau-slopes.
 
-
-def _bounded_minimum(func, a: float, b: float, xatol: float) -> float:
-    """Brent's minimum of func on [a, b]: golden sections and parabolic steps.
-
-    A port of scipy's ``minimize_scalar(method="bounded")`` (fminbound) with
-    its cap of 500 evaluations; returns the minimum value.
+    Returns ``(values, slopes)``, each of length 2.  The slopes are
+    Hellmann-Feynman, dE/dtau = <u, dH/dtau u>: xi moves along k' with tau,
+    so dH/dtau is diag 2 (xi + 2 pi eta).k' plus ``d_tau``, the constant
+    tau-derivative of a magnetic term.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = x = fulc
-    rat = e = 0.0
-    fx = func(x)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = p / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm - xf >= 0.0 else -tol1
+    xi = frame.xi_of(zeta, tau)
+    vals, vecs = fiber_eigs(fiber_from_tables(xi, delta, basis, tables), j_star + 1)
+    u = vecs[:, j_star - 1:]
+    grad = d_tau + np.diag(2.0 * (xi + TWO_PI * basis.duals) @ frame.kp)
+    return vals[j_star - 1:], np.real(np.sum(np.conj(u) * (grad @ u), axis=0))
+
+
+def _brentq(f, a: float, b: float, f_a: float, f_b: float, xtol: float) -> float:
+    """Brent's zero of f in the bracket [a, b], given f of opposite signs there.
+
+    A port of scipy's ``brentq`` (the C routine of ``scipy.optimize``) with
+    its default rtol of four machine epsilons and 100 iterations; it takes
+    the end values the caller already has instead of evaluating f there
+    again.  The zero it returns is a point f was evaluated at (a or b
+    included).  Raises RuntimeError if it has not converged by then.
+    """
+    rtol = 4.0 * 2.220446049250313e-16
+    x_pre, x_cur, f_pre, f_cur = a, b, f_a, f_b
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(100):
+        if f_pre != 0.0 and f_cur != 0.0 and (
+            math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur)
+        ):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (xtol + rtol * abs(x_cur)) / 2.0
+        s_bis = (x_blk - x_cur) / 2.0
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:
+                # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
             else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
+                # inverse quadratic
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (
+                    d_blk * d_pre * (f_blk - f_pre)
+                )
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
             else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+                s_pre = s_cur = s_bis
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return fx
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        if abs(s_cur) > delta:
+            x_cur += s_cur
+        else:
+            x_cur += delta if s_bis > 0 else -delta
+        f_cur = f(x_cur)
+    raise RuntimeError(f"Brent's method did not converge (last x = {x_cur!r})")
 
 
 def essential_edges_bulk(
@@ -255,50 +262,75 @@ def essential_edges_bulk(
 
     Far from the wall the strip looks like one of the two homogeneous bulk
     operators (coupling +delta on one side, -delta on the other), so the
-    essential spectrum is the union of their zeta-slice band ranges.  The gap
-    between bands ``j_star`` and ``j_star + 1`` (1-based, matching the cone
-    certificate) is the intersection over both signs of the per-sign gaps,
-    each an extremum over the transverse phase tau, located on the sample
-    grid and then refined by Brent's bounded search (``_bounded_minimum``).
-    The fibers differ only in xi and the sign of delta, so the tables of V
+    essential spectrum is the union of their zeta-slice band ranges.  With
+    V real and even and the perturbation (W, or the magnetic A) real and
+    odd, V's coefficient table is real and the perturbation's imaginary, so
+    conj H(xi, +delta) = H(xi, -delta): the two plateaus have the same
+    spectrum at every xi, and one scan at +delta gives the edges of both.
+    The tables are checked for that, to rounding (``CONJUGATION_TOL``
+    relative), and a field without it raises ValueError naming the field
+    and its residual.
+
+    The gap between bands ``j_star`` and ``j_star + 1`` (1-based, matching
+    the cone certificate) runs from the top of the lower band to the bottom
+    of the upper one over the transverse phase tau.  Each extremum is
+    located on the sample grid, whose columns (tau, lo, hi) are kept as
+    ``samples``, and refined as the zero of its Hellmann-Feynman slope
+    (``_fiber_pair``) by Brent's search (``_brentq``) on the bracket of the
+    two neighbouring samples, whose slopes the scan already has; the band
+    is 2 pi-periodic in tau, so the neighbours wrap around.  The tables of V
     and the perturbation are built once per call (``fiber_tables``), not
-    once per fiber: 2 tables where 706 were built on the base channel.
+    once per fiber.
     """
     if tau_samples < 128:
         raise ValueError("tau_samples must be at least 128")
     taus = np.linspace(0.0, TWO_PI, tau_samples, endpoint=False)
     width = TWO_PI / tau_samples
     tables = fiber_tables(potential, basis, perturbation if delta != 0.0 else None)
+    v_table, w_table = tables
+    if w_table is not None:
+        for name, kind, stray, table in (
+            ("V", "imaginary", v_table.imag, v_table),
+            ("perturbation", "real", w_table.real, w_table),
+        ):
+            if np.abs(stray).max() > CONJUGATION_TOL * np.abs(table).max():
+                residual = np.abs(stray).max() / np.abs(table).max()
+                raise ValueError(
+                    f"the {name} coefficient table has a {kind} part of "
+                    f"{residual:.3e} relative: the -delta plateau is not the "
+                    "conjugate of the +delta one"
+                )
+    # a magnetic term's tau-derivative, 2 delta A-hat.k', is constant in tau
+    magnetic = w_table is not None and w_table.ndim == 3
+    d_tau = 2.0 * delta * (w_table @ frame.kp) if magnetic else 0.0
 
-    per_sign = {}
-    samples = np.empty((tau_samples, 5))
-    samples[:, 0] = taus
-    for col, (label, sgn) in enumerate((("+", 1.0), ("-", -1.0))):
-        lo = np.empty(tau_samples)
-        hi = np.empty(tau_samples)
-        for i, tau in enumerate(taus):
-            lo[i], hi[i] = _fiber_pair(
-                tables, frame, zeta, tau, sgn * delta, basis, j_star
+    def fiber(tau):
+        return _fiber_pair(tables, frame, zeta, tau, delta, basis, j_star, d_tau)
+
+    scan = [fiber(tau) for tau in taus]
+    values = np.array([vals for vals, _ in scan])
+    slopes = np.array([slope for _, slope in scan])
+
+    def refine(band: int, i: int) -> float:
+        left, right = (i - 1) % tau_samples, (i + 1) % tau_samples
+        a, b = taus[i] - width, taus[i] + width
+        s_a, s_b = slopes[left, band], slopes[right, band]
+        if s_a * s_b > 0.0:
+            raise RuntimeError(
+                f"band {j_star + band} has slope {s_a:.3e} and {s_b:.3e} on both sides "
+                f"of its sampled extremum at tau = {taus[i]:.6f}: raise tau_samples"
             )
-        samples[:, 1 + 2 * col] = lo
-        samples[:, 2 + 2 * col] = hi
+        seen = {a: values[left, band], b: values[right, band]}
 
-        tau_lo = taus[int(np.argmax(lo))]
-        tau_hi = taus[int(np.argmin(hi))]
+        def slope(tau: float) -> float:
+            vals, slopes_at = fiber(tau)
+            seen[tau] = vals[band]
+            return slopes_at[band]
 
-        def band(tau, index, s=sgn):
-            return _fiber_pair(tables, frame, zeta, tau, s * delta, basis, j_star)[index]
+        return float(seen[_brentq(slope, a, b, s_a, s_b, 1e-10)])
 
-        val_lo = -_bounded_minimum(
-            lambda tau: -band(tau, 0), tau_lo - width, tau_lo + width, 1e-8
-        )
-        val_hi = _bounded_minimum(
-            lambda tau: band(tau, 1), tau_hi - width, tau_hi + width, 1e-8
-        )
-        per_sign[label] = (float(val_lo), float(val_hi))
-
-    lower = max(edges[0] for edges in per_sign.values())
-    upper = min(edges[1] for edges in per_sign.values())
+    lower = refine(0, int(np.argmax(values[:, 0])))
+    upper = refine(1, int(np.argmin(values[:, 1])))
     closed = (upper - lower) <= closed_tol * max(1.0, abs(upper), abs(lower))
     if closed and not allow_closed:
         raise GapClosed(
@@ -308,10 +340,10 @@ def essential_edges_bulk(
     return BulkEdges(
         zeta=float(zeta),
         delta=float(delta),
-        lower=float(lower),
-        upper=float(upper),
-        per_sign=per_sign,
-        samples=samples,
+        lower=lower,
+        upper=upper,
+        per_sign={"+": (lower, upper), "-": (lower, upper)},
+        samples=np.column_stack([taus, values]),
         closed=bool(closed),
     )
 

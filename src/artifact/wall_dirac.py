@@ -55,10 +55,10 @@ mode (mu = 0, center branch, ``zero_mode_pair``) or from the halves.
 samples the glued halves at it, from their node values and one partial
 Magnus step per sample, normalized in L2 over the line by the integral that
 gives the slope; this is the one sampler of a ladder state.
-``shooting_pair`` finds the eigenvalue near a guess by Brent's search
-(``_brentq``) on the matching determinant of the same halves and samples it
-the same way.  Neither is an independent check of the other: the tests
-hold both to an adaptive integration of their own.
+``shooting_pair`` is the same ladder counted in a window around a guess
+(``window_spectrum``), its root nearest the guess sampled the same way; it
+has no root search of its own and is no independent check of the ladder:
+the tests hold both to an adaptive integration of their own.
 
 The envelope correction of the two-scale ansatz at second order
 (``envelope_correction``) needs the reduced operator solved with its
@@ -134,11 +134,10 @@ MAGNUS_ERROR = 5e-13
 ROOT_XTOL = 1e-13
 
 # Shooting: half-width (slow units) of the box, which a tanh_scaled wall is
-# stepped across.  The root bracket starts at +-SHOOTING_BRACKET around the
-# guess and doubles at most SHOOTING_MAX_WIDEN times.
+# stepped across, and half-width of the theta window searched around the
+# guess.
 SHOOTING_BOX = 30.0
-SHOOTING_BRACKET = 2e-3
-SHOOTING_MAX_WIDEN = 6
+SHOOTING_WINDOW = 0.128
 
 # Gauss-Legendre rule on [-1, 1] for the zero mode's norm across a bump
 # wall's transition.
@@ -709,71 +708,6 @@ def zero_mode_pair(params: DiracParams) -> EnvelopePair:
     return EnvelopePair(params=params, theta=0.0, sampler=sampler, box=np.inf)
 
 
-def _matching_det(params: DiracParams, theta):
-    """sin(phi_right(0) - phi_left(0)), shaped like ``theta``.
-
-    The determinant of the two halves' unit vectors at the wall center, on
-    the shooting box: it changes sign at every eigenvalue.
-    """
-    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
-    halves = _halves(params, thetas, SHOOTING_BOX)
-    return np.sin(halves.angle[1] - halves.angle[0]).reshape(np.shape(theta))[()]
-
-
-def _brentq(f, a: float, b: float, f_a: float, f_b: float, xtol: float) -> float:
-    """Brent's zero of f in the bracket [a, b], given f of opposite signs there.
-
-    A port of scipy's ``brentq`` (the C routine of ``scipy.optimize``) with
-    its default rtol of four machine epsilons and 100 iterations; it takes
-    the end values the bracket search already has instead of evaluating f
-    there again.  Raises RuntimeError if it has not converged by then.
-    """
-    rtol = 4.0 * 2.220446049250313e-16
-    x_pre, x_cur, f_pre, f_cur = a, b, f_a, f_b
-    if f_pre == 0.0:
-        return x_pre
-    if f_cur == 0.0:
-        return x_cur
-    x_blk = f_blk = s_pre = s_cur = 0.0
-    for _ in range(100):
-        if f_pre != 0.0 and f_cur != 0.0 and (
-            math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur)
-        ):
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = (xtol + rtol * abs(x_cur)) / 2.0
-        s_bis = (x_blk - x_cur) / 2.0
-        if f_cur == 0.0 or abs(s_bis) < delta:
-            return x_cur
-        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
-            if x_pre == x_blk:
-                # secant
-                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
-            else:
-                # inverse quadratic
-                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (
-                    d_blk * d_pre * (f_blk - f_pre)
-                )
-            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
-                s_pre, s_cur = s_cur, s_try
-            else:
-                s_pre = s_cur = s_bis
-        else:
-            s_pre = s_cur = s_bis
-        x_pre, f_pre = x_cur, f_cur
-        if abs(s_cur) > delta:
-            x_cur += s_cur
-        else:
-            x_cur += delta if s_bis > 0 else -delta
-        f_cur = f(x_cur)
-    raise RuntimeError(f"Brent's method did not converge (last x = {x_cur!r})")
-
-
 def _glued_pair(
     params: DiracParams,
     theta: float,
@@ -802,44 +736,30 @@ def _glued_pair(
 
 
 def shooting_pair(params: DiracParams, theta_guess: float) -> EnvelopePair:
-    """Refine an in-gap eigenvalue near a guess and return the glued pair.
+    """The ladder's eigenvalue nearest a guess, with its glued pair.
 
-    ``theta_guess`` brackets the root; the bracket is widened geometrically
-    until the matching determinant of the Magnus halves changes sign, and a
-    RuntimeError is raised if it never does.  Brent's search (``_brentq``)
-    then finds the root, and the pair samples the glued halves there on the
-    box |t| <= ``SHOOTING_BOX``, as ``ladder_pair`` does on the ladder's.
+    The ladder is counted and refined (``window_spectrum``) on the box |t| <=
+    ``SHOOTING_BOX``, in the window theta_guess +- ``SHOOTING_WINDOW`` cut to
+    the one ``gap_spectrum`` counts on that box; the root nearest the guess
+    is sampled as ``ladder_pair`` samples a ladder state.  Raises
+    LadderFailure, naming the guess and the window, when no root lies in it.
     """
     box = SHOOTING_BOX
-    if box <= params.wall.plateau_halfwidth:
-        raise ValueError("shooting box must exceed the wall plateau")
-
-    def det(th: float) -> float:
-        return float(_matching_det(params, th))
-
-    half = SHOOTING_BRACKET
-    widened = 0
-    while True:
-        lo, hi = theta_guess - half, theta_guess + half
-        f_lo, f_hi = map(float, _matching_det(params, np.array([lo, hi])))
-        if f_lo * f_hi <= 0 or widened == SHOOTING_MAX_WIDEN:
-            break
-        half *= 2.0
-        widened += 1
-    if f_lo * f_hi > 0:
-        raise RuntimeError(
-            f"matching determinant does not change sign around theta = "
-            f"{theta_guess:.6f} (final bracket half-width {half:.2e})"
+    edge = params.essential_edge() - 3.0 / box
+    lo = max(theta_guess - SHOOTING_WINDOW, -edge)
+    hi = min(theta_guess + SHOOTING_WINDOW, edge)
+    roots = window_spectrum(params, box, (lo, hi)).eigenvalues
+    if not len(roots):
+        raise LadderFailure(
+            f"no eigenvalue near theta = {theta_guess:.6f}: the ladder on the "
+            f"shooting box is empty in ({lo:.6f}, {hi:.6f})",
+            theta=None, side=None, count=0, found=0,
         )
-    theta = _brentq(det, lo, hi, f_lo, f_hi, xtol=1e-13)
+    theta = float(roots[np.argmin(np.abs(roots - theta_guess))])
     chi, norm_sq = _glued_mode(params, theta, box)
     return _glued_pair(
         params, theta, chi, norm_sq, box,
-        {
-            "theta_guess": float(theta_guess),
-            "theta_shift": float(theta - theta_guess),
-            "bracket_halfwidth": half,
-        },
+        {"theta_guess": float(theta_guess), "theta_shift": theta - theta_guess},
     )
 
 

@@ -104,7 +104,7 @@ def base_comp(base_spec, cone, frame, fields, masses):
 def _synthetic_edges(lo, hi, delta=DELTA):
     return rb.BulkEdges(
         zeta=0.0, delta=delta, lower=lo, upper=hi,
-        per_sign={"+": (lo, hi), "-": (lo, hi)}, samples=np.zeros((1, 5)),
+        per_sign={"+": (lo, hi), "-": (lo, hi)}, samples=np.zeros((1, 3)),
         closed=False,
     )
 
@@ -555,10 +555,19 @@ def test_edges_amp10(frame, fields, basis, cone, base_spec, masses):
     assert edges.lower < lo < hi < edges.upper
 
 
-def test_bulk_edge_search_matches_minimize_scalar(frame, fields, basis, cone, monkeypatch):
-    # the ported bounded Brent search refines each per-sign edge of the base
-    # channel to scipy's minimize_scalar(method="bounded") on the same
-    # bracket, with no more fiber solves: 2 x 160 samples and 32 refinements
+@pytest.mark.parametrize("magnetic", [False, True], ids=["W", "A"])
+def test_bulk_edge_search_matches_minimize_scalar(
+    lat, frame, fields, basis, cone, magnetic, monkeypatch
+):
+    # one scan at +delta refines each edge as the zero of its Hellmann-Feynman
+    # slope (on a magnetic wall the slope has the constant term 2 delta A.k');
+    # scipy's minimize_scalar(method="bounded") on the band itself, over the
+    # bracket of the two samples around the sampled extremum, gives the same
+    # edge on the fibers of either sign, with 160 samples and at most 16
+    # refinements
+    from artifact.potentials import magnetic_A
+
+    pert = magnetic_A(lat, 2.2) if magnetic else fields["W10"]
     real, calls = rb._fiber_pair, []
 
     def counted(*args):
@@ -568,19 +577,22 @@ def test_bulk_edge_search_matches_minimize_scalar(frame, fields, basis, cone, mo
     monkeypatch.setattr(rb, "_fiber_pair", counted)
     zeta = frame.zeta_star("A")
     edges = rb.essential_edges_bulk(
-        frame, fields["V"], fields["W10"], zeta, DELTA, basis, cone.j_star
+        frame, fields["V"], pert, zeta, DELTA, basis, cone.j_star
     )
     monkeypatch.undo()
-    assert len(calls) <= 2 * 160 + 32
-    tables = bloch.fiber_tables(fields["V"], basis, fields["W10"])
+    assert len(calls) <= 160 + 16
+    tables = bloch.fiber_tables(fields["V"], basis, pert)
     width = TWO_PI / 160
     taus = edges.samples[:, 0]
-    for col, (label, sgn) in enumerate((("+", 1.0), ("-", -1.0))):
+    t_lo = taus[int(np.argmax(edges.samples[:, 1]))]
+    t_hi = taus[int(np.argmin(edges.samples[:, 2]))]
+    for label, sgn in (("+", 1.0), ("-", -1.0)):
         def band(tau, index, s=sgn):
-            return real(tables, frame, zeta, tau, s * DELTA, basis, cone.j_star)[index]
+            fiber = bloch.fiber_from_tables(
+                frame.xi_of(zeta, tau), s * DELTA, basis, tables
+            )
+            return bloch.eigs(fiber, cone.j_star + 1)[0][cone.j_star - 1 + index]
 
-        t_lo = taus[int(np.argmax(edges.samples[:, 1 + 2 * col]))]
-        t_hi = taus[int(np.argmin(edges.samples[:, 2 + 2 * col]))]
         options = {"xatol": 1e-8}
         ref_lo = -minimize_scalar(
             lambda tau: -band(tau, 0), bounds=(t_lo - width, t_lo + width),
@@ -601,7 +613,8 @@ def test_bulk_edges_match_per_fiber_assembly(
     # the scan builds the V and perturbation tables once per call, each with
     # its truncation check; its samples are bit for bit those of fibers that
     # rebuild both tables one by one and sum diag |xi + 2 pi eta|^2, then V,
-    # then the +-delta perturbation
+    # then the +delta perturbation, and the -delta fibers, the conjugates of
+    # the +delta ones, give the same pair bit for bit
     from artifact.potentials import magnetic_A
 
     pert = magnetic_A(lat, 2.2) if magnetic else fields["W10"]
@@ -618,9 +631,9 @@ def test_bulk_edges_match_per_fiber_assembly(
     )
     assert grids == [fields["V"], pert]
     m = len(basis)
-    for col, delta in ((1, DELTA), (3, -DELTA)):
-        for tau, lo, hi in edges.samples[:, [0, col, col + 1]]:
-            xi = frame.xi_of(zeta, tau)
+    for tau, lo, hi in edges.samples:
+        xi = frame.xi_of(zeta, tau)
+        for delta in (DELTA, -DELTA):
             shifted = xi[None, :] + TWO_PI * basis.duals
             H = np.zeros((m, m), dtype=complex)
             H[np.diag_indices(m)] = np.sum(shifted * shifted, axis=1)
@@ -632,6 +645,14 @@ def test_bulk_edges_match_per_fiber_assembly(
             fiber = bloch.FiberOperator(xi=xi, delta=delta, basis=basis, matrix=H)
             vals, _ = bloch.eigs(fiber, cone.j_star + 1)
             assert (lo, hi) == (vals[cone.j_star - 1], vals[cone.j_star])
+
+    # a perturbation with a real even part breaks the conjugation, and the
+    # one scan refuses it
+    broken = dataclasses.replace(pert, coeffs=pert.coeffs + 0.1 * np.abs(pert.coeffs))
+    with pytest.raises(ValueError, match="perturbation coefficient table has a real"):
+        rb.essential_edges_bulk(
+            frame, fields["V"], broken, zeta, DELTA, basis, cone.j_star
+        )
 
 
 def test_window_formula(monkeypatch):

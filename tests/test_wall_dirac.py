@@ -18,12 +18,12 @@ import wall_reference
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from artifact import geometry, potentials, wall_dirac
+from artifact import bloch, geometry, potentials, ribbon, wall_dirac
+from artifact.dirac_cone import find_dirac_point
 from artifact.wall_dirac import (
     DiracParams,
     GridTooCoarse,
     LadderFailure,
-    _matching_det,
     gap_spectrum,
     ladder_pair,
     predict_mu_spectrum,
@@ -480,14 +480,20 @@ def test_mismatch_slope_matches_central_difference(rich_params):
 
 def test_shooting_start_is_continuous_in_theta(default_params):
     # the shooting halves start on the Prufer start angle, which is
-    # continuous in theta: at mu = 0.5 the matching determinant keeps its
-    # sign across theta = |mass|, where a start vector built from
-    # (theta + m kappa, s lambda + b) vanished and flipped, and shooting
-    # around 1.03 finds no root (the only eigenvalue is near 1.7722)
+    # continuous in theta: at mu = 0.5 the mismatch on the shooting box falls
+    # smoothly across theta = |mass|, where a start vector built from
+    # (theta + m kappa, s lambda + b) vanished and flipped, so the ladder
+    # holds no root there and shooting around 1.03 finds none (the only
+    # eigenvalue is near 1.7722)
     shifted = dataclasses.replace(default_params, mu=0.5)
-    dets = _matching_det(shifted, np.linspace(1.0, 1.5, 51))
-    assert np.all(np.sign(dets) == np.sign(dets[0]))
-    with pytest.raises(RuntimeError, match="does not change sign"):
+    g, _ = wall_dirac._mismatch(
+        shifted, np.linspace(1.0, 1.5, 51), wall_dirac.SHOOTING_BOX
+    )
+    steps = np.diff(g)
+    assert np.all((-0.25 * np.pi < steps) & (steps < 0.0))
+    spec = window_spectrum(shifted, wall_dirac.SHOOTING_BOX, (1.0, 1.5))
+    assert len(spec.eigenvalues) == 0
+    with pytest.raises(RuntimeError, match="no eigenvalue near theta = 1.030000"):
         shooting_pair(shifted, 1.03)
 
 
@@ -533,7 +539,7 @@ def test_shooting_failures_are_typed(default_params):
     with np.errstate(invalid="ignore"), pytest.raises(
         LadderFailure, match="right plateau"
     ) as info:
-        _matching_det(poisoned, 0.3)
+        wall_dirac._mismatch(poisoned, 0.3, wall_dirac.SHOOTING_BOX)
     assert (info.value.theta, info.value.side) == (0.3, "right")
     assert info.value.count is None and info.value.found is None
 
@@ -576,22 +582,37 @@ def test_prufer_halves_match_solve_ivp(rich_params, radius, mu):
 
 
 def test_shooting_halves_match_solve_ivp(rich_params):
-    # the halves on the shooting box, which _matching_det reads
+    # the halves on the shooting box, which shooting_pair reads
     params = dataclasses.replace(rich_params, mu=0.3)
     _assert_halves_match_solve_ivp(params, 1.2, wall_dirac.SHOOTING_BOX, True, True)
 
 
-def test_shooting_root_matches_brentq(rich_params):
-    # the ported Brent search lands where scipy's brentq does on the same
-    # bracket; the bracket search hands it the end values it already has
-    def det(theta):
-        return _matching_det(rich_params, theta)
+def test_shooting_root_matches_brentq(frame):
+    # the ported Brent search, which refines the bulk gap edges, lands where
+    # scipy's brentq does on the base channel's band-slope brackets: the
+    # Hellmann-Feynman slope of each band at the gap on the two samples
+    # around its sampled extremum, whose end values the scan hands it
+    lat = geometry.build_lattice()
+    basis = bloch.build_basis(lat, 4.0)
+    wid = 0.15 * np.linalg.norm(lat.v1)
+    V = potentials.honeycomb_potential(lat, -30.0, wid, 8)
+    W = potentials.parity_breaking_W(lat, 10.0, wid, 8)
+    j_star = find_dirac_point(V, "A", basis).j_star
+    zeta, delta = frame.zeta_star("A"), 0.08
+    edges = ribbon.essential_edges_bulk(frame, V, W, zeta, delta, basis, j_star)
+    tables = bloch.fiber_tables(V, basis, W)
+    taus, width = edges.samples[:, 0], geometry.TWO_PI / len(edges.samples)
+    extrema = (np.argmax(edges.samples[:, 1]), np.argmin(edges.samples[:, 2]))
+    for band, i in enumerate(extrema):
+        def slope(tau, band=band):
+            _, slopes = ribbon._fiber_pair(
+                tables, frame, zeta, tau, delta, basis, j_star, 0.0
+            )
+            return slopes[band]
 
-    for value in RICH_VALUES:
-        pair = shooting_pair(rich_params, value)
-        half = pair.diagnostics["bracket_halfwidth"]
-        ref = brentq(det, value - half, value + half, xtol=1e-13)
-        assert abs(pair.theta - ref) <= 1e-13
+        a, b = taus[i] - width, taus[i] + width
+        ours = ribbon._brentq(slope, a, b, slope(a), slope(b), xtol=1e-10)
+        assert abs(ours - brentq(slope, a, b, xtol=1e-10)) <= 1e-13
 
 
 @pytest.mark.parametrize(

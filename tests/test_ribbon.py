@@ -132,7 +132,7 @@ def _sparse_max_abs(diff):
 # guards and grid structure
 
 
-def test_step_guards(frame, fields, basis):
+def test_step_guards(frame, fields, basis, monkeypatch):
     V, wall = fields["V"], fields["wall"]
     zs = frame.zeta_star("A")
     with pytest.raises(GridTooCoarse, match="transverse phase range"):
@@ -149,6 +149,12 @@ def test_step_guards(frame, fields, basis):
         rb.essential_edges_bulk(
             frame, fields["V"], None, zs, DELTA, basis, 1, tau_samples=100
         )
+    # an extremum whose neighbouring samples' slopes share a sign is not
+    # bracketed, and the edge search says so rather than guess
+    real = rb._fiber_pair
+    monkeypatch.setattr(rb, "_fiber_pair", lambda *args: (real(*args)[0], np.ones(2)))
+    with pytest.raises(RuntimeError, match="raise tau_samples"):
+        rb.essential_edges_bulk(frame, fields["V"], fields["W10"], zs, DELTA, basis, 1)
 
 
 def test_grid_structure(frame, fields, basis):

@@ -11,16 +11,17 @@ by the margin the finite box needs to certify a state's decay, or returns no
 window with a warning that carries the numbers.
 
 A window is certified complete by counting, not by over-solving.  Two
-inertia counts of the strip's block LDL^H (``blocktri.inertia``) give the
-exact number of strip eigenvalues in it.  Every in-gap state comes with its
-zone-edge mirror (``strip``), so that count must be twice the reduced
-ladder's, one state and its mirror each.  The states are therefore never
-searched for blindly: each is seeded from its state of the reduced Dirac
-ladder, the cone pair times the ladder envelope (``quasimode.lift_order0``),
-which is smooth and carries no mirror content, and refined by inverse
-iteration with the LDL^H taken at the seed's Rayleigh quotient
-(``blocktri.inverse_iteration``).  The mirrors are counted, never solved
-for.
+inertia counts of the strip's block LDL^H give the exact number of strip
+eigenvalues in it; each walks the left half of the strip only, as the right
+half is its conjugate mirror (``blocktri.half_inertia``).  Every in-gap
+state comes with its zone-edge mirror (``strip``), so that count must be
+twice the reduced ladder's, one state and its mirror each.  The states
+are therefore never searched for blindly: each is seeded from its state of
+the reduced Dirac ladder, the cone pair times the ladder envelope
+(``quasimode.lift_order0``), which is smooth and carries no mirror content,
+and refined by inverse iteration with the LDL^H taken at the seed's
+Rayleigh quotient (``blocktri.inverse_iteration``), again on the left half.
+The mirrors are counted, never solved for.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 import scipy.sparse.linalg as spla  # noqa: F401  bench/tracer.py patches ribbon.spla
 
 from .bloch import PlaneWaveBasis, eigs as fiber_eigs, fiber_from_tables, fiber_tables
-from .blocktri import inertia, inverse_iteration, node_pairs
+from .blocktri import half_inertia, half_table, inverse_iteration
 from .dirac_cone import compute_mass, compute_nu_star, find_dirac_point
 from .geometry import TWO_PI, EdgeFrame
 from .potentials import FourierField
@@ -141,7 +142,9 @@ WINDOW_FALLBACK = 1.5
 
 # essential_edges_bulk's check of its one-scan hypothesis: the largest
 # imaginary part of V's coefficient table, and real part of the
-# perturbation's, relative to the table's largest entry.
+# perturbation's, relative to the table's largest entry.  gap_eigenpairs
+# holds the strip's terms to the same tolerance for its half walks
+# (blocktri.half_table).
 CONJUGATION_TOL = 1e-12
 
 
@@ -464,8 +467,8 @@ def gap_eigenpairs(
     ``seeds`` are unit strip vectors, one per state of the reduced ladder in
     the window (``solve_edge_channel`` lifts them with
     ``quasimode.lift_order0``).  The window is counted first: ``count =
-    nu(hi) - nu(lo)`` from two inertia sweeps (``blocktri.inertia``) is the
-    exact number of strip eigenvalues in it.  Every state comes with its
+    nu(hi) - nu(lo)`` from two inertia counts (``blocktri.half_inertia``) is
+    the exact number of strip eigenvalues in it.  Every state comes with its
     zone-edge mirror, so the count must be twice the number of seeds; any
     other count raises CountMismatch with both numbers, and a window that
     counts none returns without factoring.  Each seed is then refined by
@@ -476,21 +479,27 @@ def gap_eigenpairs(
     are counted, never solved for.
 
     Every factorization builds its blocks from the strip's Kronecker terms;
-    the node-pair table and its shared couplings (``blocktri.node_pairs``)
-    are read once per call, and no step here forms, slices or multiplies the
-    CSC strip.  The two counts and each seed's factor walk the table run by
-    run and reduce each plateau run by block cyclic reduction.  The Rayleigh
+    the half table (``blocktri.half_table``: the left half's node pairs,
+    the separator's block and its coupling, with the terms' mirror symmetry
+    checked to ``CONJUGATION_TOL``) is read once per call, and no step here
+    forms, slices or multiplies the CSC strip.  The two counts and each
+    seed's factor walk the left half run by run, reduce its plateau run by
+    block cyclic reduction and close the separator with one dense factor;
+    the right half is the left one's conjugate mirror.  The Rayleigh
     quotients and residuals apply the terms (``strip.kron_apply``).  The
     diagnostics record ``inertia_sweeps`` (2 for the count, plus one factor
     per seed), ``count_factorizations`` and ``factor_factorizations`` (the
     block factorizations of one count and of one seed's factor),
+    ``separator_rows`` (the rows of the separator's block),
     ``block_solves`` (applications of the shift-invert solves), ``shifts``
     (one Rayleigh quotient per seed), ``seed_overlaps`` (|<seed, state>|^2
     per seed: a seed with the wrong reduced model can still reach its state
     from rounding noise, but not with a large overlap) and ``factor_values``
-    (values one factor keeps, ``blocktri.shift_invert_solve``).  On the base
-    channel that is 3 sweeps of 147 factorizations each where a per-pair
-    sweep takes 438, 1,250,425 values kept, and 3 block solves.
+    (values one factor keeps, ``blocktri.half_solve``).  On the base channel
+    that is 3 half walks of 74 factorizations each where a walk of the whole
+    strip takes 147 (and a per-pair sweep 438), 165 separator rows,
+    638,165 values kept where a factor of the whole strip keeps 1,250,425,
+    and 3 block solves.
 
     A refined state is kept when its relative residual is at most
     ``RESIDUAL_TOL``, its energy lies in the window and at most
@@ -504,9 +513,9 @@ def gap_eigenpairs(
     if not lo < hi:
         return _empty_spectrum(op, window, edges, mu, "degenerate window, no solve")
 
-    terms, pairs = op.terms, node_pairs(op.terms)
+    terms, half = op.terms, half_table(op.terms, CONJUGATION_TOL)
     n_t, n_fast = op.grid.n_t, op.grid.n_fast
-    (nu_lo, factorizations), (nu_hi, _) = inertia(pairs, lo), inertia(pairs, hi)
+    (nu_lo, factorizations), (nu_hi, _) = half_inertia(half, lo), half_inertia(half, hi)
     count = nu_hi - nu_lo
     diagnostics: dict = {
         "inertia": (nu_lo, nu_hi),
@@ -519,6 +528,7 @@ def gap_eigenpairs(
         "block_solves": 0,
         "factor_values": 0,
         "factor_factorizations": 0,
+        "separator_rows": len(half.separator),
     }
     if count != 2 * len(seeds):
         raise CountMismatch(
@@ -538,7 +548,7 @@ def gap_eigenpairs(
     dropped = {"boundary": 0, "residual": 0, "window": 0}
     max_residual = 0.0
     for seed in seeds:
-        w, e, res, shift, solves, kept, made = inverse_iteration(pairs, apply, seed)
+        w, e, res, shift, solves, kept, made = inverse_iteration(half, apply, seed)
         diagnostics["shifts"] += (shift,)
         diagnostics["seed_overlaps"] += (state_overlap(seed, w),)
         diagnostics["inertia_sweeps"] += 1

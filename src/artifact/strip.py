@@ -187,14 +187,6 @@ class StripOperator:
     def dim(self) -> int:
         return self.grid.dim
 
-    def hermiticity_residual(self) -> float:
-        """Relative max-entry asymmetry of the assembled matrix."""
-        diff = self.matrix - self.matrix.getH()
-        scale = max(np.abs(self.matrix.data).max(), 1.0)
-        if diff.nnz == 0:
-            return 0.0
-        return float(np.abs(diff.data).max() / scale)
-
 
 def strip_terms(
     frame: EdgeFrame,

@@ -110,7 +110,7 @@ def _synthetic_edges(lo, hi, delta=DELTA):
 
 
 def _permuted(mat, grid, basis, trev, fneg, conj):
-    n_f = len(basis)
+    n_f = grid.n_fast
     t_idx = np.arange(grid.n_t)[::-1] if trev else np.arange(grid.n_t)
     if fneg:
         f_idx = np.array(
@@ -126,6 +126,22 @@ def _permuted(mat, grid, basis, trev, fneg, conj):
 def _sparse_max_abs(diff):
     coo = diff.tocoo()
     return float(np.abs(coo.data).max()) if coo.data.size else 0.0
+
+
+def _hermiticity_residual(op):
+    """Relative max-entry asymmetry of the assembled strip, ||H - H^H||_max /
+    max(||H||_max, 1)."""
+    H = op.matrix
+    return _sparse_max_abs(H - H.getH()) / max(np.abs(H.data).max(), 1.0)
+
+
+def _mirror_residual(op):
+    """The strip's residual under A = (t -> -t) o complex conjugation, the
+    symmetry the half walks rest on: ||conj(R H R) - H||_max / ||H||_max, R
+    the reversal of the t-nodes."""
+    H = op.matrix
+    R = _permuted(H, op.grid, None, True, False, True)  # conj(R H R)
+    return _sparse_max_abs(R - H) / np.abs(H.data).max()
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +216,45 @@ def test_hermiticity(lat, frame, fields, basis):
         frame, fields["V"], wall, zs, DELTA, basis,
         perturbation=fields["W10"], **common,
     )
-    assert op.hermiticity_residual() < 1e-12
+    assert _hermiticity_residual(op) < 1e-12
     opf = st.strip_terms(
         frame, fields["V"], wall, zs, DELTA, basis,
         perturbation=fields["W10"], flip_wall=True, **common,
     )
-    assert opf.hermiticity_residual() < 1e-12
+    assert _hermiticity_residual(opf) < 1e-12
     opm = st.strip_terms(
         frame, fields["V"], wall, zs, DELTA, basis,
         perturbation=magnetic_A(lat, 2.2), **common,
     )
     assert len(opm.terms) == 5  # the magnetic wall's two terms
-    assert opm.hermiticity_residual() < 1e-12
+    assert _hermiticity_residual(opm) < 1e-12
+
+
+@pytest.mark.parametrize("magnetic", [False, True], ids=["W", "A"])
+def test_strip_is_mirror_conjugate(lat, frame, fields, magnetic):
+    # the half walks take the right half of the strip as the conjugate mirror
+    # of the left one: conj(R H R) = H to rounding (2.9e-19 on the scalar
+    # cutoff-2 strip, 4.2e-18 on the magnetic one; the wall profile is odd to
+    # rounding), and the half table accepts its terms.  A perturbation with a
+    # real part breaks the symmetry, and the half table names the term and
+    # its residual
+    from artifact.potentials import magnetic_A
+
+    pert = magnetic_A(lat, 2.2) if magnetic else fields["W10"]
+    wall = domain_wall("bump_smoothstep", 1.0)
+    args = (frame, fields["V"], wall, frame.zeta_star("A"), 0.1, build_basis(lat, 2.0))
+    op = st.strip_terms(*args, perturbation=pert, t_factor=3.5)
+    assert _mirror_residual(op) <= (1e-17 if magnetic else 1e-18)
+    bt.half_table(op.terms, rb.CONJUGATION_TOL)
+    broken = dataclasses.replace(pert, coeffs=pert.coeffs + 0.1 * np.abs(pert.coeffs))
+    op = st.strip_terms(*args, perturbation=broken, t_factor=3.5)
+    assert _mirror_residual(op) > 1e-5
+    with pytest.raises(ValueError, match="not mirror-conjugate") as err:
+        bt.half_table(op.terms, rb.CONJUGATION_TOL)
+    assert isinstance(err.value, bt.MirrorAsymmetry)
+    assert err.value.term == 3 and err.value.residual > 1e-3
+    assert "term 3 of the strip" in str(err.value)
+    assert f"residual {err.value.residual:.3e}" in str(err.value)
 
 
 def _kron_formula(frame, fields, basis, op, perturbation, wall, flip):
@@ -422,13 +465,16 @@ def test_shared_diagonal_blocks_match_fresh_blocks(
 def test_channel_solve_forms_no_csc_strip(frame, fields, basis, cone, monkeypatch):
     # the count, the shift-invert solves and the Rayleigh/residual screens
     # all work from the Kronecker terms, so the base channel solves with the
-    # CSC strip unreadable; and the seeded solve runs no Krylov eigensolver:
-    # two counting sweeps and one factor for its one seed
+    # CSC strip unreadable; the seeded solve runs no Krylov eigensolver: two
+    # counting sweeps and one factor for its one seed; and every walk is a
+    # half walk, with no node-pair table or walk of the whole strip
     def no_call(*args, **kwargs):
-        raise AssertionError("the CSC strip or eigsh was used")
+        raise AssertionError("the CSC strip, eigsh or a whole-strip walk was used")
 
     monkeypatch.setattr(st.StripOperator, "matrix", property(no_call))
     monkeypatch.setattr(rb.spla, "eigsh", no_call)
+    for name in ("node_pairs", "inertia", "shift_invert_solve"):
+        monkeypatch.setattr(bt, name, no_call)
     spec = rb.solve_edge_channel(
         frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA, basis,
         cone.j_star, SPEED_T, perturbation=fields["W10"], t_factor=3.5,
@@ -714,32 +760,42 @@ def test_base_channel(base_spec, base_comp, base_op):
     # reduced ladder, which seeds the one state
     assert base_spec.diagnostics["count"] == 2 == 2 * base_spec.diagnostics["seeds"]
     assert min(base_spec.diagnostics["seed_overlaps"]) > 0.99
-    # two counts and the factor at the shift, each a walk of the 438 node
-    # pairs as 123 runs: 121 single pairs (119 on the wall, one at each end
-    # of the box) take one factorization each, and the plateau runs of 158
-    # and 159 pairs, reduced by block cyclic reduction, 13 each
+    # two counts and the factor at the shift, each a walk of the left half:
+    # 875 nodes leave a left half of 436 nodes, 218 of the strip's 438 node
+    # pairs, and a separator of 3 nodes.  Its 61 runs are 60 single pairs
+    # (59 on the wall, one at the end of the box), which take one
+    # factorization each, and the plateau run of 158 pairs, reduced by block
+    # cyclic reduction, 13; the separator's Schur block Gamma takes one more
     assert base_spec.diagnostics["inertia_sweeps"] == 3
-    plateaus = {1: 158, 278: 159}  # first pair and length of each plateau run
-    assert _long_runs(bt.node_pairs(base_op.terms)) == list(plateaus.values())
-    made = 121 + sum(
-        1 + sum(a + f for a, f in reduction_levels(m)) for m in plateaus.values()
-    )
-    assert base_spec.diagnostics["count_factorizations"] == made == 147
+    half = bt.half_table(base_op.terms, rb.CONJUGATION_TOL)
+    size = 2 * base_op.grid.n_fast
+    n_sep = len(half.separator)
+    assert len(half.pairs) == 218 and n_sep == 3 * base_op.grid.n_fast
+    assert base_spec.diagnostics["separator_rows"] == n_sep
+    plateau_first, plateau = 1, 158  # first pair and length of the plateau run
+    assert _long_runs(half.pairs) == [plateau]
+    assert len(bt._runs(half.pairs)) == 61
+    made = 60 + 1 + sum(a + f for a, f in reduction_levels(plateau)) + 1
+    assert base_spec.diagnostics["count_factorizations"] == made == 74
     assert type(base_spec.diagnostics["count_factorizations"]) is int
     assert base_spec.diagnostics["factor_factorizations"] == made
     # the seed's residual falls 0.17, 3.5e-6, 4.9e-9, 8.6e-12: below the
     # floor after the third solve, where the iteration stops
     assert base_spec.diagnostics["block_solves"] == 3
     assert base_spec.diagnostics["max_residual"] <= bt.RESIDUAL_FLOOR
-    # the factor keeps the packed Schur inverse of the last pair of every
-    # run and its coupling, and per level of each reduction its coupling and
-    # pivot inverses, dense (110-row blocks)
-    size = 2 * base_op.grid.n_fast
-    eliminated = [p for first, m in plateaus.items() for p in range(first, first + m - 1)]
-    kept = packed_count(base_op.matrix, size, skip=eliminated) + size**2 * sum(
-        1 + a + f for m in plateaus.values() for a, f in reduction_levels(m)
+    # the factor keeps, on the left half, the packed Schur inverse of the
+    # last pair of every run and its coupling, and per level of the plateau's
+    # reduction its coupling and pivot inverses, dense (110-row blocks); and
+    # Gamma's packed inverse and the coupling E into the separator
+    left = len(half.pairs) * size
+    eliminated = range(plateau_first, plateau_first + plateau - 1)
+    kept = (
+        packed_count(base_op.matrix[:left, :left], size, skip=eliminated)
+        + size**2 * sum(1 + a + f for a, f in reduction_levels(plateau))
+        + n_sep * (n_sep + 1) // 2
+        + base_op.matrix[left - size : left, left : left + n_sep].nnz
     )
-    assert base_spec.diagnostics["factor_values"] == kept == 1_250_425
+    assert base_spec.diagnostics["factor_values"] == kept == 638_165
     assert base_spec.grid is not None
     assert base_comp.count == 1
     assert base_comp.max_residual < 3e-3  # O(delta^2) at delta = 0.08
@@ -1011,6 +1067,7 @@ def test_empty_window_skips_solve(monkeypatch, base_op, base_spec):
     def no_call(*args, **kwargs):
         raise AssertionError("solver called on an empty window")
 
+    monkeypatch.setattr(bt, "half_solve", no_call)
     monkeypatch.setattr(bt, "shift_invert_solve", no_call)
     window = (1.95, 2.0)
     assert base_spec.edges.lower < window[0] and window[1] < base_spec.edges.upper
@@ -1050,19 +1107,20 @@ def test_refined_state_screens(monkeypatch, base_op, base_spec, screen):
     assert spec.diagnostics["seeds"] == 1 and spec.diagnostics["count"] == 2
 
 
-def _assert_counts_match_dense(pairs, evals, split=0.0):
+def _assert_counts_match_dense(count, evals, split=0.0):
     """The count below both ends of the spectrum and at the midpoints of 82
-    eigenvalue pairs spread over it, against a dense eigensolve.  A midpoint
-    between eigenvalues split by ``split`` or less is left out; by default
-    only an exactly degenerate pair, whose midpoint is an eigenvalue.
-    Returns the number of midpoints checked."""
+    eigenvalue pairs spread over it, against a dense eigensolve; ``count``
+    is ``shift -> (count, factorizations)``.  A midpoint between eigenvalues
+    split by ``split`` or less is left out; by default only an exactly
+    degenerate pair, whose midpoint is an eigenvalue.  Returns the number of
+    midpoints checked."""
     dim = len(evals)
-    assert bt.inertia(pairs, evals[0] - 1.0)[0] == 0
-    assert bt.inertia(pairs, evals[-1] + 1.0)[0] == dim
+    assert count(evals[0] - 1.0)[0] == 0
+    assert count(evals[-1] + 1.0)[0] == dim
     index = np.unique(np.linspace(1, dim - 1, 82).astype(int))
     index = index[evals[index] - evals[index - 1] > split]
     for i in index:
-        assert bt.inertia(pairs, 0.5 * (evals[i - 1] + evals[i]))[0] == i
+        assert count(0.5 * (evals[i - 1] + evals[i]))[0] == i
     return len(index)
 
 
@@ -1071,16 +1129,18 @@ def _long_runs(pairs):
 
 
 @pytest.mark.parametrize(
-    "magnetic, t_factor, dim, runs",
+    "magnetic, t_factor, dim, runs, separator",
     [
-        (False, 3.5, 1833, [25, 25]),
-        (True, 3.5, 1833, [25, 25]),
-        (False, 3.75, 1963, [27, 28]),
-        (True, 3.75, 1963, [27, 28]),
+        (False, 3.5, 1833, [25, 25], 5),
+        (True, 3.5, 1833, [25, 25], 5),
+        (False, 3.75, 1963, [27, 28], 3),
+        (True, 3.75, 1963, [27, 28], 3),
     ],
     ids=["W", "A", "W-3.75", "A-3.75"],
 )
-def test_inertia_matches_dense_count(lat, frame, fields, magnetic, t_factor, dim, runs):
+def test_inertia_matches_dense_count(
+    lat, frame, fields, magnetic, t_factor, dim, runs, separator
+):
     # Sylvester inertia of the run-reduced count against a dense eigensolve,
     # and the run-reduced shift-invert solve against a dense solve, on small
     # strips (cutoff 2) for a scalar and a magnetic wall; the plateaus are
@@ -1089,7 +1149,9 @@ def test_inertia_matches_dense_count(lat, frame, fields, magnetic, t_factor, dim
     # shifts a reduction fails its pivot certificate and the run is walked
     # pair by pair: at the top one of the magnetic strip at 3.75 (a pivot
     # estimate of 2.4e6) the uncertified solve missed the backward bound
-    # 244-fold
+    # 244-fold.  The half walks take the same checks: 141 nodes (t_factor
+    # 3.5) leave a left half of 68 nodes and a separator of 5, 151 nodes
+    # (3.75) a left half of 74 and a separator of 3
     from artifact.potentials import magnetic_A
 
     basis = build_basis(lat, 2.0)
@@ -1103,11 +1165,18 @@ def test_inertia_matches_dense_count(lat, frame, fields, magnetic, t_factor, dim
     assert op.grid.n_t % 2 == 1
     pairs = bt.node_pairs(op.terms)
     assert _long_runs(pairs) == runs
+    half = bt.half_table(op.terms, rb.CONJUGATION_TOL)
+    n_fast, n_t = op.grid.n_fast, op.grid.n_t
+    assert len(half.separator) == separator * n_fast
+    assert half.pairs[-1][1] == (n_t - separator) // 2 * n_fast
+    # the left half's pairs are the strip's first ones
+    assert [p[:2] for p in half.pairs] == [p[:2] for p in pairs[: len(half.pairs)]]
     dense_h = op.matrix.toarray()
     evals = np.linalg.eigvalsh(dense_h)
     # every midpoint, the mirror pairs split by 1e-12 to 1e-8 on the scalar
-    # wall included
-    assert _assert_counts_match_dense(pairs, evals) == 82
+    # wall included, by the walk of the whole strip and by the half walk
+    assert _assert_counts_match_dense(partial(bt.inertia, pairs), evals) == 82
+    assert _assert_counts_match_dense(partial(bt.half_inertia, half), evals) == 82
     below = {evals[0] - 1.0: 0, evals[-1] + 1.0: op.dim}
     for i in (3, 250, 917, 1500, 1831):
         below[0.5 * (evals[i - 1] + evals[i])] = i
@@ -1115,21 +1184,25 @@ def test_inertia_matches_dense_count(lat, frame, fields, magnetic, t_factor, dim
     compared = 0
     for shift, i in below.items():
         assert bt.inertia(pairs, shift)[0] == i
+        assert bt.half_inertia(half, shift)[0] == i
         b = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-        solve, *_ = bt.shift_invert_solve(pairs, shift)
-        x = solve(b)
-        # backward stable at every shift ...
         dist = np.abs(evals - shift)
-        residual = np.linalg.norm(op.matrix @ x - shift * x - b)
-        assert residual <= 1e-14 * (dist.max() * np.linalg.norm(x) + np.linalg.norm(b))
-        # ... and equal to the dense solve wherever the shift is not an
+        ref = None
+        # ... equal to the dense solve wherever the shift is not an
         # eigenvalue to working precision: on the scalar strips two midpoints
         # fall inside mirror pairs (condition numbers 6e10 to 2e12), where
         # no solver, the dense one included, resolves x to 1e-10
         if dist.max() / dist.min() < 1e6:
             ref = np.linalg.solve(dense_h - shift * np.eye(op.dim), b)
-            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
             compared += 1
+        for factor in (bt.shift_invert_solve(pairs, shift), bt.half_solve(half, shift)):
+            x = factor[0](b)
+            # backward stable at every shift ...
+            residual = np.linalg.norm(op.matrix @ x - shift * x - b)
+            bound = dist.max() * np.linalg.norm(x) + np.linalg.norm(b)
+            assert residual <= 1e-14 * bound
+            if ref is not None:
+                assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
     assert compared >= 5
 
 
@@ -1150,44 +1223,47 @@ def test_inertia_matches_dense_count_without_wall(lat, frame, fields):
     pairs = bt.node_pairs(op.terms)
     assert _long_runs(pairs) == [74]
     evals = np.linalg.eigvalsh(op.matrix.toarray())
-    assert _assert_counts_match_dense(pairs, evals, split=1e-8) == 40
+    count = partial(bt.inertia, pairs)
+    assert _assert_counts_match_dense(count, evals, split=1e-8) == 40
 
 
 @pytest.mark.parametrize("channel", ["base", "amp15", "A", "inversion"])
 def test_run_reduced_count_matches_sweep(request, lat, frame, fields, basis, channel):
-    # the run-reduced count against the negative pivots of the per-pair
-    # reference sweep at the window edges, where the solve counted, and 1e-9
-    # above each state, where a Schur block is all but singular.  There no
-    # run falls back: the F pivot of a late level (a Schur block of the box
-    # up to deep inside the run) is as close to singular as the sweep's
+    # the half count (the run-reduced walk of the left half and the
+    # separator) against the negative pivots of the per-pair reference sweep
+    # of the whole strip at the window edges, where the solve counted, and
+    # 1e-9 above each state, where a Schur block is all but singular.  There
+    # no run falls back: the F pivot of a late level (a Schur block of the
+    # box up to deep inside the run) is as close to singular as the sweep's
     # blocks past the state, but its certificate reads its coupling term
     # only, and the level's coupling has decayed
     name = "magnetic" if channel == "A" else channel
     spec = request.getfixturevalue(f"{name}_spec")
-    pairs = bt.node_pairs(_channel_op(lat, frame, fields, basis, channel).terms)
+    op = _channel_op(lat, frame, fields, basis, channel)
+    pairs, half = bt.node_pairs(op.terms), bt.half_table(op.terms, rb.CONJUGATION_TOL)
     factorizations = spec.diagnostics["count_factorizations"]
-    assert factorizations < 160
+    assert factorizations <= 80
     assert spec.diagnostics["factor_factorizations"] == factorizations
     counts = tuple(_swept(pairs, shift) for shift in spec.window)
     assert counts == spec.diagnostics["inertia"]
     for shift in spec.values + 1e-9:
-        assert bt.inertia(pairs, shift) == (_swept(pairs, shift), factorizations)
+        assert bt.half_inertia(half, shift) == (_swept(pairs, shift), factorizations)
     # the reduction's first pivot is the plateau's D - shift, which the sweep
     # never factors.  D has no eigenvalue within 2.9 of the window (the
     # nearest lie near -1.38 and 6.31 on all four channels).  Uncertified,
     # the count was one short 1e-6 below 6.31 on the base and the inverted
     # channel, and up to 5 short 3e-8 from -1.38 on all four; there the
-    # pivot fails its certificate, the run is walked pair by pair, and the
-    # count is the sweep's
-    plateau = max(bt._runs(pairs), key=len)
+    # pivot fails its certificate, the left half's plateau is walked pair by
+    # pair, and the count is the sweep's
+    plateau = max(bt._runs(half.pairs), key=len)
     lam = np.linalg.eigvalsh(plateau[0][2]())
     lo, hi = spec.window
     below, above = lam[lam < lo].max(), lam[lam > hi].min()
     assert lo - below > 2.9 and above - hi > 2.9
     for shift in (below - 1e-4, below + 1e-4, above - 1e-4, above + 1e-4):
-        assert bt.inertia(pairs, shift)[0] == _swept(pairs, shift)
+        assert bt.half_inertia(half, shift)[0] == _swept(pairs, shift)
     for shift in (below - 3e-8, below + 3e-8, above - 1e-6):
-        count, made = bt.inertia(pairs, shift)
+        count, made = bt.half_inertia(half, shift)
         assert count == _swept(pairs, shift)
         assert made > factorizations + len(plateau) // 2  # a plateau walked per pair
 

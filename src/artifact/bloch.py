@@ -46,14 +46,6 @@ class PlaneWaveBasis:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def index_of(self, n1: int, n2: int) -> int:
-        hits = np.nonzero(
-            (self.indices[:, 0] == n1) & (self.indices[:, 1] == n2)
-        )[0]
-        if not hits.size:
-            raise KeyError((n1, n2))
-        return int(hits[0])
-
 
 def build_basis(lattice: LatticeFrame, k_cutoff: float) -> PlaneWaveBasis:
     indices, duals = dual_ball(lattice, k_cutoff)

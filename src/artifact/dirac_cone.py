@@ -341,32 +341,6 @@ def fit_fermi_velocity(
     return nu_f, diag
 
 
-def rank_two_model(
-    data: DiracPointData,
-    basis: PlaneWaveBasis,
-    V: FourierField,
-    W: FourierField,
-    xi: np.ndarray,
-    delta: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Two-level prediction vs. the true fiber pair near the gapped cone.
-
-    The model eigenvalues are E* +- sqrt(mass^2 delta^2 + nu_F^2 |xi-xi*|^2)
-    with the mass of W on this cone (``compute_mass``) and the velocity
-    that ``compute_nu_star`` stored on it; returns (model pair, fiber pair
-    nearest E*, max deviation).
-    """
-    mass = compute_mass(data, basis, W)
-    dist = float(np.linalg.norm(xi - data.xi_star))
-    radius = np.sqrt(mass**2 * delta**2 + data.nu_abs**2 * dist**2)
-    model = np.array([data.E_star - radius, data.E_star + radius])
-    vals, _ = eigs(assemble_fiber(xi, delta, V, basis, W), data.j_star + 3)
-    order = np.argsort(np.abs(vals - data.E_star))
-    fiber = np.sort(vals[order[:2]])
-    deviation = float(np.max(np.abs(fiber - model)))
-    return model, fiber, deviation
-
-
 def no_fold_scan(
     V: FourierField,
     edge: EdgeFrame,

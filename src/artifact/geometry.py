@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable
 
 import numpy as np
 
@@ -64,11 +63,6 @@ class LatticeFrame:
     def __post_init__(self) -> None:
         for arr in (self.v1, self.v2, self.k1, self.k2):
             arr.setflags(write=False)
-
-    @property
-    def dual_matrix(self) -> np.ndarray:
-        """Columns k1, k2: the fundamental cell of the dual (no 2*pi)."""
-        return np.column_stack([self.k1, self.k2])
 
     def dual_coords(self, xi: np.ndarray) -> np.ndarray:
         """Coordinates (c1, c2) of xi in the 2*pi*(k1, k2) basis."""
@@ -259,11 +253,3 @@ def make_edge_frame(frame: LatticeFrame, a1: int, a2: int) -> EdgeFrame:
         zeta_star_b=zeta_b,
         armchair=(a1 - a2) % 3 == 0,
     )
-
-
-def coprime_pairs(limit: int) -> Iterable[tuple[int, int]]:
-    """All coprime (a1, a2) with 0 < max(|a1|, |a2|) <= limit, a != 0."""
-    for a1 in range(-limit, limit + 1):
-        for a2 in range(-limit, limit + 1):
-            if (a1, a2) != (0, 0) and gcd(a1, a2) == 1:
-                yield a1, a2

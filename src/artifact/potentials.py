@@ -238,17 +238,6 @@ def parity_residual(field_: FourierField) -> float:
     return worst
 
 
-def realness_residual(field_: FourierField) -> float:
-    """Max |coeff(-eta) - conj(coeff(eta))|; zero for a real-valued field."""
-    table = _index_map(field_)
-    worst = 0.0
-    for i, (n1, n2) in enumerate(field_.indices):
-        j = table.get((-int(n1), -int(n2)))
-        mirror = field_.coeffs[j] if j is not None else np.zeros_like(field_.coeffs[i])
-        worst = max(worst, float(np.max(np.abs(mirror - np.conj(field_.coeffs[i])))))
-    return worst
-
-
 def rotation_residual(field_: FourierField) -> float:
     """Max coefficient variation over 2*pi/3-rotation orbits (scalar fields)."""
     if field_.is_vector:

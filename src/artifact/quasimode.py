@@ -31,8 +31,11 @@ fiber columns times (r, n) coefficients, one column per transverse node.
 The bracket of the order-delta equation maps a field of rank r to one of
 rank about 3r, and the W product and the complement solve act on the basis
 alone.  The ranks do not depend on n or delta: the first corrector has 6,
-D_t of it 8, the second corrector 28 and the order-2 field 38.  Only
-``_strip_vector`` forms an array of the strip's size, the sampled vector.
+D_t of it 8, the second corrector 28 and the order-2 field 38.  The
+residual study applies the strip to the sample in this form too
+(``strip.kron_residual``), so it forms no strip vector; only
+``_strip_vector`` does, when a caller reads ``QuasimodeAnsatz.vector`` or
+seeds a solve with ``lift_order0``.
 
 The transverse corrector solves, per transverse node, a linear system in the
 fast plane-wave fiber restricted to the complement of the pair.  Solvability
@@ -59,6 +62,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -67,7 +71,7 @@ from .bloch import PlaneWaveBasis, assemble_fiber, convolution_matrix
 from .dirac_cone import DiracPointData
 from .geometry import TWO_PI, EdgeFrame
 from .potentials import DomainWall, FourierField
-from .strip import StripGrid, kron_apply, strip_terms
+from .strip import StripGrid, kron_residual, strip_terms
 from .wall_dirac import EnvelopePair, envelope_correction
 from .wall_dirac import (  # noqa: F401  bench/ calls and wraps these here
     ladder_pair,
@@ -257,7 +261,8 @@ class FastField(NamedTuple):
     ``basis`` is (M, r) fiber columns and ``coeffs`` (r, n) slow coefficients,
     one column per node.  The rank r depends on the ansatz order only, not on
     n or delta, so the W product and the complement solve act on the r basis
-    columns where a dense (M, n) field would take n.
+    columns where a dense (M, n) field would take n, and the strip residual
+    (``strip.kron_residual``) takes its GEMMs over r, not over M.
     """
 
     basis: np.ndarray
@@ -451,8 +456,10 @@ def ansatz_series(
 class QuasimodeAnsatz:
     """A two-scale quasimode sampled on one strip grid.
 
-    ``vector`` is the unit-norm strip sample (t-major, matching the strip
-    assembly) of ``series`` cut at ``order``; ``energy`` is E* + delta *
+    ``field`` is ``series`` cut at ``order`` with the edge phase folded into
+    its slow coefficients: the strip sample, still factored.  ``vector`` is
+    that sample as a unit-norm strip vector (t-major, matching the strip
+    assembly), formed when it is first read; ``energy`` is E* + delta *
     theta, plus delta^2 * a2 at order 2.
     """
 
@@ -462,9 +469,13 @@ class QuasimodeAnsatz:
     order: int
     energy: float
     grid: StripGrid
-    vector: np.ndarray
+    field: FastField
     series: AnsatzSeries
     diagnostics: dict = dc_field(default_factory=dict)
+
+    @cached_property
+    def vector(self) -> np.ndarray:
+        return _strip_vector(self.field)
 
 
 def effective_zeta(ws: QuasimodeWorkspace, delta: float, mu: float) -> float:
@@ -489,8 +500,9 @@ def leading_quasimode(
 
     Every fast field is kept factored as fiber columns times slow
     coefficients (``FastField``), of rank 2, 8 and 38 at orders 0, 1 and 2
-    whatever the grid; only ``_strip_vector`` forms an array of the strip's
-    size, the returned vector itself.
+    whatever the grid.  The returned ansatz keeps its sample factored
+    (``field``, with the edge phase in the coefficients) and forms the strip
+    vector only when ``vector`` is read.
 
     delta is the grid's and mu the pair's.  The grid must sit at the
     detuned Bloch phase zeta* + mu delta, so the sample lives in the same
@@ -522,7 +534,7 @@ def leading_quasimode(
         order=order,
         energy=energy,
         grid=grid,
-        vector=_strip_vector(ws.frame, ws.data.which, grid, mu, field),
+        field=_edge_phased(ws.frame, ws.data.which, grid, mu, field),
         series=series,
         diagnostics={
             "zeta_effective": zeta_eff,
@@ -541,18 +553,23 @@ def _cone_offset(frame: EdgeFrame, which: str, grid: StripGrid) -> float:
     return float((frame.tau_star(which) - grid.tau_ref + np.pi) % TWO_PI - np.pi)
 
 
-def _strip_vector(
+def _edge_phased(
     frame: EdgeFrame, which: str, grid: StripGrid, mu: float, field: FastField
-) -> np.ndarray:
-    """Unit strip sample (t-major) of a factored fast-fiber field times the edge phase.
-
-    The only place where an array of the strip's size is formed: the t-major
-    sample is (C phase)^T U^T, written by one GEMM and normalized in place.
-    """
+) -> FastField:
+    """A factored fast-fiber field times the edge phase at each node of the grid."""
     ell_vp = float(frame.ell @ frame.vp)
     offset = _cone_offset(frame, which, grid)
     phase = np.exp(1j * (offset + mu * grid.delta * ell_vp) * grid.t)
-    vector = ((field.coeffs * phase[None, :]).T @ field.basis.T).ravel()
+    return FastField(field.basis, field.coeffs * phase[None, :])
+
+
+def _strip_vector(field: FastField) -> np.ndarray:
+    """Unit strip sample (t-major) of a factored field, C^T U^T.
+
+    The only place where an array of the strip's size is formed: written by
+    one GEMM and normalized in place.
+    """
+    vector = (field.coeffs.T @ field.basis.T).ravel()
     vector /= np.linalg.norm(vector)
     return vector
 
@@ -581,7 +598,7 @@ def lift_order0(
     moves = np.all(basis.indices[:, None] - shift == basis.indices[None, :], axis=2)
     cone_pair = moves.T @ np.stack([data.phi1, data.phi2], axis=1)
     field = FastField(cone_pair, pair.alpha(grid.delta * grid.t).T)
-    return _strip_vector(frame, data.which, grid, pair.mu, field)
+    return _strip_vector(_edge_phased(frame, data.which, grid, pair.mu, field))
 
 
 # ---------------------------------------------------------------------------
@@ -623,19 +640,25 @@ def residual_orders(
     """Measure ||(strip - E) u|| / ||u|| across delta for each ansatz order.
 
     One pass per delta: the strip operator (``strip_terms``, the builder
-    the channel solve uses), whose grid the ansatz is sampled on and whose
-    Kronecker terms ``kron_apply`` applies without forming the strip
-    matrix, and one ``leading_quasimode`` at the highest requested order,
-    whose ``ansatz_series`` samples the envelope once and solves each
-    corrector once.  The lower orders are cut from the same series
-    (``AnsatzSeries.cut``), so every order's vector is the one
+    the channel solve uses), whose grid the ansatz is sampled on, and one
+    ``leading_quasimode`` at the highest requested order, whose
+    ``ansatz_series`` samples the envelope once and solves each corrector
+    once.  The lower orders are cut from the same series
+    (``AnsatzSeries.cut``), so every order's sample is the one
     ``leading_quasimode`` builds at that order; the top order's is the
-    ansatz's own.  The series' terms are factored fields of rank at most 38,
-    and only ``_strip_vector`` forms a strip-sized array from them, so the
-    ones alive at once are at most four: the top order's vector, the order's
-    own, and the apply's output and fast product.  At delta = 0.02 (M = 85,
-    n = 4,501) a vector is 6.1 MB and the study's traced peak 29 MB.  The
-    fitted exponents should land near order + 1.
+    ansatz's own.  Each sample stays factored, fiber columns of rank at
+    most 38 times edge-phased slow coefficients, and ``strip.kron_residual``
+    takes its residual and norm in that form: no strip vector is formed, and
+    the residual is the only array of the strip's size.  At delta = 0.02
+    (M = 85, n = 4,501) it is 6.1 MB and the study's traced peak 18 MB.
+    The fitted exponents should land near order + 1.
+
+    The factored route rounds worse than an apply to the strip vector
+    (``strip.kron_residual`` says why).  Against an extended-precision
+    reference the residuals lie within 2e-12 relative at orders 0 and 1; at
+    order 2 within 1e-12 (mu = 0) and 2e-11 (mu = 0.3) for delta >= 0.04,
+    and within 5e-12 and 1e-10 at delta = 0.02.  The order-2 error grows
+    like delta^-3, past those floors below delta = 0.02.
 
     ``defects`` holds the solvability defect of the first corrector per
     delta, or NaN at every delta when the top order is 0 and no corrector
@@ -664,21 +687,17 @@ def residual_orders(
         defects[i] = top.series.diagnostics.get("defect", np.nan)
         for o in sorted(orders):
             if o == top.order:
-                energy, vector = top.energy, top.vector
+                energy, field = top.energy, top.field
             else:
                 energy, field = top.series.cut(delta, o)
-                vector = _strip_vector(ws.frame, ws.data.which, op.grid, mu, field)
-            u = vector.reshape(op.grid.n_t, op.grid.n_fast)
-            residual = kron_apply(op.terms, u)
-            residual -= energy * u
-            residuals[o][i] = float(np.linalg.norm(residual))
-            del residual, vector, u  # before the next order's vector is made
+                field = _edge_phased(ws.frame, ws.data.which, op.grid, mu, field)
+            residual, norm = kron_residual(op.terms, *field, energy)
+            residuals[o][i] = residual / norm
             energies[o][i] = energy
             if edge_values[i] > EDGE_FLOOR_RATIO * residuals[o][i]:
                 warnings.warn(
                     TruncationFloorWarning(delta, o, residuals[o][i], edge_values[i])
                 )
-        del top  # free this delta's vectors before the next, larger grid is sampled
     exponents = {
         o: float(fit_power_law(np.asarray(deltas), residuals[o])) for o in orders
     }

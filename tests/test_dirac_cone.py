@@ -26,6 +26,25 @@ SCALAR_MASS_UNIT = -0.3432162289  # first cone, per unit wall amplitude
 MAGNETIC_MASS_UNIT = 1.5616859763  # both cones, per unit field amplitude
 
 
+def rank_two_model(data, basis, V, W, xi, delta):
+    """Two-level prediction vs. the true fiber pair near the gapped cone.
+
+    The model eigenvalues are E* +- sqrt(mass^2 delta^2 + nu_F^2 |xi-xi*|^2)
+    with the mass of W on this cone (``compute_mass``) and the velocity
+    that ``compute_nu_star`` stored on it; returns (model pair, fiber pair
+    nearest E*, max deviation).
+    """
+    mass = dirac_cone.compute_mass(data, basis, W)
+    dist = float(np.linalg.norm(xi - data.xi_star))
+    radius = np.sqrt(mass**2 * delta**2 + data.nu_abs**2 * dist**2)
+    model = np.array([data.E_star - radius, data.E_star + radius])
+    fiber = bloch.assemble_fiber(xi, delta, V, basis, W)
+    vals, _ = bloch.eigs(fiber, data.j_star + 3)
+    order = np.argsort(np.abs(vals - data.E_star))
+    pair = np.sort(vals[order[:2]])
+    return model, pair, float(np.max(np.abs(pair - model)))
+
+
 @pytest.fixture(scope="module")
 def lat():
     return geometry.build_lattice()
@@ -160,7 +179,7 @@ def test_no_degeneracy_below_resolving_cutoff(wells, lat):
 def test_rank_two_model_reduces_at_cone(lat, wells, cone_a, basis8):
     W = potentials.parity_breaking_W(lat, 3.0, 0.15 * np.linalg.norm(lat.v1), 8.0)
     dirac_cone.compute_nu_star(cone_a, basis8)
-    model, fiber, dev = dirac_cone.rank_two_model(
+    model, fiber, dev = rank_two_model(
         cone_a, basis8, wells, W, cone_a.xi_star, 0.0
     )
     # at the cone with delta = 0 both model levels collapse to the cone energy
@@ -176,7 +195,7 @@ def test_rank_two_model_deviation_scales(lat, wells, cone_a, basis8):
     devs = []
     for scale in (1.0, 0.5):
         xi = cone_a.xi_star + 0.05 * scale * direction
-        _, _, dev = dirac_cone.rank_two_model(cone_a, basis8, wells, W, xi, 0.04 * scale)
+        _, _, dev = rank_two_model(cone_a, basis8, wells, W, xi, 0.04 * scale)
         devs.append(dev)
     order = np.log2(devs[0] / devs[1])
     assert 1.5 < order < 2.5

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from math import gcd
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,20 @@ from artifact.geometry import (
     ROTATION_ON_DUAL_INTS,
     as_complex,
     build_lattice,
-    coprime_pairs,
     dirac_momenta,
     make_edge_frame,
     rotation_matrix,
 )
 
 TWO_PI = 2.0 * np.pi
+
+
+def coprime_pairs(limit):
+    """All coprime (a1, a2) with 0 < max(|a1|, |a2|) <= limit."""
+    for a1 in range(-limit, limit + 1):
+        for a2 in range(-limit, limit + 1):
+            if (a1, a2) != (0, 0) and gcd(a1, a2) == 1:
+                yield a1, a2
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +53,8 @@ def test_dual_vectors_closed_form(frame):
     # [k1, k2] = (1/(6a)) * [[sqrt(3), sqrt(3)], [3, -3]]
     a = frame.a
     expected = np.array([[np.sqrt(3.0), np.sqrt(3.0)], [3.0, -3.0]]) / (6.0 * a)
-    np.testing.assert_allclose(frame.dual_matrix, expected, atol=1e-14)
+    cell = np.column_stack([frame.k1, frame.k2])
+    np.testing.assert_allclose(cell, expected, atol=1e-14)
 
 
 def test_rotation_preserves_lattice_exactly(frame):

@@ -113,9 +113,9 @@ def _permuted(mat, grid, basis, trev, fneg, conj):
     n_f = grid.n_fast
     t_idx = np.arange(grid.n_t)[::-1] if trev else np.arange(grid.n_t)
     if fneg:
-        f_idx = np.array(
-            [basis.index_of(-n1, -n2) for n1, n2 in basis.indices]
-        )
+        # the ball is symmetric, so it lists -n for every n
+        where = {(int(n1), int(n2)): i for i, (n1, n2) in enumerate(basis.indices)}
+        f_idx = np.array([where[(-int(n1), -int(n2))] for n1, n2 in basis.indices])
     else:
         f_idx = np.arange(n_f)
     perm = (t_idx[:, None] * n_f + f_idx[None, :]).ravel()
@@ -329,7 +329,9 @@ def test_assembly_matches_kron_formula(lat, frame, fields, basis, case):
 @pytest.mark.parametrize("case", ["W", "A", "W_flip"])
 def test_kron_apply_matches_assembled_matvec(lat, frame, fields, basis, case):
     # the matrix-free apply of the strip's terms is the assembled matrix
-    # times u, on the base-channel strip including its Dirichlet end rows
+    # times u, on the base-channel strip including its Dirichlet end rows;
+    # the factored residual of a rank-5 field is the assembled residual of
+    # its strip vector, and its norm the vector's
     from artifact.potentials import magnetic_A
 
     pert = magnetic_A(lat, 2.2) if case == "A" else fields["W10"]
@@ -342,6 +344,13 @@ def test_kron_apply_matches_assembled_matvec(lat, frame, fields, basis, case):
     applied = st.kron_apply(op.terms, u)
     assert applied.shape == (op.grid.n_t, op.grid.n_fast)
     assert np.linalg.norm(applied.ravel() - matvec) <= 1e-14 * np.linalg.norm(matvec)
+    fast = rng.standard_normal((op.grid.n_fast, 5, 2)) @ np.array([1.0, 1.0j])
+    slow = rng.standard_normal((5, op.grid.n_t, 2)) @ np.array([1.0, 1.0j])
+    v = (slow.T @ fast.T).ravel()
+    want = np.linalg.norm(op.matrix @ v - 1.9 * v)
+    residual, norm = st.kron_residual(op.terms, fast, slow, 1.9)
+    assert abs(norm - np.linalg.norm(v)) <= 1e-14 * norm
+    assert abs(residual - want) <= 1e-14 * want
 
 
 @pytest.mark.parametrize("case", ["W", "A", "W_flip", "cutoff2"])

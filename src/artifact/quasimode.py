@@ -31,11 +31,13 @@ fiber columns times (r, n) coefficients, one column per transverse node.
 The bracket of the order-delta equation maps a field of rank r to one of
 rank about 3r, and the W product and the complement solve act on the basis
 alone.  The ranks do not depend on n or delta: the first corrector has 6,
-D_t of it 8, the second corrector 28 and the order-2 field 38.  The
+D_t of it 8, the second corrector 28 and the order-2 field 38; at mu =
+theta = 0, where the bracket has no detuning block, 4, 6, 16 and 24.  The
 residual study applies the strip to the sample in this form too
-(``strip.kron_residual``), so it forms no strip vector; only
-``_strip_vector`` does, when a caller reads ``QuasimodeAnsatz.vector`` or
-seeds a solve with ``lift_order0``.
+(``strip.kron_residual``), every order's residual in one pass over the top
+order's field, so it forms no strip vector; only ``_strip_vector`` does,
+when a caller reads ``QuasimodeAnsatz.vector`` or seeds a solve with
+``lift_order0``.
 
 The transverse corrector solves, per transverse node, a linear system in the
 fast plane-wave fiber restricted to the complement of the pair.  Solvability
@@ -259,10 +261,12 @@ class FastField(NamedTuple):
     """A fast-fiber field per transverse node, kept factored: ``basis @ coeffs``.
 
     ``basis`` is (M, r) fiber columns and ``coeffs`` (r, n) slow coefficients,
-    one column per node.  The rank r depends on the ansatz order only, not on
-    n or delta, so the W product and the complement solve act on the r basis
-    columns where a dense (M, n) field would take n, and the strip residual
-    (``strip.kron_residual``) takes its GEMMs over r, not over M.
+    one column per node.  The rank r depends on the ansatz order (and on
+    whether mu = theta = 0) only, not on n or delta: the order-2 field has
+    38 columns, 24 at mu = theta = 0.  So the W product and the complement
+    solve act on the r basis columns where a dense (M, n) field would take
+    n, and the strip residual (``strip.kron_residual``) takes its GEMMs
+    over r, not over M.
     """
 
     basis: np.ndarray
@@ -291,17 +295,16 @@ def _order1_bracket(
     ``field`` is the factored field (U, C), ``d_field`` its D_t (U', C'), and
     ``kap`` the wall profile at the n nodes.  The result is factored too,
     columns [2 d_kp U' | 2 mu d_ell U - theta U | W U] on rows [C'; C; kappa C],
-    of rank r' + 2 r.
+    of rank r' + 2 r.  At mu = theta = 0 the middle block is exactly zero
+    and is left out, so the rank is r' + r.
     """
-    u = field.basis
-    return FastField(
-        np.hstack([
-            2.0 * ws.d_kp[:, None] * d_field.basis,
-            2.0 * pair.mu * ws.d_ell[:, None] * u - pair.theta * u,
-            ws.conv_w @ u,
-        ]),
-        np.vstack([d_field.coeffs, field.coeffs, kap[None, :] * field.coeffs]),
-    )
+    u, mu, theta = field.basis, pair.mu, pair.theta
+    blocks = [FastField(2.0 * ws.d_kp[:, None] * d_field.basis, d_field.coeffs)]
+    if mu != 0.0 or theta != 0.0:
+        detuned = 2.0 * mu * ws.d_ell[:, None] * u - theta * u
+        blocks.append(FastField(detuned, field.coeffs))
+    blocks.append(FastField(ws.conv_w @ u, kap[None, :] * field.coeffs))
+    return _stack(*blocks)
 
 
 def _deflated_corrector(ws: QuasimodeWorkspace, g: FastField) -> tuple:
@@ -342,18 +345,30 @@ class AnsatzSeries:
     energies: tuple  # (order, power, coefficient) entries
     diagnostics: dict
 
+    def energy(self, delta: float, order: int) -> float:
+        """Energy of the ansatz truncated at ``order``, summed as ``cut`` sums it."""
+        return float(sum(c * delta**p for o, p, c in self.energies if o <= order))
+
+    def rank(self, order: int) -> int:
+        """Columns of the field truncated at ``order``: 2, 8 and 38 at orders 0-2.
+
+        At mu = theta = 0 they are 2, 6 and 24 (``_order1_bracket``).  The
+        entries stack in order, so a lower order's field is the leading
+        ``rank(order)`` columns of a higher one's.
+        """
+        return sum(f.basis.shape[1] for o, _, f in self.terms if o <= order)
+
     def cut(self, delta: float, order: int) -> tuple[float, FastField]:
         """Energy and factored field of the ansatz truncated at ``order``.
 
         Sums the entries of order at most ``order``, each scaled by
-        delta**power.  The field's rank is 2, 8 and 38 at orders 0, 1 and 2.
+        delta**power; the field has ``rank(order)`` columns.
         """
         built = self.terms[-1][0]
         if order > built:
             raise ValueError(f"series built through order {built}, cut at {order}")
-        energy = sum(c * delta**p for o, p, c in self.energies if o <= order)
         field = _stack(*(f.scaled(delta**p) for o, p, f in self.terms if o <= order))
-        return float(energy), field
+        return self.energy(delta, order), field
 
 
 def ansatz_series(
@@ -368,9 +383,10 @@ def ansatz_series(
 
     Order 1 solves (P0 - E*) V1 = -g per node on the complement of the cone
     pair, g the bracket of the order-0 field (phi, alpha^T), of rank 6 like
-    V1.  The projection of g onto the pair is subtracted before the solve (it
-    vanishes identically for an exact eigenpair); its pre-subtraction
-    magnitude is the solvability ``defect`` and is gated at
+    V1 (4 at mu = theta = 0, where ``_order1_bracket`` drops its zero
+    block).  The projection of g onto the pair is subtracted before the
+    solve (it vanishes identically for an exact eigenpair); its
+    pre-subtraction magnitude is the solvability ``defect`` and is gated at
     ``SOLVABILITY_TOL``.
 
     Order 2 assembles the order-delta^2 equation and solves both of its
@@ -379,7 +395,7 @@ def ansatz_series(
     against what remains (``wall_dirac.envelope_correction``, one banded
     solve).  The complement projection then yields V2 exactly as at order 1.
     Every fast field stays factored: D_t V1 has rank 8, the bracket on (V1,
-    D_t V1) rank 20 and V2 rank 28.
+    D_t V1) rank 20 and V2 rank 28 (6, 10 and 16 at mu = theta = 0).
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
@@ -500,9 +516,9 @@ def leading_quasimode(
 
     Every fast field is kept factored as fiber columns times slow
     coefficients (``FastField``), of rank 2, 8 and 38 at orders 0, 1 and 2
-    whatever the grid.  The returned ansatz keeps its sample factored
-    (``field``, with the edge phase in the coefficients) and forms the strip
-    vector only when ``vector`` is read.
+    whatever the grid (2, 6 and 24 at mu = theta = 0).  The returned ansatz
+    keeps its sample factored (``field``, with the edge phase in the
+    coefficients) and forms the strip vector only when ``vector`` is read.
 
     delta is the grid's and mu the pair's.  The grid must sit at the
     detuned Bloch phase zeta* + mu delta, so the sample lives in the same
@@ -640,25 +656,29 @@ def residual_orders(
     """Measure ||(strip - E) u|| / ||u|| across delta for each ansatz order.
 
     One pass per delta: the strip operator (``strip_terms``, the builder
-    the channel solve uses), whose grid the ansatz is sampled on, and one
+    the channel solve uses), whose grid the ansatz is sampled on, one
     ``leading_quasimode`` at the highest requested order, whose
     ``ansatz_series`` samples the envelope once and solves each corrector
-    once.  The lower orders are cut from the same series
-    (``AnsatzSeries.cut``), so every order's sample is the one
-    ``leading_quasimode`` builds at that order; the top order's is the
-    ansatz's own.  Each sample stays factored, fiber columns of rank at
-    most 38 times edge-phased slow coefficients, and ``strip.kron_residual``
-    takes its residual and norm in that form: no strip vector is formed, and
-    the residual is the only array of the strip's size.  At delta = 0.02
-    (M = 85, n = 4,501) it is 6.1 MB and the study's traced peak 18 MB.
-    The fitted exponents should land near order + 1.
+    once, and one ``strip.kron_residual`` on that ansatz's own field.  The
+    series stacks its entries order by order, so a lower order's sample is
+    the leading ``AnsatzSeries.rank`` columns of the top order's (already
+    scaled by delta and edge-phased) at ``AnsatzSeries.energy``: the sample
+    ``leading_quasimode`` builds at that order.  ``kron_residual`` takes
+    every order's residual and norm from nested cuts of that one field, in
+    its factored form: no strip vector and no lower-order field is formed,
+    and the residual is the only array of the strip's size.  At delta =
+    0.02 (M = 85, n = 4,501) it is 6.1 MB, and the traced peak of the
+    study over deltas 0.08, 0.04 and 0.02 at orders 0-2 is 14 MB at mu = 0
+    and 18 MB at mu = 0.3.  The fitted exponents should land near order + 1.
 
     The factored route rounds worse than an apply to the strip vector
-    (``strip.kron_residual`` says why).  Against an extended-precision
-    reference the residuals lie within 2e-12 relative at orders 0 and 1; at
-    order 2 within 1e-12 (mu = 0) and 2e-11 (mu = 0.3) for delta >= 0.04,
-    and within 5e-12 and 1e-10 at delta = 0.02.  The order-2 error grows
-    like delta^-3, past those floors below delta = 0.02.
+    (``strip.kron_residual`` says why).  Against the tests'
+    extended-precision reference the residuals lie within 1e-13 relative at
+    order 0 and 1e-12 at order 1.  At order 2 they lie within 3e-13 (mu = 0)
+    and 2e-11 (mu = 0.3) for delta >= 0.04, and 2e-11 and 7e-11 at delta =
+    0.02.  The order-2 error is about fixed in absolute size, so it grows
+    like delta^-3 relative to the residual: at delta = 0.01 it is 9.2e-10
+    and 7.3e-10 (``BENCH_nested_residual.json``).
 
     ``defects`` holds the solvability defect of the first corrector per
     delta, or NaN at every delta when the top order is 0 and no corrector
@@ -685,13 +705,10 @@ def residual_orders(
         top = leading_quasimode(ws, pair, op.grid, order=max(orders))
         edge_values[i] = top.diagnostics["envelope_edge_value"]
         defects[i] = top.series.diagnostics.get("defect", np.nan)
-        for o in sorted(orders):
-            if o == top.order:
-                energy, field = top.energy, top.field
-            else:
-                energy, field = top.series.cut(delta, o)
-                field = _edge_phased(ws.frame, ws.data.which, op.grid, mu, field)
-            residual, norm = kron_residual(op.terms, *field, energy)
+        series = top.series
+        cuts = [(series.rank(o), series.energy(delta, o)) for o in sorted(orders)]
+        nested = kron_residual(op.terms, *top.field, cuts)
+        for o, (_, energy), (residual, norm) in zip(sorted(orders), cuts, nested):
             residuals[o][i] = residual / norm
             energies[o][i] = energy
             if edge_values[i] > EDGE_FLOOR_RATIO * residuals[o][i]:

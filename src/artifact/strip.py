@@ -32,7 +32,8 @@ the Kronecker terms ``sum_k T_k (x) F_k``.  The channel solve and the
 quasimode residual study read the same object.  The terms are applied
 without a matrix: to a strip vector by ``kron_apply``, and to a sample kept
 as fast columns times slow coefficients by ``kron_residual``, which never
-forms the vector.  The CSC matrix of the strip is the plain sum of its
+forms the vector and takes the residual of every leading-column truncation
+of the sample in one pass.  The CSC matrix of the strip is the plain sum of its
 Kronecker products, built only when a check reads ``StripOperator.matrix``.
 """
 
@@ -344,50 +345,65 @@ def kron_apply(terms: list, u: np.ndarray) -> np.ndarray:
 
 
 def kron_residual(
-    terms: list, basis: np.ndarray, coeffs: np.ndarray, energy: float
-) -> tuple[float, float]:
-    """(||(H - E) u||, ||u||) for the t-major u = coeffs^T basis^T, without u.
+    terms: list, basis: np.ndarray, coeffs: np.ndarray, cuts: list
+) -> list:
+    """[(||(H - E_j) u_j||, ||u_j||)] for the leading-column truncations of a field.
 
     ``basis`` is (n_fast, r) fast columns and ``coeffs`` (r, n_t) slow
     coefficients, one column per node, with r much smaller than n_fast.
-    With the thin QR basis = Q R and X = coeffs^T R^T (n_t, r), u = X Q^T,
-    so ||u|| = ||X|| exactly, and
+    ``cuts`` are ascending ``(end, energy)`` pairs; cut j takes the t-major
+    u_j = coeffs[:end]^T basis[:, :end]^T at energy E_j.  One cut is the
+    residual of the whole field.
 
-        (H - E) u = sum_k (T_k X) (F_k Q)^T - E X Q^T.
+    The residuals are nested: one (n_fast, n_t) output holds (H - E_j) u_j
+    after cut j, and each cut adds into it only its new columns b with
+    coefficients c,
 
-    The terms with an identity T share one product X (sum F_k Q - E Q)^T;
-    each other term's (T_k X) (F_k Q)^T is added into that one (n_t, n_fast)
-    array by the GEMM itself, so every GEMM has inner dimension r, the
-    banded T act on (n_t, r) arrays, and the output is the only array of
-    u's size.
+        (H - E_j) b c = sum_k (F_k b) (T_k c^T)^T - E_j b c,
+
+    the identity-T terms sharing one product (sum F_k b - E_j b) c and each
+    banded term adding its own.  Where the energy moves, the cut also adds
+    -(E_j - E_{j-1}) times the earlier columns, in the same product.  Every
+    GEMM adds into the output in place, so it is the only array of u's size,
+    and its inner dimension is the number of columns it adds.
+
+    The norms come from one thin QR of the whole basis, basis = Q R: the
+    leading columns are Q[:, :end] R[:end, :end], so ||u_j|| is
+    ||R[:end, :end] coeffs[:end]||.
 
     The route rounds worse than ``kron_apply`` on u: the rounding of each
-    F_k Q (and of the QR) is made once and repeats at every node, so it
-    does not average out over n_t.  The error is about fixed in absolute
-    terms, so relative to a residual that falls like delta^3 it grows like
-    delta^-3.  On the quasimode study's residuals (cutoff 5, delta down to
-    0.02) it lies within 2e-12 relative of an extended-precision reference
-    at ansatz orders 0 and 1 and within 1e-10 at order 2, where the apply to
-    u lies within 1.2e-11; at delta = 0.01 it reaches 6e-10 (mu = 0) and
-    1.3e-9 (mu = 0.3) at order 2, against 2e-11 and 5e-11 for the apply.
+    F_k b is made once and repeats at every node, so it does not average
+    out over n_t and stays about fixed in absolute size, while the order-2
+    quasimode residual falls like delta^3.  The floors on the quasimode
+    study, measured against the extended-precision reference of the tests,
+    are in ``quasimode.residual_orders`` and ``BENCH_nested_residual.json``.
     """
-    q, r = np.linalg.qr(basis)
-    x = coeffs.T @ r.T
-    shared = -energy * q  # sum F_k Q - E Q over the identity-T terms
-    banded = []
-    for T, F in terms:
-        if _is_identity(T):
-            shared += _fast_apply(q.T, F).T
-        else:
-            banded.append((T, F))
+    r = np.linalg.qr(basis, mode="r")
+    identity = [F for T, F in terms if _is_identity(T)]
+    banded = [(T, F) for T, F in terms if not _is_identity(T)]
     # the residual transposed, (n_fast, n_t) in Fortran order, so that zgemm
-    # adds each term's product into it in place
-    out = zgemm(1.0, shared, x.T)
-    for T, F in banded:
+    # adds each product into it in place
+    out = np.zeros((basis.shape[0], coeffs.shape[1]), dtype=complex, order="F")
+    norms, start, energy = [], 0, 0.0
+    for end, new_energy in cuts:
+        new = basis[:, start:end]
+        shared = sum(_fast_apply(new.T, F).T for F in identity) - new_energy * new
+        first = start
+        if new_energy != energy:  # -(E_j - E_{j-1}) times the earlier columns
+            shared = np.hstack([(energy - new_energy) * basis[:, :start], shared])
+            first = 0
         out = zgemm(
-            1.0, _fast_apply(q.T, F).T, (T @ x).T, beta=1.0, c=out, overwrite_c=1
+            1.0, shared, coeffs[first:end].T, trans_b=1, beta=1.0, c=out, overwrite_c=1
         )
-    return float(np.linalg.norm(out)), float(np.linalg.norm(x))
+        for T, F in banded:
+            out = zgemm(
+                1.0, _fast_apply(new.T, F).T, (T @ coeffs[start:end].T).T,
+                beta=1.0, c=out, overwrite_c=1,
+            )
+        x = r[:end, :end] @ coeffs[:end]
+        norms.append((float(np.linalg.norm(out)), float(np.linalg.norm(x))))
+        start, energy = end, new_energy
+    return norms
 
 
 # ---------------------------------------------------------------------------

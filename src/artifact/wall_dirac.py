@@ -68,9 +68,10 @@ that plants an exact spurious copy of the wall zero mode at the grid scale,
 and a mass-channel penalty term cannot lift it (wall zero modes carry no
 mass-channel expectation).  We solve the squared operator instead -- a local
 Schrodinger form with no lattice artifacts -- which recovers the
-first-order solution exactly on the deflated complement.  Its first-order
-part is the centered-difference matrix of H (``_dirac_matrix``), which the
-tests also assemble as a reference.
+first-order solution exactly on the deflated complement.  Its 2x2 node
+blocks go straight into LAPACK band storage, so the solve needs no sparse
+matrix; its first-order part is the centered-difference matrix of H, which
+the tests assemble as their difference reference.
 
 Frame orientation matters for the mu-linear branch: the slope of the
 topological eigenvalue is nu_F*|ell| * sgn(mass) * orientation, where
@@ -87,7 +88,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
 from .dirac_cone import DiracPointData
@@ -244,31 +244,6 @@ class Dirac1DSpectrum:
     # always 0: the Prufer count has no grid doublers to reject; the
     # benchmark tracer still reads it
     doubling_rejected: int = 0
-
-
-def _dirac_matrix(
-    params: DiracParams, h: float, kappa: np.ndarray, wrap: bool
-) -> sp.spmatrix:
-    """H(mu) by centered differences on len(kappa) nodes of step h.
-
-    Interleaved layout: unknown (node, spinor) at row 2 node + spinor.  D_t
-    is the centered antisymmetric stencil, clamped at the ends or, with
-    ``wrap``, closed periodically.  ``envelope_correction`` builds H here,
-    and the tests assemble their difference reference from it.
-    """
-    n = len(kappa)
-    m1, m2, m3 = params.matrices()
-    off = np.ones(n - 1) / (2.0 * h)
-    bands, offsets = [off, -off], [1, -1]
-    if wrap:
-        bands += [off[:1], -off[:1]]
-        offsets += [-(n - 1), n - 1]
-    d1 = sp.diags(bands, offsets, format="csr")
-    return (
-        params.speed_t * sp.kron(-1j * d1, m1)
-        + params.mu * params.speed_mu * sp.kron(sp.identity(n, format="csr"), m2)
-        + params.mass * sp.kron(sp.diags(kappa), m3)
-    )
 
 
 def _real_gauge(params: DiracParams) -> tuple[complex, float]:
@@ -809,24 +784,17 @@ def _reduced_matrix_apply(
     )
 
 
-def _bordered_solve(
-    squared: sp.csr_matrix, w: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
-    """beta from [[S, w], [w^H, 0]] [beta; lam] = [rhs; 0], S banded.
+def _bordered_solve(ab: np.ndarray, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """beta from [[S, w], [w^H, 0]] [beta; lam] = [rhs; 0], S in band storage.
 
-    One banded LU of S solves S y0 = rhs and S y1 = w together; the border
-    then leaves one scalar, lam = w^H y0 / w^H y1, and beta = y0 - lam y1 is
-    orthogonal to w.  S is nearly singular along w, so y0 and y1 are both
-    large along it, and the subtraction cancels exactly that direction.
+    ``ab`` is S in LAPACK band storage, ab[band + i - j, j] = S[i, j], with
+    the same half-bandwidth band above and below the diagonal.  One banded
+    LU of S solves S y0 = rhs and S y1 = w together; the border then leaves
+    one scalar, lam = w^H y0 / w^H y1, and beta = y0 - lam y1 is orthogonal
+    to w.  S is nearly singular along w, so y0 and y1 are both large along
+    it, and the subtraction cancels exactly that direction.
     """
-    band = ENVELOPE_BAND
-    dia = squared.todia()
-    if np.abs(dia.offsets).max() > band:
-        raise ValueError(f"squared operator is wider than half-bandwidth {band}")
-    # LAPACK band storage: ab[band + i - j, j] = S[i, j]; a DIA row k holds
-    # S[j - offsets[k], j] at column j
-    ab = np.zeros((2 * band + 1, squared.shape[1]), dtype=complex)
-    ab[band - dia.offsets, : dia.data.shape[1]] = dia.data
+    band = len(ab) // 2
     y = solve_banded((band, band), ab, np.column_stack([rhs, w]), check_finite=False)
     lam = (np.conj(w) @ y[:, 0]) / (np.conj(w) @ y[:, 1])
     return y[:, 0] - lam * y[:, 1]
@@ -844,18 +812,25 @@ def envelope_correction(
     system carry an exact sawtooth ghost of the wall zero mode, while the
     squared operator is a local Schrodinger form whose only near-kernel
     direction is alpha itself.  For rho orthogonal to alpha the squared
-    solve reproduces the first-order solution exactly.  In the interleaved
-    (node, spinor) order the squared operator is banded with half-bandwidth
-    ``ENVELOPE_BAND``; the deflation is a border, so beta is the solution
-    orthogonal to w = alpha / |alpha|, found by ``_bordered_solve`` from one
-    banded LU of the squared operator.  Its first-order part is
-    ``_dirac_matrix``.
+    solve reproduces the first-order solution exactly.  With H the
+    centered-difference reduced operator and Delta the three-point
+    Laplacian, the squared operator is
+
+        S = -s^2 Delta + mu^2 s_mu^2 + mass^2 kappa^2 + theta^2
+            - i s mass kappa' m1 m3 - 2 theta H,
+
+    s = speed_t and s_mu = speed_mu.  In the interleaved (node, spinor)
+    order it couples each node to itself and its two neighbours by 2x2
+    blocks, so it is banded with half-bandwidth ``ENVELOPE_BAND``; the
+    blocks are written straight into LAPACK band storage.  The deflation is
+    a border, so beta is the solution orthogonal to w = alpha / |alpha|,
+    found by ``_bordered_solve`` from one banded LU of S.
     """
     p = pair.params
     n = len(ts)
     h = float(ts[1] - ts[0])
     s, mass, theta = p.speed_t, p.mass, pair.theta
-    m1, _, m3 = p.matrices()
+    m1, m2, m3 = p.matrices()
     kap = p.wall(ts)
     d_kap = p.wall.derivative(ts)
 
@@ -863,24 +838,28 @@ def envelope_correction(
     d_rho[1:-1] = (rho[2:] - rho[:-2]) / (2.0 * h)
     rhs = _reduced_matrix_apply(p, theta, ts, rho, -1j * d_rho).ravel()
 
-    lap = sp.diags(
-        [np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
-        [-1, 0, 1], format="csr",
-    ) / (h * h)
-    eye2 = sp.identity(2, format="csr")
+    # the 2x2 node blocks: S[i, i] per node, and S[i, i + 1] = hop, whose
+    # conjugate transpose is S[i + 1, i]
     diag_sq = p.mu**2 * p.speed_mu**2 + mass**2 * kap**2 + theta**2
-    squared = (
-        s**2 * sp.kron(lap, eye2)
-        + sp.kron(sp.diags(diag_sq), eye2)
-        + (-1j * s * mass) * sp.kron(sp.diags(d_kap), m1 @ m3)
+    on_node = (
+        (s**2 * 2.0 / (h * h) + diag_sq)[:, None, None] * np.eye(2)
+        + (-1j * s * mass) * d_kap[:, None, None] * (m1 @ m3)
+        - 2.0 * theta * (p.mu * p.speed_mu * m2 + mass * kap[:, None, None] * m3)
     )
-    if theta != 0.0 or p.mu != 0.0:
-        squared = squared - 2.0 * theta * _dirac_matrix(p, h, kap, wrap=False)
-    squared = squared.tocsr()
+    hop = -(s**2) / (h * h) * np.eye(2) + (1j * theta * s / h) * m1
+    # band storage ab[band + row - col, col], row 2 i + a and col 2 j + b:
+    # block offset d = j - i puts entry (a, b) on band row band - 2 d + a - b
+    band = ENVELOPE_BAND
+    ab = np.zeros((2 * band + 1, n, 2), dtype=complex)
+    for a in (0, 1):
+        for b in (0, 1):
+            ab[band + a - b, :, b] = on_node[:, a, b]
+            ab[band - 2 + a - b, 1:, b] = hop[a, b]
+            ab[band + 2 + a - b, :-1, b] = np.conj(hop[b, a])
 
     w = alpha.ravel()
     w = w / np.linalg.norm(w)
-    beta = _bordered_solve(squared, w, rhs).reshape(n, 2)
+    beta = _bordered_solve(ab.reshape(2 * band + 1, 2 * n), w, rhs).reshape(n, 2)
 
     d_beta = np.zeros_like(beta)
     d_beta[1:-1] = (beta[2:] - beta[:-2]) / (2.0 * h)

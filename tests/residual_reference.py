@@ -12,15 +12,13 @@ the residual of those values to about 1e-18 relative, well below the
 double-precision routes' rounding.
 
 The package's factored route rounds worse than a double-precision apply to
-u: it rounds each F_k Q once, and that error repeats at every node, so it
-does not average out over the n_t nodes as the apply's per-node rounding
-does.  On the quasimode study's order-2 residuals it lies up to 9.4e-13
-(mu = 0) and 1.9e-11 (mu = 0.3) relative from this reference at delta =
-0.08 and 0.04, and 4.3e-12 and 9.7e-11 at delta = 0.02; the apply to u
-lies up to 5.5e-13 and 9.7e-13 there, and 7.5e-13 and 1.2e-11.  Taking
-||u|| through the Gram matrix U^T conj(U) in place of the QR is no
-uniform gain: at delta = 0.02 it lies 1.7e-11 and 8.0e-11 from the
-reference.
+u: it rounds each F_k b of the fast columns b once, and that error repeats
+at every node, so it does not average out over the n_t nodes as the
+apply's per-node rounding does.  On the quasimode study's order-2
+residuals, taken by nested cuts of the top order's field, it lies up to
+2.3e-13 (mu = 0) and 1.2e-11 (mu = 0.3) relative from this reference at
+delta = 0.08 and 0.04, 1.5e-11 and 6.2e-11 at delta = 0.02, and 9.2e-10
+and 7.3e-10 at delta = 0.01 (``BENCH_nested_residual.json``).
 """
 
 import numpy as np

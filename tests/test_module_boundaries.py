@@ -12,7 +12,8 @@ module may bind that object.  A fifth keeps the reduced wall operator in one
 module: its envelope pairs, shooting and envelope solve are defined in
 ``wall_dirac`` only.  A sixth keeps the import graph light: importing the
 package loads no ``scipy.integrate``, ``scipy.optimize`` or
-``scipy.special``.
+``scipy.special``.  A seventh keeps the reduced wall operator's solves
+banded: ``wall_dirac`` imports no ``scipy.sparse``.
 """
 
 import ast
@@ -153,3 +154,16 @@ def test_no_integrate_optimize_or_special_in_the_import_graph():
         check=True,
     ).stdout.split()
     assert out == [], out
+
+
+def test_wall_dirac_imports_no_sparse_matrices():
+    # the envelope correction writes its squared operator straight into
+    # LAPACK band storage, so the reduced model needs no sparse matrix
+    imported = []
+    for node in ast.walk(_tree(PACKAGE / "wall_dirac.py")):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module}.{alias.name}" for alias in node.names]
+    sparse = [name for name in imported if name.startswith("scipy.sparse")]
+    assert not sparse, sparse

@@ -211,9 +211,9 @@ def test_bordered_solve_matches_dense(setup, detuned_pair, monkeypatch, mu):
     seen = []
     banded = wall_dirac._bordered_solve
 
-    def capture(squared, w, rhs):
-        beta = banded(squared, w, rhs)
-        seen.append((squared, w, rhs, beta))
+    def capture(ab, w, rhs):
+        beta = banded(ab, w, rhs)
+        seen.append((ab, w, rhs, beta))
         return beta
 
     monkeypatch.setattr(wall_dirac, "_bordered_solve", capture)
@@ -222,11 +222,13 @@ def test_bordered_solve_matches_dense(setup, detuned_pair, monkeypatch, mu):
         ws.frame, ws.potential, ws.wall, zeta, 0.08, ws.basis, t_factor=4.5
     ).grid
     ansatz = quasimode.leading_quasimode(ws, pair, grid, order=2)
-    ((squared, w, rhs, beta),) = seen
-    n = squared.shape[0]
-    assert n + 1 == 2251
+    ((ab, w, rhs, beta),) = seen
+    band, n = len(ab) // 2, ab.shape[1]
+    assert (band, n + 1) == (wall_dirac.ENVELOPE_BAND, 2251)
     bordered = np.zeros((n + 1, n + 1), dtype=complex)
-    bordered[:n, :n] = squared.toarray()
+    for k, row in enumerate(ab):  # LAPACK band storage: ab[band + i - j, j]
+        j = np.arange(max(0, band - k), min(n, n + band - k))
+        bordered[j + k - band, j] = row[j]
     bordered[:n, n] = w
     bordered[n, :n] = np.conj(w)
     dense = np.linalg.solve(bordered, np.append(rhs, 0.0))[:n]
@@ -282,6 +284,44 @@ def test_residual_orders_is_one_pass_per_delta(setup, detuned_pair, monkeypatch,
             direct = float(np.linalg.norm(st.kron_apply(op.terms, v) - u.energy * v))
             assert abs(study.residuals[order][i] - direct) <= tol * direct
             assert study.energies[order][i] == u.energy
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3])
+def test_nested_residuals_match_one_cut(setup, detuned_pair, mu):
+    # the study takes every order's residual from one nested pass over the
+    # top order's field; each matches kron_residual with one cut on that
+    # order's own leading_quasimode field
+    _, ws = setup
+    pair = _pair(setup, detuned_pair, mu)
+    deltas = (0.08, 0.04)
+    study = quasimode.residual_orders(ws, pair, deltas, orders=(0, 1, 2), t_factor=4.5)
+    for i, delta in enumerate(deltas):
+        op = st.strip_terms(
+            ws.frame, ws.potential, ws.wall, quasimode.effective_zeta(ws, delta, mu),
+            delta, ws.basis, perturbation=ws.perturbation, t_factor=4.5,
+        )
+        for order, tol in ((0, 1e-12), (1, 1e-12), (2, 1e-10)):
+            u = quasimode.leading_quasimode(ws, pair, op.grid, order=order)
+            cut = (u.field.basis.shape[1], u.energy)
+            [(residual, norm)] = st.kron_residual(op.terms, *u.field, [cut])
+            one_cut = residual / norm
+            assert abs(study.residuals[order][i] - one_cut) <= tol * one_cut
+            assert study.energies[order][i] == u.energy
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3])
+def test_series_has_no_zero_columns(setup, detuned_pair, mu):
+    # a column that is exactly zero costs GEMM work in every product over
+    # the strip and adds nothing: at mu = theta = 0 the bracket leaves its
+    # zero block out, so the ranks there are 2, 6 and 24
+    _, ws = setup
+    pair = _pair(setup, detuned_pair, mu)
+    ts = 0.08 * _grid(ws, 0.08, mu).t
+    series = quasimode.ansatz_series(ws, pair, ts, 2)
+    for order, power, field in series.terms:
+        assert np.all(np.any(field.basis != 0, axis=0)), (order, power)
+    ranks = [series.rank(o) for o in (0, 1, 2)]
+    assert ranks == ([2, 6, 24] if mu == 0.0 else [2, 8, 38])
 
 
 # the study's residuals lie this close to the extended-precision reference,
@@ -392,16 +432,18 @@ def test_factored_correctors_match_dense_fields(setup, detuned_pair, mu):
         assert [(o, p) for o, p, _ in series.terms] == [(0, 0), (1, 1), (2, 1), (2, 2)]
         assert [(o, p) for o, p, _ in series.energies] == [(0, 0), (0, 1), (2, 2)]
         v1, v2 = series.terms[1][2], series.terms[3][2]
-        # the ranks are the equations', whatever the number of nodes
-        assert v1.basis.shape == (len(ws.phi), 6)
-        assert v2.basis.shape == (len(ws.phi), 28)
-        assert v1.coeffs.shape == (6, len(ts))
+        # the ranks are the equations', whatever the number of nodes; at
+        # mu = theta = 0 the bracket drops its zero block
+        r1, r2 = (4, 16) if mu == 0.0 else (6, 28)
+        assert v1.basis.shape == (len(ws.phi), r1)
+        assert v2.basis.shape == (len(ws.phi), r2)
+        assert v1.coeffs.shape == (r1, len(ts))
     delta = 0.08
     ts = delta * _grid(ws, delta, mu).t
     ref = _dense_layers(ws, pair, ts, delta)
     series = quasimode.ansatz_series(ws, pair, ts, 2)
     _, field = series.cut(delta, 2)
-    assert field.basis.shape[1] == 38
+    assert field.basis.shape[1] == series.rank(2) == (24 if mu == 0.0 else 38)
     for got, want in (
         (series.terms[1][2], ref["v1"]), (series.terms[3][2], ref["v2"]),
         (field, ref["field"]),
@@ -417,7 +459,7 @@ def test_factored_correctors_match_dense_fields(setup, detuned_pair, mu):
 
 def test_residual_study_holds_no_dense_field(setup):
     # only the residual reaches the strip's size: the study's traced peak
-    # stays below 4 vectors at its finest delta (3.0 measured), where strip
+    # stays below 3 vectors at its finest delta (2.2 measured), where strip
     # vectors and their apply took it to 4.7 and dense (M, n) correctors
     # to 15
     params, ws = setup
@@ -433,4 +475,4 @@ def test_residual_study_holds_no_dense_field(setup):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * vector_bytes
+    assert peak < 3 * vector_bytes

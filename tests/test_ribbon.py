@@ -348,9 +348,28 @@ def test_kron_apply_matches_assembled_matvec(lat, frame, fields, basis, case):
     slow = rng.standard_normal((5, op.grid.n_t, 2)) @ np.array([1.0, 1.0j])
     v = (slow.T @ fast.T).ravel()
     want = np.linalg.norm(op.matrix @ v - 1.9 * v)
-    residual, norm = st.kron_residual(op.terms, fast, slow, 1.9)
+    [(residual, norm)] = st.kron_residual(op.terms, fast, slow, [(5, 1.9)])
     assert abs(norm - np.linalg.norm(v)) <= 1e-14 * norm
     assert abs(residual - want) <= 1e-14 * want
+
+
+def test_nested_kron_residual_cuts(frame, fields, basis):
+    # one nested pass takes the residual of every leading-column truncation,
+    # at its own energy, including cuts that add no column and only move the
+    # energy; each is the assembled residual of its truncated strip vector
+    args = (frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA, basis)
+    op = st.strip_terms(*args, perturbation=fields["W10"], t_factor=3.5)
+    rng = np.random.default_rng(11)
+    fast = rng.standard_normal((op.grid.n_fast, 5, 2)) @ np.array([1.0, 1.0j])
+    slow = rng.standard_normal((5, op.grid.n_t, 2)) @ np.array([1.0, 1.0j])
+    cuts = [(2, 1.9), (2, 2.3), (5, 2.3), (5, 1.7)]
+    nested = st.kron_residual(op.terms, fast, slow, cuts)
+    assert len(nested) == len(cuts)
+    for (end, energy), (residual, norm) in zip(cuts, nested):
+        v = (slow[:end].T @ fast[:, :end].T).ravel()
+        want = np.linalg.norm(op.matrix @ v - energy * v)
+        assert abs(norm - np.linalg.norm(v)) <= 1e-14 * norm
+        assert abs(residual - want) <= 1e-14 * want
 
 
 @pytest.mark.parametrize("case", ["W", "A", "W_flip", "cutoff2"])

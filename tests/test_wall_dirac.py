@@ -95,6 +95,28 @@ def rich_base(rich_params):
 # the essential edge
 
 
+def _dirac_matrix(params: DiracParams, h: float, kappa: np.ndarray, wrap: bool):
+    """H(mu) by centered differences on len(kappa) nodes of step h.
+
+    Interleaved layout: unknown (node, spinor) at row 2 node + spinor.  D_t
+    is the centered antisymmetric stencil, clamped at the ends or, with
+    ``wrap``, closed periodically.
+    """
+    n = len(kappa)
+    m1, m2, m3 = params.matrices()
+    off = np.ones(n - 1) / (2.0 * h)
+    bands, offsets = [off, -off], [1, -1]
+    if wrap:
+        bands += [off[:1], -off[:1]]
+        offsets += [-(n - 1), n - 1]
+    d1 = sp.diags(bands, offsets, format="csr")
+    return (
+        params.speed_t * sp.kron(-1j * d1, m1)
+        + params.mu * params.speed_mu * sp.kron(sp.identity(n, format="csr"), m2)
+        + params.mass * sp.kron(sp.diags(kappa), m3)
+    )
+
+
 def assemble_dirac(
     params: DiracParams,
     T: float,
@@ -129,7 +151,7 @@ def assemble_dirac(
         kappa = params.wall(t)
     else:
         kappa = np.full(N, float(kappa_const))
-    H = wall_dirac._dirac_matrix(params, h, kappa, wrap=periodic).tocsr()
+    H = _dirac_matrix(params, h, kappa, wrap=periodic).tocsr()
     H.eliminate_zeros()  # the 2x2 blocks of the kron products store zeros
     return H
 
@@ -628,3 +650,55 @@ def test_zero_mode_norm_matches_quadrature(kind, L):
             -np.inf, np.inf,
         )
         assert abs(wall_dirac._zero_mode_norm_sq(wall, rate) - ref) <= 1e-13 * ref
+
+
+def _sparse_square(params: DiracParams, theta: float, ts: np.ndarray):
+    """The squared operator of ``envelope_correction``, summed from sparse krons."""
+    n, h = len(ts), float(ts[1] - ts[0])
+    s, mass = params.speed_t, params.mass
+    m1, _, m3 = params.matrices()
+    kap = params.wall(ts)
+    lap = sp.diags(
+        [np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)], [-1, 0, 1]
+    ) / (h * h)
+    eye2 = sp.identity(2)
+    diag_sq = params.mu**2 * params.speed_mu**2 + mass**2 * kap**2 + theta**2
+    return (
+        s**2 * sp.kron(lap, eye2)
+        + sp.kron(sp.diags(diag_sq), eye2)
+        + (-1j * s * mass) * sp.kron(sp.diags(params.wall.derivative(ts)), m1 @ m3)
+        - 2.0 * theta * _dirac_matrix(params, h, kap, wrap=False)
+    ).todia()
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3])
+def test_envelope_band_matches_sparse_square(default_params, monkeypatch, mu):
+    # envelope_correction writes the squared operator's node blocks straight
+    # into band storage; they are the band of the sparse sum, and beta solved
+    # from either lies within 1e-12 of the other
+    params = dataclasses.replace(default_params, mu=mu)
+    if mu == 0.0:
+        pair = zero_mode_pair(params)
+    else:
+        pair = ladder_pair(gap_spectrum(params, 30.0, 6000))
+    ts = 0.04 * np.arange(-560, 561)
+    alpha = pair.alpha(ts)
+    rho = np.tanh(ts)[:, None] * alpha[:, ::-1]
+    seen = []
+    banded = wall_dirac._bordered_solve
+
+    def capture(ab, w, rhs):
+        seen.append((ab, w, rhs))
+        return banded(ab, w, rhs)
+
+    monkeypatch.setattr(wall_dirac, "_bordered_solve", capture)
+    beta, _, _ = wall_dirac.envelope_correction(pair, ts, rho, alpha)
+    ((ab, w, rhs),) = seen
+    dia = _sparse_square(params, pair.theta, ts)
+    band = wall_dirac.ENVELOPE_BAND
+    assert np.abs(dia.offsets).max() == band
+    want = np.zeros_like(ab)  # band storage: a DIA row holds S[j - offset, j]
+    want[band - dia.offsets, : dia.data.shape[1]] = dia.data
+    assert np.abs(ab - want).max() <= 1e-14 * np.abs(want).max()
+    beta_sparse = banded(want, w, rhs).reshape(beta.shape)
+    assert np.linalg.norm(beta - beta_sparse) <= 1e-12 * np.linalg.norm(beta_sparse)

@@ -10,9 +10,10 @@ solver (``blocktri``) own the sparse machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import zheevr, zheevr_lwork
 
 from .geometry import TWO_PI, LatticeFrame, dual_ball
 from .potentials import FourierField
@@ -199,14 +200,30 @@ def assemble_fiber(
     return fiber_from_tables(xi, delta, basis, tables)
 
 
+@cache
+def _lwork(n: int) -> tuple[int, int, int]:
+    """Workspace sizes ``(lwork, lrwork, liwork)`` for zheevr on an n-row
+    fiber (zheevr_lwork, cached): the query ``scipy.linalg.eigh`` makes on
+    every call."""
+    work, rwork, iwork, _ = zheevr_lwork(n, lower=1)
+    return int(work.real), int(rwork), int(iwork)
+
+
 def eigs(op: FiberOperator, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest `count` eigenpairs, ascending; vectors in columns."""
+    """Lowest `count` eigenpairs, ascending; vectors in columns.
+
+    Calls LAPACK's zheevr on the lower triangle for eigenvalues 1 ..
+    ``count``, with its workspace queried once per size (``_lwork``): bit
+    for bit ``scipy.linalg.eigh(subset_by_index=[0, count - 1])``, without
+    that wrapper's checks and its workspace query on every fiber.
+    """
     if count > op.dim:
         raise ValueError(f"requested {count} pairs from a {op.dim}-dim fiber")
-    try:
-        vals, vecs = scipy.linalg.eigh(
-            op.matrix, subset_by_index=[0, count - 1]
-        )
-    except scipy.linalg.LinAlgError as err:  # pragma: no cover - rare
-        raise ConvergenceFailure(f"dense eigh failed: {err}") from err
-    return vals, vecs
+    lwork, lrwork, liwork = _lwork(op.dim)
+    vals, vecs, found, _, info = zheevr(
+        op.matrix, range="I", lower=1, il=1, iu=count,
+        lwork=lwork, lrwork=lrwork, liwork=liwork,
+    )
+    if info != 0:  # pragma: no cover - rare
+        raise ConvergenceFailure(f"dense eigensolver zheevr failed (info = {info})")
+    return vals[:found], vecs

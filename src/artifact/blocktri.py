@@ -8,25 +8,23 @@ gives its inertia and, by Sylvester's law, the number of eigenvalues below
 s; two counts give the number in a window exactly (spectrum slicing,
 Ericsson & Ruhe, Math. Comp. 35, 1980).  The same LDL^H taken at a shift
 solves with ``H - shift``: one forward and one backward pass over its
-segments (``shift_invert_solve``).  Nothing here knows where the terms come
-from, except that a strip's half walks (below) rest on its mirror symmetry,
-which they check.
+segments.  Nothing here knows where the terms come from, except that a
+strip's half walks (below) rest on its mirror symmetry, which they check.
 
 The LDL^H reads no matrix.  Each node pair's diagonal block D_i and its
 coupling B_(i+1) to the next pair are summed from the 2x2 node blocks of the
 T_k times their F_k (``node_pairs``).  Only the t-derivative terms reach the
 next pair, and their t-coefficients repeat (everywhere on a scalar wall, on
 the plateaus of a magnetic one), so one coupling, and its adjoint, is built
-per distinct coefficient set and shared by every factorization of the
-strip.  Off the wall the diagonal coefficients repeat too: the base
-channel's 438 node pairs fall into 123 runs of equal ones (``_runs``), and
-D_i is built once per run.  A single pair takes the sweep's step: its Schur
-block S_i (``_schur_block``) is factored by Bunch-Kaufman (zhetrf, blocked)
-and inverted from that factor (zhetri), and ``B^H S_i^-1 B`` is passed on to
-the next block.  B stays sparse there: it holds only the distance-one and
-distance-two node couplings (165 nonzeros of its 12,100 entries on the base
-channel, 257 with a magnetic wall), so both products with it cost next to
-nothing and only the inverse is dense.
+per distinct coefficient set and shared by every walk of the strip.  Off
+the wall the diagonal coefficients repeat too: the base channel's 438 node
+pairs fall into 123 runs of equal ones (``_runs``).  A single pair takes
+the walk's step: its Schur block S_i (``_schur_block``) is factored by
+Bunch-Kaufman (zhetrf, blocked) and inverted from that factor (zhetri), and
+``B^H S_i^-1 B`` is passed on to the next block.  B stays sparse there: it
+holds only the distance-one and distance-two node couplings (165 nonzeros
+of its 12,100 entries on the base channel, 257 with a magnetic wall), so
+both products with it cost next to nothing and only the inverse is dense.
 
 A run of equal pairs is reduced by block cyclic reduction (Buzbee, Golub &
 Nielson, SIAM J. Numer. Anal. 7, 1970), the in-box form of the decimation
@@ -36,17 +34,22 @@ level factoring one pivot for all the blocks it eliminates.  That Schur
 block is the one the per-pair sweep reaches, and by Haynsworth additivity
 the pivots carry the same inertia.  The base channel's 123 runs include the
 plateaus of 158 and 159 pairs, so a walk of its whole table takes 147
-factorizations where a per-pair sweep takes 438, and 0.30 -> 0.13 s.  The
-count and the factor at the shift walk a table with one generator
-(``_run_ldl``).  The count keeps nothing; the factor keeps, per run, the
-lower triangle of its last pair's Schur inverse in LAPACK's packed form
-and, per level of a reduction, its pivot inverses and coupling.  Each solve
-applies a single pair's inverse by one packed Hermitian matrix-vector
-product (zhpmv) and a level by zgemm on all the blocks it eliminates at
-once.  On the base channel a factor of the whole table keeps 1.25 M values
-where a per-pair one kept 2.74 M (5.36 M as Bunch-Kaufman factors), and
-takes 0.29 -> 0.15 s; one solve takes 21 -> 14 ms (medians of three
-alternating processes, two-core host, BLAS on one thread).
+factorizations where a per-pair sweep takes 438 (timed in
+``BENCH_plateau_reduction.json``).
+
+One walk serves every shift of a channel (``_run_ldl``).  Per run, D_i is
+summed from the terms once and the run's coupling made dense once, and
+each shift takes its own Schur update, reduction and factors from them, so
+the two window counts and a factor at each seed's shift cost one build of
+the table's blocks, not one per shift (``BENCH_one_walk.json``).  A count
+keeps nothing past its run.  A factor keeps, per run, the lower triangle of
+its last pair's Schur inverse in LAPACK's packed form and, per level of a
+reduction, its pivot inverses and coupling; each solve applies a single
+pair's inverse by one packed Hermitian matrix-vector product (zhpmv) and a
+level by zgemm on all the blocks it eliminates at once.  On the base
+channel a factor of the whole table keeps 1.25 M values where a per-pair
+one kept 2.74 M (5.36 M as Bunch-Kaufman factors); its factor and solve
+times are in ``BENCH_run_factor.json``.
 
 A strip is walked on one half only.  Every strip the library builds is
 invariant, to rounding, under A = (t -> -t) o complex conjugation (its
@@ -54,28 +57,29 @@ terms are, one by one: ``_mirror_residual``), so the two halves on either
 side of a few nodes at the wall centre are conjugate mirrors, and
 ``nu(H - s) = 2 nu(left half) + nu(Gamma)`` with Gamma the separator's
 Schur block once both halves are eliminated (``half_table``,
-``half_inertia``, ``half_solve``).  The separator has 3 nodes, or 5: the
-terms couple nodes at distance at most two, so it must be at least 2 nodes
-wide to keep the halves apart and odd to be symmetric about the centre
-node, and the left half must be whole node pairs, the strip's first ones,
-so that its last pair abuts the separator; where the 3 centre nodes leave
-an odd left half, the separator takes one node more on each side.  On the
-base channel the left half holds 218 of the 438 pairs and the separator
-165 rows: a count takes 74 factorizations (Gamma's included) where a walk
-of the whole strip takes 147, 0.066 s against 0.135 s (medians of five
-alternating processes, BLAS on one thread), and the factor at the shift
-keeps 638,165 values where the whole strip's keeps 1,250,425.  A
-solve walks the left half's factor twice, once for each half, as a solve
-of the whole strip walked its factor once.  This is the decimation above
-taken across the wall: Gamma is the wall's block with both sides folded in.
+``half_walk``, ``half_solve``).  The separator has 3 nodes, or 5: the terms
+couple nodes at distance at most two, so it must be at least 2 nodes wide
+to keep the halves apart and odd to be symmetric about the centre node,
+and the left half must be whole node pairs, the strip's first ones, so that
+its last pair abuts the separator; where the 3 centre nodes leave an odd
+left half, the separator takes one node more on each side.  On the base
+channel the left half holds 218 of the 438 pairs in 61 runs and the
+separator 165 rows: a shift takes 74 factorizations (Gamma's included)
+where a walk of the whole strip takes 147, and the factor at the shift
+keeps 638,165 values where the whole strip's keeps 1,250,425
+(``BENCH_half_walk.json``).  A count needs only Gamma's inertia, so it
+takes Gamma's Bunch-Kaufman factor and no inverse.  A solve walks the left
+half's factor twice, once for each half, as a solve of the whole strip
+walked its factor once.  This is the decimation above taken across the
+wall: Gamma is the wall's block with both sides folded in.
 
 The reduction's pivots are Schur blocks of stretches of the plateau (the
 first is D - shift), and near an eigenvalue of one of them it is not
 backward stable where the per-pair sweep is: uncertified, a count 1e-6
 from an eigenvalue of D was one short.  So every pivot carries a condition
 estimate (``_pivot``), and a run with a pivot above ``PIVOT_CONDITION`` is
-walked pair by pair.  Inside the gap windows of the tested channels no run
-falls back, within 1e-10 of a state included.
+walked pair by pair, at that shift only.  Inside the gap windows of the
+tested channels no run falls back, within 1e-10 of a state included.
 
 ``inverse_iteration`` applies the half solve to refine a seed into an
 eigenpair.
@@ -177,7 +181,8 @@ def node_pairs(terms: list) -> list:
     and its adjoint are built once per distinct set of them and shared by
     every pair with that set.  Consecutive pairs whose own t-coefficients
     are equal share one ``diagonal`` callable in the same way, which
-    ``_run_ldl`` calls once per run: on the base channel, scalar or
+    ``_run_ldl`` calls once per run for all its shifts: on the base
+    channel, scalar or
     magnetic wall, 438 pairs have 123 distinct callables, since kappa is
     constant on the plateaus and every other coefficient is constant.
     """
@@ -244,9 +249,9 @@ def _lwork(n: int) -> int:
     """Workspace size for zhetrf on an n-row block (zhetrf_lwork, cached).
 
     scipy's default ``lwork = n`` keeps LAPACK on its unblocked path; this
-    size lets it block (7,040 for a 110-row block: 244 -> 124 us per block,
-    two-core host, BLAS on one thread).
-    Blocks of at most 64 rows take the unblocked path either way.
+    size lets it block (7,040 for a 110-row block, about twice as fast:
+    ``BENCH_plateau_reduction.json``).  Blocks of at most 64 rows take the
+    unblocked path either way.
     """
     work, _ = zhetrf_lwork(n, lower=1)
     return int(work.real)
@@ -265,24 +270,31 @@ def _schur_block(built: np.ndarray, shift: float, adjoint, inverse) -> np.ndarra
     return block
 
 
-def _factor(block: np.ndarray, where: str) -> tuple:
-    """Bunch-Kaufman factor of a Hermitian block (zhetrf, lower) and its inverse.
-
-    Returns ``(ldu, ipiv, inverse)``.  The inverse comes from the factor
-    (zhetri), with the conjugate of its lower triangle copied over its upper
-    one (one masked copy, 22 us per 110-row block where two ``np.tril`` and
-    an add took 94 us), so it is exactly Hermitian.  A singular block raises
-    FactorizationFailure with ``where`` in the message.
-    """
-    n = len(block)
-    ldu, ipiv, info = zhetrf(block, lower=1, lwork=_lwork(n))
-    if info == 0:
-        inverse, info = zhetri(ldu, ipiv, lower=1)
-        np.copyto(inverse, inverse.T.conj(), where=_upper(n, 1))
+def _bunch_kaufman(block: np.ndarray, where: str) -> tuple:
+    """Bunch-Kaufman factor ``(ldu, ipiv)`` of a Hermitian block (zhetrf,
+    lower, blocked: ``_lwork``), all a count needs of it.  A singular block
+    (a zero pivot) raises FactorizationFailure with ``where`` in the
+    message."""
+    ldu, ipiv, info = zhetrf(block, lower=1, lwork=_lwork(len(block)))
     if info != 0:
         raise FactorizationFailure(
             f"block LDL^H of the strip is singular {where} (info = {info})"
         )
+    return ldu, ipiv
+
+
+def _factor(block: np.ndarray, where: str) -> tuple:
+    """Bunch-Kaufman factor of a Hermitian block (``_bunch_kaufman``) and its inverse.
+
+    Returns ``(ldu, ipiv, inverse)``.  The inverse comes from the factor
+    (zhetri), with the conjugate of its lower triangle copied over its upper
+    one (one masked copy where two ``np.tril`` and an add took four times as
+    long), so it is exactly Hermitian.  A singular block raises
+    FactorizationFailure with ``where`` in the message.
+    """
+    ldu, ipiv = _bunch_kaufman(block, where)
+    inverse, _ = zhetri(ldu, ipiv, lower=1)  # fails only where zhetrf did
+    np.copyto(inverse, inverse.T.conj(), where=_upper(len(block), 1))
     return ldu, ipiv, inverse
 
 
@@ -333,7 +345,7 @@ def _pivot(
     return _negative_pivots(ldu, ipiv), inverse
 
 
-def _reduce_run(first, plateau, coupling, m: int) -> tuple:
+def _reduce_run(first, plateau, coupling, m: int, keep: bool) -> tuple:
     """Schur complement of a run's last block, by block cyclic reduction.
 
     The run is the block tridiagonal chain of m >= 2 blocks ``[F, A, ...,
@@ -362,7 +374,9 @@ def _reduce_run(first, plateau, coupling, m: int) -> tuple:
     ``levels`` holds, per level, what its solve applies (``_solve_levels``):
     ``(s, k, A^-1, F^-1, B)``, the chain's stride s in pairs and its length
     k, the pivots' inverses (None where the level eliminates no interior
-    block, or keeps F) and the level's coupling.  A run of 158 pairs takes
+    block, or keeps F) and the level's coupling; without ``keep`` (a count)
+    it stays empty and each level is dropped once the next is formed.  A
+    run of 158 pairs takes
     12 factorizations in 8 levels.  Every dense product is a zgemm (see
     ``_run_ldl`` on the two BLAS pools).
 
@@ -411,9 +425,10 @@ def _reduce_run(first, plateau, coupling, m: int) -> tuple:
             neg, inv_f = pivot
             negatives += neg
             f_b = zgemm(-1.0, B, zgemm(1.0, inv_f, B), trans_a=2)  # -B^H F^-1 B
-        levels.append((2**level, m, inv_a, inv_f, B))
+        if keep:
+            levels.append((2**level, m, inv_a, inv_f, B))
         if m == 2:
-            return L + f_b, levels, negatives, factorizations
+            return L + f_b, tuple(levels), negatives, factorizations
         F = A + f_b - from_next if m % 2 == 0 else F - from_next
         L = L - from_prev
         A = A - from_prev - from_next
@@ -422,18 +437,18 @@ def _reduce_run(first, plateau, coupling, m: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the walker, the count and the solve
+# the walker: every shift in one pass over the table
 
 
 class _Segment(NamedTuple):
-    """One step of the run walker (``_run_ldl``): a run reduced to its last
-    pair, or one pair.  Rows ``r0:r1`` are the run's; ``levels`` its
-    reduction (``_reduce_run``; empty for one pair); ``inverse`` the full
-    Hermitian inverse of the last pair's Schur block; ``coupling`` and
-    ``adjoint`` the sparse coupling of that pair to the next one and its
-    adjoint (None at the end of the strip); ``negatives`` and
-    ``factorizations`` what the step's pivots count and how many blocks it
-    factored."""
+    """One step of the run walker (``_run_ldl``) at one shift: a run reduced
+    to its last pair, or one pair.  Rows ``r0:r1`` are the run's; ``levels``
+    its reduction (``_reduce_run``; empty for one pair and for a count);
+    ``inverse`` the full Hermitian inverse of the last pair's Schur block;
+    ``coupling`` and ``adjoint`` the sparse coupling of that pair to the
+    next one and its adjoint (None at the end of the strip); ``negatives``
+    and ``factorizations`` what the step's pivots count and how many blocks
+    it factored."""
 
     r0: int
     r1: int
@@ -445,18 +460,21 @@ class _Segment(NamedTuple):
     factorizations: int
 
 
-def _run_ldl(pairs: list, shift: float):
-    """Block LDL^H of ``H - shift`` for H = sum_k T_k (x) F_k, one run at a time.
+def _run_ldl(pairs: list, shifts: tuple, keep: tuple):
+    """Block LDL^H of ``H - s`` for every s in ``shifts``, in one walk of the table.
 
     The t-major H is block tridiagonal in blocks of two nodes (``2 *
-    n_fast`` rows), so ``H - shift = L D L^H`` with D = diag(S_i), the
-    Schur blocks ``S_i = D_i - shift - B_i^H S_(i-1)^-1 B_i`` (B_i the
-    coupling of block i - 1 to block i).  ``pairs`` is the node-pair table
-    of the terms (``node_pairs``): each D_i is summed from the terms once
-    per run (``_runs``) and copied for the rest, and B_(i+1) is the table's
-    shared coupling; no matrix of H is formed.  Yields one
-    ``_Segment`` per run (per pair where a run is walked pair by pair).  A
-    run of m >= 2 equal pairs enters with its first pair's Schur block and
+    n_fast`` rows), so ``H - s = L D L^H`` with D = diag(S_i), the Schur
+    blocks ``S_i = D_i - s - B_i^H S_(i-1)^-1 B_i`` (B_i the coupling of
+    block i - 1 to block i).  ``pairs`` is the node-pair table of the terms
+    (``node_pairs``), walked run by run (``_runs``).  Per run, the diagonal
+    block D_i is summed from the terms once and its coupling made dense
+    once, and every shift takes its step from them; only the Schur update,
+    the reduction and the factors are per shift.  Yields ``(k, segment)``
+    for shift ``shifts[k]``, one ``_Segment`` per run and shift (per pair
+    where a run is walked pair by pair), the shifts of a run in order.
+
+    A run of m >= 2 equal pairs enters with its first pair's Schur block and
     is reduced to its last pair's by block cyclic reduction
     (``_reduce_run``), in about 2 log2(m) factorizations where a per-pair
     sweep takes m; the elimination order changes inside the run only, so
@@ -466,79 +484,104 @@ def _run_ldl(pairs: list, shift: float):
     S_i (``_schur_block``, two sparse-times-dense products with ``B^H``),
     factor and invert it (``_factor``) and yield it as a segment of its own;
     the first pair of a run whose reduction failed also counts the pivots
-    that reduction factored.
-    B_(i+1) couples only nodes at distance one or two, so it holds a few
-    hundred nonzeros and is made dense only as a run's reduction coupling.
-    On the base channel the 438 pairs make 123 runs and 147
-    factorizations.
+    that reduction factored.  B_(i+1) couples only nodes at distance one or
+    two, so it holds a few hundred nonzeros and is made dense only as a
+    run's reduction coupling.  Each shift's steps are those of a walk at
+    that shift alone, bit for bit.
 
-    A consumer that keeps nothing (``inertia``) holds at most one run's
-    reduction at a time.  Each Schur block is dropped once factored: held
-    to the next step it took the base channel's peak RSS from 142 to 150
-    MB.  Every dense BLAS call goes through scipy's LAPACK and BLAS
-    wrappers (here and in ``shift_invert_solve``), which share one
+    A shift whose ``keep`` is false (a count) keeps nothing past its own
+    run: its reduction keeps no levels, and its last Schur inverse is
+    dropped once the next run's first Schur block is formed.  A kept
+    shift's segments carry the levels its solve applies.  Each Schur block
+    is dropped once factored.  Every dense BLAS call goes through scipy's
+    LAPACK and BLAS wrappers (here and in the solves), which share one
     OpenBLAS: numpy bundles another with its own thread pool, and
-    alternating the two left both pools spinning against each other (a base
-    channel sweep took 5.8 s instead of 0.43 s on a two-core host).
+    alternating the two left both pools spinning against each other
+    (``BENCH_plateau_reduction.json`` and earlier records).
     """
-    adjoint = inverse = None  # B^H into the next segment and the last Schur inverse
+    last = [(None, None)] * len(shifts)  # per shift: B^H into the run, last inverse
     for index, run in enumerate(_runs(pairs)):
-        r0, _, diagonal, coupling, _ = run[0]
-        where = f"at shift = {shift:.12g}, run {index} (rows {r0}:{run[-1][1]})"
-        built = diagonal()
-        block = _schur_block(built, shift, adjoint, inverse)
-        schur, made = None, 0
-        if len(run) > 1:
-            schur, levels, negatives, made = _reduce_run(
-                block,
-                _schur_block(built, shift, None, None),
-                coupling.toarray(order="F"),
-                len(run),
-            )
-        if schur is None:
-            for r0, r1, _, coupling, next_adjoint in run:
-                if block is None:
-                    block = _schur_block(built, shift, adjoint, inverse)
-                at = f"at shift = {shift:.12g}, rows {r0}:{r1}"
-                ldu, ipiv, inverse = _factor(block, at)
-                block = None
-                adjoint = next_adjoint
-                negatives = _negative_pivots(ldu, ipiv)
-                yield _Segment(
-                    r0, r1, (), inverse, coupling, adjoint, negatives, made + 1
+        first = run[0]
+        built = first[2]()
+        dense = first[3].toarray(order="F") if len(run) > 1 else None
+        for k, shift in enumerate(shifts):
+            adjoint, inverse = last[k]
+            last[k] = None
+            block = _schur_block(built, shift, adjoint, inverse)
+            del inverse
+            schur, made = None, 0
+            if dense is not None:
+                schur, levels, negatives, made = _reduce_run(
+                    block,
+                    _schur_block(built, shift, None, None),
+                    dense,
+                    len(run),
+                    keep[k],
                 )
-                made = 0
-            continue
-        del block
-        ldu, ipiv, inverse = _factor(schur, where)
-        del schur
-        _, r1, _, coupling, adjoint = run[-1]
-        negatives += _negative_pivots(ldu, ipiv)
-        yield _Segment(
-            r0, r1, tuple(levels), inverse, coupling, adjoint, negatives, made + 1
-        )
+            if schur is None:
+                for r0, r1, _, coupling, next_adjoint in run:
+                    if block is None:
+                        block = _schur_block(built, shift, adjoint, inverse)
+                    at = f"at shift = {shift:.12g}, rows {r0}:{r1}"
+                    ldu, ipiv, inverse = _factor(block, at)
+                    block = None
+                    adjoint = next_adjoint
+                    negatives = _negative_pivots(ldu, ipiv)
+                    yield k, _Segment(
+                        r0, r1, (), inverse, coupling, adjoint, negatives, made + 1
+                    )
+                    made = 0
+            else:
+                del block
+                rows = f"rows {first[0]}:{run[-1][1]}"
+                at = f"at shift = {shift:.12g}, run {index} ({rows})"
+                ldu, ipiv, inverse = _factor(schur, at)
+                del schur
+                _, r1, _, coupling, adjoint = run[-1]
+                negatives += _negative_pivots(ldu, ipiv)
+                yield k, _Segment(
+                    first[0], r1, levels, inverse, coupling, adjoint, negatives,
+                    made + 1,
+                )
+            last[k] = adjoint, inverse
 
 
-def inertia(pairs: list, shift: float) -> tuple[int, int]:
-    """Number of eigenvalues of H below ``shift``, by Sylvester's law of inertia.
+def _pack(segment: _Segment) -> tuple:
+    """A segment as a solve keeps it: ``(r0, r1, n, levels, packed, coupling,
+    adjoint)``, with the lower triangle of the last pair's Hermitian Schur
+    inverse packed column by column in ``packed`` (n (n + 1) / 2 values for
+    a block of n rows)."""
+    n = len(segment.inverse)
+    packed = segment.inverse.T[_upper(n, 0)]
+    return (
+        segment.r0, segment.r1, n, segment.levels, packed, segment.coupling,
+        segment.adjoint,
+    )
 
-    Returns ``(count, factorizations)``: the negative pivots of the block
-    LDL^H of ``H - shift`` that the run walker takes (``_run_ldl``), which
-    by Haynsworth additivity carry its inertia, and the block
-    factorizations that took.  Each plateau run is reduced by block cyclic
-    reduction, so a count of the whole base-channel strip takes 147
-    factorizations where a per-pair sweep takes 438 (150 where 626 at amp
-    15), and 0.30 -> 0.13 s (two-core host, BLAS on one thread); a strip's
-    own counts walk one half of it (``half_inertia``).  A run whose reduction
-    fails its pivot certificate is walked pair by pair, so the count stays
-    right next to the eigenvalues of the plateau's own blocks, and then
-    takes more factorizations.  The count keeps nothing.
+
+def _walk(pairs: list, counts: tuple, sigmas: tuple) -> tuple:
+    """One walk of ``pairs`` (``_run_ldl``) at every shift of ``counts`` and ``sigmas``.
+
+    Returns ``(negatives, factorizations, inverses, factors)``: per shift,
+    counts first, its negative pivots, the blocks it factored and its last
+    Schur inverse (the last pair's, from which a half walk closes the
+    separator), and per sigma its segments as the solve keeps them
+    (``_pack``).  A count keeps nothing else.  By Haynsworth additivity the
+    negative pivots carry the inertia of ``H - s``, and by Sylvester's law
+    they count the eigenvalues of H below s.
     """
-    negatives = factorizations = 0
-    for segment in _run_ldl(pairs, shift):
-        negatives += segment.negatives
-        factorizations += segment.factorizations
-    return negatives, factorizations
+    shifts = (*counts, *sigmas)
+    keep = (False,) * len(counts) + (True,) * len(sigmas)
+    negatives, made = [0] * len(shifts), [0] * len(shifts)
+    inverses: list = [None] * len(shifts)
+    factors: list = [[] for _ in sigmas]
+    for k, segment in _run_ldl(pairs, shifts, keep):
+        negatives[k] += segment.negatives
+        made[k] += segment.factorizations
+        inverses[k] = segment.inverse
+        if keep[k]:
+            factors[k - len(counts)].append(_pack(segment))
+    return negatives, made, inverses, factors
 
 
 def _solve_levels(x: np.ndarray, levels: tuple, forward: bool) -> None:
@@ -575,28 +618,11 @@ def _solve_levels(x: np.ndarray, levels: tuple, forward: bool) -> None:
                 x[e] = zgemm(1.0, pivot, z).T
 
 
-def _packed_factor(pairs: list, sigma: float) -> tuple:
-    """The run walker's LDL^H at ``sigma`` as the solve keeps it.
-
-    Returns ``(factors, factorizations, inverse)``: per segment of the walker
-    (``_run_ldl``) ``(r0, r1, n, levels, packed, coupling, adjoint)``, with
-    the lower triangle of the last pair's Hermitian Schur inverse packed
-    column by column in ``packed`` (n (n + 1) / 2 values for a block of n
-    rows); the blocks factored; and the last segment's full Schur inverse.
-    """
-    factors, factorizations = [], 0
-    for seg in _run_ldl(pairs, sigma):
-        n = len(seg.inverse)
-        packed = seg.inverse.T[_upper(n, 0)]
-        factors.append(
-            (seg.r0, seg.r1, n, seg.levels, packed, seg.coupling, seg.adjoint)
-        )
-        factorizations += seg.factorizations
-    return factors, factorizations, seg.inverse
-
-
 def _forward(factors: list, x: np.ndarray) -> None:
-    """The forward pass of ``_packed_factor``'s LDL^H over ``x``, in place."""
+    """The forward pass of a kept walk's LDL^H (``_pack``) over ``x``, in place:
+    per segment the run's levels (``_solve_levels``), then ``z_(i+1) -=
+    B_(i+1)^H S_i^-1 z_i`` from its last pair i into the next segment, with
+    S_i^-1 applied packed (zhpmv)."""
     for r0, r1, n, levels, packed, coupling, adjoint in factors:
         if levels:
             _solve_levels(x[r0:r1].reshape(-1, n), levels, forward=True)
@@ -606,7 +632,9 @@ def _forward(factors: list, x: np.ndarray) -> None:
 
 
 def _backward(factors: list, x: np.ndarray) -> None:
-    """The backward pass of ``_packed_factor``'s LDL^H over ``x``, in place."""
+    """The backward pass of a kept walk's LDL^H over ``x``, in place:
+    segments reversed, ``x_i = S_i^-1 (z_i - B_(i+1) x_(i+1))``, then the
+    run's levels."""
     for r0, r1, n, levels, packed, coupling, _ in reversed(factors):
         z = x[r1 - n : r1]
         if coupling is not None:
@@ -617,7 +645,7 @@ def _backward(factors: list, x: np.ndarray) -> None:
 
 
 def _kept(factors: list) -> int:
-    """Values ``_packed_factor``'s factors keep: packed inverses, coupling
+    """Values a kept walk's segments hold: packed inverses, coupling
     nonzeros once per segment and the reductions' dense arrays."""
     return sum(
         p.size
@@ -625,42 +653,6 @@ def _kept(factors: list) -> int:
         + sum(a.size for _, _, *arrays in lv for a in arrays if a is not None)
         for _, _, _, lv, p, c, _ in factors
     )
-
-
-def shift_invert_solve(pairs: list, sigma: float):
-    """``x -> (H - sigma)^-1 x`` from the run walker's LDL^H at ``sigma``.
-
-    H is given by the node-pair table of its Kronecker terms
-    (``node_pairs``).  Returns ``(solve, kept, factorizations)``.  Per
-    segment of the walker (``_run_ldl``) the solve keeps the lower triangle
-    of the last pair's Hermitian Schur inverse, packed column by column (n
-    (n + 1) / 2 values for a block of n rows), the table's sparse coupling
-    to the next pair, and a run's reduction: per level its pivot inverses
-    and its coupling, dense (``_packed_factor``).  ``kept`` counts those
-    values (coupling nonzeros once per segment, though segments with equal
-    coefficients share one coupling); ``factorizations`` the blocks
-    factored.  On the base channel's whole strip that is 1,250,425 values
-    (2,741,475 for a per-pair factor) and 147 factorizations (438).
-
-    Forward, per segment: the run's levels (``_solve_levels``), then
-    ``z_(i+1) -= B_(i+1)^H S_i^-1 z_i`` from its last pair i into the next
-    segment; backward, segments reversed: ``x_i = S_i^-1 (z_i - B_(i+1)
-    x_(i+1))``, then the run's levels.  Each S_i^-1 is applied to one
-    vector as a packed Hermitian matrix-vector product (zhpmv), which reads
-    the forward pass's z_i in place.  Pivots stay inside each block, so
-    nothing bounds growth across blocks; a poor factor shows up as an
-    inverse iteration whose residual stalls, and the caller's residual
-    screen against H then rejects its state.
-    """
-    factors, factorizations, _ = _packed_factor(pairs, sigma)
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        x = np.array(b, dtype=np.complex128).ravel()
-        _forward(factors, x)
-        _backward(factors, x)
-        return x
-
-    return solve, _kept(factors), factorizations
 
 
 # ---------------------------------------------------------------------------
@@ -769,116 +761,154 @@ def _separator_schur(half: HalfTable, shift: float, inverse: np.ndarray) -> np.n
     Schur block once both halves are eliminated: X is the left half's last
     Schur inverse, and the right half's term is the left one's mirror, P
     reversing the separator's nodes."""
-    update = half.adjoint @ (half.adjoint @ inverse).conj().T  # E^H X E
-    nodes = len(update) // half.n_fast
-    mirror = update.reshape(nodes, half.n_fast, nodes, half.n_fast)[::-1, :, ::-1]
-    gamma = half.separator - update - mirror.conj().reshape(update.shape)
-    gamma[np.diag_indices(len(gamma))] -= shift
+    g = len(half.separator)
+    shape = (g // half.n_fast, half.n_fast, g // half.n_fast, half.n_fast)
+    update = (half.adjoint @ (half.adjoint @ inverse).conj().T).reshape(shape)  # E^H X E
+    gamma = half.separator.reshape(shape) - update
+    gamma -= update[::-1, :, ::-1].conj()  # in place: Gamma is made beside a kept factor
+    gamma = gamma.reshape(g, g)
+    gamma[np.diag_indices(g)] -= shift
     return gamma
 
 
-def half_inertia(half: HalfTable, shift: float) -> tuple[int, int]:
-    """Number of eigenvalues of H below ``shift``, walking the left half only.
+class HalfFactor(NamedTuple):
+    """The LDL^H of ``H - shift`` that a half walk keeps (``half_walk``).
 
-    Returns ``(count, factorizations)``.  The right half is the left one's
-    conjugate mirror, and a block LDL^H of H - shift that eliminates the
-    left half, then the right half from its far end, then the separator has
-    the same pivots on both halves up to conjugation.  By Sylvester's law
-    and Haynsworth additivity ``count = 2 nu(left) + nu(Gamma)``, with
-    nu(left) the negative pivots of the run walker (``_run_ldl``) on the
-    left half's table and Gamma the separator's Schur block
-    (``_separator_schur``), factored once.  On the base channel the left
-    half holds 218 of the strip's 438 node pairs, and a count takes 74
-    factorizations (73 on the left half and Gamma's) where a walk of the
-    whole strip takes 147.  The count keeps nothing.
+    ``segments`` are the left half's, one per segment of the walker, as the
+    solve keeps them (``_pack``): per level of a run's reduction its pivot
+    inverses and coupling, dense, and the packed lower triangle of its last
+    pair's Schur inverse.  ``gamma`` is the separator's Schur block's
+    inverse, packed the same way.  ``kept`` counts the values held: the
+    segments' (``_kept``), Gamma's and the nonzeros of the coupling E into
+    the separator.  ``factorizations`` counts the blocks factored, Gamma's
+    included.  ``half_solve`` applies it.
     """
-    negatives = factorizations = 0
-    for segment in _run_ldl(half.pairs, shift):
-        negatives += segment.negatives
-        factorizations += segment.factorizations
-    gamma = _separator_schur(half, shift, segment.inverse)
-    ldu, ipiv, _ = _factor(gamma, f"at shift = {shift:.12g}, in the separator")
-    return 2 * negatives + _negative_pivots(ldu, ipiv), factorizations + 1
+
+    shift: float
+    segments: list
+    gamma: np.ndarray
+    kept: int
+    factorizations: int
 
 
-def half_solve(half: HalfTable, sigma: float):
-    """``x -> (H - sigma)^-1 x`` from the left half's LDL^H at ``sigma``.
+def half_walk(half: HalfTable, counts: tuple, sigmas: tuple) -> tuple[list, list]:
+    """Counts below every shift of ``counts`` and a factor at every shift of
+    ``sigmas``, from one walk of the left half.
 
-    Returns ``(solve, kept, factorizations)``.  The left half's factor
-    (``_packed_factor``) serves the right half too, through its mirror:
+    Returns ``(counted, factors)``: per count ``(count, factorizations)``,
+    the number of eigenvalues of H below the shift and the blocks factored;
+    per sigma a HalfFactor.  The right half is the left one's conjugate
+    mirror, and a block LDL^H of H - s that eliminates the left half, then
+    the right half from its far end, then the separator has the same pivots
+    on both halves up to conjugation.  By Sylvester's law and Haynsworth
+    additivity ``count = 2 nu(left) + nu(Gamma)``, with nu(left) the
+    negative pivots of the left half's walk and Gamma the separator's Schur
+    block (``_separator_schur``).  A count takes Gamma's Bunch-Kaufman
+    factor only (its inertia needs no inverse); a factor inverts Gamma and
+    keeps it packed.
+
+    All shifts share one walk of the left half's table (``_walk``): each
+    run's diagonal block and dense coupling are built once for all of them,
+    so the base channel's window counts and its one seed's factor build its
+    61 run blocks once where three walks built them three times.  Each
+    shift's counts and factor are those of a walk at that shift alone, bit
+    for bit.  On the base channel a shift takes 74 factorizations (73 on the
+    left half and Gamma's) where a walk of the whole strip takes 147, and a
+    factor keeps 638,165 values where the whole strip's keeps 1,250,425
+    (``BENCH_half_walk.json``).  Every factor is held until the walk ends,
+    so the values kept grow with the number of sigmas.
+    """
+    negatives, made, inverses, kept = _walk(half.pairs, counts, sigmas)
+    counted, factors = [], []
+    for k, shift in enumerate((*counts, *sigmas)):
+        gamma = _separator_schur(half, shift, inverses[k])
+        inverses[k] = None
+        where = f"at shift = {shift:.12g}, in the separator"
+        if k < len(counts):
+            ldu, ipiv = _bunch_kaufman(gamma, where)
+            count = 2 * negatives[k] + _negative_pivots(ldu, ipiv)
+            counted.append((count, made[k] + 1))
+            continue
+        inverse = _factor(gamma, where)[2]
+        packed = inverse.T[_upper(len(inverse), 0)]
+        segments = kept[k - len(counts)]
+        values = _kept(segments) + packed.size + half.coupling.nnz
+        factors.append(HalfFactor(shift, segments, packed, values, made[k] + 1))
+    return counted, factors
+
+
+def half_solve(half: HalfTable, factor: HalfFactor, b: np.ndarray) -> np.ndarray:
+    """``(H - shift)^-1 b`` from the left half's LDL^H at ``factor.shift``.
+
+    The left half's factor serves the right half too, through its mirror:
     with M the node reversal and conjugation of the right half's part
     (``_mirrored``), the right half's solve is M applied after the left
     solve of M b_R.  The elimination takes the left half, the right half
     from its far end, then the separator: forward, both halves' passes
     (``_forward``) and ``z_S = b_S - E^H y_L - P conj(E^H y_R)`` with y the
-    last pair's ``S^-1 z``; then ``x_S = Gamma^-1 z_S``
-    (``_separator_schur``, applied packed by zhpmv); backward, each last
-    pair's ``z -= E x_S`` (with P conj(x_S) on the mirrored right half) and
-    both halves' backward passes (``_backward``).  ``kept`` counts the left
-    factor's values (``_kept``), Gamma's packed inverse and E's nonzeros;
-    on the base channel 638,165 values where a factor of the whole strip
-    keeps 1,250,425, in 74 factorizations where it takes 147.
+    last pair's ``S^-1 z``; then ``x_S = Gamma^-1 z_S``, applied packed by
+    zhpmv; backward, each last pair's ``z -= E x_S`` (with P conj(x_S) on
+    the mirrored right half) and both halves' backward passes
+    (``_backward``).  Pivots stay inside each block, so nothing bounds
+    growth across blocks; a poor factor shows up as an inverse iteration
+    whose residual stalls, and the caller's residual screen then rejects
+    its state.
     """
-    factors, factorizations, inverse = _packed_factor(half.pairs, sigma)
-    where = f"at shift = {sigma:.12g}, in the separator"
-    _, _, gamma = _factor(_separator_schur(half, sigma, inverse), where)
-    g, n_fast, n = len(gamma), half.n_fast, factors[-1][2]
-    packed_gamma, last = gamma.T[_upper(g, 0)], factors[-1][4]
-    left = half.pairs[-1][1]  # rows of the left half, and of the right one
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        x = np.array(b, dtype=np.complex128).ravel()
-        halves = (x[:left], _mirrored(x[left + g :], n_fast))
-        z = x[left : left + g]
-        for v, mirror in zip(halves, (False, True)):
-            _forward(factors, v)
-            y = half.adjoint @ zhpmv(n, 1.0, last, v, offx=left - n, lower=1)
-            z -= _mirrored(y, n_fast) if mirror else y
-        z[:] = zhpmv(g, 1.0, packed_gamma, z, lower=1)
-        for v, mirror in zip(halves, (False, True)):
-            v[left - n :] -= half.coupling @ (_mirrored(z, n_fast) if mirror else z)
-            _backward(factors, v)
-        x[left + g :] = _mirrored(halves[1], n_fast)
-        return x
-
-    kept = _kept(factors) + packed_gamma.size + half.coupling.nnz
-    return solve, kept, factorizations + 1
+    segments = factor.segments
+    g, n_fast, n = len(half.separator), half.n_fast, segments[-1][2]
+    last, left = segments[-1][4], half.pairs[-1][1]  # rows of either half
+    x = np.array(b, dtype=np.complex128).ravel()
+    halves = (x[:left], _mirrored(x[left + g :], n_fast))
+    z = x[left : left + g]
+    for v, mirror in zip(halves, (False, True)):
+        _forward(segments, v)
+        y = half.adjoint @ zhpmv(n, 1.0, last, v, offx=left - n, lower=1)
+        z -= _mirrored(y, n_fast) if mirror else y
+    z[:] = zhpmv(g, 1.0, factor.gamma, z, lower=1)
+    for v, mirror in zip(halves, (False, True)):
+        v[left - n :] -= half.coupling @ (_mirrored(z, n_fast) if mirror else z)
+        _backward(segments, v)
+    x[left + g :] = _mirrored(halves[1], n_fast)
+    return x
 
 
-def inverse_iteration(half: HalfTable, apply, seed: np.ndarray) -> tuple:
-    """Refine one seed into an eigenpair of H with one factor at its Rayleigh quotient.
+def rayleigh(apply, x: np.ndarray) -> tuple[float, float]:
+    """Rayleigh quotient e of a unit vector x and its residual ||H x - e x||;
+    ``apply`` is ``x -> H x``."""
+    hx = apply(x)
+    e = float(np.real(np.vdot(x, hx)))
+    hx -= e * x
+    return e, float(np.linalg.norm(hx))
 
-    Factors ``H - e0`` once (``half_solve`` on the half table), e0 the
-    seed's Rayleigh quotient, and applies the solve until one lowers the
-    residual ||H w - e w|| by less than ``SOLVE_GAIN`` or takes it to
-    ``RESIDUAL_FLOOR * max(1, |e|)`` (at most ``SEED_SOLVES``); the better of
-    the last two iterates is kept.  ``apply`` is ``x -> H x``.  A
+
+def inverse_iteration(
+    half: HalfTable, factor: HalfFactor, apply, seed: np.ndarray, res: float
+) -> tuple:
+    """Refine one seed into an eigenpair of H with the factor at its Rayleigh quotient.
+
+    The caller takes the seed's Rayleigh quotient and residual ``res``
+    (``rayleigh`` on the seed made unit) before the walk, and ``factor`` is
+    the walk's factor at that quotient (``factor.shift``).  The unit seed
+    is made here again, so that no caller holds it once a solve has
+    improved on it.  Applies the solve (``half_solve``) until one lowers
+    the residual ||H w - e w|| by less than ``SOLVE_GAIN`` or takes it to
+    ``RESIDUAL_FLOOR * max(1, |e|)`` (at most ``SEED_SOLVES``); the better
+    of the last two iterates is kept.  ``apply`` is ``x -> H x``.  A
     reduced-ladder seed carries no mirror content and sits nearer its own
     state than any other, so each solve shrinks the rest by their distance
     ratio: on the base channel the residual falls 0.17, 3.5e-6, 4.9e-9,
     8.6e-12, and the iteration stops there, after 3 solves, as it is below
     ``RESIDUAL_FLOOR`` (a fourth solve took it only to 3.5e-12 and moved e
-    by 2.4e-15).  Returns ``(w, e, residual, shift, solves, kept,
-    factorizations)`` with ``kept`` the values the factor stores and
-    ``factorizations`` the blocks it factored.
+    by 2.4e-15).  Returns ``(w, e, residual, solves)``.
     """
-
-    def rayleigh(x: np.ndarray) -> tuple[float, float]:
-        hx = apply(x)
-        e = float(np.real(np.vdot(x, hx)))
-        return e, float(np.linalg.norm(hx - e * x))
-
-    w = seed / np.linalg.norm(seed)
-    shift, res = rayleigh(w)
-    e = shift
-    solve, kept, factorizations = half_solve(half, shift)
+    w, e = seed / np.linalg.norm(seed), factor.shift
     for solves in range(1, SEED_SOLVES + 1):
-        x = solve(w)
+        x = half_solve(half, factor, w)
         x /= np.linalg.norm(x)
-        e_x, res_x = rayleigh(x)
+        e_x, res_x = rayleigh(apply, x)
         converging = res_x * SOLVE_GAIN < res
         if res_x < res:
             w, e, res = x, e_x, res_x
         if not converging or res <= RESIDUAL_FLOOR * max(1.0, abs(e)):
             break
-    return w, e, res, shift, solves, kept, factorizations
+    return w, e, res, solves

@@ -12,16 +12,21 @@ window with a warning that carries the numbers.
 
 A window is certified complete by counting, not by over-solving.  Two
 inertia counts of the strip's block LDL^H give the exact number of strip
-eigenvalues in it; each walks the left half of the strip only, as the right
-half is its conjugate mirror (``blocktri.half_inertia``).  Every in-gap
-state comes with its zone-edge mirror (``strip``), so that count must be
-twice the reduced ladder's, one state and its mirror each.  The states
-are therefore never searched for blindly: each is seeded from its state of
-the reduced Dirac ladder, the cone pair times the ladder envelope
-(``quasimode.lift_order0``), which is smooth and carries no mirror content,
-and refined by inverse iteration with the LDL^H taken at the seed's
-Rayleigh quotient (``blocktri.inverse_iteration``), again on the left half.
-The mirrors are counted, never solved for.
+eigenvalues in it.  Every in-gap state comes with its zone-edge mirror
+(``strip``), so that count must be twice the reduced ladder's, one state
+and its mirror each.  The states are therefore never searched for
+blindly: each is seeded from its state of the reduced Dirac ladder, the
+cone pair times the ladder envelope (``quasimode.lift_order0``), which is
+smooth and carries no mirror content, and refined by inverse iteration
+with the LDL^H taken at the seed's Rayleigh quotient
+(``blocktri.inverse_iteration``).  The mirrors are counted, never solved
+for.
+
+The seeds' Rayleigh quotients are taken first, so that the two counts and
+every seed's factor come from one walk of the strip's block table
+(``blocktri.half_walk``), which builds each run of equal blocks once for
+all the shifts.  That walk covers the left half of the strip only, as the
+right half is its conjugate mirror.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 import scipy.sparse.linalg as spla  # noqa: F401  bench/tracer.py patches ribbon.spla
 
 from .bloch import PlaneWaveBasis, eigs as fiber_eigs, fiber_from_tables, fiber_tables
-from .blocktri import half_inertia, half_table, inverse_iteration
+from .blocktri import half_table, half_walk, inverse_iteration, rayleigh
 from .dirac_cone import compute_mass, compute_nu_star, find_dirac_point
 from .geometry import TWO_PI, EdgeFrame
 from .potentials import FourierField
@@ -183,14 +188,17 @@ def _fiber_pair(tables, frame, zeta, tau, delta, basis, j_star, d_tau):
 
     Returns ``(values, slopes)``, each of length 2.  The slopes are
     Hellmann-Feynman, dE/dtau = <u, dH/dtau u>: xi moves along k' with tau,
-    so dH/dtau is diag 2 (xi + 2 pi eta).k' plus ``d_tau``, the constant
-    tau-derivative of a magnetic term.
+    so dH/dtau is diag 2 (xi + 2 pi eta).k', which weighs |u|^2, plus
+    ``d_tau``, the constant tau-derivative of a magnetic term (None for a
+    scalar one).
     """
     xi = frame.xi_of(zeta, tau)
     vals, vecs = fiber_eigs(fiber_from_tables(xi, delta, basis, tables), j_star + 1)
     u = vecs[:, j_star - 1:]
-    grad = d_tau + np.diag(2.0 * (xi + TWO_PI * basis.duals) @ frame.kp)
-    return vals[j_star - 1:], np.real(np.sum(np.conj(u) * (grad @ u), axis=0))
+    slopes = 2.0 * (xi + TWO_PI * basis.duals) @ frame.kp @ (u.real**2 + u.imag**2)
+    if d_tau is not None:
+        slopes += np.real(np.sum(np.conj(u) * (d_tau @ u), axis=0))
+    return vals[j_star - 1:], slopes
 
 
 def _brentq(f, a: float, b: float, f_a: float, f_b: float, xtol: float) -> float:
@@ -305,7 +313,7 @@ def essential_edges_bulk(
                 )
     # a magnetic term's tau-derivative, 2 delta A-hat.k', is constant in tau
     magnetic = w_table is not None and w_table.ndim == 3
-    d_tau = 2.0 * delta * (w_table @ frame.kp) if magnetic else 0.0
+    d_tau = 2.0 * delta * (w_table @ frame.kp) if magnetic else None
 
     def fiber(tau):
         return _fiber_pair(tables, frame, zeta, tau, delta, basis, j_star, d_tau)
@@ -466,40 +474,45 @@ def gap_eigenpairs(
 
     ``seeds`` are unit strip vectors, one per state of the reduced ladder in
     the window (``solve_edge_channel`` lifts them with
-    ``quasimode.lift_order0``).  The window is counted first: ``count =
-    nu(hi) - nu(lo)`` from two inertia counts (``blocktri.half_inertia``) is
-    the exact number of strip eigenvalues in it.  Every state comes with its
-    zone-edge mirror, so the count must be twice the number of seeds; any
-    other count raises CountMismatch with both numbers, and a window that
-    counts none returns without factoring.  Each seed is then refined by
-    inverse iteration with its own factor at its Rayleigh quotient
-    (``blocktri.inverse_iteration``): with one factor shared at the window
-    centre, the side states of the amp-15 ladder stall near 4e-3 and then
-    fall onto the midgap state, the one nearest that shift.  The mirrors
-    are counted, never solved for.
+    ``quasimode.lift_order0``).  Each seed's Rayleigh quotient is taken
+    first (``blocktri.rayleigh``, one apply of the terms).  One walk of the
+    strip's half table (``blocktri.half_walk``) then takes the window
+    edges and every seed's quotient together: it counts ``nu(hi) -
+    nu(lo)``, the exact number of strip eigenvalues in the window, and
+    keeps a factor at each quotient.  Every state comes with its zone-edge
+    mirror, so the count must be twice the number of seeds; any other count
+    raises CountMismatch with both numbers, and a window that counts none
+    has no seed and so no factor.  Each seed is then refined by inverse
+    iteration on its own factor (``blocktri.inverse_iteration``): with one
+    factor shared at the window centre, the side states of the amp-15
+    ladder stall near 4e-3 and then fall onto the midgap state, the one
+    nearest that shift.  The mirrors are counted, never solved for.  All
+    the factors are held until the walk ends, so the memory they take grows
+    with the number of seeds.
 
-    Every factorization builds its blocks from the strip's Kronecker terms;
-    the half table (``blocktri.half_table``: the left half's node pairs,
-    the separator's block and its coupling, with the terms' mirror symmetry
+    The walk builds its blocks from the strip's Kronecker terms; the half
+    table (``blocktri.half_table``: the left half's node pairs, the
+    separator's block and its coupling, with the terms' mirror symmetry
     checked to ``CONJUGATION_TOL``) is read once per call, and no step here
-    forms, slices or multiplies the CSC strip.  The two counts and each
-    seed's factor walk the left half run by run, reduce its plateau run by
-    block cyclic reduction and close the separator with one dense factor;
-    the right half is the left one's conjugate mirror.  The Rayleigh
-    quotients and residuals apply the terms (``strip.kron_apply``).  The
-    diagnostics record ``inertia_sweeps`` (2 for the count, plus one factor
-    per seed), ``count_factorizations`` and ``factor_factorizations`` (the
-    block factorizations of one count and of one seed's factor),
-    ``separator_rows`` (the rows of the separator's block),
-    ``block_solves`` (applications of the shift-invert solves), ``shifts``
-    (one Rayleigh quotient per seed), ``seed_overlaps`` (|<seed, state>|^2
-    per seed: a seed with the wrong reduced model can still reach its state
-    from rounding noise, but not with a large overlap) and ``factor_values``
-    (values one factor keeps, ``blocktri.half_solve``).  On the base channel
-    that is 3 half walks of 74 factorizations each where a walk of the whole
-    strip takes 147 (and a per-pair sweep 438), 165 separator rows,
-    638,165 values kept where a factor of the whole strip keeps 1,250,425,
-    and 3 block solves.
+    forms, slices or multiplies the CSC strip.  The walk goes over the left
+    half run by run, builds each run's diagonal block once for all its
+    shifts, reduces the plateau run by block cyclic reduction and closes
+    the separator with one dense factor per shift; the right half is the
+    left one's conjugate mirror.  The Rayleigh quotients and residuals
+    apply the terms (``strip.kron_apply``).  The diagnostics record
+    ``walks`` (1), ``inertia_sweeps`` (the shifts walked: 2 for the count,
+    plus one per seed), ``count_factorizations`` and
+    ``factor_factorizations`` (the block factorizations of one count and of
+    one seed's factor), ``separator_rows`` (the rows of the separator's
+    block), ``block_solves`` (applications of the shift-invert solves),
+    ``shifts`` (one Rayleigh quotient per seed), ``seed_overlaps``
+    (|<seed, state>|^2 per seed: a seed with the wrong reduced model can
+    still reach its state from rounding noise, but not with a large
+    overlap) and ``factor_values`` (values one factor keeps,
+    ``blocktri.HalfFactor``).  On the base channel that is one walk at 3
+    shifts of 74 factorizations each where a walk of the whole strip takes
+    147 (and a per-pair sweep 438), 165 separator rows, 638,165 values kept
+    where a factor of the whole strip keeps 1,250,425, and 3 block solves.
 
     A refined state is kept when its relative residual is at most
     ``RESIDUAL_TOL``, its energy lies in the window and at most
@@ -515,19 +528,27 @@ def gap_eigenpairs(
 
     terms, half = op.terms, half_table(op.terms, CONJUGATION_TOL)
     n_t, n_fast = op.grid.n_t, op.grid.n_fast
-    (nu_lo, factorizations), (nu_hi, _) = half_inertia(half, lo), half_inertia(half, hi)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        return kron_apply(terms, x.reshape(n_t, n_fast)).ravel()
+
+    quotients = [rayleigh(apply, seed / np.linalg.norm(seed)) for seed in seeds]
+    shifts = tuple(e for e, _ in quotients)
+    counted, factors = half_walk(half, (lo, hi), shifts)
+    (nu_lo, factorizations), (nu_hi, _) = counted
     count = nu_hi - nu_lo
     diagnostics: dict = {
         "inertia": (nu_lo, nu_hi),
         "count": count,
         "seeds": len(seeds),
-        "shifts": (),
+        "shifts": shifts,
         "seed_overlaps": (),
-        "inertia_sweeps": 2,
+        "inertia_sweeps": 2 + len(shifts),
+        "walks": 1,
         "count_factorizations": factorizations,
         "block_solves": 0,
-        "factor_values": 0,
-        "factor_factorizations": 0,
+        "factor_values": factors[-1].kept if factors else 0,
+        "factor_factorizations": factors[-1].factorizations if factors else 0,
         "separator_rows": len(half.separator),
     }
     if count != 2 * len(seeds):
@@ -541,20 +562,13 @@ def gap_eigenpairs(
     if count == 0:
         return _empty_spectrum(op, window, edges, mu, "no states in window", diagnostics)
 
-    def apply(x: np.ndarray) -> np.ndarray:
-        return kron_apply(terms, x.reshape(n_t, n_fast)).ravel()
-
     values, vectors, loc, bnd, smooth = [], [], [], [], []
     dropped = {"boundary": 0, "residual": 0, "window": 0}
     max_residual = 0.0
-    for seed in seeds:
-        w, e, res, shift, solves, kept, made = inverse_iteration(half, apply, seed)
-        diagnostics["shifts"] += (shift,)
+    for seed, (_, res), factor in zip(seeds, quotients, factors):
+        w, e, res, solves = inverse_iteration(half, factor, apply, seed, res)
         diagnostics["seed_overlaps"] += (state_overlap(seed, w),)
-        diagnostics["inertia_sweeps"] += 1
         diagnostics["block_solves"] += solves
-        diagnostics["factor_values"] = kept
-        diagnostics["factor_factorizations"] = made
         max_residual = max(max_residual, res)
         if res > RESIDUAL_TOL * max(1.0, abs(e)):
             dropped["residual"] += 1

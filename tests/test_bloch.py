@@ -8,6 +8,7 @@ round-off at cutoff 8 and beyond.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from artifact import bloch, geometry, potentials
 
@@ -152,6 +153,32 @@ def test_eigs_rejects_overcount(lat, wells):
     op = bloch.assemble_fiber(np.zeros(2), 0.0, wells, basis)
     with pytest.raises(ValueError):
         bloch.eigs(op, op.dim + 1)
+
+
+@pytest.mark.parametrize("field", ["none", "W", "A"])
+def test_eigs_matches_scipy_eigh(lat, wells, field):
+    # the direct zheevr call is scipy.linalg.eigh(subset_by_index=...) bit
+    # for bit, values and vectors, on fibers with a scalar, a vector or no
+    # perturbation, at cutoffs 4 and 8 and for several counts
+    width = 0.15 * np.linalg.norm(lat.v1)
+    pert = {
+        "none": None,
+        "W": potentials.parity_breaking_W(lat, 10.0, width, 8.0),
+        "A": potentials.magnetic_A(lat, 2.2),
+    }[field]
+    rng = np.random.default_rng(3)
+    for cutoff in (4.0, 8.0):
+        basis = bloch.build_basis(lat, cutoff)
+        for _ in range(3):
+            op = bloch.assemble_fiber(rng.standard_normal(2), 0.08, wells, basis, pert)
+            for count in (1, 2, 7):
+                vals, vecs = bloch.eigs(op, count)
+                ref_vals, ref_vecs = scipy.linalg.eigh(
+                    op.matrix, subset_by_index=[0, count - 1]
+                )
+                assert vals.shape == (count,) and vecs.shape == (op.dim, count)
+                assert np.array_equal(vals, ref_vals)
+                assert np.array_equal(vecs, ref_vecs)
 
 
 def test_gap_opens_linearly_with_delta(lat, wells, basis8):

@@ -6,8 +6,12 @@ are random: repeated node blocks with dense couplings, so the run reduction,
 its pivot certificate and 2x2 Bunch-Kaufman pivots are exercised away from
 the strip's near-diagonal couplings.  The dense reference is the plain sum of
 the Kronecker products.  The helpers ``per_pair_sweep``, ``reduction_levels``
-and ``packed_count`` are the references the strip tests use too.
+and ``packed_count`` are the references the strip tests use too, and so are
+the one-shift walks: ``inertia`` and ``shift_invert_solve`` walk a whole
+table, ``half_inertia`` and ``half_solver`` a strip's left half.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +19,40 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import zhetrf, zhetri
 
 from artifact import blocktri as bt
+
+
+def inertia(pairs, shift):
+    """``(count, factorizations)`` of a walk of the whole table at ``shift``
+    alone: the eigenvalues of H below it and the blocks factored."""
+    negatives, made, _, _ = bt._walk(pairs, (shift,), ())
+    return negatives[0], made[0]
+
+
+def shift_invert_solve(pairs, sigma):
+    """``(solve, kept, factorizations)`` of a walk of the whole table at
+    ``sigma`` alone: ``x -> (H - sigma)^-1 x`` by the walk's forward and
+    backward passes, the values its factor keeps and the blocks factored."""
+    _, made, _, (segments,) = bt._walk(pairs, (), (sigma,))
+
+    def solve(b):
+        x = np.array(b, dtype=np.complex128).ravel()
+        bt._forward(segments, x)
+        bt._backward(segments, x)
+        return x
+
+    return solve, bt._kept(segments), made[0]
+
+
+def half_inertia(half, shift):
+    """``(count, factorizations)`` of a half walk at ``shift`` alone."""
+    (counted,), _ = bt.half_walk(half, (shift,), ())
+    return counted
+
+
+def half_solver(half, sigma):
+    """``(solve, kept, factorizations)`` of a half walk at ``sigma`` alone."""
+    _, (factor,) = bt.half_walk(half, (), (sigma,))
+    return partial(bt.half_solve, half, factor), factor.kept, factor.factorizations
 
 
 def per_pair_sweep(pairs, shift):
@@ -57,6 +95,22 @@ def packed_count(mat, size, skip=()):
         for i, r0 in enumerate(range(0, dim, size))
         if i not in skip
     )
+
+
+def assert_same_segments(segments, reference):
+    """Two kept walks' segments (``bt._pack``) hold the same rows, couplings
+    and arrays, bit for bit."""
+    assert len(segments) == len(reference)
+    for seg, ref in zip(segments, reference):
+        r0, r1, n, levels, packed, coupling, adjoint = seg
+        assert (r0, r1, n) == ref[:3] and coupling is ref[5] and adjoint is ref[6]
+        assert np.array_equal(packed, ref[4])
+        assert len(levels) == len(ref[3])
+        for level, ref_level in zip(levels, ref[3]):
+            assert level[:2] == ref_level[:2]
+            for a, b in zip(level[2:], ref_level[2:]):
+                assert (a is None) == (b is None)
+                assert a is None or np.array_equal(a, b)
 
 
 def _kron_sum(terms):
@@ -148,7 +202,7 @@ def test_run_reduction_on_dense_toeplitz_runs(monkeypatch):
     for i, shift in enumerate(shifts):
         taken.clear()
         factored.clear()
-        count, made = bt.inertia(pairs, shift)
+        count, made = inertia(pairs, shift)
         # each run's reduction takes all its pivots, or stops at the first
         # that fails its certificate, and the run is walked pair by pair: m
         # factorizations for a run of m pairs, plus the pivots tried up to
@@ -168,11 +222,11 @@ def test_run_reduction_on_dense_toeplitz_runs(monkeypatch):
         assert made == len(factored)
         reported += made
         two_by_two += [t for _, t in attempts]
-        solve, kept, made = bt.shift_invert_solve(pairs, shift)
+        solve, kept, made = shift_invert_solve(pairs, shift)
         assert made == expected and taken == 2 * attempts
         with monkeypatch.context() as per_pair:
             per_pair.setattr(bt, "PIVOT_CONDITION", 0.0)
-            walk, *_ = bt.shift_invert_solve(pairs, shift)
+            walk, *_ = shift_invert_solve(pairs, shift)
         b = rng.standard_normal(len(dense)) + 1j * rng.standard_normal(len(dense))
         dist = np.abs(evals - shift)
 
@@ -222,7 +276,50 @@ def test_run_reduction_on_dense_toeplitz_runs(monkeypatch):
     # 1, 1 + 1 and 1 + 2 factorizations for the first three runs, 4 for the
     # run of 4 walked per pair plus its singular first pivot, and 1 for the
     # node
-    assert bt.inertia(bt.node_pairs(terms), 0.0) == (below, 12)
+    assert inertia(bt.node_pairs(terms), 0.0) == (below, 12)
+
+
+def test_one_walk_matches_walks_at_each_shift():
+    # one walk of the Toeplitz test table at 32 shifts, counts and kept
+    # factors interleaved along the spectrum, gives every shift what a walk
+    # at that shift alone gives, bit for bit: its negative pivots, blocks
+    # factored, last Schur inverse and every kept segment, with the runs
+    # whose reduction fails its certificate at some of the shifts and not
+    # at others; and it builds each run's diagonal block once
+    stretches = [(1, 0, 0), (2, 1, 1), (3, 2, 2), (4, 3, 3), (7, 4, 4), (3, 5, 5),
+                 (4, 5, 6), (1, 6, 7)]
+    terms = _toeplitz_terms(stretches, np.random.default_rng(5))
+    pairs = bt.node_pairs(terms)
+    evals = np.linalg.eigvalsh(_kron_sum(terms))
+    mids = 0.5 * (evals[1:] + evals[:-1])
+    counts, sigmas = tuple(mids[::16]), tuple(mids[8::16])
+    built, wrappers = [], {}
+
+    def counted(diagonal):
+        def call():
+            built.append(diagonal)
+            return diagonal()
+
+        return call
+
+    table = [
+        (r0, r1, wrappers.setdefault(id(d), counted(d)), c, a)
+        for r0, r1, d, c, a in pairs
+    ]
+    negatives, made, inverses, factors = bt._walk(table, counts, sigmas)
+    assert len(built) == len(bt._runs(pairs)) == 9
+    assert len(negatives) == len(made) == len(inverses) == 32 and len(factors) == 16
+    for k, shift in enumerate(counts + sigmas):
+        kept = k >= len(counts)
+        walk = (), (shift,)
+        n, m, inv, f = bt._walk(pairs, *(walk if kept else walk[::-1]))
+        assert (negatives[k], made[k]) == (n[0], m[0])
+        assert np.array_equal(inverses[k], inv[0])
+        if kept:
+            assert_same_segments(factors[k - len(counts)], f[0])
+    # the 9 runs' last blocks and their 15 pivots where no reduction falls
+    # back, more where one does
+    assert min(made) == 9 + 15 and max(made) > min(made)
 
 
 def _negative_pivots_loop(ldu, ipiv):
@@ -292,9 +389,9 @@ def test_block_ldl_on_dense_couplings():
             ref = np.tril(zhetri(ldu, ipiv, lower=1)[0])
             ref += np.tril(ref, -1).conj().T
             assert np.array_equal(inverse, ref)
-        assert bt.inertia(pairs, shift)[0] == i
+        assert inertia(pairs, shift)[0] == i
         b = cplx(dim)
-        solve, kept, made = bt.shift_invert_solve(pairs, shift)
+        solve, kept, made = shift_invert_solve(pairs, shift)
         # four pairs of 10 rows and a last block of 5, coupled by three and by
         # two dense node blocks; no two pairs share a block, so each is a run
         # of its own and the factor is per pair

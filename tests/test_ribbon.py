@@ -12,6 +12,7 @@ below 1e-6.
 
 import dataclasses
 import time
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -31,7 +32,16 @@ from artifact.geometry import TWO_PI, build_lattice, make_edge_frame
 from artifact.potentials import domain_wall, honeycomb_potential, parity_breaking_W
 from artifact.quasimode import fit_power_law
 from artifact.wall_dirac import GridTooCoarse, gap_spectrum, params_from_frames
-from test_blocktri import packed_count, per_pair_sweep, reduction_levels
+from test_blocktri import (
+    assert_same_segments,
+    half_inertia,
+    half_solver,
+    inertia,
+    packed_count,
+    per_pair_sweep,
+    reduction_levels,
+    shift_invert_solve,
+)
 
 DELTA = 0.08
 E_STAR = 1.9000088541213909
@@ -417,12 +427,15 @@ def test_node_pair_blocks_match_csc_slices(lat, frame, fields, basis, case):
 
 def _channel(lat, frame, fields, channel):
     """Edge phase, perturbation and strip keywords of a test channel: the
-    base channel, amp 15, the magnetic wall (A) or the inverted base channel."""
+    base channel, amp 15, the detuned one (mu03), the magnetic wall (A) or
+    the inverted base channel."""
     from artifact.potentials import magnetic_A
 
     zeta, pert, kwargs = frame.zeta_star("A"), fields["W10"], dict(t_factor=3.5)
     if channel == "amp15":
         pert, kwargs = fields["W15"], dict(t_factor=5.0)
+    elif channel == "mu03":
+        zeta, kwargs = zeta + 0.3 * DELTA, dict(t_factor=5.0)
     elif channel == "A":
         pert = magnetic_A(lat, 2.2)
     elif channel == "inversion":
@@ -470,7 +483,7 @@ def test_shared_diagonal_blocks_match_fresh_blocks(
     reference = {
         r1: (ldu, ipiv, inv) for _, r1, _, ldu, ipiv, inv in per_pair_sweep(fresh, 1.88)
     }
-    reduced = list(bt._run_ldl(pairs, 1.88))
+    reduced = [seg for _, seg in bt._run_ldl(pairs, (1.88,), (False,))]
     assert len(reduced) == 123
     for seg in reduced:
         ldu, ipiv, inverse = reference[seg.r1]
@@ -479,7 +492,7 @@ def test_shared_diagonal_blocks_match_fresh_blocks(
     count = sum(bt._negative_pivots(ldu, ipiv) for ldu, ipiv, _ in reference.values())
     assert sum(seg.negatives for seg in reduced) == count
     monkeypatch.setattr(bt, "PIVOT_CONDITION", 0.0)
-    walked = list(bt._run_ldl(pairs, 1.88))
+    walked = [seg for _, seg in bt._run_ldl(pairs, (1.88,), (False,))]
     assert len(walked) == len(pairs)
     # the first pair of a run also reports the reduction's one failed pivot
     firsts = {run[0][1] for run in bt._runs(pairs) if len(run) > 1}
@@ -493,16 +506,23 @@ def test_shared_diagonal_blocks_match_fresh_blocks(
 def test_channel_solve_forms_no_csc_strip(frame, fields, basis, cone, monkeypatch):
     # the count, the shift-invert solves and the Rayleigh/residual screens
     # all work from the Kronecker terms, so the base channel solves with the
-    # CSC strip unreadable; the seeded solve runs no Krylov eigensolver: two
-    # counting sweeps and one factor for its one seed; and every walk is a
-    # half walk, with no node-pair table or walk of the whole strip
+    # CSC strip unreadable; the seeded solve runs no Krylov eigensolver: one
+    # walk at three shifts, the two window counts and the factor for its one
+    # seed; and that walk is a half walk, with no node-pair table or walk of
+    # the whole strip
     def no_call(*args, **kwargs):
         raise AssertionError("the CSC strip, eigsh or a whole-strip walk was used")
 
     monkeypatch.setattr(st.StripOperator, "matrix", property(no_call))
     monkeypatch.setattr(rb.spla, "eigsh", no_call)
-    for name in ("node_pairs", "inertia", "shift_invert_solve"):
-        monkeypatch.setattr(bt, name, no_call)
+    monkeypatch.setattr(bt, "node_pairs", no_call)
+    real_walk, walked = bt._run_ldl, []
+
+    def recorded_walk(pairs, shifts, keep):
+        walked.append((len(pairs), keep))
+        return real_walk(pairs, shifts, keep)
+
+    monkeypatch.setattr(bt, "_run_ldl", recorded_walk)
     spec = rb.solve_edge_channel(
         frame, fields["V"], fields["wall"], frame.zeta_star("A"), DELTA, basis,
         cone.j_star, SPEED_T, perturbation=fields["W10"], t_factor=3.5,
@@ -510,7 +530,10 @@ def test_channel_solve_forms_no_csc_strip(frame, fields, basis, cone, monkeypatc
     assert len(spec) == 1
     assert abs(spec.values[0] - BASE_VALUE) < 1e-6
     assert spec.diagnostics["inertia"] == (874, 876)
+    # 218 node pairs are the left half's, of the strip's 438
+    assert walked == [(218, (False, False, True))]
     assert spec.diagnostics["inertia_sweeps"] == 3
+    assert spec.diagnostics["walks"] == 1
 
 
 def test_interior_remap(frame, fields, basis):
@@ -794,7 +817,9 @@ def test_base_channel(base_spec, base_comp, base_op):
     # (59 on the wall, one at the end of the box), which take one
     # factorization each, and the plateau run of 158 pairs, reduced by block
     # cyclic reduction, 13; the separator's Schur block Gamma takes one more
+    # all three shifts are taken in one walk of the left half
     assert base_spec.diagnostics["inertia_sweeps"] == 3
+    assert base_spec.diagnostics["walks"] == 1
     half = bt.half_table(base_op.terms, rb.CONJUGATION_TOL)
     size = 2 * base_op.grid.n_fast
     n_sep = len(half.separator)
@@ -999,9 +1024,9 @@ def _arpack_smooth_values(op, window):
     Fourier mass mostly below the mirror cut)."""
     lo, hi = window
     pairs = bt.node_pairs(op.terms)
-    count = bt.inertia(pairs, hi)[0] - bt.inertia(pairs, lo)[0]
+    count = inertia(pairs, hi)[0] - inertia(pairs, lo)[0]
     sigma = 0.5 * (lo + hi) + 0.00137 * (hi - lo)
-    solve, *_ = bt.shift_invert_solve(pairs, sigma)
+    solve, *_ = shift_invert_solve(pairs, sigma)
     n, shape = op.dim, (op.grid.n_t, op.grid.n_fast)
     strip = spla.LinearOperator(
         (n, n), matvec=lambda x: st.kron_apply(op.terms, x.reshape(shape)).ravel(),
@@ -1091,21 +1116,125 @@ def test_magnetic_channel(lat, frame, fields, basis, cone, magnetic_spec):
 
 def test_empty_window_skips_solve(monkeypatch, base_op, base_spec):
     # a window inside the gap that holds no state is certified empty by the
-    # count alone, without factoring at any shift
+    # count alone: its one walk takes the two window edges and no shift to
+    # factor at, and no factor is kept or solved with
     def no_call(*args, **kwargs):
         raise AssertionError("solver called on an empty window")
 
-    monkeypatch.setattr(bt, "half_solve", no_call)
-    monkeypatch.setattr(bt, "shift_invert_solve", no_call)
+    for name in ("half_solve", "_pack"):
+        monkeypatch.setattr(bt, name, no_call)
+    real_walk, walks = rb.half_walk, []
+
+    def recorded_walk(half, counts, sigmas):
+        walks.append((counts, sigmas))
+        return real_walk(half, counts, sigmas)
+
+    monkeypatch.setattr(rb, "half_walk", recorded_walk)
     window = (1.95, 2.0)
     assert base_spec.edges.lower < window[0] and window[1] < base_spec.edges.upper
     spec = rb.gap_eigenpairs(base_op, window, base_spec.edges, [])
     assert len(spec) == 0
     assert spec.diagnostics["count"] == 0
     assert spec.diagnostics["note"] == "no states in window"
-    assert spec.diagnostics["inertia_sweeps"] == 2
+    assert walks == [(window, ())]
+    assert spec.diagnostics["inertia_sweeps"] == 2 and spec.diagnostics["walks"] == 1
     assert spec.diagnostics["block_solves"] == spec.diagnostics["factor_values"] == 0
     assert spec.diagnostics["factor_factorizations"] == 0
+
+
+def _counted_diagonals(half):
+    """The half table with every ``diagonal`` callable wrapped to record its
+    calls, and the list the calls go to.  Pairs that shared a callable
+    share its wrapper, so the table cuts into the same runs."""
+    built, wrappers = [], {}
+
+    def counted(diagonal):
+        def call():
+            built.append(diagonal)
+            return diagonal()
+
+        return call
+
+    pairs = [
+        (r0, r1, wrappers.setdefault(id(d), counted(d)), c, a)
+        for r0, r1, d, c, a in half.pairs
+    ]
+    return half._replace(pairs=pairs), built
+
+
+def _assert_same_factor(factor, alone):
+    """Two half-walk factors hold the same arrays, bit for bit."""
+    assert factor.shift == alone.shift
+    assert (factor.kept, factor.factorizations) == (alone.kept, alone.factorizations)
+    assert np.array_equal(factor.gamma, alone.gamma)
+    assert_same_segments(factor.segments, alone.segments)
+
+
+@pytest.mark.parametrize("channel", ["base", "amp15", "mu03", "A", "inversion"])
+def test_one_walk_matches_single_shift_walks(
+    request, lat, frame, fields, basis, channel
+):
+    # the channel solve's one walk of the left half, at both window edges
+    # and at every seed's shift, gives each shift the count, factorizations
+    # and kept factor of a walk at that shift alone, bit for bit, and builds
+    # each run's diagonal block once for all of them: 61 blocks on the base
+    # channel where three walks built 183
+    name = "magnetic" if channel == "A" else channel
+    spec = request.getfixturevalue(f"{name}_spec")
+    op = _channel_op(lat, frame, fields, basis, channel)
+    half = bt.half_table(op.terms, rb.CONJUGATION_TOL)
+    shifts = spec.diagnostics["shifts"]
+    assert len(shifts) == spec.diagnostics["seeds"] == (3 if channel == "amp15" else 1)
+    table, built = _counted_diagonals(half)
+    counted, factors = bt.half_walk(table, spec.window, shifts)
+    runs = len(bt._runs(half.pairs))
+    assert len(built) == runs == len(set(map(id, built)))
+    if channel == "base":
+        assert runs == 61
+    assert counted == [half_inertia(half, shift) for shift in spec.window]
+    assert tuple(c for c, _ in counted) == spec.diagnostics["inertia"]
+    assert counted[0][1] == spec.diagnostics["count_factorizations"]
+    assert len(factors) == len(shifts)
+    for shift, factor in zip(shifts, factors):
+        _, (alone,) = bt.half_walk(half, (), (shift,))
+        assert factor.shift == shift
+        _assert_same_factor(factor, alone)
+    assert factors[-1].kept == spec.diagnostics["factor_values"]
+    assert factors[-1].factorizations == spec.diagnostics["factor_factorizations"]
+
+
+def test_one_walk_peaks_no_higher_than_three(monkeypatch, base_op, base_spec):
+    # the one walk holds the count shifts' Schur inverses beside the factor
+    # it builds, but no count keeps its reductions: traced by tracemalloc,
+    # gap_eigenpairs on the base channel peaks no higher than with the two
+    # counts and the seed's factor each walked alone (the three-walk route),
+    # measured here on the same call, and returns the same state bit for
+    # bit.  Both routes run once untraced first; after that their peaks
+    # (about 14 MB, in the solves) differ by a few hundred bytes of interpreter
+    # allocations either way, where a count's kept inverse would add one
+    # 110-row block, 194 kB
+    seed = base_spec.vectors[:, 0]
+
+    def three_walks(half, counts, sigmas):
+        counted = [half_inertia(half, shift) for shift in counts]
+        return counted, [bt.half_walk(half, (), (s,))[1][0] for s in sigmas]
+
+    def traced(walk):
+        monkeypatch.setattr(rb, "half_walk", walk)
+        rb.gap_eigenpairs(base_op, base_spec.window, base_spec.edges, [seed])
+        tracemalloc.start()
+        try:
+            spec = rb.gap_eigenpairs(base_op, base_spec.window, base_spec.edges, [seed])
+            return spec, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, one_peak = traced(bt.half_walk)
+    three, three_peak = traced(three_walks)
+    assert one_peak <= three_peak + 16 * 1024
+    assert np.array_equal(one.values, three.values)
+    assert np.array_equal(one.vectors, three.vectors)
+    assert one.diagnostics == three.diagnostics
 
 
 @pytest.mark.parametrize("screen", ["residual", "window", "boundary"])
@@ -1119,9 +1248,9 @@ def test_refined_state_screens(monkeypatch, base_op, base_spec, screen):
     elif screen == "window":
         refine = rb.inverse_iteration
 
-        def outside(*args):
-            w, e, *rest = refine(*args)
-            return (w, hi + 1.0, *rest)
+        def outside(half, factor, apply, seed, res):
+            w, _, res, solves = refine(half, factor, apply, seed, res)
+            return w, hi + 1.0, res, solves
 
         monkeypatch.setattr(rb, "inverse_iteration", outside)
     else:
@@ -1203,16 +1332,16 @@ def test_inertia_matches_dense_count(
     evals = np.linalg.eigvalsh(dense_h)
     # every midpoint, the mirror pairs split by 1e-12 to 1e-8 on the scalar
     # wall included, by the walk of the whole strip and by the half walk
-    assert _assert_counts_match_dense(partial(bt.inertia, pairs), evals) == 82
-    assert _assert_counts_match_dense(partial(bt.half_inertia, half), evals) == 82
+    assert _assert_counts_match_dense(partial(inertia, pairs), evals) == 82
+    assert _assert_counts_match_dense(partial(half_inertia, half), evals) == 82
     below = {evals[0] - 1.0: 0, evals[-1] + 1.0: op.dim}
     for i in (3, 250, 917, 1500, 1831):
         below[0.5 * (evals[i - 1] + evals[i])] = i
     rng = np.random.default_rng(7)
     compared = 0
     for shift, i in below.items():
-        assert bt.inertia(pairs, shift)[0] == i
-        assert bt.half_inertia(half, shift)[0] == i
+        assert inertia(pairs, shift)[0] == i
+        assert half_inertia(half, shift)[0] == i
         b = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
         dist = np.abs(evals - shift)
         ref = None
@@ -1223,7 +1352,7 @@ def test_inertia_matches_dense_count(
         if dist.max() / dist.min() < 1e6:
             ref = np.linalg.solve(dense_h - shift * np.eye(op.dim), b)
             compared += 1
-        for factor in (bt.shift_invert_solve(pairs, shift), bt.half_solve(half, shift)):
+        for factor in (shift_invert_solve(pairs, shift), half_solver(half, shift)):
             x = factor[0](b)
             # backward stable at every shift ...
             residual = np.linalg.norm(op.matrix @ x - shift * x - b)
@@ -1251,7 +1380,7 @@ def test_inertia_matches_dense_count_without_wall(lat, frame, fields):
     pairs = bt.node_pairs(op.terms)
     assert _long_runs(pairs) == [74]
     evals = np.linalg.eigvalsh(op.matrix.toarray())
-    count = partial(bt.inertia, pairs)
+    count = partial(inertia, pairs)
     assert _assert_counts_match_dense(count, evals, split=1e-8) == 40
 
 
@@ -1275,7 +1404,7 @@ def test_run_reduced_count_matches_sweep(request, lat, frame, fields, basis, cha
     counts = tuple(_swept(pairs, shift) for shift in spec.window)
     assert counts == spec.diagnostics["inertia"]
     for shift in spec.values + 1e-9:
-        assert bt.half_inertia(half, shift) == (_swept(pairs, shift), factorizations)
+        assert half_inertia(half, shift) == (_swept(pairs, shift), factorizations)
     # the reduction's first pivot is the plateau's D - shift, which the sweep
     # never factors.  D has no eigenvalue within 2.9 of the window (the
     # nearest lie near -1.38 and 6.31 on all four channels).  Uncertified,
@@ -1289,9 +1418,9 @@ def test_run_reduced_count_matches_sweep(request, lat, frame, fields, basis, cha
     below, above = lam[lam < lo].max(), lam[lam > hi].min()
     assert lo - below > 2.9 and above - hi > 2.9
     for shift in (below - 1e-4, below + 1e-4, above - 1e-4, above + 1e-4):
-        assert bt.half_inertia(half, shift)[0] == _swept(pairs, shift)
+        assert half_inertia(half, shift)[0] == _swept(pairs, shift)
     for shift in (below - 3e-8, below + 3e-8, above - 1e-6):
-        count, made = bt.half_inertia(half, shift)
+        count, made = half_inertia(half, shift)
         assert count == _swept(pairs, shift)
         assert made > factorizations + len(plateau) // 2  # a plateau walked per pair
 

@@ -628,7 +628,7 @@ def test_shooting_root_matches_brentq(frame):
     for band, i in enumerate(extrema):
         def slope(tau, band=band):
             _, slopes = ribbon._fiber_pair(
-                tables, frame, zeta, tau, delta, basis, j_star, 0.0
+                tables, frame, zeta, tau, delta, basis, j_star, None
             )
             return slopes[band]
 
